@@ -74,8 +74,8 @@ fn bench_pool_launch(c: &mut Bench) {
         group.bench_function(BenchmarkId::new("noop", threads), |bch| {
             par::set_num_threads(threads);
             bch.iter(|| {
-                par::parallel_chunks(threads, 1, |s, e, _| {
-                    std::hint::black_box(e - s);
+                par::run_tasks(threads, |i| {
+                    std::hint::black_box(i);
                 })
             });
             par::set_num_threads(0);

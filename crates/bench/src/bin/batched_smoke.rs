@@ -13,7 +13,9 @@
 //! 4. the parallel paged-attention sweep holds the determinism contract
 //!    in the attention-bound regime: a long-context batch of 8 produces
 //!    byte-identical streams at 1 and 2 worker threads, both matching
-//!    the serial row-at-a-time reference loop.
+//!    the serial row-at-a-time reference loop; and
+//! 5. batch-8 steps of the served (medium) tier at ≤ 256 context never
+//!    wake the tensor pool — an exact launch count, not a timing.
 //!
 //! Also useful standalone:
 //!
@@ -242,6 +244,40 @@ fn main() {
         "[batched_smoke] long-context batch-8 streams identical across serial/sweep x threads 1,2 \
          (attend_ns total {attend_total})"
     );
+
+    // 5. Launch gate: at <= 256 context a batch-8 step of the medium
+    //    tier — its m = 8 GEMMs and its eight attention lanes — carries
+    //    less work per kernel than a pool launch costs, so the whole
+    //    decode must leave the launch counter where it was, at the
+    //    default thread count.
+    let medium = Gpt2Lm::new(Gpt2Config::medium(VOCAB));
+    let medium_bm = medium.batch_model().expect("medium tier is batch-ready");
+    let launches = obs::metrics::counter("tensor_pool_launches_total");
+    let before = launches.get();
+    let mut engine = BatchGenerator::new(
+        medium_bm,
+        BatchEngineConfig {
+            block_tokens: 16,
+            num_blocks: 128,
+            max_batch: 8,
+            prefix_cap: 0,
+        },
+    );
+    for r in &long_reqs {
+        engine.admit(r.clone()).expect("pool sized for the batch");
+    }
+    let mut done = 0;
+    while done < long_reqs.len() {
+        done += engine.step(medium_bm).expect("reserved at admission").finished.len();
+    }
+    assert_eq!(
+        launches.get(),
+        before,
+        "batch-8 decode of {} at {} context launched the tensor pool",
+        InferenceModel::name(&medium),
+        LONG_PROMPT + TOKENS
+    );
+    eprintln!("[batched_smoke] medium batch-8 decode to {} context: 0 pool launches", LONG_PROMPT + TOKENS);
 
     println!("batched_smoke: all checks passed");
 }

@@ -27,6 +27,8 @@ const REQUIRED: &[&str] = &[
     "decode_token_ns",
     "serving_queue_wait_ns",
     "tensor_pool_queue_wait_ns",
+    "tensor_pool_launches_total",
+    "tensor_pool_inline_total",
     "tensor_matmul_gflops",
     "train_tokens_per_sec",
     "generate_latency_ns",
@@ -49,12 +51,23 @@ const REQUIRED_LABELED: &[&str] = &[
 
 fn main() {
     // 1. Force a pooled matmul so the tensor worker-pool histograms have
-    //    samples even on small serving models (which decode inline).
+    //    samples even on small serving models (which decode inline), and
+    //    a decode-sized one the launch gate keeps inline, so both sides
+    //    of the gate show on `/metrics`.
     par::set_num_threads(2);
     let n = 128;
     let a = Tensor::from_vec(vec![0.5f32; n * n], &[n, n]).expect("square tensor");
+    let launches = obs::metrics::counter("tensor_pool_launches_total");
+    let inlined = obs::metrics::counter("tensor_pool_inline_total");
+    let (launched_before, inlined_before) = (launches.get(), inlined.get());
     let c = ops::matmul(&a, &a);
     assert_eq!(c.dims(), &[n, n]);
+    assert_eq!(launches.get(), launched_before + 1, "2·2^20-MAC matmul must fan out");
+    let row = Tensor::from_vec(vec![0.5f32; n], &[1, n]).expect("row tensor");
+    let c = ops::matmul_transb(&row, &a);
+    assert_eq!(c.dims(), &[1, n]);
+    assert_eq!(launches.get(), launched_before + 1, "decode-sized GEMV must stay inline");
+    assert_eq!(inlined.get(), inlined_before + 1, "the elided launch must be counted");
     par::set_num_threads(0);
 
     // 1b. One tiny batched decode so the paged-attention histogram and

@@ -1,8 +1,9 @@
 //! **Quantized-generation smoke check** — builds a GPT-2 tier, quantizes
 //! it to int8, and verifies the contract the dtype-generic tensor core
 //! promises: finite logits, run-to-run determinism, bit-identical decode
-//! across thread counts, and per-model/per-dtype labeled decode metrics
-//! in the Prometheus exposition.
+//! across thread counts, per-model/per-dtype labeled decode metrics in
+//! the Prometheus exposition, and — an exact count, not a timing — that
+//! solo decode of the served tier never wakes the tensor pool.
 //!
 //! Run by `scripts/ci.sh`; also useful standalone:
 //!
@@ -62,7 +63,25 @@ fn main() {
     }
     par::set_num_threads(0);
 
-    // 4. Labeled decode metrics: one exposition carries both dtypes of
+    // 4. Launch gate: every kernel of a solo decode step of the served
+    //    (medium) tier carries less work than a pool launch costs, so 40
+    //    tokens in either dtype must leave the launch counter where it
+    //    was, at the default thread count.
+    let medium = Gpt2Lm::new(Gpt2Config::medium(VOCAB));
+    let medium_q = medium.quantize();
+    let launches = obs::metrics::counter("tensor_pool_launches_total");
+    for (model, dtype) in [(&medium as &dyn InferenceModel, "f32"), (&medium_q, "int8")] {
+        let before = launches.get();
+        assert_eq!(decode(model, 7).len(), 40, "{dtype} medium decode stopped early");
+        assert_eq!(
+            launches.get(),
+            before,
+            "solo {dtype} decode of {} launched the tensor pool",
+            model.name()
+        );
+    }
+
+    // 5. Labeled decode metrics: one exposition carries both dtypes of
     //    the same model family, with bounded label values.
     let exposition = obs::metrics::render_prometheus();
     for probe in [
@@ -79,6 +98,6 @@ fn main() {
     }
 
     println!(
-        "[quantized_smoke] OK — int8 decode finite, deterministic, thread-invariant; labeled metrics present"
+        "[quantized_smoke] OK — int8 decode finite, deterministic, thread-invariant; solo decode launch-free; labeled metrics present"
     );
 }

@@ -182,7 +182,7 @@ impl InferenceModel for Gpt2Lm {
         Box::new(Gpt2Stream {
             model: self,
             caches: (0..self.config.n_layers)
-                .map(|_| KvCache::new(self.config.d_model))
+                .map(|_| KvCache::with_capacity(self.config.d_model, self.config.max_t))
                 .collect(),
             scratch: DecodeScratch::new(),
             pos: 0,
@@ -345,7 +345,7 @@ impl InferenceModel for QuantGpt2Lm {
         Box::new(QuantGpt2Stream {
             model: self,
             caches: (0..self.config.n_layers)
-                .map(|_| KvCache::new(self.config.d_model))
+                .map(|_| KvCache::with_capacity(self.config.d_model, self.config.max_t))
                 .collect(),
             scratch: DecodeScratch::new(),
             pos: 0,

@@ -312,7 +312,7 @@ impl InferenceModel for QuantGptNeoLm {
         Box::new(QuantGptNeoStream {
             model: self,
             caches: (0..self.config.n_layers)
-                .map(|_| KvCache::new(self.config.d_model))
+                .map(|_| KvCache::with_capacity(self.config.d_model, self.config.max_t))
                 .collect(),
             scratch: DecodeScratch::new(),
             pos: 0,

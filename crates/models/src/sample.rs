@@ -167,17 +167,62 @@ pub fn select_token(logits: &Tensor, cfg: &SamplerConfig, rng: &mut StdRng) -> u
     if cfg.greedy {
         return ops::argmax_last(logits)[0] as u32;
     }
-    let v = logits.numel();
+    let scaled = scale_logits(logits, cfg);
+    let ranked = top_candidates(&scaled, top_k_of(cfg, scaled.len()));
+    sample_ranked(&scaled, &ranked, cfg, rng)
+}
+
+fn scale_logits(logits: &Tensor, cfg: &SamplerConfig) -> Vec<f32> {
     let temp = cfg.temperature.max(1e-4);
-    let scaled: Vec<f32> = logits.data().iter().map(|&x| x / temp).collect();
+    logits.data().iter().map(|&x| x / temp).collect()
+}
 
-    // Sort candidate indices by logit, descending.
-    let mut idx: Vec<usize> = (0..v).collect();
+/// How many candidates survive the top-k cutoff out of `v`.
+fn top_k_of(cfg: &SamplerConfig, v: usize) -> usize {
+    if cfg.top_k > 0 {
+        cfg.top_k.min(v)
+    } else {
+        v
+    }
+}
+
+/// Every candidate index, best first: scaled logit descending, and — the
+/// sort being stable over `0..v` — index ascending among equals.
+fn rank_all(scaled: &[f32]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..scaled.len()).collect();
     idx.sort_by(|&a, &b| scaled[b].partial_cmp(&scaled[a]).unwrap_or(std::cmp::Ordering::Equal));
+    idx
+}
 
-    // top-k cutoff
-    let k = if cfg.top_k > 0 { cfg.top_k.min(v) } else { v };
-    let mut kept = &idx[..k];
+/// The `k` best candidate indices in [`rank_all`]'s order, without
+/// sorting the whole vocabulary: over finite logits that order is total
+/// once the index breaks ties, so a selection of the `k` smallest under
+/// it followed by a sort of the survivors gives the same prefix. With a
+/// non-finite logit in play (a NaN is unordered) the full stable sort
+/// runs, as it always has.
+fn top_candidates(scaled: &[f32], k: usize) -> Vec<usize> {
+    if k >= scaled.len() || !scaled.iter().all(|x| x.is_finite()) {
+        let mut idx = rank_all(scaled);
+        idx.truncate(k);
+        return idx;
+    }
+    let by_rank = |a: &usize, b: &usize| {
+        scaled[*b]
+            .partial_cmp(&scaled[*a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(b))
+    };
+    let mut idx: Vec<usize> = (0..scaled.len()).collect();
+    idx.select_nth_unstable_by(k - 1, by_rank);
+    idx.truncate(k);
+    idx.sort_unstable_by(by_rank);
+    idx
+}
+
+/// Softmax over the ranked top-k candidates, nucleus cutoff, multinomial
+/// draw.
+fn sample_ranked(scaled: &[f32], ranked: &[usize], cfg: &SamplerConfig, rng: &mut StdRng) -> u32 {
+    let mut kept = ranked;
 
     // softmax over kept
     let max = scaled[kept[0]];
@@ -320,6 +365,56 @@ mod tests {
             (0..20).map(|_| select_token(&l, &cfg, &mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    /// The sampler as it was before the top-k selection: rank the whole
+    /// vocabulary with one stable sort, then cut.
+    fn select_token_by_full_sort(logits: &Tensor, cfg: &SamplerConfig, rng: &mut StdRng) -> u32 {
+        let scaled = scale_logits(logits, cfg);
+        let mut ranked = rank_all(&scaled);
+        ranked.truncate(top_k_of(cfg, scaled.len()));
+        sample_ranked(&scaled, &ranked, cfg, rng)
+    }
+
+    ratatouille_util::proptest! {
+        cases = 128;
+
+        /// Token for token the full-sort sampler, on logits drawn from a
+        /// handful of levels so exact ties straddle the top-k boundary,
+        /// with an occasional infinity (the fallback path).
+        #[test]
+        fn top_k_selection_matches_the_full_sort(
+            levels in ratatouille_util::proptest::collection::vec(0u32..9, 1..160),
+            top_k in 0usize..48,
+            pi in 0usize..3,
+            seed in 0u64..1 << 32,
+        ) {
+            let values: Vec<f32> = levels
+                .iter()
+                .map(|&l| match l {
+                    8 if seed % 5 == 0 => f32::NEG_INFINITY,
+                    l => l as f32 * 0.75 - 2.0,
+                })
+                .collect();
+            let l = logits(&values);
+            let cfg = SamplerConfig {
+                top_k,
+                top_p: [0.5, 0.9, 1.0][pi],
+                temperature: 0.7,
+                greedy: false,
+                ..Default::default()
+            };
+            let scaled = scale_logits(&l, &cfg);
+            let k = top_k_of(&cfg, scaled.len());
+            ratatouille_util::prop_assert_eq!(top_candidates(&scaled, k), rank_all(&scaled)[..k].to_vec());
+            let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..8 {
+                ratatouille_util::prop_assert_eq!(
+                    select_token(&l, &cfg, &mut ra),
+                    select_token_by_full_sort(&l, &cfg, &mut rb)
+                );
+            }
+        }
     }
 
     #[test]

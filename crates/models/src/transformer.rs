@@ -8,7 +8,7 @@
 //!   was generation latency — the cache is the fix).
 
 use ratatouille_util::rng::StdRng;
-use ratatouille_tensor::ops::{qmatmul_transb, quantize_per_row, QuantizedMatrix};
+use ratatouille_tensor::ops::{qmatmul_transb, quantize_per_row, QuantizedMatrix, RunSpan};
 use ratatouille_tensor::{init, ops, Element, Tensor, Var, F16};
 
 use crate::kv_block::{BlockPool, SeqKv};
@@ -351,19 +351,18 @@ impl<E: Element> KvRows for KvCache<E> {
 /// `len - window` so each position only attends to the trailing window.
 ///
 /// Both passes walk the cache in storage-contiguous runs
-/// ([`KvRows::k_run`]), so for block-pooled caches the per-position
-/// block-table indirection (a hardware div/mod per row, comparable in
-/// cost to the head dot itself at small `dh`) is paid once per block
-/// instead of once per position. The position visit order and the
-/// per-position/per-head accumulation chain are exactly those of the
-/// row-at-a-time loop ([`attend_by_row`]), so the results are
-/// bit-identical — run iteration changes address arithmetic, never
-/// reduction order (DESIGN §10).
-///
-/// Each dtype's inner loops come from [`Element::dot_with_f32`] /
-/// [`Element::axpy_into_f32`]; for `E = f32` these are exactly the
-/// `ops::dot` / `ops::axpy` kernels the pre-generic code called, so the
-/// f32 decode path is bit-identical to what it was.
+/// ([`KvRows::k_run`]) and hand each whole run — all heads — to the
+/// dtype's run kernel ([`Element::score_run`] /
+/// [`Element::accumulate_run`]): one SIMD frame per run instead of one
+/// out-of-line dot or axpy per (position, head), and for block-pooled
+/// caches one block-table lookup per block instead of per position. The
+/// run kernels replay the per-position/per-head accumulation chain of
+/// the row-at-a-time loop ([`attend_by_row`]) operation for operation, so
+/// the results are bit-identical — run iteration changes address
+/// arithmetic and which independent chains are in flight together, never
+/// reduction order (DESIGN §10). For `E = f32` that chain is exactly the
+/// `ops::dot` / `ops::axpy` one the pre-generic code ran, so the f32
+/// decode path is bit-identical to what it was.
 pub(crate) fn attend<C: KvRows>(
     q: &[f32],
     heads: usize,
@@ -378,20 +377,18 @@ pub(crate) fn attend<C: KvRows>(
     let tw = t - start;
     let d = heads * dh;
     scratch.resize(heads, tw, d);
-    // Fused score pass: one sweep over the K cache; each cached row is
-    // read once, all heads scored against it.
+    let span = |pos: usize| RunSpan {
+        heads,
+        stride: tw,
+        rel: pos - start,
+    };
+    // Score pass: one sweep over the K cache; each cached row is read
+    // once, all heads scored against it.
     let mut pos = start;
     while pos < t {
         let run = cache.k_run(pos, t);
         debug_assert!(!run.is_empty() && run.len() % d == 0);
-        for (j, k_row) in run.chunks_exact(d).enumerate() {
-            let rel = pos - start + j;
-            for h in 0..heads {
-                scratch.scores[h * tw + rel] =
-                    C::Elem::dot_with_f32(&q[h * dh..(h + 1) * dh], &k_row[h * dh..(h + 1) * dh])
-                        * scale;
-            }
-        }
+        C::Elem::score_run(q, run, span(pos), scale, &mut scratch.scores);
         pos += run.len() / d;
     }
     for h in 0..heads {
@@ -400,21 +397,12 @@ pub(crate) fn attend<C: KvRows>(
             &mut scratch.probs[h * tw..(h + 1) * tw],
         );
     }
-    // Fused context pass: one sweep over the V cache.
+    // Context pass: one sweep over the V cache.
     scratch.ctx.fill(0.0);
     let mut pos = start;
     while pos < t {
         let run = cache.v_run(pos, t);
-        for (j, v_row) in run.chunks_exact(d).enumerate() {
-            let rel = pos - start + j;
-            for h in 0..heads {
-                C::Elem::axpy_into_f32(
-                    scratch.probs[h * tw + rel],
-                    &v_row[h * dh..(h + 1) * dh],
-                    &mut scratch.ctx[h * dh..(h + 1) * dh],
-                );
-            }
-        }
+        C::Elem::accumulate_run(&scratch.probs, run, span(pos), &mut scratch.ctx);
         pos += run.len() / d;
     }
 }
@@ -520,7 +508,9 @@ pub(crate) struct AttnSlot<'a> {
 /// Execute the attention phase for a batch of prepared slots.
 ///
 /// [`AttentionMode::Sweep`] fans the slots across the persistent worker
-/// pool — task `i` is always sequence `i`, the chunk→worker mapping is
+/// pool once the lanes carry enough arithmetic to pay for a launch
+/// (`par`'s work gate; below it they run in order on the caller) — task
+/// `i` is always sequence `i`, the chunk→worker mapping is
 /// deterministic, and each task runs its sequence's positions strictly
 /// in order, so parallelism lives *across* sequences only and every
 /// sequence's reduction order is fixed regardless of batch composition
@@ -531,8 +521,13 @@ pub(crate) fn attend_batch(slots: &mut [AttnSlot<'_>], heads: usize, dh: usize, 
     let start = obs::Clock::now();
     match attention_mode() {
         AttentionMode::Sweep => {
+            // A lane's work is its score plus context pass, `2·t·d`
+            // multiply-accumulates; the mean lane is what `par` gates the
+            // fan-out on.
+            let positions: usize = slots.iter().map(|s| s.view.len()).sum();
+            let lane_macs = 2 * positions * heads * dh / slots.len().max(1);
             // SAFETY(disjoint: slots[i] — each task owns one `AttnSlot` and writes only its own `out`/`scratch`)
-            ratatouille_tensor::par::scatter_mut(slots, |_, slot| {
+            ratatouille_tensor::par::scatter_mut(slots, lane_macs, |_, slot| {
                 attend(slot.q, heads, dh, 0, &slot.view, slot.scratch, scale);
                 slot.out.copy_from_slice(&slot.scratch.ctx);
             });
@@ -717,11 +712,14 @@ pub struct KvCache<E: Element = f32> {
 }
 
 impl<E: Element> KvCache<E> {
-    /// An empty cache for width-`d` keys/values.
-    pub fn new(d: usize) -> Self {
+    /// An empty cache for width-`d` keys/values with room for `rows`
+    /// positions — a stream's context budget, so decoding never pays a
+    /// `Vec` doubling (a copy of the whole cache) mid-recipe. Pushing past
+    /// `rows` still works; it grows like any `Vec`.
+    pub fn with_capacity(d: usize, rows: usize) -> Self {
         KvCache {
-            k: Vec::new(),
-            v: Vec::new(),
+            k: Vec::with_capacity(rows * d),
+            v: Vec::with_capacity(rows * d),
             d,
             len: 0,
         }
@@ -816,7 +814,7 @@ mod tests {
             .forward(&Var::constant(full_in), 4, 0.0, false, &mut rng)
             .value();
 
-        let mut cache = KvCache::<f32>::new(d);
+        let mut cache = KvCache::<f32>::with_capacity(d, 8);
         let mut scratch = DecodeScratch::new();
         for (i, x) in xs.iter().enumerate() {
             let inc = block.forward_incremental(x, 4, &mut cache, &mut scratch);
@@ -840,8 +838,8 @@ mod tests {
         let d = 16;
         let block = Block::new(&mut rng, d, 32, 1);
         let qblock = QuantBlock::from_block(&block);
-        let mut c32 = KvCache::<f32>::new(d);
-        let mut cq = KvCache::<F16>::new(d);
+        let mut c32 = KvCache::<f32>::with_capacity(d, 8);
+        let mut cq = KvCache::<F16>::with_capacity(d, 8);
         let mut s32 = DecodeScratch::new();
         let mut sq = DecodeScratch::new();
         for i in 0..6 {
@@ -870,7 +868,7 @@ mod tests {
         let qblock = QuantBlock::from_block(&block);
         let xs: Vec<Tensor> = (0..3).map(|_| init::randn(&mut rng, &[d], 1.0)).collect();
         let run = |window: Option<usize>| {
-            let mut cache = KvCache::<F16>::new(d);
+            let mut cache = KvCache::<F16>::with_capacity(d, 8);
             let mut scratch = DecodeScratch::new();
             xs.iter()
                 .map(|x| qblock.forward_incremental(x, 2, &mut cache, &mut scratch, window))
@@ -881,6 +879,152 @@ mod tests {
         assert_eq!(full[0], windowed[0], "first token has no history");
         assert!(!windowed[2].has_non_finite());
         assert_ne!(full[2], windowed[2], "window had no effect");
+    }
+
+    /// Deterministic pseudo-random floats in about ±1.5.
+    fn noise(n: usize, salt: u64) -> Vec<f32> {
+        use ratatouille_util::rng::RngExt;
+        let mut rng = StdRng::seed_from_u64(salt);
+        (0..n).map(|_| rng.random::<f32>() * 3.0 - 1.5).collect()
+    }
+
+    fn scratch_bits(s: &DecodeScratch) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        (bits(&s.scores), bits(&s.probs), bits(&s.ctx))
+    }
+
+    /// `attend` (run kernels) against the row-at-a-time oracle over one
+    /// cache, at a window start: scores, probabilities and context must
+    /// agree bit for bit.
+    fn assert_attend_matches_oracle<C: KvRows>(q: &[f32], heads: usize, dh: usize, start: usize, cache: &C) {
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (mut fused, mut oracle) = (DecodeScratch::new(), DecodeScratch::new());
+        attend(q, heads, dh, start, cache, &mut fused, scale);
+        attend_by_row(q, heads, dh, start, cache, &mut oracle, scale);
+        assert_eq!(
+            scratch_bits(&fused),
+            scratch_bits(&oracle),
+            "heads {heads} dh {dh} t {} start {start}",
+            cache.len()
+        );
+    }
+
+    ratatouille_util::proptest! {
+        cases = 64;
+
+        /// Contiguous `KvCache` runs (one run per pass), f32 and f16
+        /// storage, full and windowed attention.
+        #[test]
+        fn attend_matches_row_oracle_over_contiguous_caches(
+            hi in 0usize..4, di in 0usize..5, t in 1usize..40, window in 1usize..40, salt in 0u64..1 << 20
+        ) {
+            let (heads, dh) = ([1, 2, 4, 8][hi], [8, 16, 20, 32, 64][di]);
+            let d = heads * dh;
+            let mut c32 = KvCache::<f32>::with_capacity(d, t);
+            let mut c16 = KvCache::<F16>::with_capacity(d, t);
+            for pos in 0..t {
+                let (k, v) = (noise(d, salt + 2 * pos as u64), noise(d, salt + 2 * pos as u64 + 1));
+                c32.push_slices(&k, &v);
+                c16.push_slices(&k, &v);
+            }
+            let q = noise(d, salt ^ 0xA77E);
+            for start in [0, t.saturating_sub(window)] {
+                assert_attend_matches_oracle(&q, heads, dh, start, &c32);
+                assert_attend_matches_oracle(&q, heads, dh, start, &c16);
+            }
+        }
+
+        /// Block-pooled `SeqLayerKv` runs: every run ends at a block
+        /// boundary, the last one mid-block.
+        #[test]
+        fn attend_matches_row_oracle_over_block_pooled_caches(
+            hi in 0usize..4, di in 0usize..5, t in 1usize..40, bt in 1usize..9, window in 1usize..40, salt in 0u64..1 << 20
+        ) {
+            use crate::kv_block::BlockConfig;
+            let (heads, dh) = ([1, 2, 4, 8][hi], [8, 16, 20, 32, 64][di]);
+            let d = heads * dh;
+            let mut pool = BlockPool::new(BlockConfig { layers: 2, d, block_tokens: bt, num_blocks: t.div_ceil(bt) });
+            let mut seq = SeqKv::new();
+            seq.reserve_for(&mut pool, t).expect("pool sized for t");
+            for pos in 0..t {
+                seq.prepare_write(&mut pool).expect("reserved");
+                for layer in 0..2 {
+                    let salt = salt + 4 * pos as u64 + 2 * layer as u64;
+                    seq.write(&mut pool, layer, &noise(d, salt), &noise(d, salt + 1));
+                }
+                seq.commit();
+            }
+            let q = noise(d, salt ^ 0xA77E);
+            for start in [0, t.saturating_sub(window)] {
+                assert_attend_matches_oracle(&q, heads, dh, start, &seq.layer_view(&pool, 1, t));
+            }
+        }
+    }
+
+    /// The batched attention phase above `par`'s launch gate (8 lanes of
+    /// 2·t·d = 2^18 multiply-accumulates): the lanes really fan out, and
+    /// the context rows are the serial oracle's at every thread count.
+    #[test]
+    fn attend_batch_fans_out_without_changing_a_bit() {
+        use crate::kv_block::BlockConfig;
+        let (heads, dh, t, lanes) = (8, 32, 512, 8);
+        let d = heads * dh;
+        let mut pool = BlockPool::new(BlockConfig { layers: 1, d, block_tokens: 16, num_blocks: lanes * t / 16 });
+        let seqs: Vec<SeqKv> = (0..lanes)
+            .map(|lane| {
+                let mut seq = SeqKv::new();
+                seq.reserve_for(&mut pool, t).expect("pool sized for the batch");
+                for pos in 0..t {
+                    seq.prepare_write(&mut pool).expect("reserved");
+                    let salt = (lane * t + pos) as u64 * 2;
+                    seq.write(&mut pool, 0, &noise(d, salt), &noise(d, salt + 1));
+                    seq.commit();
+                }
+                seq
+            })
+            .collect();
+        let qs: Vec<Vec<f32>> = (0..lanes).map(|lane| noise(d, 0xBEEF + lane as u64)).collect();
+        let run = |mode: AttentionMode, threads: usize| -> Vec<u32> {
+            set_attention_mode(mode);
+            ratatouille_tensor::par::set_num_threads(threads);
+            let mut scratch = BatchScratch::new();
+            let mut ctx = vec![0.0f32; lanes * d];
+            let mut slots: Vec<AttnSlot<'_>> = Vec::new();
+            let mut ctx_tail: &mut [f32] = &mut ctx;
+            for ((seq, q), seat) in seqs.iter().zip(&qs).zip(scratch.seats(lanes).iter_mut()) {
+                let (out, rest) = ctx_tail.split_at_mut(d);
+                ctx_tail = rest;
+                slots.push(AttnSlot { q, view: seq.layer_view(&pool, 0, t), scratch: seat, out });
+            }
+            attend_batch(&mut slots, heads, dh, 1.0 / (dh as f32).sqrt());
+            drop(slots);
+            ratatouille_tensor::par::set_num_threads(0);
+            set_attention_mode(AttentionMode::Sweep);
+            ctx.iter().map(|x| x.to_bits()).collect()
+        };
+        let oracle = run(AttentionMode::Serial, 1);
+        let launches = obs::static_counter!("tensor_pool_launches_total").get();
+        for threads in [1, 2, 3, 4, 7] {
+            assert_eq!(run(AttentionMode::Sweep, threads), oracle, "sweep at {threads} threads");
+        }
+        assert!(
+            obs::static_counter!("tensor_pool_launches_total").get() >= launches + 4,
+            "the sweep never left the caller thread"
+        );
+    }
+
+    #[test]
+    fn kv_cache_within_its_budget_never_reallocates() {
+        let (d, rows) = (16, 40);
+        let mut cache = KvCache::<F16>::with_capacity(d, rows);
+        let (k0, v0) = (cache.k.as_ptr(), cache.v.as_ptr());
+        for pos in 0..rows {
+            cache.push_slices(&noise(d, pos as u64), &noise(d, 1000 + pos as u64));
+        }
+        assert_eq!((cache.k.as_ptr(), cache.v.as_ptr()), (k0, v0), "a push moved the cache");
+        // Past the budget it still grows like any Vec.
+        cache.push_slices(&noise(d, 1), &noise(d, 2));
+        assert_eq!(cache.len(), rows + 1);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+use crate::ops::simd::{accumulate_run_by_head, score_run_by_head, RunSpan};
+
 mod sealed {
     /// Private supertrait: only types named here may implement `Element`.
     pub trait Sealed {}
@@ -89,9 +91,10 @@ impl fmt::Display for DType {
 /// Sealed: implemented for `f32`, [`F16`] and `i8` only. Besides the
 /// conversions, the trait carries the two decode-path inner loops that must
 /// be dtype-dispatched (`f32`-query dot against a stored row, and the
-/// attention context `axpy`), so the fused incremental-attention kernel can
-/// be written once, generic over the KV-cache storage dtype, while each
-/// dtype keeps its own SIMD path.
+/// attention context `axpy`) and their run-level forms (all heads against a
+/// whole storage-contiguous run of cached rows), so the fused
+/// incremental-attention kernel can be written once, generic over the
+/// KV-cache storage dtype, while each dtype keeps its own SIMD path.
 pub trait Element:
     sealed::Sealed + Copy + Send + Sync + Default + PartialEq + fmt::Debug + 'static
 {
@@ -116,6 +119,26 @@ pub trait Element:
     /// `y[j] += alpha * x[j].to_f32()` — the decode attention context
     /// update against a stored value row.
     fn axpy_into_f32(alpha: f32, x: &[Self], y: &mut [f32]);
+
+    /// Score every head of the query `q` (`heads * dh` floats) against a
+    /// storage-contiguous run of cached K rows:
+    /// `scores[h * stride + rel + j] = dot_with_f32(q_h, row_j_h) * scale`.
+    ///
+    /// Bit-identical to that per-head loop (the default, and the portable
+    /// path of every dtype); `f32` and [`F16`] run it as one SIMD frame
+    /// per run instead of one call per (row, head).
+    fn score_run(q: &[f32], run: &[Self], span: RunSpan, scale: f32, scores: &mut [f32]) {
+        score_run_by_head(q, run, span, scale, scores);
+    }
+
+    /// Add a run of cached V rows into the context vector `ctx`
+    /// (`heads * dh` floats), rows ascending:
+    /// `axpy_into_f32(probs[h * stride + rel + j], row_j_h, ctx_h)`.
+    ///
+    /// Bit-identical to that per-head loop, like [`Element::score_run`].
+    fn accumulate_run(probs: &[f32], run: &[Self], span: RunSpan, ctx: &mut [f32]) {
+        accumulate_run_by_head(probs, run, span, ctx);
+    }
 }
 
 impl Element for f32 {
@@ -143,6 +166,14 @@ impl Element for f32 {
     #[inline]
     fn axpy_into_f32(alpha: f32, x: &[Self], y: &mut [f32]) {
         crate::ops::simd::axpy(alpha, x, y);
+    }
+
+    fn score_run(q: &[f32], run: &[Self], span: RunSpan, scale: f32, scores: &mut [f32]) {
+        crate::ops::simd::score_run_f32(q, run, span, scale, scores);
+    }
+
+    fn accumulate_run(probs: &[f32], run: &[Self], span: RunSpan, ctx: &mut [f32]) {
+        crate::ops::simd::accumulate_run_f32(probs, run, span, ctx);
     }
 }
 
@@ -205,6 +236,14 @@ impl Element for F16 {
     #[inline]
     fn axpy_into_f32(alpha: f32, x: &[Self], y: &mut [f32]) {
         crate::ops::simd::axpy_f16(alpha, x, y);
+    }
+
+    fn score_run(q: &[f32], run: &[Self], span: RunSpan, scale: f32, scores: &mut [f32]) {
+        crate::ops::simd::score_run_f16(q, run, span, scale, scores);
+    }
+
+    fn accumulate_run(probs: &[f32], run: &[Self], span: RunSpan, ctx: &mut [f32]) {
+        crate::ops::simd::accumulate_run_f16(probs, run, span, ctx);
     }
 }
 

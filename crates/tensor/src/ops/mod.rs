@@ -18,4 +18,4 @@ pub use matmul::*;
 pub use nn::*;
 pub use quant::{dequantize, qmatmul_transb, quantize_per_row, to_f16, to_f32, QuantizedMatrix};
 pub use reduce::*;
-pub use simd::{axpy, axpy_f16, dot, dot_f16};
+pub use simd::{axpy, axpy_f16, dot, dot_f16, RunSpan};

@@ -36,13 +36,6 @@ use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Minimum output columns per pool task for the decode (`m == 1`) path —
-/// matches the f32 `matmul_transb` split so the two variants schedule
-/// comparably.
-const MIN_COLS_PER_THREAD: usize = 128;
-/// Minimum output rows per pool task for the batched path.
-const MIN_ROWS_PER_THREAD: usize = 8;
-
 /// A per-row symmetrically quantized weight matrix in output-major
 /// `[N, K]` layout (row `n` holds the weights producing output `n`), as
 /// consumed by [`qmatmul_transb`].
@@ -110,7 +103,7 @@ pub fn quantize_per_row(w: &Tensor) -> QuantizedMatrix {
     }
     let mut codes = vec![0i8; n * k];
     // SAFETY(disjoint: codes[range] — workers receive non-overlapping row chunks)
-    par::parallel_rows_mut(&mut codes, n, k, MIN_ROWS_PER_THREAD, |range, chunk| {
+    par::parallel_rows_mut(&mut codes, n, k, k, |range, chunk| {
         for (i, row) in range.clone().enumerate() {
             let scale = scales[row];
             let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
@@ -188,12 +181,12 @@ pub fn qmatmul_transb(a: &Tensor, w: &QuantizedMatrix) -> Tensor {
         let qrow = &qa[..k];
         let a_scale = a_scales[0];
         // SAFETY(disjoint: out[range] — column spans of the single output row never overlap)
-        par::parallel_rows_mut(&mut out, n, 1, MIN_COLS_PER_THREAD, |range, chunk| {
+        par::parallel_rows_mut(&mut out, n, 1, k, |range, chunk| {
             qgemv(qrow, codes, k, range.start, scales, a_scale, chunk);
         });
     } else {
         // SAFETY(disjoint: out[range] — workers receive non-overlapping row chunks)
-        par::parallel_rows_mut(&mut out, m, n, MIN_ROWS_PER_THREAD, |range, chunk| {
+        par::parallel_rows_mut(&mut out, m, n, k * n, |range, chunk| {
             for (i, row) in range.clone().enumerate() {
                 let qrow = &qa[row * k..(row + 1) * k];
                 let a_scale = a_scales[row];

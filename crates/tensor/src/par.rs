@@ -14,11 +14,16 @@
 //! * **Lazy & growable** — no threads exist until the first parallel launch;
 //!   the pool grows to the largest worker count ever requested and idle
 //!   workers block on their (empty) task channel, costing no CPU.
-//! * **Deterministic** — chunk boundaries are a pure function of
-//!   `(len, num_threads())`, chunk `i` always runs on worker `i-1` (chunk 0
-//!   runs inline on the launching thread), and every kernel accumulates in
-//!   a fixed order within its chunk, so results are byte-identical across
-//!   thread counts and across runs.
+//! * **Deterministic** — chunk boundaries are a pure function of the
+//!   call's shape (item count and per-item work) and `num_threads()`,
+//!   chunk `i` always runs on worker `i-1` (chunk 0 runs inline on the
+//!   launching thread), and every kernel accumulates in a fixed order
+//!   within its chunk, so results are byte-identical across thread counts
+//!   and across runs.
+//! * **Work-gated** — the chunking helpers fan out only to as many tasks
+//!   as carry [`MIN_TASK_MACS`] of arithmetic each, so a decode-sized
+//!   kernel runs inline instead of paying a worker wake-up and ack that
+//!   cost more than the kernel itself.
 //! * **Nested-launch safe** — a parallel region launched from inside a pool
 //!   worker runs inline on that worker instead of re-entering the pool, so
 //!   nested kernels can never deadlock on a full pool.
@@ -60,6 +65,27 @@ pub fn num_threads() -> usize {
         }),
         n => n,
     }
+}
+
+/// Work one pool task must carry before handing it to a parked worker
+/// pays, in multiply-accumulates. Sized from the measured launch cost
+/// (`tensor.pool_launch_us`, 40–45 µs for a wake-up plus ack on the
+/// reference box) against ~20 MACs/ns of cache-resident FMA throughput:
+/// below ~1 M MACs the launch costs more than the work it offloads. A
+/// property of the pool, not a setting.
+const MIN_TASK_MACS: usize = 1 << 20;
+
+/// How many pool tasks `items` work items of `item_macs`
+/// multiply-accumulates each should be cut into: at most one per thread
+/// and per item, and no more than carry [`MIN_TASK_MACS`] each. A pure
+/// function of the call's shape and [`num_threads`].
+fn gated_tasks(items: usize, item_macs: usize) -> usize {
+    let by_count = num_threads().min(items);
+    let tasks = by_count.min(items.saturating_mul(item_macs) / MIN_TASK_MACS);
+    if tasks <= 1 && by_count > 1 {
+        obs::static_counter!("tensor_pool_inline_total").inc();
+    }
+    tasks.max(1)
 }
 
 /// Result of one pool task: `Ok` or the payload of a caught panic.
@@ -228,17 +254,19 @@ where
 }
 
 /// Run `f(start, end, chunk_index)` over disjoint chunks of `0..len` on
-/// the persistent pool. Falls back to a direct call when one thread
-/// suffices or the work is too small to amortize a pool launch.
+/// the persistent pool, where each index costs `item_macs`
+/// multiply-accumulates. Falls back to a direct call when one thread
+/// suffices or the work is too small to amortize a pool launch
+/// ([`MIN_TASK_MACS`]).
 ///
 /// `f` must be safe to run concurrently on disjoint ranges — callers
 /// partition their output buffers accordingly.
-pub fn parallel_chunks<F>(len: usize, min_chunk: usize, f: F)
+pub fn parallel_chunks<F>(len: usize, item_macs: usize, f: F)
 where
     F: Fn(usize, usize, usize) + Sync,
 {
-    let threads = num_threads().min(len / min_chunk.max(1)).max(1);
-    if threads <= 1 || len == 0 {
+    let threads = gated_tasks(len, item_macs);
+    if threads <= 1 {
         f(0, len, 0);
         return;
     }
@@ -258,8 +286,10 @@ where
 /// non-GEMM work (e.g. the per-sequence paged-attention sweep, where each
 /// slot carries its own scratch buffers and output range).
 ///
-/// Slots are grouped into at most [`num_threads`] contiguous runs whose
-/// boundaries are a pure function of `(slots.len(), num_threads())`; run
+/// Slots are grouped into at most [`num_threads`] contiguous runs — and
+/// no more than carry [`MIN_TASK_MACS`] each at `slot_macs`
+/// multiply-accumulates per slot — whose boundaries are a pure function
+/// of `(slots.len(), slot_macs, num_threads())`; run
 /// `i` executes on the same thread [`run_tasks`] always gives task `i`
 /// (run 0 inline on the caller, run `i` on pool worker `i-1`), and slots
 /// within a run execute in ascending index order. Task panics propagate
@@ -270,14 +300,14 @@ where
 /// what it computes — each slot must be computable independently of the
 /// others (they are handed out as disjoint `&mut`), so results are
 /// byte-identical across thread counts by construction.
-pub fn scatter_mut<T, F>(slots: &mut [T], f: F)
+pub fn scatter_mut<T, F>(slots: &mut [T], slot_macs: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
     let n = slots.len();
-    let tasks = num_threads().min(n).max(1);
-    if tasks <= 1 || n == 0 {
+    let tasks = gated_tasks(n, slot_macs);
+    if tasks <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
             f(i, slot);
         }
@@ -336,20 +366,21 @@ unsafe impl<T: Send> Send for RawPart<T> {}
 unsafe impl<T: Send> Sync for RawPart<T> {}
 
 /// Fill disjoint row-chunks of `out`, where each chunk of `rows` rows of
-/// width `row_len` is produced by `f(row_range, out_chunk)`.
+/// width `row_len` is produced by `f(row_range, out_chunk)` at a cost of
+/// `row_macs` multiply-accumulates per row.
 ///
 /// This is the safe wrapper the matmul and quantization kernels use: the
 /// output buffer is pre-split into disjoint parts (boundaries depend only
-/// on `rows` and the thread count, never on scheduling), so no aliasing is
-/// possible.
-pub fn parallel_rows_mut<T, F>(out: &mut [T], rows: usize, row_len: usize, min_rows: usize, f: F)
+/// on `rows`, `row_macs` and the thread count, never on scheduling), so no
+/// aliasing is possible.
+pub fn parallel_rows_mut<T, F>(out: &mut [T], rows: usize, row_len: usize, row_macs: usize, f: F)
 where
     T: Send,
     F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
 {
     assert_eq!(out.len(), rows * row_len, "output buffer size mismatch");
-    let threads = num_threads().min(rows / min_rows.max(1)).max(1);
-    if threads <= 1 || rows == 0 {
+    let threads = gated_tasks(rows, row_macs);
+    if threads <= 1 {
         f(0..rows, out);
         return;
     }
@@ -382,16 +413,31 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `set_num_threads` is process-global and the harness runs tests
+    /// concurrently: every test that sets the knob or depends on the
+    /// fan-out width serializes here (recovering a poisoned lock).
+    static KNOB: Mutex<()> = Mutex::new(());
+
+    fn knob(threads: usize) -> MutexGuard<'static, ()> {
+        let g = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(threads);
+        g
+    }
+
+    /// Per-item work that puts every item above the gate on its own.
+    const HEAVY: usize = MIN_TASK_MACS;
 
     #[test]
     fn default_threads_positive() {
-        set_num_threads(0);
+        let _g = knob(0);
         assert!(num_threads() >= 1);
     }
 
     #[test]
     fn set_and_restore() {
-        set_num_threads(3);
+        let _g = knob(3);
         assert_eq!(num_threads(), 3);
         set_num_threads(0);
         assert!(num_threads() >= 1);
@@ -399,23 +445,25 @@ mod tests {
 
     #[test]
     fn parallel_chunks_covers_range_once() {
-        use std::sync::Mutex;
+        let _g = knob(4);
         let hits = Mutex::new(vec![0u8; 1000]);
-        parallel_chunks(1000, 10, |s, e, _| {
+        parallel_chunks(1000, HEAVY, |s, e, _| {
             let mut h = hits.lock().unwrap();
             for i in s..e {
                 h[i] += 1;
             }
         });
         assert!(hits.lock().unwrap().iter().all(|&c| c == 1));
+        set_num_threads(0);
     }
 
     #[test]
     fn parallel_rows_mut_writes_disjoint_rows() {
+        let _g = knob(3);
         let rows = 64;
         let width = 7;
         let mut out = vec![0.0f32; rows * width];
-        parallel_rows_mut(&mut out, rows, width, 1, |range, chunk| {
+        parallel_rows_mut(&mut out, rows, width, HEAVY, |range, chunk| {
             for (i, r) in range.clone().enumerate() {
                 for c in 0..width {
                     chunk[i * width + c] = (r * width + c) as f32;
@@ -425,14 +473,16 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as f32);
         }
+        set_num_threads(0);
     }
 
     #[test]
     fn parallel_rows_mut_is_element_generic() {
+        let _g = knob(3);
         let rows = 33;
         let width = 5;
         let mut out = vec![0i8; rows * width];
-        parallel_rows_mut(&mut out, rows, width, 1, |range, chunk| {
+        parallel_rows_mut(&mut out, rows, width, HEAVY, |range, chunk| {
             for (i, r) in range.clone().enumerate() {
                 for c in 0..width {
                     chunk[i * width + c] = ((r * width + c) % 127) as i8;
@@ -442,13 +492,14 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i % 127) as i8);
         }
+        set_num_threads(0);
     }
 
     #[test]
     fn scatter_mut_visits_each_slot_exactly_once() {
-        set_num_threads(3);
+        let _g = knob(3);
         let mut slots: Vec<(usize, u32)> = (0..17).map(|i| (i, 0)).collect();
-        scatter_mut(&mut slots, |i, s| {
+        scatter_mut(&mut slots, HEAVY, |i, s| {
             assert_eq!(i, s.0, "slot index must match position");
             s.1 += 1;
         });
@@ -457,26 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn scatter_mut_results_identical_across_thread_counts() {
-        let run = |threads: usize| -> Vec<f32> {
-            set_num_threads(threads);
-            let mut slots = vec![0.0f32; 64];
-            scatter_mut(&mut slots, |i, s| *s = (i * i) as f32 * 0.5);
-            set_num_threads(0);
-            slots
-        };
-        let base = run(1);
-        for t in [2, 3, 4, 7] {
-            assert_eq!(base, run(t), "scatter result changed at {t} threads");
-        }
-    }
-
-    #[test]
     fn scatter_mut_panic_propagates() {
-        set_num_threads(2);
+        let _g = knob(2);
         let caught = std::panic::catch_unwind(|| {
             let mut slots = vec![0u8; 8];
-            scatter_mut(&mut slots, |i, _| {
+            scatter_mut(&mut slots, HEAVY, |i, _| {
                 if i == 5 {
                     panic!("boom in slot 5");
                 }
@@ -486,35 +522,104 @@ mod tests {
         assert!(caught.is_err(), "slot panic must reach the launcher");
     }
 
+    /// The chunks one call was cut into, as `(start, end, ran on caller)`.
+    fn observed_chunks(len: usize, item_macs: usize) -> Vec<(usize, usize, bool)> {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        parallel_chunks(len, item_macs, |s, e, _| {
+            let here = std::thread::current().id() == caller;
+            seen.lock().unwrap().push((s, e, here));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        seen
+    }
+
     #[test]
-    fn small_work_runs_inline() {
+    fn sub_threshold_work_runs_inline_on_the_caller() {
+        let _g = knob(4);
+        let elided = obs::static_counter!("tensor_pool_inline_total").get();
+        // One MAC short of two tasks' worth: a single direct call.
+        let len = 2 * MIN_TASK_MACS / 64 - 1;
+        assert_eq!(observed_chunks(len, 64), vec![(0, len, true)]);
+        assert!(obs::static_counter!("tensor_pool_inline_total").get() > elided);
+
         let mut out = vec![0.0f32; 3];
         parallel_rows_mut(&mut out, 3, 1, 100, |range, chunk| {
             assert_eq!(range, 0..3);
             chunk.fill(1.0);
         });
         assert_eq!(out, vec![1.0; 3]);
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn super_threshold_work_fans_out_by_work_then_threads() {
+        let _g = knob(4);
+        // Exactly two tasks' worth at four threads: two chunks, the
+        // second on a pool worker.
+        let len = 2 * MIN_TASK_MACS / 64;
+        assert_eq!(
+            observed_chunks(len, 64),
+            vec![(0, len / 2, true), (len / 2, len, false)]
+        );
+        // Far above the gate the thread count is the cap again.
+        let chunks = observed_chunks(64, HEAVY);
+        assert_eq!(chunks.len(), 4);
+        assert_eq!(chunks.iter().filter(|c| c.2).count(), 1, "only chunk 0 is inline");
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn results_byte_equal_across_threads_for_shapes_straddling_the_gate() {
+        let _g = knob(1);
+        // rows × row_macs from a quarter of the gate to eight times it.
+        for rows in [7usize, 64, 129] {
+            for row_macs in [MIN_TASK_MACS / (4 * rows), MIN_TASK_MACS / rows + 1, 8 * MIN_TASK_MACS / rows] {
+                let run = |threads: usize| -> (Vec<f32>, Vec<f32>) {
+                    set_num_threads(threads);
+                    let mut out = vec![0.0f32; rows * 3];
+                    parallel_rows_mut(&mut out, rows, 3, row_macs, |range, chunk| {
+                        for (i, r) in range.enumerate() {
+                            for c in 0..3 {
+                                chunk[i * 3 + c] = (r * 3 + c) as f32 * 0.37;
+                            }
+                        }
+                    });
+                    let mut slots = vec![0.0f32; rows];
+                    scatter_mut(&mut slots, row_macs, |i, s| *s = (i * i) as f32 * 0.5);
+                    (out, slots)
+                };
+                let base = run(1);
+                for t in [2, 3, 4, 7] {
+                    assert_eq!(base, run(t), "{rows}x{row_macs} changed at {t} threads");
+                }
+            }
+        }
+        set_num_threads(0);
     }
 
     #[test]
     fn repeated_launches_reuse_pool() {
         use std::sync::atomic::AtomicU64;
+        let _g = knob(2);
         let total = AtomicU64::new(0);
         for _ in 0..200 {
-            parallel_chunks(64, 1, |s, e, _| {
+            parallel_chunks(64, HEAVY, |s, e, _| {
                 total.fetch_add((e - s) as u64, Ordering::Relaxed);
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 200 * 64);
+        set_num_threads(0);
     }
 
     #[test]
     fn nested_launches_run_inline_without_deadlock() {
-        use std::sync::Mutex;
+        let _g = knob(3);
         let hits = Mutex::new(vec![0u32; 256]);
-        parallel_chunks(256, 1, |s, e, _| {
+        parallel_chunks(256, HEAVY, |s, e, _| {
             // nested launch from (potentially) inside a pool worker
-            parallel_chunks(e - s, 1, |ns, ne, _| {
+            parallel_chunks(e - s, HEAVY, |ns, ne, _| {
                 let mut h = hits.lock().unwrap();
                 for i in s + ns..s + ne {
                     h[i] += 1;
@@ -522,12 +627,14 @@ mod tests {
             });
         });
         assert!(hits.lock().unwrap().iter().all(|&c| c == 1));
+        set_num_threads(0);
     }
 
     #[test]
     fn task_panic_propagates_and_pool_survives() {
+        let _g = knob(2);
         let caught = std::panic::catch_unwind(|| {
-            parallel_chunks(64, 1, |s, _, _| {
+            parallel_chunks(64, HEAVY, |s, _, _| {
                 if s == 0 {
                     panic!("boom in chunk 0");
                 }
@@ -535,11 +642,11 @@ mod tests {
         });
         assert!(caught.is_err(), "panic must propagate to the launcher");
         // pool still functional after the panic
-        use std::sync::Mutex;
         let hits = Mutex::new(0usize);
-        parallel_chunks(128, 1, |s, e, _| {
+        parallel_chunks(128, HEAVY, |s, e, _| {
             *hits.lock().unwrap() += e - s;
         });
         assert_eq!(*hits.lock().unwrap(), 128);
+        set_num_threads(0);
     }
 }

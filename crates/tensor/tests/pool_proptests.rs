@@ -6,6 +6,12 @@
 //! These pin the determinism contract the golden tests in
 //! `tests/determinism.rs` rely on: `set_num_threads` is a performance
 //! knob, never a numerics knob.
+//!
+//! `par` only fans a kernel out once it carries enough arithmetic to pay
+//! for a launch, so the random small shapes below mostly pin the inline
+//! path; `kernels_bits_invariant_around_the_launch_gate` sweeps fixed
+//! shapes from just under one task's worth of work to several tasks'
+//! worth, where the chunking really changes with the thread count.
 
 use ratatouille_util::proptest::prelude::*;
 use ratatouille_tensor::{ops, par, Tensor};
@@ -21,6 +27,10 @@ fn knob() -> MutexGuard<'static, ()> {
 }
 
 const SWEEP: [usize; 4] = [2, 3, 4, 7];
+
+/// Per-index work that clears `par`'s launch gate whatever its value, so
+/// the pool-mechanics properties really launch.
+const HEAVY: usize = usize::MAX;
 
 fn assert_bits_equal(serial: &Tensor, parallel: &Tensor, what: &str, threads: usize) {
     assert_eq!(serial.dims(), parallel.dims());
@@ -142,7 +152,7 @@ proptest! {
         par::set_num_threads(threads);
         for _ in 0..4 {
             let hits = Mutex::new(vec![0u8; len]);
-            par::parallel_chunks(len, 1, |s, e, _| {
+            par::parallel_chunks(len, HEAVY, |s, e, _| {
                 let mut h = hits.lock().unwrap();
                 for i in s..e {
                     h[i] += 1;
@@ -160,8 +170,8 @@ proptest! {
         let _g = knob();
         par::set_num_threads(threads);
         let hits = Mutex::new(vec![0u8; len]);
-        par::parallel_chunks(len, 1, |s, e, _| {
-            par::parallel_chunks(e - s, 1, |ns, ne, _| {
+        par::parallel_chunks(len, HEAVY, |s, e, _| {
+            par::parallel_chunks(e - s, HEAVY, |ns, ne, _| {
                 let mut h = hits.lock().unwrap();
                 for i in s + ns..s + ne {
                     h[i] += 1;
@@ -188,17 +198,85 @@ fn deeply_nested_launches_and_kernels_survive() {
     let expect = ops::matmul(&a, &b);
     par::set_num_threads(4);
     let done = Mutex::new(0usize);
-    par::parallel_chunks(8, 1, |s, e, _| {
+    par::parallel_chunks(8, HEAVY, |s, e, _| {
         for _ in s..e {
             // kernel launch from inside a pool task runs inline
             let c = ops::matmul(&a, &b);
             assert_bits_equal(&expect, &c, "nested matmul", 4);
-            par::parallel_chunks(16, 1, |ns, ne, _| {
-                par::parallel_chunks(ne - ns, 1, |_, _, _| {});
+            par::parallel_chunks(16, HEAVY, |ns, ne, _| {
+                par::parallel_chunks(ne - ns, HEAVY, |_, _, _| {});
             });
             *done.lock().unwrap() += 1;
         }
     });
     assert_eq!(*done.lock().unwrap(), 8);
+    par::set_num_threads(0);
+}
+
+/// Deterministic operand of the given shape (values in about ±2).
+fn operand(dims: &[usize], salt: usize) -> Tensor {
+    let n: usize = dims.iter().product();
+    let data = (0..n)
+        .map(|i| ((i * 31 + salt * 17) % 257) as f32 * (4.0 / 257.0) - 2.0)
+        .collect();
+    Tensor::from_vec(data, dims).unwrap()
+}
+
+/// Every pooled kernel at shapes straddling the launch gate (about 2^20
+/// multiply-accumulates per task): below it the call is inline at any
+/// thread count, above it the number of chunks follows first the work
+/// and then the thread count — and none of that may change a bit.
+#[test]
+fn kernels_bits_invariant_around_the_launch_gate() {
+    let _g = knob();
+    // (m, k, n): 0.5x, ~1x, 2x, 3x and 8x one task's worth of work.
+    let gemm_shapes = [(64, 64, 128), (96, 128, 88), (128, 128, 128), (200, 96, 168), (256, 256, 128)];
+    // Single-row decode shapes (column-parallel paths): 0.5x, 2x, 5x.
+    let gemv_shapes = [(1, 128, 4096), (1, 256, 8192), (1, 160, 33_000)];
+    for &(m, k, n) in gemm_shapes.iter().chain(&gemv_shapes) {
+        let a = operand(&[m, k], 1);
+        let b = operand(&[k, n], 2);
+        let bt = operand(&[n, k], 3);
+        let at = operand(&[k, m], 4);
+        let q = ops::quantize_per_row(&bt);
+        let run = || {
+            (
+                ops::matmul(&a, &b),
+                ops::matmul_transb(&a, &bt),
+                ops::matmul_transa(&at, &b),
+                ops::qmatmul_transb(&a, &q),
+                ops::quantize_per_row(&bt),
+            )
+        };
+        par::set_num_threads(1);
+        let serial = run();
+        for &t in &SWEEP {
+            par::set_num_threads(t);
+            let parallel = run();
+            let what = format!("{m}x{k}x{n}");
+            assert_bits_equal(&serial.0, &parallel.0, &format!("matmul {what}"), t);
+            assert_bits_equal(&serial.1, &parallel.1, &format!("matmul_transb {what}"), t);
+            assert_bits_equal(&serial.2, &parallel.2, &format!("matmul_transa {what}"), t);
+            assert_bits_equal(&serial.3, &parallel.3, &format!("qmatmul_transb {what}"), t);
+            assert_eq!(serial.4.codes().data(), parallel.4.codes().data(), "quantize {what} at {t}");
+        }
+    }
+    // The bmm family over the fused (batch, m) row space: 0.5x and 4x.
+    for &(bt, m, k, n) in &[(4, 64, 32, 64), (8, 128, 32, 128)] {
+        let a = operand(&[bt, m, k], 5);
+        let b = operand(&[bt, k, n], 6);
+        let a_t = operand(&[bt, k, m], 7);
+        let b_t = operand(&[bt, n, k], 8);
+        let run = || (ops::bmm(&a, &b), ops::bmm_transb(&a, &b_t), ops::bmm_transa(&a_t, &b));
+        par::set_num_threads(1);
+        let serial = run();
+        for &t in &SWEEP {
+            par::set_num_threads(t);
+            let parallel = run();
+            assert_bits_equal(&serial.0, &parallel.0, "bmm", t);
+            assert_bits_equal(&serial.1, &parallel.1, "bmm_transb", t);
+            assert_bits_equal(&serial.2, &parallel.2, "bmm_transa", t);
+        }
+    }
     par::set_num_threads(0);
 }

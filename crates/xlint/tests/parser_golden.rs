@@ -39,6 +39,11 @@ fn item_tree_matches_the_real_file() {
             "generate_traced",
             "metric_label",
             "select_token",
+            "scale_logits",
+            "top_k_of",
+            "rank_all",
+            "top_candidates",
+            "sample_ranked",
             "logits",
             "greedy_picks_argmax",
             "top_k_restricts_support",
@@ -46,6 +51,7 @@ fn item_tree_matches_the_real_file() {
             "low_temperature_approaches_greedy",
             "high_temperature_spreads_mass",
             "deterministic_given_seed",
+            "select_token_by_full_sort",
             "metric_label_sanitizes",
             "generate_works_on_quantized_models",
             "generate_respects_stop_and_budget",
@@ -58,7 +64,7 @@ fn item_tree_matches_the_real_file() {
         assert!(f.unsafe_lines.is_empty(), "sample.rs has no unsafe blocks");
     }
     // Everything from `logits` on lives inside the #[cfg(test)] module.
-    for f in &ast.fns[6..] {
+    for f in &ast.fns[11..] {
         assert_eq!(f.module, vec!["tests".to_string()], "{}", f.display());
     }
     // `impl Default for SamplerConfig` resolves to the *self* type.
@@ -129,7 +135,7 @@ fn generate_events_land_on_their_source_lines() {
 #[test]
 fn float_accumulation_is_visible_with_its_binding_hint() {
     let (src, ast) = golden();
-    let select = ast.fns.iter().find(|f| f.name == "select_token").unwrap();
+    let select = ast.fns.iter().find(|f| f.name == "sample_ranked").unwrap();
     let cum_line = line_of(src, "cum += p");
     let add = select
         .adds
