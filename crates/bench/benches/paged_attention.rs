@@ -1,19 +1,18 @@
-//! **T-paged** — the parallel paged-attention sweep vs the PR 7 serial
-//! per-sequence loop, at the long contexts where attention dominates.
+//! **T-paged** — the parallel paged-attention sweep across worker thread
+//! counts, at the long contexts where attention dominates.
 //!
 //! Two views per model shape (distil `d=64/h=2` and medium `d=128/h=4`):
 //!
 //! * `attend_phase`: attention-phase time per decode step, isolated via
 //!   the `attend_ns` histogram delta (`Timer::iter_custom`), so the
-//!   serial/sweep comparison excludes the GEMMs around it. `serial` is
-//!   the row-at-a-time baseline; `sweepN` is the pool sweep at N worker
-//!   threads — `sweep1` shows the block-contiguous-run win alone, and
-//!   higher counts add cross-sequence parallelism on multi-core hosts.
+//!   comparison excludes the GEMMs around it. `sweepN` is the pool sweep
+//!   at N worker threads — higher counts add cross-sequence parallelism
+//!   on multi-core hosts.
 //! * `long_context`: wall time for the same full decode (prefill via the
 //!   shared-prefix cache, untimed), the end-to-end view.
 //!
-//! Streams are asserted byte-identical between the serial reference and
-//! every sweep configuration before anything is timed — a bench run that
+//! Streams are asserted byte-identical between the one-thread run and
+//! every other thread count before anything is timed — a bench run that
 //! broke determinism must fail loudly, not publish numbers.
 
 use ratatouille_util::bench::{Bench, BenchmarkId, Throughput};
@@ -23,7 +22,6 @@ use ratatouille::models::batch::{
 };
 use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::sample::SamplerConfig;
-use ratatouille::models::transformer::{set_attention_mode, AttentionMode};
 use ratatouille::models::InferenceModel;
 use ratatouille::tensor::par;
 
@@ -106,41 +104,33 @@ fn shapes() -> Vec<Shape> {
     ]
 }
 
-/// (mode label, attention mode, worker threads)
-const MODES: &[(&str, AttentionMode, usize)] = &[
-    ("serial", AttentionMode::Serial, 1),
-    ("sweep1", AttentionMode::Sweep, 1),
-    ("sweep2", AttentionMode::Sweep, 2),
-    ("sweep4", AttentionMode::Sweep, 4),
-];
+/// (row label, worker threads)
+const MODES: &[(&str, usize)] = &[("sweep1", 1), ("sweep2", 2), ("sweep4", 4)];
 
 fn bench_paged(c: &mut Bench) {
     for shape in shapes() {
         let model = Gpt2Lm::new(shape.config);
         let bm = model.batch_model().expect("gpt2 tiers are batch-ready");
 
-        // Determinism gate first: every mode reproduces the serial
-        // reference streams byte for byte.
-        set_attention_mode(AttentionMode::Serial);
+        // Determinism gate first: every thread count reproduces the
+        // one-thread streams byte for byte.
         par::set_num_threads(1);
         let mut engine = BatchGenerator::new(bm, engine_cfg());
         let (reference, _) = run_round(bm, &mut engine);
         assert_eq!(reference.len(), BATCH * TOKENS, "a sequence stopped early");
-        for &(label, mode, threads) in MODES {
-            set_attention_mode(mode);
+        for &(label, threads) in MODES {
             par::set_num_threads(threads);
             let (streams, _) = run_round(bm, &mut engine);
             assert_eq!(
                 streams, reference,
-                "{label} diverged from the serial reference ({})",
+                "{label} diverged from the one-thread run ({})",
                 shape.label
             );
         }
 
         let mut group = c.benchmark_group(format!("attend_phase_{}", shape.label));
         group.sample_size(10);
-        for &(label, mode, threads) in MODES {
-            set_attention_mode(mode);
+        for &(label, threads) in MODES {
             par::set_num_threads(threads);
             let mut engine = BatchGenerator::new(bm, engine_cfg());
             run_round(bm, &mut engine); // warm the prefix cache, untimed
@@ -155,8 +145,7 @@ fn bench_paged(c: &mut Bench) {
 
         let mut group = c.benchmark_group(format!("long_context_{}", shape.label));
         group.sample_size(10);
-        for &(label, mode, threads) in MODES {
-            set_attention_mode(mode);
+        for &(label, threads) in MODES {
             par::set_num_threads(threads);
             let mut engine = BatchGenerator::new(bm, engine_cfg());
             run_round(bm, &mut engine); // warm, untimed
@@ -168,8 +157,7 @@ fn bench_paged(c: &mut Bench) {
         group.finish();
     }
 
-    // Restore process defaults for anything running after this harness.
-    set_attention_mode(AttentionMode::Sweep);
+    // Restore the process default for anything running after this harness.
     par::set_num_threads(0);
 }
 

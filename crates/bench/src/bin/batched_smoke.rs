@@ -12,8 +12,7 @@
 //!    prefills the tail); and
 //! 4. the parallel paged-attention sweep holds the determinism contract
 //!    in the attention-bound regime: a long-context batch of 8 produces
-//!    byte-identical streams at 1 and 2 worker threads, both matching
-//!    the serial row-at-a-time reference loop; and
+//!    byte-identical streams at 1 and 2 worker threads; and
 //! 5. batch-8 steps of the served (medium) tier at ≤ 256 context never
 //!    wake the tensor pool — an exact launch count, not a timing.
 //!
@@ -30,7 +29,6 @@ use ratatouille::models::batch::{
 };
 use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::sample::SamplerConfig;
-use ratatouille::models::transformer::{set_attention_mode, AttentionMode};
 use ratatouille::models::InferenceModel;
 use ratatouille::tensor::par;
 
@@ -185,8 +183,8 @@ fn main() {
 
     // 4. Long-context attention-bound determinism: batch of 8 on a
     //    160-token prompt (attention dominates each decode step), the
-    //    pool-parallel sweep at 2 threads vs 1 thread vs the serial
-    //    reference — all three must agree byte for byte.
+    //    pool-parallel sweep at 2 threads vs 1 thread must agree byte
+    //    for byte.
     const LONG_PROMPT: usize = 160;
     let long_reqs: Vec<BatchRequest> = (0..8u32)
         .map(|i| {
@@ -196,8 +194,7 @@ fn main() {
             req(&prompt, i as u64)
         })
         .collect();
-    let run_long = |mode: AttentionMode, threads: usize| -> Vec<Vec<u32>> {
-        set_attention_mode(mode);
+    let run_long = |threads: usize| -> Vec<Vec<u32>> {
         par::set_num_threads(threads);
         // Bigger blocks than the short-prompt cases: 8 sequences of
         // 160 + 24 tokens need ~96 sixteen-token blocks.
@@ -224,24 +221,17 @@ fn main() {
             }
         }
         par::set_num_threads(0);
-        set_attention_mode(AttentionMode::Sweep);
         out
     };
-    let serial_ref = run_long(AttentionMode::Serial, 1);
-    let sweep1 = run_long(AttentionMode::Sweep, 1);
-    let sweep2 = run_long(AttentionMode::Sweep, 2);
     assert_eq!(
-        sweep1, serial_ref,
-        "1-thread sweep diverged from the serial reference at long context"
-    );
-    assert_eq!(
-        sweep2, serial_ref,
+        run_long(2),
+        run_long(1),
         "2-thread sweep diverged from the single-thread stream at long context"
     );
     let attend_total = obs::static_histogram!("attend_ns").sum();
     assert!(attend_total > 0, "attend_ns histogram never populated");
     eprintln!(
-        "[batched_smoke] long-context batch-8 streams identical across serial/sweep x threads 1,2 \
+        "[batched_smoke] long-context batch-8 streams identical across threads 1,2 \
          (attend_ns total {attend_total})"
     );
 

@@ -13,7 +13,7 @@ use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::SeedableRng;
 use ratatouille::eval::bleu::corpus_bleu;
 use ratatouille::models::data::Dataset;
-use ratatouille::models::gptneo::{GptNeoConfig, GptNeoLm};
+use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::registry::{ModelKind, ModelSpec};
 use ratatouille::models::sample::{generate, SamplerConfig};
 use ratatouille::models::train::Trainer;
@@ -71,7 +71,7 @@ fn main() {
     let gpt2_stats = Trainer::new(spec.model.as_ref(), &ds, cfg.clone()).train();
 
     // GPT-Neo at the same shape, same tokenizer, same budget.
-    let neo = GptNeoLm::new(GptNeoConfig::small(spec.tokenizer.vocab_size()));
+    let neo = Gpt2Lm::new(Gpt2Config::neo_small(spec.tokenizer.vocab_size()));
     eprintln!("[gptneo-bench] training GPT-Neo ({} steps)…", cfg.steps);
     let neo_stats = Trainer::new(&neo, &ds, cfg).train();
 
@@ -104,6 +104,6 @@ fn main() {
         "\nlocal-attention layers see a {}-token window; at recipe lengths (≤192 tokens)\n\
          GPT-Neo should be roughly at parity — the paper's hoped-for gain comes from\n\
          pre-training scale, which no offline reproduction can supply.",
-        GptNeoConfig::small(10).window
+        neo.config().local_window.expect("neo_small is windowed")
     );
 }

@@ -47,6 +47,8 @@ const REQUIRED_LABELED: &[&str] = &[
     "decode_kv_misses_total{model=\"distilgpt2\"}",
     "train_tokens_per_sec{model=\"word-level-lstm\"}",
     "generate_latency_ns_count{model=\"word-level-lstm\"}",
+    "gpt2_push_ns_count{dtype=\"f32\"}",
+    "gpt2_push_ns_count{dtype=\"int8\"}",
 ];
 
 fn main() {
@@ -103,6 +105,9 @@ fn main() {
         obs::static_histogram!("attend_ns").count() > 0,
         "batched decode did not populate attend_ns"
     );
+    // One solo push per weight dtype, for the per-dtype stream series.
+    gpt2.start_stream().push(2);
+    gpt2.quantize().start_stream().push(2);
 
     // 2. Train a tiny model (populates train_* metrics) and serve it.
     eprintln!("[metrics_smoke] training a tiny serving model…");

@@ -3,7 +3,7 @@
 //! [`BatchGenerator`] drives any [`BatchStepModel`] one *token step* at a
 //! time: every step feeds one token for every active sequence through a
 //! single batched forward (the `[B, D]` GEMMs of
-//! `Block::forward_incremental_batch` replacing `B` separate GEMVs),
+//! `DecodeBlock::decode_step` replacing `B` separate GEMVs),
 //! samples each sequence's next token with its own seeded RNG, retires
 //! finished sequences immediately and leaves their pool blocks free for
 //! the next admission. Prompts are *chunk-prefilled* — one prompt token

@@ -8,16 +8,28 @@
 //! mirrors distil-vs-medium (see [`Gpt2Config::distil`] /
 //! [`Gpt2Config::medium`]). What Table I compares is relative capacity on
 //! the recipe task, which the tiers preserve.
+//!
+//! GPT-Neo — the paper's stated future work ("we intend to use GPT-Neo
+//! which is built on similar architecture of GPT-3") — is the same model
+//! with one more config field: [`Gpt2Config::local_window`] makes the odd
+//! layers attend to a sliding window instead of the full prefix
+//! ([`Gpt2Config::neo_small`]).
+//!
+//! Decoding, solo or batched, f32 or int8, is one function
+//! ([`DecodeWeights::logits`]) over one per-block step body
+//! ([`DecodeBlock::decode_step`]).
+
+use std::sync::Arc;
 
 use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::SeedableRng;
 use ratatouille_tensor::ops::{qmatmul_transb, quantize_per_row, QuantizedMatrix};
-use ratatouille_tensor::{init, ops, DType, Tensor, Var, F16};
+use ratatouille_tensor::{init, ops, DType, Element, Tensor, Var, F16};
 
 use crate::batch::{BatchStepModel, ModelDims};
 use crate::kv_block::{BlockPool, SeqKv};
 use crate::lm::{Batch, InferenceModel, LanguageModel, TokenStream};
-use crate::transformer::{BatchScratch, Block, DecodeScratch, KvCache, QuantBlock};
+use crate::transformer::{BatchScratch, Block, DecodeBlock, KvSeam, Linear, PagedKv, StreamKv};
 
 /// GPT-2 hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +48,10 @@ pub struct Gpt2Config {
     pub d_ff: usize,
     /// Maximum context length (learned positions).
     pub max_t: usize,
+    /// GPT-Neo's alternating attention: odd layers attend only to the
+    /// trailing `local_window` positions, even layers to the full prefix.
+    /// `None` is plain GPT-2 (every layer global).
+    pub local_window: Option<usize>,
     /// Dropout rate during training.
     pub dropout: f32,
     /// Initialization seed.
@@ -55,6 +71,7 @@ impl Gpt2Config {
             n_layers: 2,
             d_ff: 256,
             max_t: 256,
+            local_window: None,
             dropout: 0.1,
             seed: 0xD157,
         }
@@ -71,9 +88,28 @@ impl Gpt2Config {
             n_layers: 4,
             d_ff: 512,
             max_t: 256,
+            local_window: None,
             dropout: 0.1,
             seed: 0x6127,
         }
+    }
+
+    /// The GPT-Neo tier: [`Gpt2Config::medium`]'s depth and width with
+    /// alternating global / 64-token local attention.
+    pub fn neo_small(vocab: usize) -> Self {
+        Gpt2Config {
+            name: "GPT-Neo (future work)".into(),
+            max_t: 192,
+            local_window: Some(64),
+            seed: 0x0E0,
+            ..Self::medium(vocab)
+        }
+    }
+
+    /// The attention window of `layer` (GPT-Neo alternates, starting
+    /// global); `None` = the full prefix.
+    fn layer_window(&self, layer: usize) -> Option<usize> {
+        self.local_window.filter(|_| layer % 2 == 1)
     }
 }
 
@@ -99,6 +135,7 @@ impl Gpt2Lm {
             0,
             "d_model must divide evenly into heads"
         );
+        assert_ne!(config.local_window, Some(0), "window must be positive");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let wte = Var::leaf(init::randn(&mut rng, &[config.vocab, config.d_model], 0.02));
         let wpe = Var::leaf(init::randn(&mut rng, &[config.max_t, config.d_model], 0.01));
@@ -124,18 +161,30 @@ impl Gpt2Lm {
     /// copy. Weights are quantized per output row; embeddings, layer
     /// norms and biases stay f32; the decode KV cache stores f16.
     pub fn quantize(&self) -> QuantGpt2Lm {
-        let wte = self.wte.value();
         QuantGpt2Lm {
             name: format!("{} [int8]", self.config.name),
+            config: self.config.clone(),
+            weights: Arc::new(self.decode_weights(DType::I8)),
+        }
+    }
+
+    /// The current parameters as a decode weight set: `Arc` clones for
+    /// [`DType::F32`] (cheap enough to take per stream and per batch
+    /// step, so decoding always sees the latest training step), int8
+    /// copies of every projection and of the tied head for [`DType::I8`].
+    fn decode_weights(&self, dtype: DType) -> DecodeWeights {
+        let int8 = dtype == DType::I8;
+        let linear = if int8 { Linear::int8 } else { Linear::f32 };
+        let wte = self.wte.value();
+        DecodeWeights {
             // wte is [V, D]: for the tied head each vocab row is already
             // an output row, so it quantizes without a transpose.
-            wte_q: quantize_per_row(&wte),
+            head_q: int8.then(|| quantize_per_row(&wte)),
             wte,
             wpe: self.wpe.value(),
-            blocks: self.blocks.iter().map(QuantBlock::from_block).collect(),
+            blocks: self.blocks.iter().map(|b| DecodeBlock::new(b, linear)).collect(),
             lnf_g: self.lnf_g.value(),
             lnf_b: self.lnf_b.value(),
-            config: self.config.clone(),
         }
     }
 
@@ -155,13 +204,83 @@ impl Gpt2Lm {
             x = x.dropout(self.config.dropout, rng);
         }
         let mut x = x.reshape(&[b, t, d]);
-        for blk in &self.blocks {
-            x = blk.forward(&x, self.config.n_heads, self.config.dropout, train, rng);
+        for (i, blk) in self.blocks.iter().enumerate() {
+            let window = self.config.layer_window(i);
+            x = blk.forward(&x, self.config.n_heads, window, self.config.dropout, train, rng);
         }
         let flat = x
             .reshape(&[b * t, d])
             .layer_norm(&self.lnf_g, &self.lnf_b, 1e-5);
         flat.matmul_transb(&self.wte) // tied head: [B*T, V]
+    }
+}
+
+/// Everything a decode step reads, as plain tensors — no `Var`, so a
+/// weight set cannot be trained, which is how the "training stays f32"
+/// rule is enforced by construction.
+struct DecodeWeights {
+    /// f32 token embedding `[V, D]` (the lookup gathers single rows —
+    /// quantizing it would save no meaningful time and cost accuracy);
+    /// with f32 weights also the tied LM head.
+    wte: Tensor,
+    /// f32 position embedding `[max_t, D]`.
+    wpe: Tensor,
+    blocks: Vec<DecodeBlock>,
+    lnf_g: Tensor,
+    lnf_b: Tensor,
+    /// The tied LM head quantized `[V, D]` output-major, when the weights
+    /// are int8.
+    head_q: Option<QuantizedMatrix>,
+}
+
+impl DecodeWeights {
+    /// One decode step: feed `tokens[i]` at `positions[i]` and return the
+    /// next-token logits `[B, V]`. K/V rows go to, and attention reads
+    /// from, `kv`.
+    fn logits(&self, cfg: &Gpt2Config, tokens: &[u32], positions: &[usize], kv: &mut impl KvSeam) -> Tensor {
+        let d = cfg.d_model;
+        // Stacked token + position embeddings, [B, D]. Positions clamp to
+        // the last learned slot so generation can exceed max_t: the cache
+        // keeps full history (degrades gracefully rather than panicking
+        // mid-recipe).
+        let mut x = Vec::with_capacity(tokens.len() * d);
+        for (&tok, &pos) in tokens.iter().zip(positions) {
+            assert!((tok as usize) < cfg.vocab, "token {tok} out of vocab");
+            let pos = pos.min(cfg.max_t - 1);
+            let te = &self.wte.data()[tok as usize * d..(tok as usize + 1) * d];
+            let pe = &self.wpe.data()[pos * d..(pos + 1) * d];
+            x.extend(te.iter().zip(pe).map(|(&t, &p)| t + p));
+        }
+        // xlint: allow(transitive-panic-in-request-path): each token appends exactly `d` floats, so the buffer is `b * d` by construction
+        let mut x = Tensor::from_vec(x, &[tokens.len(), d]).expect("embeddings are [B, D]");
+        for (layer, blk) in self.blocks.iter().enumerate() {
+            x = blk.decode_step(&x, cfg.n_heads, layer, kv);
+        }
+        let (ln, _, _) = ops::layer_norm(&x, &self.lnf_g, &self.lnf_b, 1e-5);
+        match &self.head_q {
+            None => ops::matmul_transb(&ln, &self.wte),
+            Some(head) => qmatmul_transb(&ln, head),
+        }
+    }
+
+    /// The dtype of the projections, as observed from the weights.
+    fn dtype(&self) -> DType {
+        if self.head_q.is_some() { DType::I8 } else { DType::F32 }
+    }
+
+    /// Begin a solo stream over these weights, its per-layer KV caches
+    /// storing `E`.
+    fn stream<'m, E: Element + 'm>(self: Arc<Self>, cfg: &'m Gpt2Config) -> Box<dyn TokenStream + 'm> {
+        let windows = (0..cfg.n_layers).map(|layer| cfg.layer_window(layer));
+        Box::new(Gpt2Stream {
+            config: cfg,
+            kv: StreamKv::<E>::new(cfg.d_model, cfg.max_t, windows),
+            pos: 0,
+            // Resolved once per stream, not per token: the static_* macros
+            // cache per call site, which a dynamic label would defeat.
+            push_ns: obs::metrics::histogram(&format!("gpt2_push_ns{{dtype=\"{}\"}}", self.dtype().name())),
+            weights: self,
+        })
     }
 }
 
@@ -179,14 +298,7 @@ impl InferenceModel for Gpt2Lm {
     }
 
     fn start_stream(&self) -> Box<dyn TokenStream + '_> {
-        Box::new(Gpt2Stream {
-            model: self,
-            caches: (0..self.config.n_layers)
-                .map(|_| KvCache::with_capacity(self.config.d_model, self.config.max_t))
-                .collect(),
-            scratch: DecodeScratch::new(),
-            pos: 0,
-        })
+        Arc::new(self.decode_weights(DType::F32)).stream::<f32>(&self.config)
     }
 
     fn batch_model(&self) -> Option<&dyn BatchStepModel> {
@@ -213,8 +325,11 @@ impl BatchStepModel for Gpt2Lm {
     /// GEMMs here are `x@W_qkv` (`N = 3D`), `ctx@W_o` (`N = D`),
     /// `ln@W_up` (`N = F`) and `up@W_down` (`N = D`); the LM head is a
     /// `matmul_transb` (independent dots, invariant for any `V`).
+    ///
+    /// A windowed (GPT-Neo) config is not batch-ready: the paged seam
+    /// attends to the full prefix only.
     fn batch_ready(&self) -> bool {
-        self.config.d_model % 16 == 0 && self.config.d_ff % 16 == 0
+        self.config.d_model % 16 == 0 && self.config.d_ff % 16 == 0 && self.config.local_window.is_none()
     }
 
     fn batch_step(
@@ -224,43 +339,17 @@ impl BatchStepModel for Gpt2Lm {
         seqs: &mut [&mut SeqKv],
         scratch: &mut BatchScratch,
     ) -> Vec<Tensor> {
-        let b = tokens.len();
-        debug_assert_eq!(b, seqs.len());
-        let d = self.config.d_model;
-        let wte = self.wte.value();
-        let wpe = self.wpe.value();
-
-        // Stacked token + position embeddings, [B, D], staged in the
-        // scratch arena's reusable buffer. Positions clamp to the last
-        // learned slot exactly like the solo stream.
-        let mut x = std::mem::take(&mut scratch.x);
-        x.clear();
-        x.reserve(b * d);
-        for (i, &tok) in tokens.iter().enumerate() {
-            assert!((tok as usize) < self.config.vocab, "token {tok} out of vocab");
-            let pos = seqs[i].len().min(self.config.max_t - 1);
-            let te = &wte.data()[tok as usize * d..(tok as usize + 1) * d];
-            let pe = &wpe.data()[pos * d..(pos + 1) * d];
-            x.extend(te.iter().zip(pe).map(|(&t, &p)| t + p));
-        }
-        // xlint: allow(transitive-panic-in-request-path): each token appends exactly `d` floats, so the buffer is `b * d` by construction
-        let mut x = Tensor::from_vec(x, &[b, d]).expect("embeddings are [B, D]");
-        // The embedding tensor is dropped after the first layer; recover
-        // its buffer for the next step (sole owner -> no copy).
-        let x0 = x.clone();
-
-        for (layer, blk) in self.blocks.iter().enumerate() {
-            x = blk.forward_incremental_batch(&x, self.config.n_heads, layer, pool, seqs, scratch);
-        }
-        scratch.x = x0.into_vec();
-        let (ln, _, _) = ops::layer_norm(&x, &self.lnf_g.value(), &self.lnf_b.value(), 1e-5);
-        let logits = ops::matmul_transb(&ln, &wte); // [B, V]
-        let ld = logits.data();
+        debug_assert_eq!(tokens.len(), seqs.len());
+        let positions: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+        let mut kv = PagedKv { pool, seqs, scratch };
+        let logits = self.decode_weights(DType::F32).logits(&self.config, tokens, &positions, &mut kv);
         let v = self.config.vocab;
-        (0..b)
-            .map(|i| {
-                Tensor::from_vec(ld[i * v..(i + 1) * v].to_vec(), &[v])
-                    // xlint: allow(transitive-panic-in-request-path): the slice is exactly `v` floats, matching the declared shape
+        logits
+            .data()
+            .chunks_exact(v)
+            .map(|row| {
+                Tensor::from_vec(row.to_vec(), &[v])
+                    // xlint: allow(transitive-panic-in-request-path): the chunk is exactly `v` floats, matching the declared shape
                     .expect("logits row is [V]")
             })
             .collect()
@@ -296,25 +385,16 @@ impl LanguageModel for Gpt2Lm {
     }
 }
 
-/// An int8 weight-quantized, inference-only GPT-2.
+/// An int8 weight-quantized, inference-only GPT-2 (or GPT-Neo).
 ///
-/// Built from a trained [`Gpt2Lm`] via [`Gpt2Lm::quantize`]. Holds plain
-/// tensors, not `Var`s — it cannot be trained, which is how the "training
-/// stays f32" rule is enforced by construction. Decoding uses the int8
-/// GEMM for all projections and an [`F16`] KV cache.
+/// Built from a trained [`Gpt2Lm`] via [`Gpt2Lm::quantize`]: the int8
+/// weight set under the f32 model's config. Decoding uses the int8 GEMM
+/// for all projections and an [`F16`] KV cache. It offers no
+/// `batch_model()` — the block pool stores f32 rows only.
 pub struct QuantGpt2Lm {
     name: String,
     config: Gpt2Config,
-    /// f32 token embedding `[V, D]` (the lookup gathers single rows —
-    /// quantizing it would save no meaningful time and cost accuracy).
-    wte: Tensor,
-    /// The tied LM head, quantized `[V, D]` output-major.
-    wte_q: QuantizedMatrix,
-    /// f32 position embedding `[max_t, D]`.
-    wpe: Tensor,
-    blocks: Vec<QuantBlock>,
-    lnf_g: Tensor,
-    lnf_b: Tensor,
+    weights: Arc<DecodeWeights>,
 }
 
 impl QuantGpt2Lm {
@@ -342,92 +422,31 @@ impl InferenceModel for QuantGpt2Lm {
     }
 
     fn start_stream(&self) -> Box<dyn TokenStream + '_> {
-        Box::new(QuantGpt2Stream {
-            model: self,
-            caches: (0..self.config.n_layers)
-                .map(|_| KvCache::with_capacity(self.config.d_model, self.config.max_t))
-                .collect(),
-            scratch: DecodeScratch::new(),
-            pos: 0,
-        })
+        self.weights.clone().stream::<F16>(&self.config)
     }
 }
 
-/// Incremental decoding state for the quantized model: one f16 KV cache
-/// per block plus the shared attention scratch.
-struct QuantGpt2Stream<'m> {
-    model: &'m QuantGpt2Lm,
-    caches: Vec<KvCache<F16>>,
-    scratch: DecodeScratch,
+/// Incremental decoding state for either dtype: a weight set plus one
+/// contiguous KV cache per block (`E = f32` under f32 weights, [`F16`]
+/// under int8).
+struct Gpt2Stream<'m, E: Element> {
+    config: &'m Gpt2Config,
+    weights: Arc<DecodeWeights>,
+    kv: StreamKv<E>,
     pos: usize,
+    push_ns: Arc<obs::metrics::Histogram>,
 }
 
-impl TokenStream for QuantGpt2Stream<'_> {
+impl<E: Element> TokenStream for Gpt2Stream<'_, E> {
     fn push(&mut self, token: u32) -> Tensor {
         let push_start = obs::Clock::now();
-        let m = self.model;
-        let d = m.config.d_model;
-        assert!(
-            (token as usize) < m.config.vocab,
-            "token {token} out of vocab"
-        );
-        let pos_idx = self.pos.min(m.config.max_t - 1);
-        let tok = ops::embedding(&m.wte, &[token as usize]).reshape(&[d]);
-        let pos = ops::embedding(&m.wpe, &[pos_idx]).reshape(&[d]);
-        let mut x = ops::add(&tok, &pos);
-        for (blk, cache) in m.blocks.iter().zip(&mut self.caches) {
-            x = blk.forward_incremental(&x, m.config.n_heads, cache, &mut self.scratch, None);
-        }
+        let logits = self
+            .weights
+            .logits(self.config, &[token], &[self.pos], &mut self.kv)
+            .reshape(&[self.config.vocab]);
         self.pos += 1;
-        let (ln, _, _) = ops::layer_norm(&x.reshape(&[1, d]), &m.lnf_g, &m.lnf_b, 1e-5);
-        let out = qmatmul_transb(&ln, &m.wte_q).reshape(&[m.config.vocab]);
-        obs::static_histogram!("gpt2_quant_push_ns").observe(push_start.elapsed_ns());
-        out
-    }
-
-    fn position(&self) -> usize {
-        self.pos
-    }
-}
-
-/// Incremental decoding state: one KV cache per block, plus the reusable
-/// attention scratch shared by all blocks (they run sequentially).
-struct Gpt2Stream<'m> {
-    model: &'m Gpt2Lm,
-    caches: Vec<KvCache>,
-    scratch: DecodeScratch,
-    pos: usize,
-}
-
-impl TokenStream for Gpt2Stream<'_> {
-    fn push(&mut self, token: u32) -> Tensor {
-        let push_start = obs::Clock::now();
-        let m = self.model;
-        let d = m.config.d_model;
-        assert!(
-            (token as usize) < m.config.vocab,
-            "token {token} out of vocab"
-        );
-        // Ring the position index so generation can exceed max_t: the
-        // cache keeps full history but positions clamp to the last slot
-        // (degrades gracefully rather than panicking mid-recipe).
-        let pos_idx = self.pos.min(m.config.max_t - 1);
-        let tok = ops::embedding(&m.wte.value(), &[token as usize]).reshape(&[d]);
-        let pos = ops::embedding(&m.wpe.value(), &[pos_idx]).reshape(&[d]);
-        let mut x = ops::add(&tok, &pos);
-        for (blk, cache) in m.blocks.iter().zip(&mut self.caches) {
-            x = blk.forward_incremental(&x, m.config.n_heads, cache, &mut self.scratch);
-        }
-        self.pos += 1;
-        let (ln, _, _) = ops::layer_norm(
-            &x.reshape(&[1, d]),
-            &m.lnf_g.value(),
-            &m.lnf_b.value(),
-            1e-5,
-        );
-        let out = ops::matmul_transb(&ln, &m.wte.value()).reshape(&[m.config.vocab]);
-        obs::static_histogram!("gpt2_push_ns").observe(push_start.elapsed_ns());
-        out
+        self.push_ns.observe(push_start.elapsed_ns());
+        logits
     }
 
     fn position(&self) -> usize {
@@ -449,9 +468,36 @@ mod tests {
             n_layers: 2,
             d_ff: 32,
             max_t: 16,
+            local_window: None,
             dropout: 0.0,
             seed: 5,
         })
+    }
+
+    /// The same shape with GPT-Neo's alternating local attention.
+    fn tiny_neo() -> Gpt2Lm {
+        Gpt2Lm::new(Gpt2Config {
+            name: "tiny-neo".into(),
+            local_window: Some(4),
+            seed: 9,
+            ..tiny().config
+        })
+    }
+
+    /// Train `m` on the 2,3,4,5 cycle until it predicts it confidently.
+    fn train_cycle(m: &Gpt2Lm, steps: usize, seed: u64) -> f32 {
+        let params = m.parameters();
+        let mut opt = Adam::new(0.01);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut last = f32::MAX;
+        for _ in 0..steps {
+            zero_grads(&params);
+            let loss = m.forward_loss(&toy_batch(), true, &mut rng);
+            last = loss.value().item();
+            loss.backward();
+            opt.step(&params);
+        }
+        last
     }
 
     fn toy_batch() -> Batch {
@@ -473,50 +519,35 @@ mod tests {
 
     #[test]
     fn learns_a_cycle() {
-        let m = tiny();
-        let params = m.parameters();
-        let mut opt = Adam::new(0.01);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut last = f32::MAX;
-        for _ in 0..80 {
-            zero_grads(&params);
-            let loss = m.forward_loss(&toy_batch(), true, &mut rng);
-            last = loss.value().item();
-            loss.backward();
-            opt.step(&params);
-        }
+        let last = train_cycle(&tiny(), 80, 1);
         assert!(last < 0.5, "cycle not learned: {last}");
+        let last = train_cycle(&tiny_neo(), 100, 1);
+        assert!(last < 0.6, "cycle not learned through local layers: {last}");
     }
 
     #[test]
-    fn stream_matches_cycle_after_training() {
-        let m = tiny();
-        let params = m.parameters();
-        let mut opt = Adam::new(0.01);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..100 {
-            zero_grads(&params);
-            let loss = m.forward_loss(&toy_batch(), true, &mut rng);
-            loss.backward();
-            opt.step(&params);
+    fn stream_matches_trained_cycle() {
+        for (m, steps, seed) in [(tiny(), 100, 2), (tiny_neo(), 120, 3)] {
+            train_cycle(&m, steps, seed);
+            // cycle 2,3,4,5,2,3,…: after pushing 2,3,4 next must be 5
+            let mut s = m.start_stream();
+            s.push(2);
+            s.push(3);
+            let logits = s.push(4);
+            assert_eq!(ops::argmax_last(&logits), vec![5], "{}", m.config.name);
+            assert_eq!(s.position(), 3);
         }
-        // cycle 2,3,4,5,2,3,…: after pushing 2,3,4 next must be 5
-        let mut s = m.start_stream();
-        s.push(2);
-        s.push(3);
-        let logits = s.push(4);
-        assert_eq!(ops::argmax_last(&logits), vec![5]);
-        assert_eq!(s.position(), 3);
     }
 
     #[test]
     fn all_parameters_receive_gradients() {
-        let m = tiny();
-        let mut rng = StdRng::seed_from_u64(3);
-        let loss = m.forward_loss(&toy_batch(), true, &mut rng);
-        loss.backward();
-        for (name, p) in m.named_parameters() {
-            assert!(p.grad().is_some(), "no gradient for `{name}`");
+        for m in [tiny(), tiny_neo()] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let loss = m.forward_loss(&toy_batch(), true, &mut rng);
+            loss.backward();
+            for (name, p) in m.named_parameters() {
+                assert!(p.grad().is_some(), "no gradient for `{name}`");
+            }
         }
     }
 
@@ -533,29 +564,70 @@ mod tests {
 
     #[test]
     fn quantized_stream_matches_trained_cycle() {
-        // The int8 model must preserve a confidently-learned prediction.
-        let m = tiny();
-        let params = m.parameters();
-        let mut opt = Adam::new(0.01);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..100 {
-            zero_grads(&params);
-            let loss = m.forward_loss(&toy_batch(), true, &mut rng);
-            loss.backward();
-            opt.step(&params);
+        // The int8 model (f16 KV cache, windowed local layers for the Neo
+        // config) must preserve the f32 stream's confidently-learned
+        // predictions — run past the window (4) so local layers actually
+        // truncate.
+        for (m, steps, seed) in [(tiny(), 100, 2), (tiny_neo(), 120, 3)] {
+            train_cycle(&m, steps, seed);
+            let q = m.quantize();
+            assert_eq!(InferenceModel::name(&q), format!("{} [int8]", m.config.name));
+            assert_eq!(InferenceModel::dtype(&q), DType::I8);
+            assert!(q.batch_model().is_none(), "the block pool is f32-only");
+            let mut s32 = m.start_stream();
+            let mut sq = InferenceModel::start_stream(&q);
+            for i in 0..10 {
+                let tok = 2 + (i % 4) as u32;
+                let l32 = s32.push(tok);
+                let lq = sq.push(tok);
+                assert!(!lq.has_non_finite(), "NaN at position {i}");
+                assert_eq!(
+                    ops::argmax_last(&l32),
+                    ops::argmax_last(&lq),
+                    "{}: prediction diverged at position {i}",
+                    m.config.name
+                );
+            }
+            // via the LanguageModel hook the same variant is reachable
+            let via_hook = LanguageModel::quantized(&m).expect("gpt2 offers int8");
+            assert_eq!(via_hook.dtype(), DType::I8);
         }
+    }
+
+    /// The windowed-decode oracle: with an 8-token local window and a
+    /// 40-token history, the incremental stream (windowed KV reads) must
+    /// reproduce the last row of the differentiable full forward (window
+    /// mask) — within float noise for f32, within the int8 budget for the
+    /// quantized model.
+    #[test]
+    fn windowed_stream_matches_full_forward() {
+        let m = Gpt2Lm::new(Gpt2Config {
+            max_t: 48,
+            local_window: Some(8),
+            ..tiny().config
+        });
+        assert!(m.batch_model().is_none(), "the paged seam has no window");
+        train_cycle(&m, 30, 4); // off the zero-bias, unit-gain init
+        let history: Vec<u32> = (0..40u32).map(|i| (i * 7 + 3) % 16).collect();
+        let batch = Batch {
+            inputs: vec![history.clone()],
+            targets: vec![history.clone()],
+            pad_id: 0,
+        };
+        let full = m.forward_logits(&batch, false, &mut StdRng::seed_from_u64(0)).value();
+        let oracle = &full.data()[39 * 16..];
         let q = m.quantize();
-        assert_eq!(InferenceModel::name(&q), "tiny-gpt [int8]");
-        assert_eq!(InferenceModel::dtype(&q), DType::I8);
-        let mut s = InferenceModel::start_stream(&q);
-        s.push(2);
-        s.push(3);
-        let logits = s.push(4);
-        assert!(!logits.has_non_finite());
-        assert_eq!(ops::argmax_last(&logits), vec![5]);
-        // via the LanguageModel hook the same variant is reachable
-        let via_hook = LanguageModel::quantized(&m).expect("gpt2 offers int8");
-        assert_eq!(via_hook.dtype(), DType::I8);
+        for (model, budget) in [(&m as &dyn InferenceModel, 1e-4), (&q as &dyn InferenceModel, 0.05)] {
+            let mut s = model.start_stream();
+            let last = history.iter().map(|&t| s.push(t)).last().expect("40 pushes");
+            for (j, (a, b)) in oracle.iter().zip(last.data()).enumerate() {
+                assert!(
+                    (a - b).abs() < budget,
+                    "{}: logit {j} full={a} stream={b}",
+                    model.name()
+                );
+            }
+        }
     }
 
     #[test]

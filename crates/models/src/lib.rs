@@ -24,7 +24,6 @@ pub mod beam;
 pub mod data;
 pub mod gpt2;
 pub mod kv_block;
-pub mod gptneo;
 pub mod lm;
 pub mod lstm;
 pub mod registry;
@@ -38,10 +37,9 @@ pub use batch::{
 };
 pub use gpt2::{Gpt2Config, Gpt2Lm, QuantGpt2Lm};
 pub use kv_block::{BlockConfig, BlockPool, PoolExhausted, PrefixCache, SeqKv};
-pub use gptneo::{GptNeoConfig, GptNeoLm, QuantGptNeoLm};
 pub use lm::{Batch, InferenceModel, LanguageModel, TokenStream};
 pub use lstm::{LstmConfig, LstmLm};
 pub use registry::{ModelKind, ModelSpec, TABLE1_MODELS};
 pub use sample::{generate, SamplerConfig};
 pub use train::{Checkpoint, TrainConfig, Trainer};
-pub use transformer::{attention_mode, set_attention_mode, AttentionMode, BatchScratch};
+pub use transformer::BatchScratch;

@@ -436,6 +436,7 @@ mod tests {
             n_layers: 1,
             d_ff: 32,
             max_t: 16,
+            local_window: None,
             dropout: 0.0,
             seed: 5,
         });

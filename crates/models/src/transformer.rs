@@ -1,17 +1,23 @@
 //! Pre-LN transformer blocks with causal multi-head self-attention —
 //! the GPT-2 building block (Radford et al., 2019).
 //!
-//! Both paths are implemented:
-//! * the differentiable training forward over [`Var`] graphs;
-//! * a pure-tensor incremental forward with a per-layer KV cache for
-//!   O(T) per-token generation (the paper's complaint about RecipeGPT
-//!   was generation latency — the cache is the fix).
+//! One parameter set ([`Block`]) has two forwards:
+//! * the differentiable training forward over [`Var`] graphs
+//!   ([`Block::forward`]), with an optional local attention window
+//!   (GPT-Neo's odd layers);
+//! * one pure-tensor decode step over `x: [B, D]`
+//!   ([`DecodeBlock::decode_step`]) for O(T) per-token generation (the
+//!   paper's complaint about RecipeGPT was generation latency — the KV
+//!   cache is the fix). The step varies in exactly two places: the
+//!   weights' dtype ([`Linear`]: f32 | int8) and where the K/V rows live
+//!   ([`KvSeam`]: a stream's contiguous [`KvCache`] | a batch's
+//!   [`BlockPool`] lanes).
 
 use ratatouille_util::rng::StdRng;
 use ratatouille_tensor::ops::{qmatmul_transb, quantize_per_row, QuantizedMatrix, RunSpan};
-use ratatouille_tensor::{init, ops, Element, Tensor, Var, F16};
+use ratatouille_tensor::{init, ops, Element, Tensor, Var};
 
-use crate::kv_block::{BlockPool, SeqKv};
+use crate::kv_block::{BlockPool, SeqKv, SeqLayerKv};
 
 /// One transformer block's parameters.
 pub struct Block {
@@ -84,10 +90,15 @@ impl Block {
     }
 
     /// Differentiable forward: `x [B, T, D]` → `[B, T, D]`.
+    ///
+    /// `window` limits each position's attention to itself and the
+    /// `window - 1` positions before it (GPT-Neo local layers); `None`
+    /// is full causal attention and adds no op to the graph.
     pub fn forward(
         &self,
         x: &Var,
         heads: usize,
+        window: Option<usize>,
         dropout: f32,
         train: bool,
         rng: &mut StdRng,
@@ -110,7 +121,10 @@ impl Block {
         let q = split(0);
         let k = split(d);
         let v = split(2 * d);
-        let scores = q.bmm_transb(&k).scale(1.0 / (dh as f32).sqrt()); // [B*H, T, T]
+        let mut scores = q.bmm_transb(&k).scale(1.0 / (dh as f32).sqrt()); // [B*H, T, T]
+        if let Some(w) = window {
+            scores = scores.add(&Var::constant(window_mask(b * heads, t, w)));
+        }
         let mut weights = scores.causal_masked_softmax();
         if train && dropout > 0.0 {
             weights = weights.dropout(dropout, rng);
@@ -139,136 +153,207 @@ impl Block {
         }
         x1.add(&mlp).reshape(&[b, t, d])
     }
+}
 
-    /// Incremental pure-tensor forward for one new token.
-    ///
-    /// `x: [D]` is the token's current representation; `cache` holds the
-    /// previously-computed K and V rows for this layer and is appended to.
-    /// `scratch` carries the per-stream score/prob/context buffers so the
-    /// attention inner loop allocates nothing per generated token.
-    pub fn forward_incremental<E: Element>(
-        &self,
-        x: &Tensor,
-        heads: usize,
-        cache: &mut KvCache<E>,
-        scratch: &mut DecodeScratch,
-    ) -> Tensor {
-        let d = x.numel();
-        let dh = d / heads;
-        let x_row = x.reshape(&[1, d]);
-
-        let (ln, _, _) = ops::layer_norm(&x_row, &self.ln1_g.value(), &self.ln1_b.value(), 1e-5);
-        let qkv = ops::add_broadcast(&ops::matmul(&ln, &self.w_qkv.value()), &self.b_qkv.value());
-        let qkv_d = qkv.data();
-        let q = &qkv_d[..d];
-        cache.push_slices(&qkv_d[d..2 * d], &qkv_d[2 * d..3 * d]);
-
-        let scale = 1.0 / (dh as f32).sqrt();
-        attend(q, heads, dh, 0, cache, scratch, scale);
-        // attn = ctx @ W_o + b_o, streamed row-wise through W_o so the
-        // context vector never round-trips through a temporary tensor.
-        let w_o = self.w_o.value();
-        let wod = w_o.data();
-        scratch.attn.clear();
-        scratch.attn.extend_from_slice(self.b_o.value().data());
-        for (i, &c) in scratch.ctx.iter().enumerate() {
-            ops::axpy(c, &wod[i * d..(i + 1) * d], &mut scratch.attn);
+/// Additive mask `[BH, T, T]`: 0 inside the causal window, -1e9 outside.
+fn window_mask(bh: usize, t: usize, window: usize) -> Tensor {
+    let mut m = vec![0.0f32; bh * t * t];
+    for b in 0..bh {
+        for i in 0..t {
+            for j in 0..t {
+                if j + window <= i {
+                    m[b * t * t + i * t + j] = -1e9;
+                }
+            }
         }
-        let x1_vec: Vec<f32> = x_row
-            .data()
-            .iter()
-            .zip(&scratch.attn)
-            .map(|(&xv, &av)| xv + av)
-            .collect();
-        let x1 = Tensor::from_vec(x1_vec, &[1, d]).unwrap();
+    }
+    Tensor::from_vec(m, &[bh, t, t]).expect("mask shape")
+}
 
-        let (ln2, _, _) = ops::layer_norm(&x1, &self.ln2_g.value(), &self.ln2_b.value(), 1e-5);
-        let up = ops::gelu(&ops::add_broadcast(
-            &ops::matmul(&ln2, &self.w_up.value()),
-            &self.b_up.value(),
-        ));
-        let mlp = ops::add_broadcast(&ops::matmul(&up, &self.w_down.value()), &self.b_down.value());
-        ops::add(&x1, &mlp).reshape(&[d])
+/// A decode-time projection `x [B, in]` → f32 `[B, out]` plus bias, over
+/// either weight representation. Biases stay f32 in both — they are tiny
+/// and precision-critical.
+pub(crate) struct Linear {
+    w: Weight,
+    b: Tensor,
+}
+
+enum Weight {
+    /// The trained parameter itself, `[in, out]` (an `Arc` clone), through
+    /// `ops::matmul`.
+    F32(Tensor),
+    /// Quantized once per output row (symmetric, scale = `max_abs / 127`)
+    /// and stored output-major `[out, in]`, so through `qmatmul_transb`
+    /// each output element is one int8 row dot against the f32 activation
+    /// row.
+    Int8(QuantizedMatrix),
+}
+
+impl Linear {
+    /// Share a trained f32 weight and bias.
+    pub(crate) fn f32(w: &Var, b: &Var) -> Self {
+        Linear { w: Weight::F32(w.value()), b: b.value() }
     }
 
-    /// Batched incremental forward: one new token for each of `B`
-    /// sequences at once, K/V landing in the block pool.
-    ///
-    /// `x` is `[B, D]` (row `i` is sequence `i`'s residual stream);
-    /// `seqs[i]` must have a writable slot prepared for this step
-    /// ([`SeqKv::prepare_write`]), and the row written here becomes
-    /// readable at position `seqs[i].len()` (committed by the caller
-    /// after all layers ran).
-    ///
-    /// Every op in this path — `layer_norm`, the three GEMMs, the
-    /// per-sequence [`attend`] — computes each output row independently
-    /// of the batch's other rows (DESIGN §10's batch-invariance
-    /// argument), which is what makes a sequence's token stream
-    /// identical solo or batched.
-    pub fn forward_incremental_batch(
-        &self,
-        x: &Tensor,
-        heads: usize,
-        layer: usize,
-        pool: &mut BlockPool,
-        seqs: &mut [&mut SeqKv],
-        scratch: &mut BatchScratch,
-    ) -> Tensor {
-        let (b, d) = (x.dims()[0], x.dims()[1]);
-        debug_assert_eq!(b, seqs.len());
-        let dh = d / heads;
-
-        let (ln, _, _) = ops::layer_norm(x, &self.ln1_g.value(), &self.ln1_b.value(), 1e-5);
-        let qkv = ops::add_broadcast(&ops::matmul(&ln, &self.w_qkv.value()), &self.b_qkv.value());
-        let qkv_d = qkv.data();
-        for (i, seq) in seqs.iter().enumerate() {
-            let row = &qkv_d[i * 3 * d..(i + 1) * 3 * d];
-            seq.write(pool, layer, &row[d..2 * d], &row[2 * d..3 * d]);
+    /// Quantize a trained weight to int8 (training stores `[in, out]`; the
+    /// quantized copy is transposed to output-major).
+    pub(crate) fn int8(w: &Var, b: &Var) -> Self {
+        Linear {
+            w: Weight::Int8(quantize_per_row(&ops::transpose2d(&w.value()))),
+            b: b.value(),
         }
+    }
 
+    fn project(&self, x: &Tensor) -> Tensor {
+        let y = match &self.w {
+            Weight::F32(w) => ops::matmul(x, w),
+            Weight::Int8(w) => qmatmul_transb(x, w),
+        };
+        ops::add_broadcast(&y, &self.b)
+    }
+}
+
+/// One block's decode-time weights: layer norms as plain tensors, the
+/// four projections as [`Linear`]s. Built from a trained [`Block`] per
+/// dtype; holds no `Var`, so it cannot be trained.
+pub(crate) struct DecodeBlock {
+    ln1_g: Tensor,
+    ln1_b: Tensor,
+    qkv: Linear,
+    o: Linear,
+    ln2_g: Tensor,
+    ln2_b: Tensor,
+    up: Linear,
+    down: Linear,
+}
+
+impl DecodeBlock {
+    /// Snapshot `block` with `linear` ([`Linear::f32`] or
+    /// [`Linear::int8`]) applied to each of its four projections.
+    pub(crate) fn new(block: &Block, linear: fn(&Var, &Var) -> Linear) -> Self {
+        DecodeBlock {
+            ln1_g: block.ln1_g.value(),
+            ln1_b: block.ln1_b.value(),
+            qkv: linear(&block.w_qkv, &block.b_qkv),
+            o: linear(&block.w_o, &block.b_o),
+            ln2_g: block.ln2_g.value(),
+            ln2_b: block.ln2_b.value(),
+            up: linear(&block.w_up, &block.b_up),
+            down: linear(&block.w_down, &block.b_down),
+        }
+    }
+
+    /// The decode step: one new token for each of `B` sequences.
+    ///
+    /// `x` is `[B, D]` (row `i` is sequence `i`'s residual stream); `kv`
+    /// stores the new K/V rows of `layer` and attends. Every op here —
+    /// `layer_norm`, the four projections, the per-sequence attention —
+    /// computes each output row independently of the batch's other rows
+    /// (DESIGN §10's batch-invariance argument), which is what makes a
+    /// sequence's token stream identical solo or batched.
+    pub(crate) fn decode_step(&self, x: &Tensor, heads: usize, layer: usize, kv: &mut impl KvSeam) -> Tensor {
+        let (b, d) = (x.dims()[0], x.dims()[1]);
+
+        let (ln, _, _) = ops::layer_norm(x, &self.ln1_g, &self.ln1_b, 1e-5);
+        let qkv = self.qkv.project(&ln);
+        let mut ctx = vec![0.0; b * d];
+        kv.attend(layer, qkv.data(), heads, d / heads, &mut ctx);
+        // xlint: allow(transitive-panic-in-request-path): `ctx` is built as exactly `b * d` floats two lines up; the shape cannot mismatch
+        let ctx = Tensor::from_vec(ctx, &[b, d]).expect("ctx is [B, D]");
+        let x1 = ops::add(x, &self.o.project(&ctx));
+
+        let (ln2, _, _) = ops::layer_norm(&x1, &self.ln2_g, &self.ln2_b, 1e-5);
+        let up = self.up.project(&ln2);
+        // Int8 weights take `gelu_fast`: a few-ULP tanh approximation, far
+        // below the quantization error already accepted with them. f32
+        // weights keep the exact `gelu`, the one the training forward uses.
+        let up = match self.up.w {
+            Weight::F32(_) => ops::gelu(&up),
+            Weight::Int8(_) => ops::gelu_fast(&up),
+        };
+        ops::add(&x1, &self.down.project(&up))
+    }
+}
+
+/// Where a decode step's K/V rows live — the one place the solo and the
+/// batched decode paths differ.
+pub(crate) trait KvSeam {
+    /// Store this step's K and V rows for `layer` and attend. `qkv` is
+    /// `[B, 3D]` row-major (`q | k | v` per row, `D = heads · dh`); row
+    /// `i`'s context vector lands in `ctx[i·D..(i+1)·D]`.
+    fn attend(&mut self, layer: usize, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]);
+}
+
+/// The solo seam (`B = 1`): one contiguous [`KvCache`] per layer, each
+/// with its optional trailing attention window, plus the attention
+/// scratch the layers share (they run sequentially).
+pub(crate) struct StreamKv<E: Element> {
+    layers: Vec<(KvCache<E>, Option<usize>)>,
+    scratch: DecodeScratch,
+}
+
+impl<E: Element> StreamKv<E> {
+    /// Caches for width-`d` rows with room for `rows` positions, one per
+    /// entry of `windows` (`None` = the layer attends to the full prefix).
+    pub(crate) fn new(d: usize, rows: usize, windows: impl Iterator<Item = Option<usize>>) -> Self {
+        StreamKv {
+            layers: windows.map(|w| (KvCache::with_capacity(d, rows), w)).collect(),
+            scratch: DecodeScratch::default(),
+        }
+    }
+}
+
+impl<E: Element> KvSeam for StreamKv<E> {
+    fn attend(&mut self, layer: usize, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]) {
+        let d = heads * dh;
+        let (cache, window) = &mut self.layers[layer];
+        cache.push_slices(&qkv[d..2 * d], &qkv[2 * d..3 * d]);
+        let start = window.map_or(0, |w| cache.len().saturating_sub(w));
+        attend(&qkv[..d], heads, dh, start, cache, &mut self.scratch);
+        ctx.copy_from_slice(&self.scratch.ctx);
+    }
+}
+
+/// The batched seam: row `i`'s K/V land in `seqs[i]`'s blocks of the
+/// shared pool, and the `B` attention lanes run as one [`attend_batch`].
+///
+/// Every `seqs[i]` must have a writable slot prepared for this step
+/// ([`SeqKv::prepare_write`]); the row written here becomes readable at
+/// position `seqs[i].len()` (committed by the caller after all layers
+/// ran).
+pub(crate) struct PagedKv<'a, 's> {
+    pub(crate) pool: &'a mut BlockPool,
+    pub(crate) seqs: &'a mut [&'s mut SeqKv],
+    pub(crate) scratch: &'a mut BatchScratch,
+}
+
+impl KvSeam for PagedKv<'_, '_> {
+    fn attend(&mut self, layer: usize, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]) {
+        let d = heads * dh;
+        let rows = || qkv.chunks_exact(3 * d);
+        for (seq, row) in self.seqs.iter().zip(rows()) {
+            seq.write(self.pool, layer, &row[d..2 * d], &row[2 * d..]);
+        }
         // All K/V writes for this step are in; reborrow the pool shared
         // so every sequence's read-only layer view (including the
         // just-written row at position len) can cross worker threads.
-        let pool: &BlockPool = pool;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut ctx = std::mem::take(&mut scratch.ctx);
-        ctx.clear();
-        ctx.resize(b * d, 0.0);
-        {
-            let seats = scratch.seats(b);
-            let mut slots: Vec<AttnSlot<'_>> = Vec::with_capacity(b);
-            let mut ctx_tail: &mut [f32] = &mut ctx;
-            for ((i, seq), seat) in seqs.iter().enumerate().zip(seats.iter_mut()) {
-                let (out, rest) = ctx_tail.split_at_mut(d);
-                ctx_tail = rest;
-                slots.push(AttnSlot {
-                    q: &qkv_d[i * 3 * d..i * 3 * d + d],
-                    // The just-written row participates: reader length
-                    // len + 1.
-                    view: seq.layer_view(pool, layer, seq.len() + 1),
-                    scratch: seat,
-                    out,
-                });
-            }
-            attend_batch(&mut slots, heads, dh, scale);
-        }
-        // xlint: allow(transitive-panic-in-request-path): `ctx` is built as exactly `b * d` floats in this function; the shape cannot mismatch
-        let ctx = Tensor::from_vec(ctx, &[b, d]).expect("ctx is [B, D]");
-        let attn = ops::add_broadcast(&ops::matmul(&ctx, &self.w_o.value()), &self.b_o.value());
-        // Round the ctx buffer back into the arena for the next layer
-        // (sole owner here, so this is a move, not a copy).
-        scratch.ctx = ctx.into_vec();
-        let x1 = ops::add(x, &attn);
-
-        let (ln2, _, _) = ops::layer_norm(&x1, &self.ln2_g.value(), &self.ln2_b.value(), 1e-5);
-        let up = ops::gelu(&ops::add_broadcast(
-            &ops::matmul(&ln2, &self.w_up.value()),
-            &self.b_up.value(),
-        ));
-        let mlp = ops::add_broadcast(&ops::matmul(&up, &self.w_down.value()), &self.b_down.value());
-        ops::add(&x1, &mlp)
+        let pool: &BlockPool = self.pool;
+        let seats = self.scratch.seats(self.seqs.len());
+        let mut slots: Vec<AttnSlot<'_>> = self
+            .seqs
+            .iter()
+            .zip(rows())
+            .zip(seats.iter_mut().zip(ctx.chunks_exact_mut(d)))
+            .map(|((seq, row), (scratch, out))| AttnSlot {
+                q: &row[..d],
+                // The just-written row participates: reader length len + 1.
+                view: seq.layer_view(pool, layer, seq.len() + 1),
+                scratch,
+                out,
+            })
+            .collect();
+        attend_batch(&mut slots, heads, dh);
     }
-
 }
 
 /// Position-ordered read access to one layer's cached K/V rows.
@@ -357,10 +442,10 @@ impl<E: Element> KvRows for KvCache<E> {
 /// out-of-line dot or axpy per (position, head), and for block-pooled
 /// caches one block-table lookup per block instead of per position. The
 /// run kernels replay the per-position/per-head accumulation chain of
-/// the row-at-a-time loop ([`attend_by_row`]) operation for operation, so
-/// the results are bit-identical — run iteration changes address
-/// arithmetic and which independent chains are in flight together, never
-/// reduction order (DESIGN §10). For `E = f32` that chain is exactly the
+/// the row-at-a-time loop it replaced (kept as the unit tests' oracle)
+/// operation for operation, so the results are bit-identical — run
+/// iteration changes address arithmetic and which independent chains are
+/// in flight together, never reduction order (DESIGN §10). For `E = f32` that chain is exactly the
 /// `ops::dot` / `ops::axpy` one the pre-generic code ran, so the f32
 /// decode path is bit-identical to what it was.
 pub(crate) fn attend<C: KvRows>(
@@ -370,8 +455,8 @@ pub(crate) fn attend<C: KvRows>(
     start: usize,
     cache: &C,
     scratch: &mut DecodeScratch,
-    scale: f32,
 ) {
+    let scale = 1.0 / (dh as f32).sqrt();
     let t = cache.len();
     debug_assert!(start < t, "attention window must cover the current token");
     let tw = t - start;
@@ -407,92 +492,6 @@ pub(crate) fn attend<C: KvRows>(
     }
 }
 
-/// The pre-sweep row-at-a-time attention loop, kept verbatim as the
-/// reference implementation: [`AttentionMode::Serial`] runs it so the
-/// paged-attention benches compare against the real PR 7 baseline, and
-/// the unit tests pin `attend` bit-identical to it over block-pooled
-/// caches.
-pub(crate) fn attend_by_row<C: KvRows>(
-    q: &[f32],
-    heads: usize,
-    dh: usize,
-    start: usize,
-    cache: &C,
-    scratch: &mut DecodeScratch,
-    scale: f32,
-) {
-    let t = cache.len();
-    debug_assert!(start < t, "attention window must cover the current token");
-    let tw = t - start;
-    scratch.resize(heads, tw, heads * dh);
-    for pos in start..t {
-        let k_row = cache.k_row(pos);
-        for h in 0..heads {
-            scratch.scores[h * tw + (pos - start)] =
-                C::Elem::dot_with_f32(&q[h * dh..(h + 1) * dh], &k_row[h * dh..(h + 1) * dh])
-                    * scale;
-        }
-    }
-    for h in 0..heads {
-        ops::softmax_row(
-            &scratch.scores[h * tw..(h + 1) * tw],
-            &mut scratch.probs[h * tw..(h + 1) * tw],
-        );
-    }
-    scratch.ctx.fill(0.0);
-    for pos in start..t {
-        let v_row = cache.v_row(pos);
-        for h in 0..heads {
-            C::Elem::axpy_into_f32(
-                scratch.probs[h * tw + (pos - start)],
-                &v_row[h * dh..(h + 1) * dh],
-                &mut scratch.ctx[h * dh..(h + 1) * dh],
-            );
-        }
-    }
-}
-
-/// How [`Block::forward_incremental_batch`] executes the per-sequence
-/// attention phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttentionMode {
-    /// The paged-attention sweep: all `B` sequences' [`attend`] calls
-    /// dispatched as independent tasks on the persistent worker pool
-    /// (`tensor::par::scatter_mut`), run-based inner loops. The default.
-    Sweep,
-    /// The PR 7 baseline: `B` serial [`attend_by_row`] calls on the
-    /// caller thread. Kept for A/B benchmarking and as the determinism
-    /// reference — both modes produce bit-identical streams.
-    Serial,
-}
-
-/// Process-wide attention-mode knob, mirroring `par::set_num_threads`: a
-/// programmatic setter (never an environment read — xlint's
-/// forbidden-nondeterminism rule) that benches and smoke tests flip to
-/// A/B the sweep against the serial baseline. 0 = Sweep, 1 = Serial.
-static ATTENTION_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Select the attention execution mode for subsequent batched steps.
-///
-/// Mode only changes *scheduling*, never numerics: the determinism
-/// contract (DESIGN §10) guarantees identical token streams under either
-/// mode, which `batched_smoke` asserts in CI.
-pub fn set_attention_mode(mode: AttentionMode) {
-    let v = match mode {
-        AttentionMode::Sweep => 0,
-        AttentionMode::Serial => 1,
-    };
-    ATTENTION_MODE.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The currently selected [`AttentionMode`].
-pub fn attention_mode() -> AttentionMode {
-    match ATTENTION_MODE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => AttentionMode::Serial,
-        _ => AttentionMode::Sweep,
-    }
-}
-
 /// One sequence's slice of the batched attention phase: its query row,
 /// its (shared, read-only) layer view of the block pool, its private
 /// scratch seat, and the `[D]` slice of the batch context buffer its
@@ -500,183 +499,68 @@ pub fn attention_mode() -> AttentionMode {
 /// can be scattered across worker threads.
 pub(crate) struct AttnSlot<'a> {
     pub(crate) q: &'a [f32],
-    pub(crate) view: crate::kv_block::SeqLayerKv<'a>,
+    pub(crate) view: SeqLayerKv<'a>,
     pub(crate) scratch: &'a mut DecodeScratch,
     pub(crate) out: &'a mut [f32],
 }
 
 /// Execute the attention phase for a batch of prepared slots.
 ///
-/// [`AttentionMode::Sweep`] fans the slots across the persistent worker
-/// pool once the lanes carry enough arithmetic to pay for a launch
-/// (`par`'s work gate; below it they run in order on the caller) — task
-/// `i` is always sequence `i`, the chunk→worker mapping is
-/// deterministic, and each task runs its sequence's positions strictly
-/// in order, so parallelism lives *across* sequences only and every
-/// sequence's reduction order is fixed regardless of batch composition
-/// or thread count (DESIGN §10). Wall time lands in the `attend_ns`
-/// histogram either way, so `/metrics` shows attention's share of a
-/// decode step.
-pub(crate) fn attend_batch(slots: &mut [AttnSlot<'_>], heads: usize, dh: usize, scale: f32) {
+/// The slots fan across the persistent worker pool once the lanes carry
+/// enough arithmetic to pay for a launch (`par`'s work gate; below it
+/// they run in order on the caller) — task `i` is always sequence `i`,
+/// the chunk→worker mapping is deterministic, and each task runs its
+/// sequence's positions strictly in order, so parallelism lives *across*
+/// sequences only and every sequence's reduction order is fixed
+/// regardless of batch composition or thread count (DESIGN §10). Wall
+/// time lands in the `attend_ns` histogram, so `/metrics` shows
+/// attention's share of a decode step.
+pub(crate) fn attend_batch(slots: &mut [AttnSlot<'_>], heads: usize, dh: usize) {
     let start = obs::Clock::now();
-    match attention_mode() {
-        AttentionMode::Sweep => {
-            // A lane's work is its score plus context pass, `2·t·d`
-            // multiply-accumulates; the mean lane is what `par` gates the
-            // fan-out on.
-            let positions: usize = slots.iter().map(|s| s.view.len()).sum();
-            let lane_macs = 2 * positions * heads * dh / slots.len().max(1);
-            // SAFETY(disjoint: slots[i] — each task owns one `AttnSlot` and writes only its own `out`/`scratch`)
-            ratatouille_tensor::par::scatter_mut(slots, lane_macs, |_, slot| {
-                attend(slot.q, heads, dh, 0, &slot.view, slot.scratch, scale);
-                slot.out.copy_from_slice(&slot.scratch.ctx);
-            });
-        }
-        AttentionMode::Serial => {
-            for slot in slots.iter_mut() {
-                attend_by_row(slot.q, heads, dh, 0, &slot.view, slot.scratch, scale);
-                slot.out.copy_from_slice(&slot.scratch.ctx);
-            }
-        }
-    }
+    // A lane's work is its score plus context pass, `2·t·d`
+    // multiply-accumulates; the mean lane is what `par` gates the
+    // fan-out on.
+    let positions: usize = slots.iter().map(|s| s.view.len()).sum();
+    let lane_macs = 2 * positions * heads * dh / slots.len().max(1);
+    // SAFETY(disjoint: slots[i] — each task owns one `AttnSlot` and writes only its own `out`/`scratch`)
+    ratatouille_tensor::par::scatter_mut(slots, lane_macs, |_, slot| {
+        attend(slot.q, heads, dh, 0, &slot.view, slot.scratch);
+        slot.out.copy_from_slice(&slot.scratch.ctx);
+    });
     obs::static_histogram!("attend_ns").observe(start.elapsed_ns());
 }
 
-/// An int8 weight-quantized transformer block for inference.
-///
-/// Each weight matrix is quantized once (per output row, symmetric,
-/// scale = `max_abs / 127`) and stored output-major so the decode matmul
-/// is a row-wise int8 dot against the f32 activation row. Layer norms and
-/// biases stay f32 — they are tiny and precision-critical. The KV cache
-/// for quantized decode stores [`F16`], halving cache memory traffic.
-pub struct QuantBlock {
-    ln1_g: Tensor,
-    ln1_b: Tensor,
-    /// QKV projection, quantized `[3D, D]` (output-major).
-    w_qkv: QuantizedMatrix,
-    b_qkv: Tensor,
-    /// Attention output projection, quantized `[D, D]` (output-major).
-    w_o: QuantizedMatrix,
-    b_o: Tensor,
-    ln2_g: Tensor,
-    ln2_b: Tensor,
-    /// MLP up-projection, quantized `[F, D]` (output-major).
-    w_up: QuantizedMatrix,
-    b_up: Tensor,
-    /// MLP down-projection, quantized `[D, F]` (output-major).
-    w_down: QuantizedMatrix,
-    b_down: Tensor,
-}
-
-impl QuantBlock {
-    /// Quantize an f32 [`Block`]'s weights. Weight matrices are stored
-    /// `[in, out]` for training; the quantized copies are transposed to
-    /// output-major `[out, in]` so each output element is one int8 row dot.
-    pub fn from_block(block: &Block) -> Self {
-        let q = |w: &Var| quantize_per_row(&ops::transpose2d(&w.value()));
-        QuantBlock {
-            ln1_g: block.ln1_g.value(),
-            ln1_b: block.ln1_b.value(),
-            w_qkv: q(&block.w_qkv),
-            b_qkv: block.b_qkv.value(),
-            w_o: q(&block.w_o),
-            b_o: block.b_o.value(),
-            ln2_g: block.ln2_g.value(),
-            ln2_b: block.ln2_b.value(),
-            w_up: q(&block.w_up),
-            b_up: block.b_up.value(),
-            w_down: q(&block.w_down),
-            b_down: block.b_down.value(),
-        }
-    }
-
-    /// Incremental quantized forward for one new token (mirrors
-    /// [`Block::forward_incremental`]).
-    ///
-    /// `window` limits attention to the trailing `window` positions
-    /// (GPT-Neo local layers); `None` is full causal attention.
-    pub fn forward_incremental(
-        &self,
-        x: &Tensor,
-        heads: usize,
-        cache: &mut KvCache<F16>,
-        scratch: &mut DecodeScratch,
-        window: Option<usize>,
-    ) -> Tensor {
-        let d = x.numel();
-        let dh = d / heads;
-        let x_row = x.reshape(&[1, d]);
-
-        let (ln, _, _) = ops::layer_norm(&x_row, &self.ln1_g, &self.ln1_b, 1e-5);
-        let qkv = ops::add_broadcast(&qmatmul_transb(&ln, &self.w_qkv), &self.b_qkv);
-        let qkv_d = qkv.data();
-        let q = &qkv_d[..d];
-        cache.push_slices(&qkv_d[d..2 * d], &qkv_d[2 * d..3 * d]);
-
-        let t = cache.len();
-        let start = window.map_or(0, |w| t.saturating_sub(w));
-        let scale = 1.0 / (dh as f32).sqrt();
-        attend(q, heads, dh, start, cache, scratch, scale);
-
-        let ctx_row = Tensor::from_vec(scratch.ctx.clone(), &[1, d]).expect("ctx is [d]");
-        let attn = ops::add_broadcast(&qmatmul_transb(&ctx_row, &self.w_o), &self.b_o);
-        let x1 = ops::add(&x_row, &attn);
-
-        let (ln2, _, _) = ops::layer_norm(&x1, &self.ln2_g, &self.ln2_b, 1e-5);
-        // `gelu_fast`: a few-ULP tanh approximation, far below the int8
-        // quantization error already accepted on this path. The f32 block
-        // keeps the exact `gelu`, so f32 decode numerics are untouched.
-        let up = ops::gelu_fast(&ops::add_broadcast(
-            &qmatmul_transb(&ln2, &self.w_up),
-            &self.b_up,
-        ));
-        let mlp = ops::add_broadcast(&qmatmul_transb(&up, &self.w_down), &self.b_down);
-        ops::add(&x1, &mlp).reshape(&[d])
-    }
-}
-
-/// Reusable per-stream buffers for [`Block::forward_incremental`]: the
-/// attention scores/probs (`[heads * t]`), the context vector (`[d]`) and
-/// the projected attention output (`[d]`). One instance lives in each
-/// decode stream and is shared across layers (layers run sequentially),
-/// so the per-token attention loop performs zero heap allocations.
+/// Reusable buffers for [`attend`]: the attention scores/probs
+/// (`[heads * t]`) and the context vector (`[d]`). One instance lives in
+/// each decode stream (shared across layers, which run sequentially) and
+/// one per batch lane, so the attention inner loop performs zero heap
+/// allocations per token.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     scores: Vec<f32>,
     probs: Vec<f32>,
     ctx: Vec<f32>,
-    attn: Vec<f32>,
 }
 
 impl DecodeScratch {
-    /// A fresh scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn resize(&mut self, heads: usize, t: usize, d: usize) {
         self.scores.resize(heads * t, 0.0);
         self.probs.resize(heads * t, 0.0);
         self.ctx.resize(d, 0.0);
-        self.attn.reserve(d);
     }
 }
 
 /// The batched-decode scratch arena: one [`DecodeScratch`] *seat* per
-/// batch lane (each attention task owns its seat exclusively — scratch
+/// batch lane. Each attention task owns its seat exclusively — scratch
 /// ownership is what lets the sweep run lanes concurrently without any
-/// sharing), plus the `[B, D]` context and embedding staging buffers the
-/// engine round-trips through [`crate::Tensor`]s so a steady-state decode
-/// step performs no per-step allocations for them.
+/// sharing.
 ///
-/// Buffers grow to the high-water batch size and are then reused; seats
+/// The arena grows to the high-water batch size and is then reused; seats
 /// keep their identity across steps, so lane `i`'s scratch capacity
 /// survives sequence turnover.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     seats: Vec<DecodeScratch>,
-    pub(crate) ctx: Vec<f32>,
-    pub(crate) x: Vec<f32>,
 }
 
 impl BatchScratch {
@@ -687,9 +571,9 @@ impl BatchScratch {
 
     /// The first `b` scratch seats, growing the arena if the batch is
     /// the largest seen so far.
-    pub(crate) fn seats(&mut self, b: usize) -> &mut [DecodeScratch] {
+    fn seats(&mut self, b: usize) -> &mut [DecodeScratch] {
         if self.seats.len() < b {
-            self.seats.resize_with(b, DecodeScratch::new);
+            self.seats.resize_with(b, DecodeScratch::default);
         }
         &mut self.seats[..b]
     }
@@ -755,6 +639,7 @@ impl<E: Element> KvCache<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ratatouille_tensor::F16;
     use ratatouille_util::rng::SeedableRng;
 
     #[test]
@@ -762,7 +647,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let block = Block::new(&mut rng, 16, 32, 2);
         let x = Var::constant(init::randn(&mut rng, &[2, 5, 16], 1.0));
-        let y = block.forward(&x, 4, 0.0, false, &mut rng);
+        let y = block.forward(&x, 4, None, 0.0, false, &mut rng);
         assert_eq!(y.dims(), vec![2, 5, 16]);
         assert!(!y.value().has_non_finite());
     }
@@ -779,10 +664,10 @@ mod tests {
         }
         let altered = Tensor::from_vec(altered, &[1, 4, 8]).unwrap();
         let y1 = block
-            .forward(&Var::constant(base), 2, 0.0, false, &mut rng)
+            .forward(&Var::constant(base), 2, None, 0.0, false, &mut rng)
             .value();
         let y2 = block
-            .forward(&Var::constant(altered), 2, 0.0, false, &mut rng)
+            .forward(&Var::constant(altered), 2, None, 0.0, false, &mut rng)
             .value();
         // positions 0..3 identical, position 3 differs
         for i in 0..3 * 8 {
@@ -798,8 +683,20 @@ mod tests {
         assert!(diff > 1e-3, "perturbation had no effect at its own position");
     }
 
+    /// Push `xs` one at a time through one block's decode step over a
+    /// fresh single-layer stream cache with the given window.
+    fn decode<E: Element>(blk: &DecodeBlock, heads: usize, window: Option<usize>, xs: &[Tensor]) -> Vec<Tensor> {
+        let d = xs[0].numel();
+        let mut kv = StreamKv::<E>::new(d, 8, std::iter::once(window));
+        let out = xs.iter().map(|x| blk.decode_step(&x.reshape(&[1, d]), heads, 0, &mut kv)).collect();
+        assert_eq!(kv.layers[0].0.len(), xs.len());
+        out
+    }
+
     #[test]
     fn incremental_matches_full_forward() {
+        // Full and windowed: the decode step's trailing window must be
+        // the training forward's window mask.
         let mut rng = StdRng::seed_from_u64(2);
         let d = 16;
         let block = Block::new(&mut rng, d, 32, 1);
@@ -810,24 +707,22 @@ mod tests {
             flat.extend_from_slice(x.data());
         }
         let full_in = Tensor::from_vec(flat, &[1, 6, d]).unwrap();
-        let full_out = block
-            .forward(&Var::constant(full_in), 4, 0.0, false, &mut rng)
-            .value();
-
-        let mut cache = KvCache::<f32>::with_capacity(d, 8);
-        let mut scratch = DecodeScratch::new();
-        for (i, x) in xs.iter().enumerate() {
-            let inc = block.forward_incremental(x, 4, &mut cache, &mut scratch);
-            for j in 0..d {
-                let a = full_out.data()[i * d + j];
-                let b = inc.data()[j];
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "mismatch at pos {i} dim {j}: full={a} inc={b}"
-                );
+        for window in [None, Some(3)] {
+            let full_out = block
+                .forward(&Var::constant(full_in.clone()), 4, window, 0.0, false, &mut rng)
+                .value();
+            let incs = decode::<f32>(&DecodeBlock::new(&block, Linear::f32), 4, window, &xs);
+            for (i, inc) in incs.iter().enumerate() {
+                for j in 0..d {
+                    let a = full_out.data()[i * d + j];
+                    let b = inc.data()[j];
+                    assert!(
+                        (a - b).abs() < 1e-4,
+                        "window {window:?}: mismatch at pos {i} dim {j}: full={a} inc={b}"
+                    );
+                }
             }
         }
-        assert_eq!(cache.len(), 6);
     }
 
     #[test]
@@ -837,15 +732,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let d = 16;
         let block = Block::new(&mut rng, d, 32, 1);
-        let qblock = QuantBlock::from_block(&block);
-        let mut c32 = KvCache::<f32>::with_capacity(d, 8);
-        let mut cq = KvCache::<F16>::with_capacity(d, 8);
-        let mut s32 = DecodeScratch::new();
-        let mut sq = DecodeScratch::new();
-        for i in 0..6 {
-            let x = init::randn(&mut rng, &[d], 1.0);
-            let y32 = block.forward_incremental(&x, 4, &mut c32, &mut s32);
-            let yq = qblock.forward_incremental(&x, 4, &mut cq, &mut sq, None);
+        let xs: Vec<Tensor> = (0..6).map(|_| init::randn(&mut rng, &[d], 1.0)).collect();
+        let y32 = decode::<f32>(&DecodeBlock::new(&block, Linear::f32), 4, None, &xs);
+        let yq = decode::<F16>(&DecodeBlock::new(&block, Linear::int8), 4, None, &xs);
+        for (i, (y32, yq)) in y32.iter().zip(&yq).enumerate() {
             for j in 0..d {
                 let (a, b) = (y32.data()[j], yq.data()[j]);
                 assert!(
@@ -854,7 +744,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(cq.len(), 6);
     }
 
     #[test]
@@ -864,21 +753,48 @@ mod tests {
         // and stay finite.
         let mut rng = StdRng::seed_from_u64(8);
         let d = 8;
-        let block = Block::new(&mut rng, d, 32, 1);
-        let qblock = QuantBlock::from_block(&block);
+        let qblock = DecodeBlock::new(&Block::new(&mut rng, d, 32, 1), Linear::int8);
         let xs: Vec<Tensor> = (0..3).map(|_| init::randn(&mut rng, &[d], 1.0)).collect();
-        let run = |window: Option<usize>| {
-            let mut cache = KvCache::<F16>::with_capacity(d, 8);
-            let mut scratch = DecodeScratch::new();
-            xs.iter()
-                .map(|x| qblock.forward_incremental(x, 2, &mut cache, &mut scratch, window))
-                .collect::<Vec<_>>()
-        };
-        let full = run(None);
-        let windowed = run(Some(1));
+        let full = decode::<F16>(&qblock, 2, None, &xs);
+        let windowed = decode::<F16>(&qblock, 2, Some(1), &xs);
         assert_eq!(full[0], windowed[0], "first token has no history");
         assert!(!windowed[2].has_non_finite());
         assert_ne!(full[2], windowed[2], "window had no effect");
+    }
+
+    #[test]
+    fn window_mask_shape() {
+        let m = window_mask(1, 4, 2);
+        // row i=3: j=0,1 outside (j + 2 <= 3), j=2,3 inside
+        assert_eq!(m.at(&[0, 3, 0]), -1e9);
+        assert_eq!(m.at(&[0, 3, 1]), -1e9);
+        assert_eq!(m.at(&[0, 3, 2]), 0.0);
+        assert_eq!(m.at(&[0, 3, 3]), 0.0);
+        // row 0 sees itself
+        assert_eq!(m.at(&[0, 0, 0]), 0.0);
+    }
+
+    #[test]
+    fn local_attention_actually_masks_long_range() {
+        // With window=1 a local layer sees only the current position:
+        // perturbing a distant past token must not change its output.
+        let mut rng = StdRng::seed_from_u64(2);
+        let block = Block::new(&mut rng, 16, 32, 2);
+        let base = init::randn(&mut rng, &[1, 6, 16], 1.0);
+        let mut altered = base.to_vec();
+        for v in altered[..16].iter_mut() {
+            *v += 3.0; // perturb position 0 only
+        }
+        let altered = Tensor::from_vec(altered, &[1, 6, 16]).unwrap();
+        let y1 = block.forward(&Var::constant(base), 2, Some(1), 0.0, false, &mut rng).value();
+        let y2 = block.forward(&Var::constant(altered), 2, Some(1), 0.0, false, &mut rng).value();
+        // last position (5) attends only to itself under window=1
+        for j in 0..16 {
+            assert!(
+                (y1.at(&[0, 5, j]) - y2.at(&[0, 5, j])).abs() < 1e-5,
+                "window mask leaked long-range information"
+            );
+        }
     }
 
     /// Deterministic pseudo-random floats in about ±1.5.
@@ -886,6 +802,49 @@ mod tests {
         use ratatouille_util::rng::RngExt;
         let mut rng = StdRng::seed_from_u64(salt);
         (0..n).map(|_| rng.random::<f32>() * 3.0 - 1.5).collect()
+    }
+
+    /// The row-at-a-time attention loop `attend`'s run kernels replaced,
+    /// kept verbatim as the reference implementation: `attend` and
+    /// `attend_batch` must match it bit for bit.
+    fn attend_by_row<C: KvRows>(
+        q: &[f32],
+        heads: usize,
+        dh: usize,
+        start: usize,
+        cache: &C,
+        scratch: &mut DecodeScratch,
+    ) {
+        let scale = 1.0 / (dh as f32).sqrt();
+        let t = cache.len();
+        debug_assert!(start < t, "attention window must cover the current token");
+        let tw = t - start;
+        scratch.resize(heads, tw, heads * dh);
+        for pos in start..t {
+            let k_row = cache.k_row(pos);
+            for h in 0..heads {
+                scratch.scores[h * tw + (pos - start)] =
+                    C::Elem::dot_with_f32(&q[h * dh..(h + 1) * dh], &k_row[h * dh..(h + 1) * dh])
+                        * scale;
+            }
+        }
+        for h in 0..heads {
+            ops::softmax_row(
+                &scratch.scores[h * tw..(h + 1) * tw],
+                &mut scratch.probs[h * tw..(h + 1) * tw],
+            );
+        }
+        scratch.ctx.fill(0.0);
+        for pos in start..t {
+            let v_row = cache.v_row(pos);
+            for h in 0..heads {
+                C::Elem::axpy_into_f32(
+                    scratch.probs[h * tw + (pos - start)],
+                    &v_row[h * dh..(h + 1) * dh],
+                    &mut scratch.ctx[h * dh..(h + 1) * dh],
+                );
+            }
+        }
     }
 
     fn scratch_bits(s: &DecodeScratch) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
@@ -897,10 +856,9 @@ mod tests {
     /// cache, at a window start: scores, probabilities and context must
     /// agree bit for bit.
     fn assert_attend_matches_oracle<C: KvRows>(q: &[f32], heads: usize, dh: usize, start: usize, cache: &C) {
-        let scale = 1.0 / (dh as f32).sqrt();
-        let (mut fused, mut oracle) = (DecodeScratch::new(), DecodeScratch::new());
-        attend(q, heads, dh, start, cache, &mut fused, scale);
-        attend_by_row(q, heads, dh, start, cache, &mut oracle, scale);
+        let (mut fused, mut oracle) = (DecodeScratch::default(), DecodeScratch::default());
+        attend(q, heads, dh, start, cache, &mut fused);
+        attend_by_row(q, heads, dh, start, cache, &mut oracle);
         assert_eq!(
             scratch_bits(&fused),
             scratch_bits(&oracle),
@@ -963,7 +921,8 @@ mod tests {
 
     /// The batched attention phase above `par`'s launch gate (8 lanes of
     /// 2·t·d = 2^18 multiply-accumulates): the lanes really fan out, and
-    /// the context rows are the serial oracle's at every thread count.
+    /// at every thread count the context rows are what the row-at-a-time
+    /// oracle computes lane by lane over the same pooled caches.
     #[test]
     fn attend_batch_fans_out_without_changing_a_bit() {
         use crate::kv_block::BlockConfig;
@@ -984,28 +943,33 @@ mod tests {
             })
             .collect();
         let qs: Vec<Vec<f32>> = (0..lanes).map(|lane| noise(d, 0xBEEF + lane as u64)).collect();
-        let run = |mode: AttentionMode, threads: usize| -> Vec<u32> {
-            set_attention_mode(mode);
+        let bits = |ctx: &[f32]| ctx.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+        let mut oracle = Vec::new();
+        for (seq, q) in seqs.iter().zip(&qs) {
+            let mut scratch = DecodeScratch::default();
+            attend_by_row(q, heads, dh, 0, &seq.layer_view(&pool, 0, t), &mut scratch);
+            oracle.extend(bits(&scratch.ctx));
+        }
+
+        let sweep = |threads: usize| -> Vec<u32> {
             ratatouille_tensor::par::set_num_threads(threads);
             let mut scratch = BatchScratch::new();
             let mut ctx = vec![0.0f32; lanes * d];
-            let mut slots: Vec<AttnSlot<'_>> = Vec::new();
-            let mut ctx_tail: &mut [f32] = &mut ctx;
-            for ((seq, q), seat) in seqs.iter().zip(&qs).zip(scratch.seats(lanes).iter_mut()) {
-                let (out, rest) = ctx_tail.split_at_mut(d);
-                ctx_tail = rest;
-                slots.push(AttnSlot { q, view: seq.layer_view(&pool, 0, t), scratch: seat, out });
-            }
-            attend_batch(&mut slots, heads, dh, 1.0 / (dh as f32).sqrt());
+            let mut slots: Vec<AttnSlot<'_>> = seqs
+                .iter()
+                .zip(&qs)
+                .zip(scratch.seats(lanes).iter_mut().zip(ctx.chunks_exact_mut(d)))
+                .map(|((seq, q), (scratch, out))| AttnSlot { q, view: seq.layer_view(&pool, 0, t), scratch, out })
+                .collect();
+            attend_batch(&mut slots, heads, dh);
             drop(slots);
             ratatouille_tensor::par::set_num_threads(0);
-            set_attention_mode(AttentionMode::Sweep);
-            ctx.iter().map(|x| x.to_bits()).collect()
+            bits(&ctx)
         };
-        let oracle = run(AttentionMode::Serial, 1);
         let launches = obs::static_counter!("tensor_pool_launches_total").get();
         for threads in [1, 2, 3, 4, 7] {
-            assert_eq!(run(AttentionMode::Sweep, threads), oracle, "sweep at {threads} threads");
+            assert_eq!(sweep(threads), oracle, "sweep at {threads} threads");
         }
         assert!(
             obs::static_counter!("tensor_pool_launches_total").get() >= launches + 4,
@@ -1033,7 +997,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let block = Block::new(&mut rng, 8, 16, 1);
         let x = Var::leaf(init::randn(&mut rng, &[1, 3, 8], 1.0));
-        let y = block.forward(&x, 2, 0.0, true, &mut rng);
+        let y = block.forward(&x, 2, None, 0.0, true, &mut rng);
         y.mean().backward();
         for (name, p) in block.named_parameters("blk") {
             assert!(p.grad().is_some(), "no grad for {name}");
@@ -1048,10 +1012,10 @@ mod tests {
         let x = Var::constant(init::randn(&mut rng1, &[1, 3, 8], 1.0));
         let mut ra = StdRng::seed_from_u64(10);
         let mut rb = StdRng::seed_from_u64(11);
-        let eval_a = block.forward(&x, 2, 0.5, false, &mut ra).value();
-        let eval_b = block.forward(&x, 2, 0.5, false, &mut rb).value();
+        let eval_a = block.forward(&x, 2, None, 0.5, false, &mut ra).value();
+        let eval_b = block.forward(&x, 2, None, 0.5, false, &mut rb).value();
         assert!(eval_a.allclose(&eval_b, 1e-6), "eval forward must be deterministic");
-        let train_a = block.forward(&x, 2, 0.5, true, &mut ra).value();
+        let train_a = block.forward(&x, 2, None, 0.5, true, &mut ra).value();
         assert!(!train_a.allclose(&eval_a, 1e-6), "dropout should perturb training");
     }
 }

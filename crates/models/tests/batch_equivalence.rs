@@ -1,30 +1,25 @@
 //! The batch-determinism contract, pinned at the engine level: a
 //! sequence's token stream is **byte-identical** whether it decodes
 //! solo, in a batch of 2, or in a batch of 7 — and whether its prompt
-//! prefix came from the shared-prefix cache or was computed fresh.
+//! prefix came from the shared-prefix cache or was computed fresh — and
+//! the solo `TokenStream` returns the logits of a batch of one.
 //!
-//! Uses an untrained tiny GPT-2 (random but seeded weights): the
-//! contract is about kernels and scheduling, not model quality, and an
-//! untrained model's logits are just as sensitive to any accumulation
-//! reordering.
+//! Uses an untrained tiny GPT-2 (random but seeded weights, nonzero
+//! biases — see `common::biased`): the contract is about kernels and
+//! scheduling, not model quality, and an untrained model's logits are
+//! just as sensitive to any accumulation reordering.
+
+mod common;
 
 use ratatouille_models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
 use ratatouille_models::gpt2::{Gpt2Config, Gpt2Lm};
+use ratatouille_models::kv_block::{BlockConfig, BlockPool, SeqKv};
 use ratatouille_models::lm::InferenceModel;
 use ratatouille_models::sample::SamplerConfig;
+use ratatouille_models::BatchScratch;
 
 fn tiny() -> Gpt2Lm {
-    Gpt2Lm::new(Gpt2Config {
-        name: "tiny-batch".into(),
-        vocab: 16,
-        d_model: 16, // % 16 == 0 → batch_ready
-        n_heads: 2,
-        n_layers: 2,
-        d_ff: 32, // % 16 == 0
-        max_t: 64,
-        dropout: 0.0,
-        seed: 5,
-    })
+    common::tiny("tiny-batch")
 }
 
 fn engine_cfg(prefix_cap: usize) -> BatchEngineConfig {
@@ -272,6 +267,53 @@ fn greedy_streams_are_identical_across_all_compositions() {
                 "greedy decode must be seed- and batch-independent"
             );
             done += 1;
+        }
+    }
+}
+
+/// The solo stream and the batch engine are one step body over two KV
+/// stores: `start_stream().push` must return bit for bit the logits of
+/// `batch_step` with `B = 1`, nonzero biases included.
+#[test]
+fn solo_stream_equals_batch_of_one() {
+    for (d_model, d_ff, n_heads) in [(16, 32, 2), (128, 512, 4)] {
+        let model = common::biased(Gpt2Config {
+            name: "solo-vs-b1".into(),
+            vocab: 64,
+            d_model,
+            n_heads,
+            n_layers: 2,
+            d_ff,
+            max_t: 64,
+            local_window: None,
+            dropout: 0.0,
+            seed: 7,
+        });
+        let bm = model.batch_model().expect("widths divide the pack width");
+        let mut pool = BlockPool::new(BlockConfig {
+            layers: 2,
+            d: d_model,
+            block_tokens: 4,
+            num_blocks: 8,
+        });
+        let mut seq = SeqKv::new();
+        seq.reserve_for(&mut pool, 32).expect("pool covers 32 tokens");
+        let mut scratch = BatchScratch::new();
+        let mut stream = model.start_stream();
+        for i in 0..32u32 {
+            let token = (i * 7 + 3) % 64;
+            let solo = stream.push(token);
+            seq.prepare_write(&mut pool).expect("reserved");
+            let batched = bm.batch_step(&[token], &mut pool, &mut [&mut seq], &mut scratch);
+            seq.commit();
+            let bits = |t: &ratatouille_tensor::Tensor| -> Vec<u32> {
+                t.data().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(&solo),
+                bits(&batched[0]),
+                "d_model {d_model}: logits diverge at position {i}"
+            );
         }
     }
 }

@@ -1,33 +1,24 @@
 //! The parallel paged-attention determinism contract, pinned at the
 //! engine level: every batch composition's token streams are
-//! **byte-identical** across worker thread counts {1, 2, 3, 4, 7} and
-//! across execution modes (the pool-parallel sweep vs the serial
-//! row-at-a-time reference loop).
+//! **byte-identical** across worker thread counts {1, 2, 3, 4, 7}, the
+//! one-thread run being the reference. (The kernel-level half — the
+//! sweep against the row-at-a-time oracle over the same pooled caches —
+//! lives in `transformer.rs`'s unit tests.)
 //!
-//! Thread count and attention mode are process-wide knobs, so the whole
-//! matrix lives in one `#[test]` — the harness cannot interleave another
-//! test of this binary mid-sweep — and the knobs are restored at the
-//! end.
+//! Thread count is a process-wide knob, so the whole matrix lives in one
+//! `#[test]` — the harness cannot interleave another test of this binary
+//! mid-sweep — and the knob is restored at the end.
+
+mod common;
 
 use ratatouille_models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
-use ratatouille_models::gpt2::{Gpt2Config, Gpt2Lm};
+use ratatouille_models::gpt2::Gpt2Lm;
 use ratatouille_models::lm::InferenceModel;
 use ratatouille_models::sample::SamplerConfig;
-use ratatouille_models::transformer::{set_attention_mode, AttentionMode};
 use ratatouille_tensor::par;
 
 fn tiny() -> Gpt2Lm {
-    Gpt2Lm::new(Gpt2Config {
-        name: "tiny-paged".into(),
-        vocab: 16,
-        d_model: 16, // % 16 == 0 → batch_ready
-        n_heads: 2,
-        n_layers: 2,
-        d_ff: 32, // % 16 == 0
-        max_t: 64,
-        dropout: 0.0,
-        seed: 5,
-    })
+    common::tiny("tiny-paged")
 }
 
 fn engine_cfg(prefix_cap: usize) -> BatchEngineConfig {
@@ -81,7 +72,7 @@ fn decode_together(model: &Gpt2Lm, prefix_cap: usize, reqs: &[BatchRequest]) -> 
 /// One pass over every batch composition the contract names. Returns all
 /// produced streams (in a fixed order) and asserts the *internal* half of
 /// the contract: batched, late-admitted and prefix-adopted streams all
-/// equal their solo twins under the current thread count/mode.
+/// equal their solo twins under the current thread count.
 fn run_compositions(model: &Gpt2Lm, prompts: &[Vec<u32>], cfg: &SamplerConfig) -> Vec<Vec<u32>> {
     let bm = model.batch_model().expect("tiny config is batch-ready");
     let mut all = Vec::new();
@@ -154,7 +145,7 @@ fn run_compositions(model: &Gpt2Lm, prompts: &[Vec<u32>], cfg: &SamplerConfig) -
 }
 
 #[test]
-fn streams_are_bit_identical_across_thread_counts_modes_and_compositions() {
+fn streams_are_bit_identical_across_thread_counts_and_compositions() {
     let model = tiny();
     let cfg = sampled(12);
     // Seven prompts with distinct contents, lengths and seeds; lengths
@@ -163,32 +154,15 @@ fn streams_are_bit_identical_across_thread_counts_modes_and_compositions() {
         .map(|i| (0..(3 + i as usize)).map(|t| (2 + i + t as u32) % 16).collect())
         .collect();
 
-    // Reference: the serial row-at-a-time loop (the pre-sweep code path)
-    // on one thread.
-    set_attention_mode(AttentionMode::Serial);
-    par::set_num_threads(1);
-    let reference = run_compositions(&model, &prompts, &cfg);
-
-    // The sweep must reproduce it byte for byte at every thread count —
-    // including counts exceeding the batch size (7 threads, batch 2).
-    set_attention_mode(AttentionMode::Sweep);
+    // Every thread count must reproduce the one-thread run byte for byte
+    // — including counts exceeding the batch size (7 threads, batch 2).
+    let mut reference = None;
     for threads in [1usize, 2, 3, 4, 7] {
         par::set_num_threads(threads);
         let got = run_compositions(&model, &prompts, &cfg);
-        assert_eq!(
-            got, reference,
-            "sweep streams diverged from the serial reference at {threads} threads"
-        );
+        let reference = reference.get_or_insert_with(|| got.clone());
+        assert_eq!(&got, reference, "streams diverged from the one-thread run at {threads} threads");
     }
-
-    // And the serial mode itself is thread-count-blind (it never touches
-    // the pool for attention; GEMM chunking is already invariant).
-    set_attention_mode(AttentionMode::Serial);
-    par::set_num_threads(4);
-    let serial4 = run_compositions(&model, &prompts, &cfg);
-    assert_eq!(serial4, reference, "serial mode diverged at 4 threads");
-
-    // Restore the process-wide defaults.
-    set_attention_mode(AttentionMode::Sweep);
+    // Restore the process-wide default.
     par::set_num_threads(0);
 }

@@ -34,6 +34,13 @@ cargo build --workspace --release --offline
 echo "== test (all targets) =="
 cargo test --workspace -q --offline
 
+echo "== loadbench (the BENCHMARK.json package: builds against the public API, unit tests) =="
+# Not a workspace member, so the step above cannot see an API break
+# against it. Builds where `run.sh` does; that and the lock file cargo
+# writes beside the manifest are git-ignored.
+CARGO_TARGET_DIR=.bench_build \
+    cargo test --release -q --offline --manifest-path crates/bench/src/bin/loadbench/Cargo.toml
+
 echo "== bench smoke (fast mode, kernel + generation harnesses) =="
 # BENCH_*.json artifacts land at the repo root so the bench trajectory is
 # tracked in-tree run over run (EXPERIMENTS.md records the runs).
@@ -45,8 +52,8 @@ RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
     cargo bench -p ratatouille-bench --bench quantized_decode --offline
 RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
     cargo bench -p ratatouille-bench --bench batched_decode --offline
-# Also the paged-attention determinism gate: the harness asserts the
-# sweep reproduces the serial reference streams before timing anything.
+# Also the paged-attention determinism gate: the harness asserts every
+# thread count reproduces the one-thread streams before timing anything.
 RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
     cargo bench -p ratatouille-bench --bench paged_attention --offline
 

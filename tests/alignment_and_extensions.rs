@@ -5,7 +5,7 @@
 use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::SeedableRng;
 use ratatouille::models::data::Dataset;
-use ratatouille::models::gptneo::{GptNeoConfig, GptNeoLm};
+use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::registry::{ModelKind, ModelSpec};
 use ratatouille::models::train::{TrainConfig, Trainer};
 use ratatouille::models::LanguageModel;
@@ -56,14 +56,14 @@ fn gptneo_trains_through_the_standard_trainer() {
     let p = tiny_pipeline();
     let spec = ModelSpec::build(ModelKind::Gpt2Medium, &p.train_texts);
     let ds = Dataset::from_documents(&p.train_texts, spec.tokenizer.as_ref(), 128);
-    let neo = GptNeoLm::new(GptNeoConfig {
+    let neo = Gpt2Lm::new(Gpt2Config {
         d_model: 32,
         n_heads: 2,
         n_layers: 2,
         d_ff: 64,
         max_t: 128,
-        window: 32,
-        ..GptNeoConfig::small(spec.tokenizer.vocab_size())
+        local_window: Some(32),
+        ..Gpt2Config::neo_small(spec.tokenizer.vocab_size())
     });
     let stats = Trainer::new(
         &neo,

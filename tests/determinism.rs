@@ -180,6 +180,7 @@ fn batched_decode_golden_fingerprint_is_frozen() {
         n_layers: 2,
         d_ff: 32,
         max_t: 64,
+        local_window: None,
         dropout: 0.0,
         seed: 1234,
     });
@@ -250,6 +251,60 @@ fn batched_decode_golden_fingerprint_is_frozen() {
         fp, 0xe948_9989_2b3e_208f,
         "batched decode fingerprint changed: {fp:#x} — if intentional, refreeze"
     );
+}
+
+/// Golden fingerprint for the int8 solo decode path: a tiny seeded
+/// GPT-2, quantized, decoded greedily for 24 tokens. Every parameter is
+/// perturbed by up to ±0.5: that gives nonzero biases and layer-norm
+/// offsets (an untrained model's are all zero/one, which hides
+/// bias-ordering drift) and weights large enough that the greedy stream
+/// follows its context instead of repeating one token. Frozen at the
+/// commit before the decode paths were unified; thread count must not
+/// matter.
+#[test]
+fn int8_solo_decode_golden_fingerprint_is_frozen() {
+    use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
+    use ratatouille::models::lm::LanguageModel;
+    use ratatouille::models::sample::{generate, SamplerConfig};
+    use ratatouille::tensor::par;
+    use ratatouille_util::rng::RngExt;
+
+    let model = Gpt2Lm::new(Gpt2Config {
+        name: "golden-int8".into(),
+        vocab: 32,
+        d_model: 16,
+        n_heads: 2,
+        n_layers: 2,
+        d_ff: 32,
+        max_t: 64,
+        local_window: None,
+        dropout: 0.0,
+        seed: 1234,
+    });
+    let mut rng = StdRng::seed_from_u64(4321);
+    for (_, p) in model.named_parameters() {
+        let v = p.value();
+        let data = v.data().iter().map(|&x| x + rng.random::<f32>() - 0.5).collect();
+        p.set_value(Tensor::from_vec(data, v.dims()).unwrap());
+    }
+    let int8 = model.quantized().expect("gpt2 offers int8");
+    let cfg = SamplerConfig {
+        max_tokens: 24,
+        greedy: true,
+        stop_token: None,
+        ..SamplerConfig::default()
+    };
+    for threads in [1, 3] {
+        par::set_num_threads(threads);
+        let tokens = generate(&*int8, &[3, 17, 9, 28, 1], &cfg, &mut StdRng::seed_from_u64(0));
+        par::set_num_threads(0);
+        assert_eq!(tokens.len(), 24);
+        let fp = fingerprint(tokens.iter().map(|t| t.to_le_bytes()));
+        assert_eq!(
+            fp, 0x4f4f_f83d_95a4_2999,
+            "int8 solo decode fingerprint changed at {threads} threads: {fp:#x} ({tokens:?})"
+        );
+    }
 }
 
 /// Golden corpus fingerprint: the seed-42, 60-recipe corpus hashes to a
