@@ -1,7 +1,7 @@
 //! **Serving throughput vs replica count** — the paper's scaling story
 //! ("if load increase then developer only need to replicate the docker"),
-//! measured on the real worker-pool + HTTP path with a small LSTM replica
-//! per worker.
+//! measured on the real engine (`K × 1`) + HTTP path with a small LSTM
+//! replica per engine thread.
 
 use std::sync::Arc;
 

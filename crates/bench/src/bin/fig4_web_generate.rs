@@ -1,7 +1,7 @@
 //! **Fig. 4 reproduction** — "Website interface to choose ingredients and
 //! generate recipe".
 //!
-//! Boots the full serving stack (worker pool of model replicas + HTTP
+//! Boots the full serving stack (engine of model replicas + HTTP
 //! server + embedded frontend), then exercises it the way the browser
 //! would: health check, model card, and a generate request, printing the
 //! JSON round trip.

@@ -25,7 +25,8 @@ const REQUIRED: &[&str] = &[
     "http_requests_total",
     "http_request_ns",
     "decode_token_ns",
-    "serving_queue_wait_ns",
+    "request_queue_wait_ns",
+    "serving_exec_ns",
     "tensor_pool_queue_wait_ns",
     "tensor_pool_launches_total",
     "tensor_pool_inline_total",

@@ -26,7 +26,7 @@ use ratatouille_models::sample::SamplerConfig;
 use ratatouille_models::InferenceModel;
 use ratatouille_serving::api::{ApiServer, GeneratedRecipe};
 use ratatouille_serving::batch::{
-    AdmitOutcome, BatchServerConfig, StepBackend, StepBackendFactory,
+    AdmitOutcome, BatchServerConfig, GenRequest, StepBackend, StepBackendFactory,
 };
 use ratatouille_serving::client::HttpClient;
 use ratatouille_serving::json::Json;
@@ -132,17 +132,9 @@ impl StepBackend for SmokeBackend {
         "trace-smoke-gpt2".into()
     }
 
-    fn admit(&mut self, ingredients: &[String], seed: Option<u64>) -> AdmitOutcome {
-        self.admit_traced(ingredients, seed, TraceMeta::default())
-    }
-
-    fn admit_traced(
-        &mut self,
-        ingredients: &[String],
-        seed: Option<u64>,
-        meta: TraceMeta,
-    ) -> AdmitOutcome {
-        let mut prompt: Vec<u32> = ingredients
+    fn admit_request(&mut self, req: &GenRequest) -> AdmitOutcome {
+        let mut prompt: Vec<u32> = req
+            .ingredients
             .iter()
             .flat_map(|s| s.bytes())
             .take(12)
@@ -155,9 +147,9 @@ impl StepBackend for SmokeBackend {
             BatchRequest {
                 prompt,
                 sampler: sampler(DECODE_TOKENS),
-                seed: seed.unwrap_or(7),
+                seed: req.seed.unwrap_or(7),
             },
-            meta,
+            req.meta.clone(),
         ) {
             Ok(id) => AdmitOutcome::Admitted(id),
             Err(ratatouille_models::batch::AdmitError::BatchFull) => AdmitOutcome::BatchFull,

@@ -1,8 +1,8 @@
 //! Plugging trained models into the serving stack.
 //!
 //! Trained models hold `Rc`-based autograd handles and are not `Send`;
-//! the worker pool therefore rebuilds a *replica* inside each worker
-//! thread from `Send`-able ingredients: the model kind, the tokenizer
+//! the serving engine therefore rebuilds a *replica* inside each of its
+//! threads from `Send`-able ingredients: the model kind, the tokenizer
 //! (a value type), and the trained weights as a [`TensorMap`]. This is
 //! the in-process analogue of the paper's "replicate the docker" scaling.
 
@@ -11,15 +11,17 @@ use std::sync::Arc;
 use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::SeedableRng;
 
-use ratatouille_eval::structure::validate_tagged_recipe;
 use ratatouille_models::registry::{build_model, ModelKind};
 use ratatouille_models::sample::{generate_traced, SamplerConfig};
 use ratatouille_models::{InferenceModel, LanguageModel};
 use ratatouille_serving::api::{GeneratedRecipe, RecipeBackend, RecipeBackendFactory};
+use ratatouille_serving::batch::GenRequest;
 use ratatouille_tensor::serialize::TensorMap;
 use ratatouille_tokenizers::{special, Tokenizer};
 
-use crate::pipeline::{prompt_for, TrainedModel};
+use crate::pipeline::{
+    generation_budget, prompt_for, recipe_from_tagged, sampler_for_request, TrainedModel,
+};
 
 /// A serving replica: one model + tokenizer + decoding state.
 pub struct ModelBackend {
@@ -35,7 +37,7 @@ pub struct ModelBackend {
 }
 
 impl ModelBackend {
-    /// Build a replica from `Send`-able parts (used inside worker threads).
+    /// Build a replica from `Send`-able parts (used inside engine threads).
     pub fn from_weights(
         kind: ModelKind,
         tokenizer: &dyn Tokenizer,
@@ -46,14 +48,13 @@ impl ModelBackend {
         let model = build_model(kind, tokenizer.vocab_size());
         load_weights(model.as_ref(), weights);
         let quant = model.quantized();
-        let max_tokens = if kind == ModelKind::CharLstm { 1100 } else { 260 };
         ModelBackend {
             model,
             quant,
             tokenizer: tokenizer.clone_box(),
             sampler,
             rng: StdRng::seed_from_u64(seed),
-            max_tokens,
+            max_tokens: generation_budget(kind),
         }
     }
 
@@ -62,84 +63,25 @@ impl ModelBackend {
     pub fn set_max_tokens(&mut self, n: usize) {
         self.max_tokens = n.max(1);
     }
-
-    /// The decode body shared by the traced and untraced entry points:
-    /// prompt → (possibly quantized) generation → structural validation.
-    fn decode_recipe(
-        &mut self,
-        ingredients: &[String],
-        dtype: &str,
-        meta: &obs::reqtrace::TraceMeta,
-    ) -> GeneratedRecipe {
-        let prompt_text = prompt_for(ingredients);
-        let prompt = self.tokenizer.encode(&prompt_text);
-        let cfg = SamplerConfig {
-            stop_token: Some(self.tokenizer.eos_id()),
-            max_tokens: self.max_tokens,
-            ..self.sampler.clone()
-        };
-        let continuation = match (&self.quant, dtype) {
-            (Some(q), "int8") => generate_traced(q.as_ref(), &prompt, &cfg, &mut self.rng, meta),
-            _ => generate_traced(self.model.as_ref(), &prompt, &cfg, &mut self.rng, meta),
-        };
-        let mut tagged = prompt_text;
-        tagged.push_str(&self.tokenizer.decode(&continuation));
-        tagged.push_str(special::RECIPE_END);
-        let report = validate_tagged_recipe(&tagged);
-        GeneratedRecipe {
-            title: report
-                .title
-                .clone()
-                .unwrap_or_else(|| "untitled recipe".into()),
-            ingredients: report.ingredients.clone(),
-            instructions: report.instructions.clone(),
-            well_formed: report.valid,
-        }
-    }
 }
 
 impl RecipeBackend for ModelBackend {
-    fn generate(&mut self, ingredients: &[String]) -> GeneratedRecipe {
-        self.generate_with_dtype(ingredients, "f32")
-    }
-
-    fn generate_with_dtype(&mut self, ingredients: &[String], dtype: &str) -> GeneratedRecipe {
-        self.decode_recipe(ingredients, dtype, &obs::reqtrace::TraceMeta::default())
-    }
-
-    fn generate_seeded(
-        &mut self,
-        ingredients: &[String],
-        dtype: &str,
-        seed: Option<u64>,
-    ) -> GeneratedRecipe {
-        self.generate_traced(
-            ingredients,
-            dtype,
-            seed,
-            &obs::reqtrace::TraceMeta::default(),
-        )
-    }
-
-    fn generate_traced(
-        &mut self,
-        ingredients: &[String],
-        dtype: &str,
-        seed: Option<u64>,
-        meta: &obs::reqtrace::TraceMeta,
-    ) -> GeneratedRecipe {
-        match seed {
-            // A pinned seed decodes from a fresh RNG so the result
-            // depends only on (weights, prompt, seed) — replayable.
-            Some(s) => {
-                let mut rng = StdRng::seed_from_u64(s);
-                std::mem::swap(&mut self.rng, &mut rng);
-                let out = self.decode_recipe(ingredients, dtype, meta);
-                self.rng = rng;
-                out
-            }
-            None => self.decode_recipe(ingredients, dtype, meta),
-        }
+    /// Prompt → (possibly quantized) generation → structural validation.
+    fn generate_request(&mut self, req: &GenRequest) -> GeneratedRecipe {
+        let mut tagged = prompt_for(&req.ingredients);
+        let prompt = self.tokenizer.encode(&tagged);
+        let cfg = sampler_for_request(&self.sampler, self.tokenizer.as_ref(), self.max_tokens);
+        // A pinned seed decodes from a fresh RNG so the result depends
+        // only on (weights, prompt, seed) — replayable.
+        let mut pinned = req.seed.map(StdRng::seed_from_u64);
+        let rng = pinned.as_mut().unwrap_or(&mut self.rng);
+        let continuation = match (&self.quant, req.dtype.as_str()) {
+            (Some(q), "int8") => generate_traced(q.as_ref(), &prompt, &cfg, rng, &req.meta),
+            _ => generate_traced(self.model.as_ref(), &prompt, &cfg, rng, &req.meta),
+        };
+        tagged.push_str(&self.tokenizer.decode(&continuation));
+        tagged.push_str(special::RECIPE_END);
+        recipe_from_tagged(&tagged)
     }
 
     fn dtypes(&self) -> Vec<String> {
@@ -289,7 +231,7 @@ mod tests {
         let factory = t.backend_factory();
         let mut replica = factory(0);
         assert_eq!(replica.dtypes(), vec!["f32", "int8"]);
-        let out = replica.generate_with_dtype(&["flour".into(), "water".into()], "int8");
+        let out = replica.generate_seeded(&["flour".into(), "water".into()], "int8", None);
         assert!(!out.title.is_empty());
         // the quantized pipeline helper produces tagged text too
         let tagged = t

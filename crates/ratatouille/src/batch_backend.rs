@@ -2,7 +2,7 @@
 //!
 //! [`BatchModelBackend`] adapts a trained, batch-capable model (GPT-2
 //! family — anything whose `batch_model()` is `Some`) to the serving
-//! crate's [`StepBackend`]: the runner thread builds one replica, admits
+//! crate's [`StepBackend`]: the engine thread builds one replica, admits
 //! pantry requests into a [`BatchGenerator`], and steps all of them
 //! through a single multi-sequence decode. Same-pantry prompts share
 //! KV-cache prefix blocks, so popular ingredient sets pay their prefill
@@ -16,18 +16,19 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ratatouille_eval::structure::validate_tagged_recipe;
 use ratatouille_models::registry::{build_model, ModelKind};
 use ratatouille_models::sample::SamplerConfig;
 use ratatouille_models::{BatchEngineConfig, BatchGenerator, BatchRequest, LanguageModel};
 use ratatouille_models::batch::AdmitError;
 use ratatouille_serving::api::GeneratedRecipe;
-use ratatouille_serving::batch::{AdmitOutcome, StepBackend, StepBackendFactory};
+use ratatouille_serving::batch::{AdmitOutcome, GenRequest, StepBackend, StepBackendFactory};
 use ratatouille_tensor::serialize::TensorMap;
 use ratatouille_tokenizers::{special, Tokenizer};
 
 use crate::backend::{load_weights, weights_map};
-use crate::pipeline::{generation_budget, prompt_for, TrainedModel};
+use crate::pipeline::{
+    generation_budget, prompt_for, recipe_from_tagged, sampler_for_request, TrainedModel,
+};
 
 /// A continuous-batching serving replica: one batch-capable model, its
 /// tokenizer, and a [`BatchGenerator`] holding the blocked KV cache.
@@ -44,10 +45,10 @@ pub struct BatchModelBackend {
 }
 
 impl BatchModelBackend {
-    /// Build a replica from `Send`-able parts inside the runner thread.
+    /// Build a replica from `Send`-able parts inside the engine thread.
     /// Returns `None` when the model kind has no batch-invariant decode
-    /// path (LSTMs, or GEMM widths off the pack grid) — callers fall
-    /// back to the per-request worker pool.
+    /// path (LSTMs, or GEMM widths off the pack grid) — callers serve
+    /// those one request per replica (`ApiServer::start`).
     pub fn from_weights(
         kind: ModelKind,
         tokenizer: &dyn Tokenizer,
@@ -84,39 +85,29 @@ impl StepBackend for BatchModelBackend {
         self.model.name().to_string()
     }
 
-    fn admit(&mut self, ingredients: &[String], seed: Option<u64>) -> AdmitOutcome {
-        self.admit_traced(ingredients, seed, obs::reqtrace::TraceMeta::default())
-    }
-
-    fn admit_traced(
-        &mut self,
-        ingredients: &[String],
-        seed: Option<u64>,
-        meta: obs::reqtrace::TraceMeta,
-    ) -> AdmitOutcome {
-        let prompt_text = prompt_for(ingredients);
+    fn admit_request(&mut self, req: &GenRequest) -> AdmitOutcome {
+        let prompt_text = prompt_for(&req.ingredients);
         let prompt = self.tokenizer.encode(&prompt_text);
         if prompt.is_empty() {
             // A pantry that tokenizes to nothing can never produce a
             // recipe; refuse rather than feed the engine an empty prompt.
             return AdmitOutcome::PoolExhausted;
         }
-        let cfg = SamplerConfig {
-            stop_token: Some(self.tokenizer.eos_id()),
-            max_tokens: self.max_tokens,
-            ..self.sampler.clone()
-        };
-        let seed = seed.unwrap_or_else(|| {
+        let seed = req.seed.unwrap_or_else(|| {
             self.unseeded += 1;
             0x5EED ^ self.unseeded
         });
         match self.engine.admit_traced(
             BatchRequest {
                 prompt,
-                sampler: cfg,
+                sampler: sampler_for_request(
+                    &self.sampler,
+                    self.tokenizer.as_ref(),
+                    self.max_tokens,
+                ),
                 seed,
             },
-            meta,
+            req.meta.clone(),
         ) {
             Ok(id) => {
                 self.prompts.insert(id, prompt_text);
@@ -144,17 +135,7 @@ impl StepBackend for BatchModelBackend {
                 let mut tagged = self.prompts.remove(&f.id).unwrap_or_default();
                 tagged.push_str(&self.tokenizer.decode(&f.tokens));
                 tagged.push_str(special::RECIPE_END);
-                let report = validate_tagged_recipe(&tagged);
-                let recipe = GeneratedRecipe {
-                    title: report
-                        .title
-                        .clone()
-                        .unwrap_or_else(|| "untitled recipe".into()),
-                    ingredients: report.ingredients.clone(),
-                    instructions: report.instructions.clone(),
-                    well_formed: report.valid,
-                };
-                (f.id, recipe)
+                (f.id, recipe_from_tagged(&tagged))
             })
             .collect()
     }
@@ -173,7 +154,7 @@ impl TrainedModel {
     /// pass to [`ratatouille_serving::ApiServer::start_batched`].
     ///
     /// `None` when this model cannot decode batches deterministically
-    /// (LSTMs; widths off the pack grid): callers keep the worker pool.
+    /// (LSTMs; widths off the pack grid): callers keep `ApiServer::start`.
     pub fn batched_factory(&self, engine_cfg: BatchEngineConfig) -> Option<StepBackendFactory> {
         self.spec.model.batch_model()?;
         let kind = self.spec.kind;
@@ -223,7 +204,7 @@ mod tests {
         let factory = t
             .batched_factory(BatchEngineConfig::default())
             .expect("gpt2 is batchable");
-        // Usable from another thread (the runner's calling convention).
+        // Usable from another thread (the engine's calling convention).
         let title = std::thread::spawn(move || {
             let mut backend = factory();
             let out = backend.admit(&["flour".into(), "water".into()], Some(7));

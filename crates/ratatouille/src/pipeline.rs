@@ -18,7 +18,7 @@ use ratatouille_models::sample::{generate, SamplerConfig};
 use ratatouille_models::train::{TrainConfig, TrainStats, Trainer};
 use ratatouille_recipedb::{Corpus, PreprocessReport, Preprocessor, Recipe};
 use ratatouille_serving::api::GeneratedRecipe;
-use ratatouille_tokenizers::special;
+use ratatouille_tokenizers::{special, Tokenizer};
 
 use crate::config::PipelineConfig;
 
@@ -135,11 +135,11 @@ impl TrainedModel {
         let prompt_text = prompt_for(ingredients);
         let prompt = self.spec.tokenizer.encode(&prompt_text);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = SamplerConfig {
-            stop_token: Some(self.spec.tokenizer.eos_id()),
-            max_tokens: generation_budget(self.spec.kind),
-            ..self.sampler.clone()
-        };
+        let cfg = sampler_for_request(
+            &self.sampler,
+            self.spec.tokenizer.as_ref(),
+            generation_budget(self.spec.kind),
+        );
         let continuation = generate(self.spec.model.as_ref(), &prompt, &cfg, &mut rng);
         let mut text = prompt_text;
         text.push_str(&self.spec.tokenizer.decode(&continuation));
@@ -156,11 +156,11 @@ impl TrainedModel {
         let prompt_text = prompt_for(ingredients);
         let prompt = self.spec.tokenizer.encode(&prompt_text);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = SamplerConfig {
-            stop_token: Some(self.spec.tokenizer.eos_id()),
-            max_tokens: generation_budget(self.spec.kind),
-            ..self.sampler.clone()
-        };
+        let cfg = sampler_for_request(
+            &self.sampler,
+            self.spec.tokenizer.as_ref(),
+            generation_budget(self.spec.kind),
+        );
         let continuation = generate(quant.as_ref(), &prompt, &cfg, &mut rng);
         let mut text = prompt_text;
         text.push_str(&self.spec.tokenizer.decode(&continuation));
@@ -189,17 +189,7 @@ impl TrainedModel {
 
     /// Generate and parse into a structured recipe (Fig. 5).
     pub fn generate_recipe(&self, ingredients: &[String], seed: u64) -> GeneratedRecipe {
-        let tagged = self.generate_tagged(ingredients, seed);
-        let report = validate_tagged_recipe(&tagged);
-        GeneratedRecipe {
-            title: report
-                .title
-                .clone()
-                .unwrap_or_else(|| "untitled recipe".into()),
-            ingredients: report.ingredients.clone(),
-            instructions: report.instructions.clone(),
-            well_formed: report.valid,
-        }
+        recipe_from_tagged(&self.generate_tagged(ingredients, seed))
     }
 
     /// The Table-I evaluation: generate from each held-out recipe's
@@ -296,6 +286,33 @@ impl TrainedModel {
             },
         );
         perplexity_from_nll(&trainer.token_nlls(max_blocks))
+    }
+}
+
+/// The sampler one request decodes under: the configured sampling
+/// strategy, stopped at the tokenizer's end-of-recipe token or after
+/// `max_tokens`.
+pub(crate) fn sampler_for_request(
+    base: &SamplerConfig,
+    tokenizer: &dyn Tokenizer,
+    max_tokens: usize,
+) -> SamplerConfig {
+    SamplerConfig {
+        stop_token: Some(tokenizer.eos_id()),
+        max_tokens,
+        ..base.clone()
+    }
+}
+
+/// Parse a complete tagged generation (prompt + continuation +
+/// `<RECIPE_END>`) into the structured recipe the API returns.
+pub(crate) fn recipe_from_tagged(tagged: &str) -> GeneratedRecipe {
+    let report = validate_tagged_recipe(tagged);
+    GeneratedRecipe {
+        title: report.title.unwrap_or_else(|| "untitled recipe".into()),
+        ingredients: report.ingredients,
+        instructions: report.instructions,
+        well_formed: report.valid,
     }
 }
 

@@ -14,19 +14,24 @@
 //! * `GET  /debug/trace?fmt=chrome` — Chrome trace-event JSON of every
 //!   retained request (open in `chrome://tracing` or Perfetto).
 //!
-//! The API is generic over [`RecipeBackend`] so this crate stays free of
-//! model dependencies; the `ratatouille` crate plugs the real models in.
+//! Every server shape answers from the same route table over the same
+//! [`Engine`]; the API is generic over the backend traits
+//! ([`RecipeBackend`], [`StepBackend`]) so this crate stays free of model
+//! dependencies, and the `ratatouille` crate plugs the real models in.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::reqtrace::TraceSink;
 
+use crate::batch::{
+    AdmitOutcome, BatchServerConfig, Engine, GenRequest, StepBackend, StepBackendFactory,
+    SubmitError,
+};
 use crate::frontend;
 use crate::http::{HttpServer, Request, Response, StatusCode};
 use crate::json::Json;
 use crate::router::Router;
-use crate::worker::{PoolError, WorkerPool};
 
 /// Live serving counters, exposed at `GET /api/stats` (the observability
 /// the paper's dockerized deployment would get from its orchestrator).
@@ -77,51 +82,17 @@ pub struct GeneratedRecipe {
     pub well_formed: bool,
 }
 
-/// A recipe-generation backend replica. Each worker thread builds its own
-/// via [`RecipeBackendFactory`].
+/// A recipe-generation backend replica that decodes one request at a
+/// time. Each engine thread builds its own via [`RecipeBackendFactory`].
 pub trait RecipeBackend {
-    /// Generate a recipe from an ingredient list.
-    fn generate(&mut self, ingredients: &[String]) -> GeneratedRecipe;
+    /// Generate the recipe for one request. Its dtype is one of
+    /// [`Self::dtypes`]; its seed, when pinned, names one recipe (same
+    /// seed, same bytes); its trace and enqueue stamp ride in `req.meta`
+    /// for the decode loop's TTFT and per-step records.
+    fn generate_request(&mut self, req: &GenRequest) -> GeneratedRecipe;
 
     /// Model card name ("GPT-2 medium").
     fn model_name(&self) -> String;
-
-    /// Generate with a requested weight dtype (one of [`Self::dtypes`]).
-    /// The default ignores `dtype`: backends without precision variants
-    /// always serve their native weights.
-    fn generate_with_dtype(&mut self, ingredients: &[String], dtype: &str) -> GeneratedRecipe {
-        let _ = dtype;
-        self.generate(ingredients)
-    }
-
-    /// Generate with a pinned sampling seed (the request's `"seed"`
-    /// field): same seed, same recipe. The default ignores the seed —
-    /// backends without seeded decoding stay nondeterministic.
-    fn generate_seeded(
-        &mut self,
-        ingredients: &[String],
-        dtype: &str,
-        seed: Option<u64>,
-    ) -> GeneratedRecipe {
-        let _ = seed;
-        self.generate_with_dtype(ingredients, dtype)
-    }
-
-    /// [`Self::generate_seeded`] with queue metadata attached: the
-    /// enqueue stamp (for TTFT attribution from the client's enqueue,
-    /// not the worker's pickup) and the request's trace, which model
-    /// backends thread into the decode loop as a
-    /// [`obs::reqtrace::TraceSink`]. The default ignores the metadata.
-    fn generate_traced(
-        &mut self,
-        ingredients: &[String],
-        dtype: &str,
-        seed: Option<u64>,
-        meta: &obs::reqtrace::TraceMeta,
-    ) -> GeneratedRecipe {
-        let _ = meta;
-        self.generate_seeded(ingredients, dtype, seed)
-    }
 
     /// The weight dtypes this backend can serve; the first entry is the
     /// default when a request names none. The server validates
@@ -129,217 +100,121 @@ pub trait RecipeBackend {
     fn dtypes(&self) -> Vec<String> {
         vec!["f32".to_string()]
     }
+
+    /// [`Self::generate_request`] for an untraced, unseeded f32 request.
+    fn generate(&mut self, ingredients: &[String]) -> GeneratedRecipe {
+        self.generate_seeded(ingredients, "f32", None)
+    }
+
+    /// [`Self::generate_request`] for an untraced request.
+    fn generate_seeded(
+        &mut self,
+        ingredients: &[String],
+        dtype: &str,
+        seed: Option<u64>,
+    ) -> GeneratedRecipe {
+        self.generate_request(&GenRequest::untraced(ingredients, dtype, seed))
+    }
 }
 
-/// Thread-safe factory producing per-worker backend replicas.
+/// Thread-safe factory producing per-thread backend replicas.
 pub type RecipeBackendFactory = Arc<dyn Fn(usize) -> Box<dyn RecipeBackend> + Send + Sync>;
 
-/// The assembled Ratatouille API server.
+/// A [`RecipeBackend`] replica as a one-slot [`StepBackend`]: `step()`
+/// runs the whole admitted request, so solo decode pays no per-token
+/// engine cost.
+struct OneSlot {
+    backend: Box<dyn RecipeBackend>,
+    admitted: Option<GenRequest>,
+}
+
+impl StepBackend for OneSlot {
+    fn model_name(&self) -> String {
+        self.backend.model_name()
+    }
+
+    fn dtypes(&self) -> Vec<String> {
+        self.backend.dtypes()
+    }
+
+    fn admit_request(&mut self, req: &GenRequest) -> AdmitOutcome {
+        if self.admitted.is_some() {
+            return AdmitOutcome::BatchFull;
+        }
+        // Pickup is the admission; no KV cache, so both args are 0.
+        req.meta.record(obs::reqtrace::Phase::Admit, 0, 0);
+        self.admitted = Some(req.clone());
+        AdmitOutcome::Admitted(0)
+    }
+
+    fn step(&mut self) -> Vec<(u64, GeneratedRecipe)> {
+        match self.admitted.take() {
+            Some(req) => vec![(0, self.backend.generate_request(&req))],
+            None => Vec::new(),
+        }
+    }
+
+    fn active(&self) -> usize {
+        usize::from(self.admitted.is_some())
+    }
+
+    fn free_slots(&self) -> usize {
+        1 - self.active()
+    }
+}
+
+/// The assembled Ratatouille API server: one [`Engine`] behind one
+/// route table.
 pub struct ApiServer {
     server: HttpServer,
-    model_name: String,
+    engine: Arc<Engine>,
     stats: Arc<ApiStats>,
-    /// Present on the continuous-batching stack: kept so the runner
-    /// outlives the HTTP handlers and joins on drop.
-    batch: Option<Arc<crate::batch::BatchRunner>>,
-}
-
-struct GenJob {
-    ingredients: Vec<String>,
-    dtype: String,
-    seed: Option<u64>,
-    /// Stamp taken in the handler when the job entered the pool queue.
-    enqueued_ns: u64,
-    /// The request's trace, if the HTTP layer attached one.
-    trace: Option<obs::reqtrace::TraceHandle>,
-}
-
-struct GenOut {
-    recipe: GeneratedRecipe,
-    model: String,
-    dtype: String,
-    latency_ms: f64,
 }
 
 impl ApiServer {
-    /// Boot the full stack: worker pool + router + HTTP server.
+    /// Boot the replicated stack — the engine at `K × 1`: `workers`
+    /// engine threads (the paper's "replicate the docker" axis), each
+    /// decoding one request at a time on its own `factory(k)` replica.
     ///
-    /// `addr` like `"127.0.0.1:0"`; `workers` is the replica count
-    /// (the paper's "replicate the docker" axis).
+    /// `addr` like `"127.0.0.1:0"`; `queue_cap` bounds the shared
+    /// request queue (overflow → 503).
     pub fn start(
         addr: &str,
         workers: usize,
         queue_cap: usize,
         factory: RecipeBackendFactory,
     ) -> std::io::Result<ApiServer> {
-        // Sniff the model card from a throwaway replica.
-        let probe = factory(usize::MAX);
-        let model_name = probe.model_name();
-        let dtypes = Arc::new(probe.dtypes());
-        drop(probe);
-
-        let pool: Arc<WorkerPool<GenJob, GenOut>> = Arc::new(WorkerPool::new(
-            workers,
-            queue_cap,
-            move |wi| {
-                let mut backend = factory(wi);
-                // Per-model twins of the aggregate histograms, resolved
-                // once per worker (never in the hot path).
-                let model_label = obs::metrics::label_value(&backend.model_name());
-                let labeled_latency = obs::metrics::histogram(&format!(
-                    "generate_latency_ns{{model=\"{model_label}\"}}"
-                ));
-                let labeled_queue_wait = obs::metrics::histogram(&format!(
-                    "request_queue_wait_ns{{model=\"{model_label}\"}}"
-                ));
-                move |job: GenJob| {
-                    let start = obs::Clock::now();
-                    let wait_ns = start.at_ns().saturating_sub(job.enqueued_ns);
-                    obs::static_histogram!("request_queue_wait_ns").observe(wait_ns);
-                    labeled_queue_wait.observe(wait_ns);
-                    let meta = obs::reqtrace::TraceMeta {
-                        enqueued_ns: job.enqueued_ns,
-                        trace: job.trace,
-                    };
-                    // Pooled admission is implicit (a worker picked the
-                    // job up); no KV cache, so both args are 0.
-                    meta.record(obs::reqtrace::Phase::Admit, 0, 0);
-                    let recipe =
-                        backend.generate_traced(&job.ingredients, &job.dtype, job.seed, &meta);
-                    let ns = start.elapsed_ns();
-                    obs::static_histogram!("generate_latency_ns").observe(ns);
-                    labeled_latency.observe(ns);
-                    GenOut {
-                        recipe,
-                        model: backend.model_name(),
-                        dtype: job.dtype,
-                        latency_ms: ns as f64 / 1e6,
-                    }
-                }
-            },
-        )?);
-
-        let model_for_routes = model_name.clone();
-        let dtypes_for_routes: Vec<String> = dtypes.to_vec();
-        let dtypes_for_gen = Arc::clone(&dtypes);
-        let pool_for_gen = Arc::clone(&pool);
-        let worker_count = pool.workers();
-        let stats = Arc::new(ApiStats::default());
-        let stats_for_gen = Arc::clone(&stats);
-        let stats_for_route = Arc::clone(&stats);
-        let router = Router::new()
-            .route("GET", "/", |_req| Response::html(frontend::INDEX_HTML))
-            .route("GET", "/api/health", move |_req| {
-                let body = Json::object(vec![
-                    ("status", Json::string("ok")),
-                    ("workers", Json::Number(worker_count as f64)),
-                ]);
-                Response::json(StatusCode::Ok, body.to_string())
-            })
-            .route("GET", "/api/models", move |_req| {
-                let body = Json::object(vec![
-                    ("models", Json::string_array(&[model_for_routes.as_str()])),
-                    ("dtypes", Json::string_array(&dtypes_for_routes)),
-                ]);
-                Response::json(StatusCode::Ok, body.to_string())
-            })
-            .route("GET", "/api/stats", move |_req| {
-                Response::json(
-                    StatusCode::Ok,
-                    stats_for_route.to_json(worker_count).to_string(),
-                )
-            })
-            .route("POST", "/api/generate", move |req| {
-                handle_generate(req, &pool_for_gen, &stats_for_gen, &dtypes_for_gen)
-            })
-            .route("GET", "/healthz", |_req| {
-                Response::text(StatusCode::Ok, "ok")
-            })
-            .route("GET", "/metrics", |_req| Response {
-                status: StatusCode::Ok,
-                content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
-                body: obs::metrics::render_prometheus().into_bytes(),
-            })
-            .route("GET", "/debug/stacks", |_req| {
-                Response::text(StatusCode::Ok, obs::trace::folded_stacks())
-            })
-            .route("GET", "/debug/requests", handle_debug_requests)
-            .route_prefix("GET", "/debug/requests/", handle_debug_request_detail)
-            .route("GET", "/debug/trace", handle_debug_trace);
-
-        let server = HttpServer::start(addr, move |req| router.dispatch(&req))?;
-        Ok(ApiServer {
-            server,
-            model_name,
-            stats,
-            batch: None,
-        })
+        let replica = move |k| {
+            Box::new(OneSlot {
+                backend: factory(k),
+                admitted: None,
+            }) as Box<dyn StepBackend>
+        };
+        Self::serve(addr, Engine::start(workers, queue_cap, Arc::new(replica))?)
     }
 
-    /// Boot the continuous-batching stack: one model replica behind a
-    /// [`crate::batch::BatchRunner`] instead of a worker pool. Queued
-    /// requests coalesce into multi-sequence decode steps; the rest of
-    /// the route surface is identical to [`ApiServer::start`].
-    ///
-    /// Batched decoding serves f32 only (the blocked KV cache is f32),
-    /// so the model card lists a single dtype.
+    /// Boot the continuous-batching stack — the engine at `1 × B`: one
+    /// replica whose `B` slots share every decode step, requests
+    /// joining and leaving between token steps. Same routes as
+    /// [`ApiServer::start`].
     pub fn start_batched(
         addr: &str,
-        cfg: crate::batch::BatchServerConfig,
-        factory: crate::batch::StepBackendFactory,
+        cfg: BatchServerConfig,
+        factory: StepBackendFactory,
     ) -> std::io::Result<ApiServer> {
-        let runner = Arc::new(crate::batch::BatchRunner::start(cfg, factory)?);
-        let model_name = runner.model_name().to_string();
+        let replica = move |_| factory();
+        Self::serve(addr, Engine::start(1, cfg.queue_cap, Arc::new(replica))?)
+    }
+
+    fn serve(addr: &str, engine: Engine) -> std::io::Result<ApiServer> {
+        let engine = Arc::new(engine);
         let stats = Arc::new(ApiStats::default());
-
-        let model_for_routes = model_name.clone();
-        let stats_for_gen = Arc::clone(&stats);
-        let stats_for_route = Arc::clone(&stats);
-        let runner_for_gen = Arc::clone(&runner);
-        let router = Router::new()
-            .route("GET", "/", |_req| Response::html(frontend::INDEX_HTML))
-            .route("GET", "/api/health", move |_req| {
-                let body = Json::object(vec![
-                    ("status", Json::string("ok")),
-                    // One replica; concurrency lives inside the batch.
-                    ("workers", Json::Number(1.0)),
-                ]);
-                Response::json(StatusCode::Ok, body.to_string())
-            })
-            .route("GET", "/api/models", move |_req| {
-                let body = Json::object(vec![
-                    ("models", Json::string_array(&[model_for_routes.as_str()])),
-                    ("dtypes", Json::string_array(&["f32"])),
-                ]);
-                Response::json(StatusCode::Ok, body.to_string())
-            })
-            .route("GET", "/api/stats", move |_req| {
-                Response::json(StatusCode::Ok, stats_for_route.to_json(1).to_string())
-            })
-            .route("POST", "/api/generate", move |req| {
-                handle_generate_batched(req, &runner_for_gen, &stats_for_gen)
-            })
-            .route("GET", "/healthz", |_req| {
-                Response::text(StatusCode::Ok, "ok")
-            })
-            .route("GET", "/metrics", |_req| Response {
-                status: StatusCode::Ok,
-                content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
-                body: obs::metrics::render_prometheus().into_bytes(),
-            })
-            .route("GET", "/debug/stacks", |_req| {
-                Response::text(StatusCode::Ok, obs::trace::folded_stacks())
-            })
-            .route("GET", "/debug/requests", handle_debug_requests)
-            .route_prefix("GET", "/debug/requests/", handle_debug_request_detail)
-            .route("GET", "/debug/trace", handle_debug_trace);
-
+        let router = build_router(Arc::clone(&engine), Arc::clone(&stats));
         let server = HttpServer::start(addr, move |req| router.dispatch(&req))?;
         Ok(ApiServer {
             server,
-            model_name,
+            engine,
             stats,
-            batch: Some(runner),
         })
     }
 
@@ -355,49 +230,104 @@ impl ApiServer {
 
     /// The model this server serves.
     pub fn model_name(&self) -> &str {
-        &self.model_name
+        self.engine.model_name()
     }
 
-    /// Graceful shutdown: stop accepting, then drain the batch runner
-    /// (if any) so every accepted request still answers.
+    /// Graceful shutdown: stop accepting, let every accepted request
+    /// answer, then close the engine and join its threads.
     pub fn stop(self) {
         self.server.stop();
-        drop(self.batch);
+        drop(self.engine);
     }
 }
 
-fn handle_generate_batched(
-    req: &Request,
-    runner: &crate::batch::BatchRunner,
-    stats: &ApiStats,
-) -> Response {
+/// The route table, registered once for every server shape.
+fn build_router(engine: Arc<Engine>, stats: Arc<ApiStats>) -> Router {
+    let health = Json::object(vec![
+        ("status", Json::string("ok")),
+        ("workers", Json::Number(engine.threads() as f64)),
+    ])
+    .to_string();
+    let models = Json::object(vec![
+        ("models", Json::string_array(&[engine.model_name()])),
+        ("dtypes", Json::string_array(engine.dtypes())),
+    ])
+    .to_string();
+    let workers = engine.threads();
+    let stats_for_route = Arc::clone(&stats);
+    Router::new()
+        .route("GET", "/", |_req| Response::html(frontend::INDEX_HTML))
+        .route("GET", "/api/health", move |_req| {
+            Response::json(StatusCode::Ok, health.clone())
+        })
+        .route("GET", "/api/models", move |_req| {
+            Response::json(StatusCode::Ok, models.clone())
+        })
+        .route("GET", "/api/stats", move |_req| {
+            Response::json(StatusCode::Ok, stats_for_route.to_json(workers).to_string())
+        })
+        .route("POST", "/api/generate", move |req| {
+            handle_generate(req, &engine, &stats)
+        })
+        .route("GET", "/healthz", |_req| {
+            Response::text(StatusCode::Ok, "ok")
+        })
+        .route("GET", "/metrics", |_req| Response {
+            status: StatusCode::Ok,
+            content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
+            body: obs::metrics::render_prometheus().into_bytes(),
+        })
+        .route("GET", "/debug/stacks", |_req| {
+            Response::text(StatusCode::Ok, obs::trace::folded_stacks())
+        })
+        .route("GET", "/debug/requests", handle_debug_requests)
+        .route_prefix("GET", "/debug/requests/", handle_debug_request_detail)
+        .route("GET", "/debug/trace", handle_debug_trace)
+}
+
+/// A JSON `{"error": …}` body under `status`.
+fn error_json(status: StatusCode, msg: impl Into<String>) -> Response {
+    Response::json(
+        status,
+        Json::object(vec![("error", Json::string(msg))]).to_string(),
+    )
+}
+
+fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response {
     stats.requests.fetch_add(1, Ordering::Relaxed);
-    let dtype = query_param(&req.query, "dtype").unwrap_or("f32");
-    if dtype != "f32" {
+    let dtypes = engine.dtypes();
+    let default_dtype = dtypes.first().map_or("f32", String::as_str);
+    let dtype = query_param(&req.query, "dtype").unwrap_or(default_dtype);
+    if !dtypes.iter().any(|d| d == dtype) {
         stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return Response::json(
+        return error_json(
             StatusCode::BadRequest,
-            Json::object(vec![(
-                "error",
-                Json::string(format!(
-                    "unsupported dtype `{dtype}`; batched serving is f32-only"
-                )),
-            )])
-            .to_string(),
+            format!(
+                "unsupported dtype `{dtype}`; this model serves: {}",
+                dtypes.join(", ")
+            ),
         );
     }
     let (ingredients, seed) = match parse_generate_body(req, stats) {
         Ok(ok) => ok,
         Err(resp) => return resp,
     };
-    // The request is about to enter the batch queue; recording the
-    // phase here (not inside `submit_traced`) keeps the span open
-    // before any backend call, which xlint's trace-before-backend
-    // rule pins for every serving `handle*` root.
+    // Open the request's queue span before handing off to the engine
+    // (xlint's trace-before-backend rule pins this ordering).
     if let Some(t) = &req.trace {
         t.record_phase(obs::reqtrace::Phase::Enqueue, 0, 0);
     }
-    match runner.submit_traced(ingredients, seed, req.trace.clone()) {
+    let submitted = engine.submit(GenRequest {
+        ingredients,
+        dtype: dtype.to_string(),
+        seed,
+        // `submit` takes the enqueue stamp.
+        meta: obs::reqtrace::TraceMeta {
+            trace: req.trace.clone(),
+            ..Default::default()
+        },
+    });
+    match submitted {
         Ok(out) => {
             stats.generated.fetch_add(1, Ordering::Relaxed);
             stats
@@ -408,51 +338,39 @@ fn handle_generate_batched(
                 ("ingredients", Json::string_array(&out.recipe.ingredients)),
                 ("instructions", Json::string_array(&out.recipe.instructions)),
                 ("well_formed", Json::Bool(out.recipe.well_formed)),
-                ("model", Json::string(runner.model_name())),
-                ("dtype", Json::string("f32")),
+                ("model", Json::string(engine.model_name())),
+                ("dtype", Json::string(dtype)),
                 ("latency_ms", Json::Number(out.latency_ms)),
             ]);
             Response::json(StatusCode::Ok, body.to_string())
         }
-        Err(crate::batch::SubmitError::PoolExhausted) => {
+        Err(SubmitError::QueueFull) => {
             stats.rejected.fetch_add(1, Ordering::Relaxed);
-            Response::json(
+            error_json(StatusCode::ServiceUnavailable, "server overloaded, retry")
+        }
+        Err(SubmitError::PoolExhausted) => {
+            stats.rejected.fetch_add(1, Ordering::Relaxed);
+            error_json(
                 StatusCode::TooManyRequests,
-                Json::object(vec![(
-                    "error",
-                    Json::string("KV cache exhausted; shrink the request or retry later"),
-                )])
-                .to_string(),
+                "KV cache exhausted; shrink the request or retry later",
             )
         }
-        Err(crate::batch::SubmitError::QueueFull) => {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            Response::json(
-                StatusCode::ServiceUnavailable,
-                Json::object(vec![("error", Json::string("server overloaded, retry"))])
-                    .to_string(),
-            )
+        Err(e @ (SubmitError::ReplicaPanicked | SubmitError::Closed)) => {
+            error_json(StatusCode::InternalServerError, e.to_string())
         }
-        Err(crate::batch::SubmitError::Closed) => Response::json(
-            StatusCode::InternalServerError,
-            Json::object(vec![("error", Json::string("batch runner is shut down"))]).to_string(),
-        ),
     }
 }
 
 /// Parse a generate request body: a non-empty `"ingredients"` string
-/// array plus an optional non-negative integer `"seed"`. Shared by the
-/// worker-pool and batched handlers; errors arrive as ready 400s.
+/// array plus an optional non-negative integer `"seed"`. Errors arrive
+/// as ready 400s.
 fn parse_generate_body(
     req: &Request,
     stats: &ApiStats,
 ) -> Result<(Vec<String>, Option<u64>), Response> {
     let bad = |msg: String| {
         stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-        Response::json(
-            StatusCode::BadRequest,
-            Json::object(vec![("error", Json::string(msg))]).to_string(),
-        )
+        error_json(StatusCode::BadRequest, msg)
     };
     let parsed = match Json::parse(&req.body_str()) {
         Ok(v) => v,
@@ -596,76 +514,6 @@ fn handle_debug_trace(req: &Request) -> Response {
     }
 }
 
-fn handle_generate(
-    req: &Request,
-    pool: &WorkerPool<GenJob, GenOut>,
-    stats: &ApiStats,
-    dtypes: &[String],
-) -> Response {
-    stats.requests.fetch_add(1, Ordering::Relaxed);
-    let default_dtype = dtypes.first().map(String::as_str).unwrap_or("f32");
-    let dtype = query_param(&req.query, "dtype").unwrap_or(default_dtype);
-    if !dtypes.iter().any(|d| d == dtype) {
-        stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return Response::json(
-            StatusCode::BadRequest,
-            Json::object(vec![(
-                "error",
-                Json::string(format!(
-                    "unsupported dtype `{dtype}`; this model serves: {}",
-                    dtypes.join(", ")
-                )),
-            )])
-            .to_string(),
-        );
-    }
-    let (ingredients, seed) = match parse_generate_body(req, stats) {
-        Ok(ok) => ok,
-        Err(resp) => return resp,
-    };
-    // Open the request's queue span before handing off to the pool
-    // (xlint's trace-before-backend rule pins this ordering).
-    if let Some(t) = &req.trace {
-        t.record_phase(obs::reqtrace::Phase::Enqueue, 0, 0);
-    }
-    match pool.execute(GenJob {
-        ingredients,
-        dtype: dtype.to_string(),
-        seed,
-        enqueued_ns: obs::Clock::now().at_ns(),
-        trace: req.trace.clone(),
-    }) {
-        Ok(out) => {
-            stats.generated.fetch_add(1, Ordering::Relaxed);
-            stats
-                .latency_us_sum
-                .fetch_add((out.latency_ms * 1000.0) as u64, Ordering::Relaxed);
-            let body = Json::object(vec![
-                ("title", Json::string(out.recipe.title)),
-                ("ingredients", Json::string_array(&out.recipe.ingredients)),
-                ("instructions", Json::string_array(&out.recipe.instructions)),
-                ("well_formed", Json::Bool(out.recipe.well_formed)),
-                ("model", Json::string(out.model)),
-                ("dtype", Json::string(out.dtype)),
-                ("latency_ms", Json::Number(out.latency_ms)),
-            ]);
-            Response::json(StatusCode::Ok, body.to_string())
-        }
-        Err(PoolError::QueueFull) => {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            Response::json(
-                StatusCode::ServiceUnavailable,
-                Json::object(vec![("error", Json::string("server overloaded, retry"))])
-                    .to_string(),
-            )
-        }
-        Err(e) => Response::json(
-            StatusCode::InternalServerError,
-            Json::object(vec![("error", Json::string(e.to_string()))]).to_string(),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,14 +522,18 @@ mod tests {
     /// A deterministic toy backend for API tests.
     struct EchoBackend;
 
+    fn echo(ingredients: &[String]) -> GeneratedRecipe {
+        GeneratedRecipe {
+            title: format!("{} delight", ingredients[0]),
+            ingredients: ingredients.iter().map(|i| format!("1 cup {i}")).collect(),
+            instructions: vec![format!("mix the {}", ingredients.join(" and "))],
+            well_formed: true,
+        }
+    }
+
     impl RecipeBackend for EchoBackend {
-        fn generate(&mut self, ingredients: &[String]) -> GeneratedRecipe {
-            GeneratedRecipe {
-                title: format!("{} delight", ingredients[0]),
-                ingredients: ingredients.iter().map(|i| format!("1 cup {i}")).collect(),
-                instructions: vec![format!("mix the {}", ingredients.join(" and "))],
-                well_formed: true,
-            }
+        fn generate_request(&mut self, req: &GenRequest) -> GeneratedRecipe {
+            echo(&req.ingredients)
         }
 
         fn model_name(&self) -> String {
@@ -784,14 +636,10 @@ mod tests {
     struct DtypeBackend;
 
     impl RecipeBackend for DtypeBackend {
-        fn generate(&mut self, ingredients: &[String]) -> GeneratedRecipe {
-            self.generate_with_dtype(ingredients, "f32")
-        }
-
-        fn generate_with_dtype(&mut self, ingredients: &[String], dtype: &str) -> GeneratedRecipe {
+        fn generate_request(&mut self, req: &GenRequest) -> GeneratedRecipe {
             GeneratedRecipe {
-                title: format!("{} via {dtype}", ingredients[0]),
-                ingredients: ingredients.to_vec(),
+                title: format!("{} via {}", req.ingredients[0], req.dtype),
+                ingredients: req.ingredients.clone(),
                 instructions: vec!["cook".into()],
                 well_formed: true,
             }
@@ -855,8 +703,8 @@ mod tests {
 
     #[test]
     fn dtype_defaults_dont_break_plain_backends() {
-        // EchoBackend doesn't implement the dtype hooks: default serves
-        // f32 only, and asking for int8 is a 400.
+        // EchoBackend keeps the trait's default dtype set: f32 only, and
+        // asking for int8 is a 400.
         let srv = boot();
         let client = HttpClient::new(srv.addr());
         let (status, body) = client
@@ -867,6 +715,153 @@ mod tests {
         let v = Json::parse(&body).unwrap();
         assert_eq!(v.get("dtypes").unwrap().as_string_vec(), vec!["f32"]);
         srv.stop();
+    }
+
+    /// The echo model as a [`StepBackend`]: every admitted request
+    /// finishes in the next step.
+    #[derive(Default)]
+    struct EchoStepBackend {
+        admitted: Vec<(u64, GenRequest)>,
+        next_id: u64,
+    }
+
+    impl StepBackend for EchoStepBackend {
+        fn model_name(&self) -> String {
+            "echo-model".into()
+        }
+
+        fn admit_request(&mut self, req: &GenRequest) -> AdmitOutcome {
+            self.next_id += 1;
+            self.admitted.push((self.next_id, req.clone()));
+            AdmitOutcome::Admitted(self.next_id)
+        }
+
+        fn step(&mut self) -> Vec<(u64, GeneratedRecipe)> {
+            let done = self.admitted.drain(..);
+            done.map(|(id, req)| (id, echo(&req.ingredients))).collect()
+        }
+
+        fn active(&self) -> usize {
+            self.admitted.len()
+        }
+
+        fn free_slots(&self) -> usize {
+            4 - self.admitted.len()
+        }
+    }
+
+    #[test]
+    fn both_backend_traits_are_served_by_the_one_router() {
+        let replicated = ApiServer::start(
+            "127.0.0.1:0",
+            1,
+            8,
+            Arc::new(|_| Box::new(EchoBackend) as Box<dyn RecipeBackend>),
+        )
+        .unwrap();
+        let batched = ApiServer::start_batched(
+            "127.0.0.1:0",
+            BatchServerConfig::default(),
+            Arc::new(|| Box::<EchoStepBackend>::default() as Box<dyn StepBackend>),
+        )
+        .unwrap();
+        let (a, b) = (
+            HttpClient::new(replicated.addr()),
+            HttpClient::new(batched.addr()),
+        );
+        for path in ["/api/health", "/api/models", "/nope"] {
+            assert_eq!(a.get(path).unwrap(), b.get(path).unwrap(), "GET {path}");
+        }
+        let body = r#"{"ingredients":["flour"]}"#;
+        let bad = a.post_json("/api/generate?dtype=int8", body).unwrap();
+        assert_eq!(bad.0, 400);
+        assert!(bad.1.contains("this model serves: f32"), "{}", bad.1);
+        assert_eq!(bad, b.post_json("/api/generate?dtype=int8", body).unwrap());
+        // Same recipe too; only the measured latency may differ.
+        let recipes = [&a, &b].map(|c| {
+            let (status, body) = c.post_json("/api/generate", body).unwrap();
+            assert_eq!(status, 200, "{body}");
+            let v = Json::parse(&body).unwrap();
+            assert!(v.get("latency_ms").unwrap().as_f64().unwrap() > 0.0);
+            ["title", "model", "dtype"].map(|k| v.get(k).unwrap().as_str().map(String::from))
+        });
+        assert_eq!(recipes[0], recipes[1]);
+        replicated.stop();
+        batched.stop();
+    }
+
+    /// Blocks each request until the test lets it through; a pantry
+    /// starting with "boom" panics instead.
+    struct GatedBackend {
+        started: std::sync::mpsc::Sender<()>,
+        release: Arc<std::sync::Mutex<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    impl RecipeBackend for GatedBackend {
+        fn generate_request(&mut self, req: &GenRequest) -> GeneratedRecipe {
+            assert_ne!(req.ingredients[0], "boom", "scripted replica panic");
+            self.started.send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            echo(&req.ingredients)
+        }
+
+        fn model_name(&self) -> String {
+            "gated-model".into()
+        }
+    }
+
+    #[test]
+    fn full_queue_is_503_panic_is_500_and_stop_answers_what_was_accepted() {
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
+        let srv = ApiServer::start(
+            "127.0.0.1:0",
+            1,
+            1,
+            Arc::new(move |_| {
+                Box::new(GatedBackend {
+                    started: started_tx.clone(),
+                    release: Arc::clone(&release_rx),
+                }) as Box<dyn RecipeBackend>
+            }),
+        )
+        .unwrap();
+        let addr = srv.addr();
+        let post = move |pantry: &str| {
+            let body = format!(r#"{{"ingredients":["{pantry}"]}}"#);
+            HttpClient::new(addr)
+                .post_json("/api/generate", &body)
+                .unwrap()
+        };
+
+        // A replica panic is this request's 500; the next one is served
+        // by the rebuilt replica.
+        let (status, body) = post("boom");
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("panicked"), "{body}");
+
+        // One request in flight, one queued: the third finds the queue
+        // full.
+        let in_flight = std::thread::spawn(move || post("first"));
+        started.recv().unwrap();
+        let queued = std::thread::spawn(move || post("second"));
+        while srv.engine.queued() == 0 {
+            std::thread::yield_now();
+        }
+        let (status, body) = post("third");
+        assert_eq!(status, 503, "{body}");
+        assert_eq!(srv.stats().rejected.load(Ordering::Relaxed), 1);
+
+        // `stop()` with one in flight and one queued answers both.
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        srv.stop();
+        for (h, title) in [(in_flight, "first delight"), (queued, "second delight")] {
+            let (status, body) = h.join().unwrap();
+            assert_eq!(status, 200, "{body}");
+            assert!(body.contains(title), "{body}");
+        }
     }
 
     #[test]

@@ -8,18 +8,16 @@
 //! * [`json`] — a hand-rolled JSON parser/serializer (the offline crate
 //!   whitelist has `serde` but not `serde_json`; a recipe API needs JSON);
 //! * [`router`] — method + path routing;
-//! * [`worker`] — the model worker pool. The paper decouples the React
-//!   frontend from the Flask backend with "microservices … if load
-//!   increases then developer only need to replicate the docker"; here
-//!   each worker thread owns a full model replica and requests flow over
-//!   a bounded crossbeam channel, so throughput scales by adding workers
-//!   (benchmarked in `serving_throughput`);
-//! * [`batch`] — the continuous-batching alternative to the pool: one
-//!   model replica whose [`batch::BatchRunner`] coalesces queued
-//!   requests into a single multi-sequence decode, admitting and
-//!   retiring per token step (driven by the `serving_queue_depth`
-//!   signal with hysteresis);
-//! * [`api`] — the generate/health/models endpoints over a backend trait;
+//! * [`batch`] — the serving engine every request goes through: `K`
+//!   threads, each owning a full model replica with `B` decode slots,
+//!   over one bounded queue (`Mutex<VecDeque>` + `Condvar`). The paper
+//!   decouples the React frontend from the Flask backend with
+//!   "microservices … if load increases then developer only need to
+//!   replicate the docker"; that is the engine at `K × 1`. Continuous
+//!   batching — requests joining and leaving a shared multi-sequence
+//!   decode between token steps — is the same loop at `1 × B`;
+//! * [`api`] — one route table and one generate handler over that
+//!   engine, for either backend trait;
 //! * [`frontend`] — the embedded single-page UI (Fig. 4);
 //! * [`client`] — a tiny blocking HTTP client for tests, examples and the
 //!   CLI.
@@ -33,14 +31,12 @@ pub mod frontend;
 pub mod http;
 pub mod json;
 pub mod router;
-pub mod worker;
 
 pub use api::{ApiServer, ApiStats, GeneratedRecipe, RecipeBackend};
 pub use batch::{
-    AdmitOutcome, BatchOut, BatchRunner, BatchServerConfig, Scheduler, StepBackend,
+    AdmitOutcome, BatchServerConfig, Engine, GenOut, GenRequest, ReplicaFactory, StepBackend,
     StepBackendFactory, SubmitError,
 };
 pub use http::{HttpServer, Request, Response, StatusCode};
 pub use json::Json;
 pub use router::Router;
-pub use worker::WorkerPool;

@@ -64,9 +64,9 @@ const BLESSED_KERNELS: &str = "crates/tensor/src/ops/";
 const SCATTER_FNS: &[&str] = &["scatter_mut", "parallel_rows_mut", "from_raw_parts_mut"];
 
 /// Backend hand-off methods: a serving handler calling one of these
-/// gives the request away (worker pool or batch runner), so the request
-/// span must already be open.
-const BACKEND_ENTRY: &[&str] = &["execute", "submit", "submit_traced"];
+/// gives the request away to the serving engine, so the request span
+/// must already be open.
+const BACKEND_ENTRY: &[&str] = &["submit"];
 
 fn everywhere(_ctx: &FileCtx) -> bool {
     true
@@ -162,9 +162,8 @@ static CATALOGUE: [Rule; 9] = [
     Rule {
         id: "trace-before-backend",
         summary: "serving `handle*` roots must record a request-trace phase \
-                  (`record_phase`) before handing the request to a backend \
-                  (`.execute()` / `.submit()` / `.submit_traced()`) so queue wait is \
-                  attributable per request",
+                  (`record_phase`) before handing the request to the engine \
+                  (`.submit()`) so queue wait is attributable per request",
         skip_tests: true,
         applies: serving_crate,
         check: check_trace_before_backend,
@@ -884,7 +883,7 @@ mod tests {
 
     #[test]
     fn untraced_backend_handoff_flagged() {
-        let src = "fn handle_generate(pool: &Pool, job: Job) {\n    pool.execute(job);\n}\n";
+        let src = "fn handle_generate(engine: &Engine, job: Job) {\n    engine.submit(job);\n}\n";
         assert_eq!(
             rules_hit("crates/serving/src/x.rs", src),
             vec![("trace-before-backend", 2)]
@@ -893,17 +892,17 @@ mod tests {
 
     #[test]
     fn traced_backend_handoff_clean() {
-        let src = "fn handle_generate(t: &Trace, pool: &Pool, job: Job) {\n    t.record_phase(Phase::Enqueue, 0, 0);\n    pool.execute(job);\n}\n";
+        let src = "fn handle_generate(t: &Trace, engine: &Engine, job: Job) {\n    t.record_phase(Phase::Enqueue, 0, 0);\n    engine.submit(job);\n}\n";
         assert!(rules_hit("crates/serving/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn trace_rule_only_covers_serving_handlers() {
         // Not a `handle*` root: the worker owns an already-open span.
-        let worker = "fn run_worker(pool: &Pool, job: Job) {\n    pool.execute(job);\n}\n";
+        let worker = "fn run_worker(engine: &Engine, job: Job) {\n    engine.submit(job);\n}\n";
         assert!(rules_hit("crates/serving/src/x.rs", worker).is_empty());
         // Same source outside the serving crate: out of scope.
-        let src = "fn handle_generate(pool: &Pool, job: Job) {\n    pool.execute(job);\n}\n";
+        let src = "fn handle_generate(engine: &Engine, job: Job) {\n    engine.submit(job);\n}\n";
         assert!(rules_hit("crates/models/src/x.rs", src).is_empty());
         // A handler with no backend hand-off has nothing to gate.
         let pure = "fn handle_health() -> Response {\n    render()\n}\n";

@@ -1,24 +1,26 @@
 //! Seeded trace-before-backend violations: the hand-offs on lines 6 and
-//! 17 give the request to a backend before recording any trace phase.
+//! 17 give the request to the engine before recording any trace phase.
 //! The traced handler, the worker helper and the span-free handler are clean.
 
-fn handle_generate(pool: &Pool, job: Job) -> Response {
-    pool.execute(job)
+fn handle_generate(engine: &Engine, job: Job) -> Response {
+    engine.submit(job)
 }
 
-fn handle_generate_traced(req: &Request, pool: &Pool, job: Job) -> Response {
+fn handle_generate_traced(req: &Request, engine: &Engine, job: Job) -> Response {
     if let Some(t) = &req.trace {
         t.record_phase(Phase::Enqueue, 0, 0);
     }
-    pool.execute(job)
+    engine.submit(job)
 }
 
-fn handle_generate_batched(runner: &Runner, pantry: Vec<String>) -> Response {
-    runner.submit_traced(pantry, None, None)
+fn handle_generate_late(req: &Request, engine: &Engine, job: Job) -> Response {
+    let out = engine.submit(job);
+    req.trace.record_phase(Phase::Enqueue, 0, 0);
+    out
 }
 
-fn requeue_worker(runner: &Runner, pantry: Vec<String>) -> Response {
-    runner.submit(pantry, None)
+fn requeue_worker(engine: &Engine, job: Job) -> Response {
+    engine.submit(job)
 }
 
 fn handle_healthz() -> Response {
@@ -29,6 +31,6 @@ fn handle_healthz() -> Response {
 mod tests {
     #[test]
     fn handle_exempt() {
-        pool().execute(job());
+        engine().submit(job());
     }
 }

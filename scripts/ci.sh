@@ -28,6 +28,24 @@ if [ "$xlint_ms" -ge 5000 ]; then
     exit 1
 fi
 
+echo "== one serving engine (grep gate over crates/serving/src, test modules excluded) =="
+# The second route table and the pool came from adding a path beside
+# the first; this fails the build if either starts to come back.
+routers=0
+for f in crates/serving/src/*.rs; do
+    # Non-test source: everything above the file's `#[cfg(test)]`.
+    src=$(sed '/^#\[cfg(test)\]/,$d' "$f")
+    routers=$(( routers + $(grep -c 'Router::new()' <<<"$src" || true) ))
+    if grep -nE 'WorkerPool|submit_traced|generate_traced|admit_traced' <<<"$src"; then
+        echo "serving: $f names a deleted serving path (see above)" >&2
+        exit 1
+    fi
+done
+if [ "$routers" -gt 1 ]; then
+    echo "serving: $routers \`Router::new()\` route tables outside tests; there is one, in api.rs" >&2
+    exit 1
+fi
+
 echo "== build (release, warnings are errors) =="
 cargo build --workspace --release --offline
 

@@ -1,7 +1,7 @@
-//! Serving-stack integration: trained model → worker-pool replicas →
-//! HTTP server → client → JSON → structured recipe — and the
-//! continuous-batching path: trained model → batch runner → blocked KV
-//! cache → byte-identical responses under concurrency.
+//! Serving-stack integration: trained model → engine replicas (`K × 1`)
+//! → HTTP server → client → JSON → structured recipe — and the
+//! continuous-batching shape (`1 × B`): trained model → engine → blocked
+//! KV cache → byte-identical responses under concurrency.
 
 use ratatouille::models::batch::BatchEngineConfig;
 use ratatouille::models::registry::ModelKind;
@@ -178,7 +178,7 @@ fn healthz_and_metrics_endpoints() {
         "http_requests_total",
         "http_request_ns",
         "decode_token_ns",
-        "serving_queue_wait_ns",
+        "request_queue_wait_ns",
         "train_tokens_per_sec",
         "generate_latency_ns",
     ] {
@@ -263,15 +263,8 @@ fn batched_server_coalesces_and_matches_solo_goldens() {
             prefix_cap: 16,
         })
         .expect("gpt2 is batch-capable");
-    let server = ApiServer::start_batched(
-        "127.0.0.1:0",
-        BatchServerConfig {
-            coalesce_wait_ms: 5,
-            ..BatchServerConfig::default()
-        },
-        factory,
-    )
-    .unwrap();
+    let server =
+        ApiServer::start_batched("127.0.0.1:0", BatchServerConfig::default(), factory).unwrap();
     let addr = server.addr();
     let client = HttpClient::new(addr);
 
