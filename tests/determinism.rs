@@ -307,6 +307,118 @@ fn int8_solo_decode_golden_fingerprint_is_frozen() {
     }
 }
 
+/// The model and request of the three solo-stream goldens below: the
+/// 16/32 golden shape with every parameter perturbed by up to ±0.5 (see
+/// [`int8_solo_decode_golden_fingerprint_is_frozen`] for why), a 5-token
+/// prompt and 40 sampled tokens, so the stream's context ends at 45.
+fn solo_golden_model(name: &str, max_t: usize, local_window: Option<usize>) -> ratatouille::models::gpt2::Gpt2Lm {
+    use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
+    use ratatouille::models::lm::LanguageModel;
+    use ratatouille_util::rng::RngExt;
+
+    let model = Gpt2Lm::new(Gpt2Config {
+        name: name.into(),
+        vocab: 32,
+        d_model: 16,
+        n_heads: 2,
+        n_layers: 2,
+        d_ff: 32,
+        max_t,
+        local_window,
+        dropout: 0.0,
+        seed: 1234,
+    });
+    let mut rng = StdRng::seed_from_u64(4321);
+    for (_, p) in model.named_parameters() {
+        let v = p.value();
+        let data = v.data().iter().map(|&x| x + rng.random::<f32>() - 0.5).collect();
+        p.set_value(Tensor::from_vec(data, v.dims()).unwrap());
+    }
+    model
+}
+
+const SOLO_GOLDEN_PROMPT: [u32; 5] = [3, 17, 9, 28, 1];
+const SOLO_GOLDEN_SEED: u64 = 77;
+
+fn solo_golden_sampler() -> ratatouille::models::sample::SamplerConfig {
+    ratatouille::models::sample::SamplerConfig {
+        max_tokens: 40,
+        temperature: 0.9,
+        top_k: 0,
+        top_p: 1.0,
+        stop_token: None,
+        greedy: false,
+    }
+}
+
+/// Decode the golden request through `model`'s solo stream at 1 and 3
+/// tensor threads and return the (thread-invariant) token stream.
+fn solo_golden_tokens(model: &dyn ratatouille::models::lm::InferenceModel) -> Vec<u32> {
+    use ratatouille::models::sample::generate;
+    use ratatouille::tensor::par;
+
+    let run = |threads: usize| {
+        par::set_num_threads(threads);
+        let mut rng = StdRng::seed_from_u64(SOLO_GOLDEN_SEED);
+        let tokens = generate(model, &SOLO_GOLDEN_PROMPT, &solo_golden_sampler(), &mut rng);
+        par::set_num_threads(0);
+        tokens
+    };
+    let tokens = run(1);
+    assert_eq!(tokens.len(), 40);
+    assert_eq!(run(3), tokens, "{}: thread count changed the stream", model.name());
+    tokens
+}
+
+fn token_fingerprint(tokens: &[u32]) -> u64 {
+    fingerprint(tokens.iter().map(|t| t.to_le_bytes()))
+}
+
+/// Golden fingerprint for an f32 solo *sampled* stream that decodes
+/// past `max_t` — the serving budget's everyday case (prompt + 260
+/// tokens against `max_t = 256`): 45 positions against 16 learned ones,
+/// so the KV store grows twice mid-recipe and positions clamp to the
+/// last learned slot. Frozen at the commit before the KV stores were
+/// unified.
+#[test]
+fn f32_solo_decode_past_max_t_golden_fingerprint_is_frozen() {
+    let model = solo_golden_model("golden-f32-long", 16, None);
+    let tokens = solo_golden_tokens(&model);
+    let fp = token_fingerprint(&tokens);
+    assert_eq!(
+        fp, 0x16ae_534e_3ec1_339a,
+        "f32 solo decode past max_t changed: {fp:#x} ({tokens:?})"
+    );
+}
+
+/// The same stream through the int8 weight set (f16 K/V rows).
+#[test]
+fn int8_solo_decode_past_max_t_golden_fingerprint_is_frozen() {
+    use ratatouille::models::lm::LanguageModel;
+
+    let int8 = solo_golden_model("golden-int8-long", 16, None).quantized().expect("gpt2 offers int8");
+    let tokens = solo_golden_tokens(&*int8);
+    let fp = token_fingerprint(&tokens);
+    assert_eq!(
+        fp, 0x5043_914e_c8b3_d771,
+        "int8 solo decode past max_t changed: {fp:#x} ({tokens:?})"
+    );
+}
+
+/// Golden fingerprint for a GPT-Neo (`local_window`) solo stream whose
+/// context (45) exceeds the window (8): the odd layer reads only the
+/// trailing window for most of the recipe.
+#[test]
+fn windowed_solo_decode_golden_fingerprint_is_frozen() {
+    let model = solo_golden_model("golden-neo", 64, Some(8));
+    let tokens = solo_golden_tokens(&model);
+    let fp = token_fingerprint(&tokens);
+    assert_eq!(
+        fp, 0x7aee_d84d_30ab_ee25,
+        "windowed solo decode changed: {fp:#x} ({tokens:?})"
+    );
+}
+
 /// Golden corpus fingerprint: the seed-42, 60-recipe corpus hashes to a
 /// frozen value. This pins the full chain — PRNG bit stream, grammar
 /// sampling order, defect injection — in one number.
