@@ -17,7 +17,7 @@
 //!
 //! Decoding, solo or batched, f32 or int8, is one function
 //! ([`DecodeWeights::logits`]) over one per-block step body
-//! ([`DecodeBlock::decode_step`]).
+//! ([`DecodeBlock::decode_step`]) and one KV store ([`BlockPool`]).
 
 use std::sync::Arc;
 
@@ -27,9 +27,9 @@ use ratatouille_tensor::ops::{qmatmul_transb, quantize_per_row, QuantizedMatrix}
 use ratatouille_tensor::{init, ops, DType, Element, Tensor, Var, F16};
 
 use crate::batch::{BatchStepModel, ModelDims};
-use crate::kv_block::{BlockPool, SeqKv};
+use crate::kv_block::{BlockConfig, BlockPool, SeqKv};
 use crate::lm::{Batch, InferenceModel, LanguageModel, TokenStream};
-use crate::transformer::{BatchScratch, Block, DecodeBlock, KvSeam, Linear, PagedKv, StreamKv};
+use crate::transformer::{BatchScratch, Block, DecodeBlock, Linear, PagedKv};
 
 /// GPT-2 hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +159,7 @@ impl Gpt2Lm {
 
     /// Snapshot this model into an int8 weight-quantized inference-only
     /// copy. Weights are quantized per output row; embeddings, layer
-    /// norms and biases stay f32; the decode KV cache stores f16.
+    /// norms and biases stay f32; the decode KV rows are stored as f16.
     pub fn quantize(&self) -> QuantGpt2Lm {
         QuantGpt2Lm {
             name: format!("{} [int8]", self.config.name),
@@ -237,12 +237,18 @@ impl DecodeWeights {
     /// One decode step: feed `tokens[i]` at `positions[i]` and return the
     /// next-token logits `[B, V]`. K/V rows go to, and attention reads
     /// from, `kv`.
-    fn logits(&self, cfg: &Gpt2Config, tokens: &[u32], positions: &[usize], kv: &mut impl KvSeam) -> Tensor {
+    fn logits<E: Element>(
+        &self,
+        cfg: &Gpt2Config,
+        tokens: &[u32],
+        positions: &[usize],
+        kv: &mut PagedKv<'_, '_, E>,
+    ) -> Tensor {
         let d = cfg.d_model;
         // Stacked token + position embeddings, [B, D]. Positions clamp to
-        // the last learned slot so generation can exceed max_t: the cache
-        // keeps full history (degrades gracefully rather than panicking
-        // mid-recipe).
+        // the last learned slot so generation can exceed max_t: the KV
+        // store keeps full history (degrades gracefully rather than
+        // panicking mid-recipe).
         let mut x = Vec::with_capacity(tokens.len() * d);
         for (&tok, &pos) in tokens.iter().zip(positions) {
             assert!((tok as usize) < cfg.vocab, "token {tok} out of vocab");
@@ -254,7 +260,7 @@ impl DecodeWeights {
         // xlint: allow(transitive-panic-in-request-path): each token appends exactly `d` floats, so the buffer is `b * d` by construction
         let mut x = Tensor::from_vec(x, &[tokens.len(), d]).expect("embeddings are [B, D]");
         for (layer, blk) in self.blocks.iter().enumerate() {
-            x = blk.decode_step(&x, cfg.n_heads, layer, kv);
+            x = blk.decode_step(&x, cfg.n_heads, layer, cfg.layer_window(layer), kv);
         }
         let (ln, _, _) = ops::layer_norm(&x, &self.lnf_g, &self.lnf_b, 1e-5);
         match &self.head_q {
@@ -268,19 +274,25 @@ impl DecodeWeights {
         if self.head_q.is_some() { DType::I8 } else { DType::F32 }
     }
 
-    /// Begin a solo stream over these weights, its per-layer KV caches
-    /// storing `E`.
-    fn stream<'m, E: Element + 'm>(self: Arc<Self>, cfg: &'m Gpt2Config) -> Box<dyn TokenStream + 'm> {
-        let windows = (0..cfg.n_layers).map(|layer| cfg.layer_window(layer));
-        Box::new(Gpt2Stream {
+    /// Begin a solo stream over these weights, its K/V rows stored as
+    /// `E`.
+    fn stream<E: Element>(self: Arc<Self>, cfg: &Gpt2Config) -> Gpt2Stream<'_, E> {
+        Gpt2Stream {
             config: cfg,
-            kv: StreamKv::<E>::new(cfg.d_model, cfg.max_t, windows),
-            pos: 0,
+            // Nothing is allocated until the first push.
+            pool: BlockPool::new(BlockConfig {
+                layers: cfg.n_layers,
+                d: cfg.d_model,
+                block_tokens: cfg.max_t,
+                num_blocks: 0,
+            }),
+            seq: SeqKv::new(),
+            scratch: BatchScratch::new(),
             // Resolved once per stream, not per token: the static_* macros
             // cache per call site, which a dynamic label would defeat.
             push_ns: obs::metrics::histogram(&format!("gpt2_push_ns{{dtype=\"{}\"}}", self.dtype().name())),
             weights: self,
-        })
+        }
     }
 }
 
@@ -298,7 +310,7 @@ impl InferenceModel for Gpt2Lm {
     }
 
     fn start_stream(&self) -> Box<dyn TokenStream + '_> {
-        Arc::new(self.decode_weights(DType::F32)).stream::<f32>(&self.config)
+        Box::new(Arc::new(self.decode_weights(DType::F32)).stream::<f32>(&self.config))
     }
 
     fn batch_model(&self) -> Option<&dyn BatchStepModel> {
@@ -325,11 +337,8 @@ impl BatchStepModel for Gpt2Lm {
     /// GEMMs here are `x@W_qkv` (`N = 3D`), `ctx@W_o` (`N = D`),
     /// `ln@W_up` (`N = F`) and `up@W_down` (`N = D`); the LM head is a
     /// `matmul_transb` (independent dots, invariant for any `V`).
-    ///
-    /// A windowed (GPT-Neo) config is not batch-ready: the paged seam
-    /// attends to the full prefix only.
     fn batch_ready(&self) -> bool {
-        self.config.d_model % 16 == 0 && self.config.d_ff % 16 == 0 && self.config.local_window.is_none()
+        self.config.d_model % 16 == 0 && self.config.d_ff % 16 == 0
     }
 
     fn batch_step(
@@ -389,8 +398,9 @@ impl LanguageModel for Gpt2Lm {
 ///
 /// Built from a trained [`Gpt2Lm`] via [`Gpt2Lm::quantize`]: the int8
 /// weight set under the f32 model's config. Decoding uses the int8 GEMM
-/// for all projections and an [`F16`] KV cache. It offers no
-/// `batch_model()` — the block pool stores f32 rows only.
+/// for all projections and [`F16`] K/V rows. It offers no `batch_model()`
+/// yet: [`BatchStepModel`] and the engine that drives it name the f32
+/// pool.
 pub struct QuantGpt2Lm {
     name: String,
     config: Gpt2Config,
@@ -422,35 +432,51 @@ impl InferenceModel for QuantGpt2Lm {
     }
 
     fn start_stream(&self) -> Box<dyn TokenStream + '_> {
-        self.weights.clone().stream::<F16>(&self.config)
+        Box::new(self.weights.clone().stream::<F16>(&self.config))
     }
 }
 
-/// Incremental decoding state for either dtype: a weight set plus one
-/// contiguous KV cache per block (`E = f32` under f32 weights, [`F16`]
-/// under int8).
+/// Incremental decoding state for either dtype: a weight set plus a
+/// private [`BlockPool`] (`E = f32` under f32 weights, [`F16`] under
+/// int8) whose block is the config's whole context — one block per layer
+/// lane, so each layer's rows are contiguous and attention reads them as
+/// one run — and the one sequence in it, a batch of one.
 struct Gpt2Stream<'m, E: Element> {
     config: &'m Gpt2Config,
     weights: Arc<DecodeWeights>,
-    kv: StreamKv<E>,
-    pos: usize,
+    pool: BlockPool<E>,
+    seq: SeqKv,
+    scratch: BatchScratch,
     push_ns: Arc<obs::metrics::Histogram>,
 }
 
 impl<E: Element> TokenStream for Gpt2Stream<'_, E> {
     fn push(&mut self, token: u32) -> Tensor {
         let push_start = obs::Clock::now();
+        let pos = self.seq.len();
+        if pos == self.seq.capacity() {
+            // The first token, or the sequence has outlived `max_t`: the
+            // pool gains the block the sequence then takes.
+            self.pool.grow(1);
+            self.seq.reserve_for(&mut self.pool, pos + 1).expect("the pool just grew by a block");
+        }
+        self.seq.prepare_write(&mut self.pool).expect("an unshared tail block is never copied");
+        let mut kv = PagedKv {
+            pool: &mut self.pool,
+            seqs: &mut [&mut self.seq],
+            scratch: &mut self.scratch,
+        };
         let logits = self
             .weights
-            .logits(self.config, &[token], &[self.pos], &mut self.kv)
+            .logits(self.config, &[token], &[pos], &mut kv)
             .reshape(&[self.config.vocab]);
-        self.pos += 1;
+        self.seq.commit();
         self.push_ns.observe(push_start.elapsed_ns());
         logits
     }
 
     fn position(&self) -> usize {
-        self.pos
+        self.seq.len()
     }
 }
 
@@ -564,7 +590,7 @@ mod tests {
 
     #[test]
     fn quantized_stream_matches_trained_cycle() {
-        // The int8 model (f16 KV cache, windowed local layers for the Neo
+        // The int8 model (f16 K/V rows, windowed local layers for the Neo
         // config) must preserve the f32 stream's confidently-learned
         // predictions — run past the window (4) so local layers actually
         // truncate.
@@ -573,7 +599,7 @@ mod tests {
             let q = m.quantize();
             assert_eq!(InferenceModel::name(&q), format!("{} [int8]", m.config.name));
             assert_eq!(InferenceModel::dtype(&q), DType::I8);
-            assert!(q.batch_model().is_none(), "the block pool is f32-only");
+            assert!(q.batch_model().is_none(), "the engine names the f32 pool");
             let mut s32 = m.start_stream();
             let mut sq = InferenceModel::start_stream(&q);
             for i in 0..10 {
@@ -606,7 +632,6 @@ mod tests {
             local_window: Some(8),
             ..tiny().config
         });
-        assert!(m.batch_model().is_none(), "the paged seam has no window");
         train_cycle(&m, 30, 4); // off the zero-bias, unit-gain init
         let history: Vec<u32> = (0..40u32).map(|i| (i * 7 + 3) % 16).collect();
         let batch = Batch {
@@ -628,6 +653,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A stream's block is its whole context: within `max_t` the arena is
+    /// allocated once, on the first push, and never moves; past `max_t`
+    /// the stream takes a second block and keeps decoding.
+    #[test]
+    fn stream_within_max_t_never_moves_its_arena() {
+        let m = tiny();
+        let max_t = m.config.max_t;
+        let mut s = m.quantize().weights.clone().stream::<F16>(&m.config);
+        assert_eq!(s.pool.config().num_blocks, 0, "start_stream allocated the arena up front");
+        let row0 = |s: &Gpt2Stream<'_, F16>| s.seq.layer_view(&s.pool, 0, 1).k_row(0).as_ptr();
+        s.push(2);
+        let arena = row0(&s);
+        for i in 1..max_t {
+            s.push(2 + (i % 4) as u32);
+            assert_eq!(row0(&s), arena, "push {i} moved the arena");
+        }
+        assert_eq!((s.pool.config().num_blocks, s.seq.table().len()), (1, 1));
+        s.push(3);
+        assert_eq!((s.pool.config().num_blocks, s.seq.table().len()), (2, 2));
+        assert_eq!(s.position(), max_t + 1);
+    }
+
+    #[test]
+    fn neo_small_is_batch_ready() {
+        // The one KV store honours windows, so GPT-Neo batches like GPT-2.
+        assert!(Gpt2Lm::new(Gpt2Config::neo_small(64)).batch_model().is_some());
+        assert!(tiny_neo().batch_model().is_some());
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Block-allocated KV-cache storage for continuous batching (the paged
-//! KV cache of vLLM, Kwon et al. 2023, scaled to this workspace).
+//! The KV store: block-allocated K/V rows for every decode path (the
+//! paged KV cache of vLLM, Kwon et al. 2023, scaled to this workspace).
 //!
-//! The contiguous [`crate::transformer::KvCache`] grows one flat buffer
-//! per (sequence, layer) pair — fine for a single stream, wasteful for a
-//! batch: every admitted request would reserve worst-case contiguous
-//! space, and identical pantry-prompt prefixes would be recomputed and
-//! stored once per request. This module replaces it on the batched path:
+//! One store serves both callers; they differ only in the geometry they
+//! hand [`BlockPool::new`]. The batch engine takes many small blocks
+//! (16 tokens), so admitted requests reserve what they need instead of a
+//! worst-case contiguous buffer and identical pantry-prompt prefixes are
+//! stored once. A solo stream takes one block per `max_t` positions of
+//! its own private pool — a block lane is `[block_tokens, d]` contiguous
+//! per (layer, K|V), so that *is* a flat per-layer cache and attention
+//! reads it as one run.
 //!
-//! * [`BlockPool`] — one preallocated arena of fixed-size *blocks*, each
-//!   holding `block_tokens` K and V rows for **all** layers, managed by a
-//!   free-list allocator with per-block refcounts;
+//! * [`BlockPool`] — an arena of fixed-size *blocks*, each holding
+//!   `block_tokens` K and V rows for **all** layers, managed by a
+//!   free-list allocator with per-block refcounts. Rows are stored as the
+//!   weight set's cache element (`f32` under f32 weights, `F16` under
+//!   int8), narrowed on write;
 //! * [`SeqKv`] — a sequence's block table: logical position `p` maps to
 //!   slot `p % block_tokens` of block `table[p / block_tokens]`.
 //!   Admission reserves the worst-case block count up front, so decode
@@ -28,6 +33,7 @@
 //! shared blocks and `decode_kv_misses_total` by the number that must be
 //! computed, which `/metrics` exposes.
 
+use ratatouille_tensor::Element;
 use ratatouille_util::collections::{det_map, DetMap};
 
 /// Geometry of a [`BlockPool`].
@@ -45,11 +51,6 @@ pub struct BlockConfig {
 }
 
 impl BlockConfig {
-    /// Floats stored per block: `layers × {K,V} × block_tokens × d`.
-    pub fn block_floats(&self) -> usize {
-        self.layers * 2 * self.block_tokens * self.d
-    }
-
     /// Blocks needed to hold `tokens` positions.
     pub fn blocks_for(&self, tokens: usize) -> usize {
         tokens.div_ceil(self.block_tokens)
@@ -68,41 +69,64 @@ impl std::fmt::Display for PoolExhausted {
 
 impl std::error::Error for PoolExhausted {}
 
-/// A fixed arena of KV blocks with a free-list allocator and per-block
+/// An arena of KV blocks with a free-list allocator and per-block
 /// refcounts.
 ///
-/// All storage is f32 (the batched decode path is f32; the quantized
-/// stream keeps its own contiguous f16 cache). Blocks are recycled
-/// through a LIFO free list, so allocation order — and therefore every
-/// block id a request observes — is a pure function of the admission
-/// sequence: no addresses, no hashing, nothing nondeterministic.
+/// Rows are stored as `E`, the cache element of the weight set that
+/// decodes against the pool: `f32` rows verbatim under f32 weights,
+/// [`ratatouille_tensor::F16`] (round-to-nearest-even, half the memory)
+/// under int8. New rows always arrive as f32 — the step body computes in
+/// f32 — and are narrowed on write. Blocks are recycled through a LIFO
+/// free list, so allocation order — and therefore every block id a
+/// request observes — is a pure function of the admission sequence: no
+/// addresses, no hashing, nothing nondeterministic.
+///
+/// The arena's memory is reserved when blocks are added and touched only
+/// as rows are written, so a pool costs what its sequences have used, not
+/// what they might.
 #[derive(Debug)]
-pub struct BlockPool {
+pub struct BlockPool<E: Element = f32> {
     cfg: BlockConfig,
-    /// `[num_blocks][layers][2][block_tokens][d]`, K rows then V rows per
-    /// layer.
-    data: Vec<f32>,
+    /// One lane per (layer, K|V), each `[num_blocks][block_tokens][d]`
+    /// with capacity for every block and a length that ends at the
+    /// highest row written so far.
+    lanes: Vec<Vec<E>>,
     /// Reference count per block; 0 = on the free list.
     refcounts: Vec<u32>,
     /// LIFO stack of free block ids.
     free: Vec<u32>,
 }
 
-impl BlockPool {
-    /// Preallocate the arena. All blocks start free.
+impl<E: Element> BlockPool<E> {
+    /// Reserve the arena. All blocks start free.
     pub fn new(cfg: BlockConfig) -> Self {
         assert!(cfg.block_tokens > 0, "block_tokens must be positive");
         assert!(cfg.d > 0 && cfg.layers > 0, "degenerate block geometry");
-        let data = vec![0.0; cfg.num_blocks * cfg.block_floats()];
-        let refcounts = vec![0; cfg.num_blocks];
-        // LIFO: block 0 is handed out first.
-        let free = (0..cfg.num_blocks as u32).rev().collect();
-        BlockPool {
-            cfg,
-            data,
-            refcounts,
-            free,
+        let mut pool = BlockPool {
+            lanes: vec![Vec::new(); cfg.layers * 2],
+            refcounts: Vec::new(),
+            free: Vec::new(),
+            cfg: BlockConfig { num_blocks: 0, ..cfg },
+        };
+        pool.grow(cfg.num_blocks);
+        pool
+    }
+
+    /// Append `extra` free blocks to the arena; the lowest new id is
+    /// handed out next (LIFO: block 0 first). Every row already written
+    /// keeps its block id, slot and bits. After construction only a solo
+    /// stream's private pool grows (when its sequence outlives `max_t`);
+    /// an engine's pool is sized once, so admission can promise a request
+    /// its worst case.
+    pub fn grow(&mut self, extra: usize) {
+        let old = self.cfg.num_blocks;
+        self.cfg.num_blocks += extra;
+        let lane_len = self.cfg.num_blocks * self.cfg.block_tokens * self.cfg.d;
+        for lane in &mut self.lanes {
+            lane.reserve_exact(lane_len - lane.len());
         }
+        self.refcounts.resize(self.cfg.num_blocks, 0);
+        self.free.extend((old as u32..self.cfg.num_blocks as u32).rev());
     }
 
     /// The pool's geometry.
@@ -150,50 +174,43 @@ impl BlockPool {
         }
     }
 
+    /// Offset of (block, slot)'s row within a lane.
     #[inline]
-    fn row_offset(&self, block: u32, layer: usize, which: usize, slot: usize) -> usize {
-        debug_assert!(layer < self.cfg.layers && slot < self.cfg.block_tokens);
-        block as usize * self.cfg.block_floats()
-            + ((layer * 2 + which) * self.cfg.block_tokens + slot) * self.cfg.d
+    fn row_offset(&self, block: u32, slot: usize) -> usize {
+        debug_assert!((block as usize) < self.cfg.num_blocks && slot < self.cfg.block_tokens);
+        (block as usize * self.cfg.block_tokens + slot) * self.cfg.d
     }
 
-    /// One cached K row.
-    pub fn k_row(&self, block: u32, layer: usize, slot: usize) -> &[f32] {
-        let o = self.row_offset(block, layer, 0, slot);
-        &self.data[o..o + self.cfg.d]
-    }
-
-    /// One cached V row.
-    pub fn v_row(&self, block: u32, layer: usize, slot: usize) -> &[f32] {
-        let o = self.row_offset(block, layer, 1, slot);
-        &self.data[o..o + self.cfg.d]
-    }
-
-    /// `n` consecutive K rows starting at `slot` of one (block, layer) —
-    /// slots within a block lane are contiguous, so a whole run is one
-    /// slice and the attention sweep can walk it without per-position
-    /// offset arithmetic.
-    pub fn k_rows(&self, block: u32, layer: usize, slot: usize, n: usize) -> &[f32] {
+    /// `n` consecutive (written) K (`which = 0`) or V (`1`) rows starting
+    /// at `slot` of one (block, layer) — slots within a block are
+    /// contiguous, so a whole run is one slice and the attention sweep
+    /// can walk it without per-position offset arithmetic.
+    fn rows(&self, block: u32, layer: usize, which: usize, slot: usize, n: usize) -> &[E] {
         debug_assert!(slot + n <= self.cfg.block_tokens);
-        let o = self.row_offset(block, layer, 0, slot);
-        &self.data[o..o + n * self.cfg.d]
+        let o = self.row_offset(block, slot);
+        &self.lanes[layer * 2 + which][o..o + n * self.cfg.d]
     }
 
-    /// `n` consecutive V rows starting at `slot` of one (block, layer).
-    pub fn v_rows(&self, block: u32, layer: usize, slot: usize, n: usize) -> &[f32] {
-        debug_assert!(slot + n <= self.cfg.block_tokens);
-        let o = self.row_offset(block, layer, 1, slot);
-        &self.data[o..o + n * self.cfg.d]
+    /// Rows `o..o + n` of `lane`, first extending the lane (zero-filled,
+    /// inside its reserved capacity) if nothing that high was written yet.
+    fn rows_mut(lane: &mut Vec<E>, o: usize, n: usize) -> &mut [E] {
+        if lane.len() < o + n {
+            lane.resize(o + n, E::default());
+        }
+        &mut lane[o..o + n]
     }
 
-    /// Write the K and V rows of one (layer, slot).
+    /// Write the K and V rows of one (layer, slot), narrowing each f32 to
+    /// the pool's element.
     pub fn write_kv(&mut self, block: u32, layer: usize, slot: usize, k: &[f32], v: &[f32]) {
         assert_eq!(k.len(), self.cfg.d);
         assert_eq!(v.len(), self.cfg.d);
-        let o = self.row_offset(block, layer, 0, slot);
-        self.data[o..o + self.cfg.d].copy_from_slice(k);
-        let o = self.row_offset(block, layer, 1, slot);
-        self.data[o..o + self.cfg.d].copy_from_slice(v);
+        let o = self.row_offset(block, slot);
+        for (lane, row) in self.lanes[layer * 2..layer * 2 + 2].iter_mut().zip([k, v]) {
+            for (dst, &x) in Self::rows_mut(lane, o, row.len()).iter_mut().zip(row) {
+                *dst = E::from_f32(x);
+            }
+        }
     }
 
     /// Copy the first `slots` token slots of every layer (K and V) from
@@ -202,20 +219,16 @@ impl BlockPool {
     fn copy_prefix_slots(&mut self, src: u32, dst: u32, slots: usize) {
         debug_assert!(slots <= self.cfg.block_tokens);
         assert_ne!(src, dst, "CoW copy onto itself");
-        let bf = self.cfg.block_floats();
-        let (s, d) = (src as usize * bf, dst as usize * bf);
-        let row_span = self.cfg.block_tokens * self.cfg.d;
+        if slots == 0 {
+            // A fork taken before `src`'s first write: no row to copy, and
+            // `src` may lie wholly above what the lanes hold.
+            return;
+        }
+        let (s, d) = (self.row_offset(src, 0), self.row_offset(dst, 0));
         let n = slots * self.cfg.d;
-        // Blocks are disjoint `bf`-sized arenas, so splitting at the later
-        // block's base yields one borrow over each.
-        let (left, right) = self.data.split_at_mut(s.max(d));
-        for lane in 0..self.cfg.layers * 2 {
-            let base = lane * row_span;
-            if s < d {
-                right[base..base + n].copy_from_slice(&left[s + base..s + base + n]);
-            } else {
-                left[d + base..d + base + n].copy_from_slice(&right[base..base + n]);
-            }
+        for lane in &mut self.lanes {
+            Self::rows_mut(lane, d, n);
+            lane.copy_within(s..s + n, d);
         }
     }
 }
@@ -263,7 +276,7 @@ impl SeqKv {
     /// those refcounts transfers to this sequence.
     ///
     /// Must be called on an empty sequence before any reservation.
-    pub fn adopt_shared(&mut self, pool: &BlockPool, blocks: Vec<u32>) {
+    pub fn adopt_shared<E: Element>(&mut self, pool: &BlockPool<E>, blocks: Vec<u32>) {
         assert!(self.table.is_empty() && self.len == 0, "adopt into used seq");
         let bt = pool.config().block_tokens;
         self.len = blocks.len() * bt;
@@ -275,7 +288,7 @@ impl SeqKv {
     /// the admission-time worst-case reservation: after it succeeds, no
     /// decode step on this sequence can run out of blocks. On failure the
     /// sequence is left unchanged (no partial allocation).
-    pub fn reserve_for(&mut self, pool: &mut BlockPool, total_tokens: usize) -> Result<(), PoolExhausted> {
+    pub fn reserve_for<E: Element>(&mut self, pool: &mut BlockPool<E>, total_tokens: usize) -> Result<(), PoolExhausted> {
         let need = pool.config().blocks_for(total_tokens);
         let extra = need.saturating_sub(self.table.len());
         if extra > pool.free_blocks() {
@@ -294,7 +307,7 @@ impl SeqKv {
     /// has not yet diverged), copy-on-write its committed slots into a
     /// fresh block. Call once per decode step, before the layer loop —
     /// blocks hold all layers, so one CoW covers every layer's write.
-    pub fn prepare_write(&mut self, pool: &mut BlockPool) -> Result<(), PoolExhausted> {
+    pub fn prepare_write<E: Element>(&mut self, pool: &mut BlockPool<E>) -> Result<(), PoolExhausted> {
         let bt = pool.config().block_tokens;
         assert!(self.len < self.capacity, "write past reserved capacity");
         let idx = self.len / bt;
@@ -310,7 +323,7 @@ impl SeqKv {
 
     /// Write layer `layer`'s K/V rows for position `len` (after
     /// [`SeqKv::prepare_write`] this step).
-    pub fn write(&self, pool: &mut BlockPool, layer: usize, k: &[f32], v: &[f32]) {
+    pub fn write<E: Element>(&self, pool: &mut BlockPool<E>, layer: usize, k: &[f32], v: &[f32]) {
         let bt = pool.config().block_tokens;
         debug_assert!(self.len < self.capacity);
         pool.write_kv(self.table[self.len / bt], layer, self.len % bt, k, v);
@@ -324,7 +337,7 @@ impl SeqKv {
     /// A copy-on-write clone: shares every block (including the partial
     /// tail) by refcount; the first divergent write triggers CoW via
     /// [`SeqKv::prepare_write`].
-    pub fn fork(&self, pool: &mut BlockPool) -> SeqKv {
+    pub fn fork<E: Element>(&self, pool: &mut BlockPool<E>) -> SeqKv {
         for &b in &self.table {
             pool.retain(b);
         }
@@ -336,7 +349,7 @@ impl SeqKv {
     }
 
     /// Release every block reference. The sequence becomes empty.
-    pub fn release_all(&mut self, pool: &mut BlockPool) {
+    pub fn release_all<E: Element>(&mut self, pool: &mut BlockPool<E>) {
         for b in self.table.drain(..) {
             pool.release(b);
         }
@@ -346,7 +359,7 @@ impl SeqKv {
 
     /// One layer's read view over positions `0..reader_len` — hand
     /// `self.len() + 1` during a step to include the just-written row.
-    pub fn layer_view<'a>(&'a self, pool: &'a BlockPool, layer: usize, reader_len: usize) -> SeqLayerKv<'a> {
+    pub fn layer_view<'a, E: Element>(&'a self, pool: &'a BlockPool<E>, layer: usize, reader_len: usize) -> SeqLayerKv<'a, E> {
         debug_assert!(reader_len <= self.capacity);
         SeqLayerKv {
             pool,
@@ -358,15 +371,14 @@ impl SeqKv {
 }
 
 /// Read access to one (sequence, layer) slice of the pool, in logical
-/// position order — the paged equivalent of a contiguous
-/// [`crate::transformer::KvCache`] for the attention kernel.
+/// position order — what the attention kernel reads.
 ///
 /// Holds only shared references to the pool and the block table, so it
 /// is `Send + Sync` by construction: the parallel attention sweep hands
 /// one view per sequence to the worker pool while the caller's `&mut
 /// BlockPool` is reborrowed shared for the duration of the sweep.
-pub struct SeqLayerKv<'a> {
-    pool: &'a BlockPool,
+pub struct SeqLayerKv<'a, E: Element = f32> {
+    pool: &'a BlockPool<E>,
     table: &'a [u32],
     layer: usize,
     len: usize,
@@ -379,33 +391,48 @@ const _: fn() = || {
     assert_send_sync::<SeqLayerKv<'_>>();
 };
 
-impl crate::transformer::KvRows for SeqLayerKv<'_> {
-    type Elem = f32;
-
-    fn len(&self) -> usize {
+impl<E: Element> SeqLayerKv<'_, E> {
+    /// Number of readable positions.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn k_row(&self, pos: usize) -> &[f32] {
-        let bt = self.pool.config().block_tokens;
-        self.pool.k_row(self.table[pos / bt], self.layer, pos % bt)
+    /// Whether no positions are readable.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn v_row(&self, pos: usize) -> &[f32] {
-        let bt = self.pool.config().block_tokens;
-        self.pool.v_row(self.table[pos / bt], self.layer, pos % bt)
+    /// The cached K row of `pos`.
+    pub fn k_row(&self, pos: usize) -> &[E] {
+        self.k_run(pos, pos + 1)
     }
 
-    fn k_run(&self, pos: usize, end: usize) -> &[f32] {
+    /// The cached V row of `pos`.
+    pub fn v_row(&self, pos: usize) -> &[E] {
+        self.v_run(pos, pos + 1)
+    }
+
+    /// The longest storage-contiguous run of K rows starting at `pos`
+    /// and not reaching past `end`, as one flat `[n * d]` slice: it ends
+    /// at `end` or at the block boundary, whichever comes first. The
+    /// attention kernel walks the cache run by run, so the inner loop is
+    /// plain contiguous memory with one block-table lookup per block
+    /// instead of per position — and a sequence inside one block is one
+    /// run.
+    pub fn k_run(&self, pos: usize, end: usize) -> &[E] {
+        self.lane_run(0, pos, end)
+    }
+
+    /// The V-side counterpart of [`SeqLayerKv::k_run`].
+    pub fn v_run(&self, pos: usize, end: usize) -> &[E] {
+        self.lane_run(1, pos, end)
+    }
+
+    fn lane_run(&self, which: usize, pos: usize, end: usize) -> &[E] {
+        debug_assert!(pos < end && end <= self.len);
         let bt = self.pool.config().block_tokens;
         let n = (bt - pos % bt).min(end - pos);
-        self.pool.k_rows(self.table[pos / bt], self.layer, pos % bt, n)
-    }
-
-    fn v_run(&self, pos: usize, end: usize) -> &[f32] {
-        let bt = self.pool.config().block_tokens;
-        let n = (bt - pos % bt).min(end - pos);
-        self.pool.v_rows(self.table[pos / bt], self.layer, pos % bt, n)
+        self.pool.rows(self.table[pos / bt], self.layer, which, pos % bt, n)
     }
 }
 
@@ -461,7 +488,7 @@ impl PrefixCache {
     /// at least one prompt position is always computed — its logits seed
     /// generation). Returns retained blocks; bumps the KV hit/miss
     /// counters by shared/computed **prompt** token counts.
-    pub fn lookup(&self, pool: &mut BlockPool, prompt: &[u32], max_tokens: usize) -> PrefixMatch {
+    pub fn lookup<E: Element>(&self, pool: &mut BlockPool<E>, prompt: &[u32], max_tokens: usize) -> PrefixMatch {
         let bt = pool.config().block_tokens;
         let limit = (max_tokens.min(prompt.len()) / bt) * bt;
         let mut best: Option<&Vec<u32>> = None;
@@ -504,7 +531,7 @@ impl PrefixCache {
     /// the covered head of `seq`'s table. No-op if the prompt spans less
     /// than one full block or the prefix is already registered. Evicts
     /// the oldest entry (releasing its blocks) beyond capacity.
-    pub fn insert(&mut self, pool: &mut BlockPool, prompt: &[u32], seq: &SeqKv) {
+    pub fn insert<E: Element>(&mut self, pool: &mut BlockPool<E>, prompt: &[u32], seq: &SeqKv) {
         if self.cap == 0 {
             return;
         }
@@ -535,7 +562,7 @@ impl PrefixCache {
     }
 
     /// Release every registered block and clear the cache.
-    pub fn clear(&mut self, pool: &mut BlockPool) {
+    pub fn clear<E: Element>(&mut self, pool: &mut BlockPool<E>) {
         for (_, blocks) in std::mem::take(&mut self.entries) {
             for b in blocks {
                 pool.release(b);
@@ -548,7 +575,7 @@ impl PrefixCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transformer::KvRows;
+    use ratatouille_tensor::F16;
 
     fn cfg(blocks: usize) -> BlockConfig {
         BlockConfig {
@@ -559,9 +586,42 @@ mod tests {
         }
     }
 
+    /// An f32 pool of `blocks` blocks (the annotation-free `BlockPool`
+    /// of a return type is the `= f32` default).
+    fn pool(blocks: usize) -> BlockPool {
+        BlockPool::new(cfg(blocks))
+    }
+
+    #[test]
+    fn f16_pool_narrows_on_write_and_grows_in_place() {
+        let mut pool = BlockPool::<F16>::new(cfg(0));
+        assert_eq!(pool.alloc(), Err(PoolExhausted));
+        let mut seq = SeqKv::new();
+        let row = |t: usize| [0.1 * t as f32, -1.0 / 3.0, 65504.0, 1e-9];
+        for t in 0..10 {
+            if seq.len() == seq.capacity() {
+                pool.grow(1);
+                seq.reserve_for(&mut pool, t + 1).unwrap();
+            }
+            seq.prepare_write(&mut pool).unwrap();
+            seq.write(&mut pool, 1, &row(t), &row(t + 100));
+            seq.commit();
+        }
+        assert_eq!((pool.config().num_blocks, pool.free_blocks()), (3, 0));
+        assert_eq!(seq.table(), &[0, 1, 2]);
+        // Rows written before each growth read back as the narrowed f32s.
+        let view = seq.layer_view(&pool, 1, 10);
+        for t in 0..10 {
+            assert_eq!(view.k_row(t), row(t).map(F16::from_f32));
+            assert_eq!(view.v_row(t), row(t + 100).map(F16::from_f32));
+        }
+        seq.release_all(&mut pool);
+        assert_eq!(pool.free_blocks(), 3);
+    }
+
     #[test]
     fn alloc_release_roundtrip() {
-        let mut pool = BlockPool::new(cfg(3));
+        let mut pool = pool(3);
         assert_eq!(pool.free_blocks(), 3);
         let a = pool.alloc().unwrap();
         let b = pool.alloc().unwrap();
@@ -578,7 +638,7 @@ mod tests {
 
     #[test]
     fn exhaustion_is_an_error_not_a_panic() {
-        let mut pool = BlockPool::new(cfg(1));
+        let mut pool = pool(1);
         let _a = pool.alloc().unwrap();
         assert_eq!(pool.alloc(), Err(PoolExhausted));
     }
@@ -586,7 +646,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_asserts() {
-        let mut pool = BlockPool::new(cfg(2));
+        let mut pool = pool(2);
         let a = pool.alloc().unwrap();
         pool.release(a);
         pool.release(a);
@@ -594,7 +654,7 @@ mod tests {
 
     #[test]
     fn seq_write_read_across_blocks() {
-        let mut pool = BlockPool::new(cfg(4));
+        let mut pool = pool(4);
         let mut seq = SeqKv::new();
         seq.reserve_for(&mut pool, 10).unwrap();
         assert_eq!(seq.capacity(), 12);
@@ -620,7 +680,7 @@ mod tests {
 
     #[test]
     fn reserve_failure_leaves_pool_unchanged() {
-        let mut pool = BlockPool::new(cfg(2));
+        let mut pool = pool(2);
         let mut seq = SeqKv::new();
         assert_eq!(seq.reserve_for(&mut pool, 100), Err(PoolExhausted));
         assert_eq!(pool.free_blocks(), 2);
@@ -629,7 +689,7 @@ mod tests {
 
     #[test]
     fn fork_shares_then_cow_diverges() {
-        let mut pool = BlockPool::new(cfg(4));
+        let mut pool = pool(4);
         let mut a = SeqKv::new();
         a.reserve_for(&mut pool, 6).unwrap();
         for t in 0..6 {
@@ -668,7 +728,7 @@ mod tests {
 
     #[test]
     fn prefix_cache_shares_full_blocks_only() {
-        let mut pool = BlockPool::new(cfg(8));
+        let mut pool = pool(8);
         let mut cache = PrefixCache::new(4);
         let prompt: Vec<u32> = (0..10).collect(); // 2 full blocks + 2 tail tokens
 
@@ -717,7 +777,7 @@ mod tests {
         // An exact-length prompt must still compute its last token: the
         // `max_tokens = len - 1` cap means a full-prompt registration is
         // only shared up to the previous block boundary.
-        let mut pool = BlockPool::new(cfg(8));
+        let mut pool = pool(8);
         let mut cache = PrefixCache::new(4);
         let prompt: Vec<u32> = (0..8).collect(); // exactly 2 blocks
         let mut seq = SeqKv::new();
@@ -741,7 +801,7 @@ mod tests {
 
     #[test]
     fn prefix_cache_evicts_fifo() {
-        let mut pool = BlockPool::new(cfg(8));
+        let mut pool = pool(8);
         let mut cache = PrefixCache::new(2);
         let mut seqs = Vec::new();
         for p in 0..3u32 {

@@ -8,10 +8,9 @@
 //! * one pure-tensor decode step over `x: [B, D]`
 //!   ([`DecodeBlock::decode_step`]) for O(T) per-token generation (the
 //!   paper's complaint about RecipeGPT was generation latency — the KV
-//!   cache is the fix). The step varies in exactly two places: the
-//!   weights' dtype ([`Linear`]: f32 | int8) and where the K/V rows live
-//!   ([`KvSeam`]: a stream's contiguous [`KvCache`] | a batch's
-//!   [`BlockPool`] lanes).
+//!   cache is the fix). The step varies in exactly one place, the
+//!   weights' dtype ([`Linear`]: f32 | int8); K/V rows always live in a
+//!   [`BlockPool`] ([`PagedKv`]), whose element follows that dtype.
 
 use ratatouille_util::rng::StdRng;
 use ratatouille_tensor::ops::{qmatmul_transb, quantize_per_row, QuantizedMatrix, RunSpan};
@@ -246,18 +245,26 @@ impl DecodeBlock {
     /// The decode step: one new token for each of `B` sequences.
     ///
     /// `x` is `[B, D]` (row `i` is sequence `i`'s residual stream); `kv`
-    /// stores the new K/V rows of `layer` and attends. Every op here —
+    /// stores the new K/V rows of `layer` and attends, over the trailing
+    /// `window` positions if the layer is local. Every op here —
     /// `layer_norm`, the four projections, the per-sequence attention —
     /// computes each output row independently of the batch's other rows
     /// (DESIGN §10's batch-invariance argument), which is what makes a
     /// sequence's token stream identical solo or batched.
-    pub(crate) fn decode_step(&self, x: &Tensor, heads: usize, layer: usize, kv: &mut impl KvSeam) -> Tensor {
+    pub(crate) fn decode_step<E: Element>(
+        &self,
+        x: &Tensor,
+        heads: usize,
+        layer: usize,
+        window: Option<usize>,
+        kv: &mut PagedKv<'_, '_, E>,
+    ) -> Tensor {
         let (b, d) = (x.dims()[0], x.dims()[1]);
 
         let (ln, _, _) = ops::layer_norm(x, &self.ln1_g, &self.ln1_b, 1e-5);
         let qkv = self.qkv.project(&ln);
         let mut ctx = vec![0.0; b * d];
-        kv.attend(layer, qkv.data(), heads, d / heads, &mut ctx);
+        kv.attend(layer, window, qkv.data(), heads, d / heads, &mut ctx);
         // xlint: allow(transitive-panic-in-request-path): `ctx` is built as exactly `b * d` floats two lines up; the shape cannot mismatch
         let ctx = Tensor::from_vec(ctx, &[b, d]).expect("ctx is [B, D]");
         let x1 = ops::add(x, &self.o.project(&ctx));
@@ -275,60 +282,25 @@ impl DecodeBlock {
     }
 }
 
-/// Where a decode step's K/V rows live — the one place the solo and the
-/// batched decode paths differ.
-pub(crate) trait KvSeam {
-    /// Store this step's K and V rows for `layer` and attend. `qkv` is
-    /// `[B, 3D]` row-major (`q | k | v` per row, `D = heads · dh`); row
-    /// `i`'s context vector lands in `ctx[i·D..(i+1)·D]`.
-    fn attend(&mut self, layer: usize, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]);
-}
-
-/// The solo seam (`B = 1`): one contiguous [`KvCache`] per layer, each
-/// with its optional trailing attention window, plus the attention
-/// scratch the layers share (they run sequentially).
-pub(crate) struct StreamKv<E: Element> {
-    layers: Vec<(KvCache<E>, Option<usize>)>,
-    scratch: DecodeScratch,
-}
-
-impl<E: Element> StreamKv<E> {
-    /// Caches for width-`d` rows with room for `rows` positions, one per
-    /// entry of `windows` (`None` = the layer attends to the full prefix).
-    pub(crate) fn new(d: usize, rows: usize, windows: impl Iterator<Item = Option<usize>>) -> Self {
-        StreamKv {
-            layers: windows.map(|w| (KvCache::with_capacity(d, rows), w)).collect(),
-            scratch: DecodeScratch::default(),
-        }
-    }
-}
-
-impl<E: Element> KvSeam for StreamKv<E> {
-    fn attend(&mut self, layer: usize, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]) {
-        let d = heads * dh;
-        let (cache, window) = &mut self.layers[layer];
-        cache.push_slices(&qkv[d..2 * d], &qkv[2 * d..3 * d]);
-        let start = window.map_or(0, |w| cache.len().saturating_sub(w));
-        attend(&qkv[..d], heads, dh, start, cache, &mut self.scratch);
-        ctx.copy_from_slice(&self.scratch.ctx);
-    }
-}
-
-/// The batched seam: row `i`'s K/V land in `seqs[i]`'s blocks of the
-/// shared pool, and the `B` attention lanes run as one [`attend_batch`].
+/// Where a decode step's K/V rows live: row `i`'s K/V land in
+/// `seqs[i]`'s blocks of `pool`, and the `B` attention lanes run as one
+/// [`attend_batch`]. A solo stream is `B = 1` over its private pool.
 ///
 /// Every `seqs[i]` must have a writable slot prepared for this step
 /// ([`SeqKv::prepare_write`]); the row written here becomes readable at
 /// position `seqs[i].len()` (committed by the caller after all layers
 /// ran).
-pub(crate) struct PagedKv<'a, 's> {
-    pub(crate) pool: &'a mut BlockPool,
+pub(crate) struct PagedKv<'a, 's, E: Element> {
+    pub(crate) pool: &'a mut BlockPool<E>,
     pub(crate) seqs: &'a mut [&'s mut SeqKv],
     pub(crate) scratch: &'a mut BatchScratch,
 }
 
-impl KvSeam for PagedKv<'_, '_> {
-    fn attend(&mut self, layer: usize, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]) {
+impl<E: Element> PagedKv<'_, '_, E> {
+    /// Store this step's K and V rows for `layer` and attend. `qkv` is
+    /// `[B, 3D]` row-major (`q | k | v` per row, `D = heads · dh`); row
+    /// `i`'s context vector lands in `ctx[i·D..(i+1)·D]`.
+    fn attend(&mut self, layer: usize, window: Option<usize>, qkv: &[f32], heads: usize, dh: usize, ctx: &mut [f32]) {
         let d = heads * dh;
         let rows = || qkv.chunks_exact(3 * d);
         for (seq, row) in self.seqs.iter().zip(rows()) {
@@ -337,9 +309,9 @@ impl KvSeam for PagedKv<'_, '_> {
         // All K/V writes for this step are in; reborrow the pool shared
         // so every sequence's read-only layer view (including the
         // just-written row at position len) can cross worker threads.
-        let pool: &BlockPool = self.pool;
+        let pool: &BlockPool<E> = self.pool;
         let seats = self.scratch.seats(self.seqs.len());
-        let mut slots: Vec<AttnSlot<'_>> = self
+        let mut slots: Vec<AttnSlot<'_, E>> = self
             .seqs
             .iter()
             .zip(rows())
@@ -352,82 +324,12 @@ impl KvSeam for PagedKv<'_, '_> {
                 out,
             })
             .collect();
-        attend_batch(&mut slots, heads, dh);
+        attend_batch(&mut slots, heads, dh, window);
     }
 }
 
-/// Position-ordered read access to one layer's cached K/V rows.
-///
-/// The attention kernel [`attend`] is generic over this, so the same
-/// inner loops serve the contiguous per-stream [`KvCache`] and the
-/// block-allocated [`crate::kv_block::SeqLayerKv`] view of the batched
-/// pool — storage layout changes, numerics cannot.
-pub trait KvRows {
-    /// Cache storage dtype.
-    type Elem: Element;
-
-    /// Number of readable positions.
-    fn len(&self) -> usize;
-
-    /// Whether no positions are readable.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached K row of `pos`.
-    fn k_row(&self, pos: usize) -> &[Self::Elem];
-
-    /// The cached V row of `pos`.
-    fn v_row(&self, pos: usize) -> &[Self::Elem];
-
-    /// The longest storage-contiguous run of K rows starting at `pos`
-    /// and not reaching past `end`, as one flat `[n * d]` slice.
-    ///
-    /// [`attend`] walks the cache run-by-run so the inner loop is a
-    /// plain `chunks_exact` over contiguous memory instead of a
-    /// `k_row` call (with its block-table div/mod) per position. The
-    /// default is the degenerate single-row run, which is always
-    /// correct; contiguous stores override it with bigger runs.
-    fn k_run(&self, pos: usize, end: usize) -> &[Self::Elem] {
-        debug_assert!(pos < end && end <= self.len());
-        self.k_row(pos)
-    }
-
-    /// The V-side counterpart of [`KvRows::k_run`].
-    fn v_run(&self, pos: usize, end: usize) -> &[Self::Elem] {
-        debug_assert!(pos < end && end <= self.len());
-        self.v_row(pos)
-    }
-}
-
-impl<E: Element> KvRows for KvCache<E> {
-    type Elem = E;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn k_row(&self, pos: usize) -> &[E] {
-        KvCache::k_row(self, pos)
-    }
-
-    fn v_row(&self, pos: usize) -> &[E] {
-        KvCache::v_row(self, pos)
-    }
-
-    // The flat [T, D] buffers are fully contiguous: the whole remaining
-    // window is one run.
-    fn k_run(&self, pos: usize, end: usize) -> &[E] {
-        &self.k[pos * self.d..end * self.d]
-    }
-
-    fn v_run(&self, pos: usize, end: usize) -> &[E] {
-        &self.v[pos * self.d..end * self.d]
-    }
-}
-
-/// The fused incremental-attention kernel, generic over the KV-cache
-/// storage (see [`KvRows`]) and its dtype.
+/// The fused incremental-attention kernel, generic over the cache
+/// element.
 ///
 /// Scores `q` (the current position's f32 query, all heads concatenated)
 /// against cached positions `start..len`, softmaxes per head, and
@@ -436,24 +338,24 @@ impl<E: Element> KvRows for KvCache<E> {
 /// `len - window` so each position only attends to the trailing window.
 ///
 /// Both passes walk the cache in storage-contiguous runs
-/// ([`KvRows::k_run`]) and hand each whole run — all heads — to the
+/// ([`SeqLayerKv::k_run`]) and hand each whole run — all heads — to the
 /// dtype's run kernel ([`Element::score_run`] /
 /// [`Element::accumulate_run`]): one SIMD frame per run instead of one
-/// out-of-line dot or axpy per (position, head), and for block-pooled
-/// caches one block-table lookup per block instead of per position. The
-/// run kernels replay the per-position/per-head accumulation chain of
-/// the row-at-a-time loop it replaced (kept as the unit tests' oracle)
-/// operation for operation, so the results are bit-identical — run
-/// iteration changes address arithmetic and which independent chains are
-/// in flight together, never reduction order (DESIGN §10). For `E = f32` that chain is exactly the
-/// `ops::dot` / `ops::axpy` one the pre-generic code ran, so the f32
-/// decode path is bit-identical to what it was.
-pub(crate) fn attend<C: KvRows>(
+/// out-of-line dot or axpy per (position, head), and one block-table
+/// lookup per block instead of per position. The run kernels replay the
+/// per-position/per-head accumulation chain of the row-at-a-time loop it
+/// replaced (kept as the unit tests' oracle) operation for operation, so
+/// the results are bit-identical whatever the block size — run iteration
+/// changes address arithmetic and which independent chains are in flight
+/// together, never reduction order (DESIGN §10). For `E = f32` that
+/// chain is exactly the `ops::dot` / `ops::axpy` one the pre-generic
+/// code ran, so the f32 decode path is bit-identical to what it was.
+pub(crate) fn attend<E: Element>(
     q: &[f32],
     heads: usize,
     dh: usize,
     start: usize,
-    cache: &C,
+    cache: &SeqLayerKv<'_, E>,
     scratch: &mut DecodeScratch,
 ) {
     let scale = 1.0 / (dh as f32).sqrt();
@@ -473,7 +375,7 @@ pub(crate) fn attend<C: KvRows>(
     while pos < t {
         let run = cache.k_run(pos, t);
         debug_assert!(!run.is_empty() && run.len() % d == 0);
-        C::Elem::score_run(q, run, span(pos), scale, &mut scratch.scores);
+        E::score_run(q, run, span(pos), scale, &mut scratch.scores);
         pos += run.len() / d;
     }
     for h in 0..heads {
@@ -487,7 +389,7 @@ pub(crate) fn attend<C: KvRows>(
     let mut pos = start;
     while pos < t {
         let run = cache.v_run(pos, t);
-        C::Elem::accumulate_run(&scratch.probs, run, span(pos), &mut scratch.ctx);
+        E::accumulate_run(&scratch.probs, run, span(pos), &mut scratch.ctx);
         pos += run.len() / d;
     }
 }
@@ -497,14 +399,15 @@ pub(crate) fn attend<C: KvRows>(
 /// scratch seat, and the `[D]` slice of the batch context buffer its
 /// result lands in. Slots borrow disjoint data, so a `&mut [AttnSlot]`
 /// can be scattered across worker threads.
-pub(crate) struct AttnSlot<'a> {
+pub(crate) struct AttnSlot<'a, E: Element> {
     pub(crate) q: &'a [f32],
-    pub(crate) view: SeqLayerKv<'a>,
+    pub(crate) view: SeqLayerKv<'a, E>,
     pub(crate) scratch: &'a mut DecodeScratch,
     pub(crate) out: &'a mut [f32],
 }
 
-/// Execute the attention phase for a batch of prepared slots.
+/// Execute the attention phase for a batch of prepared slots, each lane
+/// over its trailing `window` positions (`None` = its full prefix).
 ///
 /// The slots fan across the persistent worker pool once the lanes carry
 /// enough arithmetic to pay for a launch (`par`'s work gate; below it
@@ -512,29 +415,30 @@ pub(crate) struct AttnSlot<'a> {
 /// the chunk→worker mapping is deterministic, and each task runs its
 /// sequence's positions strictly in order, so parallelism lives *across*
 /// sequences only and every sequence's reduction order is fixed
-/// regardless of batch composition or thread count (DESIGN §10). Wall
-/// time lands in the `attend_ns` histogram, so `/metrics` shows
-/// attention's share of a decode step.
-pub(crate) fn attend_batch(slots: &mut [AttnSlot<'_>], heads: usize, dh: usize) {
-    let start = obs::Clock::now();
+/// regardless of batch composition or thread count (DESIGN §10); a solo
+/// stream's single lane always runs on the caller. Wall time lands in the
+/// `attend_ns` histogram, so `/metrics` shows attention's share of a
+/// decode step.
+pub(crate) fn attend_batch<E: Element>(slots: &mut [AttnSlot<'_, E>], heads: usize, dh: usize, window: Option<usize>) {
+    let clock = obs::Clock::now();
+    let start = |slot: &AttnSlot<'_, E>| window.map_or(0, |w| slot.view.len().saturating_sub(w));
     // A lane's work is its score plus context pass, `2·t·d`
-    // multiply-accumulates; the mean lane is what `par` gates the
-    // fan-out on.
-    let positions: usize = slots.iter().map(|s| s.view.len()).sum();
+    // multiply-accumulates over the `t` positions it reads; the mean lane
+    // is what `par` gates the fan-out on.
+    let positions: usize = slots.iter().map(|s| s.view.len() - start(s)).sum();
     let lane_macs = 2 * positions * heads * dh / slots.len().max(1);
     // SAFETY(disjoint: slots[i] — each task owns one `AttnSlot` and writes only its own `out`/`scratch`)
     ratatouille_tensor::par::scatter_mut(slots, lane_macs, |_, slot| {
-        attend(slot.q, heads, dh, 0, &slot.view, slot.scratch);
+        attend(slot.q, heads, dh, start(slot), &slot.view, slot.scratch);
         slot.out.copy_from_slice(&slot.scratch.ctx);
     });
-    obs::static_histogram!("attend_ns").observe(start.elapsed_ns());
+    obs::static_histogram!("attend_ns").observe(clock.elapsed_ns());
 }
 
 /// Reusable buffers for [`attend`]: the attention scores/probs
 /// (`[heads * t]`) and the context vector (`[d]`). One instance lives in
-/// each decode stream (shared across layers, which run sequentially) and
-/// one per batch lane, so the attention inner loop performs zero heap
-/// allocations per token.
+/// each batch lane (shared across layers, which run sequentially), so
+/// the attention inner loop performs zero heap allocations per token.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     scores: Vec<f32>,
@@ -550,10 +454,10 @@ impl DecodeScratch {
     }
 }
 
-/// The batched-decode scratch arena: one [`DecodeScratch`] *seat* per
-/// batch lane. Each attention task owns its seat exclusively — scratch
-/// ownership is what lets the sweep run lanes concurrently without any
-/// sharing.
+/// The decode scratch arena: one [`DecodeScratch`] *seat* per batch lane
+/// (a solo stream has one). Each attention task owns its seat exclusively
+/// — scratch ownership is what lets the sweep run lanes concurrently
+/// without any sharing.
 ///
 /// The arena grows to the high-water batch size and is then reused; seats
 /// keep their identity across steps, so lane `i`'s scratch capacity
@@ -579,66 +483,10 @@ impl BatchScratch {
     }
 }
 
-/// Per-layer key/value cache for incremental decoding: flat row-major
-/// `[T, D]` buffers that grow as tokens are pushed.
-///
-/// Generic over the storage dtype: the f32 decode path uses the default
-/// `KvCache<f32>` (rows stored verbatim, bit-identical to the pre-generic
-/// cache); quantized decode uses `KvCache<F16>`, which narrows each
-/// incoming row element with round-to-nearest-even and halves cache
-/// memory. New rows always arrive as f32 (the block computes in f32).
-#[derive(Debug, Clone, Default)]
-pub struct KvCache<E: Element = f32> {
-    k: Vec<E>,
-    v: Vec<E>,
-    d: usize,
-    len: usize,
-}
-
-impl<E: Element> KvCache<E> {
-    /// An empty cache for width-`d` keys/values with room for `rows`
-    /// positions — a stream's context budget, so decoding never pays a
-    /// `Vec` doubling (a copy of the whole cache) mid-recipe. Pushing past
-    /// `rows` still works; it grows like any `Vec`.
-    pub fn with_capacity(d: usize, rows: usize) -> Self {
-        KvCache {
-            k: Vec::with_capacity(rows * d),
-            v: Vec::with_capacity(rows * d),
-            d,
-            len: 0,
-        }
-    }
-
-    /// Number of cached positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn push_slices(&mut self, k_row: &[f32], v_row: &[f32]) {
-        assert_eq!(k_row.len(), self.d);
-        assert_eq!(v_row.len(), self.d);
-        self.k.extend(k_row.iter().map(|&x| E::from_f32(x)));
-        self.v.extend(v_row.iter().map(|&x| E::from_f32(x)));
-        self.len += 1;
-    }
-
-    fn k_row(&self, pos: usize) -> &[E] {
-        &self.k[pos * self.d..(pos + 1) * self.d]
-    }
-
-    fn v_row(&self, pos: usize) -> &[E] {
-        &self.v[pos * self.d..(pos + 1) * self.d]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv_block::BlockConfig;
     use ratatouille_tensor::F16;
     use ratatouille_util::rng::SeedableRng;
 
@@ -683,13 +531,23 @@ mod tests {
         assert!(diff > 1e-3, "perturbation had no effect at its own position");
     }
 
-    /// Push `xs` one at a time through one block's decode step over a
-    /// fresh single-layer stream cache with the given window.
+    /// Push `xs` one at a time through one block's decode step, a batch
+    /// of one over a fresh single-layer pool of 4-token blocks, with the
+    /// given window.
     fn decode<E: Element>(blk: &DecodeBlock, heads: usize, window: Option<usize>, xs: &[Tensor]) -> Vec<Tensor> {
         let d = xs[0].numel();
-        let mut kv = StreamKv::<E>::new(d, 8, std::iter::once(window));
-        let out = xs.iter().map(|x| blk.decode_step(&x.reshape(&[1, d]), heads, 0, &mut kv)).collect();
-        assert_eq!(kv.layers[0].0.len(), xs.len());
+        let mut pool = BlockPool::<E>::new(BlockConfig { layers: 1, d, block_tokens: 4, num_blocks: 2 });
+        let mut seq = SeqKv::new();
+        seq.reserve_for(&mut pool, xs.len()).expect("pool sized for xs");
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        for x in xs {
+            seq.prepare_write(&mut pool).expect("reserved");
+            let mut kv = PagedKv { pool: &mut pool, seqs: &mut [&mut seq], scratch: &mut scratch };
+            out.push(blk.decode_step(&x.reshape(&[1, d]), heads, 0, window, &mut kv));
+            seq.commit();
+        }
+        assert_eq!(seq.len(), xs.len());
         out
     }
 
@@ -807,12 +665,12 @@ mod tests {
     /// The row-at-a-time attention loop `attend`'s run kernels replaced,
     /// kept verbatim as the reference implementation: `attend` and
     /// `attend_batch` must match it bit for bit.
-    fn attend_by_row<C: KvRows>(
+    fn attend_by_row<E: Element>(
         q: &[f32],
         heads: usize,
         dh: usize,
         start: usize,
-        cache: &C,
+        cache: &SeqLayerKv<'_, E>,
         scratch: &mut DecodeScratch,
     ) {
         let scale = 1.0 / (dh as f32).sqrt();
@@ -824,7 +682,7 @@ mod tests {
             let k_row = cache.k_row(pos);
             for h in 0..heads {
                 scratch.scores[h * tw + (pos - start)] =
-                    C::Elem::dot_with_f32(&q[h * dh..(h + 1) * dh], &k_row[h * dh..(h + 1) * dh])
+                    E::dot_with_f32(&q[h * dh..(h + 1) * dh], &k_row[h * dh..(h + 1) * dh])
                         * scale;
             }
         }
@@ -838,7 +696,7 @@ mod tests {
         for pos in start..t {
             let v_row = cache.v_row(pos);
             for h in 0..heads {
-                C::Elem::axpy_into_f32(
+                E::axpy_into_f32(
                     scratch.probs[h * tw + (pos - start)],
                     &v_row[h * dh..(h + 1) * dh],
                     &mut scratch.ctx[h * dh..(h + 1) * dh],
@@ -852,69 +710,60 @@ mod tests {
         (bits(&s.scores), bits(&s.probs), bits(&s.ctx))
     }
 
+    /// A two-layer pool of `block_tokens`-sized blocks holding one
+    /// sequence of `t` noise rows (the same f32 rows whatever `E` and the
+    /// geometry, narrowed on write).
+    fn noise_seq<E: Element>(d: usize, t: usize, block_tokens: usize, salt: u64) -> (BlockPool<E>, SeqKv) {
+        let mut pool = BlockPool::new(BlockConfig { layers: 2, d, block_tokens, num_blocks: t.div_ceil(block_tokens) });
+        let mut seq = SeqKv::new();
+        seq.reserve_for(&mut pool, t).expect("pool sized for t");
+        for pos in 0..t {
+            seq.prepare_write(&mut pool).expect("reserved");
+            for layer in 0..2 {
+                let salt = salt + 4 * pos as u64 + 2 * layer as u64;
+                seq.write(&mut pool, layer, &noise(d, salt), &noise(d, salt + 1));
+            }
+            seq.commit();
+        }
+        (pool, seq)
+    }
+
     /// `attend` (run kernels) against the row-at-a-time oracle over one
-    /// cache, at a window start: scores, probabilities and context must
-    /// agree bit for bit.
-    fn assert_attend_matches_oracle<C: KvRows>(q: &[f32], heads: usize, dh: usize, start: usize, cache: &C) {
-        let (mut fused, mut oracle) = (DecodeScratch::default(), DecodeScratch::default());
-        attend(q, heads, dh, start, cache, &mut fused);
-        attend_by_row(q, heads, dh, start, cache, &mut oracle);
-        assert_eq!(
-            scratch_bits(&fused),
-            scratch_bits(&oracle),
-            "heads {heads} dh {dh} t {} start {start}",
-            cache.len()
-        );
+    /// sequence of element `E`, at each window start: scores,
+    /// probabilities and context must agree bit for bit.
+    fn assert_attend_matches_oracle<E: Element>(heads: usize, dh: usize, t: usize, bt: usize, starts: [usize; 2], salt: u64) {
+        let (pool, seq) = noise_seq::<E>(heads * dh, t, bt, salt);
+        let q = noise(heads * dh, salt ^ 0xA77E);
+        let view = seq.layer_view(&pool, 1, t);
+        for start in starts {
+            let (mut fused, mut oracle) = (DecodeScratch::default(), DecodeScratch::default());
+            attend(&q, heads, dh, start, &view, &mut fused);
+            attend_by_row(&q, heads, dh, start, &view, &mut oracle);
+            assert_eq!(
+                scratch_bits(&fused),
+                scratch_bits(&oracle),
+                "{:?} heads {heads} dh {dh} t {t} block {bt} start {start}",
+                E::DTYPE
+            );
+        }
     }
 
     ratatouille_util::proptest! {
         cases = 64;
 
-        /// Contiguous `KvCache` runs (one run per pass), f32 and f16
-        /// storage, full and windowed attention.
+        /// f32 and f16 pools, full and windowed attention, at every run
+        /// geometry a caller uses: single-row runs, runs ending mid-block,
+        /// the engine's 16-token blocks, and a solo stream's one run (the
+        /// block is the whole context).
         #[test]
-        fn attend_matches_row_oracle_over_contiguous_caches(
+        fn attend_matches_row_oracle_over_block_pools(
             hi in 0usize..4, di in 0usize..5, t in 1usize..40, window in 1usize..40, salt in 0u64..1 << 20
         ) {
             let (heads, dh) = ([1, 2, 4, 8][hi], [8, 16, 20, 32, 64][di]);
-            let d = heads * dh;
-            let mut c32 = KvCache::<f32>::with_capacity(d, t);
-            let mut c16 = KvCache::<F16>::with_capacity(d, t);
-            for pos in 0..t {
-                let (k, v) = (noise(d, salt + 2 * pos as u64), noise(d, salt + 2 * pos as u64 + 1));
-                c32.push_slices(&k, &v);
-                c16.push_slices(&k, &v);
-            }
-            let q = noise(d, salt ^ 0xA77E);
-            for start in [0, t.saturating_sub(window)] {
-                assert_attend_matches_oracle(&q, heads, dh, start, &c32);
-                assert_attend_matches_oracle(&q, heads, dh, start, &c16);
-            }
-        }
-
-        /// Block-pooled `SeqLayerKv` runs: every run ends at a block
-        /// boundary, the last one mid-block.
-        #[test]
-        fn attend_matches_row_oracle_over_block_pooled_caches(
-            hi in 0usize..4, di in 0usize..5, t in 1usize..40, bt in 1usize..9, window in 1usize..40, salt in 0u64..1 << 20
-        ) {
-            use crate::kv_block::BlockConfig;
-            let (heads, dh) = ([1, 2, 4, 8][hi], [8, 16, 20, 32, 64][di]);
-            let d = heads * dh;
-            let mut pool = BlockPool::new(BlockConfig { layers: 2, d, block_tokens: bt, num_blocks: t.div_ceil(bt) });
-            let mut seq = SeqKv::new();
-            seq.reserve_for(&mut pool, t).expect("pool sized for t");
-            for pos in 0..t {
-                seq.prepare_write(&mut pool).expect("reserved");
-                for layer in 0..2 {
-                    let salt = salt + 4 * pos as u64 + 2 * layer as u64;
-                    seq.write(&mut pool, layer, &noise(d, salt), &noise(d, salt + 1));
-                }
-                seq.commit();
-            }
-            let q = noise(d, salt ^ 0xA77E);
-            for start in [0, t.saturating_sub(window)] {
-                assert_attend_matches_oracle(&q, heads, dh, start, &seq.layer_view(&pool, 1, t));
+            let starts = [0, t.saturating_sub(window)];
+            for bt in [1, 3, 16, t] {
+                assert_attend_matches_oracle::<f32>(heads, dh, t, bt, starts, salt);
+                assert_attend_matches_oracle::<F16>(heads, dh, t, bt, starts, salt);
             }
         }
     }
@@ -925,10 +774,9 @@ mod tests {
     /// oracle computes lane by lane over the same pooled caches.
     #[test]
     fn attend_batch_fans_out_without_changing_a_bit() {
-        use crate::kv_block::BlockConfig;
         let (heads, dh, t, lanes) = (8, 32, 512, 8);
         let d = heads * dh;
-        let mut pool = BlockPool::new(BlockConfig { layers: 1, d, block_tokens: 16, num_blocks: lanes * t / 16 });
+        let mut pool = BlockPool::<f32>::new(BlockConfig { layers: 1, d, block_tokens: 16, num_blocks: lanes * t / 16 });
         let seqs: Vec<SeqKv> = (0..lanes)
             .map(|lane| {
                 let mut seq = SeqKv::new();
@@ -956,13 +804,13 @@ mod tests {
             ratatouille_tensor::par::set_num_threads(threads);
             let mut scratch = BatchScratch::new();
             let mut ctx = vec![0.0f32; lanes * d];
-            let mut slots: Vec<AttnSlot<'_>> = seqs
+            let mut slots: Vec<AttnSlot<'_, f32>> = seqs
                 .iter()
                 .zip(&qs)
                 .zip(scratch.seats(lanes).iter_mut().zip(ctx.chunks_exact_mut(d)))
                 .map(|((seq, q), (scratch, out))| AttnSlot { q, view: seq.layer_view(&pool, 0, t), scratch, out })
                 .collect();
-            attend_batch(&mut slots, heads, dh);
+            attend_batch(&mut slots, heads, dh, None);
             drop(slots);
             ratatouille_tensor::par::set_num_threads(0);
             bits(&ctx)
@@ -975,20 +823,6 @@ mod tests {
             obs::static_counter!("tensor_pool_launches_total").get() >= launches + 4,
             "the sweep never left the caller thread"
         );
-    }
-
-    #[test]
-    fn kv_cache_within_its_budget_never_reallocates() {
-        let (d, rows) = (16, 40);
-        let mut cache = KvCache::<F16>::with_capacity(d, rows);
-        let (k0, v0) = (cache.k.as_ptr(), cache.v.as_ptr());
-        for pos in 0..rows {
-            cache.push_slices(&noise(d, pos as u64), &noise(d, 1000 + pos as u64));
-        }
-        assert_eq!((cache.k.as_ptr(), cache.v.as_ptr()), (k0, v0), "a push moved the cache");
-        // Past the budget it still grows like any Vec.
-        cache.push_slices(&noise(d, 1), &noise(d, 2));
-        assert_eq!(cache.len(), rows + 1);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! sequence's token stream is **byte-identical** whether it decodes
 //! solo, in a batch of 2, or in a batch of 7 — and whether its prompt
 //! prefix came from the shared-prefix cache or was computed fresh — and
-//! the solo `TokenStream` returns the logits of a batch of one.
+//! the solo `TokenStream` returns the logits of a batch of one. The
+//! composition cases run on GPT-2 and on a GPT-Neo (`local_window`)
+//! fixture whose contexts outgrow the window.
 //!
 //! Uses an untrained tiny GPT-2 (random but seeded weights, nonzero
 //! biases — see `common::biased`): the contract is about kernels and
@@ -19,7 +21,14 @@ use ratatouille_models::sample::SamplerConfig;
 use ratatouille_models::BatchScratch;
 
 fn tiny() -> Gpt2Lm {
-    common::tiny("tiny-batch")
+    common::tiny("tiny-batch", None)
+}
+
+/// GPT-2 and GPT-Neo with a 6-token window: shorter than every decoded
+/// context, and not a multiple of the 4-token blocks, so a local layer's
+/// first run starts mid-block.
+fn tiny_and_windowed() -> [Gpt2Lm; 2] {
+    [tiny(), common::tiny("tiny-batch-neo", Some(6))]
 }
 
 fn engine_cfg(prefix_cap: usize) -> BatchEngineConfig {
@@ -60,7 +69,12 @@ fn solo(model: &Gpt2Lm, prompt: &[u32], seed: u64, cfg: &SamplerConfig) -> Vec<u
 
 #[test]
 fn batch_of_2_and_7_match_solo_byte_for_byte() {
-    let model = tiny();
+    for model in tiny_and_windowed() {
+        batch_of_2_and_7_match_solo(&model);
+    }
+}
+
+fn batch_of_2_and_7_match_solo(model: &Gpt2Lm) {
     let bm = model.batch_model().unwrap();
     let cfg = sampled(12);
     // Seven requests with distinct prompts, lengths and seeds; prompt
@@ -71,7 +85,7 @@ fn batch_of_2_and_7_match_solo_byte_for_byte() {
     let solos: Vec<Vec<u32>> = prompts
         .iter()
         .enumerate()
-        .map(|(i, p)| solo(&model, p, 100 + i as u64, &cfg))
+        .map(|(i, p)| solo(model, p, 100 + i as u64, &cfg))
         .collect();
 
     for batch in [2usize, 7] {
@@ -94,7 +108,8 @@ fn batch_of_2_and_7_match_solo_byte_for_byte() {
             assert_eq!(
                 tokens.as_deref().map(|t| t.to_vec()),
                 Some(solos[i].clone()),
-                "request {i} diverged from its solo stream in a batch of {batch}"
+                "{}: request {i} diverged from its solo stream in a batch of {batch}",
+                bm.name()
             );
         }
     }
@@ -102,13 +117,18 @@ fn batch_of_2_and_7_match_solo_byte_for_byte() {
 
 #[test]
 fn mid_decode_admission_does_not_perturb_the_running_sequence() {
-    let model = tiny();
+    for model in tiny_and_windowed() {
+        mid_decode_admission_does_not_perturb(&model);
+    }
+}
+
+fn mid_decode_admission_does_not_perturb(model: &Gpt2Lm) {
     let bm = model.batch_model().unwrap();
     let cfg = sampled(16);
     let a_prompt = [3u32, 7, 1, 9, 4];
     let b_prompt = [8u32, 8, 2];
-    let a_solo = solo(&model, &a_prompt, 11, &cfg);
-    let b_solo = solo(&model, &b_prompt, 22, &cfg);
+    let a_solo = solo(model, &a_prompt, 11, &cfg);
+    let b_solo = solo(model, &b_prompt, 22, &cfg);
 
     let mut engine = BatchGenerator::new(bm, engine_cfg(0));
     let a = engine.admit(req(&a_prompt, 11, &cfg)).unwrap();
@@ -128,18 +148,23 @@ fn mid_decode_admission_does_not_perturb_the_running_sequence() {
             }
         }
     }
-    assert_eq!(streams[0].as_ref(), Some(&a_solo), "late arrival perturbed A");
-    assert_eq!(streams[1].as_ref(), Some(&b_solo), "joining a running batch perturbed B");
+    assert_eq!(streams[0].as_ref(), Some(&a_solo), "{}: late arrival perturbed A", bm.name());
+    assert_eq!(streams[1].as_ref(), Some(&b_solo), "{}: joining a running batch perturbed B", bm.name());
 }
 
 #[test]
 fn shared_prefix_blocks_reproduce_the_computed_stream() {
-    let model = tiny();
+    for model in tiny_and_windowed() {
+        shared_prefix_blocks_reproduce(&model);
+    }
+}
+
+fn shared_prefix_blocks_reproduce(model: &Gpt2Lm) {
     let bm = model.batch_model().unwrap();
     let cfg = sampled(10);
     // 9-token prompt → 2 full 4-token blocks of shareable prefix.
     let prompt = [5u32, 1, 12, 3, 9, 0, 7, 2, 6];
-    let expected = solo(&model, &prompt, 77, &cfg);
+    let expected = solo(model, &prompt, 77, &cfg);
 
     // Sharing OFF: baseline block consumption for the second admission.
     let mut off = BatchGenerator::new(bm, engine_cfg(0));

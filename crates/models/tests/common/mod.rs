@@ -27,8 +27,9 @@ pub fn biased(config: Gpt2Config) -> Gpt2Lm {
 }
 
 /// The 16/32 shape every suite decodes with: both widths divide the
-/// GEMM pack width, so the model is batch-ready.
-pub fn tiny(name: &str) -> Gpt2Lm {
+/// GEMM pack width, so the model is batch-ready. `local_window` makes it
+/// GPT-Neo (odd layers local).
+pub fn tiny(name: &str, local_window: Option<usize>) -> Gpt2Lm {
     biased(Gpt2Config {
         name: name.into(),
         vocab: 16,
@@ -37,7 +38,7 @@ pub fn tiny(name: &str) -> Gpt2Lm {
         n_layers: 2,
         d_ff: 32,
         max_t: 64,
-        local_window: None,
+        local_window,
         dropout: 0.0,
         seed: 5,
     })

@@ -18,7 +18,7 @@ use ratatouille_models::sample::SamplerConfig;
 use ratatouille_tensor::par;
 
 fn tiny() -> Gpt2Lm {
-    common::tiny("tiny-paged")
+    common::tiny("tiny-paged", None)
 }
 
 fn engine_cfg(prefix_cap: usize) -> BatchEngineConfig {

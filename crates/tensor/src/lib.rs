@@ -63,7 +63,7 @@ pub mod var_ops;
 pub use autograd::Var;
 pub use dtype::{DType, Element, F16};
 pub use error::TensorError;
-pub use serialize::{DynTensor, DynTensorMap, TensorMap};
+pub use serialize::TensorMap;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

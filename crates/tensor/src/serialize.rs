@@ -3,30 +3,32 @@
 //!
 //! The paper's training environment (Google Colab) "crashed every 5 to 7
 //! epochs"; the engineering answer is cheap, verifiable checkpoints. The
-//! current format (version 2) tags every entry with its storage dtype so
-//! quantized (int8) and half-precision (f16) tensors checkpoint alongside
-//! f32 weights:
+//! current format (version 2) tags every entry with its storage dtype:
 //!
 //! ```text
 //! magic   : 8 bytes  = "RTCKPT02"
 //! count   : u32 LE
 //! entry*  : name_len u16 | name utf8 | rank u8 | dims u32* | dtype u8 |
-//!           numel u64 | payload (f32 LE* / f16 LE* / i8*)
+//!           numel u64 | payload (f32 LE*)
 //! checksum: u64 LE   = FNV-1a over everything before it
 //! ```
 //!
-//! Version-1 checkpoints (`"RTCKPT01"`, no dtype byte, always f32) are
-//! still read: the legacy path parses them entry-for-entry as f32, so
-//! every checkpoint ever written by this workspace stays loadable.
+//! Checkpoints hold trained weights, and those are f32: every entry
+//! [`TensorMap`] writes carries the f32 tag, and an entry tagged f16 or
+//! int8 (or with an unknown tag) is rejected with a typed error. Nothing
+//! narrower is ever stored — int8 weights are re-quantized from the f32
+//! checkpoint when a replica is built (a few milliseconds) and f16 exists
+//! only in KV rows.
 //!
-//! [`TensorMap`] is the f32-only view used by training and model loading;
-//! [`DynTensorMap`] holds mixed dtypes for quantized-model artifacts.
+//! Version-1 checkpoints (`"RTCKPT01"`, no dtype byte, always f32) are
+//! still read, so every checkpoint ever written by this workspace stays
+//! loadable.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::dtype::{DType, F16};
+use crate::dtype::DType;
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 
@@ -40,10 +42,6 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.data.len()
-    }
-
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TensorError> {
         if self.data.len() < n {
             return Err(TensorError::Corrupt(format!("truncated {what}")));
@@ -70,228 +68,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A tensor of any storage dtype, as stored in a checkpoint entry.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DynTensor {
-    /// 32-bit float payload.
-    F32(Tensor),
-    /// Half-precision payload.
-    F16(Tensor<F16>),
-    /// int8 code payload (scales, if any, are separate entries).
-    I8(Tensor<i8>),
-}
-
-impl DynTensor {
-    /// The storage dtype tag of this entry.
-    pub fn dtype(&self) -> DType {
-        match self {
-            DynTensor::F32(_) => DType::F32,
-            DynTensor::F16(_) => DType::F16,
-            DynTensor::I8(_) => DType::I8,
-        }
-    }
-
-    /// Dimensions of the contained tensor.
-    pub fn dims(&self) -> &[usize] {
-        match self {
-            DynTensor::F32(t) => t.dims(),
-            DynTensor::F16(t) => t.dims(),
-            DynTensor::I8(t) => t.dims(),
-        }
-    }
-
-    /// Total element count.
-    pub fn numel(&self) -> usize {
-        match self {
-            DynTensor::F32(t) => t.numel(),
-            DynTensor::F16(t) => t.numel(),
-            DynTensor::I8(t) => t.numel(),
-        }
-    }
-
-    /// The contained f32 tensor, if this entry is f32.
-    pub fn as_f32(&self) -> Option<&Tensor> {
-        match self {
-            DynTensor::F32(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
-/// An ordered, named collection of tensors of possibly mixed dtypes.
-///
-/// `BTreeMap` keeps serialization deterministic, so identical states
-/// produce byte-identical checkpoints (useful for tests and dedup).
-#[derive(Default, Clone, Debug)]
-pub struct DynTensorMap {
-    entries: BTreeMap<String, DynTensor>,
-}
-
-impl DynTensorMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert (or replace) a named entry.
-    pub fn insert(&mut self, name: impl Into<String>, t: DynTensor) {
-        self.entries.insert(name.into(), t);
-    }
-
-    /// Look up an entry by name.
-    pub fn get(&self, name: &str) -> Option<&DynTensor> {
-        self.entries.get(name)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterate name → entry in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &DynTensor)> {
-        self.entries.iter()
-    }
-
-    /// Serialize to version-2 bytes (with trailing checksum).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V2);
-        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (name, t) in &self.entries {
-            assert!(name.len() <= u16::MAX as usize, "tensor name too long");
-            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-            let dims = t.dims();
-            assert!(dims.len() <= u8::MAX as usize);
-            buf.push(dims.len() as u8);
-            for &d in dims {
-                buf.extend_from_slice(&(d as u32).to_le_bytes());
-            }
-            buf.push(t.dtype().tag());
-            buf.extend_from_slice(&(t.numel() as u64).to_le_bytes());
-            match t {
-                DynTensor::F32(t) => {
-                    for &v in t.data() {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                DynTensor::F16(t) => {
-                    for &v in t.data() {
-                        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-                    }
-                }
-                DynTensor::I8(t) => {
-                    for &v in t.data() {
-                        buf.push(v as u8);
-                    }
-                }
-            }
-        }
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
-    }
-
-    /// Deserialize version-1 or version-2 bytes, verifying magic and
-    /// checksum. Version-1 entries (untagged) load as f32.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, TensorError> {
-        if data.len() < MAGIC_V2.len() + 4 + 8 {
-            return Err(TensorError::Corrupt("payload too short".into()));
-        }
-        let (body, sum_bytes) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(TensorError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
-            )));
-        }
-        let mut r = Reader { data: body };
-        let magic = r.take(8, "magic")?;
-        let tagged = if magic == MAGIC_V2 {
-            true
-        } else if magic == MAGIC_V1 {
-            false
-        } else {
-            return Err(TensorError::Corrupt(format!(
-                "bad magic {:?}",
-                String::from_utf8_lossy(magic)
-            )));
-        };
-        let count = r.u32_le("count")? as usize;
-        let mut map = DynTensorMap::new();
-        for _ in 0..count {
-            let name_len = r.u16_le("entry header")? as usize;
-            let name = String::from_utf8(r.take(name_len, "name")?.to_vec())
-                .map_err(|_| TensorError::Corrupt("non-utf8 tensor name".into()))?;
-            let rank = r.u8("rank")? as usize;
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(r.u32_le("dims")? as usize);
-            }
-            let dtype = if tagged {
-                let tag = r.u8("dtype")?;
-                DType::from_tag(tag).ok_or_else(|| {
-                    TensorError::Corrupt(format!("tensor `{name}`: unknown dtype tag {tag}"))
-                })?
-            } else {
-                DType::F32
-            };
-            let numel = r.u64_le("numel")? as usize;
-            let expected: usize = dims.iter().product();
-            if numel != expected {
-                return Err(TensorError::Corrupt(format!(
-                    "tensor `{name}`: numel {numel} != dims product {expected}"
-                )));
-            }
-            if r.remaining() < numel * dtype.size_bytes() {
-                return Err(TensorError::Corrupt(format!(
-                    "tensor `{name}`: truncated data"
-                )));
-            }
-            let bad_shape =
-                |e: TensorError| TensorError::Corrupt(format!("bad tensor in checkpoint: {e}"));
-            let entry = match dtype {
-                DType::F32 => {
-                    let raw = r.take(numel * 4, "tensor data")?;
-                    let values: Vec<f32> = raw
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
-                    DynTensor::F32(Tensor::from_vec(values, &dims).map_err(bad_shape)?)
-                }
-                DType::F16 => {
-                    let raw = r.take(numel * 2, "tensor data")?;
-                    let values: Vec<F16> = raw
-                        .chunks_exact(2)
-                        .map(|c| F16::from_bits(u16::from_le_bytes(c.try_into().unwrap())))
-                        .collect();
-                    DynTensor::F16(Tensor::from_vec(values, &dims).map_err(bad_shape)?)
-                }
-                DType::I8 => {
-                    let raw = r.take(numel, "tensor data")?;
-                    let values: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-                    DynTensor::I8(Tensor::from_vec(values, &dims).map_err(bad_shape)?)
-                }
-            };
-            map.insert(name, entry);
-        }
-        Ok(map)
-    }
-}
-
 /// An ordered, named collection of `f32` tensors (a checkpoint section).
 ///
-/// This is the training-side view: inserts take `Tensor<f32>` and loads
-/// require every entry to be f32 (version-1 checkpoints always are;
-/// version-2 checkpoints holding f16/int8 entries belong to
-/// [`DynTensorMap`] and are rejected here with a descriptive error).
 /// `BTreeMap` keeps serialization deterministic, so identical states
 /// produce byte-identical checkpoints (useful for tests and dedup).
 #[derive(Default, Clone, Debug)]
@@ -342,31 +120,110 @@ impl TensorMap {
         self.entries.keys().map(String::as_str).collect()
     }
 
-    /// Serialize to bytes (version-2 format, every entry tagged f32).
+    /// Serialize to bytes (version-2 format, every entry tagged f32, with
+    /// trailing checksum).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut dyn_map = DynTensorMap::new();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC_V2);
+        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for (name, t) in &self.entries {
-            dyn_map.insert(name.clone(), DynTensor::F32(t.clone()));
+            assert!(name.len() <= u16::MAX as usize, "tensor name too long");
+            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
+            let dims = t.dims();
+            assert!(dims.len() <= u8::MAX as usize);
+            buf.push(dims.len() as u8);
+            for &d in dims {
+                buf.extend_from_slice(&(d as u32).to_le_bytes());
+            }
+            buf.push(DType::F32.tag());
+            buf.extend_from_slice(&(t.numel() as u64).to_le_bytes());
+            for &v in t.data() {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
-        dyn_map.to_bytes()
+        let sum = fnv1a(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
     }
 
-    /// Deserialize from bytes (version 1 or 2), verifying magic and
-    /// checksum. Every entry must be f32.
+    /// Deserialize version-1 or version-2 bytes, verifying magic and
+    /// checksum. Every entry must be f32 (version-1 entries, untagged,
+    /// always are).
     pub fn from_bytes(data: &[u8]) -> Result<Self, TensorError> {
-        let dyn_map = DynTensorMap::from_bytes(data)?;
+        if data.len() < MAGIC_V2.len() + 4 + 8 {
+            return Err(TensorError::Corrupt("payload too short".into()));
+        }
+        let (body, sum_bytes) = data.split_at(data.len() - 8);
+        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
+        let computed = fnv1a(body);
+        if stored != computed {
+            return Err(TensorError::Corrupt(format!(
+                "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
+            )));
+        }
+        let mut r = Reader { data: body };
+        let magic = r.take(8, "magic")?;
+        let tagged = if magic == MAGIC_V2 {
+            true
+        } else if magic == MAGIC_V1 {
+            false
+        } else {
+            return Err(TensorError::Corrupt(format!(
+                "bad magic {:?}",
+                String::from_utf8_lossy(magic)
+            )));
+        };
+        let count = r.u32_le("count")? as usize;
         let mut map = TensorMap::new();
-        for (name, entry) in dyn_map.iter() {
-            match entry {
-                DynTensor::F32(t) => map.insert(name.clone(), t.clone()),
-                other => {
-                    return Err(TensorError::Corrupt(format!(
-                        "tensor `{name}` has dtype {} — load mixed-dtype checkpoints \
-                         through DynTensorMap",
-                        other.dtype()
-                    )))
+        for _ in 0..count {
+            let name_len = r.u16_le("entry header")? as usize;
+            let name = String::from_utf8(r.take(name_len, "name")?.to_vec())
+                .map_err(|_| TensorError::Corrupt("non-utf8 tensor name".into()))?;
+            let rank = r.u8("rank")? as usize;
+            let mut dims = Vec::with_capacity(rank);
+            for _ in 0..rank {
+                dims.push(r.u32_le("dims")? as usize);
+            }
+            if tagged {
+                let tag = r.u8("dtype")?;
+                match DType::from_tag(tag) {
+                    Some(DType::F32) => {}
+                    Some(other) => {
+                        return Err(TensorError::Corrupt(format!(
+                            "tensor `{name}` has dtype {other}; checkpoints hold f32 weights only"
+                        )))
+                    }
+                    None => {
+                        return Err(TensorError::Corrupt(format!(
+                            "tensor `{name}`: unknown dtype tag {tag}"
+                        )))
+                    }
                 }
             }
+            let numel = r.u64_le("numel")?;
+            // The dims come from the header: a product that overflows is a
+            // corrupt checkpoint, never a panic or a wrapped length.
+            let expected = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            let payload = expected.and_then(|n| n.checked_mul(DType::F32.size_bytes()));
+            let (Some(expected), Some(payload)) = (expected, payload) else {
+                return Err(TensorError::Corrupt(format!(
+                    "tensor `{name}`: dims {dims:?} overflow the address space"
+                )));
+            };
+            if numel != expected as u64 {
+                return Err(TensorError::Corrupt(format!(
+                    "tensor `{name}`: numel {numel} != dims product {expected}"
+                )));
+            }
+            let values: Vec<f32> = r
+                .take(payload, "tensor data")?
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            let t = Tensor::from_vec(values, &dims)
+                .map_err(|e| TensorError::Corrupt(format!("bad tensor in checkpoint: {e}")))?;
+            map.insert(name, t);
         }
         Ok(map)
     }
@@ -406,7 +263,6 @@ fn fnv1a(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtype::Element;
 
     fn sample_map() -> TensorMap {
         let mut m = TensorMap::new();
@@ -419,26 +275,41 @@ mod tests {
         m
     }
 
-    /// Hand-build a version-1 payload for the legacy read-path tests.
-    fn v1_bytes(entries: &[(&str, &[usize], &[f32])]) -> Vec<u8> {
+    /// One hand-built checkpoint entry: what the header claims (`dims`,
+    /// `numel`, the dtype `tag` — `None` writes a version-1 payload, which
+    /// has no tag byte) and the payload bytes actually present.
+    struct RawEntry<'a> {
+        name: &'a str,
+        dims: &'a [u32],
+        tag: Option<u8>,
+        numel: u64,
+        payload: Vec<u8>,
+    }
+
+    /// Serialize `entry` alone, with a valid checksum trailer.
+    fn crafted(entry: &RawEntry) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
-        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (name, dims, values) in entries {
-            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-            buf.push(dims.len() as u8);
-            for &d in *dims {
-                buf.extend_from_slice(&(d as u32).to_le_bytes());
-            }
-            buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
-            for v in *values {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+        buf.extend_from_slice(if entry.tag.is_some() { MAGIC_V2 } else { MAGIC_V1 });
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(entry.name.len() as u16).to_le_bytes());
+        buf.extend_from_slice(entry.name.as_bytes());
+        buf.push(entry.dims.len() as u8);
+        for d in entry.dims {
+            buf.extend_from_slice(&d.to_le_bytes());
         }
+        buf.extend(entry.tag);
+        buf.extend_from_slice(&entry.numel.to_le_bytes());
+        buf.extend_from_slice(&entry.payload);
         let sum = fnv1a(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
+    }
+
+    fn expect_corrupt(bytes: &[u8], needle: &str) {
+        match TensorMap::from_bytes(bytes) {
+            Err(TensorError::Corrupt(msg)) => assert!(msg.contains(needle), "unexpected message: {msg}"),
+            other => panic!("expected a Corrupt error naming `{needle}`, got {other:?}"),
+        }
     }
 
     #[test]
@@ -464,90 +335,49 @@ mod tests {
 
     #[test]
     fn legacy_v1_loads_as_f32() {
-        let bytes = v1_bytes(&[
-            ("bias", &[2], &[0.5, -1.5]),
-            ("w", &[2, 2], &[1.0, 2.0, 3.0, 4.0]),
-        ]);
+        let values = [1.0f32, 2.0, 3.0, 4.0];
+        let bytes = crafted(&RawEntry {
+            name: "w",
+            dims: &[2, 2],
+            tag: None,
+            numel: 4,
+            payload: values.iter().flat_map(|v| v.to_le_bytes()).collect(),
+        });
         let m = TensorMap::from_bytes(&bytes).unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get("bias").unwrap().data(), &[0.5, -1.5]);
+        assert_eq!(m.len(), 1);
         assert_eq!(m.get("w").unwrap().dims(), &[2, 2]);
-        // and through the dyn path the dtype is F32
-        let d = DynTensorMap::from_bytes(&bytes).unwrap();
-        assert_eq!(d.get("w").unwrap().dtype(), DType::F32);
+        assert_eq!(m.get("w").unwrap().data(), &values);
     }
 
     #[test]
-    fn dyn_roundtrip_all_three_dtypes() {
-        let mut m = DynTensorMap::new();
-        m.insert(
-            "w.f32",
-            DynTensor::F32(Tensor::from_vec(vec![1.0, -2.5, 3.25], &[3]).unwrap()),
-        );
-        m.insert(
-            "kv.f16",
-            DynTensor::F16(
-                Tensor::from_vec(
-                    vec![F16::from_f32(0.5), F16::from_f32(-7.0), F16::from_f32(0.099_976)],
-                    &[3],
-                )
-                .unwrap(),
-            ),
-        );
-        m.insert(
-            "q.codes",
-            DynTensor::I8(Tensor::from_vec(vec![-127i8, 0, 64, 127], &[2, 2]).unwrap()),
-        );
-        let bytes = m.to_bytes();
-        let m2 = DynTensorMap::from_bytes(&bytes).unwrap();
-        assert_eq!(m2.len(), 3);
-        for (name, entry) in m.iter() {
-            assert_eq!(m2.get(name).unwrap(), entry, "entry `{name}` differs");
-        }
-        // byte-exact storage: the f16 bits survive untouched
-        match (m.get("kv.f16").unwrap(), m2.get("kv.f16").unwrap()) {
-            (DynTensor::F16(a), DynTensor::F16(b)) => {
-                let bits = |t: &Tensor<F16>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(a), bits(b));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn f32_view_rejects_mixed_dtypes() {
-        let mut m = DynTensorMap::new();
-        m.insert(
-            "q",
-            DynTensor::I8(Tensor::from_vec(vec![1i8, 2], &[2]).unwrap()),
-        );
-        match TensorMap::from_bytes(&m.to_bytes()) {
-            Err(TensorError::Corrupt(msg)) => {
-                assert!(msg.contains("int8"), "unexpected message: {msg}")
-            }
-            other => panic!("expected dtype rejection, got {other:?}"),
+    fn narrower_dtypes_are_rejected() {
+        // Well-formed int8 and f16 entries (what a mixed-dtype writer
+        // would have produced): a typed error naming the dtype.
+        for (dtype, payload) in [(DType::I8, vec![1u8, 2]), (DType::F16, vec![0, 0x3c, 0, 0xc0])] {
+            let bytes = crafted(&RawEntry { name: "q", dims: &[2], tag: Some(dtype.tag()), numel: 2, payload });
+            expect_corrupt(&bytes, &dtype.to_string());
         }
     }
 
     #[test]
     fn unknown_dtype_tag_rejected() {
-        let mut m = DynTensorMap::new();
-        m.insert(
-            "w",
-            DynTensor::F32(Tensor::from_vec(vec![1.0], &[1]).unwrap()),
-        );
-        let mut bytes = m.to_bytes();
-        // entry layout: magic(8) count(4) name_len(2) name(1) rank(1)
-        // dims(4) dtype(1) — flip the dtype byte to an unknown tag
-        let dtype_off = 8 + 4 + 2 + 1 + 1 + 4;
-        bytes[dtype_off] = 9;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
-        match DynTensorMap::from_bytes(&bytes) {
-            Err(TensorError::Corrupt(msg)) => assert!(msg.contains("dtype tag")),
-            other => panic!("expected dtype-tag error, got {other:?}"),
-        }
+        let bytes = crafted(&RawEntry { name: "w", dims: &[1], tag: Some(9), numel: 1, payload: vec![0; 4] });
+        expect_corrupt(&bytes, "dtype tag");
+    }
+
+    #[test]
+    fn overflowing_dims_are_corrupt_not_a_panic() {
+        // Four dims of 65536: their product is 2^64.
+        let bytes = crafted(&RawEntry { name: "w", dims: &[65536; 4], tag: Some(DType::F32.tag()), numel: 0, payload: vec![] });
+        assert_eq!(bytes.len(), 49);
+        expect_corrupt(&bytes, "overflow");
+        // A product that fits (2^62) whose byte size (× 4) wraps to zero.
+        let dims = [65536, 65536, 65536, 16384];
+        let bytes = crafted(&RawEntry { name: "w", dims: &dims, tag: Some(DType::F32.tag()), numel: 1 << 62, payload: vec![] });
+        expect_corrupt(&bytes, "overflow");
+        // A huge but representable size is just a truncated payload.
+        let bytes = crafted(&RawEntry { name: "w", dims: &[65536, 65536], tag: None, numel: 1 << 32, payload: vec![0; 16] });
+        expect_corrupt(&bytes, "truncated");
     }
 
     #[test]

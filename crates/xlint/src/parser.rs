@@ -33,7 +33,7 @@ pub struct FnDef {
     pub module: Vec<String>,
     /// Enclosing `impl`/`trait` type name, if this is a method
     /// (`BatchGenerator` for `impl BatchGenerator { fn step … }`; the
-    /// *self* type for trait impls: `impl KvRows for KvCache` → `KvCache`).
+    /// *self* type for trait impls: `impl Element for F16` → `F16`).
     pub self_type: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,

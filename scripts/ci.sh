@@ -46,6 +46,14 @@ if [ "$routers" -gt 1 ]; then
     exit 1
 fi
 
+echo "== one KV store (grep gate over crates/models/src) =="
+# Every decode path writes K/V through `kv_block::BlockPool`; this fails
+# the build if a second store, or a trait to read two of them, comes back.
+if grep -rnE 'KvCache|StreamKv|KvSeam|KvRows' crates/models/src; then
+    echo "models: a deleted KV store or seam is named above; BlockPool is the only store" >&2
+    exit 1
+fi
+
 echo "== build (release, warnings are errors) =="
 cargo build --workspace --release --offline
 

@@ -263,30 +263,11 @@ fn batched_decode_golden_fingerprint_is_frozen() {
 /// matter.
 #[test]
 fn int8_solo_decode_golden_fingerprint_is_frozen() {
-    use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
     use ratatouille::models::lm::LanguageModel;
     use ratatouille::models::sample::{generate, SamplerConfig};
     use ratatouille::tensor::par;
-    use ratatouille_util::rng::RngExt;
 
-    let model = Gpt2Lm::new(Gpt2Config {
-        name: "golden-int8".into(),
-        vocab: 32,
-        d_model: 16,
-        n_heads: 2,
-        n_layers: 2,
-        d_ff: 32,
-        max_t: 64,
-        local_window: None,
-        dropout: 0.0,
-        seed: 1234,
-    });
-    let mut rng = StdRng::seed_from_u64(4321);
-    for (_, p) in model.named_parameters() {
-        let v = p.value();
-        let data = v.data().iter().map(|&x| x + rng.random::<f32>() - 0.5).collect();
-        p.set_value(Tensor::from_vec(data, v.dims()).unwrap());
-    }
+    let model = solo_golden_model("golden-int8", 64, None);
     let int8 = model.quantized().expect("gpt2 offers int8");
     let cfg = SamplerConfig {
         max_tokens: 24,
@@ -417,6 +398,29 @@ fn windowed_solo_decode_golden_fingerprint_is_frozen() {
         fp, 0x7aee_d84d_30ab_ee25,
         "windowed solo decode changed: {fp:#x} ({tokens:?})"
     );
+}
+
+/// Windowed configs batch: the golden request above decodes to the same
+/// stream through the continuous-batching engine (16-token blocks, so
+/// the local layer's window starts mid-block) as through the solo stream
+/// (one block).
+#[test]
+fn windowed_golden_request_decodes_the_same_through_the_batch_engine() {
+    use ratatouille::models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
+    use ratatouille::models::lm::InferenceModel;
+
+    let model = solo_golden_model("golden-neo", 64, Some(8));
+    let bm = model.batch_model().expect("a windowed config with 16/32 widths is batch-ready");
+    let mut engine = BatchGenerator::new(bm, BatchEngineConfig::default());
+    let id = engine
+        .admit(BatchRequest {
+            prompt: SOLO_GOLDEN_PROMPT.to_vec(),
+            sampler: solo_golden_sampler(),
+            seed: SOLO_GOLDEN_SEED,
+        })
+        .expect("the default pool covers one tiny request");
+    let batched = engine.run_to_completion(bm, id).expect("reserved at admission");
+    assert_eq!(batched, solo_golden_tokens(&model));
 }
 
 /// Golden corpus fingerprint: the seed-42, 60-recipe corpus hashes to a
