@@ -53,18 +53,6 @@ pub fn self_bleu<S: AsRef<str>>(texts: &[S]) -> f64 {
     sum / texts.len() as f64
 }
 
-/// Mean token length of a set of generations.
-pub fn mean_length<S: AsRef<str>>(texts: &[S]) -> f64 {
-    if texts.is_empty() {
-        return 0.0;
-    }
-    texts
-        .iter()
-        .map(|t| t.as_ref().split_whitespace().count() as f64)
-        .sum::<f64>()
-        / texts.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,11 +95,5 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert_eq!(distinct_n(&Vec::<String>::new(), 2), 0.0);
-        assert_eq!(mean_length(&Vec::<String>::new()), 0.0);
-    }
-
-    #[test]
-    fn mean_length_reference() {
-        assert_eq!(mean_length(&["a b", "a b c d"]), 3.0);
     }
 }

@@ -29,7 +29,6 @@ pub mod novelty;
 pub mod perplexity;
 pub mod report;
 pub mod rouge;
-pub mod significance;
 pub mod structure;
 
 pub use bleu::{corpus_bleu, sentence_bleu};

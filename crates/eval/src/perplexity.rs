@@ -13,21 +13,6 @@ pub fn perplexity_from_nll(nlls: &[f32]) -> f64 {
     mean.exp()
 }
 
-/// Perplexity of a uniform distribution over `vocab` outcomes — the
-/// untrained-model baseline every trained model must beat.
-pub fn uniform_perplexity(vocab: usize) -> f64 {
-    vocab as f64
-}
-
-/// Bits-per-token from per-token NLLs (natural log → bits).
-pub fn bits_per_token(nlls: &[f32]) -> f64 {
-    if nlls.is_empty() {
-        return f64::INFINITY;
-    }
-    let mean = nlls.iter().map(|&v| v as f64).sum::<f64>() / nlls.len() as f64;
-    mean / std::f64::consts::LN_2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,7 +23,7 @@ mod tests {
         let v = 100usize;
         let nll = (v as f32).ln();
         let ppl = perplexity_from_nll(&[nll; 10]);
-        assert!((ppl - uniform_perplexity(v)).abs() < 0.01, "{ppl}");
+        assert!((ppl - v as f64).abs() < 0.01, "{ppl}");
     }
 
     #[test]
@@ -50,13 +35,6 @@ mod tests {
     #[test]
     fn empty_is_infinite() {
         assert!(perplexity_from_nll(&[]).is_infinite());
-    }
-
-    #[test]
-    fn bits_per_token_reference() {
-        // ln 2 nats per token = 1 bit per token
-        let b = bits_per_token(&[std::f32::consts::LN_2; 4]);
-        assert!((b - 1.0).abs() < 1e-6);
     }
 
     #[test]

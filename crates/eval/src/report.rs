@@ -65,30 +65,6 @@ impl fmt::Display for EvalReport {
     }
 }
 
-/// Render several reports as the Table-I-style comparison table.
-pub fn render_table(reports: &[EvalReport]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<18} {:>8} {:>10} {:>10} {:>10} {:>8} {:>10}\n",
-        "Model", "BLEU", "PPL", "Dist-2", "SelfBLEU", "Valid%", "Lat(ms)"
-    ));
-    out.push_str(&"-".repeat(80));
-    out.push('\n');
-    for r in reports {
-        out.push_str(&format!(
-            "{:<18} {:>8.3} {:>10.2} {:>10.3} {:>10.3} {:>8.1} {:>10.1}\n",
-            r.model,
-            r.bleu,
-            r.perplexity,
-            r.distinct_2,
-            r.self_bleu,
-            r.structure_valid_rate * 100.0,
-            r.gen_latency_ms
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +77,6 @@ mod tests {
         assert!(s.contains("GPT-2 medium"));
         assert!(s.contains("0.806"));
         assert!(s.contains("perplexity"));
-    }
-
-    #[test]
-    fn table_has_one_row_per_model() {
-        let reports = vec![EvalReport::new("a"), EvalReport::new("b")];
-        let t = render_table(&reports);
-        assert_eq!(t.lines().count(), 2 + reports.len());
-        assert!(t.contains("Model"));
     }
 
     #[test]

@@ -107,15 +107,6 @@ impl Dataset {
         self.blocks.is_empty()
     }
 
-    /// Total non-pad tokens across blocks.
-    pub fn num_tokens(&self) -> usize {
-        self.blocks
-            .iter()
-            .flatten()
-            .filter(|&&t| t != self.pad_id)
-            .count()
-    }
-
     /// The configured block size.
     pub fn block_size(&self) -> usize {
         self.block_size
@@ -224,12 +215,5 @@ mod tests {
         let (inp, _) = ds.iter_examples().next().unwrap();
         assert_eq!(inp.len(), 16);
         assert!(inp.iter().all(|&x| x != t.pad_id()));
-    }
-
-    #[test]
-    fn num_tokens_excludes_padding() {
-        let t = tok();
-        let ds = Dataset::from_texts(&["abcdefghij".repeat(6)], &t, 32);
-        assert_eq!(ds.num_tokens(), 60);
     }
 }

@@ -483,7 +483,7 @@ impl<E: Element> TokenStream for Gpt2Stream<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratatouille_tensor::optim::{zero_grads, Adam, Optimizer};
+    use ratatouille_tensor::optim::{zero_grads, Adam};
 
     fn tiny() -> Gpt2Lm {
         Gpt2Lm::new(Gpt2Config {

@@ -20,7 +20,6 @@
 
 
 pub mod batch;
-pub mod beam;
 pub mod data;
 pub mod gpt2;
 pub mod kv_block;

@@ -295,7 +295,7 @@ impl TokenStream for LstmStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratatouille_tensor::optim::{zero_grads, Adam, Optimizer};
+    use ratatouille_tensor::optim::{zero_grads, Adam};
 
     fn tiny() -> LstmLm {
         LstmLm::new(LstmConfig {

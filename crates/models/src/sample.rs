@@ -47,17 +47,6 @@ impl Default for SamplerConfig {
     }
 }
 
-impl SamplerConfig {
-    /// Greedy decoding with a stop token.
-    pub fn greedy_until(stop: u32) -> Self {
-        SamplerConfig {
-            greedy: true,
-            stop_token: Some(stop),
-            ..Default::default()
-        }
-    }
-}
-
 /// Autoregressively generate a continuation of `prompt`. Returns only the
 /// generated tokens (without the prompt, without the stop token).
 ///
@@ -172,9 +161,12 @@ pub fn select_token(logits: &Tensor, cfg: &SamplerConfig, rng: &mut StdRng) -> u
     sample_ranked(&scaled, &ranked, cfg, rng)
 }
 
+/// Temperature-scaled logits with NaN mapped to `-inf`: a NaN is
+/// unordered, and without one the ranking below is a total order.
 fn scale_logits(logits: &Tensor, cfg: &SamplerConfig) -> Vec<f32> {
     let temp = cfg.temperature.max(1e-4);
-    logits.data().iter().map(|&x| x / temp).collect()
+    let scale = |&x: &f32| if x.is_nan() { f32::NEG_INFINITY } else { x / temp };
+    logits.data().iter().map(scale).collect()
 }
 
 /// How many candidates survive the top-k cutoff out of `v`.
@@ -186,26 +178,12 @@ fn top_k_of(cfg: &SamplerConfig, v: usize) -> usize {
     }
 }
 
-/// Every candidate index, best first: scaled logit descending, and — the
-/// sort being stable over `0..v` — index ascending among equals.
-fn rank_all(scaled: &[f32]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scaled.len()).collect();
-    idx.sort_by(|&a, &b| scaled[b].partial_cmp(&scaled[a]).unwrap_or(std::cmp::Ordering::Equal));
-    idx
-}
-
-/// The `k` best candidate indices in [`rank_all`]'s order, without
-/// sorting the whole vocabulary: over finite logits that order is total
-/// once the index breaks ties, so a selection of the `k` smallest under
-/// it followed by a sort of the survivors gives the same prefix. With a
-/// non-finite logit in play (a NaN is unordered) the full stable sort
-/// runs, as it always has.
+/// The `k` best candidate indices, best first: scaled logit descending,
+/// index ascending among equals. [`scale_logits`] leaves no NaN, so that
+/// order is total over every input (infinities included) and a selection
+/// of the `k` smallest under it followed by a sort of the survivors is a
+/// prefix of the full sort, without sorting the whole vocabulary.
 fn top_candidates(scaled: &[f32], k: usize) -> Vec<usize> {
-    if k >= scaled.len() || !scaled.iter().all(|x| x.is_finite()) {
-        let mut idx = rank_all(scaled);
-        idx.truncate(k);
-        return idx;
-    }
     let by_rank = |a: &usize, b: &usize| {
         scaled[*b]
             .partial_cmp(&scaled[*a])
@@ -213,7 +191,9 @@ fn top_candidates(scaled: &[f32], k: usize) -> Vec<usize> {
             .then(a.cmp(b))
     };
     let mut idx: Vec<usize> = (0..scaled.len()).collect();
-    idx.select_nth_unstable_by(k - 1, by_rank);
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k - 1, by_rank);
+    }
     idx.truncate(k);
     idx.sort_unstable_by(by_rank);
     idx
@@ -226,6 +206,11 @@ fn sample_ranked(scaled: &[f32], ranked: &[usize], cfg: &SamplerConfig, rng: &mu
 
     // softmax over kept
     let max = scaled[kept[0]];
+    if !max.is_finite() {
+        // `+inf` outranks everything; when nothing is finite every
+        // candidate ties at `-inf` and the lowest index ranks first.
+        return kept[0] as u32;
+    }
     let mut probs: Vec<f32> = kept.iter().map(|&i| (scaled[i] - max).exp()).collect();
     let sum = ratatouille_util::accum::sum_f32(probs.iter().copied());
     for p in probs.iter_mut() {
@@ -367,6 +352,14 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Every candidate index, best first: scaled logit descending, and — the
+    /// sort being stable over `0..v` — index ascending among equals.
+    fn rank_all(scaled: &[f32]) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..scaled.len()).collect();
+        idx.sort_by(|&a, &b| scaled[b].partial_cmp(&scaled[a]).expect("scale_logits leaves no NaN"));
+        idx
+    }
+
     /// The sampler as it was before the top-k selection: rank the whole
     /// vocabulary with one stable sort, then cut.
     fn select_token_by_full_sort(logits: &Tensor, cfg: &SamplerConfig, rng: &mut StdRng) -> u32 {
@@ -381,7 +374,7 @@ mod tests {
 
         /// Token for token the full-sort sampler, on logits drawn from a
         /// handful of levels so exact ties straddle the top-k boundary,
-        /// with an occasional infinity (the fallback path).
+        /// with an occasional `-inf`, `+inf` or NaN level.
         #[test]
         fn top_k_selection_matches_the_full_sort(
             levels in ratatouille_util::proptest::collection::vec(0u32..9, 1..160),
@@ -393,6 +386,8 @@ mod tests {
                 .iter()
                 .map(|&l| match l {
                     8 if seed % 5 == 0 => f32::NEG_INFINITY,
+                    7 if seed % 7 == 0 => f32::NAN,
+                    6 if seed % 11 == 0 => f32::INFINITY,
                     l => l as f32 * 0.75 - 2.0,
                 })
                 .collect();
@@ -409,12 +404,38 @@ mod tests {
             ratatouille_util::prop_assert_eq!(top_candidates(&scaled, k), rank_all(&scaled)[..k].to_vec());
             let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             for _ in 0..8 {
-                ratatouille_util::prop_assert_eq!(
-                    select_token(&l, &cfg, &mut ra),
-                    select_token_by_full_sort(&l, &cfg, &mut rb)
-                );
+                let token = select_token(&l, &cfg, &mut ra);
+                ratatouille_util::prop_assert!((token as usize) < values.len());
+                ratatouille_util::prop_assert_eq!(token, select_token_by_full_sort(&l, &cfg, &mut rb));
             }
         }
+    }
+
+    /// Seed 3 of this generator (256 logits, one in fifty NaN) panicked
+    /// in the full sort ("user-provided comparison function does not
+    /// correctly implement a total order") before `scale_logits` mapped
+    /// NaN away; it was reachable from a served request.
+    #[test]
+    fn nan_logits_regression_seed_3() {
+        let mut gen = StdRng::seed_from_u64(3);
+        let values: Vec<f32> = (0..256)
+            .map(|_| if gen.random::<f32>() < 0.02 { f32::NAN } else { gen.random::<f32>() * 8.0 - 4.0 })
+            .collect();
+        let sampling = SamplerConfig::default();
+        let greedy = SamplerConfig { greedy: true, ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(3);
+        let token = select_token(&logits(&values), &sampling, &mut rng) as usize;
+        assert!(!values[token].is_nan(), "a NaN is never sampled");
+        assert!((select_token(&logits(&values), &greedy, &mut rng) as usize) < values.len());
+        // nothing finite: the lowest index, under sampling and greedy alike
+        for cfg in [&sampling, &greedy] {
+            assert_eq!(select_token(&logits(&[f32::NAN; 9]), cfg, &mut rng), 0);
+            assert_eq!(select_token(&logits(&[f32::NEG_INFINITY; 9]), cfg, &mut rng), 0);
+        }
+        // `+inf` outranks everything; the lowest-index one wins
+        let l = logits(&[f32::NAN, 1.0, f32::INFINITY, f32::INFINITY]);
+        assert_eq!(select_token(&l, &sampling, &mut rng), 2);
+        assert!(select_token(&l, &greedy, &mut rng) < 4);
     }
 
     #[test]

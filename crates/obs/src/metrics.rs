@@ -25,8 +25,7 @@
 //! status classes, never from request payloads.
 //!
 //! [`render_prometheus`] produces the text exposition format (served at
-//! `GET /metrics`); [`snapshot_all`] returns typed snapshots in
-//! deterministic (sorted-name) order for tests and benches.
+//! `GET /metrics`) in deterministic (sorted-name) order.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -294,35 +293,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     }
 }
 
-/// Typed snapshot of one registered metric.
-#[derive(Debug, Clone)]
-pub enum MetricSnapshot {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
-    /// Histogram snapshot.
-    Histogram(HistogramSnapshot),
-}
-
-/// Snapshot every registered metric in deterministic (sorted-name) order.
-pub fn snapshot_all() -> Vec<(String, MetricSnapshot)> {
-    let reg = match registry().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    reg.iter()
-        .map(|(name, m)| {
-            let snap = match m {
-                Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
-                Metric::Gauge(g) => MetricSnapshot::Gauge(g.get()),
-                Metric::Histogram(h) => MetricSnapshot::Histogram(h.snapshot()),
-            };
-            (name.clone(), snap)
-        })
-        .collect()
-}
-
 /// The metric *family* (name without the inline label set).
 fn family(name: &str) -> &str {
     name.split('{').next().unwrap_or(name)
@@ -509,16 +479,6 @@ mod tests {
         let text = render_prometheus();
         assert!(text.contains("obs_test_unlabeled_h_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("obs_test_unlabeled_h_sum 3"));
-    }
-
-    #[test]
-    fn snapshot_all_is_name_sorted() {
-        counter("obs_test_sorted_z").inc();
-        counter("obs_test_sorted_a").inc();
-        let names: Vec<String> = snapshot_all().into_iter().map(|(n, _)| n).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
     }
 
     #[test]

@@ -385,13 +385,6 @@ pub fn find(id: u64) -> Option<TraceHandle> {
         .cloned()
 }
 
-/// Drop all retained traces (the id counter stays monotonic).
-pub fn reset() {
-    let mut st = lock_store();
-    st.ring.clear();
-    st.slow.clear();
-}
-
 /// Render every retained trace as Chrome trace-event JSON (the legacy
 /// array format `chrome://tracing` and Perfetto both load). One complete
 /// (`"ph":"X"`) event per phase record; `tid` is the trace id, so each
@@ -446,6 +439,13 @@ mod tests {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
+    }
+
+    /// Drop all retained traces (the id counter stays monotonic).
+    fn reset() {
+        let mut st = lock_store();
+        st.ring.clear();
+        st.slow.clear();
     }
 
     #[test]

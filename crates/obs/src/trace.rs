@@ -12,8 +12,7 @@
 //! * an aggregate map `path -> (count, self_ns)` where `self_ns` excludes
 //!   time attributed to children — [`folded_stacks`] renders it;
 //! * a ring buffer of the most recent [`SpanEvent`]s (capacity
-//!   [`RING_CAPACITY`]) for "what just happened" debugging via
-//!   [`recent_events`].
+//!   [`RING_CAPACITY`]); [`folded_stacks`] reports how many it evicted.
 //!
 //! Span names must be `&'static str` literals: that keeps the hot path
 //! allocation-free until close and bounds cardinality by construction.
@@ -54,9 +53,9 @@ struct TraceState {
     /// path -> (close count, total self-time ns).
     folded: BTreeMap<String, (u64, u64)>,
     ring: VecDeque<SpanEvent>,
-    /// Events evicted from the ring since the last [`reset`] — without
-    /// this, a busy window silently overwrites history and a reader of
-    /// [`recent_events`] can't tell a quiet period from a saturated ring.
+    /// Events evicted from the ring — without this, a busy window
+    /// silently overwrites history and a reader can't tell a quiet
+    /// period from a saturated ring.
     dropped: u64,
 }
 
@@ -147,38 +146,17 @@ pub fn folded_stacks() -> String {
     out
 }
 
-/// Events evicted from the recent-events ring since the last [`reset`].
-pub fn ring_dropped() -> u64 {
-    lock_state().dropped
-}
-
-/// Aggregate close counts per path, in deterministic path order.
-pub fn span_counts() -> Vec<(String, u64)> {
-    let st = lock_state();
-    st.folded
-        .iter()
-        .map(|(path, (count, _))| (path.clone(), *count))
-        .collect()
-}
-
-/// The most recent completed spans, oldest first (bounded by
-/// [`RING_CAPACITY`]).
-pub fn recent_events() -> Vec<SpanEvent> {
-    let st = lock_state();
-    st.ring.iter().cloned().collect()
-}
-
-/// Clear all recorded trace data (tests and long-lived processes).
-pub fn reset() {
-    let mut st = lock_state();
-    st.folded.clear();
-    st.ring.clear();
-    st.dropped = 0;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clear all recorded trace data: the tests share the global sink.
+    fn reset() {
+        let mut st = lock_state();
+        st.folded.clear();
+        st.ring.clear();
+        st.dropped = 0;
+    }
 
     /// Serialize trace tests: they share the global sink.
     fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -205,9 +183,9 @@ mod tests {
         let folded = folded_stacks();
         assert!(folded.contains("outer_test "), "{folded}");
         assert!(folded.contains("outer_test;inner_test "), "{folded}");
-        let counts = span_counts();
-        assert!(counts.contains(&("outer_test;inner_test".to_string(), 2)), "{counts:?}");
-        assert!(counts.contains(&("outer_test".to_string(), 1)), "{counts:?}");
+        let st = lock_state();
+        assert_eq!(st.folded["outer_test;inner_test"].0, 2, "{folded}");
+        assert_eq!(st.folded["outer_test"].0, 1, "{folded}");
     }
 
     #[test]
@@ -219,19 +197,20 @@ mod tests {
             let _inner = span("self_time_inner");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let events = recent_events();
-        let outer = events
+        let st = lock_state();
+        let outer = st
+            .ring
             .iter()
             .find(|e| e.path == "self_time_outer")
             .expect("outer recorded");
-        let inner = events
+        let inner = st
+            .ring
             .iter()
             .find(|e| e.path == "self_time_outer;self_time_inner")
             .expect("inner recorded");
         assert!(outer.dur_ns >= inner.dur_ns);
         // outer's *self* time in the folded map must be far below its
         // total duration, since almost everything happened in the child.
-        let st = lock_state();
         let (_, outer_self) = st.folded["self_time_outer"];
         assert!(
             outer_self < outer.dur_ns / 2,
@@ -244,16 +223,16 @@ mod tests {
     fn ring_is_bounded_and_counts_drops() {
         let _guard = trace_test_lock();
         reset();
-        assert_eq!(ring_dropped(), 0);
+        assert_eq!(lock_state().dropped, 0);
         for _ in 0..RING_CAPACITY + 10 {
             let _s = span("ring_bound_test");
         }
-        assert_eq!(recent_events().len(), RING_CAPACITY);
-        assert_eq!(ring_dropped(), 10);
+        assert_eq!(lock_state().ring.len(), RING_CAPACITY);
+        assert_eq!(lock_state().dropped, 10);
         let folded = folded_stacks();
         assert!(folded.starts_with("# ring_dropped: 10\n"), "{folded}");
         reset();
-        assert_eq!(ring_dropped(), 0);
+        assert_eq!(lock_state().dropped, 0);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl PipelineConfig {
             ..Default::default()
         }
     }
-
-    /// Override the corpus seed (each seed is an independent world).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.corpus.seed = seed;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -76,11 +70,5 @@ mod tests {
     #[test]
     fn presets_are_ordered_by_size() {
         assert!(PipelineConfig::small().corpus.num_recipes < PipelineConfig::reproduction().corpus.num_recipes);
-    }
-
-    #[test]
-    fn with_seed_overrides() {
-        let c = PipelineConfig::small().with_seed(99);
-        assert_eq!(c.corpus.seed, 99);
     }
 }

@@ -147,46 +147,6 @@ impl TrainedModel {
         text
     }
 
-    /// Like [`Self::generate_tagged`] but decoded with the model's int8
-    /// weight-quantized variant, when the architecture offers one
-    /// (`None` for LSTMs). Same seed and sampler settings as the f32
-    /// path, so f32-vs-int8 deltas isolate the quantization effect.
-    pub fn generate_tagged_quantized(&self, ingredients: &[String], seed: u64) -> Option<String> {
-        let quant = self.spec.model.quantized()?;
-        let prompt_text = prompt_for(ingredients);
-        let prompt = self.spec.tokenizer.encode(&prompt_text);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = sampler_for_request(
-            &self.sampler,
-            self.spec.tokenizer.as_ref(),
-            generation_budget(self.spec.kind),
-        );
-        let continuation = generate(quant.as_ref(), &prompt, &cfg, &mut rng);
-        let mut text = prompt_text;
-        text.push_str(&self.spec.tokenizer.decode(&continuation));
-        text.push_str(special::RECIPE_END);
-        Some(text)
-    }
-
-    /// Deterministic high-likelihood generation via beam search (no
-    /// sampling seed; the output is a pure function of the weights).
-    pub fn generate_tagged_beam(&self, ingredients: &[String], beam_width: usize) -> String {
-        use ratatouille_models::beam::{beam_search, BeamConfig};
-        let prompt_text = prompt_for(ingredients);
-        let prompt = self.spec.tokenizer.encode(&prompt_text);
-        let cfg = BeamConfig {
-            beam_width,
-            max_tokens: generation_budget(self.spec.kind),
-            stop_token: Some(self.spec.tokenizer.eos_id()),
-            length_penalty: 0.7,
-        };
-        let continuation = beam_search(self.spec.model.as_ref(), &prompt, &cfg);
-        let mut text = prompt_text;
-        text.push_str(&self.spec.tokenizer.decode(&continuation));
-        text.push_str(special::RECIPE_END);
-        text
-    }
-
     /// Generate and parse into a structured recipe (Fig. 5).
     pub fn generate_recipe(&self, ingredients: &[String], seed: u64) -> GeneratedRecipe {
         recipe_from_tagged(&self.generate_tagged(ingredients, seed))
@@ -393,25 +353,6 @@ mod tests {
         let rec3 = trained.generate_recipe(&["flour".into(), "water".into()], 8);
         // different seed usually differs (untrained model, high entropy)
         assert!(rec != rec3 || rec.instructions.is_empty());
-    }
-
-    #[test]
-    fn beam_generation_is_deterministic() {
-        let p = tiny_pipeline();
-        let trained = p.train(
-            ModelKind::WordLstm,
-            Some(TrainConfig {
-                steps: 5,
-                batch_size: 2,
-                ..Default::default()
-            }),
-        );
-        let ing = vec!["flour".to_string(), "water".to_string()];
-        let a = trained.generate_tagged_beam(&ing, 2);
-        let b = trained.generate_tagged_beam(&ing, 2);
-        assert_eq!(a, b);
-        assert!(a.starts_with(special::RECIPE_START));
-        assert!(a.ends_with(special::RECIPE_END));
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl Corpus {
         }
         (train, test)
     }
-
-    /// Tagged training strings for a set of recipes (Fig. 2 format).
-    pub fn tagged_texts(recipes: &[&Recipe]) -> Vec<String> {
-        recipes.iter().map(|r| r.to_tagged_string()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -242,17 +237,5 @@ mod tests {
         let (train, test) = c.split(0.0);
         assert_eq!(train.len(), c.recipes.len());
         assert!(test.is_empty());
-    }
-
-    #[test]
-    fn tagged_texts_wrap_each_recipe() {
-        let c = Corpus::generate(small());
-        let (train, _) = c.split(0.1);
-        let texts = Corpus::tagged_texts(&train);
-        assert_eq!(texts.len(), train.len());
-        for t in &texts {
-            assert!(t.starts_with("<RECIPE_START>"));
-            assert!(t.ends_with("<RECIPE_END>"));
-        }
     }
 }

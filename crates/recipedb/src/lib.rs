@@ -38,10 +38,8 @@
 
 pub mod corpus;
 pub mod diet;
-pub mod export;
 pub mod grammar;
 pub mod ontology;
-pub mod pairing;
 pub mod preprocess;
 pub mod recipe;
 pub mod stats;

@@ -62,11 +62,6 @@ pub fn substitutes(name: &str) -> Vec<&'static Substitution> {
     SUBSTITUTIONS.iter().filter(|s| s.from == name).collect()
 }
 
-/// Apply a substitution to a quantity.
-pub fn substituted_quantity(sub: &Substitution, qty: f32) -> f32 {
-    qty * sub.ratio
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +92,7 @@ mod tests {
         assert!(subs.len() >= 3);
         assert!(subs.iter().any(|s| s.to == "coconut oil"));
         let oil = subs.iter().find(|s| s.to == "olive oil").unwrap();
-        assert_eq!(substituted_quantity(oil, 4.0), 3.0);
+        assert_eq!(oil.ratio, 0.75);
     }
 
     #[test]

@@ -128,20 +128,6 @@ pub fn ingredient_frequencies(recipes: &[&Recipe]) -> Vec<(String, usize)> {
     v
 }
 
-/// Region usage counts over a recipe set.
-pub fn region_frequencies(recipes: &[&Recipe]) -> Vec<(String, usize)> {
-    let mut counts: DetMap<&str, usize> = det_map();
-    for r in recipes {
-        *counts.entry(r.region.as_str()).or_insert(0) += 1;
-    }
-    let mut v: Vec<(String, usize)> = counts
-        .into_iter()
-        .map(|(k, c)| (k.to_string(), c))
-        .collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,16 +188,5 @@ mod tests {
         }
         // Zipf head: top ingredient should be very common.
         assert!(freqs[0].1 > c.recipes.len() / 5);
-    }
-
-    #[test]
-    fn region_frequencies_cover_many_regions() {
-        let c = Corpus::generate(CorpusConfig {
-            num_recipes: 500,
-            ..CorpusConfig::default()
-        });
-        let refs: Vec<&crate::recipe::Recipe> = c.recipes.iter().collect();
-        let regions = region_frequencies(&refs);
-        assert!(regions.len() >= 20, "only {} regions hit", regions.len());
     }
 }

@@ -20,12 +20,6 @@ impl HttpClient {
         }
     }
 
-    /// Override the socket timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// `GET path` → `(status, body)`.
     pub fn get(&self, path: &str) -> std::io::Result<(u16, String)> {
         self.request(&format!(

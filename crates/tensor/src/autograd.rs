@@ -116,11 +116,6 @@ impl Var {
         self.0.borrow_mut().value = value;
     }
 
-    /// A gradient-stopped copy of this node's value.
-    pub fn detach(&self) -> Var {
-        Var::constant(self.value())
-    }
-
     /// Run reverse-mode autodiff from this (scalar) node, accumulating
     /// gradients into every reachable node with `requires_grad`.
     ///
@@ -204,11 +199,6 @@ impl Var {
         }
         order
     }
-
-    /// Number of graph nodes reachable from this one (diagnostics).
-    pub fn graph_size(&self) -> usize {
-        self.topo_order().len()
-    }
 }
 
 fn accumulate(v: &Var, g: &Tensor) {
@@ -259,7 +249,7 @@ mod tests {
         let b = Var::constant(Tensor::scalar(3.0));
         let c = a.mul(&b);
         assert!(!c.requires_grad());
-        assert_eq!(c.graph_size(), 1);
+        assert_eq!(c.topo_order().len(), 1);
     }
 
     #[test]
@@ -304,15 +294,6 @@ mod tests {
         let y = z.add(&z);
         y.backward();
         assert_eq!(x.grad().unwrap().item(), 20.0);
-    }
-
-    #[test]
-    fn detach_stops_gradient() {
-        let x = Var::leaf(Tensor::scalar(2.0));
-        let d = x.detach();
-        let y = d.mul(&d);
-        y.backward();
-        assert!(x.grad().is_none());
     }
 
     #[test]

@@ -189,9 +189,6 @@ impl Element for f32 {
 pub struct F16(u16);
 
 impl F16 {
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0);
-
     /// Reinterpret raw binary16 bits.
     #[inline]
     pub fn from_bits(bits: u16) -> F16 {

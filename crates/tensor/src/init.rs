@@ -36,16 +36,6 @@ pub fn xavier_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tens
     uniform(rng, &[fan_in, fan_out], -limit, limit)
 }
 
-/// Kaiming/He normal init (`std = sqrt(2/fan_in)`), for ReLU-family nets.
-pub fn kaiming_normal(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tensor {
-    randn(rng, &[fan_in, fan_out], (2.0 / fan_in as f32).sqrt())
-}
-
-/// GPT-2 style init: `N(0, 0.02²)` for a matrix of the given shape.
-pub fn gpt2_normal(rng: &mut impl Rng, dims: &[usize]) -> Tensor {
-    randn(rng, dims, 0.02)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

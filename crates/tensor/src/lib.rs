@@ -17,8 +17,8 @@
 //! * [`Var`] — a node in a dynamically-built computation graph. Calling ops
 //!   on `Var`s records the graph; [`Var::backward`] runs reverse-mode
 //!   autodiff and accumulates gradients into leaf variables.
-//! * [`optim`] — SGD / Adam / AdamW optimizers, global-norm gradient
-//!   clipping and learning-rate schedules.
+//! * [`optim`] — the Adam / AdamW optimizer, global-norm gradient
+//!   clipping and the warmup-cosine learning-rate schedule.
 //! * [`serialize`] — a compact binary format for named tensor collections
 //!   (checkpoints), with integrity checking.
 //! * [`par`] — scoped-thread data parallelism used by the heavy kernels;

@@ -1,6 +1,5 @@
 //! Elementwise unary and binary kernels.
 
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Apply `f` to every element.
@@ -43,11 +42,6 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
 /// `a * b` elementwise (same shape).
 pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     zip(a, b, |x, y| x * y)
-}
-
-/// `a / b` elementwise (same shape).
-pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
-    zip(a, b, |x, y| x / y)
 }
 
 /// `a + b` where `b`'s shape is a trailing suffix of `a`'s
@@ -117,11 +111,6 @@ pub fn tanh(t: &Tensor) -> Tensor {
 /// Logistic sigmoid `1 / (1 + e^-x)`.
 pub fn sigmoid(t: &Tensor) -> Tensor {
     map(t, |v| 1.0 / (1.0 + (-v).exp()))
-}
-
-/// Rectified linear unit.
-pub fn relu(t: &Tensor) -> Tensor {
-    map(t, |v| v.max(0.0))
 }
 
 /// GELU with the tanh approximation used by GPT-2.
@@ -194,12 +183,6 @@ pub fn square(t: &Tensor) -> Tensor {
     map(t, |v| v * v)
 }
 
-/// Build a shape-checked tensor of the same shape as `like` from raw data.
-pub fn like(like: &Tensor, data: Vec<f32>) -> Tensor {
-    assert_eq!(like.numel(), data.len());
-    Tensor::from_parts(Shape(like.dims().to_vec()), data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +198,6 @@ mod tests {
         assert_eq!(add(&a, &b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(sub(&b, &a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(mul(&a, &b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(div(&b, &a).data(), &[4.0, 2.5, 2.0]);
     }
 
     #[test]
@@ -245,8 +227,6 @@ mod tests {
         let x = t(&[0.0]);
         assert_eq!(sigmoid(&x).data()[0], 0.5);
         assert_eq!(tanh(&x).data()[0], 0.0);
-        assert_eq!(relu(&t(&[-1.0])).data()[0], 0.0);
-        assert_eq!(relu(&t(&[2.0])).data()[0], 2.0);
         // GELU(0) = 0, GELU(x) ≈ x for large x, ≈ 0 for very negative x.
         assert_eq!(gelu(&x).data()[0], 0.0);
         assert!((gelu(&t(&[10.0])).data()[0] - 10.0).abs() < 1e-4);

@@ -35,24 +35,6 @@ pub fn softmax_row(row: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Numerically stable log-softmax over the last axis.
-pub fn log_softmax_last(t: &Tensor) -> Tensor {
-    assert!(t.rank() >= 1, "log_softmax_last requires rank >= 1");
-    let d = *t.dims().last().unwrap();
-    assert!(d > 0, "log_softmax_last: empty last axis");
-    let rows = t.numel() / d;
-    let mut out = vec![0.0f32; t.numel()];
-    for r in 0..rows {
-        let row = &t.data()[r * d..(r + 1) * d];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
-        for (o, &v) in out[r * d..(r + 1) * d].iter_mut().zip(row) {
-            *o = v - lse;
-        }
-    }
-    Tensor::from_parts(t.shape().clone(), out)
-}
-
 /// Softmax over the last axis of square `[.., T, T]` score matrices with a
 /// causal mask: position `(i, j)` with `j > i` receives zero probability.
 ///
@@ -249,16 +231,6 @@ mod tests {
         assert!(!s.has_non_finite());
         let b = softmax_last(&Tensor::from_vec(vec![0.0, 1.0, 2.0], &[3]).unwrap());
         assert!(s.allclose(&b, 1e-5));
-    }
-
-    #[test]
-    fn log_softmax_matches_ln_softmax() {
-        let t = Tensor::from_vec(vec![0.5, -0.5, 2.0, 1.0], &[2, 2]).unwrap();
-        let ls = log_softmax_last(&t);
-        let s = softmax_last(&t);
-        for i in 0..4 {
-            assert!((ls.data()[i] - s.data()[i].ln()).abs() < 1e-5);
-        }
     }
 
     #[test]

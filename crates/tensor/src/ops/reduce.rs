@@ -7,7 +7,7 @@
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-pub use ratatouille_util::accum::{max_abs_f32, max_f32, mean_f32, sum_f32};
+pub use ratatouille_util::accum::{max_abs_f32, sum_f32};
 
 /// Sum of all elements, as a rank-0 tensor.
 pub fn sum_all(t: &Tensor) -> Tensor {
@@ -45,19 +45,6 @@ pub fn sum_to_trailing(t: &Tensor, target: &[usize]) -> Tensor {
     Tensor::from_parts(tgt, out)
 }
 
-/// Sum over the last axis: `[.., D]` → `[..]`.
-pub fn sum_last(t: &Tensor) -> Tensor {
-    assert!(t.rank() >= 1, "sum_last requires rank >= 1");
-    let d = *t.dims().last().unwrap();
-    let lead: Vec<usize> = t.dims()[..t.rank() - 1].to_vec();
-    let rows = t.numel() / d.max(1);
-    let mut out = vec![0.0f32; rows];
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = t.data()[r * d..(r + 1) * d].iter().sum();
-    }
-    Tensor::from_parts(Shape(lead), out)
-}
-
 /// Index of the maximum element along the last axis, per row.
 /// Ties resolve to the lowest index.
 pub fn argmax_last(t: &Tensor) -> Vec<usize> {
@@ -77,15 +64,6 @@ pub fn argmax_last(t: &Tensor) -> Vec<usize> {
         out.push(best);
     }
     out
-}
-
-/// Maximum element of the whole tensor.
-///
-/// # Panics
-/// Panics on an empty tensor.
-pub fn max_all(t: &Tensor) -> f32 {
-    assert!(t.numel() > 0, "max_all on empty tensor");
-    t.data().iter().copied().fold(f32::NEG_INFINITY, f32::max)
 }
 
 #[cfg(test)]
@@ -112,15 +90,6 @@ mod tests {
         let g = Tensor::ones(&[4, 5]);
         let r = sum_to_trailing(&g, &[]);
         assert_eq!(r.item(), 20.0);
-    }
-
-    #[test]
-    fn sum_last_shapes() {
-        let t = Tensor::from_vec((0..24).map(|i| i as f32).collect(), &[2, 3, 4]).unwrap();
-        let s = sum_last(&t);
-        assert_eq!(s.dims(), &[2, 3]);
-        assert_eq!(s.at(&[0, 0]), 0.0 + 1.0 + 2.0 + 3.0);
-        assert_eq!(s.at(&[1, 2]), 20.0 + 21.0 + 22.0 + 23.0);
     }
 
     #[test]

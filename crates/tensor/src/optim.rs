@@ -1,26 +1,13 @@
-//! Optimizers, gradient clipping, and learning-rate schedules.
+//! The Adam/AdamW optimizer, gradient clipping, and the warmup-cosine
+//! learning-rate schedule.
 //!
-//! Optimizers hold per-parameter state keyed by position in the parameter
+//! The optimizer holds per-parameter state keyed by position in the parameter
 //! list; callers must pass the same parameter list every step (the model
 //! registries in `ratatouille-models` guarantee this).
 
 use crate::autograd::Var;
 use crate::ops;
 use crate::tensor::Tensor;
-
-/// A first-order optimizer over a fixed list of parameters.
-pub trait Optimizer {
-    /// Apply one update step using the gradients currently accumulated on
-    /// `params`, then leave the gradients intact (call
-    /// [`zero_grads`] separately).
-    fn step(&mut self, params: &[Var]);
-
-    /// The current learning rate.
-    fn lr(&self) -> f32;
-
-    /// Override the learning rate (used by schedules).
-    fn set_lr(&mut self, lr: f32);
-}
 
 /// Clear gradients on all parameters.
 pub fn zero_grads(params: &[Var]) {
@@ -50,55 +37,6 @@ pub fn clip_grad_norm(params: &[Var], max_norm: f32) -> f32 {
         }
     }
     norm
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr` and momentum coefficient `momentum`
-    /// (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &[Var]) {
-        if self.velocity.len() < params.len() {
-            self.velocity.resize(params.len(), None);
-        }
-        for (i, p) in params.iter().enumerate() {
-            let Some(g) = p.grad() else { continue };
-            let update = if self.momentum > 0.0 {
-                let v = match &self.velocity[i] {
-                    Some(v) => ops::add(&ops::scale(v, self.momentum), &g),
-                    None => g.clone(),
-                };
-                self.velocity[i] = Some(v.clone());
-                v
-            } else {
-                g
-            };
-            p.set_value(ops::sub(&p.value(), &ops::scale(&update, self.lr)));
-        }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Per-parameter Adam/AdamW state.
@@ -154,7 +92,7 @@ impl Adam {
     }
 
     /// Export per-parameter `(m, v)` moment tensors for checkpointing,
-    /// indexed like the parameter list passed to [`Optimizer::step`].
+    /// indexed like the parameter list passed to [`Adam::step`].
     pub fn export_state(&self) -> Vec<Option<(Tensor, Tensor)>> {
         self.state
             .iter()
@@ -170,10 +108,11 @@ impl Adam {
             .map(|s| s.map(|(m, v)| AdamState { m, v }))
             .collect();
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &[Var]) {
+    /// Apply one update step using the gradients currently accumulated on
+    /// `params`, then leave the gradients intact (call
+    /// [`zero_grads`] separately).
+    pub fn step(&mut self, params: &[Var]) {
         if self.state.len() < params.len() {
             self.state.resize(params.len(), None);
         }
@@ -208,27 +147,14 @@ impl Optimizer for Adam {
         }
     }
 
-    fn lr(&self) -> f32 {
+    /// The current learning rate.
+    pub fn lr(&self) -> f32 {
         self.lr
     }
 
-    fn set_lr(&mut self, lr: f32) {
+    /// Override the learning rate (used by the schedule).
+    pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
-    }
-}
-
-/// A learning-rate schedule: step index → learning rate.
-pub trait LrSchedule {
-    /// Learning rate for optimization step `step` (0-based).
-    fn lr_at(&self, step: u64) -> f32;
-}
-
-/// Constant learning rate.
-pub struct ConstantLr(pub f32);
-
-impl LrSchedule for ConstantLr {
-    fn lr_at(&self, _step: u64) -> f32 {
-        self.0
     }
 }
 
@@ -245,8 +171,9 @@ pub struct WarmupCosine {
     pub total: u64,
 }
 
-impl LrSchedule for WarmupCosine {
-    fn lr_at(&self, step: u64) -> f32 {
+impl WarmupCosine {
+    /// Learning rate for optimization step `step` (0-based).
+    pub fn lr_at(&self, step: u64) -> f32 {
         if self.warmup > 0 && step < self.warmup {
             return self.peak * (step + 1) as f32 / self.warmup as f32;
         }
@@ -260,28 +187,12 @@ impl LrSchedule for WarmupCosine {
     }
 }
 
-/// Multiply the LR by `gamma` every `every` steps.
-pub struct StepDecay {
-    /// Initial learning rate.
-    pub base: f32,
-    /// Multiplicative decay factor per interval.
-    pub gamma: f32,
-    /// Interval length in steps.
-    pub every: u64,
-}
-
-impl LrSchedule for StepDecay {
-    fn lr_at(&self, step: u64) -> f32 {
-        self.base * self.gamma.powi((step / self.every.max(1)) as i32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Minimize f(x) = (x - 3)² and check convergence.
-    fn quadratic_converges(mut opt: impl Optimizer, steps: usize, tol: f32) {
+    fn quadratic_converges(mut opt: Adam, steps: usize, tol: f32) {
         let x = Var::leaf(Tensor::scalar(0.0));
         for _ in 0..steps {
             zero_grads(&[x.clone()]);
@@ -292,16 +203,6 @@ mod tests {
         }
         let v = x.value().item();
         assert!((v - 3.0).abs() < tol, "converged to {v}, expected 3");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        quadratic_converges(Sgd::new(0.1, 0.0), 100, 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        quadratic_converges(Sgd::new(0.05, 0.9), 200, 1e-2);
     }
 
     #[test]
@@ -331,7 +232,7 @@ mod tests {
         let norm = clip_grad_norm(&[p.clone()], 5.0);
         assert!((norm - 50.0).abs() < 1e-3);
         let g = p.grad().unwrap();
-        assert!((g.l2_norm() - 5.0).abs() < 1e-3);
+        assert!((g.data()[0].hypot(g.data()[1]) - 5.0).abs() < 1e-3);
         // direction preserved
         assert!((g.data()[0] / g.data()[1] - 0.75).abs() < 1e-4);
     }
@@ -358,18 +259,6 @@ mod tests {
         assert!(s.lr_at(50) > 0.1);
         assert!((s.lr_at(109) - 0.1).abs() < 0.05);
         assert_eq!(s.lr_at(500), 0.1);
-    }
-
-    #[test]
-    fn step_decay_halves() {
-        let s = StepDecay {
-            base: 1.0,
-            gamma: 0.5,
-            every: 10,
-        };
-        assert_eq!(s.lr_at(0), 1.0);
-        assert_eq!(s.lr_at(10), 0.5);
-        assert_eq!(s.lr_at(25), 0.25);
     }
 
     #[test]

@@ -109,18 +109,6 @@ impl<E: Element> Tensor<E> {
         self.data.as_ref().clone()
     }
 
-    /// Recover the owned buffer, without copying when this handle is the
-    /// sole owner of the storage (clones otherwise). Lets hot loops
-    /// round-trip a reusable scratch `Vec` through a [`Tensor`] — e.g.
-    /// the batched decode step, which rebuilds a `[B, D]` activation
-    /// tensor every layer without reallocating.
-    pub fn into_vec(self) -> Vec<E> {
-        match Arc::try_unwrap(self.data) {
-            Ok(v) => v,
-            Err(shared) => shared.as_ref().clone(),
-        }
-    }
-
     /// Internal: build from parts without re-validating (callers guarantee
     /// `data.len() == shape.numel()`).
     pub(crate) fn from_parts(shape: Shape, data: Vec<E>) -> Tensor<E> {
@@ -167,14 +155,6 @@ impl Tensor {
         }
     }
 
-    /// `[0, 1, 2, …, n-1]` as a 1-D tensor.
-    pub fn arange(n: usize) -> Self {
-        Tensor {
-            shape: Shape(vec![n]),
-            data: Arc::new((0..n).map(|i| i as f32).collect()),
-        }
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -206,11 +186,6 @@ impl Tensor {
     /// Maximum absolute element (0.0 for empty tensors).
     pub fn max_abs(&self) -> f32 {
         ratatouille_util::accum::max_abs_f32(self.data.iter().copied())
-    }
-
-    /// Euclidean norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        ratatouille_util::accum::sum_f32(self.data.iter().map(|&v| v * v)).sqrt()
     }
 
     /// Elementwise approximate equality within `tol`, shape-sensitive.
@@ -267,22 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_recovers_sole_owned_storage_without_copy() {
-        let t = Tensor::arange(8);
-        let before = t.data().as_ptr();
-        let v = t.into_vec();
-        assert!(std::ptr::eq(before, v.as_ptr()), "sole owner must not copy");
-        // A shared handle falls back to cloning and leaves the peer valid.
-        let t = Tensor::from_vec(v, &[8]).unwrap();
-        let peer = t.clone();
-        let w = t.into_vec();
-        assert_eq!(w, peer.to_vec());
-        assert!(!std::ptr::eq(peer.data().as_ptr(), w.as_ptr()));
-    }
-
-    #[test]
     fn reshape_shares_storage() {
-        let t = Tensor::arange(6);
+        let t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[6]).unwrap();
         let r = t.reshape(&[2, 3]);
         assert_eq!(r.at(&[1, 2]), 5.0);
         assert!(std::ptr::eq(t.data().as_ptr(), r.data().as_ptr()));
@@ -291,7 +252,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "changes element count")]
     fn reshape_wrong_count_panics() {
-        Tensor::arange(6).reshape(&[4]);
+        Tensor::zeros(&[6]).reshape(&[4]);
     }
 
     #[test]
@@ -317,7 +278,6 @@ mod tests {
     #[test]
     fn norms() {
         let t = Tensor::from_vec(vec![3.0, -4.0], &[2]).unwrap();
-        assert_eq!(t.l2_norm(), 5.0);
         assert_eq!(t.max_abs(), 4.0);
     }
 

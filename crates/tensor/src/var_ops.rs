@@ -148,15 +148,6 @@ impl Var {
         }))
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Var {
-        let x = self.value();
-        let out = ops::relu(&x);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
-            vec![ops::zip(g, &x, |gv, xv| if xv > 0.0 { gv } else { 0.0 })]
-        }))
-    }
-
     /// GPT-2's tanh-approximate GELU.
     pub fn gelu(&self) -> Var {
         let x = self.value();

@@ -108,42 +108,6 @@ impl BpeTokenizer {
         self.merges.len()
     }
 
-    /// Merge pairs in rank (learning) order — together with the fixed
-    /// byte alphabet this fully determines the tokenizer.
-    pub fn merges_in_rank_order(&self) -> Vec<(u32, u32)> {
-        let mut v: Vec<((u32, u32), u32)> =
-            self.merges.iter().map(|(&p, &id)| (p, id)).collect();
-        v.sort_by_key(|&(_, id)| id);
-        v.into_iter().map(|(p, _)| p).collect()
-    }
-
-    /// Rebuild a tokenizer from an ordered merge list (see
-    /// `crate::persist`). Merge ids are assigned in list order, exactly
-    /// as training assigned them.
-    pub fn from_merges(ordered: &[(u32, u32)]) -> Self {
-        let specials = all_atomic_tags();
-        let special_ids: DetMap<String, u32> = specials
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s.to_string(), i as u32))
-            .collect();
-        let reserved = specials.len() as u32;
-        let mut tok = BpeTokenizer {
-            specials,
-            special_ids,
-            token_bytes: (0..=255u8).map(|b| vec![b]).collect(),
-            merges: det_map(),
-        };
-        for &(left, right) in ordered {
-            let new_id = reserved + tok.token_bytes.len() as u32;
-            let mut bytes = tok.bytes_of(left).to_vec();
-            bytes.extend_from_slice(tok.bytes_of(right));
-            tok.token_bytes.push(bytes);
-            tok.merges.insert((left, right), new_id);
-        }
-        tok
-    }
-
     /// Encode one space-word by applying merges in rank order.
     fn encode_word(&self, word: &str) -> Vec<u32> {
         let reserved = self.reserved();
@@ -164,14 +128,6 @@ impl BpeTokenizer {
             }
         }
         ids
-    }
-
-    /// Average tokens per byte on `text` (compression diagnostic).
-    pub fn tokens_per_byte(&self, text: &str) -> f64 {
-        if text.is_empty() {
-            return 0.0;
-        }
-        self.encode(text).len() as f64 / text.len() as f64
     }
 }
 
@@ -340,14 +296,5 @@ mod tests {
         assert_eq!(tok.decode(&ids), "ab ab");
         // encoding "ba" (no space) still round-trips
         assert_eq!(tok.decode(&tok.encode("ba")), "ba");
-    }
-
-    #[test]
-    fn tokens_per_byte_decreases_with_training() {
-        let corpus = vec!["preheat the oven to 350 degrees"; 30];
-        let small = BpeTokenizer::train(&corpus, 0);
-        let big = BpeTokenizer::train(&corpus, 200);
-        let t = "preheat the oven";
-        assert!(big.tokens_per_byte(t) < small.tokens_per_byte(t));
     }
 }

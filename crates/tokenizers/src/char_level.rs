@@ -37,14 +37,6 @@ impl CharTokenizer {
     pub fn vocab(&self) -> &Vocab {
         &self.vocab
     }
-
-    /// Rebuild from a persisted vocabulary (see `crate::persist`).
-    pub fn from_vocab(vocab: Vocab) -> Self {
-        CharTokenizer {
-            vocab,
-            specials: all_atomic_tags(),
-        }
-    }
 }
 
 /// Structural tags plus fraction tokens — everything that must stay atomic.
@@ -148,7 +140,7 @@ mod tests {
     fn vocab_is_corpus_chars_plus_reserved() {
         let tok = CharTokenizer::train(&["aab"]);
         // 'a', 'b' = 2 distinct chars
-        assert_eq!(tok.vocab_size(), Vocab::reserved_len() + 2);
+        assert_eq!(tok.vocab_size(), Vocab::with_specials().len() + 2);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod bpe;
 pub mod char_level;
 pub mod normalize;
-pub mod persist;
 pub mod special;
 pub mod vocab;
 pub mod word_level;

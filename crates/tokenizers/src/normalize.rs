@@ -1,34 +1,7 @@
-//! Text normalization applied before tokenization.
-//!
-//! Mirrors the paper's preprocessing (Fig. 1 → Fig. 2): lowercase
-//! free text, separate punctuation so it tokenizes cleanly, and collapse
-//! whitespace. Special tags are preserved verbatim (they are upper-case
-//! on purpose, so lowercasing plain segments never corrupts them —
-//! normalization runs on tag-free segments).
+//! Word splitting for the word-level tokenizer. Special tags are
+//! preserved verbatim — splitting runs on tag-free segments.
 
-/// Punctuation characters that get space-separated into their own tokens.
-const SEPARABLE: &[char] = &[',', '.', ';', ':', '!', '?', '(', ')'];
-
-/// Normalize a tag-free text segment: lowercase, separate punctuation,
-/// collapse whitespace.
-pub fn normalize_segment(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 8);
-    for ch in text.chars() {
-        if SEPARABLE.contains(&ch) {
-            out.push(' ');
-            out.push(ch);
-            out.push(' ');
-        } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-        }
-    }
-    crate::special::collapse_spaces(&out)
-}
-
-/// Split a normalized segment into word tokens (whitespace separated;
-/// punctuation is already isolated by [`normalize_segment`]).
+/// Split a tag-free segment into word tokens (whitespace separated).
 pub fn split_words(text: &str) -> Vec<&str> {
     text.split_whitespace().collect()
 }
@@ -38,29 +11,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lowercases_and_separates_punctuation() {
-        let n = normalize_segment("Mix Flour, then KNEAD.");
-        assert_eq!(n, "mix flour , then knead .");
-    }
-
-    #[test]
-    fn collapses_whitespace() {
-        assert_eq!(normalize_segment("a   b\t\nc"), "a b c");
-    }
-
-    #[test]
-    fn keeps_hyphens_and_slashes() {
-        assert_eq!(normalize_segment("all-purpose 1/2"), "all-purpose 1/2");
-    }
-
-    #[test]
     fn split_words_on_normalized() {
-        let n = normalize_segment("boil water; add salt");
-        assert_eq!(split_words(&n), vec!["boil", "water", ";", "add", "salt"]);
-    }
-
-    #[test]
-    fn unicode_lowercase() {
-        assert_eq!(normalize_segment("Crème FRAÎCHE"), "crème fraîche");
+        assert_eq!(
+            split_words("boil water ; add salt"),
+            vec!["boil", "water", ";", "add", "salt"]
+        );
     }
 }

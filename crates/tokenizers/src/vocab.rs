@@ -70,11 +70,6 @@ impl Vocab {
         self.id(special::UNK).expect("vocab built without specials")
     }
 
-    /// Number of reserved (special + fraction) tokens at the front.
-    pub fn reserved_len() -> usize {
-        special::ALL_SPECIAL_TAGS.len() + special::FRACTIONS.len()
-    }
-
     /// Iterate `(id, token)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         self.id_to_token
@@ -95,7 +90,7 @@ mod tests {
         assert_eq!(a.pad_id(), 0);
         assert_eq!(a.unk_id(), 1);
         assert_eq!(a.id(special::RECIPE_START), b.id(special::RECIPE_START));
-        assert_eq!(a.len(), Vocab::reserved_len());
+        assert_eq!(a.len(), special::ALL_SPECIAL_TAGS.len() + special::FRACTIONS.len());
     }
 
     #[test]

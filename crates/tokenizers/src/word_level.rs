@@ -52,14 +52,6 @@ impl WordTokenizer {
         &self.vocab
     }
 
-    /// Rebuild from a persisted vocabulary (see `crate::persist`).
-    pub fn from_vocab(vocab: Vocab) -> Self {
-        WordTokenizer {
-            vocab,
-            specials: all_atomic_tags(),
-        }
-    }
-
     /// Fraction of `text`'s words that are in-vocabulary (diagnostic for
     /// choosing `min_freq`).
     pub fn coverage(&self, text: &str) -> f64 {
@@ -178,10 +170,7 @@ mod tests {
         let b = WordTokenizer::train(&corpus, 1);
         assert_eq!(a.encode("salt pepper oil"), b.encode("salt pepper oil"));
         // most frequent word gets the first non-reserved id
-        assert_eq!(
-            a.encode("salt")[0],
-            Vocab::reserved_len() as u32
-        );
+        assert_eq!(a.encode("salt")[0], Vocab::with_specials().len() as u32);
     }
 
     #[test]

@@ -24,17 +24,6 @@ pub fn sum_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
     acc
 }
 
-/// Maximum over an f32 stream, `-inf` for an empty one. NaNs are skipped
-/// (`f32::max` semantics), so the result is order-independent *and*
-/// deterministic.
-pub fn max_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
-    let mut m = f32::NEG_INFINITY;
-    for v in xs {
-        m = m.max(v);
-    }
-    m
-}
-
 /// Maximum absolute value over an f32 stream, `0.0` for an empty one.
 pub fn max_abs_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
     let mut m = 0.0f32;
@@ -42,23 +31,6 @@ pub fn max_abs_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
         m = m.max(v.abs());
     }
     m
-}
-
-/// Sequential mean, `0.0` for an empty stream. Sums first (same order as
-/// [`sum_f32`]) and divides once, matching the `sum::<f32>() / n as f32`
-/// pattern it replaces.
-pub fn mean_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
-    let mut acc = 0.0f32;
-    let mut n = 0usize;
-    for v in xs {
-        acc += v;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        acc / n as f32
-    }
 }
 
 #[cfg(test)]
@@ -73,18 +45,8 @@ mod tests {
     }
 
     #[test]
-    fn max_handles_empty_and_nan() {
-        assert_eq!(max_f32(std::iter::empty()), f32::NEG_INFINITY);
-        assert_eq!(max_f32([f32::NAN, 2.0, 1.0]), 2.0);
+    fn max_abs_handles_empty() {
         assert_eq!(max_abs_f32([-3.0, 2.0]), 3.0);
         assert_eq!(max_abs_f32(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn mean_matches_sum_then_divide() {
-        let xs = [1.5f32, 2.5, 3.25];
-        let manual = xs.iter().copied().sum::<f32>() / 3.0;
-        assert_eq!(mean_f32(xs).to_bits(), manual.to_bits());
-        assert_eq!(mean_f32(std::iter::empty()), 0.0);
     }
 }

@@ -52,16 +52,6 @@ pub fn det_set<T>() -> DetSet<T> {
     HashSet::with_hasher(DetState)
 }
 
-/// A [`DetMap`] with pre-allocated capacity.
-pub fn det_map_with_capacity<K, V>(cap: usize) -> DetMap<K, V> {
-    HashMap::with_capacity_and_hasher(cap, DetState)
-}
-
-/// A [`DetSet`] with pre-allocated capacity.
-pub fn det_set_with_capacity<T>(cap: usize) -> DetSet<T> {
-    HashSet::with_capacity_and_hasher(cap, DetState)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,11 +79,11 @@ mod tests {
 
     #[test]
     fn behaves_like_a_map() {
-        let mut m: DetMap<&str, usize> = det_map_with_capacity(4);
+        let mut m: DetMap<&str, usize> = det_map();
         *m.entry("a").or_insert(0) += 1;
         *m.entry("a").or_insert(0) += 1;
         assert_eq!(m.get("a"), Some(&2));
-        let mut s: DetSet<u8> = det_set_with_capacity(2);
+        let mut s: DetSet<u8> = det_set();
         assert!(s.insert(1));
         assert!(!s.insert(1));
     }

@@ -32,7 +32,7 @@
 mod strategy;
 mod string;
 
-pub use strategy::{any, collection, AnyStrategy, Just, SizeRange, Strategy, VecStrategy};
+pub use strategy::{any, collection, AnyStrategy, SizeRange, Strategy, VecStrategy};
 pub use string::{pattern, StringStrategy};
 
 use std::cell::Cell;
@@ -43,9 +43,7 @@ use crate::rng::{SeedableRng, StdRng};
 
 /// Everything a property-test file needs.
 pub mod prelude {
-    pub use super::{
-        any, collection, pattern, Config, Just, SizeRange, Strategy,
-    };
+    pub use super::{any, collection, pattern, Config, SizeRange, Strategy};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 }
 

@@ -101,18 +101,6 @@ impl<S: Strategy, S2: Strategy> Strategy for FlatMap<S, S2> {
     }
 }
 
-/// A strategy that always yields the same value.
-#[derive(Clone)]
-pub struct Just<T: Clone + Debug>(pub T);
-
-impl<T: Clone + Debug> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut StdRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! impl_int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {

@@ -419,6 +419,7 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     // where `infallible()` suppressions get their used-marks.
     let graph = callgraph::build(&ctxs);
     callgraph::check_transitive_panics(&graph, &mut diags);
+    rules::check_orphan_pub_items(&ctxs, &mut diags);
 
     // A serving-crate sink is reported by both the token rule and the
     // reachability rule; keep the local rule's diagnostic (it names the

@@ -99,14 +99,22 @@ pub fn catalogue() -> &'static [Rule] {
     &CATALOGUE
 }
 
-/// Workspace-scoped rules run by the engine over the call graph.
+/// Workspace-scoped rules run by the engine over every walked file.
 pub fn workspace_rules() -> &'static [WorkspaceRule] {
-    &[WorkspaceRule {
-        id: callgraph::TRANSITIVE_PANIC,
-        summary: "panic!/unwrap()/expect() (all crates) and []-indexing (serving) reachable \
-                  from the serving handlers or BatchGenerator::step on the cross-crate call \
-                  graph — cut proven-infallible edges with `xlint: infallible(callee): reason`",
-    }]
+    &[
+        WorkspaceRule {
+            id: callgraph::TRANSITIVE_PANIC,
+            summary: "panic!/unwrap()/expect() (all crates) and []-indexing (serving) reachable \
+                      from the serving handlers or BatchGenerator::step on the cross-crate call \
+                      graph — cut proven-infallible edges with `xlint: infallible(callee): reason`",
+        },
+        WorkspaceRule {
+            id: ORPHAN_PUB_ITEM,
+            summary: "a `pub` fn/struct/enum/trait/type/const/static in library source whose \
+                      name is an identifier token nowhere but definitions, `impl` headers, \
+                      `pub use` re-exports and the unit tests of `crates/*/src`",
+        },
+    ]
 }
 
 /// Every rule id a suppression comment may legally name.
@@ -622,7 +630,7 @@ fn check_float_reduction(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 "float-reduction-order",
                 format!(
                     "ad-hoc f32 `{name}` reduction outside the blessed kernels; use \
-                     `ratatouille_util::accum::{{sum_f32, max_f32, max_abs_f32}}` \
+                     `ratatouille_util::accum::{{sum_f32, max_abs_f32}}` \
                      (re-exported at `ratatouille_tensor::ops::reduce`) so the \
                      accumulation order stays pinned"
                 ),
@@ -676,6 +684,79 @@ fn check_accum_discipline(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// orphan-pub-item (workspace rule: one identifier-occurrence index over
+// every walked file, no call-graph resolution — so a name something else
+// also uses, like `new` or `reset`, is never reported)
+// ---------------------------------------------------------------------------
+
+/// Workspace rule id: a `pub` item nothing outside unit tests names.
+pub const ORPHAN_PUB_ITEM: &str = "orphan-pub-item";
+
+/// Keywords whose following identifier is a definition, not a reference.
+const ITEM_KEYWORDS: &[&str] =
+    &["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
+
+/// Library source: only here are items checked, and only here do test
+/// bodies not count as references. Bins (loadbench is one), `tests/`,
+/// `benches/` and `examples/` are callers — every line of them counts.
+fn library_source(path: &str) -> bool {
+    path.contains("src/") && !path.contains("/bin/")
+}
+
+/// `orphan-pub-item`: one pass indexes every identifier that is a
+/// reference and collects the checked definitions; a definition whose
+/// name is not in the index is reported at its name token.
+pub fn check_orphan_pub_items(ctxs: &[FileCtx], out: &mut Vec<Diagnostic>) {
+    let mut referenced = std::collections::BTreeSet::new();
+    let mut defs: Vec<(&FileCtx, &Tok, &str)> = Vec::new();
+    for ctx in ctxs {
+        let lib = library_source(&ctx.path);
+        let toks = code(ctx);
+        let ident = |k: usize| toks.get(k).and_then(|t| t.ident());
+        let mut i = 0;
+        while i < toks.len() {
+            let (t, prev) = (toks[i], i.checked_sub(1).map(|k| toks[k]));
+            i += 1;
+            let Some(id) = t.ident() else { continue };
+            let in_test = lib && ctx.is_test_line(t.line);
+            if id == "pub" {
+                // a bare `pub` (rustc's dead-code lint sees `pub(crate)`), then
+                // maybe `const`/`unsafe`/`async` ahead of the item keyword
+                let mut k = i;
+                while matches!(ident(k), Some("const" | "unsafe" | "async"))
+                    && matches!(ident(k + 1), Some("fn" | "unsafe" | "trait"))
+                {
+                    k += 1;
+                }
+                match ident(k) {
+                    // a re-export names the item without using it
+                    Some("use") => i += toks[i..].iter().take_while(|t| !t.is_punct(';')).count(),
+                    Some(kind) if lib && !in_test && kind != "mod" && ITEM_KEYWORDS.contains(&kind) => {
+                        defs.extend(toks.get(k + 1).map(|name| (ctx, *name, kind)));
+                    }
+                    _ => {}
+                }
+            } else if id == "impl"
+                && prev.map_or(true, |p| p.ident() == Some("unsafe") || "{};]".chars().any(|c| p.is_punct(c)))
+            {
+                // `impl … {` header; an `impl Trait` *type* follows `:`, `(`, `>` or `,`
+                i += toks[i..].iter().take_while(|t| !t.is_punct('{') && !t.is_punct(';')).count();
+            } else if !in_test && !prev.and_then(|p| p.ident()).map_or(false, |p| ITEM_KEYWORDS.contains(&p)) {
+                referenced.insert(id);
+            }
+        }
+    }
+    for (ctx, name, kind) in defs {
+        let Some(id) = name.ident().filter(|id| !referenced.contains(id)) else { continue };
+        let msg = format!(
+            "`pub {kind} {id}` is named only by definitions, `impl` headers, `pub use` re-exports \
+             and unit tests; delete it and the tests that exercise it"
+        );
+        out.push(diag(ctx, name.line, ORPHAN_PUB_ITEM, msg));
     }
 }
 
@@ -967,7 +1048,7 @@ mod tests {
 
     #[test]
     fn accum_in_blessed_kernels_clean() {
-        let src = "pub fn sum(xs: &[f32]) -> f32 {\n    let mut acc = 0.0f32;\n    for x in xs {\n        acc += *x;\n    }\n    acc\n}\n";
+        let src = "fn sum(xs: &[f32]) -> f32 {\n    let mut acc = 0.0f32;\n    for x in xs {\n        acc += *x;\n    }\n    acc\n}\n";
         assert!(rules_hit("crates/tensor/src/ops/reduce.rs", src).is_empty());
     }
 

@@ -28,7 +28,7 @@ fn shaped(dims: &[usize]) -> usize {
 }
 
 impl BatchGenerator {
-    pub fn step(&mut self) -> usize {
+    fn step(&mut self) -> usize {
         grow(self.cap)
     }
 }

@@ -6,10 +6,10 @@
 
 use ratatouille_models::fixture::decode_greedy;
 
-pub fn handle_generate(prompt: &[u32]) -> Vec<u32> {
+fn handle_generate(prompt: &[u32]) -> Vec<u32> {
     decode_greedy(prompt, 16)
 }
 
-pub fn handle_healthz() -> &'static str {
+fn handle_healthz() -> &'static str {
     "ok"
 }

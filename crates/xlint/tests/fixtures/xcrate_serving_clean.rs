@@ -5,7 +5,7 @@
 
 use ratatouille_models::fixture::decode_greedy;
 
-pub fn handle_generate(prompt: &[u32]) -> Vec<u32> {
+fn handle_generate(prompt: &[u32]) -> Vec<u32> {
     // xlint: infallible(decode_greedy): the fixture prompt is non-empty by construction, so `last()` always yields
     decode_greedy(prompt, 16)
 }

@@ -237,6 +237,33 @@ fn infallible_edge_keeps_the_clean_twin_clean() {
 }
 
 #[test]
+fn orphan_fixture_flags_items_named_only_by_tests_strings_and_reexports() {
+    let src = include_str!("fixtures/orphan.rs");
+    assert_eq!(
+        diags("crates/eval/src/fixture.rs", src),
+        vec![("orphan-pub-item", 5), ("orphan-pub-item", 9), ("orphan-pub-item", 13)],
+        "a unit test, a string literal, a comment and a `pub use` are not references"
+    );
+    let clean = include_str!("fixtures/orphan_clean.rs");
+    assert_eq!(diags("crates/eval/src/fixture.rs", clean), vec![]);
+    // a caller under `tests/` is a reference, even though every line of it is test code
+    let caller = "fn t() { (tested_only(), quoted_only(), reexported()); }\n";
+    let got = workspace_diags(&[("crates/eval/src/fixture.rs", src), ("crates/eval/tests/t.rs", caller)]);
+    assert!(got.is_empty(), "{got:?}");
+}
+
+#[test]
+fn orphan_suppression_is_honoured_only_with_a_reason() {
+    let reasoned = "// xlint: allow(orphan-pub-item): called from generated code\npub fn kept() {}\n";
+    assert_eq!(diags("crates/eval/src/x.rs", reasoned), vec![]);
+    let bare = "// xlint: allow(orphan-pub-item)\npub fn kept() {}\n";
+    assert_eq!(
+        diags("crates/eval/src/x.rs", bare),
+        vec![("allow-needs-justification", 1), ("orphan-pub-item", 2)]
+    );
+}
+
+#[test]
 fn clean_fixture_produces_no_diagnostics() {
     let src = include_str!("fixtures/clean.rs");
     let got = xlint::lint_source("crates/tokenizers/src/fixture.rs", src);

@@ -2,10 +2,10 @@
 //!
 //! `crates/models/src/sample.rs` exercises most of the surface the
 //! recursive-descent parser has to survive: doc comments, derive
-//! attributes, a struct, an inherent impl, a trait impl (`Default for
-//! SamplerConfig` — the *self* type must win), a generic fn with a
-//! `?Sized` bound, closures, for loops, compound float accumulation,
-//! method chains, macro calls with paths, and a `#[cfg(test)]` module.
+//! attributes, a struct, a trait impl (`Default for SamplerConfig` — the
+//! *self* type must win), a generic fn with a `?Sized` bound, closures,
+//! for loops, compound float accumulation, method chains, macro calls
+//! with paths, and a `#[cfg(test)]` module.
 //!
 //! Line anchors are derived from source markers (not hardcoded) so the
 //! golden survives unrelated edits to the file; the item tree itself is
@@ -34,14 +34,12 @@ fn item_tree_matches_the_real_file() {
         displays,
         vec![
             "SamplerConfig::default",
-            "SamplerConfig::greedy_until",
             "generate",
             "generate_traced",
             "metric_label",
             "select_token",
             "scale_logits",
             "top_k_of",
-            "rank_all",
             "top_candidates",
             "sample_ranked",
             "logits",
@@ -51,7 +49,9 @@ fn item_tree_matches_the_real_file() {
             "low_temperature_approaches_greedy",
             "high_temperature_spreads_mass",
             "deterministic_given_seed",
+            "rank_all",
             "select_token_by_full_sort",
+            "nan_logits_regression_seed_3",
             "metric_label_sanitizes",
             "generate_works_on_quantized_models",
             "generate_respects_stop_and_budget",
@@ -64,12 +64,12 @@ fn item_tree_matches_the_real_file() {
         assert!(f.unsafe_lines.is_empty(), "sample.rs has no unsafe blocks");
     }
     // Everything from `logits` on lives inside the #[cfg(test)] module.
-    for f in &ast.fns[11..] {
+    for f in &ast.fns[9..] {
         assert_eq!(f.module, vec!["tests".to_string()], "{}", f.display());
     }
     // `impl Default for SamplerConfig` resolves to the *self* type.
     assert_eq!(ast.fns[0].self_type.as_deref(), Some("SamplerConfig"));
-    assert_eq!(ast.fns[2].self_type, None, "generate is a free fn");
+    assert_eq!(ast.fns[1].self_type, None, "generate is a free fn");
 }
 
 #[test]

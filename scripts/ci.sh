@@ -28,6 +28,13 @@ if [ "$xlint_ms" -ge 5000 ]; then
     exit 1
 fi
 
+echo "== size (tracked .rs lines per crate; the non-loadbench total is what a PR's net delta is stated against) =="
+size() { git ls-files "$1" | grep -v loadbench | xargs cat | wc -l; }
+for c in crates/*/; do
+    printf '%8d  %s\n' "$(size "$c*.rs")" "$(basename "$c")"
+done
+printf '%8d  total outside loadbench (crates + root src/, tests/, examples/)\n' "$(size '*.rs')"
+
 echo "== one serving engine (grep gate over crates/serving/src, test modules excluded) =="
 # The second route table and the pool came from adding a path beside
 # the first; this fails the build if either starts to come back.
@@ -68,19 +75,21 @@ CARGO_TARGET_DIR=.bench_build \
     cargo test --release -q --offline --manifest-path crates/bench/src/bin/loadbench/Cargo.toml
 
 echo "== bench smoke (fast mode, kernel + generation harnesses) =="
-# BENCH_*.json artifacts land at the repo root so the bench trajectory is
-# tracked in-tree run over run (EXPERIMENTS.md records the runs).
-RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
+# BENCH_*.json land under target/ (absolute: cargo runs a bench from its
+# package directory), so a CI run leaves the five tracked root BENCH_*.json
+# alone; RAT_BENCH_DIR="$PWD" refreshes them when that is the point.
+export RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD/target/bench}"
+RAT_BENCH_FAST=1 \
     cargo bench -p ratatouille-bench --bench tensor_kernels --offline
-RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
+RAT_BENCH_FAST=1 \
     cargo bench -p ratatouille-bench --bench generation_latency --offline
-RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
+RAT_BENCH_FAST=1 \
     cargo bench -p ratatouille-bench --bench quantized_decode --offline
-RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
+RAT_BENCH_FAST=1 \
     cargo bench -p ratatouille-bench --bench batched_decode --offline
 # Also the paged-attention determinism gate: the harness asserts every
 # thread count reproduces the one-thread streams before timing anything.
-RAT_BENCH_FAST=1 RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD}" \
+RAT_BENCH_FAST=1 \
     cargo bench -p ratatouille-bench --bench paged_attention --offline
 
 echo "== /metrics smoke (serve, scrape, assert required metric names) =="
