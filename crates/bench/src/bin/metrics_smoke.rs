@@ -24,6 +24,10 @@ use ratatouille_tensor::{ops, par, Tensor};
 const REQUIRED: &[&str] = &[
     "http_requests_total",
     "http_request_ns",
+    "http_connections_active",
+    "http_handler_threads",
+    "http_connections_rejected_total",
+    "http_accept_errors_total",
     "decode_token_ns",
     "request_queue_wait_ns",
     "serving_exec_ns",

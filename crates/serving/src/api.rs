@@ -163,6 +163,11 @@ impl StepBackend for OneSlot {
     }
 }
 
+/// Connections allowed beyond what the engine can hold: room for
+/// `/metrics`, `/healthz`, the debug routes, and for generate requests
+/// over capacity to be told so by the engine rather than the acceptor.
+const CONNECTION_HEADROOM: usize = 16;
+
 /// The assembled Ratatouille API server: one [`Engine`] behind one
 /// route table.
 pub struct ApiServer {
@@ -210,7 +215,11 @@ impl ApiServer {
         let engine = Arc::new(engine);
         let stats = Arc::new(ApiStats::default());
         let router = build_router(Arc::clone(&engine), Arc::clone(&stats));
-        let server = HttpServer::start(addr, move |req| router.dispatch(&req))?;
+        // Every request the engine holds keeps its connection open, so the
+        // bound sits above the engine's capacity: its own 503 and 429 stay
+        // reachable, and the cheap routes answer while it is full.
+        let max_connections = engine.capacity() + CONNECTION_HEADROOM;
+        let server = HttpServer::start(addr, max_connections, move |req| router.dispatch(&req))?;
         Ok(ApiServer {
             server,
             engine,

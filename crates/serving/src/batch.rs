@@ -270,6 +270,8 @@ pub struct Engine {
     handles: Vec<std::thread::JoinHandle<()>>,
     model_name: String,
     dtypes: Vec<String>,
+    /// Batch slots of one replica (every replica is built alike).
+    replica_slots: usize,
 }
 
 impl Engine {
@@ -299,6 +301,7 @@ impl Engine {
             handles: Vec::with_capacity(threads),
             model_name: String::new(),
             dtypes: Vec::new(),
+            replica_slots: 0,
         };
         let (card_tx, card_rx) = sync_channel(1);
         let mut card_tx = Some(card_tx);
@@ -315,7 +318,7 @@ impl Engine {
                     .spawn(move || engine_thread(k, &shared, &*factory, card_tx))?,
             );
         }
-        (engine.model_name, engine.dtypes) = card_rx.recv().map_err(|_| {
+        (engine.model_name, engine.dtypes, engine.replica_slots) = card_rx.recv().map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "backend factory panicked building the first replica",
@@ -337,6 +340,12 @@ impl Engine {
     /// Engine threads (`K`): the `workers` of `/api/health`.
     pub fn threads(&self) -> usize {
         self.handles.len()
+    }
+
+    /// The most requests the engine holds at once: a full queue plus
+    /// every replica's slots decoding.
+    pub fn capacity(&self) -> usize {
+        self.shared.cap + self.threads() * self.replica_slots
     }
 
     /// Enqueue a request and block until it is answered (the HTTP
@@ -395,7 +404,7 @@ fn engine_thread(
     k: usize,
     shared: &Shared,
     factory: &dyn Fn(usize) -> Box<dyn StepBackend>,
-    mut card_tx: Option<SyncSender<(String, Vec<String>)>>,
+    mut card_tx: Option<SyncSender<(String, Vec<String>, usize)>>,
 ) {
     let _exit = ThreadExit(shared);
     let mut series = None;
@@ -405,7 +414,7 @@ fn engine_thread(
         // build on thread 0) rather than retrying in a hot loop.
         let mut backend = factory(k);
         if let Some(tx) = card_tx.take() {
-            let _ = tx.send((backend.model_name(), backend.dtypes()));
+            let _ = tx.send((backend.model_name(), backend.dtypes(), backend.free_slots()));
         }
         let series = series.get_or_insert_with(|| Series::resolve(&backend.model_name()));
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -917,6 +926,7 @@ mod tests {
             b.steps_to_finish = 20;
             b.step_delay = Duration::from_millis(1);
         });
+        assert_eq!(engine.capacity(), 16 + 2 * 3, "queue + threads × slots");
         // Twelve requests over six slots. Towards the end one thread
         // runs dry and blocks on the queue while the other still has
         // sequences decoding and a free slot to poll the queue for.

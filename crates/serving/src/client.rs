@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn headers_variant_sees_the_trace_id() {
         let server =
-            HttpServer::start("127.0.0.1:0", |_req| Response::text(StatusCode::Ok, "ok")).unwrap();
+            HttpServer::start("127.0.0.1:0", 4, |_req| Response::text(StatusCode::Ok, "ok")).unwrap();
         let client = HttpClient::new(server.addr());
         let (status, headers, body) = client.post_json_with_headers("/x", "{}").unwrap();
         assert_eq!(status, 200);
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn client_server_roundtrip() {
-        let server = HttpServer::start("127.0.0.1:0", |req| {
+        let server = HttpServer::start("127.0.0.1:0", 4, |req| {
             Response::text(StatusCode::Ok, format!("{} {}", req.method, req.body_str()))
         })
         .unwrap();

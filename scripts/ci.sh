@@ -37,7 +37,9 @@ printf '%8d  total outside loadbench (crates + root src/, tests/, examples/)\n' 
 
 echo "== one serving engine (grep gate over crates/serving/src, test modules excluded) =="
 # The second route table and the pool came from adding a path beside
-# the first; this fails the build if either starts to come back.
+# the first; this fails the build if either starts to come back. So does
+# the acceptor's poll: a non-blocking listener put a 5 ms sleep under
+# every request (the listener blocks; `stop()` wakes it by connecting).
 routers=0
 for f in crates/serving/src/*.rs; do
     # Non-test source: everything above the file's `#[cfg(test)]`.
@@ -45,6 +47,10 @@ for f in crates/serving/src/*.rs; do
     routers=$(( routers + $(grep -c 'Router::new()' <<<"$src" || true) ))
     if grep -nE 'WorkerPool|submit_traced|generate_traced|admit_traced' <<<"$src"; then
         echo "serving: $f names a deleted serving path (see above)" >&2
+        exit 1
+    fi
+    if grep -nE 'set_nonblocking|WouldBlock' <<<"$src"; then
+        echo "serving: $f polls a socket (see above); the acceptor blocks in accept()" >&2
         exit 1
     fi
 done

@@ -351,3 +351,46 @@ fn batched_server_returns_429_when_the_kv_pool_cannot_fit_a_request() {
 
     server.stop();
 }
+
+/// The connection bound sits above what the engine can hold: a burst of
+/// exactly `queue_cap + slots` generates is answered by the engine (200,
+/// its 429 or its queue's 503), never by the acceptor's connection 503.
+#[test]
+fn burst_of_engine_capacity_is_never_refused_by_the_connection_bound() {
+    let (queue_cap, slots) = (24, 8);
+    let trained = trained_gpt2();
+    let factory = trained
+        .batched_factory(BatchEngineConfig {
+            block_tokens: 4,
+            num_blocks: 768,
+            max_batch: slots,
+            prefix_cap: 16,
+        })
+        .expect("gpt2 is batch-capable");
+    let server =
+        ApiServer::start_batched("127.0.0.1:0", BatchServerConfig { queue_cap }, factory).unwrap();
+    let addr = server.addr();
+    let (_, before) = HttpClient::new(addr).get("/metrics").unwrap();
+
+    let start = std::sync::Arc::new(std::sync::Barrier::new(queue_cap + slots));
+    let clients: Vec<_> = (0..queue_cap + slots)
+        .map(|i| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                let body = format!(r#"{{"ingredients":["rice","egg"],"seed":{i}}}"#);
+                start.wait();
+                HttpClient::new(addr).post_json("/api/generate", &body).unwrap()
+            })
+        })
+        .collect();
+    for c in clients {
+        let (status, body) = c.join().unwrap();
+        assert!(matches!(status, 200 | 429 | 503), "{status}: {body}");
+        assert!(!body.contains("connection limit"), "{status}: {body}");
+    }
+
+    let (_, after) = HttpClient::new(addr).get("/metrics").unwrap();
+    let name = "http_connections_rejected_total";
+    assert_eq!(metric_value(&after, name), metric_value(&before, name), "{after}");
+    server.stop();
+}
