@@ -43,8 +43,12 @@ fn main() {
         println!("sweep below measures threading overhead instead. Run on a multi-core");
         println!("box to see the paper-shaped speedup.\n");
     }
+    // The sweep runs one doubling past the hardware so the table shows
+    // where oversubscription starts; the headline quotes the widest row
+    // the hardware can actually run in parallel, not the last one run.
     let mut baseline = None;
-    let mut prev_speedup = 0.0;
+    let mut at_max = (1, 1.0);
+    let mut best = (1, 1.0);
     for threads in [1usize, 2, 4, 8, 16] {
         if threads > max_threads * 2 {
             break;
@@ -65,18 +69,27 @@ fn main() {
             "{:<10} {:>12.2} {:>12.0} {:>9.2}x",
             threads, stats.wall_secs, stats.tokens_per_sec, speedup
         );
-        prev_speedup = speedup;
+        if threads <= max_threads {
+            at_max = (threads, speedup);
+        }
+        if speedup > best.1 {
+            best = (threads, speedup);
+        }
     }
     set_num_threads(0);
 
     println!(
-        "\npaper's ratio: 2–3 days (CPU serial) vs ~16 h (A100) ≈ 3–4.5×; ours: {prev_speedup:.1}× at max threads"
+        "\npaper's ratio: 2–3 days (CPU serial) vs ~16 h (A100) ≈ 3–4.5×; ours: {:.1}× at {} of {max_threads} hardware thread(s)",
+        at_max.1, at_max.0
     );
+    if best.0 != at_max.0 {
+        println!("(best row: {:.1}× at {} threads)", best.1, best.0);
+    }
     if max_threads > 1 {
         println!("(the claim reproduced: parallel hardware gives a multiplicative cut in training wall-clock)");
     } else {
-        println!("(shape not measurable on 1 hardware thread — see tensor::par tests and the");
-        println!(" matmul_threads criterion bench, which verify the parallel kernels are correct;");
-        println!(" the speedup itself needs real cores)");
+        println!("(shape not measurable on 1 hardware thread — see tensor::par tests and");
+        println!(" crates/tensor/tests/pool_proptests.rs, which verify the parallel kernels are");
+        println!(" correct; the speedup itself needs real cores)");
     }
 }

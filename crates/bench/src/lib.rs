@@ -1,6 +1,7 @@
 //! The reproduction harness: shared machinery for the per-table /
-//! per-figure binaries in `src/bin/` and the Criterion microbenchmarks in
-//! `benches/`.
+//! per-figure binaries in `src/bin/`. (Speed is measured by the
+//! stand-alone `loadbench` package under `src/bin/loadbench/`, which is
+//! not part of this crate.)
 //!
 //! Every experiment is scale-switchable so the full table regenerates on
 //! a laptop: `RATATOUILLE_SCALE=quick` (CI-sized), `standard` (default)

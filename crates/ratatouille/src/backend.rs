@@ -57,12 +57,6 @@ impl ModelBackend {
             max_tokens: generation_budget(kind),
         }
     }
-
-    /// Override the per-request decode budget (defaults to the model
-    /// kind's recipe-length budget).
-    pub fn set_max_tokens(&mut self, n: usize) {
-        self.max_tokens = n.max(1);
-    }
 }
 
 impl RecipeBackend for ModelBackend {

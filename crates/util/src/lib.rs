@@ -2,8 +2,8 @@
 //!
 //! The workspace's zero-dependency determinism layer. The offline build
 //! environment has no crate registry, so everything the repo previously
-//! pulled from crates.io for randomness, property testing and
-//! benchmarking lives here instead, implemented on `std` alone:
+//! pulled from crates.io for randomness and property testing lives
+//! here instead, implemented on `std` alone:
 //!
 //! * [`rng`] — a seedable SplitMix64-seeded xoshiro256** PRNG with the
 //!   `StdRng` / [`rng::SeedableRng`] / [`rng::Rng`] / [`rng::RngExt`]
@@ -14,9 +14,6 @@
 //!   flat-map), shrinking for integers, vectors and strings, a
 //!   [`proptest!`]-style macro, and failure-seed replay via
 //!   `RAT_PROPTEST_REPLAY`.
-//! * [`bench`] — a tiny criterion replacement: warmup, N timed samples,
-//!   mean/p50/p99, human-readable table on stdout and JSON written to
-//!   `BENCH_<harness>.json` for machine consumption.
 //! * [`accum`] — the blessed sequential f32 reduction helpers every
 //!   result-affecting crate must use outside the tensor kernels
 //!   (enforced by `xlint`'s `float-reduction-order` rule).
@@ -35,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod accum;
-pub mod bench;
 pub mod collections;
 pub mod proptest;
 pub mod rng;

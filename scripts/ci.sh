@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Offline tier-1 gate: build + test + bench smoke, with zero network
-# access and warnings treated as errors.
+# Offline tier-1 gate: lint + grep gates + build + test, with zero
+# network access and warnings treated as errors. `cargo test` is the only
+# gate runner and `loadbench` the only benchmark; this script adds the
+# structural gates a test cannot express and builds loadbench.
 #
 # The workspace has no external dependencies — everything resolves from
 # path crates — so this must pass on a machine with an empty cargo
@@ -67,6 +69,29 @@ if grep -rnE 'KvCache|StreamKv|KvSeam|KvRows' crates/models/src; then
     exit 1
 fi
 
+echo "== one benchmark (loadbench measures, cargo test checks; nothing beside them) =="
+# The nine micro-benches, their harness and the tracked result files they
+# overwrote in place went in PR 24; every cell they timed is a loadbench
+# probe. This fails the build if a second measurement system starts to
+# come back. The knob pattern is split so this file does not match itself.
+bench_knob='RAT_''BENCH_'
+if [ -e crates/bench/benches ]; then
+    echo "bench: crates/bench/benches exists; add a loadbench probe instead" >&2
+    exit 1
+fi
+if git ls-files 'BENCH_*.json' | grep .; then
+    echo "bench: tracked result file(s) above; loadbench prints its result, nothing is committed" >&2
+    exit 1
+fi
+if git ls-files '*Cargo.toml' | xargs grep -n 'harness = false'; then
+    echo "bench: a manifest above declares a custom bench harness" >&2
+    exit 1
+fi
+if git ls-files '*.rs' '*.toml' '*.sh' | xargs grep -n "$bench_knob"; then
+    echo "bench: a ${bench_knob}* knob is named above; the workspace reads no bench environment" >&2
+    exit 1
+fi
+
 echo "== build (release, warnings are errors) =="
 cargo build --workspace --release --offline
 
@@ -79,35 +104,5 @@ echo "== loadbench (the BENCHMARK.json package: builds against the public API, u
 # writes beside the manifest are git-ignored.
 CARGO_TARGET_DIR=.bench_build \
     cargo test --release -q --offline --manifest-path crates/bench/src/bin/loadbench/Cargo.toml
-
-echo "== bench smoke (fast mode, kernel + generation harnesses) =="
-# BENCH_*.json land under target/ (absolute: cargo runs a bench from its
-# package directory), so a CI run leaves the five tracked root BENCH_*.json
-# alone; RAT_BENCH_DIR="$PWD" refreshes them when that is the point.
-export RAT_BENCH_DIR="${RAT_BENCH_DIR:-$PWD/target/bench}"
-RAT_BENCH_FAST=1 \
-    cargo bench -p ratatouille-bench --bench tensor_kernels --offline
-RAT_BENCH_FAST=1 \
-    cargo bench -p ratatouille-bench --bench generation_latency --offline
-RAT_BENCH_FAST=1 \
-    cargo bench -p ratatouille-bench --bench quantized_decode --offline
-RAT_BENCH_FAST=1 \
-    cargo bench -p ratatouille-bench --bench batched_decode --offline
-# Also the paged-attention determinism gate: the harness asserts every
-# thread count reproduces the one-thread streams before timing anything.
-RAT_BENCH_FAST=1 \
-    cargo bench -p ratatouille-bench --bench paged_attention --offline
-
-echo "== /metrics smoke (serve, scrape, assert required metric names) =="
-cargo run --release -q -p ratatouille-bench --bin metrics_smoke --offline
-
-echo "== quantized-generation smoke (int8 decode: finite, deterministic, thread-invariant) =="
-cargo run --release -q -p ratatouille-bench --bin quantized_smoke --offline
-
-echo "== batched-decode smoke (batch determinism, KV-prefix hits, >=2x shared-batch throughput, long-context sweep determinism) =="
-cargo run --release -q -p ratatouille-bench --bin batched_smoke --offline
-
-echo "== request-tracing smoke (X-Trace-Id, /debug/requests lifecycle, chrome export, <=2% decode overhead) =="
-cargo run --release -q -p ratatouille-bench --bin trace_smoke --offline
 
 echo "== ci.sh: all gates passed =="

@@ -3,14 +3,19 @@
 //! continuous-batching shape (`1 × B`): trained model → engine → blocked
 //! KV cache → byte-identical responses under concurrency.
 
-use ratatouille::models::batch::BatchEngineConfig;
+use ratatouille::models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
+use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::registry::ModelKind;
+use ratatouille::models::sample::{generate, SamplerConfig};
 use ratatouille::models::train::TrainConfig;
+use ratatouille::models::InferenceModel;
 use ratatouille::serving::api::ApiServer;
 use ratatouille::serving::batch::BatchServerConfig;
 use ratatouille::serving::client::HttpClient;
 use ratatouille::serving::json::Json;
+use ratatouille::tensor::{ops, par, Tensor};
 use ratatouille::{Pipeline, PipelineConfig, TrainedModel};
+use ratatouille_util::rng::{SeedableRng, StdRng};
 
 fn trained_model() -> TrainedModel {
     let mut cfg = PipelineConfig::small();
@@ -156,8 +161,78 @@ fn http_error_paths_map_to_the_right_status() {
     server.stop();
 }
 
+/// The metric-name contract (DESIGN.md §8): every series a dashboard or
+/// the docs name is on `/metrics` once its layer has run. Presence only —
+/// the registry is process-wide and this binary's tests run in parallel.
+const REQUIRED_SERIES: &[&str] = &[
+    "http_requests_total",
+    "http_request_ns",
+    "http_connections_active",
+    "http_handler_threads",
+    "http_connections_rejected_total",
+    "http_accept_errors_total",
+    "decode_token_ns",
+    "request_queue_wait_ns",
+    "serving_exec_ns",
+    "tensor_pool_queue_wait_ns",
+    "tensor_pool_launches_total",
+    "tensor_pool_inline_total",
+    "tensor_matmul_gflops",
+    "train_tokens_per_sec",
+    "generate_latency_ns",
+    "attend_ns",
+    "decode_batch_size",
+    "decode_kv_hits_total",
+    // Labeled twins: model names come from the closed registry, dtypes
+    // from the weight set. Histograms carry their labels on the
+    // `_count`/`_sum`/`_bucket` lines.
+    "decode_batch_size_count{model=\"distilgpt2\"}",
+    "decode_kv_hits_total{model=\"distilgpt2\"}",
+    "decode_kv_misses_total{model=\"distilgpt2\"}",
+    "train_tokens_per_sec{model=\"word-level-lstm\"}",
+    "generate_latency_ns_count{model=\"word-level-lstm\"}",
+    "gpt2_push_ns_count{dtype=\"f32\"}",
+    "gpt2_push_ns_count{dtype=\"int8\"}",
+    "decode_token_ns_sum{model=\"distilgpt2\",dtype=\"f32\"}",
+    "decode_token_ns_sum{model=\"distilgpt2-int8\",dtype=\"int8\"}",
+    "decode_token_ns_bucket{model=\"distilgpt2-int8\",dtype=\"int8\",le=",
+    "decode_tokens_total{model=\"distilgpt2\",dtype=\"f32\"}",
+    "decode_tokens_total{model=\"distilgpt2-int8\",dtype=\"int8\"}",
+];
+
 #[test]
 fn healthz_and_metrics_endpoints() {
+    // Drive the layers a small LSTM server never reaches. The tensor
+    // pool: a 2^21-MAC matmul is the smallest that fans out, and the pool
+    // histograms only exist once something has.
+    par::set_num_threads(2);
+    let a = Tensor::from_vec(vec![0.5f32; 128 * 128], &[128, 128]).unwrap();
+    ops::matmul(&a, &a);
+    par::set_num_threads(0);
+    // Batched decode, the same prompt twice so the second admission
+    // adopts the first's blocks: attention, batch size, KV hits and misses.
+    let gpt2 = Gpt2Lm::new(Gpt2Config::distil(64));
+    let bm = gpt2.batch_model().expect("distil tier is batch-ready");
+    let sampler = SamplerConfig {
+        max_tokens: 4,
+        greedy: true,
+        stop_token: None,
+        ..SamplerConfig::default()
+    };
+    let mut engine = BatchGenerator::new(
+        bm,
+        BatchEngineConfig { block_tokens: 4, num_blocks: 64, max_batch: 2, prefix_cap: 2 },
+    );
+    for seed in 0..2 {
+        let req = BatchRequest { prompt: vec![2, 3, 4, 5, 6], sampler: sampler.clone(), seed };
+        let id = engine.admit(req).expect("admit");
+        engine.run_to_completion(bm, id).expect("decode");
+    }
+    // Solo decode in each weight dtype: the per-model, per-dtype series.
+    for model in [&gpt2 as &dyn InferenceModel, &gpt2.quantize()] {
+        generate(model, &[2, 3, 4], &sampler, &mut StdRng::seed_from_u64(7));
+    }
+
     let trained = trained_model();
     let server = ApiServer::start("127.0.0.1:0", 1, 4, trained.backend_factory()).unwrap();
     let client = HttpClient::new(server.addr());
@@ -174,19 +249,13 @@ fn healthz_and_metrics_endpoints() {
 
     let (status, metrics) = client.get("/metrics").unwrap();
     assert_eq!(status, 200);
-    for name in [
-        "http_requests_total",
-        "http_request_ns",
-        "decode_token_ns",
-        "request_queue_wait_ns",
-        "train_tokens_per_sec",
-        "generate_latency_ns",
-    ] {
-        assert!(metrics.contains(name), "missing `{name}` in:\n{metrics}");
-    }
+    let missing: Vec<_> = REQUIRED_SERIES.iter().filter(|s| !metrics.contains(**s)).collect();
+    assert!(missing.is_empty(), "missing {missing:?} in:\n{metrics}");
     // Prometheus text exposition shape
     assert!(metrics.contains("# TYPE http_request_ns histogram"), "{metrics}");
     assert!(metrics.contains("http_request_ns_bucket{le=\"+Inf\"}"), "{metrics}");
+    assert!(metrics.contains("http_request_ns_sum"), "{metrics}");
+    assert!(metrics.contains("http_request_ns_count"), "{metrics}");
     assert!(metrics.contains("# TYPE train_tokens_per_sec gauge"), "{metrics}");
 
     // folded span stacks are exposed for flamegraph tooling
@@ -302,15 +371,53 @@ fn batched_server_coalesces_and_matches_solo_goldens() {
     );
 
     // Phase 3: solo replays (one at a time) are byte-identical.
+    let mut trace_id = String::new();
     for (body, resp) in &concurrent {
-        let (status, replay) = client.post_json("/api/generate", body).unwrap();
+        let (status, headers, replay) =
+            client.post_json_with_headers("/api/generate", body).unwrap();
         assert_eq!(status, 200, "{replay}");
         assert_eq!(
             recipe_fields(resp),
             recipe_fields(&replay),
             "batched response diverged from solo replay for {body}"
         );
+        trace_id = headers
+            .into_iter()
+            .find_map(|(k, v)| (k == "x-trace-id").then_some(v))
+            .expect("x-trace-id header on a traced response");
     }
+
+    // ... and the last one's trace carries the batched lifecycle, which
+    // the `K × 1` server (accept → enqueue → admit → respond) never shows.
+    let (status, detail) = client.get(&format!("/debug/requests/{trace_id}")).unwrap();
+    assert_eq!(status, 200, "{detail}");
+    let detail = Json::parse(&detail).unwrap();
+    let timeline = detail.get("timeline").and_then(Json::as_array).unwrap();
+    fn phase(e: &Json) -> &str {
+        e.get("phase").and_then(Json::as_str).unwrap()
+    }
+    let names: Vec<&str> = timeline.iter().map(phase).collect();
+    assert_eq!(names.first(), Some(&"accept"), "{names:?}");
+    assert_eq!(names.last(), Some(&"respond"), "{names:?}");
+    for required in ["enqueue", "admit", "prefill_chunk", "retire"] {
+        assert!(names.contains(&required), "no `{required}` in {names:?}");
+    }
+    // One decode_step per generated token, numbered in order; a recipe
+    // that ends on its stop token has one more, which emits nothing.
+    let arg = |name: &str, key: &str| -> Vec<usize> {
+        timeline
+            .iter()
+            .filter(|e| phase(e) == name)
+            .map(|e| e.get(key).and_then(Json::as_f64).unwrap() as usize)
+            .collect()
+    };
+    let generated = arg("retire", "tokens_generated")[0];
+    let mut expect: Vec<usize> = (1..=generated).collect();
+    let steps = arg("decode_step", "tokens_out");
+    if steps.len() > generated {
+        expect.push(generated);
+    }
+    assert!(generated > 0 && steps == expect, "{generated} tokens from steps {steps:?}");
 
     // Phase 4: shared pantry prefixes hit the KV cache (the replays
     // decode against the prefixes phase 1 registered).
