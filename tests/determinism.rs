@@ -423,6 +423,81 @@ fn windowed_golden_request_decodes_the_same_through_the_batch_engine() {
     assert_eq!(batched, solo_golden_tokens(&model));
 }
 
+/// Golden fingerprint for GPT-2 training: two AdamW steps (dropout 0.1,
+/// so the mask stream is pinned too; gradient clipping on) of a 2-layer,
+/// d = 64, d_ff = 256 model over one 8 × 128-token batch with a padded
+/// tail. The loss bits of both steps and every parameter's bits after
+/// them hash to a frozen value at 1, 2 and 3 tensor threads. The shape
+/// is wide enough that the pool really launches — the attention scores
+/// alone are 8 · 2 · 128² elements — so this pins the parallel kernels
+/// of the training step, not only their inline path.
+#[test]
+fn gpt2_training_golden_fingerprint_is_frozen() {
+    use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
+    use ratatouille::models::lm::{Batch, LanguageModel};
+    use ratatouille::tensor::optim::{clip_grad_norm, zero_grads, Adam};
+    use ratatouille::tensor::par;
+    use ratatouille_util::rng::RngExt;
+
+    const VOCAB: u32 = 64;
+    let (rows, t) = (8, 128);
+    let mut rng = StdRng::seed_from_u64(2025);
+    let mut batch = Batch { inputs: Vec::new(), targets: Vec::new(), pad_id: 0 };
+    for r in 0..rows {
+        let seq: Vec<u32> = (0..=t).map(|_| 1 + rng.random_range(0..VOCAB - 1)).collect();
+        let mut targets = seq[1..].to_vec();
+        if r == rows - 1 {
+            targets[t - 20..].fill(0);
+        }
+        batch.inputs.push(seq[..t].to_vec());
+        batch.targets.push(targets);
+    }
+
+    let train = |threads: usize| -> u64 {
+        par::set_num_threads(threads);
+        let model = Gpt2Lm::new(Gpt2Config {
+            name: "golden-train".into(),
+            vocab: VOCAB as usize,
+            d_model: 64,
+            n_heads: 2,
+            n_layers: 2,
+            d_ff: 256,
+            max_t: t,
+            local_window: None,
+            dropout: 0.1,
+            seed: 31,
+        });
+        let params = model.parameters();
+        let mut opt = Adam::adamw(2e-3, 0.01);
+        let mut drop_rng = StdRng::seed_from_u64(5);
+        let mut bits = Vec::new();
+        for _ in 0..2 {
+            zero_grads(&params);
+            let loss = model.forward_loss(&batch, true, &mut drop_rng);
+            bits.extend(loss.value().item().to_bits().to_le_bytes());
+            loss.backward();
+            clip_grad_norm(&params, 1.0);
+            opt.step(&params);
+        }
+        par::set_num_threads(0);
+        for p in &params {
+            bits.extend(p.value().data().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        }
+        fingerprint([bits])
+    };
+
+    let launches = obs::metrics::counter("tensor_pool_launches_total");
+    let before = launches.get();
+    for threads in [1, 2, 3] {
+        let fp = train(threads);
+        assert_eq!(
+            fp, 0x9cf9_59fa_a3f3_18c3,
+            "GPT-2 training fingerprint changed at {threads} threads: {fp:#x}"
+        );
+    }
+    assert!(launches.get() > before, "the golden shape never launched the pool");
+}
+
 /// Golden corpus fingerprint: the seed-42, 60-recipe corpus hashes to a
 /// frozen value. This pins the full chain — PRNG bit stream, grammar
 /// sampling order, defect injection — in one number.
