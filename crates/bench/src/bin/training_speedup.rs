@@ -11,7 +11,7 @@
 //! ```
 
 use ratatouille::models::data::Dataset;
-use ratatouille::models::registry::{ModelKind, ModelSpec};
+use ratatouille::models::registry::{build_model, ModelKind, ModelSpec};
 use ratatouille::models::train::{TrainConfig, Trainer};
 use ratatouille::tensor::par::set_num_threads;
 use ratatouille::Pipeline;
@@ -25,9 +25,14 @@ fn main() {
         Scale::Standard => 25,
         Scale::Full => 60,
     };
+    let spec = ModelSpec::build(ModelKind::Gpt2Medium, &pipeline.train_texts);
+    let ds = Dataset::from_texts(&pipeline.train_texts, spec.tokenizer.as_ref(), spec.block_size);
 
     println!("TRAINING-TIME SPEEDUP — CPU threads as the parallel-hardware axis\n");
-    println!("workload: GPT-2 medium, {steps} steps, batch 8, block 160\n");
+    println!(
+        "workload: GPT-2 medium, {steps} steps, batch 8, block {}\n",
+        spec.block_size
+    );
     println!(
         "{:<10} {:>12} {:>12} {:>10}",
         "threads", "wall (s)", "tok/s", "speedup"
@@ -55,14 +60,13 @@ fn main() {
         }
         set_num_threads(threads);
         // fresh model each time: identical workload, identical init
-        let spec = ModelSpec::build(ModelKind::Gpt2Medium, &pipeline.train_texts);
-        let ds = Dataset::from_texts(&pipeline.train_texts, spec.tokenizer.as_ref(), spec.block_size);
+        let model = build_model(ModelKind::Gpt2Medium, spec.tokenizer.vocab_size());
         let cfg = TrainConfig {
             steps,
             batch_size: 8,
             ..Default::default()
         };
-        let stats = Trainer::new(spec.model.as_ref(), &ds, cfg).train();
+        let stats = Trainer::new(model.as_ref(), &ds, cfg).train();
         let base = *baseline.get_or_insert(stats.wall_secs);
         let speedup = base / stats.wall_secs;
         println!(

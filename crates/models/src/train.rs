@@ -112,14 +112,12 @@ impl Checkpoint {
         }
         map.insert("meta.step", Tensor::scalar(step as f32));
         map.insert("meta.adam_steps", Tensor::scalar(opt.steps() as f32));
-        // split the u64 seed across two f32-exact halves
+        // The u64 seed as four 16-bit quarters, low first: an f32 holds
+        // every integer below 2^24 exactly, a 32-bit half it would round.
+        let quarters = (0..4).map(|q| ((data_rng_seed >> (16 * q)) & 0xFFFF) as f32).collect();
         map.insert(
-            "meta.rng_seed_lo",
-            Tensor::scalar((data_rng_seed & 0xFFFF_FFFF) as u32 as f32),
-        );
-        map.insert(
-            "meta.rng_seed_hi",
-            Tensor::scalar((data_rng_seed >> 32) as u32 as f32),
+            "meta.rng_seed",
+            Tensor::from_vec(quarters, &[4]).expect("four quarters"),
         );
         map
     }
@@ -146,9 +144,19 @@ impl Checkpoint {
         let step = map.require("meta.step")?.item() as u64;
         let adam_steps = map.require("meta.adam_steps")?.item() as u64;
         opt.set_steps(adam_steps);
-        let lo = map.require("meta.rng_seed_lo")?.item() as u64;
-        let hi = map.require("meta.rng_seed_hi")?.item() as u64;
-        Ok((step, adam_steps, (hi << 32) | lo))
+        let corrupt = || TensorError::Corrupt("meta.rng_seed is not four 16-bit quarters".into());
+        let quarters = map.require("meta.rng_seed")?;
+        if quarters.numel() != 4 {
+            return Err(corrupt());
+        }
+        let seed = quarters.data().iter().rev().try_fold(0u64, |seed, &q| {
+            if q.fract() == 0.0 && (0.0..65536.0).contains(&q) {
+                Ok((seed << 16) | q as u64)
+            } else {
+                Err(corrupt())
+            }
+        })?;
+        Ok((step, adam_steps, seed))
     }
 }
 
@@ -181,10 +189,11 @@ impl<'a> Trainer<'a> {
     pub fn resume(&self, path: &Path) -> Result<TrainStats, TensorError> {
         let map = TensorMap::load(path)?;
         let mut opt = Adam::adamw(self.config.lr, self.config.weight_decay);
-        let (step, _, _seed) = Checkpoint::restore(&map, self.model, &mut opt)?;
-        // Data RNG: reseed deterministically from (seed, step) so the
-        // resumed stream continues rather than repeats.
-        Ok(self.run(opt, step as usize, self.config.seed))
+        let (step, _, seed) = Checkpoint::restore(&map, self.model, &mut opt)?;
+        // Data RNG: the checkpoint's seed, not this config's; `run`
+        // reseeds from (seed, step), so the resumed stream continues
+        // rather than repeats.
+        Ok(self.run(opt, step as usize, seed))
     }
 
     fn run(&self, mut opt: Adam, start_step: usize, seed: u64) -> TrainStats {
@@ -208,10 +217,12 @@ impl<'a> Trainer<'a> {
             zero_grads(&params);
             let accum = self.config.grad_accum.max(1);
             let mut loss_val = 0.0f32;
+            let (mut forward_ns, mut backward_ns) = (0, 0);
             for micro in 0..accum {
                 let _ = micro;
                 let batch = self.dataset.sample_batch(self.config.batch_size, &mut data_rng);
                 tokens += batch.real_tokens();
+                let forward = obs::Clock::now();
                 let loss = self.model.forward_loss(&batch, true, &mut drop_rng);
                 // scale so the accumulated gradient is the mean over
                 // micro-batches, matching a single big batch
@@ -222,19 +233,27 @@ impl<'a> Trainer<'a> {
                 };
                 // xlint: allow(accum-discipline): each term is produced by an interleaved backward(); the loop cannot be folded into an iterator reduction
                 loss_val += loss.value().item();
+                forward_ns += forward.elapsed_ns();
+                let backward = obs::Clock::now();
                 loss.backward();
+                backward_ns += backward.elapsed_ns();
             }
             assert!(
                 loss_val.is_finite(),
                 "training diverged at step {step}: loss = {loss_val}"
             );
             losses.push(loss_val);
+            let optimizer = obs::Clock::now();
             if self.config.clip > 0.0 {
-                clip_grad_norm(&params, self.config.clip);
+                let norm = clip_grad_norm(&params, self.config.clip);
+                obs::static_gauge!("train_grad_norm").set(norm as f64);
             }
             opt.set_lr(schedule.lr_at(step as u64));
             opt.step(&params);
 
+            obs::static_histogram!("train_forward_ns").observe(forward_ns);
+            obs::static_histogram!("train_backward_ns").observe(backward_ns);
+            obs::static_histogram!("train_optimizer_ns").observe(optimizer.elapsed_ns());
             obs::static_histogram!("train_step_ns").observe(step_start.elapsed_ns());
             obs::static_counter!("train_steps_total").inc();
             obs::static_gauge!("train_loss").set(loss_val as f64);
@@ -261,6 +280,13 @@ impl<'a> Trainer<'a> {
             let map = Checkpoint::capture(self.model, &opt, self.config.steps as u64, seed);
             map.save(path).expect("checkpoint write failed");
         }
+        // The last step's gradients have been applied. Kept, they would
+        // live as long as the model, and the ones allocated near the top of
+        // the heap during that step's backward would keep everything the
+        // step freed below them from going back to the OS (EXPERIMENTS
+        // "Training on both cores": 140 MB resident after a 5-step run
+        // instead of 8).
+        zero_grads(&params);
         let wall = started.elapsed_secs();
         let tokens_per_sec = if wall > 0.0 { tokens as f64 / wall } else { 0.0 };
         obs::static_counter!("train_tokens_total").add(tokens as u64);
@@ -309,6 +335,15 @@ mod tests {
     use super::*;
     use crate::lstm::{LstmConfig, LstmLm};
     use ratatouille_tokenizers::{CharTokenizer, Tokenizer};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The `train_*` series are process-global and the harness runs tests
+    /// concurrently: every test here that takes optimizer steps holds this,
+    /// so the exact-count test sees only its own steps.
+    fn steps_lock() -> MutexGuard<'static, ()> {
+        static STEPS: Mutex<()> = Mutex::new(());
+        STEPS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn setup() -> (LstmLm, Dataset, CharTokenizer) {
         let corpus = vec!["abcabcabcabc abcabc abcabcabc".to_string(); 20];
@@ -329,6 +364,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss() {
+        let _steps = steps_lock();
         let (model, ds, _) = setup();
         let cfg = TrainConfig {
             steps: 40,
@@ -340,6 +376,10 @@ mod tests {
         let stats = Trainer::new(&model, &ds, cfg).train();
         assert_eq!(stats.steps_run, 40);
         assert!(
+            model.parameters().iter().all(|p| p.grad().is_none()),
+            "the last step's gradients outlived training"
+        );
+        assert!(
             stats.final_loss(5) < stats.losses[0] * 0.6,
             "first {} final {}",
             stats.losses[0],
@@ -350,6 +390,7 @@ mod tests {
 
     #[test]
     fn deterministic_training() {
+        let _steps = steps_lock();
         let cfg = TrainConfig {
             steps: 10,
             batch_size: 2,
@@ -364,6 +405,7 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_exact() {
+        let _steps = steps_lock();
         let dir = std::env::temp_dir().join(format!("rt-train-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("model.ckpt");
@@ -388,9 +430,12 @@ mod tests {
         let (m_crash, ds2, _) = setup();
         let first_half = Trainer::new(&m_crash, &ds2, cfg_crash).train();
 
+        // A different seed in the resuming config: the data stream must
+        // continue from the checkpoint's seed, not restart from this one.
         let cfg_resume = TrainConfig {
             steps: 20,
             checkpoint_path: None,
+            seed: 999,
             ..cfg_full
         };
         let (m_resumed, ds3, _) = setup();
@@ -402,8 +447,9 @@ mod tests {
         glued.extend(&second_half.losses);
         assert_eq!(glued.len(), full.losses.len());
         for (i, (a, b)) in glued.iter().zip(&full.losses).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-4,
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
                 "loss diverged at step {i}: resumed {a} vs full {b}"
             );
         }
@@ -411,10 +457,43 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_round_trips_the_data_seed_exactly() {
+        let (model, _, _) = setup();
+        let seed = 0x9E37_79B9_7F4A_7C15;
+        let map = Checkpoint::capture(&model, &Adam::new(1e-3), 7, seed);
+        let map = TensorMap::from_bytes(&map.to_bytes()).unwrap();
+        let (step, _, restored) = Checkpoint::restore(&map, &model, &mut Adam::new(1e-3)).unwrap();
+        assert_eq!((step, restored), (7, seed), "restored seed {restored:#x}");
+    }
+
+    #[test]
+    fn each_step_observes_every_training_series_once() {
+        let _steps = steps_lock();
+        let names = ["train_forward_ns", "train_backward_ns", "train_optimizer_ns", "train_step_ns"];
+        let counts = || names.map(|n| obs::metrics::histogram(n).count());
+        let (model, ds, _) = setup();
+        let before = counts();
+        // Two micro-batches per step: still one observation of each.
+        let cfg = TrainConfig {
+            steps: 3,
+            batch_size: 2,
+            grad_accum: 2,
+            ..Default::default()
+        };
+        Trainer::new(&model, &ds, cfg).train();
+        for ((name, b), a) in names.iter().zip(before).zip(counts()) {
+            assert_eq!(a - b, 3, "{name} over 3 steps");
+        }
+        let norm = obs::metrics::gauge("train_grad_norm").get();
+        assert!(norm.is_finite() && norm > 0.0, "pre-clip gradient norm {norm}");
+    }
+
+    #[test]
     fn grad_accum_matches_bigger_batch_direction() {
         // 2 micro-batches of 2 ≈ one batch of 4: losses won't be identical
         // (different sampled batches) but training must still converge and
         // the accumulated run must record one loss per optimizer step.
+        let _steps = steps_lock();
         let (model, ds, _) = setup();
         let cfg = TrainConfig {
             steps: 30,

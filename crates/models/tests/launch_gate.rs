@@ -1,7 +1,9 @@
 //! Exact counts on both sides of `tensor::par`'s work gate: a kernel
-//! that carries a launch's worth of arithmetic wakes the pool once, and
-//! decode of the served (medium) tier — solo in either weight dtype, or
-//! eight lanes at the longest context any workload produces — never does.
+//! that carries a launch's worth of arithmetic wakes the pool once —
+//! a GEMM, or an elementwise op at a training shape — and decode of the
+//! served (medium) tier — solo in either weight dtype, or eight lanes at
+//! the longest context any workload produces — never does, while a
+//! training step does.
 //!
 //! `tensor_pool_launches_total` is process-global, so this binary holds
 //! exactly one `#[test]`: nothing else can bump the counter mid-check.
@@ -10,8 +12,9 @@
 
 use ratatouille_models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
 use ratatouille_models::gpt2::{Gpt2Config, Gpt2Lm};
-use ratatouille_models::lm::InferenceModel;
+use ratatouille_models::lm::{Batch, InferenceModel, LanguageModel};
 use ratatouille_models::sample::{generate, SamplerConfig};
+use ratatouille_tensor::optim::Adam;
 use ratatouille_tensor::{ops, par, Tensor};
 use ratatouille_util::rng::{SeedableRng, StdRng};
 
@@ -48,6 +51,14 @@ fn served_decode_stays_under_the_launch_gate_and_a_big_matmul_crosses_it() {
     ops::matmul_transb(&row, &a);
     assert_eq!(launches.get(), launched + 1, "a decode-sized GEMV must stay inline");
     assert_eq!(inlined.get(), elided + 1, "the elided launch must be counted");
+    // The same for `gelu`, the costliest elementwise op per element: the
+    // MLP activation of a training batch fans out, a batch-8 decode
+    // step's stays inline.
+    let mlp = |rows: usize| Tensor::from_vec(vec![0.5f32; rows * 512], &[rows, 512]).expect("mlp tensor");
+    ops::gelu(&mlp(1024));
+    assert_eq!(launches.get(), launched + 2, "a training-sized gelu must fan out");
+    ops::gelu(&mlp(8));
+    assert_eq!(launches.get(), launched + 2, "a decode-sized gelu must stay inline");
 
     // Solo decode, f32 and int8.
     let medium = Gpt2Lm::new(Gpt2Config::medium(VOCAB));
@@ -93,4 +104,30 @@ fn served_decode_stays_under_the_launch_gate_and_a_big_matmul_crosses_it() {
         InferenceModel::name(&medium),
         PROMPT + BUDGET
     );
+
+    // One optimizer step at the shape of `tests/determinism.rs`'s
+    // training golden wakes the pool.
+    let model = Gpt2Lm::new(Gpt2Config {
+        name: "golden-train".into(),
+        vocab: 64,
+        d_model: 64,
+        n_heads: 2,
+        n_layers: 2,
+        d_ff: 256,
+        max_t: 128,
+        local_window: None,
+        dropout: 0.1,
+        seed: 31,
+    });
+    let seq: Vec<u32> = (0..=128).map(|t| 1 + (t * 7) % 63).collect();
+    let batch = Batch {
+        inputs: vec![seq[..128].to_vec(); 8],
+        targets: vec![seq[1..].to_vec(); 8],
+        pad_id: 0,
+    };
+    let params = model.parameters();
+    let before = launches.get();
+    model.forward_loss(&batch, true, &mut StdRng::seed_from_u64(5)).backward();
+    Adam::adamw(2e-3, 0.01).step(&params);
+    assert!(launches.get() > before, "a training step never launched the pool");
 }

@@ -6,9 +6,18 @@
 //! gradients; [`Var::backward`] walks the graph in reverse topological
 //! order and accumulates gradients into every node that requires them.
 //!
-//! Graph nodes are reference-counted: dropping the loss after an optimizer
-//! step frees the step's graph while leaf parameters (which hold no
-//! parents) persist across steps.
+//! Backward consumes the graph it walks. Once an op node has handed its
+//! gradient to its parents, its gradient, its backward closure (with the
+//! tensors it saved) and its links to its parents are dropped — so the
+//! activations and interior gradients of a training step are freed while
+//! backward is still running, and the allocations backward makes next
+//! reuse that memory instead of faulting in fresh pages. Leaves (the
+//! parameters) keep their gradients for the optimizer. A second backward
+//! through a consumed node panics rather than silently producing nothing.
+//!
+//! Graph nodes are reference-counted: leaf parameters (which hold no
+//! parents) persist across steps; a node's value lives as long as some
+//! handle to it does.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,12 +30,22 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor>>;
 
+/// A node's place in the graph.
+pub(crate) enum Node {
+    /// A leaf or a constant: no parents; a leaf keeps its gradient.
+    Leaf,
+    /// An op whose backward has not run: its inputs, and the closure
+    /// mapping its output gradient to theirs.
+    Op { parents: Vec<Var>, backward: BackwardFn },
+    /// An op whose backward has run and released everything above.
+    Consumed,
+}
+
 pub(crate) struct VarInner {
     pub(crate) id: u64,
     pub(crate) value: Tensor,
     pub(crate) grad: Option<Tensor>,
-    pub(crate) parents: Vec<Var>,
-    pub(crate) backward: Option<BackwardFn>,
+    pub(crate) node: Node,
     pub(crate) requires_grad: bool,
 }
 
@@ -44,8 +63,7 @@ impl Var {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             value,
             grad: None,
-            parents: Vec::new(),
-            backward: None,
+            node: Node::Leaf,
             requires_grad: true,
         })))
     }
@@ -57,8 +75,7 @@ impl Var {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             value,
             grad: None,
-            parents: Vec::new(),
-            backward: None,
+            node: Node::Leaf,
             requires_grad: false,
         })))
     }
@@ -74,8 +91,7 @@ impl Var {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             value,
             grad: None,
-            parents,
-            backward: Some(backward),
+            node: Node::Op { parents, backward },
             requires_grad: true,
         })))
     }
@@ -110,17 +126,20 @@ impl Var {
         self.0.borrow_mut().grad = None;
     }
 
-    /// Replace the stored value. Used by optimizers; the graph (if any) is
+    /// Replace the stored value (loading weights); the graph (if any) is
     /// not invalidated because graphs are rebuilt every step.
     pub fn set_value(&self, value: Tensor) {
         self.0.borrow_mut().value = value;
     }
 
     /// Run reverse-mode autodiff from this (scalar) node, accumulating
-    /// gradients into every reachable node with `requires_grad`.
+    /// gradients into every reachable leaf with `requires_grad`, and
+    /// consume the graph on the way (see the module docs): afterwards
+    /// only the leaves hold gradients.
     ///
     /// # Panics
-    /// Panics if the value is not a single element.
+    /// Panics if the value is not a single element, or if an earlier
+    /// backward already consumed a node this one would pass through.
     pub fn backward(&self) {
         let numel = self.0.borrow().value.numel();
         assert_eq!(numel, 1, "backward() requires a scalar output, got {numel} elements");
@@ -128,7 +147,8 @@ impl Var {
     }
 
     /// Reverse-mode autodiff seeded with an explicit output gradient
-    /// (must match the value's shape).
+    /// (must match the value's shape); consumes the graph like
+    /// [`Var::backward`].
     pub fn backward_with(&self, seed: Tensor) {
         {
             let inner = self.0.borrow();
@@ -141,21 +161,25 @@ impl Var {
             );
         }
         let order = self.topo_order();
-        accumulate(self, &seed);
+        accumulate(self, seed);
         // Walk in reverse topological order: every node sees its full
-        // output gradient before propagating to parents.
-        for node in order.iter().rev() {
-            let (grad, parents) = {
-                let inner = node.0.borrow();
-                if inner.backward.is_none() || inner.grad.is_none() {
-                    continue;
+        // output gradient before propagating to parents. Each op is
+        // consumed as it is visited, and `order`'s handle to it dropped,
+        // so nothing keeps a finished node's tensors alive.
+        for node in order.into_iter().rev() {
+            let (grad, parents, backward) = {
+                let mut inner = node.0.borrow_mut();
+                match std::mem::replace(&mut inner.node, Node::Consumed) {
+                    Node::Op { parents, backward } => (inner.grad.take(), parents, backward),
+                    leaf => {
+                        inner.node = leaf; // leaves keep their gradients
+                        continue;
+                    }
                 }
-                (inner.grad.clone().unwrap(), inner.parents.clone())
             };
-            let parent_grads = {
-                let inner = node.0.borrow();
-                (inner.backward.as_ref().unwrap())(&grad)
-            };
+            let Some(grad) = grad else { continue };
+            let parent_grads = backward(&grad);
+            drop((grad, backward));
             assert_eq!(
                 parent_grads.len(),
                 parents.len(),
@@ -165,13 +189,16 @@ impl Var {
             );
             for (p, g) in parents.iter().zip(parent_grads) {
                 if p.0.borrow().requires_grad {
-                    accumulate(p, &g);
+                    accumulate(p, g);
                 }
             }
         }
     }
 
     /// Nodes reachable from `self`, parents before children.
+    ///
+    /// # Panics
+    /// Panics on reaching a node an earlier backward consumed.
     fn topo_order(&self) -> Vec<Var> {
         let mut order = Vec::new();
         let mut visited = ratatouille_util::collections::det_set();
@@ -185,13 +212,20 @@ impl Var {
         while let Some(frame) = stack.pop() {
             match frame {
                 Frame::Enter(v) => {
-                    let id = v.0.borrow().id;
-                    if !visited.insert(id) {
+                    let inner = v.0.borrow();
+                    if !visited.insert(inner.id) {
                         continue;
                     }
                     stack.push(Frame::Exit(v.clone()));
-                    for p in v.0.borrow().parents.iter() {
-                        stack.push(Frame::Enter(p.clone()));
+                    match &inner.node {
+                        Node::Leaf => {}
+                        Node::Op { parents, .. } => {
+                            stack.extend(parents.iter().map(|p| Frame::Enter(p.clone())));
+                        }
+                        Node::Consumed => panic!(
+                            "backward() through node {} of a graph an earlier backward() consumed",
+                            inner.id
+                        ),
                     }
                 }
                 Frame::Exit(v) => order.push(v),
@@ -201,7 +235,7 @@ impl Var {
     }
 }
 
-fn accumulate(v: &Var, g: &Tensor) {
+fn accumulate(v: &Var, g: Tensor) {
     let mut inner = v.0.borrow_mut();
     assert_eq!(
         inner.value.dims(),
@@ -212,21 +246,25 @@ fn accumulate(v: &Var, g: &Tensor) {
         inner.id
     );
     inner.grad = Some(match inner.grad.take() {
-        Some(acc) => ops::add(&acc, g),
-        None => g.clone(),
+        Some(acc) => ops::add(&acc, &g),
+        None => g,
     });
 }
 
 impl std::fmt::Debug for Var {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.0.borrow();
+        let node = match &inner.node {
+            Node::Leaf => "leaf".to_string(),
+            Node::Op { parents, .. } => format!("op of {}", parents.len()),
+            Node::Consumed => "consumed".to_string(),
+        };
         write!(
             f,
-            "Var(id={}, value={:?}, grad={}, parents={})",
+            "Var(id={}, value={:?}, grad={}, {node})",
             inner.id,
             inner.value,
             inner.grad.is_some(),
-            inner.parents.len()
         )
     }
 }
@@ -294,6 +332,37 @@ mod tests {
         let y = z.add(&z);
         y.backward();
         assert_eq!(x.grad().unwrap().item(), 20.0);
+    }
+
+    #[test]
+    fn backward_consumes_interior_nodes_and_keeps_leaf_gradients() {
+        let x = Var::leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
+        let h = x.mul(&x);
+        let y = h.sum();
+        y.backward();
+        assert_eq!(x.grad().unwrap().data(), &[2.0, 4.0]);
+        assert!(h.grad().is_none() && y.grad().is_none(), "interior gradients are dropped");
+        assert!(matches!(h.0.borrow().node, Node::Consumed));
+        // The forward values stay readable through a held handle.
+        assert_eq!(h.value().data(), &[1.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "an earlier backward() consumed")]
+    fn second_backward_on_a_consumed_graph_panics() {
+        let x = Var::leaf(Tensor::scalar(2.0));
+        let y = x.mul(&x);
+        y.backward();
+        y.backward();
+    }
+
+    #[test]
+    #[should_panic(expected = "an earlier backward() consumed")]
+    fn backward_through_a_consumed_subgraph_panics() {
+        let x = Var::leaf(Tensor::scalar(2.0));
+        let h = x.mul(&x);
+        h.add_scalar(1.0).backward();
+        h.add_scalar(2.0).backward();
     }
 
     #[test]

@@ -1,10 +1,28 @@
 //! Elementwise unary and binary kernels.
+//!
+//! Each is one closure over a range of rows (the last axis) that
+//! [`fill_rows`] runs across the pool above `par`'s work gate and once,
+//! inline, below it; every output element is its own inputs' expression,
+//! so results are the same bits at any thread count.
 
+use super::{fill_rows, last_axis_rows};
+use crate::par::{EXP_MACS, STREAM_MACS, TANH_MACS};
 use crate::tensor::Tensor;
 
 /// Apply `f` to every element.
-pub fn map(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    let data = t.data().iter().map(|&v| f(v)).collect();
+pub fn map(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    map_at(t, STREAM_MACS, f)
+}
+
+/// [`map`] at a stated per-element cost.
+fn map_at(t: &Tensor, elem_macs: usize, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    let (rows, w) = last_axis_rows(t.dims());
+    let src = t.data();
+    let data = fill_rows(rows, w, w * elem_macs, |r, out| {
+        for (o, &v) in out.iter_mut().zip(&src[r.start * w..r.end * w]) {
+            *o = f(v);
+        }
+    });
     Tensor::from_parts(t.shape().clone(), data)
 }
 
@@ -12,7 +30,12 @@ pub fn map(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
 ///
 /// # Panics
 /// Panics if shapes differ.
-pub fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+pub fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    zip_at(a, b, STREAM_MACS, f)
+}
+
+/// [`zip`] at a stated per-element cost.
+fn zip_at(a: &Tensor, b: &Tensor, elem_macs: usize, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
     assert_eq!(
         a.shape(),
         b.shape(),
@@ -20,12 +43,14 @@ pub fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         a.shape(),
         b.shape()
     );
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data().iter())
-        .map(|(&x, &y)| f(x, y))
-        .collect();
+    let (rows, w) = last_axis_rows(a.dims());
+    let (ad, bd) = (a.data(), b.data());
+    let data = fill_rows(rows, w, w * elem_macs, |r, out| {
+        let span = r.start * w..r.end * w;
+        for ((o, &x), &y) in out.iter_mut().zip(&ad[span.clone()]).zip(&bd[span]) {
+            *o = f(x, y);
+        }
+    });
     Tensor::from_parts(a.shape().clone(), data)
 }
 
@@ -58,8 +83,9 @@ pub fn mul_broadcast(a: &Tensor, b: &Tensor) -> Tensor {
     broadcast_zip(a, b, |x, y| x * y)
 }
 
-/// Generic trailing-broadcast binary op.
-pub fn broadcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+/// Generic trailing-broadcast binary op: `a` is read as rows of `b`'s
+/// size, each paired element for element with `b`.
+pub fn broadcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
     assert!(
         a.shape().is_trailing_broadcast_of(b.shape()),
         "broadcast_zip: {} cannot broadcast over {}",
@@ -67,14 +93,15 @@ pub fn broadcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Ten
         a.shape()
     );
     let bn = b.numel().max(1);
-    let bd = b.data();
-    // Chunked sweep instead of `bd[i % bn]`: one bounds check per chunk
-    // and no per-element modulo, with the exact same pairing (and thus
-    // bit-identical results) as the index arithmetic it replaces.
-    let mut data = Vec::with_capacity(a.numel());
-    for chunk in a.data().chunks(bn) {
-        data.extend(chunk.iter().zip(bd).map(|(&x, &y)| f(x, y)));
-    }
+    let (ad, bd) = (a.data(), b.data());
+    let data = fill_rows(a.numel() / bn, bn, bn * STREAM_MACS, |r, out| {
+        let by_row = out.chunks_exact_mut(bn).zip(ad[r.start * bn..r.end * bn].chunks_exact(bn));
+        for (o_row, a_row) in by_row {
+            for ((o, &x), &y) in o_row.iter_mut().zip(a_row).zip(bd) {
+                *o = f(x, y);
+            }
+        }
+    });
     Tensor::from_parts(a.shape().clone(), data)
 }
 
@@ -95,27 +122,32 @@ pub fn neg(t: &Tensor) -> Tensor {
 
 /// Natural exponential.
 pub fn exp(t: &Tensor) -> Tensor {
-    map(t, f32::exp)
+    map_at(t, EXP_MACS, f32::exp)
 }
 
 /// Natural log.
 pub fn ln(t: &Tensor) -> Tensor {
-    map(t, f32::ln)
+    map_at(t, EXP_MACS, f32::ln)
 }
 
 /// Hyperbolic tangent.
 pub fn tanh(t: &Tensor) -> Tensor {
-    map(t, f32::tanh)
+    map_at(t, TANH_MACS, f32::tanh)
 }
 
 /// Logistic sigmoid `1 / (1 + e^-x)`.
 pub fn sigmoid(t: &Tensor) -> Tensor {
-    map(t, |v| 1.0 / (1.0 + (-v).exp()))
+    map_at(t, EXP_MACS, |v| 1.0 / (1.0 + (-v).exp()))
 }
 
 /// GELU with the tanh approximation used by GPT-2.
 pub fn gelu(t: &Tensor) -> Tensor {
-    map(t, gelu_scalar)
+    map_at(t, TANH_MACS, gelu_scalar)
+}
+
+/// The gradient through [`gelu`]: `g ⊙ gelu'(x)`.
+pub(crate) fn gelu_backward(g: &Tensor, x: &Tensor) -> Tensor {
+    zip_at(g, x, TANH_MACS, |gv, xv| gv * gelu_grad_scalar(xv))
 }
 
 /// GPT-2's tanh-approximate GELU on a single value.
@@ -164,7 +196,7 @@ pub fn tanh_fast(x: f32) -> f32 {
 
 /// Derivative of [`gelu_scalar`] with respect to its input.
 #[inline]
-pub fn gelu_grad_scalar(x: f32) -> f32 {
+fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = 0.044_715 * x * x * x;
     let u = C * (x + x3);
@@ -176,11 +208,6 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
 /// Square root.
 pub fn sqrt(t: &Tensor) -> Tensor {
     map(t, f32::sqrt)
-}
-
-/// Elementwise square.
-pub fn square(t: &Tensor) -> Tensor {
-    map(t, |v| v * v)
 }
 
 #[cfg(test)]
@@ -252,7 +279,6 @@ mod tests {
         assert_eq!(scale(&a, 2.0).data(), &[2.0, -4.0]);
         assert_eq!(add_scalar(&a, 1.0).data(), &[2.0, -1.0]);
         assert_eq!(neg(&a).data(), &[-1.0, 2.0]);
-        assert_eq!(square(&a).data(), &[1.0, 4.0]);
     }
 
     #[test]

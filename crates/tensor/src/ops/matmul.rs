@@ -18,8 +18,8 @@
 //! `a == 0.0` skips), which is both faster and what keeps the microkernel
 //! vectorizable.
 
-use crate::ops::simd;
-use crate::par::{parallel_chunks, parallel_rows_mut};
+use crate::ops::{fill_rows, last_axis_rows, simd};
+use crate::par::{parallel_chunks, parallel_rows_mut, COPY_MACS};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -605,10 +605,11 @@ pub fn transpose2d(t: &Tensor) -> Tensor {
 
 /// Permute axes of an arbitrary-rank tensor (a full copy).
 ///
-/// `axes` must be a permutation of `0..rank`. The source offset is
-/// carried incrementally through the mixed-radix counter (O(1) amortized
-/// per element instead of O(rank)), and output-contiguous inner runs are
-/// block-copied.
+/// `axes` must be a permutation of `0..rank`. Output rows (its last
+/// axis) are cut across the pool; within a range the source offset is
+/// carried incrementally through a mixed-radix counter over the outer
+/// output dims (O(1) amortized per row instead of O(rank)), and rows that
+/// read the input contiguously are block-copied.
 pub fn permute(t: &Tensor, axes: &[usize]) -> Tensor {
     let rank = t.rank();
     assert_eq!(axes.len(), rank, "permute: axes len != rank");
@@ -622,25 +623,32 @@ pub fn permute(t: &Tensor, axes: &[usize]) -> Tensor {
     let in_strides = t.shape().strides();
     // Stride in the *input* for a unit step along each *output* dim.
     let step: Vec<usize> = axes.iter().map(|&a| in_strides[a]).collect();
-    let out_shape = Shape(out_dims.clone());
-    let numel = t.numel();
-    let mut out = vec![0.0f32; numel];
-    let d = t.data();
-    if numel == 0 {
-        return Tensor::from_parts(out_shape, out);
+    if t.numel() == 0 {
+        return Tensor::from_parts(Shape(out_dims), Vec::new());
     }
-    let inner = rank - 1;
-    let inner_len = out_dims[inner];
-    let mut idx = vec![0usize; rank];
-    let mut src = 0usize;
-    if step[inner] == 1 && inner_len > 1 {
-        // The output's innermost dim walks the input contiguously:
-        // copy whole runs, incrementing the source offset per outer step.
-        let mut pos = 0usize;
-        while pos < numel {
-            out[pos..pos + inner_len].copy_from_slice(&d[src..src + inner_len]);
-            pos += inner_len;
-            for dim in (0..inner).rev() {
+    let (rows, w) = last_axis_rows(&out_dims);
+    let outer = rank.saturating_sub(1);
+    let inner_step = step.get(outer).copied().unwrap_or(1);
+    let d = t.data();
+    let out = fill_rows(rows, w, w * COPY_MACS, |r, out| {
+        // The first row's multi-index over the outer output dims, and its
+        // source offset.
+        let mut idx = vec![0usize; outer];
+        let (mut rem, mut src) = (r.start, 0usize);
+        for dim in (0..outer).rev() {
+            idx[dim] = rem % out_dims[dim];
+            rem /= out_dims[dim];
+            src += idx[dim] * step[dim];
+        }
+        for o in out.chunks_exact_mut(w) {
+            if inner_step == 1 {
+                o.copy_from_slice(&d[src..src + w]);
+            } else {
+                for (j, v) in o.iter_mut().enumerate() {
+                    *v = d[src + j * inner_step];
+                }
+            }
+            for dim in (0..outer).rev() {
                 idx[dim] += 1;
                 if idx[dim] < out_dims[dim] {
                     src += step[dim];
@@ -650,21 +658,8 @@ pub fn permute(t: &Tensor, axes: &[usize]) -> Tensor {
                 src -= (out_dims[dim] - 1) * step[dim];
             }
         }
-        return Tensor::from_parts(out_shape, out);
-    }
-    for o in out.iter_mut() {
-        *o = d[src];
-        for dim in (0..rank).rev() {
-            idx[dim] += 1;
-            if idx[dim] < out_dims[dim] {
-                src += step[dim];
-                break;
-            }
-            idx[dim] = 0;
-            src -= (out_dims[dim] - 1) * step[dim];
-        }
-    }
-    Tensor::from_parts(out_shape, out)
+    });
+    Tensor::from_parts(Shape(out_dims), out)
 }
 
 #[cfg(test)]

@@ -1,22 +1,47 @@
-//! Neural-network-specific forward kernels: softmax family, layer norm,
-//! embedding lookup, cross-entropy, slicing.
+//! Neural-network-specific kernels: softmax family, layer norm,
+//! embedding lookup, cross-entropy, slicing, and the backward passes of
+//! the row kernels.
+//!
+//! The row kernels and copies here are closures over a range of rows that
+//! [`fill_rows`] spreads across the pool above `par`'s work gate (rows are
+//! independent; column reductions run by column, rows ascending), so
+//! results are the same bits at any thread count.
 
+use super::{fill_rows, last_axis_rows};
+use crate::par::{COPY_MACS, EXP_MACS, STREAM_MACS};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Numerically stable softmax over the last axis.
 pub fn softmax_last(t: &Tensor) -> Tensor {
     assert!(t.rank() >= 1, "softmax_last requires rank >= 1");
-    let d = *t.dims().last().unwrap();
+    let (rows, d) = last_axis_rows(t.dims());
     assert!(d > 0, "softmax_last: empty last axis");
-    let rows = t.numel() / d;
-    let mut out = vec![0.0f32; t.numel()];
-    for r in 0..rows {
-        let row = &t.data()[r * d..(r + 1) * d];
-        let o = &mut out[r * d..(r + 1) * d];
-        softmax_row(row, o);
-    }
+    let src = t.data();
+    let out = fill_rows(rows, d, d * EXP_MACS, |r, out| {
+        for (o, row) in out.chunks_exact_mut(d).zip(src[r.start * d..r.end * d].chunks_exact(d)) {
+            softmax_row(row, o);
+        }
+    });
     Tensor::from_parts(t.shape().clone(), out)
+}
+
+/// Softmax Jacobian-vector product over the last axis:
+/// `dx = p ⊙ (dy − rowsum(dy ⊙ p))`, given the softmax output `p`.
+pub(crate) fn softmax_backward(dy: &Tensor, p: &Tensor) -> Tensor {
+    let (rows, d) = last_axis_rows(p.dims());
+    let (pd, dyd) = (p.data(), dy.data());
+    let dx = fill_rows(rows, d, d * EXP_MACS, |r, out| {
+        let span = r.start * d..r.end * d;
+        let by_row = out.chunks_exact_mut(d).zip(pd[span.clone()].chunks_exact(d)).zip(dyd[span].chunks_exact(d));
+        for ((o, prow), dyrow) in by_row {
+            let dot = super::sum_f32(prow.iter().zip(dyrow).map(|(&a, &b)| a * b));
+            for j in 0..d {
+                o[j] = prow[j] * (dyrow[j] - dot);
+            }
+        }
+    });
+    Tensor::from_parts(p.shape().clone(), dx)
 }
 
 /// Softmax of a single row into `out`.
@@ -48,17 +73,17 @@ pub fn causal_masked_softmax(t: &Tensor) -> Tensor {
         "causal_masked_softmax: trailing matrix must be square, got {}",
         t.shape()
     );
-    let mats = t.numel() / (tt * tt);
-    let mut out = vec![0.0f32; t.numel()];
-    for m in 0..mats {
-        for i in 0..tt {
-            let base = m * tt * tt + i * tt;
-            let row = &t.data()[base..base + i + 1]; // only j <= i
-            let o = &mut out[base..base + i + 1];
-            softmax_row(row, o);
-            // out[base + i+1 ..] stays 0 (future positions masked)
+    let (rows, _) = last_axis_rows(t.dims());
+    let src = t.data();
+    let out = fill_rows(rows, tt, tt * EXP_MACS, |r, out| {
+        let by_row = out.chunks_exact_mut(tt).zip(src[r.start * tt..r.end * tt].chunks_exact(tt));
+        for (row, (o, s)) in r.zip(by_row) {
+            // Row `i` of its matrix sees only `j <= i`; the rest of `o`
+            // stays 0 (future positions masked).
+            let i = row % tt;
+            softmax_row(&s[..=i], &mut o[..=i]);
         }
-    }
+    });
     Tensor::from_parts(t.shape().clone(), out)
 }
 
@@ -70,27 +95,89 @@ pub fn layer_norm(t: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> (Tenso
     let d = *t.dims().last().expect("layer_norm requires rank >= 1");
     assert_eq!(gamma.dims(), &[d], "layer_norm: gamma must be [{d}]");
     assert_eq!(beta.dims(), &[d], "layer_norm: beta must be [{d}]");
-    let rows = t.numel() / d;
-    let mut out = vec![0.0f32; t.numel()];
-    let mut means = vec![0.0f32; rows];
-    let mut rstds = vec![0.0f32; rows];
-    let (g, b) = (gamma.data(), beta.data());
-    for r in 0..rows {
-        let row = &t.data()[r * d..(r + 1) * d];
-        let mean = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let rstd = 1.0 / (var + eps).sqrt();
-        means[r] = mean;
-        rstds[r] = rstd;
-        for (j, (o, &v)) in out[r * d..(r + 1) * d].iter_mut().zip(row).enumerate() {
-            *o = (v - mean) * rstd * g[j] + b[j];
+    let (rows, _) = last_axis_rows(t.dims());
+    let src = t.data();
+    // Two passes by row: each row's `[mean, rstd]`, then the normalized
+    // row from them.
+    let stats = fill_rows(rows, 2, d * EXP_MACS, |r, out| {
+        for (st, row) in out.chunks_exact_mut(2).zip(src[r.start * d..r.end * d].chunks_exact(d)) {
+            let mean = row.iter().sum::<f32>() / d as f32;
+            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+            st[0] = mean;
+            st[1] = 1.0 / (var + eps).sqrt();
         }
-    }
+    });
+    let (g, b) = (gamma.data(), beta.data());
+    let out = fill_rows(rows, d, d * STREAM_MACS, |r, out| {
+        let by_row = out.chunks_exact_mut(d).zip(src[r.start * d..r.end * d].chunks_exact(d));
+        for ((o, row), st) in by_row.zip(stats[2 * r.start..2 * r.end].chunks_exact(2)) {
+            let (mean, rstd) = (st[0], st[1]);
+            for (j, (o, &v)) in o.iter_mut().zip(row).enumerate() {
+                *o = (v - mean) * rstd * g[j] + b[j];
+            }
+        }
+    });
+    let (means, rstds) = stats.chunks_exact(2).map(|st| (st[0], st[1])).unzip();
     let lead: Vec<usize> = t.dims()[..t.rank() - 1].to_vec();
     (
         Tensor::from_parts(t.shape().clone(), out),
         Tensor::from_parts(Shape(lead.clone()), means),
         Tensor::from_parts(Shape(lead), rstds),
+    )
+}
+
+/// The backward pass of [`layer_norm`]: `(dx, dgamma, dbeta)` from the
+/// input `x`, `gamma`, the saved per-row `mean`/`rstd` and the output
+/// gradient `dy`.
+pub(crate) fn layer_norm_backward(
+    x: &Tensor,
+    gamma: &Tensor,
+    mean: &Tensor,
+    rstd: &Tensor,
+    dy: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (rows, d) = last_axis_rows(x.dims());
+    let (xd, gd, md, rd, dyd) = (x.data(), gamma.data(), mean.data(), rstd.data(), dy.data());
+    // dx by row: x̂ and the two row means the dx formula needs.
+    let dx = fill_rows(rows, d, d * EXP_MACS, |r, out| {
+        let span = r.start * d..r.end * d;
+        let by_row = out.chunks_exact_mut(d).zip(xd[span.clone()].chunks_exact(d)).zip(dyd[span].chunks_exact(d));
+        for (row, ((o, xrow), dyrow)) in r.zip(by_row) {
+            let (mu, rs) = (md[row], rd[row]);
+            let mut mean_dxhat = 0.0f32;
+            let mut mean_dxhat_xhat = 0.0f32;
+            for j in 0..d {
+                let xhat = (xrow[j] - mu) * rs;
+                let dxhat = dyrow[j] * gd[j];
+                mean_dxhat += dxhat;
+                mean_dxhat_xhat += dxhat * xhat;
+            }
+            mean_dxhat /= d as f32;
+            mean_dxhat_xhat /= d as f32;
+            for j in 0..d {
+                let xhat = (xrow[j] - mu) * rs;
+                let dxhat = dyrow[j] * gd[j];
+                o[j] = rs * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat);
+            }
+        }
+    });
+    // dgamma and dbeta by column as `[d, 2]`: each column adds its rows in
+    // ascending order from 0.0.
+    let dparams = fill_rows(d, 2, rows * STREAM_MACS, |cols, out| {
+        let by_row = xd.chunks_exact(d).zip(dyd.chunks_exact(d)).zip(md.iter().zip(rd));
+        for ((xrow, dyrow), (&mu, &rs)) in by_row {
+            for (j, acc) in cols.clone().zip(out.chunks_exact_mut(2)) {
+                let xhat = (xrow[j] - mu) * rs;
+                acc[0] += dyrow[j] * xhat;
+                acc[1] += dyrow[j];
+            }
+        }
+    });
+    let (dgamma, dbeta) = dparams.chunks_exact(2).map(|p| (p[0], p[1])).unzip();
+    (
+        Tensor::from_parts(x.shape().clone(), dx),
+        Tensor::from_parts(Shape(vec![d]), dgamma),
+        Tensor::from_parts(Shape(vec![d]), dbeta),
     )
 }
 
@@ -118,14 +205,10 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize], ignore_index: usize) ->
     assert_eq!(logits.rank(), 2, "cross_entropy: logits must be [N, V]");
     let (n, v) = (logits.dims()[0], logits.dims()[1]);
     assert_eq!(targets.len(), n, "cross_entropy: {n} logit rows vs {} targets", targets.len());
-    let mut probs = vec![0.0f32; n * v];
+    let probs = softmax_last(logits);
     let mut loss = 0.0f64;
     let mut kept = 0usize;
-    for r in 0..n {
-        let row = &logits.data()[r * v..(r + 1) * v];
-        let p = &mut probs[r * v..(r + 1) * v];
-        softmax_row(row, p);
-        let t = targets[r];
+    for (p, &t) in probs.data().chunks_exact(v).zip(targets) {
         if t == ignore_index {
             continue;
         }
@@ -134,7 +217,28 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize], ignore_index: usize) ->
         kept += 1;
     }
     let loss = if kept == 0 { 0.0 } else { (loss / kept as f64) as f32 };
-    (loss, Tensor::from_parts(Shape(vec![n, v]), probs))
+    (loss, probs)
+}
+
+/// The backward pass of [`cross_entropy`]: `(probs − onehot) · scale` by
+/// row, with rows whose target is `ignore_index` zeroed.
+pub(crate) fn cross_entropy_backward(probs: &Tensor, targets: &[usize], ignore_index: usize, scale: f32) -> Tensor {
+    let (n, v) = (probs.dims()[0], probs.dims()[1]);
+    let pd = probs.data();
+    let dl = fill_rows(n, v, v * STREAM_MACS, |r, out| {
+        let by_row = out.chunks_exact_mut(v).zip(pd[r.start * v..r.end * v].chunks_exact(v));
+        for ((o, p), &t) in by_row.zip(&targets[r]) {
+            if t == ignore_index {
+                continue; // stays zero
+            }
+            o.copy_from_slice(p);
+            o[t] -= 1.0;
+            for x in o.iter_mut() {
+                *x *= scale;
+            }
+        }
+    });
+    Tensor::from_parts(Shape(vec![n, v]), dl)
 }
 
 /// Slice `len` elements starting at `start` along `axis` (copying).
@@ -152,12 +256,14 @@ pub fn narrow(t: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
     let inner: usize = dims[axis + 1..].iter().product();
     let mut out_dims = dims.to_vec();
     out_dims[axis] = len;
-    let mut out = Vec::with_capacity(outer * len * inner);
-    let src = t.data();
-    for o in 0..outer {
-        let base = o * dims[axis] * inner + start * inner;
-        out.extend_from_slice(&src[base..base + len * inner]);
-    }
+    let (src, run, src_row) = (t.data(), len * inner, dims[axis] * inner);
+    // One row per index of the axes before `axis`: a contiguous run.
+    let out = fill_rows(outer, run, run * COPY_MACS, |r, out| {
+        for (k, o) in r.enumerate() {
+            let base = o * src_row + start * inner;
+            out[k * run..(k + 1) * run].copy_from_slice(&src[base..base + run]);
+        }
+    });
     Tensor::from_parts(Shape(out_dims), out)
 }
 
@@ -167,14 +273,14 @@ pub fn pad_narrow_grad(grad: &Tensor, full_dims: &[usize], axis: usize, start: u
     let len = grad.dims()[axis];
     let outer: usize = full_dims[..axis].iter().product();
     let inner: usize = full_dims[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; full_dims.iter().product()];
-    let g = grad.data();
-    for o in 0..outer {
-        let dst_base = o * full_dims[axis] * inner + start * inner;
-        let src_base = o * len * inner;
-        out[dst_base..dst_base + len * inner]
-            .copy_from_slice(&g[src_base..src_base + len * inner]);
-    }
+    let (g, run, dst_row) = (grad.data(), len * inner, full_dims[axis] * inner);
+    // One row per index of the axes before `axis`, zero outside the run.
+    let out = fill_rows(outer, dst_row, dst_row * COPY_MACS, |r, out| {
+        for (k, o) in r.enumerate() {
+            let dst = k * dst_row + start * inner;
+            out[dst..dst + run].copy_from_slice(&g[o * run..(o + 1) * run]);
+        }
+    });
     Tensor::from_parts(Shape(full_dims.to_vec()), out)
 }
 

@@ -4,6 +4,8 @@
 //! live in this directory or route through the re-exported
 //! `ratatouille_util::accum` helpers below (`xlint`: `float-reduction-order`).
 
+use super::fill_rows;
+use crate::par::COPY_MACS;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -38,10 +40,17 @@ pub fn sum_to_trailing(t: &Tensor, target: &[usize]) -> Tensor {
         t.shape()
     );
     let tail = tgt.numel().max(1);
-    let mut out = vec![0.0f32; tail];
-    for (i, &v) in t.data().iter().enumerate() {
-        out[i % tail] += v;
-    }
+    let rows = t.numel() / tail;
+    let src = t.data();
+    // Cut by output column; each column adds its rows in ascending order
+    // from 0.0, the order the serial `out[i % tail] += v` sweep used.
+    let out = fill_rows(tail, 1, rows * COPY_MACS, |cols, out| {
+        for row in src.chunks_exact(tail) {
+            for (o, &v) in out.iter_mut().zip(&row[cols.clone()]) {
+                *o += v;
+            }
+        }
+    });
     Tensor::from_parts(tgt, out)
 }
 

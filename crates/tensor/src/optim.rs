@@ -112,6 +112,13 @@ impl Adam {
     /// Apply one update step using the gradients currently accumulated on
     /// `params`, then leave the gradients intact (call
     /// [`zero_grads`] separately).
+    ///
+    /// The moments and the parameter values are updated in place (copied
+    /// first if anything else shares them), so a step allocates nothing:
+    /// a parameter keeps the buffer it was created with instead of taking
+    /// a fresh one wherever the allocator has a hole mid-training, where
+    /// it would outlive the step's freed memory and keep that from going
+    /// back to the OS.
     pub fn step(&mut self, params: &[Var]) {
         if self.state.len() < params.len() {
             self.state.resize(params.len(), None);
@@ -125,25 +132,20 @@ impl Adam {
                 m: Tensor::zeros(g.dims()),
                 v: Tensor::zeros(g.dims()),
             });
-            st.m = ops::add(&ops::scale(&st.m, self.beta1), &ops::scale(&g, 1.0 - self.beta1));
-            st.v = ops::add(
-                &ops::scale(&st.v, self.beta2),
-                &ops::scale(&ops::square(&g), 1.0 - self.beta2),
-            );
-            let val = p.value();
-            let n = val.numel();
-            let (md, vd, xd) = (st.m.data(), st.v.data(), val.data());
-            let mut out = Vec::with_capacity(n);
-            for j in 0..n {
-                let mhat = md[j] / bc1;
-                let vhat = vd[j] / bc2;
-                let mut x = xd[j] - self.lr * mhat / (vhat.sqrt() + self.eps);
+            let (m, v) = (st.m.make_mut(), st.v.make_mut());
+            let mut inner = p.0.borrow_mut();
+            let x = inner.value.make_mut();
+            for (((x, m), v), &g) in x.iter_mut().zip(m).zip(v).zip(g.data()) {
+                *m = *m * self.beta1 + g * (1.0 - self.beta1);
+                *v = *v * self.beta2 + g * g * (1.0 - self.beta2);
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                let old = *x;
+                *x = old - self.lr * mhat / (vhat.sqrt() + self.eps);
                 if self.weight_decay > 0.0 {
-                    x -= self.lr * self.weight_decay * xd[j];
+                    *x -= self.lr * self.weight_decay * old;
                 }
-                out.push(x);
             }
-            p.set_value(Tensor::from_vec(out, val.dims()).unwrap());
         }
     }
 

@@ -75,6 +75,26 @@ pub fn num_threads() -> usize {
 /// property of the pool, not a setting.
 const MIN_TASK_MACS: usize = 1 << 20;
 
+// Per-element costs of the elementwise and row kernels in `ops`, in the
+// unit of [`MIN_TASK_MACS`] (one MAC ≈ 0.05 ns at ~20 MACs/ns), from
+// single-threaded ns per element at GPT-2 medium's training shapes on the
+// reference box (DESIGN §4b). Like the gate, properties of the kernels,
+// not settings.
+
+/// Copies and column sums — `permute`, `narrow`, `pad_narrow_grad`,
+/// `sum_to_trailing`: 0.13–0.27 ns (3–5 MACs).
+pub(crate) const COPY_MACS: usize = 4;
+/// Arithmetic streaming ops — `add`, `mul`, `scale`, a bias broadcast:
+/// 0.5–0.7 ns, zeroing the output included (10–14 MACs).
+pub(crate) const STREAM_MACS: usize = 16;
+/// `exp`-bound row kernels — the softmax family, cross-entropy, layer
+/// norm and their backward passes: 1.5–3.8 ns (30–76 MACs).
+pub(crate) const EXP_MACS: usize = 64;
+/// `tanh`-bound ops — `tanh`, `gelu` and its backward: 21–29 ns (≈ 500
+/// MACs), held at 256 so a decode step's widest elementwise call, a
+/// batch-8 `gelu` over `[8, 512]` (exactly 2^20 here), stays inline.
+pub(crate) const TANH_MACS: usize = 256;
+
 /// How many pool tasks `items` work items of `item_macs`
 /// multiply-accumulates each should be cut into: at most one per thread
 /// and per item, and no more than carry [`MIN_TASK_MACS`] each. A pure

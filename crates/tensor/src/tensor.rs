@@ -109,6 +109,12 @@ impl<E: Element> Tensor<E> {
         self.data.as_ref().clone()
     }
 
+    /// Internal: the data for writing in place, copied first if any other
+    /// tensor shares it — so no other holder ever sees a change.
+    pub(crate) fn make_mut(&mut self) -> &mut [E] {
+        Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
     /// Internal: build from parts without re-validating (callers guarantee
     /// `data.len() == shape.numel()`).
     pub(crate) fn from_parts(shape: Shape, data: Vec<E>) -> Tensor<E> {

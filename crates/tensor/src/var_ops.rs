@@ -153,7 +153,7 @@ impl Var {
         let x = self.value();
         let out = ops::gelu(&x);
         Var::from_op(out, vec![self.clone()], Box::new(move |g| {
-            vec![ops::zip(g, &x, |gv, xv| gv * ops::gelu_grad_scalar(xv))]
+            vec![ops::gelu_backward(g, &x)]
         }))
     }
 
@@ -207,7 +207,7 @@ impl Var {
         let p = ops::softmax_last(&self.value());
         let saved = p.clone();
         Var::from_op(p, vec![self.clone()], Box::new(move |g| {
-            vec![softmax_backward(g, &saved)]
+            vec![ops::softmax_backward(g, &saved)]
         }))
     }
 
@@ -219,7 +219,7 @@ impl Var {
         Var::from_op(p, vec![self.clone()], Box::new(move |g| {
             // Masked entries have p = 0, so the shared formula yields
             // exactly 0 gradient there — no separate mask needed.
-            vec![softmax_backward(g, &saved)]
+            vec![ops::softmax_backward(g, &saved)]
         }))
     }
 
@@ -232,44 +232,12 @@ impl Var {
         let x = self.value();
         let g = gamma.value();
         let (out, mean, rstd) = ops::layer_norm(&x, &g, &beta.value(), eps);
-        let d = *x.dims().last().unwrap();
         Var::from_op(
             out,
             vec![self.clone(), gamma.clone(), beta.clone()],
             Box::new(move |dy| {
-                let rows = x.numel() / d;
-                let (xd, gd, md, rd, dyd) = (x.data(), g.data(), mean.data(), rstd.data(), dy.data());
-                let mut dx = vec![0.0f32; x.numel()];
-                let mut dgamma = vec![0.0f32; d];
-                let mut dbeta = vec![0.0f32; d];
-                for r in 0..rows {
-                    let (mu, rs) = (md[r], rd[r]);
-                    let xrow = &xd[r * d..(r + 1) * d];
-                    let dyrow = &dyd[r * d..(r + 1) * d];
-                    // x̂ and the two row means needed by the dx formula
-                    let mut mean_dxhat = 0.0f32;
-                    let mut mean_dxhat_xhat = 0.0f32;
-                    for j in 0..d {
-                        let xhat = (xrow[j] - mu) * rs;
-                        let dxhat = dyrow[j] * gd[j];
-                        mean_dxhat += dxhat; // xlint: allow(accum-discipline): fused single-pass row stats, sequential j order
-                        mean_dxhat_xhat += dxhat * xhat; // xlint: allow(accum-discipline): same fused pass
-                        dgamma[j] += dyrow[j] * xhat; // xlint: allow(accum-discipline): this and dbeta below are per-column scatters, one term per row
-                        dbeta[j] += dyrow[j];
-                    }
-                    mean_dxhat /= d as f32;
-                    mean_dxhat_xhat /= d as f32;
-                    for j in 0..d {
-                        let xhat = (xrow[j] - mu) * rs;
-                        let dxhat = dyrow[j] * gd[j];
-                        dx[r * d + j] = rs * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat);
-                    }
-                }
-                vec![
-                    Tensor::from_vec(dx, x.dims()).unwrap(),
-                    Tensor::from_vec(dgamma, &[d]).unwrap(),
-                    Tensor::from_vec(dbeta, &[d]).unwrap(),
-                ]
+                let (dx, dgamma, dbeta) = ops::layer_norm_backward(&x, &g, &mean, &rstd, dy);
+                vec![dx, dgamma, dbeta]
             }),
         )
     }
@@ -301,9 +269,7 @@ impl Var {
     /// integer targets; rows whose target equals `ignore_index` are skipped.
     /// Returns a scalar loss node.
     pub fn cross_entropy(&self, targets: &[usize], ignore_index: usize) -> Var {
-        let logits = self.value();
-        let (n, v) = (logits.dims()[0], logits.dims()[1]);
-        let (loss, probs) = ops::cross_entropy(&logits, targets, ignore_index);
+        let (loss, probs) = ops::cross_entropy(&self.value(), targets, ignore_index);
         let targets: Vec<usize> = targets.to_vec();
         let kept = targets.iter().filter(|&&t| t != ignore_index).count().max(1);
         Var::from_op(
@@ -311,19 +277,7 @@ impl Var {
             vec![self.clone()],
             Box::new(move |g| {
                 let scale = g.item() / kept as f32;
-                let mut dl = probs.to_vec();
-                for (r, &t) in targets.iter().enumerate() {
-                    let row = &mut dl[r * v..(r + 1) * v];
-                    if t == ignore_index {
-                        row.fill(0.0);
-                    } else {
-                        row[t] -= 1.0;
-                        for x in row.iter_mut() {
-                            *x *= scale;
-                        }
-                    }
-                }
-                vec![Tensor::from_vec(dl, &[n, v]).unwrap()]
+                vec![ops::cross_entropy_backward(&probs, &targets, ignore_index, scale)]
             }),
         )
     }
@@ -400,24 +354,6 @@ impl Var {
             vec![ops::mul(g, &saved)]
         }))
     }
-}
-
-/// Shared softmax Jacobian-vector product:
-/// `dx = p ⊙ (dy − rowsum(dy ⊙ p))` over the last axis.
-fn softmax_backward(dy: &Tensor, p: &Tensor) -> Tensor {
-    let d = *p.dims().last().unwrap();
-    let rows = p.numel() / d;
-    let mut dx = vec![0.0f32; p.numel()];
-    let (pd, dyd) = (p.data(), dy.data());
-    for r in 0..rows {
-        let prow = &pd[r * d..(r + 1) * d];
-        let dyrow = &dyd[r * d..(r + 1) * d];
-        let dot = ratatouille_util::accum::sum_f32(prow.iter().zip(dyrow).map(|(&a, &b)| a * b));
-        for j in 0..d {
-            dx[r * d + j] = prow[j] * (dyrow[j] - dot);
-        }
-    }
-    Tensor::from_vec(dx, p.dims()).unwrap()
 }
 
 #[cfg(test)]

@@ -92,6 +92,19 @@ if git ls-files '*.rs' '*.toml' '*.sh' | xargs grep -n "$bench_knob"; then
     exit 1
 fi
 
+echo "== no allocator tuning (freed memory goes back to the allocator's defaults) =="
+# Keeping freed pages process-wide takes a fifth off a training step, but
+# the fixture's training memory then stays resident for the whole serving
+# run (offline_batch8_unique peak RSS 32.6 -> 308.7 MB, EXPERIMENTS.md
+# "Training on both cores"). Training reuses memory by freeing its graph
+# during backward instead. The pattern is split so this file does not
+# match itself.
+alloc_knob='mal''lopt|MAL''LOC_|global''_allocator'
+if git ls-files '*.rs' '*.toml' '*.sh' | xargs grep -nE "$alloc_knob"; then
+    echo "alloc: allocator tuning is named above; the workspace runs on the default allocator settings" >&2
+    exit 1
+fi
+
 echo "== build (release, warnings are errors) =="
 cargo build --workspace --release --offline
 
