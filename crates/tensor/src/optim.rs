@@ -114,11 +114,11 @@ impl Adam {
     /// [`zero_grads`] separately).
     ///
     /// The moments and the parameter values are updated in place (copied
-    /// first if anything else shares them), so a step allocates nothing:
-    /// a parameter keeps the buffer it was created with instead of taking
-    /// a fresh one wherever the allocator has a hole mid-training, where
-    /// it would outlive the step's freed memory and keep that from going
-    /// back to the OS.
+    /// first if anything else shares them), so after the first step a
+    /// step allocates nothing: a parameter keeps the buffer it was created
+    /// with instead of taking a fresh one wherever the allocator has a
+    /// hole mid-training, where it would outlive the step's freed memory
+    /// and keep that from going back to the OS.
     pub fn step(&mut self, params: &[Var]) {
         if self.state.len() < params.len() {
             self.state.resize(params.len(), None);
