@@ -433,6 +433,19 @@ fn windowed_golden_request_decodes_the_same_through_the_batch_engine() {
 /// of the training step, not only their inline path.
 #[test]
 fn gpt2_training_golden_fingerprint_is_frozen() {
+    assert_training_golden(None, 0x9cf9_59fa_a3f3_18c3);
+}
+
+/// The same two steps with GPT-Neo's attention (`neo_small`'s shape:
+/// the odd layer attends over a trailing window, here 48 of 128
+/// positions), so the window mask's path through the attention products
+/// and their gradients is pinned too.
+#[test]
+fn windowed_training_golden_fingerprint_is_frozen() {
+    assert_training_golden(Some(48), 0x4697_240f_f980_2b0d);
+}
+
+fn assert_training_golden(local_window: Option<usize>, golden: u64) {
     use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
     use ratatouille::models::lm::{Batch, LanguageModel};
     use ratatouille::tensor::optim::{clip_grad_norm, zero_grads, Adam};
@@ -463,7 +476,7 @@ fn gpt2_training_golden_fingerprint_is_frozen() {
             n_layers: 2,
             d_ff: 256,
             max_t: t,
-            local_window: None,
+            local_window,
             dropout: 0.1,
             seed: 31,
         });
@@ -491,8 +504,8 @@ fn gpt2_training_golden_fingerprint_is_frozen() {
     for threads in [1, 2, 3] {
         let fp = train(threads);
         assert_eq!(
-            fp, 0x9cf9_59fa_a3f3_18c3,
-            "GPT-2 training fingerprint changed at {threads} threads: {fp:#x}"
+            fp, golden,
+            "GPT-2 training fingerprint (window {local_window:?}) changed at {threads} threads: {fp:#x}"
         );
     }
     assert!(launches.get() > before, "the golden shape never launched the pool");
