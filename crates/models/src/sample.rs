@@ -411,16 +411,21 @@ mod tests {
         }
     }
 
-    /// Seed 3 of this generator (256 logits, one in fifty NaN) panicked
-    /// in the full sort ("user-provided comparison function does not
-    /// correctly implement a total order") before `scale_logits` mapped
-    /// NaN away; it was reachable from a served request.
+    /// 256 logits in ±4, one in fifty NaN.
+    fn nan_logits(seed: u64) -> Vec<f32> {
+        let mut gen = StdRng::seed_from_u64(seed);
+        (0..256)
+            .map(|_| if gen.random::<f32>() < 0.02 { f32::NAN } else { gen.random::<f32>() * 8.0 - 4.0 })
+            .collect()
+    }
+
+    /// Seed 3 of this generator panicked in the full sort ("user-provided
+    /// comparison function does not correctly implement a total order")
+    /// before `scale_logits` mapped NaN away; it was reachable from a
+    /// served request.
     #[test]
     fn nan_logits_regression_seed_3() {
-        let mut gen = StdRng::seed_from_u64(3);
-        let values: Vec<f32> = (0..256)
-            .map(|_| if gen.random::<f32>() < 0.02 { f32::NAN } else { gen.random::<f32>() * 8.0 - 4.0 })
-            .collect();
+        let values = nan_logits(3);
         let sampling = SamplerConfig::default();
         let greedy = SamplerConfig { greedy: true, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(3);
@@ -435,7 +440,20 @@ mod tests {
         // `+inf` outranks everything; the lowest-index one wins
         let l = logits(&[f32::NAN, 1.0, f32::INFINITY, f32::INFINITY]);
         assert_eq!(select_token(&l, &sampling, &mut rng), 2);
-        assert!(select_token(&l, &greedy, &mut rng) < 4);
+        assert_eq!(select_token(&l, &greedy, &mut rng), 2);
+    }
+
+    /// Seed 9 of the same generator puts its NaN at logit 0. Greedy
+    /// decoding picked token 0 for it: `argmax_last` compared with
+    /// `v > row[best]`, which is never true against a NaN. It now ranks
+    /// NaN as `-inf`, the sampler's rule, and picks the best number.
+    #[test]
+    fn nan_logit_zero_greedy_regression_seed_9() {
+        let values = nan_logits(9);
+        assert!(values[0].is_nan());
+        let greedy = SamplerConfig { greedy: true, ..Default::default() };
+        assert_eq!(select_token(&logits(&values), &greedy, &mut StdRng::seed_from_u64(9)), 99);
+        assert_eq!(values[99], values.iter().copied().filter(|v| !v.is_nan()).fold(f32::MIN, f32::max));
     }
 
     #[test]

@@ -120,7 +120,11 @@ impl Block {
         let q = split(0);
         let k = split(d);
         let v = split(2 * d);
-        let mut scores = q.bmm_transb(&k).scale(1.0 / (dh as f32).sqrt()); // [B*H, T, T]
+        // The attention products are causal: the scores exist on and below
+        // the diagonal only, and the context reads only that triangle of
+        // the weights (zero above it), so they skip the upper half of the
+        // work in both directions.
+        let mut scores = q.bmm_transb_causal(&k).scale(1.0 / (dh as f32).sqrt()); // [B*H, T, T]
         if let Some(w) = window {
             scores = scores.add(&Var::constant(window_mask(b * heads, t, w)));
         }
@@ -129,7 +133,7 @@ impl Block {
             weights = weights.dropout(dropout, rng);
         }
         let ctx = weights
-            .bmm(&v) // [B*H, T, Dh]
+            .bmm_causal(&v) // [B*H, T, Dh]
             .reshape(&[b, heads, t, dh])
             .permute(&[0, 2, 1, 3])
             .reshape(&[b * t, d]);

@@ -51,6 +51,13 @@ fn served_decode_stays_under_the_launch_gate_and_a_big_matmul_crosses_it() {
     ops::matmul_transb(&row, &a);
     assert_eq!(launches.get(), launched + 1, "a decode-sized GEMV must stay inline");
     assert_eq!(inlined.get(), elided + 1, "the elided launch must be counted");
+    // The batch-8 LM head, `[8, 128]` against the `[384, 128]` tied
+    // embedding, runs through `matmul_transb`'s row-pair tile, inline.
+    let hidden = Tensor::from_vec(vec![0.5f32; 8 * n], &[8, n]).expect("hidden rows");
+    let wte = Tensor::from_vec(vec![0.5f32; VOCAB * n], &[VOCAB, n]).expect("embedding");
+    ops::matmul_transb(&hidden, &wte);
+    assert_eq!(launches.get(), launched + 1, "the batch-8 LM head must stay inline");
+    assert_eq!(inlined.get(), elided + 2, "the elided launch must be counted");
     // The same for `gelu`, the costliest elementwise op per element: the
     // MLP activation of a training batch fans out, a batch-8 decode
     // step's stays inline.

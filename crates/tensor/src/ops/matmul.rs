@@ -3,20 +3,35 @@
 //!
 //! The 2-D `matmul` packs the B operand once per call into `KC × NR`
 //! panels (shared read-only across workers), then each worker sweeps its
-//! row range with a register-blocked microkernel — 8-lane FMA when the
-//! host has AVX2 (see [`super::simd`]), otherwise a k-unrolled portable
-//! loop the auto-vectorizer handles. `matmul_transa` reuses the same
-//! kernel after a blocked transpose of A; `matmul_transb` and the `bmm_*`
-//! family run dot-product / row-accumulate kernels over the unpacked
-//! operands (their K/N extents are too small for packing to pay).
+//! row range with a register-blocked `MR × NR` microkernel — 8-lane FMA
+//! when the host has AVX2 (see [`super::simd`]), otherwise a k-unrolled
+//! portable loop the auto-vectorizer handles. The microkernel reads A
+//! through [`Strides`], so `matmul_transa` runs it straight over the
+//! transposed storage, and it takes a B row stride, so `bmm` and
+//! `bmm_transa` run it over unpacked `[K, N]` rows when `N % NR == 0`
+//! (every attention head here is 32 wide). `matmul_transb` at `M ≥ 2` and
+//! `bmm_transb` pair rows through [`simd::dot_pair`], which replays
+//! `simd::dot` per output, so each output has the bits of its own dot.
+//! Only the `M = 1` decode GEMV, skinny shapes and non-AVX hosts keep
+//! the plain row kernels.
+//!
+//! The `*_causal` batched products are the attention products over
+//! square `[T, T]` matrices that are zero above the diagonal: they read
+//! and write only the lower triangle. A skipped entry is a `±0·x` term
+//! added to a chain that starts at `+0`, so they equal the dense products
+//! bit for bit on the triangle for finite operands.
 //!
 //! **Determinism contract:** blocking parameters are fixed constants,
 //! every output element accumulates over `k` in ascending order within
-//! one worker, and chunk boundaries depend only on shape (which fixes the
-//! per-row work `par` gates fan-out on) and `par::num_threads()` — never
-//! on scheduling — so results are byte-identical for any thread count. Dense paths are branch-free (no
+//! one worker (register tiles change which independent chains are in
+//! flight together, never a chain), and chunk boundaries depend only on
+//! shape (which fixes the per-row work `par` gates fan-out on) and
+//! `par::num_threads()` — never on scheduling — so results are
+//! byte-identical for any thread count. Dense paths are branch-free (no
 //! `a == 0.0` skips), which is both faster and what keeps the microkernel
 //! vectorizable.
+
+use std::ops::Range;
 
 use crate::ops::{fill_rows, last_axis_rows, simd};
 use crate::par::{parallel_chunks, parallel_rows_mut, COPY_MACS};
@@ -34,6 +49,32 @@ const MR: usize = 4;
 const SMALL_M: usize = 8;
 /// Tile edge for the blocked transpose.
 const TRANSPOSE_TILE: usize = 32;
+/// Floats of B that `matmul_transb` keeps hot while every row pair of a
+/// worker's chunk passes over them: 32 KiB, inside L1.
+const DOT_BLOCK_FLOATS: usize = 8 * 1024;
+
+/// Where a kernel finds `A(r, k)`: at `a[r·row + k·k]`. Row-major A has
+/// `k = 1`; the transposed read of a `[K, M]` buffer (`matmul_transa`,
+/// `bmm_transa`) has `row = 1, k = M`, four rows of one `k` contiguous.
+#[derive(Debug, Clone, Copy)]
+struct Strides {
+    row: usize,
+    k: usize,
+}
+
+impl Strides {
+    fn rows(k: usize) -> Strides {
+        Strides { row: k, k: 1 }
+    }
+
+    fn transposed(m: usize) -> Strides {
+        Strides { row: 1, k: m }
+    }
+
+    fn at(self, r: usize, kk: usize) -> usize {
+        r * self.row + kk * self.k
+    }
+}
 
 // ---------------------------------------------------------------------------
 // B-panel packing
@@ -78,14 +119,15 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
 // Microkernels
 // ---------------------------------------------------------------------------
 
-/// Portable panel microkernel: one row of A against one `kc × NR` panel,
-/// accumulating into an `NR`-wide output slice. `k` ascends left-to-right
-/// so the accumulation order matches the AVX variants element-for-element.
-fn mk_row_portable(a: &[f32], panel: &[f32], kc: usize, o: &mut [f32]) {
+/// Portable panel microkernel: one row of A (`A(kk)` at `a[kk·ks]`)
+/// against one `kc × NR` panel, accumulating into an `NR`-wide output
+/// slice. `k` ascends left-to-right so the accumulation order matches
+/// the AVX variants element-for-element.
+fn mk_row_portable(a: &[f32], ks: usize, panel: &[f32], kc: usize, o: &mut [f32]) {
     let o = &mut o[..NR];
     let mut kk = 0usize;
     while kk + 4 <= kc {
-        let (a0, a1, a2, a3) = (a[kk], a[kk + 1], a[kk + 2], a[kk + 3]);
+        let (a0, a1, a2, a3) = (a[kk * ks], a[(kk + 1) * ks], a[(kk + 2) * ks], a[(kk + 3) * ks]);
         let b0 = &panel[kk * NR..kk * NR + NR];
         let b1 = &panel[(kk + 1) * NR..(kk + 1) * NR + NR];
         let b2 = &panel[(kk + 2) * NR..(kk + 2) * NR + NR];
@@ -96,7 +138,7 @@ fn mk_row_portable(a: &[f32], panel: &[f32], kc: usize, o: &mut [f32]) {
         kk += 4;
     }
     while kk < kc {
-        let av = a[kk];
+        let av = a[kk * ks];
         let b0 = &panel[kk * NR..kk * NR + NR];
         for j in 0..NR {
             o[j] += av * b0[j];
@@ -105,17 +147,19 @@ fn mk_row_portable(a: &[f32], panel: &[f32], kc: usize, o: &mut [f32]) {
     }
 }
 
-/// AVX2+FMA microkernel: `MR = 4` rows of A (row stride `lda`) against one
-/// `kc × NR` panel, accumulating into 4 output rows (row stride `ldo`).
+/// AVX2+FMA microkernel: `MR = 4` rows of A (`A(r, kk)` at
+/// `a[s.at(r, kk)]`) against `kc` rows of an `NR`-wide B block (row
+/// stride `ldb`: `NR` in a packed panel, `N` over a raw `[K, N]` operand),
+/// accumulating into 4 output rows (row stride `ldo`).
 // SAFETY(invariant: caller-verified AVX2+FMA plus in-bounds non-aliasing pointers)
 // Callers must have verified AVX2+FMA via `use_avx2_fma()`
-// (`#[target_feature]`) and pass `a` valid for reads over 4 rows of
-// stride `lda` × `kc` columns, `panel` valid for `kc * NR` reads, and
-// `o` valid for read+write over 4 rows of stride `ldo` × NR columns,
-// not aliasing `a`/`panel`. All accesses are unaligned (`loadu`).
+// (`#[target_feature]`) and pass `a` valid for reads at `s.at(r, kk)`
+// for `r < 4`, `kk < kc`, `b` valid for `NR` reads at each `kk * ldb`,
+// and `o` valid for read+write over 4 rows of stride `ldo` × NR columns,
+// not aliasing `a`/`b`. All accesses are unaligned (`loadu`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mk_avx_4x16(a: *const f32, lda: usize, panel: *const f32, kc: usize, o: *mut f32, ldo: usize) {
+unsafe fn mk_avx_4x16(a: *const f32, s: Strides, b: *const f32, ldb: usize, kc: usize, o: *mut f32, ldo: usize) {
     use std::arch::x86_64::*;
     let mut acc00 = _mm256_loadu_ps(o);
     let mut acc01 = _mm256_loadu_ps(o.add(8));
@@ -126,18 +170,19 @@ unsafe fn mk_avx_4x16(a: *const f32, lda: usize, panel: *const f32, kc: usize, o
     let mut acc30 = _mm256_loadu_ps(o.add(3 * ldo));
     let mut acc31 = _mm256_loadu_ps(o.add(3 * ldo + 8));
     for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(panel.add(kk * NR));
-        let b1 = _mm256_loadu_ps(panel.add(kk * NR + 8));
-        let a0 = _mm256_set1_ps(*a.add(kk));
+        let b0 = _mm256_loadu_ps(b.add(kk * ldb));
+        let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
+        let ak = a.add(kk * s.k);
+        let a0 = _mm256_set1_ps(*ak);
         acc00 = _mm256_fmadd_ps(a0, b0, acc00);
         acc01 = _mm256_fmadd_ps(a0, b1, acc01);
-        let a1 = _mm256_set1_ps(*a.add(lda + kk));
+        let a1 = _mm256_set1_ps(*ak.add(s.row));
         acc10 = _mm256_fmadd_ps(a1, b0, acc10);
         acc11 = _mm256_fmadd_ps(a1, b1, acc11);
-        let a2 = _mm256_set1_ps(*a.add(2 * lda + kk));
+        let a2 = _mm256_set1_ps(*ak.add(2 * s.row));
         acc20 = _mm256_fmadd_ps(a2, b0, acc20);
         acc21 = _mm256_fmadd_ps(a2, b1, acc21);
-        let a3 = _mm256_set1_ps(*a.add(3 * lda + kk));
+        let a3 = _mm256_set1_ps(*ak.add(3 * s.row));
         acc30 = _mm256_fmadd_ps(a3, b0, acc30);
         acc31 = _mm256_fmadd_ps(a3, b1, acc31);
     }
@@ -155,19 +200,19 @@ unsafe fn mk_avx_4x16(a: *const f32, lda: usize, panel: *const f32, kc: usize, o
 /// output element's FMA chain is identical to its chain in
 /// [`mk_avx_4x16`], so row grouping never changes results.
 // SAFETY(invariant: the `mk_avx_4x16` contract restricted to one row)
-// Caller verified AVX2+FMA, `a` valid for `kc` reads, `panel` for
-// `kc * NR` reads, `o` for NR non-aliasing read+writes; unaligned access
-// only.
+// Caller verified AVX2+FMA, `a` valid for reads at `kk * ks`, `b` for
+// `NR` reads at each `kk * ldb` (`kk < kc`), `o` for NR non-aliasing
+// read+writes; unaligned access only.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mk_avx_1x16(a: *const f32, panel: *const f32, kc: usize, o: *mut f32) {
+unsafe fn mk_avx_1x16(a: *const f32, ks: usize, b: *const f32, ldb: usize, kc: usize, o: *mut f32) {
     use std::arch::x86_64::*;
     let mut acc0 = _mm256_loadu_ps(o);
     let mut acc1 = _mm256_loadu_ps(o.add(8));
     for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(panel.add(kk * NR));
-        let b1 = _mm256_loadu_ps(panel.add(kk * NR + 8));
-        let av = _mm256_set1_ps(*a.add(kk));
+        let b0 = _mm256_loadu_ps(b.add(kk * ldb));
+        let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
+        let av = _mm256_set1_ps(*a.add(kk * ks));
         acc0 = _mm256_fmadd_ps(av, b0, acc0);
         acc1 = _mm256_fmadd_ps(av, b1, acc1);
     }
@@ -177,7 +222,7 @@ unsafe fn mk_avx_1x16(a: *const f32, panel: *const f32, kc: usize, o: *mut f32) 
 
 /// Unpacked row-accumulate: `o[0..n] += Σ_k a[kk] · b[kk, 0..n]` for a
 /// row-major `b: [k, n]`, `k` ascending. Used where packing cannot pay:
-/// tiny `m` (decode) and the per-batch `bmm` kernels.
+/// tiny `m` (decode) and skinny `n`.
 fn accumulate_row(o: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     debug_assert_eq!(a.len(), k);
     debug_assert!(b.len() >= k * n);
@@ -275,11 +320,12 @@ unsafe fn accumulate_row_avx(o: &mut [f32], a: &[f32], b: &[f32], k: usize, n: u
 
 /// The packed GEMM inner driver: `out[rows, :] += A[rows, :] @ B` for a
 /// worker's row range, sweeping k-blocks (ascending) × panels × rows.
+/// `a` holds the whole left operand, read through `s`.
 fn gemm_rows_packed(
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     chunk: &mut [f32],
     a: &[f32],
-    lda: usize,
+    s: Strides,
     pb: &PackedB,
     b_raw: &[f32],
     n: usize,
@@ -301,19 +347,20 @@ fn gemm_rows_packed(
                 if avx {
                     // SAFETY(invariant: `avx` held and all microkernel accesses stay in bounds)
                     // `use_avx2_fma()` meets the `#[target_feature]`
-                    // contract. `a_ptr` covers `take` (≤ MR) rows of
-                    // stride `lda` ending at `(r+take-1)*lda + k0 + kc
-                    // <= a.len()`; `panel` holds exactly `kc * NR`
-                    // floats; `o_ptr` writes `take` rows of stride `n`
-                    // inside `chunk`, the worker's exclusive &mut range.
+                    // contract. The microkernels read A at
+                    // `s.at(r + rr, k0 + kk)` for `rr < take`, `kk < kc`,
+                    // at most `s.at(m - 1, k - 1) < a.len()`; `panel`
+                    // holds exactly `kc * NR` floats; `o_ptr` writes `take`
+                    // rows of stride `n` inside `chunk`, the worker's
+                    // exclusive &mut range.
                     unsafe {
-                        let a_ptr = a.as_ptr().add(r * lda + k0);
+                        let a_ptr = a.as_ptr().add(s.at(r, k0));
                         let o_ptr = chunk.as_mut_ptr().add(local * n + nb * NR);
                         if take == MR {
-                            mk_avx_4x16(a_ptr, lda, panel.as_ptr(), kc, o_ptr, n);
+                            mk_avx_4x16(a_ptr, s, panel.as_ptr(), NR, kc, o_ptr, n);
                         } else {
                             for rr in 0..take {
-                                mk_avx_1x16(a_ptr.add(rr * lda), panel.as_ptr(), kc, o_ptr.add(rr * n));
+                                mk_avx_1x16(a_ptr.add(rr * s.row), s.k, panel.as_ptr(), NR, kc, o_ptr.add(rr * n));
                             }
                         }
                     }
@@ -322,10 +369,8 @@ fn gemm_rows_packed(
                 }
                 let _ = avx;
                 for rr in 0..take {
-                    let row = r + rr;
-                    let a_row = &a[row * lda + k0..row * lda + k0 + kc];
                     let o_row = &mut chunk[(local + rr) * n + nb * NR..(local + rr) * n + nb * NR + NR];
-                    mk_row_portable(a_row, panel, kc, o_row);
+                    mk_row_portable(&a[s.at(r + rr, k0)..], s.k, panel, kc, o_row);
                 }
                 r += take;
             }
@@ -335,7 +380,7 @@ fn gemm_rows_packed(
             for (local, row) in rows.clone().enumerate() {
                 let o_row = &mut chunk[local * n..(local + 1) * n];
                 for kk in 0..kc {
-                    let av = a[row * lda + k0 + kk];
+                    let av = a[s.at(row, k0 + kk)];
                     let b_row = &b_raw[(k0 + kk) * n..(k0 + kk) * n + n];
                     for j in n_edge_start..n {
                         o_row[j] += av * b_row[j];
@@ -366,7 +411,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let start = obs::Clock::now();
-    let out = matmul_raw(a.data(), b.data(), m, k, n);
+    let out = matmul_raw(a.data(), Strides::rows(k), b.data(), m, k, n);
     let ns = start.elapsed_ns();
     obs::static_histogram!("tensor_matmul_ns").observe(ns);
     let flops = 2 * (m as u64) * (k as u64) * (n as u64);
@@ -376,10 +421,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_parts(Shape(vec![m, n]), out)
 }
 
-/// Kernel body shared by [`matmul`] and [`matmul_transa`].
-fn matmul_raw(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+/// Kernel body shared by [`matmul`] and [`matmul_transa`]: `A @ B` with
+/// `A: [M, K]` read from `ad` through `s`.
+fn matmul_raw(ad: &[f32], s: Strides, bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let small = m < SMALL_M || n < NR;
+    if small && s.k != 1 {
+        // The row kernel below reads rows of A; a transposed A this small
+        // is cheaper to copy than to gather row by row.
+        let mut at = vec![0.0f32; m * k];
+        transpose_into(&mut at, ad, k, m);
+        return matmul_raw(&at, Strides::rows(k), bd, m, k, n);
+    }
     let mut out = vec![0.0f32; m * n];
-    if m < SMALL_M || n < NR {
+    if small {
         // Packing can't amortize (decode-sized or skinny output): run the
         // unpacked row-accumulate kernel, row-parallel.
         // SAFETY(disjoint: out[rows] — workers receive non-overlapping row chunks of `out`)
@@ -395,7 +449,7 @@ fn matmul_raw(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
     let pb = pack_b(bd, k, n);
     // SAFETY(disjoint: out[rows] — workers receive non-overlapping row chunks of `out`)
     parallel_rows_mut(&mut out, m, n, k * n, |rows, chunk| {
-        gemm_rows_packed(rows, chunk, ad, k, &pb, bd, n);
+        gemm_rows_packed(rows, chunk, ad, s, &pb, bd, n);
     });
     out
 }
@@ -404,8 +458,11 @@ fn matmul_raw(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
 ///
 /// Used by backward passes (`dX = dY @ Wᵀ`) and the tied LM head without
 /// materializing the transpose. Rows of both operands are contiguous, so
-/// this is a dot-product kernel; with one output row (per-token decode)
-/// the parallelism axis switches to output columns.
+/// every output is one [`simd::dot`]. With one output row (per-token
+/// decode) the parallelism axis switches to output columns; with more,
+/// rows run in pairs through [`simd::dot_pair`], which gives each output
+/// the bits of its own `dot`, so a row's bits never depend on the rows
+/// beside it (the batch-invariance contract).
 pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2, "matmul_transb: lhs rank-2 required");
     assert_eq!(b.rank(), 2, "matmul_transb: rhs rank-2 required");
@@ -449,21 +506,16 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
             }
         });
     } else {
-        // Batched decode path (the LM head over B sequences). The B-row
-        // loop runs OUTERMOST so each weight row streams through cache
-        // once for the whole batch instead of once per sequence — for
-        // `[8,64]·[384,64]ᵀ` that is 8× less weight traffic. Each output
-        // element is still one independent `simd::dot` over `k`, so
-        // every row's bits are identical to its `m = 1` result (the
-        // batch-invariance contract).
+        // B rows a block at a time (the block stays in L1 while every row
+        // pair of the chunk passes over it), so for the batched LM head
+        // each weight row streams through cache once for the whole batch.
+        let block = (DOT_BLOCK_FLOATS / k.max(1)).max(simd::TILE_N) / simd::TILE_N * simd::TILE_N;
         // SAFETY(disjoint: out[rows] — workers receive non-overlapping row chunks of `out`)
         parallel_rows_mut(&mut out, m, n, k * n, |rows, chunk| {
-            let rows: Vec<usize> = rows.collect();
-            for nn in 0..n {
-                let b_row = &bd[nn * k..nn * k + k];
-                for (local, &mm) in rows.iter().enumerate() {
-                    chunk[local * n + nn] = simd::dot(&ad[mm * k..(mm + 1) * k], b_row);
-                }
+            let a_rows = &ad[rows.start * k..rows.end * k];
+            for j0 in (0..n).step_by(block) {
+                let cols = j0..(j0 + block).min(n);
+                dot_rows(a_rows, bd, k, rows.len(), |_| cols.clone(), chunk, n);
             }
         });
     }
@@ -472,9 +524,10 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C = Aᵀ @ B` for `a: [K,M]`, `b: [K,N]` → `[M,N]`.
 ///
-/// Used by backward passes (`dW = Xᵀ @ dY`). A is transposed tile-wise
-/// into a scratch `[M,K]` buffer (a O(MK) copy against O(MKN) flops) so
-/// the packed GEMM driver can run unchanged.
+/// Used by backward passes (`dW = Xᵀ @ dY`). The packed GEMM driver reads
+/// A straight from its `[K, M]` storage (`A(r, k)` at `a[k·M + r]`), so
+/// each output has the chain it would have after an explicit transpose,
+/// without one.
 pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2, "matmul_transa: lhs rank-2 required");
     assert_eq!(b.rank(), 2, "matmul_transa: rhs rank-2 required");
@@ -486,28 +539,159 @@ pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
         a.shape(),
         b.shape()
     );
-    let mut at = vec![0.0f32; m * k];
-    transpose_into(&mut at, a.data(), k, m);
-    let out = matmul_raw(&at, b.data(), m, k, n);
+    let out = matmul_raw(a.data(), Strides::transposed(m), b.data(), m, k, n);
     Tensor::from_parts(Shape(vec![m, n]), out)
+}
+
+/// `o[r·ldo + j] = simd::dot(a_r, b_j)` for rows `r < rows` and columns
+/// `j ∈ cols(r)`, where `a_r` and `b_j` are the `k`-long rows of `a` and
+/// `b`. Row pairs go through [`simd::dot_pair`] over the columns both
+/// rows want; every other output is one `simd::dot` — the same bits
+/// either way.
+fn dot_rows(a: &[f32], b: &[f32], k: usize, rows: usize, cols: impl Fn(usize) -> Range<usize>, o: &mut [f32], ldo: usize) {
+    let dot = |r: usize, j: usize| simd::dot(&a[r * k..(r + 1) * k], &b[j * k..(j + 1) * k]);
+    let mut r = 0;
+    while r + 2 <= rows {
+        let pair = [cols(r), cols(r + 1)];
+        let shared = pair[0].start.max(pair[1].start)..pair[0].end.min(pair[1].end);
+        if !shared.is_empty() {
+            let (top, bottom) = o[r * ldo..].split_at_mut(ldo);
+            let out = [&mut top[shared.clone()], &mut bottom[shared.clone()]];
+            simd::dot_pair(&a[r * k..], k, &b[shared.start * k..], k, k, out);
+        }
+        for (i, c) in pair.into_iter().enumerate() {
+            for j in c.filter(|j| !shared.contains(j)) {
+                o[(r + i) * ldo + j] = dot(r + i, j);
+            }
+        }
+        r += 2;
+    }
+    for r in r..rows {
+        for j in cols(r) {
+            o[r * ldo + j] = dot(r, j);
+        }
+    }
+}
+
+/// `o[r] = Σ_{kk ∈ ks(r)} A(r, kk) · b[kk]` for rows `r < rows`, where
+/// `A(r, kk)` is `a[s.at(r, kk)]`, `b[kk]` is the `n`-wide row `kk` of
+/// `b`, and `o` starts zeroed. Every output is one FMA chain over `kk`
+/// ascending (a multiply and an add in the lanes past the last 8-lane
+/// chunk), so these are [`simd::axpy`]'s bits: with AVX2+FMA and
+/// `n % NR == 0` the rows run as `MR × NR` microkernel tiles over the
+/// raw `b` rows — each row's leading and trailing terms that the other
+/// rows of its tile do not share one row at a time — otherwise as one
+/// `axpy` per term.
+fn fma_rows(a: &[f32], s: Strides, b: &[f32], n: usize, rows: usize, ks: impl Fn(usize) -> Range<usize>, o: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if n % NR == 0 && simd::use_avx2_fma() {
+        // Rows `r..r + h` over `k`, output columns `j0..j0 + NR`.
+        let tile = |r: usize, h: usize, k: Range<usize>, j0: usize, o: &mut [f32]| {
+            if !k.is_empty() {
+                let (a, b, o) = (&a[s.at(r, k.start)..], &b[k.start * n + j0..], &mut o[r * n + j0..]);
+                // SAFETY(invariant: `use_avx2_fma()` just returned true)
+                // `fma_tile`'s one precondition beyond the bounds it asserts.
+                unsafe { fma_tile(a, s, b, n, o, h, k.len()) };
+            }
+        };
+        for j0 in (0..n).step_by(NR) {
+            let mut r = 0;
+            while r + MR <= rows {
+                let own: [Range<usize>; MR] = std::array::from_fn(|i| ks(r + i));
+                let shared = own.iter().map(|k| k.start).max().unwrap_or(0)..own.iter().map(|k| k.end).min().unwrap_or(0);
+                if shared.is_empty() {
+                    for (i, k) in own.into_iter().enumerate() {
+                        tile(r + i, 1, k, j0, o);
+                    }
+                } else {
+                    for (i, k) in own.iter().enumerate() {
+                        tile(r + i, 1, k.start..shared.start, j0, o);
+                    }
+                    tile(r, MR, shared.clone(), j0, o);
+                    for (i, k) in own.iter().enumerate() {
+                        tile(r + i, 1, shared.end..k.end, j0, o);
+                    }
+                }
+                r += MR;
+            }
+            for r in r..rows {
+                tile(r, 1, ks(r), j0, o);
+            }
+        }
+        return;
+    }
+    for r in 0..rows {
+        let o_row = &mut o[r * n..(r + 1) * n];
+        for kk in ks(r) {
+            simd::axpy(a[s.at(r, kk)], &b[kk * n..(kk + 1) * n], o_row);
+        }
+    }
+}
+
+/// Adds `Σ_{kk < kc} A(i, kk) · b[kk·n .. kk·n + NR]` into `o[i·n ..][..NR]`
+/// for `i < rows`, `rows` ∈ {1, MR}: the packed path's microkernels over
+/// raw `b` rows (row stride `n`, which is also the output's).
+// SAFETY(invariant: caller-verified AVX2+FMA — every access is bounded by the asserts below)
+// The asserts put the last A read `s.at(rows - 1, kc - 1)`, the last B
+// read `(kc - 1) * n + NR` and the last output write `(rows - 1) * n + NR`
+// inside their slices; the microkernels touch nothing past those.
+#[cfg(target_arch = "x86_64")]
+unsafe fn fma_tile(a: &[f32], s: Strides, b: &[f32], n: usize, o: &mut [f32], rows: usize, kc: usize) {
+    assert!((rows == 1 || rows == MR) && kc > 0, "fma_tile: a tile is 1 or MR rows of at least one term");
+    assert!(s.at(rows - 1, kc - 1) < a.len(), "fma_tile: A read out of bounds");
+    assert!((kc - 1) * n + NR <= b.len(), "fma_tile: B read out of bounds");
+    assert!((rows - 1) * n + NR <= o.len(), "fma_tile: output write out of bounds");
+    if rows == MR {
+        mk_avx_4x16(a.as_ptr(), s, b.as_ptr(), n, kc, o.as_mut_ptr(), n);
+    } else {
+        mk_avx_1x16(a.as_ptr(), s.k, b.as_ptr(), n, kc, o.as_mut_ptr());
+    }
 }
 
 /// Batched matmul: `a: [B,M,K] @ b: [B,K,N]` → `[B,M,N]`.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, false, false)
+    bmm_impl(a, b, Bmm::Plain, false)
 }
 
 /// Batched `a @ bᵀ`: `a: [B,M,K] @ b: [B,N,K]` → `[B,M,N]`.
 pub fn bmm_transb(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, false, true)
+    bmm_impl(a, b, Bmm::TransB, false)
 }
 
 /// Batched `aᵀ @ b`: `a: [B,K,M] @ b: [B,K,N]` → `[B,M,N]`.
 pub fn bmm_transa(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, true, false)
+    bmm_impl(a, b, Bmm::TransA, false)
 }
 
-fn bmm_impl(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
+/// [`bmm`] for a lower-triangular `a: [B,T,T]` (attention probabilities,
+/// or the scores' gradient): row `i` reads only `a[i, ..=i]` — the
+/// context `P @ V` and `dQ = dS @ K`.
+pub fn bmm_causal(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_impl(a, b, Bmm::Plain, true)
+}
+
+/// [`bmm_transb`] computed on and below the diagonal only: `a: [B,T,K] @
+/// b: [B,T,K]ᵀ` → `[B,T,T]` with `+0` above it — the scores `Q @ Kᵀ` and
+/// `dP = dC @ Vᵀ`, which the causal softmax never reads above it.
+pub fn bmm_transb_causal(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_impl(a, b, Bmm::TransB, true)
+}
+
+/// [`bmm_transa`] for a lower-triangular `a: [B,T,T]`: output row `j`
+/// reads only `a[j.., j]` — `dV = Pᵀ @ dC` and `dK = dSᵀ @ Q`.
+pub fn bmm_transa_causal(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_impl(a, b, Bmm::TransA, true)
+}
+
+/// Which operand of a batched product is read transposed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bmm {
+    Plain,
+    TransA,
+    TransB,
+}
+
+fn bmm_impl(a: &Tensor, b: &Tensor, kind: Bmm, causal: bool) -> Tensor {
     assert_eq!(a.rank(), 3, "bmm: lhs must be rank-3, got {}", a.shape());
     assert_eq!(b.rank(), 3, "bmm: rhs must be rank-3, got {}", b.shape());
     assert_eq!(
@@ -518,57 +702,50 @@ fn bmm_impl(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
         b.shape()
     );
     let batch = a.dims()[0];
-    let (m, ka) = if ta {
-        (a.dims()[2], a.dims()[1])
-    } else {
-        (a.dims()[1], a.dims()[2])
+    let (m, ka) = match kind {
+        Bmm::TransA => (a.dims()[2], a.dims()[1]),
+        _ => (a.dims()[1], a.dims()[2]),
     };
-    let (kb, n) = if tb {
-        (b.dims()[2], b.dims()[1])
-    } else {
-        (b.dims()[1], b.dims()[2])
+    let (kb, n) = match kind {
+        Bmm::TransB => (b.dims()[2], b.dims()[1]),
+        _ => (b.dims()[1], b.dims()[2]),
     };
-    assert_eq!(
-        ka, kb,
-        "bmm: inner dims differ, {} vs {} (ta={ta}, tb={tb})",
-        a.shape(),
-        b.shape()
-    );
+    assert_eq!(ka, kb, "bmm: inner dims differ, {} vs {} ({kind:?})", a.shape(), b.shape());
     let k = ka;
+    // The triangle lies in the square attention matrix: the output for
+    // `TransB`, the left operand otherwise.
+    let t = if kind == Bmm::TransB { n } else { k };
+    assert!(!causal || m == t, "bmm: a causal product needs square [T, T] matrices, got {} and {}", a.shape(), b.shape());
     let (ad, bd) = (a.data(), b.data());
     let a_stride = a.dims()[1] * a.dims()[2];
     let b_stride = b.dims()[1] * b.dims()[2];
+    let s = if kind == Bmm::TransA { Strides::transposed(m) } else { Strides::rows(k) };
     let mut out = vec![0.0f32; batch * m * n];
-    // Parallelize across the fused (batch, m) row space; per-batch mats
-    // are attention-sized, so the unpacked kernels are the right tool.
+    // The fused (batch, m) row space is cut across the pool; a causal row
+    // does half a dense row's work on average.
+    let row_macs = if causal { k * n / 2 } else { k * n };
     // SAFETY(disjoint: out[rows] — workers tile the fused (batch, m) row space)
-    parallel_rows_mut(&mut out, batch * m, n, k * n, |rows, chunk| {
-        for (local, row) in rows.enumerate() {
-            let (bi, mm) = (row / m, row % m);
+    parallel_rows_mut(&mut out, batch * m, n, row_macs, |rows, chunk| {
+        // One matrix's run of rows at a time.
+        let mut row = rows.start;
+        while row < rows.end {
+            let (bi, r0) = (row / m, row % m);
+            let len = (m - r0).min(rows.end - row);
             let a_mat = &ad[bi * a_stride..(bi + 1) * a_stride];
             let b_mat = &bd[bi * b_stride..(bi + 1) * b_stride];
-            let o_row = &mut chunk[local * n..(local + 1) * n];
-            match (ta, tb) {
-                (false, false) => {
-                    o_row.fill(0.0);
-                    accumulate_row(o_row, &a_mat[mm * k..(mm + 1) * k], b_mat, k, n);
+            let local = row - rows.start;
+            let o = &mut chunk[local * n..(local + len) * n];
+            let a_run = &a_mat[s.at(r0, 0)..];
+            match (kind, causal) {
+                (Bmm::TransB, _) => {
+                    let cols = |r: usize| 0..if causal { r0 + r + 1 } else { n };
+                    dot_rows(a_run, b_mat, k, len, cols, o, n);
                 }
-                (false, true) => {
-                    let a_row = &a_mat[mm * k..(mm + 1) * k];
-                    for (nn, o) in o_row.iter_mut().enumerate() {
-                        *o = simd::dot(a_row, &b_mat[nn * k..nn * k + k]);
-                    }
-                }
-                (true, false) => {
-                    o_row.fill(0.0);
-                    // strided A column: gather into a register per k step
-                    for kk in 0..k {
-                        let av = a_mat[kk * m + mm];
-                        simd::axpy(av, &b_mat[kk * n..kk * n + n], o_row);
-                    }
-                }
-                (true, true) => unreachable!("bmm: double transpose not exposed"),
+                (_, false) => fma_rows(a_run, s, b_mat, n, len, |_| 0..k, o),
+                (Bmm::Plain, true) => fma_rows(a_run, s, b_mat, n, len, |r| 0..r0 + r + 1, o),
+                (Bmm::TransA, true) => fma_rows(a_run, s, b_mat, n, len, |r| r0 + r..k, o),
             }
+            row += len;
         }
     });
     Tensor::from_parts(Shape(vec![batch, m, n]), out)

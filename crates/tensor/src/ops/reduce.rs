@@ -55,18 +55,21 @@ pub fn sum_to_trailing(t: &Tensor, target: &[usize]) -> Tensor {
 }
 
 /// Index of the maximum element along the last axis, per row.
-/// Ties resolve to the lowest index.
+/// Ties resolve to the lowest index. NaN ranks as `-inf` (the sampler's
+/// rule), so a NaN is never picked over a number and a row with nothing
+/// above `-inf` gives index 0.
 pub fn argmax_last(t: &Tensor) -> Vec<usize> {
     assert!(t.rank() >= 1, "argmax_last requires rank >= 1");
     let d = *t.dims().last().unwrap();
     assert!(d > 0, "argmax_last: empty last axis");
+    let key = |v: f32| if v.is_nan() { f32::NEG_INFINITY } else { v };
     let rows = t.numel() / d;
     let mut out = Vec::with_capacity(rows);
     for r in 0..rows {
         let row = &t.data()[r * d..(r + 1) * d];
         let mut best = 0usize;
         for (i, &v) in row.iter().enumerate() {
-            if v > row[best] {
+            if key(v) > key(row[best]) {
                 best = i;
             }
         }
@@ -111,5 +114,12 @@ mod tests {
     fn argmax_tie_lowest_index() {
         let t = Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]).unwrap();
         assert_eq!(argmax_last(&t), vec![0]);
+    }
+
+    #[test]
+    fn argmax_ranks_nan_as_neg_infinity() {
+        let nan = f32::NAN;
+        let t = Tensor::from_vec(vec![nan, -3.0, 2.0, nan, nan, nan, nan, f32::NEG_INFINITY, nan], &[3, 3]).unwrap();
+        assert_eq!(argmax_last(&t), vec![2, 0, 0]);
     }
 }

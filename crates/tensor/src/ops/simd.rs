@@ -131,19 +131,129 @@ unsafe fn dot_avx(a: &[f32], b: &[f32]) -> f32 {
         acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
         i += 8;
     }
-    let acc = _mm256_add_ps(acc0, acc1);
-    // horizontal sum: (lo + hi) then pairwise
-    let lo = _mm256_castps256_ps128(acc);
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let s = _mm_add_ps(lo, hi);
-    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    let mut total = _mm_cvtss_f32(s);
+    let mut total = dot_tree(acc0, acc1);
     while i < n {
         total += *ap.add(i) * *bp.add(i);
         i += 1;
     }
     total
+}
+
+/// The horizontal half of [`dot_avx`], shared by every kernel that
+/// replays it: `acc0 + acc1`, low + high 128-bit half, then lanes
+/// `(0 + 2) + (1 + 3)`.
+// SAFETY(invariant: unsafe solely for `#[target_feature]` — register-only, called from AVX frames)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn dot_tree(acc0: std::arch::x86_64::__m256, acc1: std::arch::x86_64::__m256) -> f32 {
+    use std::arch::x86_64::*;
+    let s = halves_sum(_mm256_add_ps(acc0, acc1));
+    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    _mm_cvtss_f32(_mm_add_ss(s, _mm_shuffle_ps(s, s, 1)))
+}
+
+/// Right rows per register tile of [`dot_pair`].
+pub(crate) const TILE_N: usize = 3;
+
+/// `out[r][c] = dot(a_r, b_c)` for the two left rows `a_r = a[r·lda ..][..k]`
+/// against the `out[0].len()` right rows `b_c = b[c·ldb ..][..k]`, each
+/// output bit-identical to that [`dot`] call. With AVX2+FMA the right
+/// rows go `TILE_N` at a time through a register tile that replays
+/// `dot_avx` per output (the two 8-lane FMA chains, a trailing 8-chunk
+/// into chain 0, [`dot_tree`], the scalar tail) with all six chains in
+/// flight, so each left chunk is loaded once per three right rows and each
+/// right chunk once per two left rows; the last `len % TILE_N` are
+/// `dot_avx` calls. Otherwise every output is one portable dot.
+pub(crate) fn dot_pair(a: &[f32], lda: usize, b: &[f32], ldb: usize, k: usize, out: [&mut [f32]; 2]) {
+    let n = out[0].len();
+    assert_eq!(out[1].len(), n, "dot_pair: output rows differ in length");
+    assert!(a.len() >= lda + k, "dot_pair: left rows out of bounds");
+    assert!(n == 0 || b.len() >= (n - 1) * ldb + k, "dot_pair: right rows out of bounds");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2_fma() {
+        // SAFETY(invariant: `use_avx2_fma()` returned true and both extents were asserted)
+        // Meets `dot_pair_avx`'s `#[target_feature]` contract; it reads
+        // `k` floats from each row at `r·lda` / `c·ldb`, `c < n`, all
+        // inside the asserted lengths.
+        unsafe { dot_pair_avx(a, lda, b, ldb, k, out) };
+        return;
+    }
+    for (r, o) in out.into_iter().enumerate() {
+        for (c, v) in o.iter_mut().enumerate() {
+            *v = dot_portable(&a[r * lda..r * lda + k], &b[c * ldb..c * ldb + k]);
+        }
+    }
+}
+
+// SAFETY(invariant: unsafe for `#[target_feature]` and raw row pointers — caller-verified AVX2+FMA and extents)
+// The caller checked the CPU features, that `a` holds two rows and `b`
+// `out[0].len()` rows of `k` readable floats at strides `lda`/`ldb`, and
+// that both output rows have that length. Every offset formed is
+// `r·lda + i` / `c·ldb + i` with `i < k` (`i + 16 <= k`, `i + 8 <= k` and
+// `i < k` guard the loops). Unaligned loads only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_pair_avx(a: &[f32], lda: usize, b: &[f32], ldb: usize, k: usize, mut out: [&mut [f32]; 2]) {
+    use std::arch::x86_64::*;
+    let n = out[0].len();
+    let rows = [a.as_ptr(), a.as_ptr().add(lda)];
+    let mut c = 0usize;
+    while c + TILE_N <= n {
+        let col = |j: usize| b.as_ptr().add((c + j) * ldb);
+        let cols = [col(0), col(1), col(2)];
+        // `acc[h][r][j]`: chain `h` of output `(r, c + j)`.
+        let mut acc = [[[_mm256_setzero_ps(); TILE_N]; 2]; 2];
+        let mut i = 0usize;
+        while i + 16 <= k {
+            fma_chunk(&mut acc[0], rows, cols, i);
+            fma_chunk(&mut acc[1], rows, cols, i + 8);
+            i += 16;
+        }
+        if i + 8 <= k {
+            fma_chunk(&mut acc[0], rows, cols, i);
+            i += 8;
+        }
+        for (r, row) in rows.iter().enumerate() {
+            for (j, cp) in cols.iter().enumerate() {
+                let mut total = dot_tree(acc[0][r][j], acc[1][r][j]);
+                for t in i..k {
+                    total += *row.add(t) * *cp.add(t);
+                }
+                out[r][c + j] = total;
+            }
+        }
+        c += TILE_N;
+    }
+    for c in c..n {
+        for (r, o) in out.iter_mut().enumerate() {
+            o[c] = dot_avx(&a[r * lda..r * lda + k], &b[c * ldb..c * ldb + k]);
+        }
+    }
+}
+
+/// The 8-lane chunk at offset `i` of every left and right row of a
+/// [`dot_pair_avx`] tile, fused into one chain (`acc`) of each output.
+// SAFETY(invariant: unsafe for `#[target_feature]` and raw row pointers — `dot_pair_avx`'s caller-verified extents)
+// Reads 8 floats at `i` from each row pointer; `dot_pair_avx` only
+// passes `i + 8 <= k`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn fma_chunk(
+    acc: &mut [[std::arch::x86_64::__m256; TILE_N]; 2],
+    rows: [*const f32; 2],
+    cols: [*const f32; TILE_N],
+    i: usize,
+) {
+    use std::arch::x86_64::*;
+    let x = [_mm256_loadu_ps(rows[0].add(i)), _mm256_loadu_ps(rows[1].add(i))];
+    for (c, col) in cols.iter().enumerate() {
+        let y = _mm256_loadu_ps(col.add(i));
+        for (r, xr) in x.iter().enumerate() {
+            acc[r][c] = _mm256_fmadd_ps(*xr, y, acc[r][c]);
+        }
+    }
 }
 
 /// `y[j] += alpha * x[j]` — the attention context update.

@@ -108,19 +108,18 @@ fn gated_tasks(items: usize, item_macs: usize) -> usize {
     tasks.max(1)
 }
 
-/// Result of one pool task: `Ok` or the payload of a caught panic.
-type TaskResult = Result<(), Box<dyn std::any::Any + Send>>;
-
-/// A unit of work sent to one pool worker: run `f(index)`, then ack.
+/// A unit of work sent to one pool worker: run `f(index)`, then count it
+/// off on the launcher's latch.
 struct Job {
-    /// Lifetime-erased task closure. Soundness: the launcher blocks on the
-    /// `done` channel (in [`Latch`]) until every job has acked, so the
-    /// borrow outlives all worker access even though it is typed `'static`.
+    /// Lifetime-erased task closure. Soundness: the launcher waits on its
+    /// [`Latch`] until every job has counted off, so the borrow outlives
+    /// all worker access even though it is typed `'static`.
     f: &'static (dyn Fn(usize) + Sync),
     index: usize,
     /// Enqueue stamp, for the `tensor_pool_queue_wait_ns` histogram.
     enqueued_ns: u64,
-    done: mpsc::Sender<TaskResult>,
+    /// The launcher's latch, lifetime-erased like `f`.
+    latch: &'static Latch,
 }
 
 struct Pool {
@@ -171,46 +170,52 @@ fn worker_loop(rx: mpsc::Receiver<Job>) {
             .observe(dequeued.at_ns().saturating_sub(job.enqueued_ns));
         let result = catch_unwind(AssertUnwindSafe(|| (job.f)(job.index)));
         obs::static_histogram!("tensor_pool_exec_ns").observe(dequeued.elapsed_ns());
-        // A send error means the launcher already gave up (its latch was
-        // dropped during an unwind after draining); nothing left to do.
-        let _ = job.done.send(result);
+        job.latch.count_off(result.err());
     }
 }
 
-/// Blocks until all dispatched jobs have acked. The `Drop` impl is the
-/// soundness backstop: even if the launcher's inline chunk panics, the
-/// borrow handed to the workers stays alive until they are all done.
+/// The launcher's side of one launch, on its stack: the jobs not yet
+/// finished, the first worker panic, and the thread to wake. A launch
+/// allocates nothing to be told its jobs are done, so no per-launch block
+/// is ever freed on a worker thread, where the allocator would keep it
+/// and with it the launcher's heap (DESIGN §4b).
 struct Latch {
-    rx: mpsc::Receiver<TaskResult>,
-    outstanding: usize,
+    pending: AtomicUsize,
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    launcher: std::thread::Thread,
 }
 
 impl Latch {
-    /// Wait for every outstanding ack; return the first panic payload.
-    fn drain(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
-        let mut panic = None;
-        while self.outstanding > 0 {
-            match self.rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(p)) => {
-                    if panic.is_none() {
-                        panic = Some(p);
-                    }
-                }
-                // All senders dropped: a worker died before acking. Treat
-                // the remaining jobs as lost rather than hang forever.
-                Err(_) => break,
-            }
-            self.outstanding -= 1;
+    /// A worker's last touch of the latch: record its panic, then count
+    /// its job off and wake the launcher if it was the last. Nothing of
+    /// the latch is read after the decrement, which may let the launcher
+    /// return and pop it.
+    fn count_off(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
+        if let Some(p) = panic {
+            self.panic.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(p);
         }
-        self.outstanding = 0;
-        panic
+        let launcher = self.launcher.clone();
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            launcher.unpark();
+        }
+    }
+
+    /// Wait until every dispatched job has counted off; return the first
+    /// worker panic.
+    fn wait(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        while self.pending.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 }
 
+/// The soundness backstop: however the launcher leaves (including by
+/// unwinding), the borrow handed to the workers stays alive until they
+/// are all done.
 impl Drop for Latch {
     fn drop(&mut self) {
-        let _ = self.drain();
+        let _ = self.wait();
     }
 }
 
@@ -236,35 +241,41 @@ where
     }
     obs::static_counter!("tensor_pool_launches_total").inc();
     let senders = pool().workers(tasks - 1);
-    let (done_tx, done_rx) = mpsc::channel::<TaskResult>();
+    let latch = Latch {
+        pending: AtomicUsize::new(senders.len()),
+        panic: Mutex::new(None),
+        launcher: std::thread::current(),
+    };
     let f_ref: &(dyn Fn(usize) + Sync) = &f;
-    // SAFETY(invariant: the fabricated 'static never outlives this frame's `f`)
+    // SAFETY(invariant: the fabricated 'static never outlives this frame's `f` and `latch`)
     // Lifetime erasure only — every exit path from this function (normal
-    // return, local panic, worker panic) runs `latch.drain()` — directly
+    // return, local panic, worker panic) runs `latch.wait()` — directly
     // or via `Latch::drop` — which blocks until each dispatched job has
-    // sent its TaskResult, i.e. until no worker can touch `f` again.
-    // `F: Sync` makes the shared `&f` sound across the pool threads.
-    let f_static: &'static (dyn Fn(usize) + Sync) =
-        unsafe { std::mem::transmute::<_, &'static (dyn Fn(usize) + Sync)>(f_ref) };
-    let mut latch = Latch {
-        rx: done_rx,
-        outstanding: 0,
+    // counted off, after which no worker touches `f` or `latch` again.
+    // `F: Sync` makes the shared `&f` sound across the pool threads, and
+    // `Latch` is `Sync` (an atomic, a mutex and a thread handle).
+    let (f_static, latch_static) = unsafe {
+        (
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f_ref),
+            std::mem::transmute::<&Latch, &'static Latch>(&latch),
+        )
     };
     for (w, sender) in senders.iter().enumerate() {
-        sender
-            .send(Job {
-                f: f_static,
-                index: w + 1,
-                enqueued_ns: obs::Clock::now().at_ns(),
-                done: done_tx.clone(),
-            })
+        let job = Job {
+            f: f_static,
+            index: w + 1,
+            enqueued_ns: obs::Clock::now().at_ns(),
+            latch: latch_static,
+        };
+        if sender.send(job).is_err() {
+            // This job and the ones after it will never run.
+            latch.pending.fetch_sub(senders.len() - w, Ordering::AcqRel);
             // xlint: allow(transitive-panic-in-request-path): workers never drop their receiver while the pool lives; a closed channel is a torn-down process
-            .expect("pool worker channel closed");
-        latch.outstanding += 1;
+            panic!("pool worker channel closed");
+        }
     }
-    drop(done_tx);
     let local = catch_unwind(AssertUnwindSafe(|| f(0)));
-    let worker_panic = latch.drain();
+    let worker_panic = latch.wait();
     if let Err(p) = local {
         std::panic::resume_unwind(p);
     }

@@ -105,24 +105,34 @@ impl Var {
         }))
     }
 
-    /// Batched matrix multiply: `[B,M,K] @ [B,K,N]` → `[B,M,N]`.
-    pub fn bmm(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
-        let out = ops::bmm(&a, &b);
+    /// Causal attention scores `Q @ Kᵀ`: `[B,T,D] @ [B,T,D]ᵀ` → `[B,T,T]`,
+    /// computed on and below the diagonal only (`+0` above it, which the
+    /// causal softmax never reads).
+    ///
+    /// The backward reads the output gradient on and below the diagonal
+    /// only too: `dQ = dS @ K` and `dK = dSᵀ @ Q` over the triangle. Above
+    /// it the gradient is `±0` (a masked probability is `+0`), so the
+    /// skipped terms would add nothing to chains that start at `+0`.
+    pub fn bmm_transb_causal(&self, other: &Var) -> Var {
+        let (q, k) = (self.value(), other.value());
+        let out = ops::bmm_transb_causal(&q, &k);
         Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
-            vec![ops::bmm_transb(g, &b), ops::bmm_transa(&a, g)]
+            vec![ops::bmm_causal(g, &k), ops::bmm_transa_causal(g, &q)]
         }))
     }
 
-    /// Batched `A @ Bᵀ`: `[B,M,K] @ [B,N,K]` → `[B,M,N]`.
+    /// Causal attention context `P @ V`: `[B,T,T] @ [B,T,D]` → `[B,T,D]`
+    /// for attention weights `P` that are zero above the diagonal; row `i`
+    /// reads `P[i, ..=i]`.
     ///
-    /// The attention-scores product (`Q @ Kᵀ`).
-    pub fn bmm_transb(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
-        let out = ops::bmm_transb(&a, &b);
+    /// Backward: `dP = dC @ Vᵀ` on and below the diagonal (`+0` above it,
+    /// where the causal softmax's gradient multiplies it by a zero
+    /// probability) and `dV = Pᵀ @ dC` over the triangle.
+    pub fn bmm_causal(&self, other: &Var) -> Var {
+        let (p, v) = (self.value(), other.value());
+        let out = ops::bmm_causal(&p, &v);
         Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
-            // dA = dC @ B ; dB[n,k] = sum_m dC[m,n] A[m,k]
-            vec![ops::bmm(g, &b), ops::bmm_transa(g, &a)]
+            vec![ops::bmm_transb_causal(g, &v), ops::bmm_transa_causal(&p, g)]
         }))
     }
 
@@ -457,26 +467,32 @@ mod tests {
         );
     }
 
+    /// The causal context over a full (not lower-triangular) `P`: entries
+    /// above the diagonal are never read, so their gradient is exactly 0,
+    /// which the finite differences see too. The weights make every
+    /// output's gradient distinct.
     #[test]
-    fn grad_bmm() {
+    fn grad_bmm_causal() {
+        let w = Tensor::from_vec(rng_data(18, 96), &[2, 3, 3]).unwrap();
         grad_check(
             &[
-                ("a", rng_data(12, 8), vec![2, 2, 3]),
-                ("b", rng_data(12, 9), vec![2, 3, 2]),
+                ("p", rng_data(18, 8), vec![2, 3, 3]),
+                ("v", rng_data(18, 9), vec![2, 3, 3]),
             ],
-            |v| v[0].bmm(&v[1]).sum(),
+            move |v| v[0].bmm_causal(&v[1]).mul(&Var::constant(w.clone())).sum(),
             1e-2,
         );
     }
 
     #[test]
-    fn grad_bmm_transb() {
+    fn grad_bmm_transb_causal() {
+        let w = Tensor::from_vec(rng_data(18, 95), &[2, 3, 3]).unwrap();
         grad_check(
             &[
-                ("q", rng_data(12, 10), vec![2, 2, 3]),
-                ("k", rng_data(12, 11), vec![2, 2, 3]),
+                ("q", rng_data(12, 10), vec![2, 3, 2]),
+                ("k", rng_data(12, 11), vec![2, 3, 2]),
             ],
-            |v| v[0].bmm_transb(&v[1]).sum(),
+            move |v| v[0].bmm_transb_causal(&v[1]).mul(&Var::constant(w.clone())).sum(),
             1e-2,
         );
     }

@@ -71,26 +71,31 @@ fn matmul_every_row_matches_its_solo_product() {
     }
 }
 
-/// `matmul_transb` (the LM head: logits = hidden · Wteᵀ) is per-output
-/// independent dots, so invariance holds for ANY n — including the odd
-/// vocab sizes tokenizers produce.
+/// `matmul_transb` (the LM head: logits = hidden · Wteᵀ) gives every
+/// output the bits of its own `simd::dot`, so invariance holds for ANY n
+/// — including the odd vocab sizes tokenizers produce. At `m ≥ 2` rows
+/// run in pairs against column triples through a tile that replays the
+/// dot, so every row is checked (paired, or the odd one out) at `k` on
+/// each side of the dot's 16-, 8- and scalar-tail boundaries
+/// (`k % 16` = 0, 1–7, 8 and 9–15).
 #[test]
 fn matmul_transb_rows_are_batch_invariant() {
-    for n in [10usize, 16, 37, 100] {
-        let k = 48usize;
-        let bt = Tensor::from_vec(fill(n * k, 2.2), &[n, k]).unwrap();
-        let first = Tensor::from_vec(fill(k, 0.77), &[1, k]).unwrap();
-        let solo = ops::matmul_transb(&first, &bt);
-        for m in [2usize, 7, 9] {
-            let mut data = fill(k, 0.77);
-            data.extend(fill(k * (m - 1), 4.9));
-            let a = Tensor::from_vec(data, &[m, k]).unwrap();
-            let full = ops::matmul_transb(&a, &bt);
-            assert_eq!(
-                rows(&full, n)[0].to_vec(),
-                solo.data().to_vec(),
-                "transb row 0 differs between m=1 and m={m} for n={n}"
-            );
+    for k in [5usize, 8, 13, 24, 48, 100] {
+        for n in [10usize, 16, 37, 100] {
+            let bt = Tensor::from_vec(fill(n * k, 2.2), &[n, k]).unwrap();
+            for m in [2usize, 3, 7, 8, 9] {
+                let a = Tensor::from_vec(fill(m * k, 4.9), &[m, k]).unwrap();
+                let full = ops::matmul_transb(&a, &bt);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                for (i, row) in rows(&full, n).into_iter().enumerate() {
+                    let own = Tensor::from_vec(a.data()[i * k..(i + 1) * k].to_vec(), &[1, k]).unwrap();
+                    assert_eq!(
+                        bits(row),
+                        bits(ops::matmul_transb(&own, &bt).data()),
+                        "transb row {i} differs between m=1 and m={m} for k={k}, n={n}"
+                    );
+                }
+            }
         }
     }
 }

@@ -14,6 +14,7 @@
 //! worth, where the chunking really changes with the thread count.
 
 use ratatouille_util::proptest::prelude::*;
+use ratatouille_util::rng::{RngExt, SeedableRng, StdRng};
 use ratatouille_tensor::{ops, par, Tensor};
 use std::sync::{Mutex, MutexGuard};
 
@@ -144,6 +145,15 @@ proptest! {
         par::set_num_threads(0);
     }
 
+    /// The causal attention products equal the dense ones on the
+    /// triangle, at head widths on both sides of the 16-wide tile.
+    #[test]
+    fn causal_products_match_dense_on_the_triangle(
+        bt in 1usize..4, t in 1usize..40, di in 0usize..6, salt in 0u64..1 << 20
+    ) {
+        assert_causal_matches_dense(bt, t, [1, 5, 8, 16, 32, 40][di], salt);
+    }
+
     /// Repeated pool launches with varying lengths cover every index
     /// exactly once, at any thread count (pool reuse is leak/deadlock free).
     #[test]
@@ -181,6 +191,66 @@ proptest! {
         assert!(hits.into_inner().unwrap().iter().all(|&c| c == 1));
         par::set_num_threads(0);
     }
+}
+
+/// `[bt, t, t]` matrices with values in ±2 on and below the diagonal and
+/// a zero of random sign above it: what attention's backward hands the
+/// causal products (a masked probability is `+0`, and its gradient
+/// `+0 · x` can be `-0`).
+fn lower_triangular(bt: usize, t: usize, rng: &mut StdRng) -> Tensor {
+    let data = (0..bt * t * t)
+        .map(|idx| {
+            let (i, j) = (idx / t % t, idx % t);
+            let v = rng.random::<f32>() * 4.0 - 2.0;
+            if j <= i {
+                v
+            } else if v < 0.0 {
+                -0.0
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, &[bt, t, t]).unwrap()
+}
+
+/// The three causal attention products at 1, 2 and 3 threads against the
+/// dense ones at 1 thread, over lower-triangular `[bt, t, t]` operands
+/// and `[bt, t, dh]` heads: the scores are the dense bits on and below
+/// the diagonal and `+0` above it; the context and both transposed
+/// products are the dense bits everywhere.
+fn assert_causal_matches_dense(bt: usize, t: usize, dh: usize, salt: u64) {
+    let mut rng = StdRng::seed_from_u64(salt);
+    let p = lower_triangular(bt, t, &mut rng);
+    let mut head = || Tensor::from_vec((0..bt * t * dh).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect(), &[bt, t, dh]).unwrap();
+    let (q, k) = (head(), head());
+    let _g = knob();
+    par::set_num_threads(1);
+    let (scores, context, transa) = (ops::bmm_transb(&q, &k), ops::bmm(&p, &k), ops::bmm_transa(&p, &k));
+    for threads in [1, 2, 3] {
+        par::set_num_threads(threads);
+        let causal = ops::bmm_transb_causal(&q, &k);
+        for (idx, (c, d)) in causal.data().iter().zip(scores.data()).enumerate() {
+            let (i, j) = (idx / t % t, idx % t);
+            let want = if j <= i { d.to_bits() } else { 0 };
+            assert_eq!(c.to_bits(), want, "bmm_transb_causal [{bt}, {t}, {dh}] at ({i}, {j}), {threads} threads");
+        }
+        assert_bits_equal(&context, &ops::bmm_causal(&p, &k), "bmm_causal", threads);
+        assert_bits_equal(&transa, &ops::bmm_transa_causal(&p, &k), "bmm_transa_causal", threads);
+    }
+    par::set_num_threads(0);
+}
+
+/// The causal products at attention shapes whose work really fans out:
+/// two tasks at 2 threads, and at 3 threads chunks that end inside a
+/// matrix.
+#[test]
+fn causal_products_match_dense_above_the_launch_gate() {
+    let launches = obs::metrics::counter("tensor_pool_launches_total");
+    let before = launches.get();
+    assert_causal_matches_dense(8, 128, 32, 1);
+    assert_causal_matches_dense(16, 128, 32, 2);
+    assert!(launches.get() > before, "the causal products never launched the pool");
 }
 
 /// A deep nested-launch chain (pool inside pool inside pool) and a

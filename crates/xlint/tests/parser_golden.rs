@@ -51,7 +51,9 @@ fn item_tree_matches_the_real_file() {
             "deterministic_given_seed",
             "rank_all",
             "select_token_by_full_sort",
+            "nan_logits",
             "nan_logits_regression_seed_3",
+            "nan_logit_zero_greedy_regression_seed_9",
             "metric_label_sanitizes",
             "generate_works_on_quantized_models",
             "generate_respects_stop_and_budget",

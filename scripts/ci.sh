@@ -31,11 +31,26 @@ if [ "$xlint_ms" -ge 5000 ]; then
 fi
 
 echo "== size (tracked .rs lines per crate; the non-loadbench total is what a PR's net delta is stated against) =="
+# Beside each count, the net change against `git merge-base HEAD main`
+# (working tree included), which is the per-crate delta a PR states.
+# Without a `main` ref only the counts print.
 size() { git ls-files "$1" | grep -v loadbench | xargs cat | wc -l; }
+base=$(git merge-base HEAD main 2>/dev/null || true)
+delta() { git diff --numstat "$base" -- "$1" | grep -v loadbench | awk '{ n += $1 - $2 } END { printf "%+d", n }'; }
+row() {
+    if [ -n "$base" ]; then
+        printf '%8d  %7s  %s\n' "$(size "$1")" "$(delta "$1")" "$2"
+    else
+        printf '%8d  %s\n' "$(size "$1")" "$2"
+    fi
+}
+if [ -n "$base" ]; then
+    printf '%8s  %7s  (delta against merge-base %s)\n' lines delta "$(git rev-parse --short "$base")"
+fi
 for c in crates/*/; do
-    printf '%8d  %s\n' "$(size "$c*.rs")" "$(basename "$c")"
+    row "$c*.rs" "$(basename "$c")"
 done
-printf '%8d  total outside loadbench (crates + root src/, tests/, examples/)\n' "$(size '*.rs')"
+row '*.rs' 'total outside loadbench (crates + root src/, tests/, examples/)'
 
 echo "== one serving engine (grep gate over crates/serving/src, test modules excluded) =="
 # The second route table and the pool came from adding a path beside
