@@ -18,8 +18,9 @@
 //! 1. every batched op computes row `i` independently of rows `j ≠ i`
 //!    (row-wise `layer_norm`/`add`/`gelu`, per-output-dot
 //!    `matmul_transb`, and `matmul` whose per-element accumulation chain
-//!    is the same in its unpacked (`M < 8`) and packed paths whenever
-//!    `N % 16 == 0` — which [`BatchStepModel::batch_ready`] gates on);
+//!    is the same in its row, raw-tile (decode-sized `M`) and packed
+//!    paths whenever `N % 16 == 0` — which
+//!    [`BatchStepModel::batch_ready`] gates on);
 //! 2. attention reads only the sequence's own K/V blocks;
 //! 3. sampling draws from a per-sequence RNG seeded at admission; and
 //! 4. shared prefix blocks hold bit-for-bit the rows the sequence would

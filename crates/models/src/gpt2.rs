@@ -331,9 +331,11 @@ impl BatchStepModel for Gpt2Lm {
     }
 
     /// Batch invariance needs every batched-GEMM output width divisible
-    /// by the pack width `NR = 16`: the packed (`M ≥ 8`) and unpacked
-    /// microkernels then run identical per-element accumulation chains,
-    /// so a row's bits don't depend on how many rows ride along. The
+    /// by the microkernel width `NR = 16`: the row-accumulate kernel
+    /// (`M = 1` and the `M % 4` rows left over), the `4 × 16` tile over raw
+    /// weight rows (the decode batch) and the packed path then run
+    /// identical per-element accumulation chains, so a row's bits don't
+    /// depend on how many rows ride along. The
     /// GEMMs here are `x@W_qkv` (`N = 3D`), `ctx@W_o` (`N = D`),
     /// `ln@W_up` (`N = F`) and `up@W_down` (`N = D`); the LM head is a
     /// `matmul_transb` (independent dots, invariant for any `V`).

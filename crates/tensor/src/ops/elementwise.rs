@@ -4,9 +4,14 @@
 //! [`fill_rows`] runs across the pool above `par`'s work gate and once,
 //! inline, below it; every output element is its own inputs' expression,
 //! so results are the same bits at any thread count.
+//!
+//! The `tanh`-bound ops (`tanh`, `gelu`, `gelu_backward`) take their
+//! `tanh` from [`super::libm`], 8 lanes at a time on AVX2 hosts and
+//! element by element otherwise, with the same bits either way.
 
+use super::libm::tanhf;
 use super::{fill_rows, last_axis_rows};
-use crate::par::{EXP_MACS, STREAM_MACS, TANH_MACS};
+use crate::par::{EXP_MACS, STREAM_MACS};
 use crate::tensor::Tensor;
 
 /// Apply `f` to every element.
@@ -16,13 +21,19 @@ pub fn map(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 
 /// [`map`] at a stated per-element cost.
 fn map_at(t: &Tensor, elem_macs: usize, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    let (rows, w) = last_axis_rows(t.dims());
-    let src = t.data();
-    let data = fill_rows(rows, w, w * elem_macs, |r, out| {
-        for (o, &v) in out.iter_mut().zip(&src[r.start * w..r.end * w]) {
+    map_rows(t, elem_macs, |src, out| {
+        for (o, &v) in out.iter_mut().zip(src) {
             *o = f(v);
         }
-    });
+    })
+}
+
+/// [`map_at`] a run of rows at a time: `kernel(src, out)` fills `out`
+/// from the same rows of `t`.
+fn map_rows(t: &Tensor, elem_macs: usize, kernel: impl Fn(&[f32], &mut [f32]) + Sync) -> Tensor {
+    let (rows, w) = last_axis_rows(t.dims());
+    let src = t.data();
+    let data = fill_rows(rows, w, w * elem_macs, |r, out| kernel(&src[r.start * w..r.end * w], out));
     Tensor::from_parts(t.shape().clone(), data)
 }
 
@@ -31,11 +42,16 @@ fn map_at(t: &Tensor, elem_macs: usize, f: impl Fn(f32) -> f32 + Sync) -> Tensor
 /// # Panics
 /// Panics if shapes differ.
 pub fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-    zip_at(a, b, STREAM_MACS, f)
+    zip_rows(a, b, STREAM_MACS, |x, y, out| {
+        for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+            *o = f(x, y);
+        }
+    })
 }
 
-/// [`zip`] at a stated per-element cost.
-fn zip_at(a: &Tensor, b: &Tensor, elem_macs: usize, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+/// [`zip`] a run of rows at a time, at a stated per-element cost:
+/// `kernel(a_rows, b_rows, out)`.
+fn zip_rows(a: &Tensor, b: &Tensor, elem_macs: usize, kernel: impl Fn(&[f32], &[f32], &mut [f32]) + Sync) -> Tensor {
     assert_eq!(
         a.shape(),
         b.shape(),
@@ -47,9 +63,7 @@ fn zip_at(a: &Tensor, b: &Tensor, elem_macs: usize, f: impl Fn(f32, f32) -> f32 
     let (ad, bd) = (a.data(), b.data());
     let data = fill_rows(rows, w, w * elem_macs, |r, out| {
         let span = r.start * w..r.end * w;
-        for ((o, &x), &y) in out.iter_mut().zip(&ad[span.clone()]).zip(&bd[span]) {
-            *o = f(x, y);
-        }
+        kernel(&ad[span.clone()], &bd[span], out)
     });
     Tensor::from_parts(a.shape().clone(), data)
 }
@@ -132,7 +146,7 @@ pub fn ln(t: &Tensor) -> Tensor {
 
 /// Hyperbolic tangent.
 pub fn tanh(t: &Tensor) -> Tensor {
-    map_at(t, TANH_MACS, f32::tanh)
+    map_rows(t, EXP_MACS, |src, out| TanhOp::Tanh.apply(src, out))
 }
 
 /// Logistic sigmoid `1 / (1 + e^-x)`.
@@ -142,38 +156,47 @@ pub fn sigmoid(t: &Tensor) -> Tensor {
 
 /// GELU with the tanh approximation used by GPT-2.
 pub fn gelu(t: &Tensor) -> Tensor {
-    map_at(t, TANH_MACS, gelu_scalar)
+    map_rows(t, EXP_MACS, |src, out| TanhOp::Gelu.apply(src, out))
 }
 
 /// The gradient through [`gelu`]: `g ⊙ gelu'(x)`.
 pub(crate) fn gelu_backward(g: &Tensor, x: &Tensor) -> Tensor {
-    zip_at(g, x, TANH_MACS, |gv, xv| gv * gelu_grad_scalar(xv))
+    zip_rows(g, x, EXP_MACS, |gs, xs, out| {
+        TanhOp::GeluGrad.apply(xs, out);
+        for (o, &gv) in out.iter_mut().zip(gs) {
+            *o = gv * *o;
+        }
+    })
 }
+
+/// GELU's `sqrt(2/π)`.
+const GELU_C: f32 = 0.797_884_6;
+/// GELU's cubic coefficient.
+const GELU_A: f32 = 0.044_715;
 
 /// GPT-2's tanh-approximate GELU on a single value.
 #[inline]
 pub fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanhf(GELU_C * (x + GELU_A * x * x * x)))
 }
 
 /// GELU via a rational `tanh` approximation — the quantized-inference
 /// variant of [`gelu`].
 ///
-/// `libm`'s `tanhf` costs ~15 ns per element and dominates the MLP once
-/// the matmuls are int8; [`tanh_fast`] is a 13-multiply polynomial ratio
-/// accurate to a few ULP, which is far below int8 quantization error.
-/// Only the quantized decode path uses this — f32 training and decode
-/// keep the exact [`gelu`] so their numerics are untouched.
+/// Once the matmuls are int8, the exact [`gelu`] is a visible share of
+/// the MLP even 8 lanes wide (≈ 3.8 ns per element, against ≈ 1.5 ns
+/// here); [`tanh_fast`] is a 13-multiply polynomial ratio accurate to a
+/// few ULP, which is far below int8 quantization error. Only the
+/// quantized decode path uses this — f32 training and decode keep the
+/// exact [`gelu`] so their numerics are untouched.
 pub fn gelu_fast(t: &Tensor) -> Tensor {
     map(t, gelu_fast_scalar)
 }
 
-/// [`gelu_scalar`] with [`tanh_fast`] substituted for `f32::tanh`.
+/// [`gelu_scalar`] with [`tanh_fast`] substituted for the exact `tanh`.
 #[inline]
 pub fn gelu_fast_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + tanh_fast(C * (x + 0.044_715 * x * x * x)))
+    0.5 * x * (1.0 + tanh_fast(GELU_C * (x + GELU_A * x * x * x)))
 }
 
 /// Fast `tanh` as the ratio of two odd/even polynomials (the classic
@@ -197,12 +220,89 @@ pub fn tanh_fast(x: f32) -> f32 {
 /// Derivative of [`gelu_scalar`] with respect to its input.
 #[inline]
 fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = 0.044_715 * x * x * x;
-    let u = C * (x + x3);
-    let t = u.tanh();
+    let x3 = GELU_A * x * x * x;
+    let u = GELU_C * (x + x3);
+    let t = tanhf(u);
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+}
+
+/// The `tanh`-bound elementwise functions, each one `tanh` with a few
+/// multiplies and adds around it.
+#[derive(Debug, Clone, Copy)]
+enum TanhOp {
+    Tanh,
+    Gelu,
+    GeluGrad,
+}
+
+impl TanhOp {
+    fn scalar(self, x: f32) -> f32 {
+        match self {
+            TanhOp::Tanh => tanhf(x),
+            TanhOp::Gelu => gelu_scalar(x),
+            TanhOp::GeluGrad => gelu_grad_scalar(x),
+        }
+    }
+
+    /// `out[i] = self(src[i])`: 8 lanes at a time with AVX2, the tail and
+    /// other hosts one [`Self::scalar`] at a time.
+    fn apply(self, src: &[f32], out: &mut [f32]) {
+        assert_eq!(src.len(), out.len(), "{self:?}: input and output lengths differ");
+        #[cfg(target_arch = "x86_64")]
+        if super::simd::use_avx2_fma() {
+            // SAFETY(invariant: `use_avx2_fma()` just returned true)
+            // `apply_avx`'s one precondition; it reads and writes through
+            // the slices' own 8-element chunks.
+            unsafe { self.apply_avx(src, out) };
+            return;
+        }
+        for (o, &x) in out.iter_mut().zip(src) {
+            *o = self.scalar(x);
+        }
+    }
+
+    // SAFETY(invariant: unsafe solely for `#[target_feature]` — caller-verified AVX2)
+    // Every load and store is one whole `chunks_exact(8)` chunk of `src`
+    // or `out`, unaligned.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn apply_avx(self, src: &[f32], out: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let mut outs = out.chunks_exact_mut(8);
+        let mut srcs = src.chunks_exact(8);
+        for (o, x) in (&mut outs).zip(&mut srcs) {
+            _mm256_storeu_ps(o.as_mut_ptr(), self.lanes(_mm256_loadu_ps(x.as_ptr())));
+        }
+        for (o, &x) in outs.into_remainder().iter_mut().zip(srcs.remainder()) {
+            *o = self.scalar(x);
+        }
+    }
+
+    /// [`Self::scalar`] on eight lanes: the same operations in the same
+    /// order, each rounded on its own (no FMA), around [`super::libm::tanh8`].
+    // SAFETY(invariant: unsafe solely for `#[target_feature]` — register-only, called from `apply_avx`)
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lanes(self, x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+        use super::libm::tanh8;
+        use std::arch::x86_64::*;
+        let f = _mm256_set1_ps;
+        let (add, sub, mul) = (_mm256_add_ps, _mm256_sub_ps, _mm256_mul_ps);
+        // GELU's `tanh` argument, `C·(x + A·x³)`.
+        let u = mul(f(GELU_C), add(x, mul(mul(mul(f(GELU_A), x), x), x)));
+        match self {
+            TanhOp::Tanh => tanh8(x),
+            TanhOp::Gelu => mul(mul(f(0.5), x), add(f(1.0), tanh8(u))),
+            TanhOp::GeluGrad => {
+                let t = tanh8(u);
+                let sech2 = sub(f(1.0), mul(t, t));
+                let slope = add(f(1.0), mul(mul(f(3.0 * GELU_A), x), x));
+                add(mul(f(0.5), add(f(1.0), t)), mul(mul(mul(mul(f(0.5), x), sech2), f(GELU_C)), slope))
+            }
+        }
+    }
 }
 
 /// Square root.
@@ -273,6 +373,31 @@ mod tests {
         }
     }
 
+    /// Every element of the `tanh`-bound ops equals its scalar expression
+    /// in whichever lane or tail position it lands: three rows at widths
+    /// around the 8-lane chunk, with values in every branch of `tanh`
+    /// (zero, tiny, saturated, infinite, NaN) between the ordinary ones.
+    #[test]
+    fn tanh_ops_equal_their_scalar_expressions_in_every_lane() {
+        let specials = [0.0, -0.0, 1e-30, -3e-20, 7.7, -9.0, 30.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for w in [1usize, 7, 8, 9, 13, 512] {
+            let x: Vec<f32> = (0..3 * w)
+                .map(|i| if i % 5 == 2 { specials[i / 5 % specials.len()] } else { (i as f32 * 0.618).sin() * 6.0 })
+                .collect();
+            let g: Vec<f32> = (0..3 * w).map(|i| (i as f32 * 0.37).cos()).collect();
+            let (xt, gt) = (Tensor::from_vec(x.clone(), &[3, w]).unwrap(), Tensor::from_vec(g.clone(), &[3, w]).unwrap());
+            let each = |f: &dyn Fn(usize) -> f32| bits(&(0..3 * w).map(f).collect::<Vec<f32>>());
+            assert_eq!(bits(tanh(&xt).data()), each(&|i| tanhf(x[i])), "tanh at width {w}");
+            assert_eq!(bits(gelu(&xt).data()), each(&|i| gelu_scalar(x[i])), "gelu at width {w}");
+            assert_eq!(
+                bits(gelu_backward(&gt, &xt).data()),
+                each(&|i| g[i] * gelu_grad_scalar(x[i])),
+                "gelu_backward at width {w}"
+            );
+        }
+    }
+
     #[test]
     fn scalar_ops() {
         let a = t(&[1.0, -2.0]);
@@ -285,11 +410,11 @@ mod tests {
     fn tanh_fast_tracks_libm_to_a_few_ulp() {
         for i in -4000..=4000 {
             let x = i as f32 * 2.5e-3; // dense grid over [-10, 10]
-            let exact = x.tanh();
+            let exact = tanhf(x);
             let fast = tanh_fast(x);
             assert!(
                 (exact - fast).abs() <= 2e-7 + exact.abs() * 4.0 * f32::EPSILON,
-                "tanh_fast({x}) = {fast}, libm = {exact}"
+                "tanh_fast({x}) = {fast}, tanhf = {exact}"
             );
         }
         // saturation: within a few ULP of ±1 well past the clamp point,

@@ -1,19 +1,22 @@
 //! Matrix multiplication kernels (2-D and batched 3-D): cache-blocked,
 //! panel-packed, and row-parallel on the persistent worker pool.
 //!
-//! The 2-D `matmul` packs the B operand once per call into `KC × NR`
-//! panels (shared read-only across workers), then each worker sweeps its
-//! row range with a register-blocked `MR × NR` microkernel — 8-lane FMA
-//! when the host has AVX2 (see [`super::simd`]), otherwise a k-unrolled
-//! portable loop the auto-vectorizer handles. The microkernel reads A
-//! through [`Strides`], so `matmul_transa` runs it straight over the
-//! transposed storage, and it takes a B row stride, so `bmm` and
-//! `bmm_transa` run it over unpacked `[K, N]` rows when `N % NR == 0`
-//! (every attention head here is 32 wide). `matmul_transb` at `M ≥ 2` and
-//! `bmm_transb` pair rows through [`simd::dot_pair`], which replays
-//! `simd::dot` per output, so each output has the bits of its own dot.
-//! Only the `M = 1` decode GEMV, skinny shapes and non-AVX hosts keep
-//! the plain row kernels.
+//! From [`PACK_MIN_M`] output rows up, the 2-D `matmul` packs the B
+//! operand once per call into `KC × NR` panels (shared read-only across
+//! workers), then each worker sweeps its row range with a
+//! register-blocked `MR × NR` microkernel — 8-lane FMA when the host has
+//! AVX2 (see [`super::simd`]), otherwise a k-unrolled portable loop the
+//! auto-vectorizer handles. The microkernel reads A through [`Strides`],
+//! so `matmul_transa` runs it straight over the transposed storage, and
+//! it takes a B row stride, so below `PACK_MIN_M` (the decode batch)
+//! `matmul` runs rows in fours over the raw `[K, N]` rows with no packing
+//! when `N % NR == 0`, as `bmm` and `bmm_transa` do (every attention head
+//! here is 32 wide); the `M % 4` rows left over, the `M = 1` decode GEMV,
+//! other widths and non-AVX hosts take the row-accumulate kernel, whose
+//! chain per output is the microkernel's when `N % NR == 0`.
+//! `matmul_transb` at `M ≥ 2` and `bmm_transb` pair rows through
+//! [`simd::dot_pair`], which replays `simd::dot` per output, so each
+//! output has the bits of its own dot.
 //!
 //! The `*_causal` batched products are the attention products over
 //! square `[T, T]` matrices that are zero above the diagonal: they read
@@ -44,9 +47,13 @@ const KC: usize = 256;
 const NR: usize = 16;
 /// Microkernel height (rows of A per register block).
 const MR: usize = 4;
-/// Below this many output rows, packing B cannot amortize; use the
-/// unpacked row-accumulate kernel (the incremental-decode path).
-const SMALL_M: usize = 8;
+/// From this many output rows up, `matmul` packs B into `KC × NR` panels.
+/// Below it a `K × NR` strip of B is read by at most `PACK_MIN_M / MR`
+/// tiles, which costs less straight from the raw `[K, N]` rows than a copy
+/// of all of B per call (the decode batch). The first `M` at which packing
+/// is ahead on one thread at the model widths, from the `M` sweep in
+/// EXPERIMENTS.md's "Decode-sized GEMMs and an 8-lane `tanh`" section.
+const PACK_MIN_M: usize = 32;
 /// Tile edge for the blocked transpose.
 const TRANSPOSE_TILE: usize = 32;
 /// Floats of B that `matmul_transb` keeps hot while every row pair of a
@@ -221,8 +228,10 @@ unsafe fn mk_avx_1x16(a: *const f32, ks: usize, b: *const f32, ldb: usize, kc: u
 }
 
 /// Unpacked row-accumulate: `o[0..n] += Σ_k a[kk] · b[kk, 0..n]` for a
-/// row-major `b: [k, n]`, `k` ascending. Used where packing cannot pay:
-/// tiny `m` (decode) and skinny `n`.
+/// row-major `b: [k, n]`, `k` ascending. Used where B is not packed and
+/// the microkernel's 4-row tiles do not apply: the `m % 4` rows left over
+/// (the `m = 1` decode GEMV among them), `n` that is not whole tiles, and
+/// hosts without AVX2.
 fn accumulate_row(o: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     debug_assert_eq!(a.len(), k);
     debug_assert!(b.len() >= k * n);
@@ -424,8 +433,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// Kernel body shared by [`matmul`] and [`matmul_transa`]: `A @ B` with
 /// `A: [M, K]` read from `ad` through `s`.
 fn matmul_raw(ad: &[f32], s: Strides, bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let small = m < SMALL_M || n < NR;
-    if small && s.k != 1 {
+    let packed = m >= PACK_MIN_M && n >= NR;
+    if !packed && s.k != 1 {
         // The row kernel below reads rows of A; a transposed A this small
         // is cheaper to copy than to gather row by row.
         let mut at = vec![0.0f32; m * k];
@@ -433,12 +442,19 @@ fn matmul_raw(ad: &[f32], s: Strides, bd: &[f32], m: usize, k: usize, n: usize) 
         return matmul_raw(&at, Strides::rows(k), bd, m, k, n);
     }
     let mut out = vec![0.0f32; m * n];
-    if small {
-        // Packing can't amortize (decode-sized or skinny output): run the
-        // unpacked row-accumulate kernel, row-parallel.
+    if !packed {
+        // Packing can't amortize (decode-sized or skinny output): rows in
+        // fours through the microkernel over B's raw rows where its tiles
+        // fit, the rest through the row-accumulate kernel — one FMA chain
+        // per output either way.
+        let tiles = n % NR == 0 && simd::use_avx2_fma();
         // SAFETY(disjoint: out[rows] — workers receive non-overlapping row chunks of `out`)
         parallel_rows_mut(&mut out, m, n, k * n, |rows, chunk| {
-            for (local, row) in rows.enumerate() {
+            let tiled = if tiles { rows.len() / MR * MR } else { 0 };
+            if tiled > 0 {
+                fma_rows(&ad[rows.start * k..], s, bd, n, tiled, |_| 0..k, &mut chunk[..tiled * n]);
+            }
+            for (local, row) in rows.enumerate().skip(tiled) {
                 let o_row = &mut chunk[local * n..(local + 1) * n];
                 accumulate_row(o_row, &ad[row * k..(row + 1) * k], bd, k, n);
             }

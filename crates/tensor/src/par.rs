@@ -87,13 +87,10 @@ pub(crate) const COPY_MACS: usize = 4;
 /// Arithmetic streaming ops — `add`, `mul`, `scale`, a bias broadcast:
 /// 0.5–0.7 ns, zeroing the output included (10–14 MACs).
 pub(crate) const STREAM_MACS: usize = 16;
-/// `exp`-bound row kernels — the softmax family, cross-entropy, layer
-/// norm and their backward passes: 1.5–3.8 ns (30–76 MACs).
+/// `exp`- and `tanh`-bound kernels — the softmax family, cross-entropy,
+/// layer norm and their backward passes: 1.5–3.8 ns; `tanh`, `gelu` and
+/// its backward, 8 lanes wide: 3.4–4.7 ns (30–94 MACs).
 pub(crate) const EXP_MACS: usize = 64;
-/// `tanh`-bound ops — `tanh`, `gelu` and its backward: 21–29 ns (≈ 500
-/// MACs), held at 256 so a decode step's widest elementwise call, a
-/// batch-8 `gelu` over `[8, 512]` (exactly 2^20 here), stays inline.
-pub(crate) const TANH_MACS: usize = 256;
 
 /// How many pool tasks `items` work items of `item_macs`
 /// multiply-accumulates each should be cut into: at most one per thread

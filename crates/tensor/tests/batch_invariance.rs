@@ -5,12 +5,14 @@
 //! request decoding in a batch of 7 reuses the exact accumulation chain
 //! it would get solo.
 //!
-//! The invariant holds whenever `N % 16 == 0` (the packed microkernel's
-//! `NR` tile width): then every output element's dot product runs the
-//! same split-free loop in both the unpacked small-`m` path (`m < 8`)
-//! and the packed path. `matmul_transb` computes independent
-//! per-element dots, so it is invariant for any `N`. These tests pin
-//! both facts across the `m = 8` path switch, deterministically.
+//! The invariant holds whenever `N % 16 == 0` (the microkernel's `NR`
+//! tile width): then every output element is one FMA chain over `k`
+//! ascending from `+0`, whether its row runs through the row-accumulate
+//! kernel (`M = 1`, and the `M % 4` rows left over below `PACK_MIN_M`),
+//! a `4 × 16` tile over B's raw rows (below `PACK_MIN_M`), or the packed
+//! path (from `PACK_MIN_M` = 32 up). `matmul_transb` computes independent
+//! per-element dots, so it is invariant for any `N`. These tests pin both
+//! facts on each side of the packing switch, deterministically.
 
 use ratatouille_tensor::{ops, Tensor};
 
@@ -27,47 +29,40 @@ fn rows(t: &Tensor, n_cols: usize) -> Vec<&[f32]> {
     t.data().chunks(n_cols).collect()
 }
 
-/// For every batch size `m` crossing the packed/unpacked switch at 8,
-/// row 0 of the product must equal the 1-row product bit for bit.
+/// `matmul`'s `PACK_MIN_M`: B is packed from this many rows up.
+const PACK_MIN_M: usize = 32;
+
+/// Every row of `matmul(A, B)` and of `matmul_transa(Aᵀ, B)` equals its
+/// 1-row product bit for bit, for every `m` through both sides of the
+/// packing switch (each `m % 4` remainder on each side), at `k` below,
+/// at and past the `KC = 256` k-block, and `n` of one, three and 24 tiles.
 #[test]
 fn matmul_row_is_independent_of_batch_size() {
-    // Shapes mirror the models: N is the GEMM output width, and every
-    // model width the batched path serves is a multiple of NR = 16.
-    for (k, n) in [(16, 16), (24, 32), (64, 48)] {
-        let b = Tensor::from_vec(fill(k * n, 0.3), &[k, n]).unwrap();
-        let first = Tensor::from_vec(fill(k, 1.7), &[1, k]).unwrap();
-        let solo = ops::matmul(&first, &b);
-        for m in 2..=10usize {
-            let mut data = fill(k, 1.7); // row 0 identical to `first`
-            data.extend(fill(k * (m - 1), 9.1));
-            let a = Tensor::from_vec(data, &[m, k]).unwrap();
-            let full = ops::matmul(&a, &b);
-            assert_eq!(
-                rows(&full, n)[0].to_vec(),
-                solo.data().to_vec(),
-                "row 0 differs between m=1 and m={m} for k={k}, n={n} \
-                 (bitwise; batch invariance broken)"
-            );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let max_m = 2 * PACK_MIN_M + 3;
+    for k in [5usize, 128, 300, 512] {
+        let a = fill(max_m * k, 1.7);
+        for n in [16usize, 48, 384] {
+            let b = Tensor::from_vec(fill(k * n, 0.3), &[k, n]).unwrap();
+            let solo: Vec<Vec<u32>> = a
+                .chunks(k)
+                .map(|row| bits(ops::matmul(&Tensor::from_vec(row.to_vec(), &[1, k]).unwrap(), &b).data()))
+                .collect();
+            for m in 1..=max_m {
+                let rows_of = Tensor::from_vec(a[..m * k].to_vec(), &[m, k]).unwrap();
+                let columns_of = Tensor::from_vec((0..k * m).map(|i| a[(i % m) * k + i / m]).collect(), &[k, m]).unwrap();
+                for (name, full) in [("matmul", ops::matmul(&rows_of, &b)), ("matmul_transa", ops::matmul_transa(&columns_of, &b))] {
+                    for (i, row) in rows(&full, n).into_iter().enumerate() {
+                        assert_eq!(
+                            bits(row),
+                            solo[i],
+                            "{name} row {i} differs between m=1 and m={m} for k={k}, n={n} \
+                             (bitwise; batch invariance broken)"
+                        );
+                    }
+                }
+            }
         }
-    }
-}
-
-/// Every row of a batched product equals that row computed solo — not
-/// just row 0 (position in the batch must not matter either).
-#[test]
-fn matmul_every_row_matches_its_solo_product() {
-    let (m, k, n) = (10usize, 32usize, 64usize);
-    let b = Tensor::from_vec(fill(k * n, 0.11), &[k, n]).unwrap();
-    let a = Tensor::from_vec(fill(m * k, 5.3), &[m, k]).unwrap();
-    let full = ops::matmul(&a, &b);
-    for i in 0..m {
-        let row = a.data()[i * k..(i + 1) * k].to_vec();
-        let solo = ops::matmul(&Tensor::from_vec(row, &[1, k]).unwrap(), &b);
-        assert_eq!(
-            rows(&full, n)[i].to_vec(),
-            solo.data().to_vec(),
-            "row {i} not bitwise-identical to its solo product"
-        );
     }
 }
 

@@ -84,6 +84,18 @@ if grep -rnE 'KvCache|StreamKv|KvSeam|KvRows' crates/models/src; then
     exit 1
 fi
 
+echo "== one tanh (grep gate over crates/tensor/src, test modules excluded) =="
+# Every f32 `tanh` is ops/libm.rs's transcription of glibc 2.36's
+# `tanhf`, so the goldens are the code's own bits, not whatever the host
+# libm returns; this fails the build if a libm `tanh` call comes back.
+for f in $(find crates/tensor/src -name '*.rs'); do
+    src=$(sed '/^#\[cfg(test)\]/,$d' "$f")
+    if grep -nE '\.tanh\(\)|f32::tanh' <<<"$src"; then
+        echo "tensor: $f calls libm's tanh (see above); use ops::libm::tanhf" >&2
+        exit 1
+    fi
+done
+
 echo "== one benchmark (loadbench measures, cargo test checks; nothing beside them) =="
 # The nine micro-benches, their harness and the tracked result files they
 # overwrote in place went in PR 24; every cell they timed is a loadbench
