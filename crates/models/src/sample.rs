@@ -180,23 +180,32 @@ fn top_k_of(cfg: &SamplerConfig, v: usize) -> usize {
 
 /// The `k` best candidate indices, best first: scaled logit descending,
 /// index ascending among equals. [`scale_logits`] leaves no NaN, so that
-/// order is total over every input (infinities included) and a selection
-/// of the `k` smallest under it followed by a sort of the survivors is a
-/// prefix of the full sort, without sorting the whole vocabulary.
+/// order is total over every input (infinities included).
+///
+/// Each candidate is one `u64` [`rank_key`] that orders exactly so, the
+/// logit in the high half and the index, flipped, in the low half. The `k`
+/// largest keys are selected and only those sorted, so the ranked list is
+/// a prefix of the full sort by construction, without sorting the whole
+/// vocabulary and without a comparator call per comparison.
 fn top_candidates(scaled: &[f32], k: usize) -> Vec<usize> {
-    let by_rank = |a: &usize, b: &usize| {
-        scaled[*b]
-            .partial_cmp(&scaled[*a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    };
-    let mut idx: Vec<usize> = (0..scaled.len()).collect();
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, by_rank);
+    let mut keys: Vec<u64> = scaled.iter().enumerate().map(|(i, &x)| rank_key(x, i)).collect();
+    let cut = keys.len() - k;
+    if k > 0 && cut > 0 {
+        keys.select_nth_unstable(cut);
     }
-    idx.truncate(k);
-    idx.sort_unstable_by(by_rank);
-    idx
+    let best = &mut keys[cut..];
+    best.sort_unstable();
+    best.iter().rev().map(|&key| (u32::MAX - key as u32) as usize).collect()
+}
+
+/// A key whose `u64` order is the ranking's: `ord(x + 0.0)` above `u32::MAX
+/// − i`. `ord` maps `f32` bits to `u32` monotonically (negatives' bits
+/// inverted, positives' sign bit set), and `+ 0.0` turns `-0` into `+0`,
+/// which the ranking holds equal.
+fn rank_key(x: f32, i: usize) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    let ord = if bits >> 31 == 0 { bits | 0x8000_0000 } else { !bits };
+    u64::from(ord) << 32 | u64::from(u32::MAX - i as u32)
 }
 
 /// Softmax over the ranked top-k candidates, nucleus cutoff, multinomial
@@ -211,7 +220,8 @@ fn sample_ranked(scaled: &[f32], ranked: &[usize], cfg: &SamplerConfig, rng: &mu
         // candidate ties at `-inf` and the lowest index ranks first.
         return kept[0] as u32;
     }
-    let mut probs: Vec<f32> = kept.iter().map(|&i| (scaled[i] - max).exp()).collect();
+    let mut probs: Vec<f32> = kept.iter().map(|&i| scaled[i] - max).collect();
+    ops::libm::exp_in_place(&mut probs);
     let sum = ratatouille_util::accum::sum_f32(probs.iter().copied());
     for p in probs.iter_mut() {
         *p /= sum;
@@ -358,6 +368,53 @@ mod tests {
         let mut idx: Vec<usize> = (0..scaled.len()).collect();
         idx.sort_by(|&a, &b| scaled[b].partial_cmp(&scaled[a]).expect("scale_logits leaves no NaN"));
         idx
+    }
+
+    /// The comparator selection [`top_candidates`] replaced: the `k` best
+    /// indices by (scaled logit descending, index ascending), selected
+    /// with `select_nth_unstable_by`, then sorted.
+    fn top_candidates_by_comparator(scaled: &[f32], k: usize) -> Vec<usize> {
+        let by_rank = |a: &usize, b: &usize| {
+            scaled[*b]
+                .partial_cmp(&scaled[*a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        };
+        let mut idx: Vec<usize> = (0..scaled.len()).collect();
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k - 1, by_rank);
+        }
+        idx.truncate(k);
+        idx.sort_unstable_by(by_rank);
+        idx
+    }
+
+    /// The packed keys rank every row the way the comparator and the full
+    /// sort do, at every `k` from 1 to `V`: `±0` ties (the ranking holds
+    /// them equal, so the index decides), runs of equal logits straddling
+    /// the cut, `±inf`, a row of nothing but `-inf`, and the extremes of
+    /// `f32` — largest, least normal, subnormal, both signs.
+    #[test]
+    fn packed_key_top_k_matches_the_comparator_on_adversarial_rows() {
+        let (inf, tiny) = (f32::INFINITY, f32::from_bits(1));
+        let rows: Vec<Vec<f32>> = vec![
+            vec![0.0, -0.0, 0.0, -0.0, 1.0, -0.0, -1.0, 0.0],
+            vec![-0.0, -0.0, -tiny, tiny, 0.0, -0.0],
+            (0..100).map(|i| (i / 7 % 5) as f32 * 0.5 - 1.0).collect(),
+            vec![2.5; 17],
+            vec![inf, 1.0, inf, -inf, -0.0, 0.0, -inf, inf, 1.0],
+            vec![-inf; 9],
+            vec![f32::MAX, f32::MIN, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, tiny, -tiny, -f32::MAX, f32::MAX],
+            (0..384).map(|i| ((i * 37 % 101) as f32 - 50.0) / 0.9).collect(),
+        ];
+        for row in &rows {
+            let full = rank_all(row);
+            for k in 1..=row.len() {
+                let ranked = top_candidates(row, k);
+                assert_eq!(ranked, top_candidates_by_comparator(row, k), "k = {k} of {row:?}");
+                assert_eq!(ranked, full[..k], "k = {k} of {row:?}");
+            }
+        }
     }
 
     /// The sampler as it was before the top-k selection: rank the whole

@@ -6,10 +6,11 @@
 //! so results are the same bits at any thread count.
 //!
 //! The `tanh`-bound ops (`tanh`, `gelu`, `gelu_backward`) take their
-//! `tanh` from [`super::libm`], 8 lanes at a time on AVX2 hosts and
-//! element by element otherwise, with the same bits either way.
+//! `tanh`, and `exp` and `sigmoid` their `exp`, from [`super::libm`], 8
+//! lanes at a time on AVX2 hosts and element by element otherwise, with
+//! the same bits either way.
 
-use super::libm::tanhf;
+use super::libm::{exp_in_place, tanhf};
 use super::{fill_rows, last_axis_rows};
 use crate::par::{EXP_MACS, STREAM_MACS};
 use crate::tensor::Tensor;
@@ -136,7 +137,10 @@ pub fn neg(t: &Tensor) -> Tensor {
 
 /// Natural exponential.
 pub fn exp(t: &Tensor) -> Tensor {
-    map_at(t, EXP_MACS, f32::exp)
+    map_rows(t, EXP_MACS, |src, out| {
+        out.copy_from_slice(src);
+        exp_in_place(out);
+    })
 }
 
 /// Natural log.
@@ -151,7 +155,15 @@ pub fn tanh(t: &Tensor) -> Tensor {
 
 /// Logistic sigmoid `1 / (1 + e^-x)`.
 pub fn sigmoid(t: &Tensor) -> Tensor {
-    map_at(t, EXP_MACS, |v| 1.0 / (1.0 + (-v).exp()))
+    map_rows(t, EXP_MACS, |src, out| {
+        for (o, &v) in out.iter_mut().zip(src) {
+            *o = -v;
+        }
+        exp_in_place(out);
+        for o in out.iter_mut() {
+            *o = 1.0 / (1.0 + *o);
+        }
+    })
 }
 
 /// GELU with the tanh approximation used by GPT-2.
@@ -395,6 +407,25 @@ mod tests {
                 each(&|i| g[i] * gelu_grad_scalar(x[i])),
                 "gelu_backward at width {w}"
             );
+        }
+    }
+
+    /// `exp` and `sigmoid` equal their scalar expressions over `expf` in
+    /// every lane and tail position, edge lanes (`|x| ≥ 88`, `±inf`, NaN)
+    /// included.
+    #[test]
+    fn exp_ops_equal_their_scalar_expressions_in_every_lane() {
+        use super::super::libm::expf;
+        let specials = [0.0, -0.0, 88.5, -95.0, -103.5, -110.0, 100.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for w in [1usize, 7, 8, 9, 13, 512] {
+            let x: Vec<f32> = (0..3 * w)
+                .map(|i| if i % 5 == 2 { specials[i / 5 % specials.len()] } else { (i as f32 * 0.618).sin() * 20.0 })
+                .collect();
+            let xt = Tensor::from_vec(x.clone(), &[3, w]).unwrap();
+            assert_eq!(bits(exp(&xt).data()), bits(&x.iter().map(|&v| expf(v)).collect::<Vec<f32>>()), "exp at width {w}");
+            let want: Vec<f32> = x.iter().map(|&v| 1.0 / (1.0 + expf(-v))).collect();
+            assert_eq!(bits(sigmoid(&xt).data()), bits(&want), "sigmoid at width {w}");
         }
     }
 

@@ -1,23 +1,33 @@
-//! `tanh` as the workspace's own code: a transcription of glibc 2.36's
-//! single-precision `tanhf` (fdlibm's `s_tanhf.c`, with the `s_expm1f.c`
-//! it calls), and an 8-lane AVX2 port of it.
+//! `tanh` and `exp` as the workspace's own code: transcriptions of glibc
+//! 2.36's single-precision `tanhf` (fdlibm's `s_tanhf.c`, with the
+//! `s_expm1f.c` it calls) and `expf` (the `__expf_fma` variant of
+//! `e_expf.c`), and an 8-lane AVX2 port of each.
 //!
-//! Every f32 `tanh` in this crate goes through [`tanhf`] or [`tanh8`], so
-//! the frozen goldens are this code's bits rather than the host libm's. A
-//! libm that shipped a different (say, correctly rounded) `tanhf` would
-//! otherwise move them. glibc 2.36's symbols are plain fdlibm C compiled
-//! without FMA, so a line-for-line Rust transcription — same operations,
-//! same order, one rounding each — gives its bits exactly: the ignored
-//! `tanhf_matches_libm_on_every_input` test compares all 2³² inputs
-//! against the host's `tanhf` on such a host, and [`tanh8`] against
-//! [`tanhf`].
+//! Every f32 `tanh` and `exp` in the tensor and models crates goes
+//! through [`tanhf`]/[`tanh8`] or [`expf`]/[`exp8`], so the frozen
+//! goldens are this code's bits rather than the host libm's. A libm that
+//! shipped a different (say, correctly rounded) `tanhf` would otherwise
+//! move them, and glibc's own `expf` is an ifunc with two bodies: the one
+//! compiled with FMA on FMA hosts, the plain one elsewhere, which rounds
+//! differently. Each transcription replays its C line for line — same
+//! operations, same order, one rounding each, and for `expf` the four
+//! fused multiply-adds GCC emitted as `f64::mul_add` — so it gives those
+//! bits on every host: the ignored `*_matches_libm_on_every_input` tests
+//! compare all 2³² inputs against the host's function on an FMA host with
+//! glibc 2.36, and each 8-lane kernel against its transcription.
 //!
 //! [`tanh8`] computes every lane the scalar code would send through
 //! `expm1f` (`2⁻⁵⁵ ≤ |x| < 22`) with each branch of the reduced
 //! `expm1f` evaluated lane-wise and the results blended by `k`; lanes
 //! outside that range (`±0`, tiny, saturated, `±inf`, NaN) are recomputed
-//! by [`tanhf`]. Nothing here uses FMA: each multiply and add rounds on
-//! its own, as in the C.
+//! by [`tanhf`]. Nothing in the `tanh` code uses FMA: each multiply and
+//! add rounds on its own, as in the C.
+//!
+//! [`exp8`] widens its eight lanes to two 4-wide `f64` halves and runs
+//! `expf`'s table-driven path in each (the table through a gather); lanes
+//! with `|x| ≥ 88` — ±inf, NaN, overflow and the underflow branches — are
+//! recomputed by [`expf`]. [`exp_in_place`] is the slice form every
+//! caller uses.
 
 /// fdlibm's `ln2_hi`: `ln 2` to 16 bits, so `k · ln2_hi` is exact.
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
@@ -230,6 +240,167 @@ unsafe fn expm1_lanes(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256
     _mm256_blendv_ps(y, _mm256_castsi256_ps(bits), _mm256_castsi256_ps(_mm256_cmpgt_epi32(i(EXPM1_TINY_BITS as i32), hx)))
 }
 
+/// `expf`'s table: `2^(i/32)` as `f64` bits, less `i << 47` so that
+/// adding `k << 47` for `k ≡ i (mod 32)` gives `2^(k/32)`.
+const EXP2_TABLE: [u64; 32] = [
+    0x3ff0_0000_0000_0000, 0x3fef_d9b0_d315_8574, 0x3fef_b558_6cf9_890f, 0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b, 0x3fef_5487_3168_b9aa, 0x3fef_387a_6e75_6238, 0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715, 0x3fee_f1a7_373a_a9cb, 0x3fee_dea6_4c12_3422, 0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27, 0x3fee_b42b_569d_4f82, 0x3fee_ab07_dd48_5429, 0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd, 0x3fee_9f75_e8ec_5f74, 0x3fee_a114_73eb_0187, 0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db, 0x3fee_b737_b0cd_c5e5, 0x3fee_c491_82a3_f090, 0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad, 0x3fee_ff76_f2fb_5e47, 0x3fef_199b_dd85_529c, 0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487, 0x3fef_7c97_337b_9b5f, 0x3fef_a4af_a2a4_90da, 0x3fef_d076_5b6e_4540,
+];
+/// `32 / ln 2`: `x · INV_LN2_N = k + r` with `k` the table index plus 32
+/// times the exponent.
+const INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// `1.5 · 2⁵²`: adding it rounds to an integer held in the low mantissa bits.
+const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The cubic for `2^(r/32)`, highest power first (its constant term is 1).
+const EXP_POLY: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+/// `|x|`'s bits from 88 up (glibc's `top12(x) ≥ top12(88.0f)`, with the
+/// low 20 bits of `88.0f` zero): ±inf, NaN and every lane that can
+/// overflow or underflow.
+const EXP_EDGE_BITS: u32 = 0x42b0_0000;
+/// Above this `expf` overflows (`log 2¹²⁸ ≈ 88.72`).
+const EXP_OVERFLOW: f32 = f32::from_bits(0x42b1_7217);
+/// Below this it underflows to `+0` (`log 2⁻¹⁵⁰ ≈ −103.97`).
+const EXP_UNDERFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
+/// Below this, down to [`EXP_UNDERFLOW`], glibc returns `__math_may_uflowf`'s
+/// `0x1.4p-75 · 0x1.4p-75`, the least subnormal (`log 2⁻¹⁴⁹ ≈ −103.28`).
+const EXP_MAY_UNDERFLOW: f32 = f32::from_bits(0xc2ce_8ecf);
+
+/// `eˣ` with glibc 2.36's `__expf_fma` bits, on any host.
+pub fn expf(x: f32) -> f32 {
+    let bits = x.to_bits();
+    if bits & 0x7fff_ffff >= EXP_EDGE_BITS {
+        if bits == f32::NEG_INFINITY.to_bits() {
+            return 0.0;
+        }
+        if bits & 0x7fff_ffff >= 0x7f80_0000 {
+            return x + x; // +inf, or NaN quieted
+        }
+        if x > EXP_OVERFLOW {
+            return f32::INFINITY; // `__math_oflowf`: 2⁹⁷ · 2⁹⁷
+        }
+        if x < EXP_UNDERFLOW {
+            return 0.0; // `__math_uflowf`: 2⁻⁹⁵ · 2⁻⁹⁵
+        }
+        if x < EXP_MAY_UNDERFLOW {
+            return f32::from_bits(1);
+        }
+    }
+    let xd = f64::from(x);
+    // `kd = round(x·32/ln 2)` through the shift, its integer in the low
+    // bits of `ki`; `r` is the remainder, both off one fused product.
+    let kd = INV_LN2_N.mul_add(xd, SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - SHIFT;
+    let r = INV_LN2_N.mul_add(xd, -kd);
+    // `s = 2^(k/32)`: the table entry with `k / 32` added to its exponent.
+    let s = f64::from_bits(EXP2_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = EXP_POLY[0].mul_add(r, EXP_POLY[1]);
+    let r2 = r * r;
+    let y = EXP_POLY[2].mul_add(r, 1.0);
+    let y = z.mul_add(r2, y);
+    (y * s) as f32
+}
+
+/// `xs[i] = expf(xs[i])` for every element, with [`expf`]'s bits: 8 lanes
+/// at a time through [`exp8`] on AVX2+FMA hosts (a tail shorter than 8
+/// padded into one more group), one [`expf`] at a time elsewhere.
+pub fn exp_in_place(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if super::simd::use_avx2_fma() {
+        // SAFETY(invariant: `use_avx2_fma()` just returned true)
+        // `exp_in_place_avx`'s one precondition; it reads and writes
+        // through whole 8-element chunks of `xs` or of a local array.
+        unsafe { exp_in_place_avx(xs) };
+        return;
+    }
+    for x in xs.iter_mut() {
+        *x = expf(*x);
+    }
+}
+
+// SAFETY(invariant: unsafe solely for `#[target_feature]` — caller-verified AVX2+FMA)
+// Every load and store is one whole `chunks_exact_mut(8)` chunk of `xs`
+// or the local 8-float `pad`, unaligned.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn exp_in_place_avx(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        _mm256_storeu_ps(c.as_mut_ptr(), exp8(_mm256_loadu_ps(c.as_ptr())));
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let mut pad = [0.0f32; 8];
+        pad[..tail.len()].copy_from_slice(tail);
+        _mm256_storeu_ps(pad.as_mut_ptr(), exp8(_mm256_loadu_ps(pad.as_ptr())));
+        tail.copy_from_slice(&pad[..tail.len()]);
+    }
+}
+
+/// [`expf`] on eight lanes: the same bits in every lane.
+// SAFETY(invariant: unsafe solely for `#[target_feature]` — register-only but for the table gather and the edge round trip)
+// Callers must have checked `simd::use_avx2_fma()`. Memory is touched
+// only by `exp4`'s gather, whose indices are masked to the table, and
+// through the two local 8-float arrays the edge lanes round-trip through.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+pub(crate) unsafe fn exp8(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let lo = exp4(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+    let hi = exp4(_mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)));
+    let y = _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+    let ix = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fff_ffff));
+    let edge = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(EXP_EDGE_BITS as i32 - 1));
+    let patch = _mm256_movemask_ps(_mm256_castsi256_ps(edge));
+    if patch == 0 {
+        return y;
+    }
+    let (mut xs, mut ys) = ([0.0f32; 8], [0.0f32; 8]);
+    _mm256_storeu_ps(xs.as_mut_ptr(), x);
+    _mm256_storeu_ps(ys.as_mut_ptr(), y);
+    for (lane, (out, &v)) in ys.iter_mut().zip(&xs).enumerate() {
+        if patch >> lane & 1 != 0 {
+            *out = expf(v);
+        }
+    }
+    _mm256_loadu_ps(ys.as_ptr())
+}
+
+/// [`expf`]'s table-driven path on four lanes already widened to `f64`,
+/// operation for operation, rounded back to `f32` at the end.
+// SAFETY(invariant: unsafe solely for `#[target_feature]`; the gather reads `EXP2_TABLE[ki & 31]`, in bounds)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn exp4(xd: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m128 {
+    use std::arch::x86_64::*;
+    let f = _mm256_set1_pd;
+    let kd = _mm256_fmadd_pd(f(INV_LN2_N), xd, f(SHIFT));
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, f(SHIFT));
+    let r = _mm256_fmsub_pd(f(INV_LN2_N), xd, kd);
+    let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    let t = _mm256_i64gather_epi64::<8>(EXP2_TABLE.as_ptr().cast(), index);
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let z = _mm256_fmadd_pd(f(EXP_POLY[0]), r, f(EXP_POLY[1]));
+    let r2 = _mm256_mul_pd(r, r);
+    let y = _mm256_fmadd_pd(f(EXP_POLY[2]), r, f(1.0));
+    let y = _mm256_fmadd_pd(z, r2, y);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,17 +474,13 @@ mod tests {
         assert_eq!((k_at(k_edge(57.0), -64), k_at(k_edge(57.0), 64)), (56, 57));
     }
 
-    /// All 2³² inputs: the lanes against the transcription, and the
-    /// transcription against the host's `tanhf`, which it reproduces on
-    /// glibc 2.36 (a libm with other `tanhf` bits fails the second half
-    /// without anything here being wrong). About a minute on 2 threads:
-    /// `cargo test --release -p ratatouille-tensor -- --ignored tanhf_matches`.
-    #[test]
-    #[ignore]
-    fn tanhf_matches_libm_on_every_input() {
+    /// Runs `check` over all 2³² bit patterns in blocks of 2¹⁶, one share
+    /// of them per available thread, and adds up the mismatches it counts.
+    fn sweep_every_input(check: impl Fn(&[f32]) -> u64 + Sync) -> u64 {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
         let per = (1u64 << 32).div_ceil(threads);
-        let bad: u64 = std::thread::scope(|s| {
+        let check = &check;
+        std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|w| {
                     s.spawn(move || {
@@ -323,21 +490,101 @@ mod tests {
                         for base in (start..end).step_by(1 << 16) {
                             xs.clear();
                             xs.extend((base..(base + (1 << 16)).min(end)).map(|b| f32::from_bits(b as u32)));
-                            for (&x, y) in xs.iter().zip(lanes(&xs)) {
-                                let (ours, libm) = (tanhf(x), x.tanh());
-                                if ours.to_bits() != libm.to_bits() || y.to_bits() != ours.to_bits() {
-                                    if bad < 8 {
-                                        eprintln!("x = {x:e} ({:#010x}): libm {libm:e}, tanhf {ours:e}, tanh8 {y:e}", x.to_bits());
-                                    }
-                                    bad += 1;
-                                }
-                            }
+                            bad += check(&xs);
                         }
                         bad
                     })
                 })
                 .collect();
             workers.into_iter().map(|w| w.join().expect("sweep worker panicked")).sum()
+        })
+    }
+
+    /// All 2³² inputs: the lanes against the transcription, and the
+    /// transcription against the host's `tanhf`, which it reproduces on
+    /// glibc 2.36 (a libm with other `tanhf` bits fails the second half
+    /// without anything here being wrong). About a minute on 2 threads:
+    /// `cargo test --release -p ratatouille-tensor -- --ignored tanhf_matches`.
+    #[test]
+    #[ignore]
+    fn tanhf_matches_libm_on_every_input() {
+        let bad = sweep_every_input(|xs| {
+            let mut bad = 0;
+            for (&x, y) in xs.iter().zip(lanes(xs)) {
+                let (ours, libm) = (tanhf(x), x.tanh());
+                if ours.to_bits() != libm.to_bits() || y.to_bits() != ours.to_bits() {
+                    if bad < 8 {
+                        eprintln!("x = {x:e} ({:#010x}): libm {libm:e}, tanhf {ours:e}, tanh8 {y:e}", x.to_bits());
+                    }
+                    bad += 1;
+                }
+            }
+            bad
+        });
+        assert_eq!(bad, 0, "{bad} of 2^32 inputs differ");
+    }
+
+    /// [`exp_in_place`] over a copy of `xs`: [`exp8`] with a padded tail
+    /// on AVX2+FMA hosts.
+    fn exp_lanes(xs: &[f32]) -> Vec<f32> {
+        let mut ys = xs.to_vec();
+        exp_in_place(&mut ys);
+        ys
+    }
+
+    fn assert_exp_lanes_match(xs: &[f32]) {
+        for (&x, y) in xs.iter().zip(exp_lanes(xs)) {
+            assert_eq!(y.to_bits(), expf(x).to_bits(), "exp8({x:e} = {:#010x})", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn exp8_matches_the_transcription_on_a_strided_sweep() {
+        let steps: Vec<u32> = (0..=u32::MAX / 251).collect();
+        for block in steps.chunks(1 << 16) {
+            let xs: Vec<f32> = block.iter().map(|&i| f32::from_bits(i * 251)).collect();
+            assert_exp_lanes_match(&xs);
+        }
+    }
+
+    /// ±64 ulps around every threshold a branch turns on: `|x| = 88`, where
+    /// lanes leave for the scalar code (both signs), the overflow edge, and
+    /// the two underflow edges; with ±0, ±inf and NaN among them.
+    #[test]
+    fn exp8_matches_the_transcription_at_every_branch_edge() {
+        let mut xs = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, f32::MIN_POSITIVE];
+        for edge in [f32::from_bits(EXP_EDGE_BITS), -f32::from_bits(EXP_EDGE_BITS), EXP_OVERFLOW, EXP_UNDERFLOW, EXP_MAY_UNDERFLOW] {
+            xs.extend((-64i32..=64).map(|d| f32::from_bits(edge.to_bits().wrapping_add_signed(d))));
+        }
+        assert_exp_lanes_match(&xs);
+        // The specials' values, and every branch reached from the windows.
+        let y = exp_lanes(&xs);
+        assert_eq!((y[0], y[1], y[2], y[3]), (1.0, 1.0, f32::INFINITY, 0.0));
+        assert!(y[4].is_nan() && y[5].is_nan());
+        assert!(y.contains(&0.0) && y.contains(&f32::from_bits(1)) && y.contains(&f32::INFINITY));
+        assert_eq!(f32::from_bits(EXP_EDGE_BITS), 88.0);
+    }
+
+    /// All 2³² inputs: the transcription against the host's `expf`, which
+    /// it reproduces where glibc 2.36 picks `__expf_fma` (a host without
+    /// FMA runs glibc's other body, and fails this half without anything
+    /// here being wrong), and the lanes against the transcription:
+    /// `cargo test --release -p ratatouille-tensor -- --ignored expf_matches`.
+    #[test]
+    #[ignore]
+    fn expf_matches_libm_on_every_input() {
+        let bad = sweep_every_input(|xs| {
+            let mut bad = 0;
+            for (&x, y) in xs.iter().zip(exp_lanes(xs)) {
+                let (ours, libm) = (expf(x), x.exp());
+                if ours.to_bits() != libm.to_bits() || y.to_bits() != ours.to_bits() {
+                    if bad < 8 {
+                        eprintln!("x = {x:e} ({:#010x}): libm {libm:e}, expf {ours:e}, exp8 {y:e}", x.to_bits());
+                    }
+                    bad += 1;
+                }
+            }
+            bad
         });
         assert_eq!(bad, 0, "{bad} of 2^32 inputs differ");
     }

@@ -154,10 +154,18 @@ fn mk_row_portable(a: &[f32], ks: usize, panel: &[f32], kc: usize, o: &mut [f32]
     }
 }
 
+/// How many B rows ahead [`mk_avx_4x16`] prefetches a raw strip.
+const PREFETCH_ROWS: usize = 16;
+
 /// AVX2+FMA microkernel: `MR = 4` rows of A (`A(r, kk)` at
 /// `a[s.at(r, kk)]`) against `kc` rows of an `NR`-wide B block (row
 /// stride `ldb`: `NR` in a packed panel, `N` over a raw `[K, N]` operand),
 /// accumulating into 4 output rows (row stride `ldo`).
+///
+/// Over raw rows, consecutive rows of a strip lie `N` floats apart
+/// (1.5–2 KB in the wider decode projections), a stride the hardware
+/// streamer does not follow, so the strip's row `PREFETCH_ROWS` ahead is
+/// prefetched (clamped to the last row). A prefetch changes no result.
 // SAFETY(invariant: caller-verified AVX2+FMA plus in-bounds non-aliasing pointers)
 // Callers must have verified AVX2+FMA via `use_avx2_fma()`
 // (`#[target_feature]`) and pass `a` valid for reads at `s.at(r, kk)`
@@ -176,7 +184,14 @@ unsafe fn mk_avx_4x16(a: *const f32, s: Strides, b: *const f32, ldb: usize, kc: 
     let mut acc21 = _mm256_loadu_ps(o.add(2 * ldo + 8));
     let mut acc30 = _mm256_loadu_ps(o.add(3 * ldo));
     let mut acc31 = _mm256_loadu_ps(o.add(3 * ldo + 8));
+    let raw = ldb != NR;
     for kk in 0..kc {
+        if raw {
+            // SAFETY(invariant: the prefetched row is clamped to `kc − 1`, so its address is one B is valid at)
+            // `b` is valid for `NR` reads at every `kk * ldb` with `kk < kc`;
+            // the offset is computed from the clamped row, never past it.
+            _mm_prefetch::<_MM_HINT_T0>(b.add((kk + PREFETCH_ROWS).min(kc - 1) * ldb).cast());
+        }
         let b0 = _mm256_loadu_ps(b.add(kk * ldb));
         let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
         let ak = a.add(kk * s.k);

@@ -9,7 +9,7 @@
 use std::ops::Range;
 
 pub mod elementwise;
-mod libm;
+pub mod libm;
 pub mod matmul;
 pub mod nn;
 pub mod quant;

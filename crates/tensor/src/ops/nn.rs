@@ -7,7 +7,7 @@
 //! independent; column reductions run by column, rows ascending), so
 //! results are the same bits at any thread count.
 
-use super::{fill_rows, last_axis_rows};
+use super::{fill_rows, last_axis_rows, libm};
 use crate::par::{COPY_MACS, EXP_MACS, STREAM_MACS};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -44,14 +44,21 @@ pub(crate) fn softmax_backward(dy: &Tensor, p: &Tensor) -> Tensor {
     Tensor::from_parts(p.shape().clone(), dx)
 }
 
-/// Softmax of a single row into `out`.
+/// Softmax of a single row into `out` (the same length).
+///
+/// The exps run 8 at a time ([`libm::exp_in_place`]); the max, the
+/// running sum in index order and the normalisation are scalar, so every
+/// element is `expf(v − max) · (1 / Σ)` with the sum's rounding fixed.
 #[inline]
 pub fn softmax_row(row: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(row.len(), out.len(), "softmax_row: input and output lengths differ");
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
     for (o, &v) in out.iter_mut().zip(row) {
-        let e = (v - max).exp();
-        *o = e;
+        *o = v - max;
+    }
+    libm::exp_in_place(out);
+    let mut sum = 0.0f32;
+    for &e in out.iter() {
         sum += e;
     }
     let inv = 1.0 / sum;
@@ -337,6 +344,44 @@ mod tests {
         assert!(!s.has_non_finite());
         let b = softmax_last(&Tensor::from_vec(vec![0.0, 1.0, 2.0], &[3]).unwrap());
         assert!(s.allclose(&b, 1e-5));
+    }
+
+    /// Every element of `softmax_row` equals the scalar loop's — `expf(v −
+    /// max)` one at a time, summed in index order — in whichever lane or
+    /// padded tail it lands, at widths around the 8-lane group and at
+    /// decode's attention widths, with values that send lanes to the
+    /// scalar `expf` (`v − max ≤ −88`, `-inf`) between ordinary ones.
+    #[test]
+    fn softmax_row_equals_the_scalar_loop_in_every_lane() {
+        fn scalar(row: &[f32], out: &mut [f32]) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for (o, &v) in out.iter_mut().zip(row) {
+                let e = libm::expf(v - max);
+                *o = e;
+                sum += e;
+            }
+            for o in out.iter_mut() {
+                *o *= 1.0 / sum;
+            }
+        }
+        let specials = [-90.0, -104.0, -103.5, f32::NEG_INFINITY, 88.5, -0.0];
+        for w in [1usize, 7, 8, 9, 13, 164, 256] {
+            for nan in [false, true] {
+                let row: Vec<f32> = (0..w)
+                    .map(|i| match i % 6 {
+                        4 => specials[i / 6 % specials.len()],
+                        _ if nan && i == w / 2 => f32::NAN,
+                        _ => (i as f32 * 0.618).sin() * 9.0,
+                    })
+                    .collect();
+                let (mut got, mut want) = (vec![0.0; w], vec![0.0; w]);
+                softmax_row(&row, &mut got);
+                scalar(&row, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(&got), bits(&want), "width {w}, NaN {nan}");
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn item_tree_matches_the_real_file() {
             "scale_logits",
             "top_k_of",
             "top_candidates",
+            "rank_key",
             "sample_ranked",
             "logits",
             "greedy_picks_argmax",
@@ -50,6 +51,8 @@ fn item_tree_matches_the_real_file() {
             "high_temperature_spreads_mass",
             "deterministic_given_seed",
             "rank_all",
+            "top_candidates_by_comparator",
+            "packed_key_top_k_matches_the_comparator_on_adversarial_rows",
             "select_token_by_full_sort",
             "nan_logits",
             "nan_logits_regression_seed_3",
@@ -66,7 +69,7 @@ fn item_tree_matches_the_real_file() {
         assert!(f.unsafe_lines.is_empty(), "sample.rs has no unsafe blocks");
     }
     // Everything from `logits` on lives inside the #[cfg(test)] module.
-    for f in &ast.fns[9..] {
+    for f in &ast.fns[10..] {
         assert_eq!(f.module, vec!["tests".to_string()], "{}", f.display());
     }
     // `impl Default for SamplerConfig` resolves to the *self* type.

@@ -84,14 +84,20 @@ if grep -rnE 'KvCache|StreamKv|KvSeam|KvRows' crates/models/src; then
     exit 1
 fi
 
-echo "== one tanh (grep gate over crates/tensor/src, test modules excluded) =="
-# Every f32 `tanh` is ops/libm.rs's transcription of glibc 2.36's
-# `tanhf`, so the goldens are the code's own bits, not whatever the host
-# libm returns; this fails the build if a libm `tanh` call comes back.
-for f in $(find crates/tensor/src -name '*.rs'); do
+echo "== one tanh, one exp (grep gate over crates/tensor/src and crates/models/src, test modules excluded) =="
+# Every f32 `tanh` and `exp` is ops/libm.rs's transcription of glibc
+# 2.36's `tanhf` or `__expf_fma`, so the goldens are the code's own bits,
+# not whatever the host libm (or its ifunc) returns; this fails the build
+# if a libm call comes back. (`Var::tanh` in models is the crate's op, so
+# the `tanh` half covers tensor only; eval's f64 `exp` is not f32 maths.)
+for f in $(find crates/tensor/src crates/models/src -name '*.rs'); do
     src=$(sed '/^#\[cfg(test)\]/,$d' "$f")
-    if grep -nE '\.tanh\(\)|f32::tanh' <<<"$src"; then
+    if [[ $f == crates/tensor/* ]] && grep -nE '\.tanh\(\)|f32::tanh' <<<"$src"; then
         echo "tensor: $f calls libm's tanh (see above); use ops::libm::tanhf" >&2
+        exit 1
+    fi
+    if grep -nE '\.exp\(\)|f32::exp' <<<"$src"; then
+        echo "$f calls libm's exp (see above); use ops::libm::expf or exp_in_place" >&2
         exit 1
     fi
 done
