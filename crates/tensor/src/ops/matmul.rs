@@ -165,7 +165,9 @@ const PREFETCH_ROWS: usize = 16;
 /// Over raw rows, consecutive rows of a strip lie `N` floats apart
 /// (1.5–2 KB in the wider decode projections), a stride the hardware
 /// streamer does not follow, so the strip's row `PREFETCH_ROWS` ahead is
-/// prefetched (clamped to the last row). A prefetch changes no result.
+/// prefetched (clamped to the last row): its first and last float, the
+/// two cache lines a 64-byte row not aligned to 64 spans. A prefetch
+/// changes no result.
 // SAFETY(invariant: caller-verified AVX2+FMA plus in-bounds non-aliasing pointers)
 // Callers must have verified AVX2+FMA via `use_avx2_fma()`
 // (`#[target_feature]`) and pass `a` valid for reads at `s.at(r, kk)`
@@ -187,10 +189,13 @@ unsafe fn mk_avx_4x16(a: *const f32, s: Strides, b: *const f32, ldb: usize, kc: 
     let raw = ldb != NR;
     for kk in 0..kc {
         if raw {
-            // SAFETY(invariant: the prefetched row is clamped to `kc − 1`, so its address is one B is valid at)
+            // SAFETY(invariant: the prefetched row is clamped to `kc − 1`, so both addresses are ones B is valid at)
             // `b` is valid for `NR` reads at every `kk * ldb` with `kk < kc`;
-            // the offset is computed from the clamped row, never past it.
-            _mm_prefetch::<_MM_HINT_T0>(b.add((kk + PREFETCH_ROWS).min(kc - 1) * ldb).cast());
+            // the offsets are computed from the clamped row and stay
+            // inside its `NR` floats, never past them.
+            let ahead = b.add((kk + PREFETCH_ROWS).min(kc - 1) * ldb);
+            _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+            _mm_prefetch::<_MM_HINT_T0>(ahead.add(NR - 1).cast());
         }
         let b0 = _mm256_loadu_ps(b.add(kk * ldb));
         let b1 = _mm256_loadu_ps(b.add(kk * ldb + 8));
