@@ -91,7 +91,7 @@ fn combine(matched: &[usize], total: &[usize], cand_len: usize, ref_len: usize) 
         } else {
             *m as f64 / *t as f64
         };
-        // xlint: allow(accum-discipline): f64 sum over a fixed 4-order loop; the order never varies
+        // xlint: allow(float-reduction-order): f64 sum over a fixed 4-order loop; the order never varies
         log_sum += p.ln();
     }
     if orders == 0 {

@@ -47,7 +47,7 @@ pub fn self_bleu<S: AsRef<str>>(texts: &[S]) -> f64 {
             .filter(|&(j, _)| j != i)
             .map(|(_, o)| o.as_ref())
             .collect();
-        // xlint: allow(accum-discipline): f64 sum in corpus index order; iteration strategy is fixed
+        // xlint: allow(float-reduction-order): f64 sum in corpus index order; iteration strategy is fixed
         sum += sentence_bleu(t.as_ref(), &others);
     }
     sum / texts.len() as f64

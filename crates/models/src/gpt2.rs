@@ -460,8 +460,10 @@ impl<E: Element> TokenStream for Gpt2Stream<'_, E> {
             // The first token, or the sequence has outlived `max_t`: the
             // pool gains the block the sequence then takes.
             self.pool.grow(1);
+            // xlint: allow(transitive-panic-in-request-path): `pos == capacity` needs exactly one more block and `grow(1)` just added a free one, so the reservation cannot run out
             self.seq.reserve_for(&mut self.pool, pos + 1).expect("the pool just grew by a block");
         }
+        // xlint: allow(transitive-panic-in-request-path): a solo stream never shares a block (no prefix adoption here), so preparing its tail never needs a copy and cannot fail
         self.seq.prepare_write(&mut self.pool).expect("an unshared tail block is never copied");
         let mut kv = PagedKv {
             pool: &mut self.pool,

@@ -420,15 +420,15 @@ impl<E: Element> SeqLayerKv<'_, E> {
     /// instead of per position — and a sequence inside one block is one
     /// run.
     pub fn k_run(&self, pos: usize, end: usize) -> &[E] {
-        self.lane_run(0, pos, end)
+        self.run(0, pos, end)
     }
 
     /// The V-side counterpart of [`SeqLayerKv::k_run`].
     pub fn v_run(&self, pos: usize, end: usize) -> &[E] {
-        self.lane_run(1, pos, end)
+        self.run(1, pos, end)
     }
 
-    fn lane_run(&self, which: usize, pos: usize, end: usize) -> &[E] {
+    fn run(&self, which: usize, pos: usize, end: usize) -> &[E] {
         debug_assert!(pos < end && end <= self.len);
         let bt = self.pool.config().block_tokens;
         let n = (bt - pos % bt).min(end - pos);

@@ -117,6 +117,7 @@ pub fn generate_traced<M: InferenceModel + ?Sized>(
     for _ in 0..cfg.max_tokens {
         let token_span = obs::span!("decode.token");
         let token_start = obs::Clock::now();
+        // xlint: allow(transitive-panic-in-request-path): `prompt` is asserted non-empty, so the prefill loop set `logits`, and every iteration that continues sets it again
         let l = logits.take().expect("logits available after prompt");
         let next = select_token(&l, cfg, rng);
         if !ttft_recorded {
@@ -232,7 +233,7 @@ fn sample_ranked(scaled: &[f32], ranked: &[usize], cfg: &SamplerConfig, rng: &mu
         let mut cum = 0.0f32;
         let mut cut = probs.len();
         for (i, &p) in probs.iter().enumerate() {
-            // xlint: allow(accum-discipline): the running prefix sum over the sorted distribution IS the top-p semantics; order is the point
+            // xlint: allow(float-reduction-order): the running prefix sum over the sorted distribution IS the top-p semantics; order is the point
             cum += p;
             if cum >= cfg.top_p {
                 cut = i + 1;

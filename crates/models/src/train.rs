@@ -231,7 +231,7 @@ impl<'a> Trainer<'a> {
                 } else {
                     loss
                 };
-                // xlint: allow(accum-discipline): each term is produced by an interleaved backward(); the loop cannot be folded into an iterator reduction
+                // xlint: allow(float-reduction-order): each term is produced by an interleaved backward(); the loop cannot be folded into an iterator reduction
                 loss_val += loss.value().item();
                 forward_ns += forward.elapsed_ns();
                 let backward = obs::Clock::now();

@@ -207,7 +207,7 @@ impl Linear {
         }
     }
 
-    fn project(&self, x: &Tensor) -> Tensor {
+    fn forward(&self, x: &Tensor) -> Tensor {
         let y = match &self.w {
             Weight::F32(w) => ops::matmul(x, w),
             Weight::Int8(w) => qmatmul_transb(x, w),
@@ -266,15 +266,15 @@ impl DecodeBlock {
         let (b, d) = (x.dims()[0], x.dims()[1]);
 
         let (ln, _, _) = ops::layer_norm(x, &self.ln1_g, &self.ln1_b, 1e-5);
-        let qkv = self.qkv.project(&ln);
+        let qkv = self.qkv.forward(&ln);
         let mut ctx = vec![0.0; b * d];
         kv.attend(layer, window, qkv.data(), heads, d / heads, &mut ctx);
         // xlint: allow(transitive-panic-in-request-path): `ctx` is built as exactly `b * d` floats two lines up; the shape cannot mismatch
         let ctx = Tensor::from_vec(ctx, &[b, d]).expect("ctx is [B, D]");
-        let x1 = ops::add(x, &self.o.project(&ctx));
+        let x1 = ops::add(x, &self.o.forward(&ctx));
 
         let (ln2, _, _) = ops::layer_norm(&x1, &self.ln2_g, &self.ln2_b, 1e-5);
-        let up = self.up.project(&ln2);
+        let up = self.up.forward(&ln2);
         // Int8 weights take `gelu_fast`: a few-ULP tanh approximation, far
         // below the quantization error already accepted with them. f32
         // weights keep the exact `gelu`, the one the training forward uses.
@@ -282,7 +282,7 @@ impl DecodeBlock {
             Weight::F32(_) => ops::gelu(&up),
             Weight::Int8(_) => ops::gelu_fast(&up),
         };
-        ops::add(&x1, &self.down.project(&up))
+        ops::add(&x1, &self.down.forward(&up))
     }
 }
 

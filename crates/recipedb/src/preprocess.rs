@@ -305,7 +305,7 @@ pub fn parse_ingredient_line(s: &str) -> Option<IngredientLine> {
     let mut saw_number = false;
     while idx < tokens.len() {
         if let Some(v) = parse_number_or_fraction(tokens[idx]) {
-            // xlint: allow(accum-discipline): mixed-number parsing ("1 1/2") adds at most two terms in input order
+            // xlint: allow(float-reduction-order): mixed-number parsing ("1 1/2") adds at most two terms in input order
             qty += v;
             saw_number = true;
             idx += 1;

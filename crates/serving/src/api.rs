@@ -322,7 +322,7 @@ fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response
         Err(resp) => return resp,
     };
     // Open the request's queue span before handing off to the engine
-    // (xlint's trace-before-backend rule pins this ordering).
+    // (`tests/serving_integration.rs` asserts `enqueue` precedes `admit`).
     if let Some(t) = &req.trace {
         t.record_phase(obs::reqtrace::Phase::Enqueue, 0, 0);
     }

@@ -313,8 +313,8 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let digits = self.bytes.get(start..self.pos).ok_or_else(|| self.err("invalid number"))?;
+        let text = std::str::from_utf8(digits).map_err(|_| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| self.err("invalid number"))

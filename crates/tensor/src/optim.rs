@@ -23,7 +23,7 @@ pub fn clip_grad_norm(params: &[Var], max_norm: f32) -> f32 {
     let mut sq = 0.0f64;
     for p in params {
         if let Some(g) = p.grad() {
-            // xlint: allow(accum-discipline): f64-widened norm accumulation in parameter order
+            // xlint: allow(float-reduction-order): f64-widened norm accumulation in parameter order
             sq += g.data().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
         }
     }

@@ -90,6 +90,7 @@ impl<E: Element> Tensor<E> {
     /// # Panics
     /// Panics if the element counts differ.
     pub fn reshape(&self, dims: &[usize]) -> Tensor<E> {
+        // xlint: allow(transitive-panic-in-request-path): `Shape::new` fails only when the product of `dims` overflows usize, and such dims break the documented contract below (element counts must match) before any request data is involved
         let shape = Shape::new(dims).expect("reshape: invalid shape");
         assert_eq!(
             shape.numel(),

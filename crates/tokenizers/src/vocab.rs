@@ -67,6 +67,7 @@ impl Vocab {
 
     /// Id of [`special::UNK`].
     pub fn unk_id(&self) -> u32 {
+        // xlint: allow(transitive-panic-in-request-path): `with_specials` registers UNK and is the only constructor, so every vocabulary holds it
         self.id(special::UNK).expect("vocab built without specials")
     }
 

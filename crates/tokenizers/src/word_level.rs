@@ -87,6 +87,7 @@ impl Tokenizer for WordTokenizer {
         let mut ids = Vec::new();
         for (seg, is_special) in special::split_on_specials(text, &self.specials) {
             if is_special {
+                // xlint: allow(transitive-panic-in-request-path): `specials` is `all_atomic_tags()`, exactly the tags `Vocab::with_specials` registers, and a `Vocab` has no other constructor
                 ids.push(self.vocab.id(seg).expect("registered special"));
             } else {
                 for w in normalize::split_words(seg) {
@@ -122,6 +123,7 @@ impl Tokenizer for WordTokenizer {
     }
 
     fn eos_id(&self) -> u32 {
+        // xlint: allow(transitive-panic-in-request-path): `Vocab::with_specials` registers every special tag and a `Vocab` has no other constructor
         self.vocab.id(special::RECIPE_END).expect("specials present")
     }
 

@@ -1,22 +1,27 @@
 //! Workspace module resolver and cross-crate call graph.
 //!
-//! Nodes are every function the [`crate::parser`] found in every file;
-//! edges come from call events resolved against a workspace-wide symbol
-//! index. Resolution is deliberately an *over*-approximation (a method
-//! call links to every workspace method of that name, modulo a
-//! std-collision blocklist): for a panic-reachability analysis, a false
-//! edge costs a justified suppression, while a missed edge silently
-//! hides a real crash path. The blocklists below are the tuning knob
-//! and are documented in DESIGN.md §7.
+//! Nodes are every function and `macro_rules!` body the [`crate::parser`]
+//! found in every file; edges come from call and macro events resolved
+//! against a workspace-wide symbol index. A path call resolves through the
+//! file's imports and a suffix match on the callee's logical path. A
+//! method call resolves on its receiver's type wherever the source spells
+//! it ([`Ty`]): a named type reaches its own methods (or the default
+//! bodies of the traits it implements); a `dyn`/`impl`/bounded-generic
+//! receiver reaches every impl of the trait plus the trait's default body;
+//! a non-workspace type — a slice, `Vec`, the result of a std method in a
+//! chain — reaches nothing. Only a receiver whose type is written nowhere
+//! falls back to every workspace method of that name: for a
+//! panic-reachability analysis a false edge costs a justified suppression,
+//! while a missed edge silently hides a real crash path. DESIGN.md §7.
 
-use crate::parser::CallEvent;
+use crate::parser::{CallEvent, FnDef, Recv, Root, Step, Ty};
 use crate::{Diagnostic, FileCtx};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Workspace rule id: panic sink reachable from a request-path root.
 pub const TRANSITIVE_PANIC: &str = "transitive-panic-in-request-path";
 
-/// One function in the workspace graph.
+/// One function (or macro) in the workspace graph.
 pub struct Node {
     /// Index into the `FileCtx` slice the graph was built from.
     pub file: usize,
@@ -28,68 +33,15 @@ pub struct Node {
     modules: Vec<String>,
 }
 
-/// A resolved call edge.
-pub struct Edge {
-    pub to: usize,
-    /// Call-site line in the caller's file.
-    pub line: u32,
-    /// The callee name as written (used to match `infallible(…)`
-    /// suppressions on the call line).
-    pub callee: String,
-}
-
 pub struct CallGraph<'w> {
     pub ctxs: &'w [FileCtx],
     pub nodes: Vec<Node>,
-    pub edges: Vec<Vec<Edge>>,
+    /// Callees of each node, sorted and deduplicated.
+    pub edges: Vec<Vec<usize>>,
 }
 
-/// Method names that collide with std/core inherent methods: a `.len()`
-/// receiver is overwhelmingly a slice/Vec/str, not a workspace type, and
-/// linking it to every workspace `len` would drown the analysis in false
-/// reachability. Cost of the blocklist: a *workspace* method with one of
-/// these names is invisible to the traversal — keep panicky code out of
-/// methods named like std.
-const METHOD_BLOCKLIST: &[&str] = &[
-    "len", "is_empty", "push", "pop", "get", "get_mut", "insert", "remove", "clear", "clone",
-    "iter", "iter_mut", "next", "peek", "to_string", "to_vec", "to_owned", "into_iter", "as_str",
-    "as_slice", "as_ref", "as_mut", "as_bytes", "contains", "contains_key", "starts_with",
-    "ends_with", "split", "split_at", "split_at_mut", "splitn", "trim", "parse", "extend",
-    "drain", "retain", "sort", "sort_by", "sort_by_key", "binary_search", "take", "replace",
-    "swap", "min", "max", "abs", "sqrt", "exp", "ln", "powi", "powf", "floor", "ceil", "round",
-    "join", "send", "recv", "lock", "read", "write", "flush", "fill", "copy_from_slice",
-    "clone_from_slice", "chunks", "chunks_exact", "chunks_mut", "windows", "rev", "zip", "map",
-    "filter", "filter_map", "flat_map", "fold", "sum", "product", "count", "last", "first",
-    "enumerate", "skip", "step_by", "collect", "unwrap_or", "unwrap_or_else",
-    "unwrap_or_default", "map_err", "map_or", "and_then", "or_else", "ok", "err", "ok_or",
-    "ok_or_else", "is_some", "is_none", "is_ok", "is_err", "eq", "ne", "cmp", "partial_cmp",
-    "hash", "fmt", "finish", "position", "find", "any", "all", "chars", "bytes", "lines",
-    "push_str", "resize", "reserve", "truncate", "saturating_sub", "saturating_add",
-    "checked_sub", "checked_add", "checked_mul", "wrapping_add", "wrapping_mul", "min_by",
-    "max_by", "rem_euclid", "trailing_zeros", "leading_zeros", "to_le_bytes", "to_be_bytes",
-    "clamp", "signum", "recip", "mul_add", "copysign", "is_finite", "is_nan", "elapsed",
-    "as_nanos", "as_micros", "as_millis", "as_secs_f64", "then", "then_some", "cloned",
-    "copied", "unzip", "partition", "entry", "or_insert", "or_insert_with", "or_default",
-    "keys", "values", "values_mut", "front", "back", "push_back", "push_front", "pop_front",
-    // Atomic / arithmetic method names: `Counter::add`, `Gauge::add` and
-    // friends collide with every other `add`/`load`/`store` in the
-    // workspace and manufacture absurd edges (a metrics bump "calling"
-    // `TensorMap::load`).
-    "add", "sub", "load", "store", "fetch_add", "fetch_sub", "swap_bytes",
-];
-
-/// `obs` observation macros expand to a registry-constructor call; bridge
-/// them so registration panics in `obs::metrics` stay visible.
-const MACRO_FN_BRIDGE: &[(&str, &str)] = &[
-    ("static_histogram", "histogram"),
-    ("static_counter", "counter"),
-    ("static_gauge", "gauge"),
-];
-
 /// Panic-sink macros. `assert!`-family is deliberately excluded: asserts
-/// in deep kernels state invariants the test suite drives; the request
-/// path's own asserts are caught as `panic!` once they matter (and the
-/// serving token rule still sees serving-crate asserts' unwraps).
+/// in deep kernels state invariants the test suite drives.
 const SINK_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Derive (crate dir, module path) from a workspace-relative file path.
@@ -136,75 +88,90 @@ pub fn build(ctxs: &[FileCtx]) -> CallGraph<'_> {
         }
     }
 
-    // name → node indices (all fns, methods and free alike).
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut g = Resolver {
+        ctxs,
+        nodes: &nodes,
+        fns: BTreeMap::new(),
+        macros: BTreeMap::new(),
+        use_maps: Vec::new(),
+        fields: BTreeMap::new(),
+        by_field: BTreeMap::new(),
+        types: BTreeSet::new(),
+        impls: BTreeSet::new(),
+    };
     for (ni, n) in nodes.iter().enumerate() {
         let f = &ctxs[n.file].ast.fns[n.fnx];
-        by_name.entry(f.name.as_str()).or_default().push(ni);
+        let index = if f.is_macro { &mut g.macros } else { &mut g.fns };
+        index.entry(f.name.as_str()).or_default().push(ni);
+        if let Some(st) = f.self_type.as_deref() {
+            g.types.insert(st);
+            if let Some(tr) = f.trait_name.as_deref() {
+                g.impls.insert((st, tr));
+            }
+        }
+    }
+    for ctx in ctxs {
+        // Per-file import map: last path segment → full `use` path.
+        let uses = ctx.ast.uses.iter().filter_map(|u| Some((u.last()?.as_str(), u)));
+        g.use_maps.push(uses.collect());
+        for (st, field, ty) in &ctx.ast.fields {
+            g.types.insert(st);
+            g.fields.insert((st, field), ty);
+            g.by_field.entry(field).or_default().push(ty);
+        }
     }
 
-    // Per-file import map: last path segment → full `use` path.
-    let use_maps: Vec<BTreeMap<&str, &Vec<String>>> = ctxs
+    let edges = nodes
         .iter()
-        .map(|ctx| {
-            let mut m = BTreeMap::new();
-            for u in &ctx.ast.uses {
-                if let Some(last) = u.last() {
-                    m.insert(last.as_str(), u);
-                }
+        .enumerate()
+        .map(|(ni, n)| {
+            let f = &ctxs[n.file].ast.fns[n.fnx];
+            let mut out: Vec<usize> = f.calls.iter().flat_map(|c| g.resolve(c, ni)).collect();
+            for m in &f.macros {
+                out.extend(g.macros.get(m.name()).into_iter().flatten());
             }
-            m
+            out.retain(|&t| t != ni);
+            out.sort_unstable();
+            out.dedup();
+            out
         })
         .collect();
-
-    let g = Resolver { ctxs, nodes: &nodes, by_name, use_maps };
-    let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(nodes.len());
-    for (ni, n) in nodes.iter().enumerate() {
-        let f = &ctxs[n.file].ast.fns[n.fnx];
-        let mut out: Vec<Edge> = Vec::new();
-        for c in &f.calls {
-            for t in g.resolve(c, ni) {
-                if t != ni {
-                    out.push(Edge { to: t, line: c.line, callee: c.name().to_string() });
-                }
-            }
-        }
-        for m in &f.macros {
-            if let Some((_, target)) =
-                MACRO_FN_BRIDGE.iter().find(|(mac, _)| *mac == m.name())
-            {
-                for &t in g.by_name.get(target).into_iter().flatten() {
-                    if g.nodes[t].crate_dir.as_deref() == Some("obs") {
-                        out.push(Edge { to: t, line: m.line, callee: m.name().to_string() });
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| (a.to, a.line).cmp(&(b.to, b.line)));
-        out.dedup_by(|a, b| a.to == b.to && a.line == b.line);
-        edges.push(out);
-    }
     CallGraph { ctxs, nodes, edges }
 }
 
 struct Resolver<'w> {
     ctxs: &'w [FileCtx],
     nodes: &'w [Node],
-    by_name: BTreeMap<&'w str, Vec<usize>>,
+    /// Name → fn nodes (free fns and methods alike).
+    fns: BTreeMap<&'w str, Vec<usize>>,
+    /// Name → `macro_rules!` nodes.
+    macros: BTreeMap<&'w str, Vec<usize>>,
     use_maps: Vec<BTreeMap<&'w str, &'w Vec<String>>>,
+    /// (struct, field) → the field's written type.
+    fields: BTreeMap<(&'w str, &'w str), &'w Ty>,
+    /// field → its written type in every struct that has it.
+    by_field: BTreeMap<&'w str, Vec<&'w Ty>>,
+    /// Every workspace type with a method or a named field (and every
+    /// trait, which is its own methods' self type).
+    types: BTreeSet<&'w str>,
+    /// (self type, trait) for every method in an `impl Trait for Type`,
+    /// plus (trait, trait) for every method declared in a trait.
+    impls: BTreeSet<(&'w str, &'w str)>,
 }
 
 impl<'w> Resolver<'w> {
+    fn fn_of(&self, ni: usize) -> &'w FnDef {
+        let n = &self.nodes[ni];
+        &self.ctxs[n.file].ast.fns[n.fnx]
+    }
+
     /// All nodes a call event may land on.
     fn resolve(&self, c: &CallEvent, caller: usize) -> Vec<usize> {
         let n = &self.nodes[caller];
-        let caller_fn = &self.ctxs[n.file].ast.fns[n.fnx];
-        if c.method {
-            let name = c.name();
-            if METHOD_BLOCKLIST.contains(&name) {
-                return Vec::new();
-            }
-            return self.methods_named(name);
+        let caller_fn = self.fn_of(caller);
+        if let Some(r) = &c.recv {
+            let tys = self.recv_tys(r, caller);
+            return tys.iter().flat_map(|ty| self.methods(ty, c.name())).collect();
         }
         let mut segs: Vec<String> = c.path.clone();
         while segs.len() > 1
@@ -217,12 +184,10 @@ impl<'w> Resolver<'w> {
             }
             segs.remove(0);
         }
+        let name = segs.last().cloned().unwrap_or_default();
         if segs[0] == "Self" {
-            let name = segs.last().cloned().unwrap_or_default();
-            if let Some(st) = caller_fn.self_type.as_deref() {
-                return self.methods_of(st, &name);
-            }
-            return Vec::new();
+            let self_ty = caller_fn.self_type.clone().map_or(Ty::Unknown, Ty::Named);
+            return self.methods(&self_ty, &name);
         }
         // Expand the head segment through this file's imports:
         // `par::scatter_mut` + `use ratatouille_tensor::par;` → full path.
@@ -231,7 +196,7 @@ impl<'w> Resolver<'w> {
             expanded.extend(segs.drain(1..));
             segs = expanded;
         }
-        let name = segs.last().cloned().unwrap_or_default();
+        let cands = self.fns.get(name.as_str()).into_iter().flatten().copied();
         if segs.len() == 1 {
             // Bare call. Uppercase names are tuple-struct/variant
             // constructors (`Some`, `Ok`, workspace newtypes) — not fns
@@ -242,12 +207,7 @@ impl<'w> Resolver<'w> {
             // Same-file first, then same-crate; never cross-crate for an
             // unqualified name (it would have needed a `use` we'd have
             // seen, or a path).
-            let cands = self.by_name.get(name.as_str()).cloned().unwrap_or_default();
-            let free: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&t| self.fn_of(t).self_type.is_none())
-                .collect();
+            let free: Vec<usize> = cands.filter(|&t| self.fn_of(t).self_type.is_none()).collect();
             let same_file: Vec<usize> =
                 free.iter().copied().filter(|&t| self.nodes[t].file == n.file).collect();
             if !same_file.is_empty() {
@@ -255,44 +215,70 @@ impl<'w> Resolver<'w> {
             }
             return free
                 .into_iter()
-                .filter(|&t| {
-                    self.nodes[t].crate_dir.is_some()
-                        && self.nodes[t].crate_dir == n.crate_dir
-                })
+                .filter(|&t| self.nodes[t].crate_dir.is_some() && self.nodes[t].crate_dir == n.crate_dir)
                 .collect();
         }
         // Qualified path: match candidates whose logical path ends with
         // the written segments (crate idents normalised via aliases).
-        let cands = self.by_name.get(name.as_str()).cloned().unwrap_or_default();
-        cands
-            .into_iter()
-            .filter(|&t| self.suffix_matches(t, &segs))
-            .collect()
+        cands.filter(|&t| self.suffix_matches(t, &segs)).collect()
     }
 
-    fn fn_of(&self, ni: usize) -> &'w crate::parser::FnDef {
-        let n = &self.nodes[ni];
-        &self.ctxs[n.file].ast.fns[n.fnx]
+    /// The types a method call's receiver may have.
+    fn recv_tys(&self, r: &Recv, caller: usize) -> Vec<Ty> {
+        let root = match &r.root {
+            Root::Ty(ty) => ty.clone(),
+            // A chain: a std method's result is no workspace type; a
+            // workspace method's result type is not read.
+            Root::Call(i) => match self.resolve(&self.fn_of(caller).calls[*i], caller).is_empty() {
+                true => Ty::Named(String::new()),
+                false => Ty::Unknown,
+            },
+        };
+        r.steps.iter().fold(vec![root], |tys, step| tys.iter().flat_map(|ty| self.step(ty, step)).collect())
     }
 
-    fn methods_named(&self, name: &str) -> Vec<usize> {
-        self.by_name
-            .get(name)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|&t| self.fn_of(t).self_type.is_some())
-            .collect()
+    /// The types one field or index step from a value of type `ty` may have.
+    fn step(&self, ty: &Ty, step: &Step) -> Vec<Ty> {
+        match (ty, step) {
+            (Ty::Seq(elem), Step::Index) => vec![(**elem).clone()],
+            (Ty::Named(st), Step::Field(f)) => vec![match self.fields.get(&(st.as_str(), f.as_str())) {
+                Some(&t) => t.clone(),
+                None if self.types.contains(st.as_str()) => Ty::Unknown,
+                None => Ty::Named(String::new()),
+            }],
+            // An untyped value's field: its type in every struct that has one.
+            (Ty::Unknown, Step::Field(f)) => match self.by_field.get(f.as_str()) {
+                Some(tys) => tys.iter().map(|&t| t.clone()).collect(),
+                None => vec![Ty::Unknown],
+            },
+            _ => vec![Ty::Unknown],
+        }
     }
 
-    fn methods_of(&self, self_type: &str, name: &str) -> Vec<usize> {
-        self.by_name
-            .get(name)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|&t| self.fn_of(t).self_type.as_deref() == Some(self_type))
-            .collect()
+    /// The methods named `name` that a receiver of type `ty` reaches.
+    fn methods(&self, ty: &Ty, name: &str) -> Vec<usize> {
+        let named = |keep: &dyn Fn(&FnDef) -> bool| -> Vec<usize> {
+            let cands = self.fns.get(name).into_iter().flatten().copied();
+            cands.filter(|&t| keep(self.fn_of(t))).collect()
+        };
+        let of_trait = |tr: &str| named(&|f| f.trait_name.as_deref() == Some(tr));
+        match ty {
+            Ty::Unknown => named(&|f| f.self_type.is_some()),
+            Ty::Seq(_) => Vec::new(),
+            Ty::Traits(traits) => traits.iter().flat_map(|tr| of_trait(tr)).collect(),
+            Ty::Named(st) if self.impls.contains(&(st.as_str(), st.as_str())) => of_trait(st),
+            Ty::Named(st) => {
+                let own = named(&|f| f.self_type.as_deref() == Some(st.as_str()));
+                if !own.is_empty() {
+                    return own;
+                }
+                // a default body of a trait the type implements
+                named(&|f| match (f.self_type.as_deref(), f.trait_name.as_deref()) {
+                    (Some(s), Some(tr)) => s == tr && self.impls.contains(&(st.as_str(), tr)),
+                    _ => false,
+                })
+            }
+        }
     }
 
     /// Does candidate `t`'s logical path (`[crate] modules [SelfType] name`)
@@ -305,24 +291,16 @@ impl<'w> Resolver<'w> {
             tail.push(st.clone());
         }
         tail.push(f.name.clone());
-        let aliases: Vec<String> = match &n.crate_dir {
-            Some(d) => crate_aliases(d),
-            None => Vec::new(),
-        };
-        // Without the crate ident…
         if ends_with(&tail, segs) {
             return true;
         }
-        // …and with each alias prepended.
-        for a in aliases {
-            let mut full = Vec::with_capacity(tail.len() + 1);
-            full.push(a);
-            full.extend(tail.iter().cloned());
-            if ends_with(&full, segs) {
-                return true;
-            }
-        }
-        false
+        // …and with each crate alias prepended.
+        n.crate_dir.as_deref().is_some_and(|d| {
+            crate_aliases(d).into_iter().any(|a| {
+                let full: Vec<String> = std::iter::once(a).chain(tail.iter().cloned()).collect();
+                ends_with(&full, segs)
+            })
+        })
     }
 }
 
@@ -330,29 +308,26 @@ fn ends_with(hay: &[String], needle: &[String]) -> bool {
     needle.len() <= hay.len() && hay[hay.len() - needle.len()..] == *needle
 }
 
-/// Request-path roots: the serving HTTP handlers and the continuous
-/// batching step the runner drives per token.
-fn is_root(ctx: &FileCtx, f: &crate::parser::FnDef) -> bool {
-    if ctx.is_test_line(f.line) {
-        return false;
-    }
-    (ctx.crate_name.as_deref() == Some("serving") && f.name.starts_with("handle"))
-        || (f.self_type.as_deref() == Some("BatchGenerator") && f.name == "step")
+/// Request-path roots: every non-test fn of the serving crate (HTTP
+/// handlers, the router, the engine thread's `run_loop`, the JSON codec)
+/// and the continuous-batching step the engine drives per token.
+fn is_root(ctx: &FileCtx, f: &FnDef) -> bool {
+    !ctx.is_test_line(f.line)
+        && !f.is_macro
+        && (ctx.crate_name.as_deref() == Some("serving")
+            || (f.self_type.as_deref() == Some("BatchGenerator") && f.name == "step"))
 }
 
 /// `transitive-panic-in-request-path`: BFS from the request-path roots;
 /// every `panic!`-family macro, `.unwrap()`/`.expect()` (everywhere) and
-/// `[]`-index (serving crate) in a reachable fn is a sink. Edges carrying
-/// an `// xlint: infallible(callee): reason` comment on the call line
-/// (or the line above) are cut; the suppression is marked used so stale
-/// ones fail the build.
+/// `[]`-index (serving crate) in a reachable fn is a sink.
 pub fn check_transitive_panics(g: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
+    let fn_of = |ni: usize| &g.ctxs[g.nodes[ni].file].ast.fns[g.nodes[ni].fnx];
     let mut parent: Vec<Option<usize>> = vec![None; g.nodes.len()];
     let mut visited: Vec<bool> = vec![false; g.nodes.len()];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     for (ni, n) in g.nodes.iter().enumerate() {
-        let ctx = &g.ctxs[n.file];
-        if is_root(ctx, &ctx.ast.fns[n.fnx]) {
+        if is_root(&g.ctxs[n.file], fn_of(ni)) {
             visited[ni] = true;
             queue.push_back(ni);
         }
@@ -360,23 +335,11 @@ pub fn check_transitive_panics(g: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
     let mut order: Vec<usize> = Vec::new();
     while let Some(ni) = queue.pop_front() {
         order.push(ni);
-        let caller_ctx = &g.ctxs[g.nodes[ni].file];
-        for e in &g.edges[ni] {
-            // An infallible() suppression on the call line cuts the edge
-            // (and is marked used even if the target is reachable some
-            // other way — the *edge* is what the comment vouches for).
-            if caller_ctx.edge_suppressed(e.line, &e.callee) {
-                continue;
-            }
-            let tn = &g.nodes[e.to];
-            let tf = &g.ctxs[tn.file].ast.fns[tn.fnx];
-            if g.ctxs[tn.file].is_test_line(tf.line) {
-                continue;
-            }
-            if !visited[e.to] {
-                visited[e.to] = true;
-                parent[e.to] = Some(ni);
-                queue.push_back(e.to);
+        for &to in &g.edges[ni] {
+            if !visited[to] && !g.ctxs[g.nodes[to].file].is_test_line(fn_of(to).line) {
+                visited[to] = true;
+                parent[to] = Some(ni);
+                queue.push_back(to);
             }
         }
     }
@@ -385,8 +348,7 @@ pub fn check_transitive_panics(g: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
         let mut names: Vec<String> = Vec::new();
         let mut cur = Some(ni);
         while let Some(k) = cur {
-            let n = &g.nodes[k];
-            names.push(g.ctxs[n.file].ast.fns[n.fnx].display());
+            names.push(fn_of(k).display());
             cur = parent[k];
         }
         names.reverse();
@@ -397,7 +359,7 @@ pub fn check_transitive_panics(g: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
     for &ni in &order {
         let n = &g.nodes[ni];
         let ctx = &g.ctxs[n.file];
-        let f = &ctx.ast.fns[n.fnx];
+        let f = fn_of(ni);
         let mut sink = |line: u32, what: String, out: &mut Vec<Diagnostic>| {
             if ctx.is_test_line(line) || !seen.insert((n.file, line)) {
                 return;
@@ -407,15 +369,14 @@ pub fn check_transitive_panics(g: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
                 line,
                 rule: TRANSITIVE_PANIC,
                 msg: format!(
-                    "{what} is reachable from the request path ({}); return a `Result`, prove \
-                     the call infallible with `// xlint: infallible(callee): reason` at the \
-                     call site, or justify with `// xlint: allow({TRANSITIVE_PANIC}): reason`",
+                    "{what} is reachable from the request path ({}); return a `Result`, or \
+                     justify with `// xlint: allow({TRANSITIVE_PANIC}): reason`",
                     path_to(ni)
                 ),
             });
         };
         for c in &f.calls {
-            if c.method && matches!(c.name(), "unwrap" | "expect") {
+            if c.recv.is_some() && matches!(c.name(), "unwrap" | "expect") {
                 sink(c.line, format!("`.{}()` in `{}`", c.name(), f.display()), out);
             }
         }
@@ -440,20 +401,20 @@ pub fn check_transitive_panics(g: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
 mod tests {
     use super::*;
 
-    fn ctxs(files: &[(&str, &str)]) -> Vec<FileCtx> {
-        files.iter().map(|(p, s)| FileCtx::new(p, s)).collect()
+    fn diag_lines(files: &[(&str, &str)]) -> Vec<(String, u32)> {
+        let cs: Vec<FileCtx> = files.iter().map(|(p, s)| FileCtx::new(p, s)).collect();
+        let mut out = Vec::new();
+        check_transitive_panics(&build(&cs), &mut out);
+        out.into_iter().map(|d| (d.path, d.line)).collect()
     }
 
-    fn diag_lines(cs: &[FileCtx]) -> Vec<(String, u32)> {
-        let g = build(cs);
-        let mut out = Vec::new();
-        check_transitive_panics(&g, &mut out);
-        out.into_iter().map(|d| (d.path, d.line)).collect()
+    fn at(path: &str, line: u32) -> (String, u32) {
+        (path.to_string(), line)
     }
 
     #[test]
     fn cross_crate_unwrap_reached_from_handler() {
-        let cs = ctxs(&[
+        let got = diag_lines(&[
             (
                 "crates/serving/src/api.rs",
                 "use ratatouille_models::sample::decode_one;\n\
@@ -462,49 +423,128 @@ mod tests {
             (
                 "crates/models/src/sample.rs",
                 "pub fn decode_one(x: u32) -> u32 { helper(x) }\n\
-                 fn helper(x: u32) -> u32 { Some(x).unwrap() }\n",
+                 fn helper(x: u32) -> u32 { Some(x).unwrap() }\n\
+                 fn shaped(d: &[usize]) -> usize { d.iter().product::<usize>().checked_mul(4).unwrap() }\n",
             ),
         ]);
-        assert_eq!(diag_lines(&cs), vec![("crates/models/src/sample.rs".to_string(), 2)]);
-    }
-
-    #[test]
-    fn infallible_edge_suppression_cuts_the_path() {
-        let cs = ctxs(&[
-            (
+        assert_eq!(got, vec![at("crates/models/src/sample.rs", 2)], "`shaped` is unreachable");
+        let cs = [
+            FileCtx::new(
                 "crates/serving/src/api.rs",
-                "use ratatouille_models::sample::decode_one;\n\
-                 fn handle_generate() {\n\
-                     // xlint: infallible(decode_one): input validated above\n\
-                     decode_one(3);\n\
-                 }\n",
+                "use ratatouille_models::sample::decode_greedy;\nfn handle_generate() { decode_greedy(); }\n",
             ),
-            (
+            FileCtx::new(
                 "crates/models/src/sample.rs",
-                "pub fn decode_one(x: u32) -> u32 { Some(x).unwrap() }\n",
+                "pub fn decode_greedy() { argmax(); }\nfn argmax() { None::<u8>.unwrap(); }\n",
             ),
-        ]);
-        assert!(diag_lines(&cs).is_empty());
+        ];
+        let mut out = Vec::new();
+        check_transitive_panics(&build(&cs), &mut out);
+        assert!(
+            out[0].msg.contains("(handle_generate -> decode_greedy -> argmax)"),
+            "the diagnostic names the shortest root path: {}",
+            out[0].msg
+        );
     }
 
     #[test]
     fn method_call_reaches_impl_across_crates() {
-        let cs = ctxs(&[
+        let got = diag_lines(&[
             (
                 "crates/models/src/batch.rs",
-                "impl BatchGenerator { fn step(&mut self, m: &M) { m.batch_step(); } }\n",
+                "impl BatchGenerator { fn step(&mut self, m: &dyn BatchStepModel) { m.batch_step(); } }\n",
             ),
             (
                 "crates/models/src/gpt2.rs",
-                "impl Gpt2Lm {\n    fn batch_step(&self) { panic!(\"kv exhausted\"); }\n}\n",
+                "impl BatchStepModel for Gpt2Lm {\n    fn batch_step(&self) { panic!(\"kv exhausted\"); }\n}\n",
             ),
         ]);
-        assert_eq!(diag_lines(&cs), vec![("crates/models/src/gpt2.rs".to_string(), 2)]);
+        assert_eq!(got, vec![at("crates/models/src/gpt2.rs", 2)]);
+    }
+
+    /// The engine thread's `backend.step()`, an unrelated `Adam::step`
+    /// that panics, and a `StepBackend` impl whose `step` expects.
+    const ENGINE: [(&str, &str); 3] = [
+        (
+            "crates/serving/src/batch.rs",
+            "pub trait StepBackend { fn step(&mut self) -> u32; }\n\
+             fn run_loop(backend: &mut dyn StepBackend) { backend.step(); }\n",
+        ),
+        (
+            "crates/ratatouille/src/batch_backend.rs",
+            "impl StepBackend for BatchModelBackend {\n    fn step(&mut self) -> u32 { self.n.expect(\"n\") }\n}\n",
+        ),
+        ("crates/tensor/src/optim.rs", "impl Adam {\n    pub fn step(&mut self) { panic!(\"nan grad\"); }\n}\n"),
+    ];
+
+    #[test]
+    fn dyn_trait_receiver_reaches_the_trait_impls() {
+        let got = diag_lines(&ENGINE);
+        assert!(got.contains(&at("crates/ratatouille/src/batch_backend.rs", 2)), "{got:?}");
+    }
+
+    #[test]
+    fn dyn_trait_receiver_skips_other_methods_of_that_name() {
+        assert_eq!(diag_lines(&ENGINE), vec![at("crates/ratatouille/src/batch_backend.rs", 2)]);
+    }
+
+    #[test]
+    fn field_receiver_resolves_on_the_field_type() {
+        let got = diag_lines(&[
+            (
+                "crates/models/src/transformer.rs",
+                "struct Block { qkv: Linear }\n\
+                 impl Linear {\n    fn forward(&self) {}\n}\n\
+                 impl Block {\n    fn forward(&self) { panic!(\"train-only\"); }\n    \
+                 pub fn decode(&self) { self.qkv.forward(); }\n}\n",
+            ),
+            ("crates/serving/src/api.rs", "fn handle(b: &Block) { b.decode(); }\n"),
+        ]);
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn std_chain_reaches_no_workspace_method() {
+        let got = diag_lines(&[
+            ("crates/serving/src/api.rs", "fn total(xs: &[f32]) -> f32 { xs.iter().map(|x| x * 2.0).sum() }\n"),
+            ("crates/models/src/autograd.rs", "impl Var {\n    pub fn sum(&self) { panic!(\"no graph\"); }\n}\n"),
+        ]);
+        assert!(got.is_empty(), "{got:?}");
+        // an untyped receiver still matches by name
+        let got = diag_lines(&[
+            ("crates/serving/src/api.rs", "fn total(v: Whatever) { let x = v.var(); x.sum(); }\n"),
+            ("crates/models/src/autograd.rs", "impl Var {\n    pub fn sum(&self) { panic!(\"no graph\"); }\n}\n"),
+        ]);
+        assert_eq!(got, vec![at("crates/models/src/autograd.rs", 2)]);
+    }
+
+    /// The `/metrics` renderer's receivers: a variant payload, an indexed
+    /// array field, a tuple struct's field and a static are all typed, so
+    /// none of `.load()`/`.sum()` falls back to a panicking namesake.
+    #[test]
+    fn patterns_indexing_tuple_fields_and_statics_are_typed() {
+        let got = diag_lines(&[
+            (
+                "crates/obs/src/metrics.rs",
+                "pub struct Counter(AtomicU64);\npub struct Histogram { buckets: [AtomicU64; 4] }\n\
+                 enum Metric { Counter(Arc<Counter>), Histogram(Arc<Histogram>) }\n\
+                 static NUM: AtomicUsize = AtomicUsize::new(0);\n\
+                 impl Counter { pub fn get(&self) -> u64 { self.0.load(R) } }\n\
+                 impl Histogram { pub fn sum(&self) -> u64 { 0 } }\n\
+                 pub fn render(m: &Metric) {\n    NUM.load(R);\n    match m {\n        \
+                 Metric::Histogram(h) => { h.buckets[0].load(R); h.sum(); }\n        \
+                 Metric::Counter(c) => { c.get(); }\n    }\n}\n",
+            ),
+            ("crates/serving/src/api.rs", "fn metrics(m: &Metric) { obs::metrics::render(m); }\n"),
+            ("crates/tensor/src/serialize.rs", "impl TensorMap {\n    pub fn load(&self) { panic!(\"bad file\"); }\n}\n"),
+            ("crates/models/src/autograd.rs", "impl Var {\n    pub fn sum(&self) { panic!(\"no graph\"); }\n}\n"),
+        ]);
+        assert!(got.is_empty(), "{got:?}");
     }
 
     #[test]
     fn unreachable_panic_not_flagged_and_tests_exempt() {
-        let cs = ctxs(&[
+        let got = diag_lines(&[
             ("crates/models/src/a.rs", "fn orphan() { panic!(\"never served\"); }\n"),
             (
                 "crates/serving/src/api.rs",
@@ -512,50 +552,56 @@ mod tests {
                  #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::handle_x(); panic!(\"x\"); }\n}\n",
             ),
         ]);
-        assert!(diag_lines(&cs).is_empty());
+        assert!(got.is_empty());
     }
 
     #[test]
-    fn indexing_is_a_sink_in_serving_only() {
-        let cs = ctxs(&[
+    fn every_serving_fn_is_a_root_and_indexing_is_a_sink_there_only() {
+        let got = diag_lines(&[
             (
                 "crates/serving/src/api.rs",
-                "fn handle_x(v: &[u8]) -> u8 { kernel(v); v[0] }\n",
+                "fn handle_x(v: &[u8]) -> u8 { kernel(v); v[0] }\nfn helper(v: Option<u8>) -> u8 { v.expect(\"x\") }\n",
             ),
             ("crates/serving/src/util.rs", "pub fn kernel(v: &[u8]) -> u8 { v[1] }\n"),
         ]);
-        let lines = diag_lines(&cs);
-        assert!(lines.contains(&("crates/serving/src/api.rs".to_string(), 1)));
-        assert!(lines.contains(&("crates/serving/src/util.rs".to_string(), 1)));
-        let cs2 = ctxs(&[
+        assert_eq!(
+            got,
+            vec![at("crates/serving/src/api.rs", 1), at("crates/serving/src/api.rs", 2), at("crates/serving/src/util.rs", 1)]
+        );
+        let got = diag_lines(&[
             ("crates/serving/src/api.rs", "fn handle_x() { ratatouille_models::sample::pick(); }\n"),
             ("crates/models/src/sample.rs", "pub fn pick(v: &[u8]) -> u8 { v[1] }\n"),
         ]);
-        assert!(diag_lines(&cs2).is_empty(), "models indexing is not a sink");
+        assert!(got.is_empty(), "models indexing is not a sink");
     }
 
     #[test]
-    fn obs_macro_bridge_reaches_registry_constructor() {
-        let cs = ctxs(&[
+    fn obs_macro_body_reaches_registry_constructor() {
+        let got = diag_lines(&[
             (
                 "crates/serving/src/api.rs",
                 "fn handle_x() { let h = obs::static_histogram!(\"generate_latency_ns\"); h.observe(1); }\n",
+            ),
+            (
+                "crates/obs/src/lib.rs",
+                "#[macro_export]\nmacro_rules! static_histogram {\n    ($name:expr) => {{\n        \
+                 HANDLE.get_or_init(|| $crate::metrics::histogram($name))\n    }};\n}\n",
             ),
             (
                 "crates/obs/src/metrics.rs",
                 "pub fn histogram(name: &str) -> u32 {\n    panic!(\"metric already registered\");\n}\n",
             ),
         ]);
-        assert_eq!(diag_lines(&cs), vec![("crates/obs/src/metrics.rs".to_string(), 2)]);
+        assert_eq!(got, vec![at("crates/obs/src/metrics.rs", 2)]);
     }
 
     #[test]
     fn batch_generator_step_is_a_root() {
-        let cs = ctxs(&[(
+        let got = diag_lines(&[(
             "crates/models/src/batch.rs",
             "impl BatchGenerator {\n    fn step(&mut self) { self.grow(); }\n    fn grow(&mut self) { self.cap.expect(\"cap set\"); }\n}\n",
         )]);
-        assert_eq!(diag_lines(&cs), vec![("crates/models/src/batch.rs".to_string(), 3)]);
+        assert_eq!(got, vec![at("crates/models/src/batch.rs", 3)]);
     }
 
     #[test]

@@ -25,8 +25,9 @@ pub enum TokKind {
     Ident(String),
     /// A lifetime such as `'a` or `'static` (name without the quote).
     Lifetime(String),
-    /// Numeric literal; `float` is true for obvious f32/f64 literals.
-    Num { float: bool },
+    /// Numeric literal (its source text); `float` is true for obvious
+    /// f32/f64 literals.
+    Num { float: bool, text: String },
     /// String literal of any flavour (`"…"`, `r#"…"#`, `b"…"`).
     Str,
     /// Char or byte-char literal (`'x'`, `b'\n'`).
@@ -196,13 +197,18 @@ impl<'a> Lexer<'a> {
     }
 
     /// A `"…"` string starting at `self.i`. Handles `\` escapes and
-    /// embedded newlines.
+    /// embedded newlines, including the newline of a `\` line continuation.
     fn string(&mut self) {
         let start_line = self.line;
         self.i += 1; // opening quote
         while self.i < self.b.len() {
             match self.b[self.i] {
-                b'\\' => self.i += 2,
+                b'\\' => {
+                    if self.peek(1) == Some(b'\n') {
+                        self.line += 1;
+                    }
+                    self.i += 2;
+                }
                 b'\n' => {
                     self.line += 1;
                     self.i += 1;
@@ -246,12 +252,15 @@ impl<'a> Lexer<'a> {
     fn char_or_lifetime(&mut self) {
         match self.peek(1) {
             Some(b'\\') => {
-                // escaped char literal: scan to the closing quote
-                self.i += 2;
-                while self.i < self.b.len() && self.b[self.i] != b'\'' {
-                    self.i += if self.b[self.i] == b'\\' { 2 } else { 1 };
+                // escaped char literal (`'\n'`, `'\''`, `'\\'`, `'\u{..}'`):
+                // past the escaped byte, scan to the closing quote
+                self.i += 3;
+                while self.i < self.b.len() && !matches!(self.b[self.i], b'\'' | b'\n') {
+                    self.i += 1;
                 }
-                self.i += 1;
+                if self.b.get(self.i) == Some(&b'\'') {
+                    self.i += 1;
+                }
                 self.push1(TokKind::Char);
             }
             Some(c) if is_ident_cont(c) => {
@@ -276,7 +285,8 @@ impl<'a> Lexer<'a> {
                 while k < self.b.len() && self.b[k] != b'\'' && self.b[k] != b'\n' {
                     k += 1;
                 }
-                self.i = (k + 1).min(self.b.len());
+                // a newline is left for `run` to count
+                self.i = if self.b.get(k) == Some(&b'\'') { k + 1 } else { k };
                 self.push1(TokKind::Char);
             }
             None => {
@@ -393,7 +403,7 @@ impl<'a> Lexer<'a> {
         if text.starts_with("0x") || text.starts_with("0b") || text.starts_with("0o") {
             float = false;
         }
-        self.push1(TokKind::Num { float });
+        self.push1(TokKind::Num { float, text: text.to_string() });
     }
 }
 
@@ -467,6 +477,17 @@ mod tests {
         assert_eq!((s.line, s.end_line), (1, 2));
         let t = toks.iter().find(|t| t.ident() == Some("t")).unwrap();
         assert_eq!(t.line, 3);
+        // a `\` line continuation ends its line too
+        let toks = lex("let s = \"a \\\n   b\";\nlet t = 1;");
+        let s = toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
+        assert_eq!((s.line, s.end_line), (1, 2));
+        let t = toks.iter().find(|t| t.ident() == Some("t")).unwrap();
+        assert_eq!(t.line, 3);
+        // an escaped backslash or quote closes its char literal
+        let toks = lex("let a = b'\\\\';\nlet b = '\\'';\nlet t = 1;");
+        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 2);
+        let t = toks.iter().find(|t| t.ident() == Some("t")).unwrap();
+        assert_eq!(t.line, 3);
     }
 
     #[test]
@@ -475,7 +496,7 @@ mod tests {
         let floats: Vec<bool> = toks
             .iter()
             .filter_map(|t| match t.kind {
-                TokKind::Num { float } => Some(float),
+                TokKind::Num { float, .. } => Some(float),
                 _ => None,
             })
             .collect();

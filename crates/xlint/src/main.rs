@@ -1,11 +1,7 @@
 //! `cargo run -p xlint` — lint the workspace, print diagnostics, exit
 //! non-zero on any finding. `scripts/ci.sh` runs this before the build so
 //! contract violations fail fast; `tests/xlint_gate.rs` enforces the same
-//! thing under plain `cargo test`.
-//!
-//! `--emit=json` prints the diagnostics as a JSON array (one object per
-//! finding: `path`, `line`, `rule`, `msg`) for CI annotation; the exit
-//! code is unchanged.
+//! thing under plain `cargo test`. `--rules` lists the catalogue.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,7 +17,6 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let json = args.iter().any(|a| a == "--emit=json");
     // Optional explicit root; otherwise walk up from the current directory
     // (cargo runs binaries from the workspace root).
     let start = args
@@ -35,18 +30,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let diags = xlint::run_workspace(&root);
-    if json {
-        println!("{}", xlint::to_json_report(&diags));
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
+    for d in &diags {
+        println!("{d}");
     }
     if diags.is_empty() {
-        if !json {
-            let n = xlint::rules::catalogue().len() + xlint::rules::workspace_rules().len();
-            println!("xlint: workspace clean ({n} rules)");
-        }
+        let n = xlint::rules::catalogue().len() + xlint::rules::workspace_rules().len();
+        println!("xlint: workspace clean ({n} rules)");
         ExitCode::SUCCESS
     } else {
         eprintln!("xlint: {} violation(s)", diags.len());

@@ -17,16 +17,21 @@ export RUSTFLAGS="-Dwarnings"
 export CARGO_NET_OFFLINE="true"
 
 echo "== xlint (call-graph workspace analysis, <5s budget) =="
-# Build first so compile time doesn't count against the lint budget;
-# the JSON report lands in target/ for tooling. A non-zero exit (any
-# diagnostic) fails the gate via `set -e`.
+# Build first so compile time doesn't count against the lint budget. A
+# non-zero exit (any diagnostic) fails the gate via `set -e`.
 cargo build -q -p xlint --offline
 xlint_start=$(date +%s%N)
-./target/debug/xlint --emit=json > target/xlint_report.json
+./target/debug/xlint
 xlint_ms=$(( ($(date +%s%N) - xlint_start) / 1000000 ))
-echo "xlint: clean in ${xlint_ms}ms (report: target/xlint_report.json)"
+echo "xlint: clean in ${xlint_ms}ms"
 if [ "$xlint_ms" -ge 5000 ]; then
     echo "xlint: exceeded the 5s wall-time budget (${xlint_ms}ms)" >&2
+    exit 1
+fi
+# Method calls resolve on their receivers' types; the name tables that
+# stood in for types must not come back.
+if grep -rnE 'METHOD_BLOCKLIST|MACRO_FN_BRIDGE' crates/xlint/src; then
+    echo "xlint: a method/macro name table is back (see above); resolve on the receiver's type" >&2
     exit 1
 fi
 

@@ -402,6 +402,11 @@ fn batched_server_coalesces_and_matches_solo_goldens() {
     for required in ["enqueue", "admit", "prefill_chunk", "retire"] {
         assert!(names.contains(&required), "no `{required}` in {names:?}");
     }
+    // The handler opens the request's trace before the hand-off, so queue
+    // wait is attributable: `enqueue` precedes the engine's `admit`.
+    let at = |name: &str| names.iter().position(|&n| n == name);
+    let (enqueue, admit) = (at("enqueue"), at("admit"));
+    assert!(enqueue < admit, "`enqueue` at {enqueue:?} comes after `admit` at {admit:?}");
     // One decode_step per generated token, numbered in order; a recipe
     // that ends on its stop token has one more, which emits nothing.
     let arg = |name: &str, key: &str| -> Vec<usize> {
