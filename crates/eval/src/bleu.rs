@@ -97,7 +97,12 @@ fn combine(matched: &[usize], total: &[usize], cand_len: usize, ref_len: usize) 
     if orders == 0 {
         return 0.0;
     }
+    // Host libm's f64 `exp` reaches BLEU here until it is transcribed like
+    // `ops::libm::expf` (ROADMAP, "The same bits on every host").
+    #[allow(clippy::disallowed_methods)]
     let geo = (log_sum / orders as f64).exp();
+    // Host libm's f64 `exp` reaches BLEU here too (brevity penalty).
+    #[allow(clippy::disallowed_methods)]
     let bp = if cand_len >= ref_len {
         1.0
     } else {

@@ -5,6 +5,9 @@
 ///
 /// Returns `f64::INFINITY` for empty input (no evidence) and propagates
 /// infinite NLLs (a zero-probability token).
+// Host libm's f64 `exp` reaches perplexity here until it is transcribed like
+// `ops::libm::expf` (ROADMAP, "The same bits on every host").
+#[allow(clippy::disallowed_methods)]
 pub fn perplexity_from_nll(nlls: &[f32]) -> f64 {
     if nlls.is_empty() {
         return f64::INFINITY;

@@ -1,9 +1,10 @@
 //! The repo's single wall-clock authority.
 //!
-//! Every timing read in the instrumented crates (tensor, models, serving,
-//! ratatouille) goes through [`Clock`]; `xlint`'s `obs-only-timing` rule
-//! forbids raw `std::time::Instant::now()`/`SystemTime` there, so this
-//! module is the one place a wall clock can enter the system. Telemetry
+//! Every timing read in the instrumented crates (tensor, models,
+//! tokenizers, eval, recipedb, serving, ratatouille) goes through
+//! [`Clock`]; `clippy.toml` bans `std::time::Instant::now` and
+//! `SystemTime` there (`scripts/ci.sh` lints those crates and not obs),
+//! so this module is the one place a wall clock can enter the system. Telemetry
 //! derived from it (metrics, spans) is write-only from the computation's
 //! point of view — nothing downstream of a [`Stamp`] can feed back into
 //! losses, weights or generated tokens, which is what keeps the §4b

@@ -6,7 +6,7 @@
 //! * [`metrics`] — lock-free counters, gauges and log-linear latency
 //!   histograms behind a name-keyed registry, rendered in Prometheus text
 //!   format by [`metrics::render_prometheus`] (served at `GET /metrics`);
-//! * [`trace`] — hierarchical RAII spans with a bounded event ring and a
+//! * [`trace`] — hierarchical RAII spans aggregated into a
 //!   flamegraph-compatible folded-stacks dump;
 //! * [`reqtrace`] — per-request phase traces (lock-free on the decode
 //!   path) with a bounded completed ring and a slow-request reservoir,
@@ -17,9 +17,10 @@
 //!
 //! Instrumentation is always on, yet cannot affect results: stamps,
 //! counters and spans are write-only telemetry — no computation reads
-//! them back. The `obs-only-timing` xlint rule enforces the boundary by
-//! forbidding raw `Instant::now()`/`SystemTime` in instrumented crates,
-//! so any new timing necessarily flows through here.
+//! them back. `clippy.toml` enforces the boundary by banning
+//! `Instant::now()` and `SystemTime` in the instrumented crates (the
+//! `scripts/ci.sh` clippy step, which leaves obs out), so any new timing
+//! necessarily flows through here.
 //!
 //! # Usage
 //!

@@ -7,25 +7,19 @@
 //! *path* is the `;`-joined chain of names (`"generate;decode.token"`),
 //! which is exactly the folded-stacks format flamegraph tooling consumes.
 //!
-//! Two global sinks are fed on every span close, both bounded:
-//!
-//! * an aggregate map `path -> (count, self_ns)` where `self_ns` excludes
-//!   time attributed to children — [`folded_stacks`] renders it;
-//! * a ring buffer of the most recent [`SpanEvent`]s (capacity
-//!   [`RING_CAPACITY`]); [`folded_stacks`] reports how many it evicted.
+//! Every span close feeds one global sink: an aggregate map
+//! `path -> (count, self_ns)` where `self_ns` excludes time attributed to
+//! children. [`folded_stacks`] renders it; its size is bounded by the
+//! number of distinct paths.
 //!
 //! Span names must be `&'static str` literals: that keeps the hot path
 //! allocation-free until close and bounds cardinality by construction.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
 use crate::clock;
-
-/// Maximum number of events retained in the recent-events ring.
-pub const RING_CAPACITY: usize = 4096;
 
 struct Frame {
     name: &'static str,
@@ -37,35 +31,16 @@ thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One completed span, as kept in the recent-events ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// `;`-joined ancestry path ending in this span's name.
-    pub path: String,
-    /// Start time, ns since the process epoch.
-    pub start_ns: u64,
-    /// Total duration in ns (including children).
-    pub dur_ns: u64,
+/// path -> (close count, total self-time ns).
+type Folded = BTreeMap<String, (u64, u64)>;
+
+static TRACE: OnceLock<Mutex<Folded>> = OnceLock::new();
+
+fn state() -> &'static Mutex<Folded> {
+    TRACE.get_or_init(|| Mutex::new(Folded::new()))
 }
 
-#[derive(Default)]
-struct TraceState {
-    /// path -> (close count, total self-time ns).
-    folded: BTreeMap<String, (u64, u64)>,
-    ring: VecDeque<SpanEvent>,
-    /// Events evicted from the ring — without this, a busy window
-    /// silently overwrites history and a reader can't tell a quiet
-    /// period from a saturated ring.
-    dropped: u64,
-}
-
-static TRACE: OnceLock<Mutex<TraceState>> = OnceLock::new();
-
-fn state() -> &'static Mutex<TraceState> {
-    TRACE.get_or_init(|| Mutex::new(TraceState::default()))
-}
-
-fn lock_state() -> std::sync::MutexGuard<'static, TraceState> {
+fn lock_state() -> std::sync::MutexGuard<'static, Folded> {
     match state().lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -115,32 +90,20 @@ impl Drop for SpanGuard {
             (path, child_ns)
         });
         let self_ns = dur.saturating_sub(child_ns);
-        let mut st = lock_state();
-        let entry = st.folded.entry(path.clone()).or_insert((0, 0));
+        let mut folded = lock_state();
+        let entry = folded.entry(path).or_insert((0, 0));
         entry.0 += 1;
         entry.1 += self_ns;
-        if st.ring.len() == RING_CAPACITY {
-            st.ring.pop_front();
-            st.dropped += 1;
-        }
-        st.ring.push_back(SpanEvent {
-            path,
-            start_ns: self.start_ns,
-            dur_ns: dur,
-        });
     }
 }
 
 /// Render the aggregate span data as folded stacks — one
 /// `path;to;span self_ns` line per unique path, in deterministic path
-/// order — directly consumable by `flamegraph.pl` / `inferno`. The first
-/// line is a `#`-prefixed header (a comment to flamegraph tooling)
-/// reporting how many events the bounded ring has overwritten, so a
-/// saturated ring is visible instead of silently lossy.
+/// order — directly consumable by `flamegraph.pl` / `inferno`.
 pub fn folded_stacks() -> String {
-    let st = lock_state();
-    let mut out = format!("# ring_dropped: {}\n", st.dropped);
-    for (path, (_count, self_ns)) in st.folded.iter() {
+    let folded = lock_state();
+    let mut out = String::new();
+    for (path, (_count, self_ns)) in folded.iter() {
         out.push_str(&format!("{path} {self_ns}\n"));
     }
     out
@@ -152,10 +115,7 @@ mod tests {
 
     /// Clear all recorded trace data: the tests share the global sink.
     fn reset() {
-        let mut st = lock_state();
-        st.folded.clear();
-        st.ring.clear();
-        st.dropped = 0;
+        lock_state().clear();
     }
 
     /// Serialize trace tests: they share the global sink.
@@ -184,8 +144,8 @@ mod tests {
         assert!(folded.contains("outer_test "), "{folded}");
         assert!(folded.contains("outer_test;inner_test "), "{folded}");
         let st = lock_state();
-        assert_eq!(st.folded["outer_test;inner_test"].0, 2, "{folded}");
-        assert_eq!(st.folded["outer_test"].0, 1, "{folded}");
+        assert_eq!(st["outer_test;inner_test"].0, 2, "{folded}");
+        assert_eq!(st["outer_test"].0, 1, "{folded}");
     }
 
     #[test]
@@ -198,41 +158,12 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let st = lock_state();
-        let outer = st
-            .ring
-            .iter()
-            .find(|e| e.path == "self_time_outer")
-            .expect("outer recorded");
-        let inner = st
-            .ring
-            .iter()
-            .find(|e| e.path == "self_time_outer;self_time_inner")
-            .expect("inner recorded");
-        assert!(outer.dur_ns >= inner.dur_ns);
-        // outer's *self* time in the folded map must be far below its
-        // total duration, since almost everything happened in the child.
-        let (_, outer_self) = st.folded["self_time_outer"];
-        assert!(
-            outer_self < outer.dur_ns / 2,
-            "self={outer_self} total={}",
-            outer.dur_ns
-        );
-    }
-
-    #[test]
-    fn ring_is_bounded_and_counts_drops() {
-        let _guard = trace_test_lock();
-        reset();
-        assert_eq!(lock_state().dropped, 0);
-        for _ in 0..RING_CAPACITY + 10 {
-            let _s = span("ring_bound_test");
-        }
-        assert_eq!(lock_state().ring.len(), RING_CAPACITY);
-        assert_eq!(lock_state().dropped, 10);
-        let folded = folded_stacks();
-        assert!(folded.starts_with("# ring_dropped: 10\n"), "{folded}");
-        reset();
-        assert_eq!(lock_state().dropped, 0);
+        let (_, outer_self) = st["self_time_outer"];
+        let (_, inner_self) = st["self_time_outer;self_time_inner"];
+        // almost everything happened in the child, so outer's self time
+        // is far below the child's ≥ 2 ms
+        assert!(inner_self >= 2_000_000, "inner self={inner_self}");
+        assert!(outer_self < inner_self / 2, "outer self={outer_self} inner self={inner_self}");
     }
 
     #[test]

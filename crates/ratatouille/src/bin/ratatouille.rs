@@ -9,7 +9,7 @@
 //! ratatouille corpus   [--recipes 500]   # print preprocessing report
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ratatouille::models::registry::ModelKind;
 use ratatouille::serving::api::ApiServer;
@@ -55,8 +55,8 @@ fn usage_and_exit(unknown: Option<&str>) -> ! {
     std::process::exit(if unknown.is_some() { 2 } else { 0 });
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
@@ -71,7 +71,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn model_kind(flags: &HashMap<String, String>) -> ModelKind {
+fn model_kind(flags: &BTreeMap<String, String>) -> ModelKind {
     match flags.get("model").map(String::as_str) {
         Some("char-lstm") => ModelKind::CharLstm,
         Some("word-lstm") => ModelKind::WordLstm,
@@ -84,7 +84,7 @@ fn model_kind(flags: &HashMap<String, String>) -> ModelKind {
     }
 }
 
-fn num(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
+fn num(flags: &BTreeMap<String, String>, key: &str, default: usize) -> usize {
     flags
         .get(key)
         .map(|v| {
@@ -96,14 +96,14 @@ fn num(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn prepare(flags: &HashMap<String, String>) -> Pipeline {
+fn prepare(flags: &BTreeMap<String, String>) -> Pipeline {
     let mut cfg = PipelineConfig::reproduction();
     cfg.corpus.num_recipes = num(flags, "recipes", 300);
     eprintln!("preparing corpus ({} recipes)…", cfg.corpus.num_recipes);
     Pipeline::prepare(cfg)
 }
 
-fn train(pipeline: &Pipeline, flags: &HashMap<String, String>) -> ratatouille::TrainedModel {
+fn train(pipeline: &Pipeline, flags: &BTreeMap<String, String>) -> ratatouille::TrainedModel {
     let kind = model_kind(flags);
     let mut train_cfg = ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
         .default_train_config();
@@ -116,7 +116,7 @@ fn train(pipeline: &Pipeline, flags: &HashMap<String, String>) -> ratatouille::T
     pipeline.train(kind, Some(train_cfg))
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) {
+fn cmd_generate(flags: &BTreeMap<String, String>) {
     let ingredients: Vec<String> = flags
         .get("ingredients")
         .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
@@ -139,7 +139,7 @@ fn cmd_generate(flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) {
+fn cmd_serve(flags: &BTreeMap<String, String>) {
     let pipeline = prepare(flags);
     let trained = train(&pipeline, flags);
     let port = num(flags, "port", 0);
@@ -157,7 +157,7 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_eval(flags: &HashMap<String, String>) {
+fn cmd_eval(flags: &BTreeMap<String, String>) {
     let pipeline = prepare(flags);
     let trained = train(&pipeline, flags);
     let n = num(flags, "recipes", 10).min(pipeline.test_recipes.len());
@@ -166,7 +166,7 @@ fn cmd_eval(flags: &HashMap<String, String>) {
     println!("{report}");
 }
 
-fn cmd_corpus(flags: &HashMap<String, String>) {
+fn cmd_corpus(flags: &BTreeMap<String, String>) {
     let pipeline = prepare(flags);
     let r = &pipeline.report;
     println!("raw records:        {}", r.input_records);

@@ -42,7 +42,7 @@ impl Pipeline {
     pub fn prepare(config: PipelineConfig) -> Pipeline {
         let corpus = Corpus::generate(config.corpus.clone());
         let (train, test) = corpus.split(config.test_frac);
-        let train_ids: std::collections::HashSet<u64> = train.iter().map(|r| r.id).collect();
+        let train_ids: std::collections::BTreeSet<u64> = train.iter().map(|r| r.id).collect();
         let train_raw: Vec<_> = corpus
             .raw_records
             .iter()

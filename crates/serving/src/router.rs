@@ -1,6 +1,6 @@
 //! Method + path routing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::http::{Request, Response, StatusCode};
@@ -11,7 +11,7 @@ type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 /// known paths with the wrong method get 405.
 #[derive(Clone, Default)]
 pub struct Router {
-    routes: HashMap<(String, String), Handler>,
+    routes: BTreeMap<(String, String), Handler>,
     /// Prefix-matched routes (`/debug/requests/<id>`), tried after exact
     /// matches, longest prefix first.
     prefix_routes: Vec<(String, String, Handler)>,

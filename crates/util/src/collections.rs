@@ -9,11 +9,13 @@
 //! identical for every instance): same insertions → same iteration
 //! order, every run on a given toolchain.
 //!
-//! `xlint`'s `forbidden-nondeterminism` rule bans the std aliases in
-//! result-affecting crates and points here. DoS-resistance is what the
-//! random seed buys and what we give up — fine for trusted, in-repo
-//! corpora; the `serving` crate is allowlisted and keeps `RandomState`
-//! for anything fed by network input.
+//! `clippy.toml` bans the std types in every crate whose code feeds a
+//! generation, a metric or a served response (`scripts/ci.sh` runs it),
+//! and its reason points here; this module is where they are allowed.
+//! DoS-resistance is what the random seed buys and what we give up —
+//! fine for trusted, in-repo corpora. No map in the tree is keyed by
+//! network input: serving's route table is a `BTreeMap` of registered
+//! routes.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};

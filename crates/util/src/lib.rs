@@ -19,8 +19,8 @@
 //!   (enforced by `xlint`'s `float-reduction-order` rule).
 //! * [`collections`] — [`collections::DetMap`] / [`collections::DetSet`],
 //!   fixed-hasher `HashMap`/`HashSet` aliases with run-to-run stable
-//!   iteration order (enforced by `xlint`'s `forbidden-nondeterminism`
-//!   rule).
+//!   iteration order (the std types are banned by `clippy.toml`'s
+//!   `disallowed-types`, run by `scripts/ci.sh`).
 //!
 //! ## Seed policy
 //!

@@ -335,26 +335,26 @@ mod tests {
 
     #[test]
     fn suppression_silences_and_is_marked_used() {
-        let src = "// xlint: allow(obs-only-timing): bootstrap shim predating the obs clock\n\
-                   fn f() { let t = std::time::Instant::now(); let _ = t; }\n";
+        let src = "// xlint: allow(float-reduction-order): a two-element sum has one order\n\
+                   fn f(xs: &[f32; 2]) -> f32 { xs.iter().sum::<f32>() }\n";
         let diags = lint_source("crates/models/src/x.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn suppression_without_reason_is_reported() {
-        let src = "// xlint: allow(obs-only-timing)\n\
-                   fn f() { let t = std::time::Instant::now(); let _ = t; }\n";
+        let src = "// xlint: allow(float-reduction-order)\n\
+                   fn f(xs: &[f32; 2]) -> f32 { xs.iter().sum::<f32>() }\n";
         // the original diagnostic survives AND the suppression is flagged
         assert_eq!(
             hits("crates/models/src/x.rs", src),
-            vec![("allow-needs-justification", 1), ("obs-only-timing", 2)]
+            vec![("allow-needs-justification", 1), ("float-reduction-order", 2)]
         );
     }
 
     #[test]
     fn stale_unknown_and_malformed_suppressions_are_reported() {
-        let src = "// xlint: allow(forbidden-nondeterminism): no longer needed here\nfn f() {}\n\
+        let src = "// xlint: allow(float-reduction-order): no longer needed here\nfn f() {}\n\
                    // xlint: allow(no-such-rule): whatever\nfn g() {}\n\
                    // xlint: not-an-allow\nfn h() {}\n";
         let diags = lint_source("crates/models/src/x.rs", src);
@@ -367,10 +367,10 @@ mod tests {
 
     #[test]
     fn a_suppression_goes_stale_where_its_rule_does_not_apply() {
-        // bench is allowlisted for raw timing, so the allow matches nothing
-        let src = "// xlint: allow(obs-only-timing): wall clock feeds a log line only\n\
-                   fn logged() { let _ = std::time::Instant::now(); }\n";
-        assert!(hits("crates/recipedb/src/x.rs", src).is_empty());
+        // bench is not result-affecting, so the allow matches nothing
+        let src = "// xlint: allow(float-reduction-order): feeds a log line only\n\
+                   fn logged(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }\n";
+        assert!(hits("crates/models/src/x.rs", src).is_empty());
         assert_eq!(hits("crates/bench/src/x.rs", src), vec![("allow-needs-justification", 1)]);
     }
 

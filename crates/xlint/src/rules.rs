@@ -38,24 +38,10 @@ pub struct WorkspaceRule {
     pub summary: &'static str,
 }
 
-/// Crates whose outputs feed generations or metrics: nondeterminism and
-/// ad-hoc float reductions here silently break the §4b contract.
-/// `bench` and `serving` are deliberately absent (timing is their job).
+/// Crates whose outputs feed generations or metrics: ad-hoc float
+/// reductions here silently break the §4b contract. (The path bans —
+/// hashers, clocks, env, libm — are clippy's, in `clippy.toml`.)
 const RESULT_AFFECTING: &[&str] = &["tensor", "models", "tokenizers", "eval", "recipedb"];
-
-/// Crates where every timing read must go through `obs::Clock`: the
-/// result-affecting set plus the instrumented serving/pipeline layers.
-/// `obs` (the clock authority), `util` and `bench` are the wall-clock
-/// allowlist and stay off this list.
-const OBS_TIMED: &[&str] = &[
-    "tensor",
-    "models",
-    "tokenizers",
-    "eval",
-    "recipedb",
-    "serving",
-    "ratatouille",
-];
 
 /// The blessed kernel directory: float reductions are *defined* here.
 const BLESSED_KERNELS: &str = "crates/tensor/src/ops/";
@@ -64,20 +50,9 @@ fn everywhere(_ctx: &FileCtx) -> bool {
     true
 }
 
-fn in_crates(ctx: &FileCtx, crates: &[&str]) -> bool {
-    ctx.crate_name.as_deref().is_some_and(|c| crates.contains(&c))
-}
-
-fn result_affecting(ctx: &FileCtx) -> bool {
-    in_crates(ctx, RESULT_AFFECTING)
-}
-
 fn result_affecting_outside_kernels(ctx: &FileCtx) -> bool {
-    result_affecting(ctx) && !ctx.path.starts_with(BLESSED_KERNELS)
-}
-
-fn obs_timed(ctx: &FileCtx) -> bool {
-    in_crates(ctx, OBS_TIMED)
+    ctx.crate_name.as_deref().is_some_and(|c| RESULT_AFFECTING.contains(&c))
+        && !ctx.path.starts_with(BLESSED_KERNELS)
 }
 
 /// The per-file catalogue, in diagnostic-id order.
@@ -110,7 +85,7 @@ pub fn all_rule_ids() -> Vec<&'static str> {
     ids
 }
 
-static CATALOGUE: [Rule; 5] = [
+static CATALOGUE: [Rule; 3] = [
     Rule {
         id: "unsafe-needs-safety-comment",
         summary: "every `unsafe` block/fn/impl must be immediately preceded by a structured \
@@ -119,22 +94,6 @@ static CATALOGUE: [Rule; 5] = [
         skip_tests: false,
         applies: everywhere,
         check: check_unsafe_safety_comment,
-    },
-    Rule {
-        id: "forbidden-nondeterminism",
-        summary: "default-hasher maps and env-dependent branching are banned in \
-                  result-affecting crates (tensor, models, tokenizers, eval, recipedb)",
-        skip_tests: true,
-        applies: result_affecting,
-        check: check_forbidden_nondeterminism,
-    },
-    Rule {
-        id: "obs-only-timing",
-        summary: "raw wall clocks (`Instant::now`, `SystemTime`) are banned in instrumented \
-                  crates — take stamps via `obs::Clock` so telemetry stays write-only",
-        skip_tests: true,
-        applies: obs_timed,
-        check: check_obs_only_timing,
     },
     Rule {
         id: "float-reduction-order",
@@ -166,6 +125,21 @@ fn diag(ctx: &FileCtx, line: u32, rule: &'static str, msg: String) -> Diagnostic
         rule,
         msg,
     }
+}
+
+/// `toks[i..]` matches the identifier/punct sequence `pat`, where idents
+/// are matched by name and `":"`-style entries by punctuation.
+fn seq_matches(toks: &[&Tok], i: usize, pat: &[&str]) -> bool {
+    if i + pat.len() > toks.len() {
+        return false;
+    }
+    pat.iter().enumerate().all(|(k, p)| {
+        let t = toks[i + k];
+        match p.chars().next() {
+            Some(c) if p.len() == 1 && !c.is_ascii_alphanumeric() => t.is_punct(c),
+            _ => t.ident() == Some(*p),
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -257,80 +231,6 @@ fn check_unsafe_safety_comment(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             }
         };
         out.push(diag(ctx, t.line, "unsafe-needs-safety-comment", msg.to_string()));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// forbidden-nondeterminism
-// ---------------------------------------------------------------------------
-
-/// `toks[i..]` matches the identifier/punct sequence `pat`, where idents
-/// are matched by name and `":"`-style entries by punctuation.
-fn seq_matches(toks: &[&Tok], i: usize, pat: &[&str]) -> bool {
-    if i + pat.len() > toks.len() {
-        return false;
-    }
-    pat.iter().enumerate().all(|(k, p)| {
-        let t = toks[i + k];
-        match p.chars().next() {
-            Some(c) if p.len() == 1 && !c.is_ascii_alphanumeric() => t.is_punct(c),
-            _ => t.ident() == Some(*p),
-        }
-    })
-}
-
-fn check_forbidden_nondeterminism(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let toks = code(ctx);
-    let push = |out: &mut Vec<Diagnostic>, line: u32, what: &str, fix: &str| {
-        out.push(diag(
-            ctx,
-            line,
-            "forbidden-nondeterminism",
-            format!("{what} is banned in result-affecting crates; {fix}"),
-        ));
-    };
-    for i in 0..toks.len() {
-        let line = toks[i].line;
-        if seq_matches(&toks, i, &["env", ":", ":", "var"])
-            || seq_matches(&toks, i, &["env", ":", ":", "vars"])
-            || seq_matches(&toks, i, &["env", ":", ":", "var_os"])
-            || seq_matches(&toks, i, &["env", "!"])
-            || seq_matches(&toks, i, &["option_env", "!"])
-        {
-            push(out, line, "environment-dependent branching", "plumb configuration through typed options instead");
-        } else if matches!(toks[i].ident(), Some("HashMap") | Some("HashSet")) {
-            push(out, line, "`HashMap`/`HashSet` with the default (randomly seeded) hasher", "use `ratatouille_util::collections::{DetMap, DetSet}` for deterministic iteration order");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// obs-only-timing
-// ---------------------------------------------------------------------------
-
-fn check_obs_only_timing(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let toks = code(ctx);
-    for i in 0..toks.len() {
-        let line = toks[i].line;
-        if toks[i].ident() == Some("SystemTime") {
-            out.push(diag(
-                ctx,
-                line,
-                "obs-only-timing",
-                "`SystemTime` in an instrumented crate; take stamps via `obs::Clock::now()` \
-                 so all timing flows through the write-only telemetry layer"
-                    .to_string(),
-            ));
-        } else if seq_matches(&toks, i, &["Instant", ":", ":", "now"]) {
-            out.push(diag(
-                ctx,
-                line,
-                "obs-only-timing",
-                "raw `Instant::now` in an instrumented crate; use `obs::Clock::now()` (and an \
-                 obs histogram/span) so there is one timing idiom repo-wide"
-                    .to_string(),
-            ));
-        }
     }
 }
 
@@ -551,68 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn nondeterminism_scoped_to_result_affecting_crates() {
-        let src = "use std::collections::HashMap;\nfn f() -> HashMap<u32, u32> { HashMap::new() }\n";
-        assert_eq!(rules_hit("crates/eval/src/x.rs", src).len(), 3);
-        assert!(rules_hit("crates/serving/src/x.rs", src).is_empty());
-        assert!(rules_hit("crates/bench/src/x.rs", src).is_empty());
-        assert!(rules_hit("src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn instant_now_flagged_but_import_alone_is_not() {
-        assert!(rules_hit("crates/models/src/x.rs", "use std::time::Instant;\n").is_empty());
-        let hits = rules_hit(
-            "crates/models/src/x.rs",
-            "fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-        );
-        assert_eq!(hits, vec![("obs-only-timing", 1)]);
-        let obs_clock = "fn good_stamp() -> u64 { obs::Clock::now().at_ns() }\n";
-        assert!(rules_hit("crates/models/src/x.rs", obs_clock).is_empty());
-    }
-
-    #[test]
-    fn obs_only_timing_scoped_to_instrumented_crates() {
-        let src = "fn f() -> u64 { std::time::Instant::now().elapsed().as_nanos() as u64 }\n";
-        assert_eq!(
-            rules_hit("crates/serving/src/x.rs", src),
-            vec![("obs-only-timing", 1)]
-        );
-        assert_eq!(
-            rules_hit("crates/ratatouille/src/x.rs", src),
-            vec![("obs-only-timing", 1)]
-        );
-        // the wall-clock allowlist: obs (the clock authority), util, bench
-        assert!(rules_hit("crates/obs/src/clock.rs", src).is_empty());
-        assert!(rules_hit("crates/util/src/x.rs", src).is_empty());
-        assert!(rules_hit("crates/bench/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn system_time_flagged_as_obs_only_timing() {
-        let hits = rules_hit(
-            "crates/eval/src/x.rs",
-            "fn f() { let _ = std::time::SystemTime::now(); }\n",
-        );
-        assert_eq!(hits, vec![("obs-only-timing", 1)]);
-    }
-
-    #[test]
-    fn env_branching_flagged() {
-        let hits = rules_hit(
-            "crates/tokenizers/src/x.rs",
-            "fn f() -> bool { std::env::var(\"X\").is_ok() }\n",
-        );
-        assert_eq!(hits, vec![("forbidden-nondeterminism", 1)]);
-    }
-
-    #[test]
-    fn test_code_exempt_from_nondeterminism() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let _ = std::env::var(\"TMPDIR\");\n    }\n}\n";
-        assert!(rules_hit("crates/recipedb/src/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn unwrap_or_default_not_flagged() {
         let src = "fn f(v: Option<u32>) -> u32 { v.unwrap_or_default() }\n";
         assert!(rules_hit("crates/serving/src/x.rs", src).is_empty());
@@ -703,7 +541,7 @@ mod tests {
                    const C: char = 'a';\nconst D: &[u8] = b\"panic!(\\\"no\\\")\";\n\
                    struct Holder<'a> { slice: &'a [f32] }\n\
                    impl<'a> Holder<'a> {\n    fn head(&self) -> f32 { let r#fn = self.slice.first().copied(); r#fn.unwrap_or(0.0) }\n}\n";
-        assert!(rules_hit("crates/tokenizers/src/x.rs", src).is_empty());
+        assert!(rules_hit("crates/serving/src/x.rs", src).is_empty());
     }
 
     /// `pub` fns that only a unit test, a string literal (and a comment:

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline tier-1 gate: lint + grep gates + build + test, with zero
+# Offline tier-1 gate: lints + grep gates + build + test, with zero
 # network access and warnings treated as errors. `cargo test` is the only
 # gate runner and `loadbench` the only benchmark; this script adds the
 # structural gates a test cannot express and builds loadbench.
@@ -34,6 +34,21 @@ if grep -rnE 'METHOD_BLOCKLIST|MACRO_FN_BRIDGE' crates/xlint/src; then
     echo "xlint: a method/macro name table is back (see above); resolve on the receiver's type" >&2
     exit 1
 fi
+
+echo "== clippy (path bans from clippy.toml: hashers, clocks, env, libm exp/tanh) =="
+# Only the three disallowed_* lints run, on the crates whose code feeds a
+# generation, a metric or a served response; test code is not linted.
+# `--no-deps` keeps clippy off the path dependencies, so the crates left
+# out of `-p` are the allowlist: obs (the clock authority), util
+# (`DetMap` is its `HashMap` alias), bench, xlint and the root package.
+clippy_start=$(date +%s%N)
+cargo clippy -q --offline --no-deps \
+    -p ratatouille-tensor -p ratatouille-models -p ratatouille-tokenizers \
+    -p ratatouille-eval -p ratatouille-recipedb -p ratatouille-serving -p ratatouille \
+    -- -A clippy::all -D clippy::disallowed_types -D clippy::disallowed_methods \
+    -D clippy::disallowed_macros
+clippy_ms=$(( ($(date +%s%N) - clippy_start) / 1000000 ))
+echo "clippy: clean in ${clippy_ms}ms"
 
 echo "== size (tracked .rs lines per crate; the non-loadbench total is what a PR's net delta is stated against) =="
 # Beside each count, the net change against `git merge-base HEAD main`
@@ -88,24 +103,6 @@ if grep -rnE 'KvCache|StreamKv|KvSeam|KvRows' crates/models/src; then
     echo "models: a deleted KV store or seam is named above; BlockPool is the only store" >&2
     exit 1
 fi
-
-echo "== one tanh, one exp (grep gate over crates/tensor/src and crates/models/src, test modules excluded) =="
-# Every f32 `tanh` and `exp` is ops/libm.rs's transcription of glibc
-# 2.36's `tanhf` or `__expf_fma`, so the goldens are the code's own bits,
-# not whatever the host libm (or its ifunc) returns; this fails the build
-# if a libm call comes back. (`Var::tanh` in models is the crate's op, so
-# the `tanh` half covers tensor only; eval's f64 `exp` is not f32 maths.)
-for f in $(find crates/tensor/src crates/models/src -name '*.rs'); do
-    src=$(sed '/^#\[cfg(test)\]/,$d' "$f")
-    if [[ $f == crates/tensor/* ]] && grep -nE '\.tanh\(\)|f32::tanh' <<<"$src"; then
-        echo "tensor: $f calls libm's tanh (see above); use ops::libm::tanhf" >&2
-        exit 1
-    fi
-    if grep -nE '\.exp\(\)|f32::exp' <<<"$src"; then
-        echo "$f calls libm's exp (see above); use ops::libm::expf or exp_in_place" >&2
-        exit 1
-    fi
-done
 
 echo "== one benchmark (loadbench measures, cargo test checks; nothing beside them) =="
 # The nine micro-benches, their harness and the tracked result files they

@@ -1,9 +1,13 @@
 //! Workspace lint gate: `cargo test` fails if any crate violates the
-//! unsafe-soundness / determinism contract enforced by `crates/xlint`.
+//! contract enforced by `crates/xlint`: SAFETY headers, float reduction
+//! order, request-path panics, orphan `pub` items and suppression
+//! hygiene.
 //!
 //! This is the same check `cargo run -p xlint` and `scripts/ci.sh` run;
 //! wiring it into the test suite means tier-1 verification cannot pass
-//! on a tree with unjustified violations.
+//! on a tree with unjustified violations. The path bans (default
+//! hashers, raw clocks, env reads, libm `exp`/`tanh`) are clippy's, in
+//! `clippy.toml`; only `scripts/ci.sh` runs them, not this test.
 
 use std::path::Path;
 
