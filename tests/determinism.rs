@@ -523,3 +523,72 @@ fn corpus_golden_fingerprint_is_frozen() {
         "corpus fingerprint changed: {fp:#x} — if intentional, refreeze"
     );
 }
+
+/// The model tiers of the two pipeline goldens below: a transformer row
+/// and an LSTM row, each trained on the tiny pipeline long enough to
+/// emit some structure.
+const PIPELINE_GOLDEN_KINDS: [ModelKind; 2] = [ModelKind::DistilGpt2, ModelKind::WordLstm];
+
+fn pipeline_golden_train() -> TrainConfig {
+    TrainConfig {
+        steps: 40,
+        batch_size: 4,
+        ..Default::default()
+    }
+}
+
+fn pipeline_golden_pantry() -> Vec<String> {
+    vec!["flour".into(), "water".into(), "salt".into()]
+}
+
+/// Golden fingerprint for the train → generate → evaluate path of a
+/// tiny pipeline: the `generate_tagged` bytes for a fixed pantry and
+/// seed, and the bits of the Table-I report's BLEU, ROUGE-L,
+/// structure-valid rate, quantity coverage and perplexity over three
+/// held-out recipes. Generation latency is a wall-clock value and is
+/// left out.
+#[test]
+fn pipeline_evaluation_golden_fingerprint_is_frozen() {
+    let pipeline = Pipeline::prepare(tiny_pipeline_config());
+    let goldens = [0xa76a_032e_2051_40b3u64, 0x4ab4_1759_eec7_562e];
+    for (kind, golden) in PIPELINE_GOLDEN_KINDS.into_iter().zip(goldens) {
+        let trained = pipeline.train(kind, Some(pipeline_golden_train()));
+        let tagged = trained.generate_tagged(&pipeline_golden_pantry(), 5);
+        let report = trained.evaluate(&pipeline.test_recipes, 3, 0);
+        let metrics = [
+            report.bleu,
+            report.rouge_l,
+            report.structure_valid_rate,
+            report.quantity_coverage,
+            report.perplexity,
+        ];
+        let fp = fingerprint(
+            std::iter::once(tagged.into_bytes())
+                .chain(metrics.iter().map(|m| m.to_bits().to_le_bytes().to_vec())),
+        );
+        assert_eq!(
+            fp, golden,
+            "{kind:?} pipeline golden changed: {fp:#x} (metrics {metrics:?})"
+        );
+    }
+}
+
+/// Offline generation and the served replica decode the same recipe for
+/// a pinned seed: `generate_recipe` equals `generate_seeded(.., "f32",
+/// Some(seed))` on a replica built from the trained weights.
+#[test]
+fn offline_generation_equals_served_generation() {
+    let pipeline = Pipeline::prepare(tiny_pipeline_config());
+    let pantry = pipeline_golden_pantry();
+    for kind in PIPELINE_GOLDEN_KINDS {
+        let trained = pipeline.train(kind, Some(pipeline_golden_train()));
+        let mut replica = trained.backend_factory()(0);
+        for seed in 0..4 {
+            assert_eq!(
+                trained.generate_recipe(&pantry, seed),
+                replica.generate_seeded(&pantry, "f32", Some(seed)),
+                "{kind:?} seed {seed}: offline and served f32 decode differ"
+            );
+        }
+    }
+}
