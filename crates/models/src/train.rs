@@ -37,10 +37,6 @@ pub struct TrainConfig {
     pub checkpoint_every: usize,
     /// Where checkpoints are written.
     pub checkpoint_path: Option<PathBuf>,
-    /// Micro-batches accumulated per optimizer step (1 = off). Gradients
-    /// add across backward passes, so this trades wall-clock for the
-    /// effective batch size a GPU run would use.
-    pub grad_accum: usize,
     /// Data-sampling RNG seed.
     pub seed: u64,
     /// Print a progress line every N steps (0 = silent).
@@ -58,7 +54,6 @@ impl Default for TrainConfig {
             weight_decay: 0.01,
             checkpoint_every: 0,
             checkpoint_path: None,
-            grad_accum: 1,
             seed: 1234,
             log_every: 0,
         }
@@ -215,29 +210,15 @@ impl<'a> Trainer<'a> {
             let mut data_rng = StdRng::seed_from_u64(seed ^ (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut drop_rng = StdRng::seed_from_u64(seed ^ (step as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
             zero_grads(&params);
-            let accum = self.config.grad_accum.max(1);
-            let mut loss_val = 0.0f32;
-            let (mut forward_ns, mut backward_ns) = (0, 0);
-            for micro in 0..accum {
-                let _ = micro;
-                let batch = self.dataset.sample_batch(self.config.batch_size, &mut data_rng);
-                tokens += batch.real_tokens();
-                let forward = obs::Clock::now();
-                let loss = self.model.forward_loss(&batch, true, &mut drop_rng);
-                // scale so the accumulated gradient is the mean over
-                // micro-batches, matching a single big batch
-                let loss = if accum > 1 {
-                    loss.scale(1.0 / accum as f32)
-                } else {
-                    loss
-                };
-                // xlint: allow(float-reduction-order): each term is produced by an interleaved backward(); the loop cannot be folded into an iterator reduction
-                loss_val += loss.value().item();
-                forward_ns += forward.elapsed_ns();
-                let backward = obs::Clock::now();
-                loss.backward();
-                backward_ns += backward.elapsed_ns();
-            }
+            let batch = self.dataset.sample_batch(self.config.batch_size, &mut data_rng);
+            tokens += batch.real_tokens();
+            let forward = obs::Clock::now();
+            let loss = self.model.forward_loss(&batch, true, &mut drop_rng);
+            let loss_val = loss.value().item();
+            let forward_ns = forward.elapsed_ns();
+            let backward = obs::Clock::now();
+            loss.backward();
+            let backward_ns = backward.elapsed_ns();
             assert!(
                 loss_val.is_finite(),
                 "training diverged at step {step}: loss = {loss_val}"
@@ -473,11 +454,9 @@ mod tests {
         let counts = || names.map(|n| obs::metrics::histogram(n).count());
         let (model, ds, _) = setup();
         let before = counts();
-        // Two micro-batches per step: still one observation of each.
         let cfg = TrainConfig {
             steps: 3,
             batch_size: 2,
-            grad_accum: 2,
             ..Default::default()
         };
         Trainer::new(&model, &ds, cfg).train();
@@ -486,30 +465,6 @@ mod tests {
         }
         let norm = obs::metrics::gauge("train_grad_norm").get();
         assert!(norm.is_finite() && norm > 0.0, "pre-clip gradient norm {norm}");
-    }
-
-    #[test]
-    fn grad_accum_matches_bigger_batch_direction() {
-        // 2 micro-batches of 2 ≈ one batch of 4: losses won't be identical
-        // (different sampled batches) but training must still converge and
-        // the accumulated run must record one loss per optimizer step.
-        let _steps = steps_lock();
-        let (model, ds, _) = setup();
-        let cfg = TrainConfig {
-            steps: 30,
-            batch_size: 2,
-            grad_accum: 2,
-            lr: 5e-3,
-            ..Default::default()
-        };
-        let stats = Trainer::new(&model, &ds, cfg).train();
-        assert_eq!(stats.losses.len(), 30);
-        assert!(
-            stats.final_loss(5) < stats.losses[0] * 0.7,
-            "accumulated training failed to learn: {} -> {}",
-            stats.losses[0],
-            stats.final_loss(5)
-        );
     }
 
     #[test]
