@@ -595,6 +595,23 @@ mod tests {
         srv.stop();
     }
 
+    /// One body of 20,000 `[`s recursed the parser past a handler
+    /// thread's stack and aborted the process; it must be a 400, and the
+    /// server must go on serving.
+    #[test]
+    fn deeply_nested_body_is_a_400_and_the_server_survives() {
+        let srv = boot();
+        let client = HttpClient::new(srv.addr());
+        let (status, body) = client.post_json("/api/generate", &"[".repeat(20_000)).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting"), "{body}");
+        let (status, body) = client
+            .post_json("/api/generate", r#"{"ingredients":["flour"]}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        srv.stop();
+    }
+
     #[test]
     fn generate_rejects_bad_input() {
         let srv = boot();

@@ -7,6 +7,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one request body
+/// of `[`s overflow a handler thread's stack; every body the API accepts
+/// has depth 2.
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value. Objects use [`BTreeMap`] so serialization is
 /// deterministic (stable key order).
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +32,13 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse a JSON document. Trailing non-whitespace is an error.
+    /// Parse a JSON document. Trailing non-whitespace, and nesting
+    /// deeper than [`MAX_DEPTH`], are errors.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -128,6 +136,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -180,12 +190,23 @@ impl<'a> Parser<'a> {
                 Ok(Json::Bool(false))
             }
             Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -432,6 +453,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        // The object is level 1, so its value's last `[` is one too deep.
+        let over = format!("{{\"a\":{at_limit}}}");
+        let err = Json::parse(&over).unwrap_err();
+        assert_eq!(err.pos, r#"{"a":"#.len() + MAX_DEPTH - 1, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the limit, the parse stops at the limit: no recursion
+        // proportional to the input.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]
