@@ -1,23 +1,39 @@
 #!/usr/bin/env bash
-# Regenerate every paper artifact sequentially, teeing outputs to /tmp.
-# Usage: scripts/run_experiments.sh [quick|standard|full]
+# Regenerate every paper artifact: build the bench crate in release, then
+# run each bin in crates/bench/src/bin/*.rs in turn, one output file per
+# bin, each opening with a run header (commit, nproc, scale).
+# Exits nonzero if the build or any bin fails.
+#
+# Usage: scripts/run_experiments.sh [quick|standard|full] [OUT_DIR]
+# (default: quick, target/experiments)
 set -u
+cd "$(dirname "$0")/.."
 SCALE="${1:-quick}"
-BIN=./target/release
-OUT=/tmp/ratatouille-experiments
+OUT="${2:-target/experiments}"
 mkdir -p "$OUT"
 
-run() {
-  local name="$1"; shift
-  echo "=== $name (scale=$SCALE) ==="
-  RATATOUILLE_SCALE=$SCALE "$@" > "$OUT/$name.txt" 2>&1
-  echo "    exit=$? -> $OUT/$name.txt"
-}
+cargo build --release --offline -p ratatouille-bench || exit 1
 
-run training_speedup   "$BIN/training_speedup"
-run fig3               "$BIN/fig3_generation_flow"
-run fig4               "$BIN/fig4_web_generate"
-run fig5               "$BIN/fig5_sample_recipe"
-run ablation_sampling  "$BIN/ablation_sampling"
-run future_work_gptneo "$BIN/future_work_gptneo"
+header="commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+  header="$header+dirty"
+fi
+header="$header nproc=$(nproc) scale=$SCALE"
+
+failed=()
+for src in crates/bench/src/bin/*.rs; do
+  name="$(basename "$src" .rs)"
+  out="$OUT/$name.txt"
+  echo "=== $name ($header) ==="
+  echo "# run header: bin=$name $header" > "$out"
+  RATATOUILLE_SCALE="$SCALE" "./target/release/$name" >> "$out" 2>&1
+  code=$?
+  echo "    exit=$code -> $out"
+  [ "$code" -eq 0 ] || failed+=("$name")
+done
+
+if [ "${#failed[@]}" -gt 0 ]; then
+  echo "FAILED: ${failed[*]}" >&2
+  exit 1
+fi
 echo "all experiments done"
