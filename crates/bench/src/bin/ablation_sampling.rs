@@ -11,17 +11,15 @@
 
 use ratatouille::models::registry::ModelKind;
 use ratatouille::models::sample::SamplerConfig;
+use ratatouille::tensor::DType;
 use ratatouille::Pipeline;
-use ratatouille_bench::{pipeline_config, scaled_train_config, Scale};
+use ratatouille_bench::{pipeline_config, score, train_row, Scale};
 
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[ablation_sampling] training GPT-2 medium ({scale:?})…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));
-    let kind = ModelKind::Gpt2Medium;
-    let defaults = ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
-        .default_train_config();
-    let mut trained = pipeline.train(kind, Some(scaled_train_config(defaults, scale)));
+    let mut trained = train_row(&pipeline, ModelKind::Gpt2Medium, scale);
 
     let strategies: Vec<(&str, SamplerConfig)> = vec![
         (
@@ -69,10 +67,9 @@ fn main() {
         "strategy", "BLEU", "distinct2", "selfBLEU", "valid%", "copy%"
     );
     println!("{}", "-".repeat(62));
-    let n_eval = scale.eval_recipes();
     for (name, sampler) in strategies {
         trained.sampler = sampler;
-        let report = trained.evaluate(&pipeline.test_recipes, n_eval, 11);
+        let report = score(&trained, &pipeline, scale, DType::F32);
         println!(
             "{:<12} {:>8.3} {:>10.3} {:>10.3} {:>8.1} {:>8.1}",
             name,

@@ -10,23 +10,15 @@
 
 use ratatouille::models::registry::ModelKind;
 use ratatouille::pipeline::prompt_for;
-use ratatouille::{Pipeline, TrainedModel};
-use ratatouille_bench::{pipeline_config, scaled_train_config, Scale};
+use ratatouille::Pipeline;
+use ratatouille_bench::{pipeline_config, train_row, Scale};
 use ratatouille_eval::structure::validate_tagged_recipe;
-
-fn train(scale: Scale) -> (Pipeline, TrainedModel) {
-    let pipeline = Pipeline::prepare(pipeline_config(scale));
-    let kind = ModelKind::Gpt2Medium;
-    let defaults = ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
-        .default_train_config();
-    let trained = pipeline.train(kind, Some(scaled_train_config(defaults, scale)));
-    (pipeline, trained)
-}
 
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[fig3] training GPT-2 medium at {scale:?} scale…");
-    let (_pipeline, trained) = train(scale);
+    let pipeline = Pipeline::prepare(pipeline_config(scale));
+    let trained = train_row(&pipeline, ModelKind::Gpt2Medium, scale);
 
     println!("FIG. 3 — FLOW DIAGRAM OF RECIPE GENERATION (traced)\n");
 

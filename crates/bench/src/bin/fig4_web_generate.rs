@@ -14,16 +14,14 @@ use ratatouille::models::registry::ModelKind;
 use ratatouille::serving::api::ApiServer;
 use ratatouille::serving::client::HttpClient;
 use ratatouille::Pipeline;
-use ratatouille_bench::{pipeline_config, scaled_train_config, Scale};
+use ratatouille_bench::{pipeline_config, train_row, Scale};
 
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[fig4] training a serving model ({scale:?} scale)…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));
-    let kind = ModelKind::DistilGpt2; // the latency-friendly tier serves the demo
-    let defaults = ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
-        .default_train_config();
-    let trained = pipeline.train(kind, Some(scaled_train_config(defaults, scale)));
+    // the latency-friendly tier serves the demo
+    let trained = train_row(&pipeline, ModelKind::DistilGpt2, scale);
 
     println!("FIG. 4 — WEB APPLICATION ROUND TRIP\n");
     let server = ApiServer::start("127.0.0.1:0", 2, 16, trained.backend_factory())

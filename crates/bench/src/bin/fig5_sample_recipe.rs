@@ -10,17 +10,14 @@
 
 use ratatouille::models::registry::ModelKind;
 use ratatouille::Pipeline;
-use ratatouille_bench::{pipeline_config, scaled_train_config, Scale};
+use ratatouille_bench::{pipeline_config, train_row, Scale};
 use ratatouille_eval::novelty::{is_verbatim_copy, novel_ngram_fraction};
 
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[fig5] training GPT-2 medium ({scale:?} scale)…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));
-    let kind = ModelKind::Gpt2Medium;
-    let defaults = ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
-        .default_train_config();
-    let trained = pipeline.train(kind, Some(scaled_train_config(defaults, scale)));
+    let trained = train_row(&pipeline, ModelKind::Gpt2Medium, scale);
 
     println!("FIG. 5 — RECIPE GENERATED USING THE GPT-2 MODEL\n");
     let ingredient_sets: &[&[&str]] = &[

@@ -2,113 +2,56 @@
 //! preserve the Table-I quality ordering?
 //!
 //! Trains the two quantizable Table-I transformers (DistilGPT2 and GPT-2
-//! medium), then scores the *same* test prompts with the f32 decode path
-//! and the int8 decode path under identical seeds and sampler settings,
-//! so any BLEU difference isolates the quantization effect.
+//! medium) exactly as `table1_bleu` does, then scores the *same* test
+//! prompts through the same evaluation with the f32 weights and with the
+//! int8 weights, under identical seeds and sampler settings, so any BLEU
+//! difference isolates the quantization effect. The f32 column equals
+//! `table1_bleu`'s BLEU for the same model and scale.
 //!
 //! ```text
 //! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin quantized_bleu
 //! ```
 
-use ratatouille_util::rng::StdRng;
-use ratatouille_util::rng::SeedableRng;
-use ratatouille::eval::bleu::corpus_bleu;
-use ratatouille::models::data::Dataset;
-use ratatouille::models::registry::{ModelKind, ModelSpec};
-use ratatouille::models::sample::{generate, SamplerConfig};
-use ratatouille::models::train::Trainer;
-use ratatouille::models::InferenceModel;
-use ratatouille::pipeline::{prompt_for, spaced_tags};
-use ratatouille::tokenizers::{special, Tokenizer};
+use ratatouille::models::registry::ModelKind;
+use ratatouille::tensor::DType;
 use ratatouille::Pipeline;
-use ratatouille_bench::{pipeline_config, scaled_train_config, Scale};
-
-fn eval_bleu(
-    model: &dyn InferenceModel,
-    tokenizer: &dyn Tokenizer,
-    pipeline: &Pipeline,
-    n: usize,
-) -> f64 {
-    let mut pairs_owned: Vec<(String, String)> = Vec::new();
-    for (i, recipe) in pipeline.test_recipes.iter().take(n).enumerate() {
-        let ingredients: Vec<String> = recipe.ingredients.iter().map(|l| l.name.clone()).collect();
-        let prompt = tokenizer.encode(&prompt_for(&ingredients));
-        let mut rng = StdRng::seed_from_u64(42 ^ i as u64);
-        let cfg = SamplerConfig {
-            stop_token: Some(tokenizer.eos_id()),
-            max_tokens: 180,
-            temperature: 0.7,
-            top_p: 0.9,
-            ..SamplerConfig::default()
-        };
-        let out = generate(model, &prompt, &cfg, &mut rng);
-        let candidate = tokenizer.decode(&out);
-        let reference = recipe
-            .to_tagged_string()
-            .split_once(special::TITLE_START)
-            .map(|(_, rest)| rest.to_string())
-            .unwrap_or_default();
-        pairs_owned.push((spaced_tags(&candidate), spaced_tags(&reference)));
-    }
-    let pairs: Vec<(&str, Vec<&str>)> = pairs_owned
-        .iter()
-        .map(|(c, r)| (c.as_str(), vec![r.as_str()]))
-        .collect();
-    corpus_bleu(&pairs)
-}
+use ratatouille_bench::{pipeline_config, run_row, score, Scale};
 
 fn main() {
     let scale = Scale::from_env();
     let pipeline = Pipeline::prepare(pipeline_config(scale));
-    let n = scale.eval_recipes();
-    println!("QUANTIZED vs F32 DECODE — BLEU on {n} held-out recipes\n");
+    let mut rows: Vec<(ModelKind, f64, f64)> = Vec::new();
+    for kind in [ModelKind::DistilGpt2, ModelKind::Gpt2Medium] {
+        let (row, trained) = run_row(&pipeline, kind, scale);
+        let int8 = score(&trained, &pipeline, scale, DType::I8);
+        rows.push((kind, row.report.bleu, int8.bleu));
+    }
+
+    println!(
+        "QUANTIZED vs F32 DECODE — BLEU on {} held-out recipes\n",
+        scale.eval_recipes()
+    );
     println!(
         "{:<24} {:>12} {:>12} {:>10}",
         "model", "BLEU (f32)", "BLEU (int8)", "delta"
     );
     println!("{}", "-".repeat(62));
-
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
-    for kind in [ModelKind::DistilGpt2, ModelKind::Gpt2Medium] {
-        let spec = ModelSpec::build(kind, &pipeline.train_texts);
-        let cfg = scaled_train_config(spec.default_train_config(), scale);
-        let ds =
-            Dataset::from_texts(&pipeline.train_texts, spec.tokenizer.as_ref(), spec.block_size);
-        eprintln!(
-            "[quantized_bleu] training {} ({} steps)…",
-            spec.model.name(),
-            cfg.steps
-        );
-        Trainer::new(spec.model.as_ref(), &ds, cfg).train();
-        let quant = spec.model.quantized().expect("transformers quantize");
-
-        let f32_bleu = eval_bleu(spec.model.as_ref(), spec.tokenizer.as_ref(), &pipeline, n);
-        let int8_bleu = eval_bleu(quant.as_ref(), spec.tokenizer.as_ref(), &pipeline, n);
+    for (kind, f32_bleu, int8_bleu) in &rows {
         println!(
             "{:<24} {:>12.3} {:>12.3} {:>+10.3}",
-            spec.model.name(),
+            kind.display_name(),
             f32_bleu,
             int8_bleu,
             int8_bleu - f32_bleu
         );
-        rows.push((spec.model.name().to_string(), f32_bleu, int8_bleu));
     }
 
     // Table-I ordering check: the f32 ranking must survive quantization.
-    let f32_order: Vec<&str> = {
-        let mut v: Vec<_> = rows.iter().map(|(n, b, _)| (n.as_str(), *b)).collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v.into_iter().map(|(n, _)| n).collect()
-    };
-    let int8_order: Vec<&str> = {
-        let mut v: Vec<_> = rows.iter().map(|(n, _, b)| (n.as_str(), *b)).collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v.into_iter().map(|(n, _)| n).collect()
-    };
+    let (distil, medium) = (&rows[0], &rows[1]);
     println!(
-        "\nranking f32:  {}\nranking int8: {}\nordering preserved: {}",
-        f32_order.join(" > "),
-        int8_order.join(" > "),
-        f32_order == int8_order
+        "\nmedium above distil — f32: {}, int8: {}; ordering preserved: {}",
+        medium.1 > distil.1,
+        medium.2 > distil.2,
+        (medium.1 > distil.1) == (medium.2 > distil.2)
     );
 }

@@ -9,6 +9,7 @@
 
 use ratatouille::models::registry::{ModelKind, TABLE1_MODELS};
 use ratatouille::models::train::TrainConfig;
+use ratatouille::tensor::DType;
 use ratatouille::{Pipeline, PipelineConfig, TrainedModel};
 use ratatouille_eval::report::EvalReport;
 
@@ -74,7 +75,7 @@ pub fn pipeline_config(scale: Scale) -> PipelineConfig {
 }
 
 /// Scale a row's default training budget.
-pub fn scaled_train_config(trained_default: TrainConfig, scale: Scale) -> TrainConfig {
+fn scaled_train_config(trained_default: TrainConfig, scale: Scale) -> TrainConfig {
     TrainConfig {
         steps: ((trained_default.steps as f64 * scale.step_factor()) as usize).max(20),
         warmup: ((trained_default.warmup as f64 * scale.step_factor()) as usize).max(5),
@@ -82,48 +83,52 @@ pub fn scaled_train_config(trained_default: TrainConfig, scale: Scale) -> TrainC
     }
 }
 
-/// One reproduced row of Table I.
+/// One reproduced row of Table I (or of a comparison set beside it).
 pub struct Table1Row {
     /// Which model.
     pub kind: ModelKind,
     /// Our measured metrics.
     pub report: EvalReport,
-    /// The BLEU the paper reports.
-    pub paper_bleu: f64,
     /// Training wall-clock (seconds).
     pub train_secs: f64,
 }
 
-/// Train and evaluate one Table-I row on a prepared pipeline.
-pub fn run_row(pipeline: &Pipeline, kind: ModelKind, scale: Scale) -> (Table1Row, TrainedModel) {
-    let spec_defaults =
-        ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
-            .default_train_config();
-    let cfg = scaled_train_config(spec_defaults, scale);
+/// Train a registry row at its scaled default budget.
+pub fn train_row(pipeline: &Pipeline, kind: ModelKind, scale: Scale) -> TrainedModel {
+    let cfg = scaled_train_config(kind.default_train_config(), scale);
     eprintln!(
-        "[table1] training {} ({} steps, batch {})…",
+        "[bench] training {} ({} steps, batch {})…",
         kind.display_name(),
         cfg.steps,
         cfg.batch_size
     );
     let trained = pipeline.train(kind, Some(cfg));
-    let train_secs = trained.stats.wall_secs;
     eprintln!(
-        "[table1] {} trained in {:.1}s (final loss {:.3}); evaluating…",
+        "[bench] {} trained in {:.1}s (final loss {:.3})",
         kind.display_name(),
-        train_secs,
+        trained.stats.wall_secs,
         trained.stats.final_loss(10)
     );
-    let report = trained.evaluate(&pipeline.test_recipes, scale.eval_recipes(), 42);
-    (
-        Table1Row {
-            kind,
-            report,
-            paper_bleu: kind.paper_bleu(),
-            train_secs,
-        },
-        trained,
-    )
+    trained
+}
+
+/// Score a trained model on the pipeline's held-out recipes, decoding
+/// with `dtype`'s weights: the one evaluation protocol behind every BLEU
+/// the paper bins print.
+pub fn score(trained: &TrainedModel, pipeline: &Pipeline, scale: Scale, dtype: DType) -> EvalReport {
+    trained.evaluate(&pipeline.test_recipes, scale.eval_recipes(), 42, dtype)
+}
+
+/// Train and evaluate (f32) one registry row on a prepared pipeline.
+pub fn run_row(pipeline: &Pipeline, kind: ModelKind, scale: Scale) -> (Table1Row, TrainedModel) {
+    let trained = train_row(pipeline, kind, scale);
+    let report = score(&trained, pipeline, scale, DType::F32);
+    let row = Table1Row {
+        kind,
+        report,
+        train_secs: trained.stats.wall_secs,
+    };
+    (row, trained)
 }
 
 /// Reproduce the whole of Table I.
@@ -140,20 +145,21 @@ pub fn run_table1(scale: Scale) -> Vec<Table1Row> {
         .collect()
 }
 
-/// Render the reproduced table next to the paper's numbers.
+/// Render the reproduced table next to the paper's numbers ("-" where
+/// the paper has none).
 pub fn render_table1(rows: &[Table1Row]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<18} {:>11} {:>10} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9}\n",
+        "{:<22} {:>11} {:>10} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9}\n",
         "Model", "paper BLEU", "ours BLEU", "ROUGE-L", "PPL", "cover%", "valid%", "copy%", "lat(ms)"
     ));
-    out.push_str(&"-".repeat(94));
+    out.push_str(&"-".repeat(98));
     out.push('\n');
     for r in rows {
         out.push_str(&format!(
-            "{:<18} {:>11.3} {:>10.3} {:>8.3} {:>8.1} {:>8.1} {:>7.1} {:>7.1} {:>9.1}\n",
+            "{:<22} {:>11} {:>10.3} {:>8.3} {:>8.1} {:>8.1} {:>7.1} {:>7.1} {:>9.1}\n",
             r.kind.display_name(),
-            r.paper_bleu,
+            r.kind.paper_bleu().map_or("-".to_string(), |b| format!("{b:.3}")),
             r.report.bleu,
             r.report.rouge_l,
             r.report.perplexity,
@@ -202,7 +208,6 @@ mod tests {
             .map(|&kind| Table1Row {
                 kind,
                 report: EvalReport::new(kind.display_name()),
-                paper_bleu: kind.paper_bleu(),
                 train_secs: 0.0,
             })
             .collect();
@@ -224,7 +229,6 @@ mod tests {
                     Table1Row {
                         kind,
                         report,
-                        paper_bleu: kind.paper_bleu(),
                         train_secs: 0.0,
                     }
                 })

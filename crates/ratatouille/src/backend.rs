@@ -12,16 +12,14 @@ use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::SeedableRng;
 
 use ratatouille_models::registry::{build_model, ModelKind};
-use ratatouille_models::sample::{generate_traced, SamplerConfig};
+use ratatouille_models::sample::SamplerConfig;
 use ratatouille_models::{InferenceModel, LanguageModel};
 use ratatouille_serving::api::{GeneratedRecipe, RecipeBackend, RecipeBackendFactory};
 use ratatouille_serving::batch::GenRequest;
 use ratatouille_tensor::serialize::TensorMap;
-use ratatouille_tokenizers::{special, Tokenizer};
+use ratatouille_tokenizers::Tokenizer;
 
-use crate::pipeline::{
-    generation_budget, prompt_for, recipe_from_tagged, sampler_for_request, TrainedModel,
-};
+use crate::pipeline::{decode_tagged, generation_budget, recipe_from_tagged, TrainedModel};
 
 /// A serving replica: one model + tokenizer + decoding state.
 pub struct ModelBackend {
@@ -62,19 +60,17 @@ impl ModelBackend {
 impl RecipeBackend for ModelBackend {
     /// Prompt → (possibly quantized) generation → structural validation.
     fn generate_request(&mut self, req: &GenRequest) -> GeneratedRecipe {
-        let mut tagged = prompt_for(&req.ingredients);
-        let prompt = self.tokenizer.encode(&tagged);
-        let cfg = sampler_for_request(&self.sampler, self.tokenizer.as_ref(), self.max_tokens);
         // A pinned seed decodes from a fresh RNG so the result depends
         // only on (weights, prompt, seed) — replayable.
         let mut pinned = req.seed.map(StdRng::seed_from_u64);
         let rng = pinned.as_mut().unwrap_or(&mut self.rng);
-        let continuation = match (&self.quant, req.dtype.as_str()) {
-            (Some(q), "int8") => generate_traced(q.as_ref(), &prompt, &cfg, rng, &req.meta),
-            _ => generate_traced(self.model.as_ref(), &prompt, &cfg, rng, &req.meta),
+        let (tok, sampler, pantry) = (self.tokenizer.as_ref(), &self.sampler, &req.ingredients);
+        let tagged = match (&self.quant, req.dtype.as_str()) {
+            (Some(q), "int8") => {
+                decode_tagged(q.as_ref(), tok, sampler, self.max_tokens, pantry, rng, &req.meta)
+            }
+            _ => decode_tagged(self.model.as_ref(), tok, sampler, self.max_tokens, pantry, rng, &req.meta),
         };
-        tagged.push_str(&self.tokenizer.decode(&continuation));
-        tagged.push_str(special::RECIPE_END);
         recipe_from_tagged(&tagged)
     }
 

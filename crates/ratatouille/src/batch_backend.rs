@@ -23,11 +23,12 @@ use ratatouille_models::batch::AdmitError;
 use ratatouille_serving::api::GeneratedRecipe;
 use ratatouille_serving::batch::{AdmitOutcome, GenRequest, StepBackend, StepBackendFactory};
 use ratatouille_tensor::serialize::TensorMap;
-use ratatouille_tokenizers::{special, Tokenizer};
+use ratatouille_tokenizers::Tokenizer;
 
 use crate::backend::{load_weights, weights_map};
 use crate::pipeline::{
-    generation_budget, prompt_for, recipe_from_tagged, sampler_for_request, TrainedModel,
+    generation_budget, prompt_for, recipe_from_tagged, sampler_for_request, tag_continuation,
+    TrainedModel,
 };
 
 /// A continuous-batching serving replica: one batch-capable model, its
@@ -132,9 +133,8 @@ impl StepBackend for BatchModelBackend {
             .finished
             .into_iter()
             .map(|f| {
-                let mut tagged = self.prompts.remove(&f.id).unwrap_or_default();
-                tagged.push_str(&self.tokenizer.decode(&f.tokens));
-                tagged.push_str(special::RECIPE_END);
+                let prompt_text = self.prompts.remove(&f.id).unwrap_or_default();
+                let tagged = tag_continuation(prompt_text, &f.tokens, self.tokenizer.as_ref());
                 (f.id, recipe_from_tagged(&tagged))
             })
             .collect()

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use ratatouille::models::registry::ModelKind;
 use ratatouille::serving::api::ApiServer;
+use ratatouille::tensor::DType;
 use ratatouille::{Pipeline, PipelineConfig};
 
 fn main() {
@@ -105,8 +106,7 @@ fn prepare(flags: &BTreeMap<String, String>) -> Pipeline {
 
 fn train(pipeline: &Pipeline, flags: &BTreeMap<String, String>) -> ratatouille::TrainedModel {
     let kind = model_kind(flags);
-    let mut train_cfg = ratatouille::models::registry::ModelSpec::build(kind, &pipeline.train_texts)
-        .default_train_config();
+    let mut train_cfg = kind.default_train_config();
     if let Some(steps) = flags.get("steps") {
         train_cfg.steps = steps.parse().unwrap_or(train_cfg.steps);
         train_cfg.warmup = (train_cfg.steps / 10).max(1);
@@ -162,7 +162,8 @@ fn cmd_eval(flags: &BTreeMap<String, String>) {
     let trained = train(&pipeline, flags);
     let n = num(flags, "recipes", 10).min(pipeline.test_recipes.len());
     eprintln!("evaluating on {n} held-out recipes…");
-    let report = trained.evaluate(&pipeline.test_recipes, n, num(flags, "seed", 42) as u64);
+    let seed = num(flags, "seed", 42) as u64;
+    let report = trained.evaluate(&pipeline.test_recipes, n, seed, DType::F32);
     println!("{report}");
 }
 

@@ -14,10 +14,12 @@ use ratatouille_eval::rouge::corpus_rouge_l;
 use ratatouille_eval::structure::validate_tagged_recipe;
 use ratatouille_models::data::Dataset;
 use ratatouille_models::registry::{ModelKind, ModelSpec};
-use ratatouille_models::sample::{generate, SamplerConfig};
+use ratatouille_models::sample::{generate_traced, SamplerConfig};
+use ratatouille_models::InferenceModel;
 use ratatouille_models::train::{TrainConfig, TrainStats, Trainer};
 use ratatouille_recipedb::{Corpus, PreprocessReport, Preprocessor, Recipe};
 use ratatouille_serving::api::GeneratedRecipe;
+use ratatouille_tensor::DType;
 use ratatouille_tokenizers::{special, Tokenizer};
 
 use crate::config::PipelineConfig;
@@ -58,20 +60,20 @@ impl Pipeline {
         }
     }
 
-    /// Build and train one Table-I model on the prepared data.
+    /// Build and train one registry model on the prepared data.
     /// `overrides` replaces the row's default training budget.
     pub fn train(&self, kind: ModelKind, overrides: Option<TrainConfig>) -> TrainedModel {
         let spec = ModelSpec::build(kind, &self.train_texts);
-        let train_cfg = overrides.unwrap_or_else(|| spec.default_train_config());
-        // Transformers learn positions: train on recipe-aligned blocks so
-        // <RECIPE_START> regularly appears at position 0 (where generation
-        // prompts start). LSTMs carry no positions; the concatenated
-        // stream (the paper's "one long string") is fine and denser.
+        let train_cfg = overrides.unwrap_or_else(|| kind.default_train_config());
+        // LSTMs carry no positions: the concatenated stream (the paper's
+        // "one long string") is fine and denser. Transformers learn
+        // positions: train on recipe-aligned blocks so <RECIPE_START>
+        // regularly appears at position 0 (where generation prompts start).
         let dataset = match kind {
-            ModelKind::DistilGpt2 | ModelKind::Gpt2Medium => {
-                Dataset::from_documents(&self.train_texts, spec.tokenizer.as_ref(), spec.block_size)
+            ModelKind::CharLstm | ModelKind::WordLstm => {
+                Dataset::from_texts(&self.train_texts, spec.tokenizer.as_ref(), spec.block_size)
             }
-            _ => Dataset::from_texts(&self.train_texts, spec.tokenizer.as_ref(), spec.block_size),
+            _ => Dataset::from_documents(&self.train_texts, spec.tokenizer.as_ref(), spec.block_size),
         };
         let stats = Trainer::new(spec.model.as_ref(), &dataset, train_cfg.clone()).train();
         TrainedModel {
@@ -132,19 +134,21 @@ impl TrainedModel {
     /// Generate the full tagged text for an ingredient list (prompt
     /// included). `seed` controls sampling.
     pub fn generate_tagged(&self, ingredients: &[String], seed: u64) -> String {
-        let prompt_text = prompt_for(ingredients);
-        let prompt = self.spec.tokenizer.encode(&prompt_text);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = sampler_for_request(
-            &self.sampler,
+        self.decode(self.spec.model.as_ref(), ingredients, seed)
+    }
+
+    /// [`Self::generate_tagged`] with `decoder` in place of the trained
+    /// f32 model — its int8 twin, for [`Self::evaluate`] at `DType::I8`.
+    fn decode<M: InferenceModel + ?Sized>(&self, decoder: &M, ingredients: &[String], seed: u64) -> String {
+        decode_tagged(
+            decoder,
             self.spec.tokenizer.as_ref(),
+            &self.sampler,
             generation_budget(self.spec.kind),
-        );
-        let continuation = generate(self.spec.model.as_ref(), &prompt, &cfg, &mut rng);
-        let mut text = prompt_text;
-        text.push_str(&self.spec.tokenizer.decode(&continuation));
-        text.push_str(special::RECIPE_END);
-        text
+            ingredients,
+            &mut StdRng::seed_from_u64(seed),
+            &obs::reqtrace::TraceMeta::default(),
+        )
     }
 
     /// Generate and parse into a structured recipe (Fig. 5).
@@ -155,12 +159,20 @@ impl TrainedModel {
     /// The Table-I evaluation: generate from each held-out recipe's
     /// ingredient prompt and score against the reference continuation.
     /// `max_recipes` caps evaluation cost; `seed` drives decoding.
-    pub fn evaluate(&self, test: &[Recipe], max_recipes: usize, seed: u64) -> EvalReport {
+    /// `dtype` picks the decoding weights, as serving's `?dtype=` does:
+    /// `DType::I8` decodes with the int8 weight set; any other dtype, or
+    /// a model with no int8 variant (the LSTMs), with the trained f32
+    /// weights. Perplexity is always the f32 weights'.
+    pub fn evaluate(&self, test: &[Recipe], max_recipes: usize, seed: u64, dtype: DType) -> EvalReport {
         let mut report = EvalReport::new(self.spec.model.name());
         let subset: Vec<&Recipe> = test.iter().take(max_recipes).collect();
         if subset.is_empty() {
             return report;
         }
+        let quant = match dtype {
+            DType::I8 => self.spec.model.quantized(),
+            _ => None,
+        };
 
         let mut candidates: Vec<String> = Vec::with_capacity(subset.len());
         let mut references: Vec<String> = Vec::with_capacity(subset.len());
@@ -176,7 +188,11 @@ impl TrainedModel {
             let ingredients: Vec<String> =
                 recipe.ingredients.iter().map(|l| l.name.clone()).collect();
             let started = obs::Clock::now();
-            let tagged = self.generate_tagged(&ingredients, seed ^ (i as u64));
+            let recipe_seed = seed ^ (i as u64);
+            let tagged = match &quant {
+                Some(q) => self.decode(q.as_ref(), &ingredients, recipe_seed),
+                None => self.generate_tagged(&ingredients, recipe_seed),
+            };
             let ns = started.elapsed_ns();
             obs::static_histogram!("eval_generate_ns").observe(ns);
             gen_secs += ns as f64 / 1e9;
@@ -247,6 +263,38 @@ impl TrainedModel {
         );
         perplexity_from_nll(&trainer.token_nlls(max_blocks))
     }
+}
+
+/// Pantry → tagged recipe, the one decode behind offline generation,
+/// evaluation and the solo serving replica: the prompt for
+/// `ingredients`, decoded by `model` under `sampler` (stopped as
+/// [`sampler_for_request`] says), tagged by [`tag_continuation`].
+pub(crate) fn decode_tagged<M: InferenceModel + ?Sized>(
+    model: &M,
+    tokenizer: &dyn Tokenizer,
+    sampler: &SamplerConfig,
+    max_tokens: usize,
+    ingredients: &[String],
+    rng: &mut StdRng,
+    meta: &obs::reqtrace::TraceMeta,
+) -> String {
+    let prompt_text = prompt_for(ingredients);
+    let prompt = tokenizer.encode(&prompt_text);
+    let cfg = sampler_for_request(sampler, tokenizer, max_tokens);
+    let continuation = generate_traced(model, &prompt, &cfg, rng, meta);
+    tag_continuation(prompt_text, &continuation, tokenizer)
+}
+
+/// The complete tagged generation: the prompt text, the decoded
+/// continuation and the closing `<RECIPE_END>`.
+pub(crate) fn tag_continuation(
+    mut prompt_text: String,
+    continuation: &[u32],
+    tokenizer: &dyn Tokenizer,
+) -> String {
+    prompt_text.push_str(&tokenizer.decode(continuation));
+    prompt_text.push_str(special::RECIPE_END);
+    prompt_text
 }
 
 /// The sampler one request decodes under: the configured sampling
@@ -366,12 +414,37 @@ mod tests {
                 ..Default::default()
             }),
         );
-        let report = trained.evaluate(&p.test_recipes, 3, 0);
+        let report = trained.evaluate(&p.test_recipes, 3, 0, DType::F32);
         assert!((0.0..=1.0).contains(&report.bleu), "bleu {}", report.bleu);
         assert!((0.0..=1.0).contains(&report.structure_valid_rate));
         assert!((0.0..=1.0).contains(&report.copy_rate));
         assert!(report.perplexity > 1.0);
         assert!(report.gen_latency_ms > 0.0);
+    }
+
+    /// `evaluate` at `DType::I8` decodes each recipe as a served replica
+    /// does at `?dtype=int8` for the same pinned seed.
+    #[test]
+    fn int8_evaluation_decode_equals_served_int8() {
+        let p = tiny_pipeline();
+        let trained = p.train(
+            ModelKind::DistilGpt2,
+            Some(TrainConfig {
+                steps: 5,
+                batch_size: 2,
+                ..Default::default()
+            }),
+        );
+        let int8 = trained.spec.model.quantized().expect("gpt2 offers int8");
+        let mut replica = trained.backend_factory()(0);
+        let pantry = vec!["flour".to_string(), "water".to_string()];
+        for seed in 0..4 {
+            assert_eq!(
+                recipe_from_tagged(&trained.decode(int8.as_ref(), &pantry, seed)),
+                replica.generate_seeded(&pantry, "int8", Some(seed)),
+                "seed {seed}: offline and served int8 decode differ"
+            );
+        }
     }
 
     #[test]
@@ -385,7 +458,7 @@ mod tests {
                 ..Default::default()
             }),
         );
-        let report = trained.evaluate(&[], 10, 0);
+        let report = trained.evaluate(&[], 10, 0, DType::F32);
         assert_eq!(report.bleu, 0.0);
     }
 }

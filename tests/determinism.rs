@@ -554,7 +554,7 @@ fn pipeline_evaluation_golden_fingerprint_is_frozen() {
     for (kind, golden) in PIPELINE_GOLDEN_KINDS.into_iter().zip(goldens) {
         let trained = pipeline.train(kind, Some(pipeline_golden_train()));
         let tagged = trained.generate_tagged(&pipeline_golden_pantry(), 5);
-        let report = trained.evaluate(&pipeline.test_recipes, 3, 0);
+        let report = trained.evaluate(&pipeline.test_recipes, 3, 0, ratatouille::tensor::DType::F32);
         let metrics = [
             report.bleu,
             report.rouge_l,

@@ -6,6 +6,7 @@
 
 use ratatouille::models::registry::{ModelKind, TABLE1_MODELS};
 use ratatouille::models::train::TrainConfig;
+use ratatouille::tensor::DType;
 use ratatouille::tokenizers::special;
 use ratatouille::{Pipeline, PipelineConfig};
 
@@ -55,8 +56,8 @@ fn generated_tagged_text_contains_prompt_structure() {
 fn evaluation_is_deterministic_given_seed() {
     let pipeline = Pipeline::prepare(tiny_config());
     let trained = pipeline.train(ModelKind::DistilGpt2, Some(tiny_train()));
-    let a = trained.evaluate(&pipeline.test_recipes, 2, 5);
-    let b = trained.evaluate(&pipeline.test_recipes, 2, 5);
+    let a = trained.evaluate(&pipeline.test_recipes, 2, 5, DType::F32);
+    let b = trained.evaluate(&pipeline.test_recipes, 2, 5, DType::F32);
     assert_eq!(a.bleu, b.bleu);
     assert_eq!(a.distinct_2, b.distinct_2);
 }
