@@ -15,7 +15,7 @@ mkdir -p "$OUT"
 cargo build --release --offline -p ratatouille-bench || exit 1
 
 header="commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+if [ -n "$(git status --porcelain -- crates src Cargo.toml Cargo.lock 2>/dev/null)" ]; then
   header="$header+dirty"
 fi
 header="$header nproc=$(nproc) scale=$SCALE"
