@@ -28,7 +28,7 @@ fn main() {
             kind.display_name(),
             trained.spec.model.num_params(),
             trained.stats.final_loss(10),
-            row.train_secs
+            trained.stats.wall_secs
         ));
         rows.push(row);
     }

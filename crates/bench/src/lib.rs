@@ -89,8 +89,6 @@ pub struct Table1Row {
     pub kind: ModelKind,
     /// Our measured metrics.
     pub report: EvalReport,
-    /// Training wall-clock (seconds).
-    pub train_secs: f64,
 }
 
 /// Train a registry row at its scaled default budget.
@@ -123,12 +121,7 @@ pub fn score(trained: &TrainedModel, pipeline: &Pipeline, scale: Scale, dtype: D
 pub fn run_row(pipeline: &Pipeline, kind: ModelKind, scale: Scale) -> (Table1Row, TrainedModel) {
     let trained = train_row(pipeline, kind, scale);
     let report = score(&trained, pipeline, scale, DType::F32);
-    let row = Table1Row {
-        kind,
-        report,
-        train_secs: trained.stats.wall_secs,
-    };
-    (row, trained)
+    (Table1Row { kind, report }, trained)
 }
 
 /// Reproduce the whole of Table I.
@@ -208,7 +201,6 @@ mod tests {
             .map(|&kind| Table1Row {
                 kind,
                 report: EvalReport::new(kind.display_name()),
-                train_secs: 0.0,
             })
             .collect();
         let s = render_table1(&rows);
@@ -226,11 +218,7 @@ mod tests {
                 .map(|(&kind, b)| {
                     let mut report = EvalReport::new("x");
                     report.bleu = b;
-                    Table1Row {
-                        kind,
-                        report,
-                        train_secs: 0.0,
-                    }
+                    Table1Row { kind, report }
                 })
                 .collect()
         };

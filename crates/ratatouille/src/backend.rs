@@ -19,7 +19,9 @@ use ratatouille_serving::batch::GenRequest;
 use ratatouille_tensor::serialize::TensorMap;
 use ratatouille_tokenizers::Tokenizer;
 
-use crate::pipeline::{decode_tagged, generation_budget, recipe_from_tagged, TrainedModel};
+use crate::pipeline::{
+    decode_tagged, generation_budget, recipe_from_tagged, sampler_for_request, TrainedModel,
+};
 
 /// A serving replica: one model + tokenizer + decoding state.
 pub struct ModelBackend {
@@ -29,9 +31,9 @@ pub struct ModelBackend {
     /// replica construction, not per request.
     quant: Option<Box<dyn InferenceModel>>,
     tokenizer: Box<dyn Tokenizer>,
+    /// The sampler every request decodes under ([`sampler_for_request`]).
     sampler: SamplerConfig,
     rng: StdRng,
-    max_tokens: usize,
 }
 
 impl ModelBackend {
@@ -50,9 +52,8 @@ impl ModelBackend {
             model,
             quant,
             tokenizer: tokenizer.clone_box(),
-            sampler,
+            sampler: sampler_for_request(&sampler, tokenizer, generation_budget(kind)),
             rng: StdRng::seed_from_u64(seed),
-            max_tokens: generation_budget(kind),
         }
     }
 }
@@ -64,12 +65,10 @@ impl RecipeBackend for ModelBackend {
         // only on (weights, prompt, seed) — replayable.
         let mut pinned = req.seed.map(StdRng::seed_from_u64);
         let rng = pinned.as_mut().unwrap_or(&mut self.rng);
-        let (tok, sampler, pantry) = (self.tokenizer.as_ref(), &self.sampler, &req.ingredients);
+        let (tok, cfg, pantry) = (self.tokenizer.as_ref(), &self.sampler, &req.ingredients);
         let tagged = match (&self.quant, req.dtype.as_str()) {
-            (Some(q), "int8") => {
-                decode_tagged(q.as_ref(), tok, sampler, self.max_tokens, pantry, rng, &req.meta)
-            }
-            _ => decode_tagged(self.model.as_ref(), tok, sampler, self.max_tokens, pantry, rng, &req.meta),
+            (Some(q), "int8") => decode_tagged(q.as_ref(), tok, cfg, pantry, rng, &req.meta),
+            _ => decode_tagged(self.model.as_ref(), tok, cfg, pantry, rng, &req.meta),
         };
         recipe_from_tagged(&tagged)
     }

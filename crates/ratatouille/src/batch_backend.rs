@@ -37,8 +37,8 @@ pub struct BatchModelBackend {
     model: Box<dyn LanguageModel>,
     tokenizer: Box<dyn Tokenizer>,
     engine: BatchGenerator,
+    /// The sampler every request decodes under ([`sampler_for_request`]).
     sampler: SamplerConfig,
-    max_tokens: usize,
     /// id → prompt text, to re-tag finished continuations.
     prompts: BTreeMap<u64, String>,
     /// Counter deriving seeds for requests that didn't pin one.
@@ -68,8 +68,7 @@ impl BatchModelBackend {
             model,
             tokenizer: tokenizer.clone_box(),
             engine,
-            sampler,
-            max_tokens: max_tokens.max(1),
+            sampler: sampler_for_request(&sampler, tokenizer, max_tokens.max(1)),
             prompts: BTreeMap::new(),
             unseeded: 0,
         })
@@ -101,11 +100,7 @@ impl StepBackend for BatchModelBackend {
         match self.engine.admit_traced(
             BatchRequest {
                 prompt,
-                sampler: sampler_for_request(
-                    &self.sampler,
-                    self.tokenizer.as_ref(),
-                    self.max_tokens,
-                ),
+                sampler: self.sampler.clone(),
                 seed,
             },
             req.meta.clone(),

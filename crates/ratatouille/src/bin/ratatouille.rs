@@ -162,8 +162,8 @@ fn cmd_eval(flags: &BTreeMap<String, String>) {
     let trained = train(&pipeline, flags);
     let n = num(flags, "recipes", 10).min(pipeline.test_recipes.len());
     eprintln!("evaluating on {n} held-out recipes…");
-    let seed = num(flags, "seed", 42) as u64;
-    let report = trained.evaluate(&pipeline.test_recipes, n, seed, DType::F32);
+    let report =
+        trained.evaluate(&pipeline.test_recipes, n, num(flags, "seed", 42) as u64, DType::F32);
     println!("{report}");
 }
 

@@ -140,11 +140,11 @@ impl TrainedModel {
     /// [`Self::generate_tagged`] with `decoder` in place of the trained
     /// f32 model — its int8 twin, for [`Self::evaluate`] at `DType::I8`.
     fn decode<M: InferenceModel + ?Sized>(&self, decoder: &M, ingredients: &[String], seed: u64) -> String {
+        let tokenizer = self.spec.tokenizer.as_ref();
         decode_tagged(
             decoder,
-            self.spec.tokenizer.as_ref(),
-            &self.sampler,
-            generation_budget(self.spec.kind),
+            tokenizer,
+            &sampler_for_request(&self.sampler, tokenizer, generation_budget(self.spec.kind)),
             ingredients,
             &mut StdRng::seed_from_u64(seed),
             &obs::reqtrace::TraceMeta::default(),
@@ -267,21 +267,19 @@ impl TrainedModel {
 
 /// Pantry → tagged recipe, the one decode behind offline generation,
 /// evaluation and the solo serving replica: the prompt for
-/// `ingredients`, decoded by `model` under `sampler` (stopped as
-/// [`sampler_for_request`] says), tagged by [`tag_continuation`].
+/// `ingredients`, decoded by `model` under `cfg` (a
+/// [`sampler_for_request`]), tagged by [`tag_continuation`].
 pub(crate) fn decode_tagged<M: InferenceModel + ?Sized>(
     model: &M,
     tokenizer: &dyn Tokenizer,
-    sampler: &SamplerConfig,
-    max_tokens: usize,
+    cfg: &SamplerConfig,
     ingredients: &[String],
     rng: &mut StdRng,
     meta: &obs::reqtrace::TraceMeta,
 ) -> String {
     let prompt_text = prompt_for(ingredients);
     let prompt = tokenizer.encode(&prompt_text);
-    let cfg = sampler_for_request(sampler, tokenizer, max_tokens);
-    let continuation = generate_traced(model, &prompt, &cfg, rng, meta);
+    let continuation = generate_traced(model, &prompt, cfg, rng, meta);
     tag_continuation(prompt_text, &continuation, tokenizer)
 }
 
