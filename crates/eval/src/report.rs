@@ -14,7 +14,8 @@ pub struct EvalReport {
     pub rouge_l: f64,
     /// Mean fraction of prompt ingredients used by the generation.
     pub ingredient_coverage: f64,
-    /// Token perplexity on held-out text.
+    /// Token perplexity on held-out text. A property of the trained f32
+    /// weights: an int8-decoded report carries the f32 model's value.
     pub perplexity: f64,
     /// Distinct-2 across generations.
     pub distinct_2: f64,

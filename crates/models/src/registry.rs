@@ -188,7 +188,10 @@ mod tests {
 
     #[test]
     fn paper_order_is_monotone() {
-        let scores: Vec<f64> = TABLE1_MODELS.iter().filter_map(|k| k.paper_bleu()).collect();
+        let scores: Vec<f64> = TABLE1_MODELS
+            .iter()
+            .filter_map(|k| k.paper_bleu())
+            .collect();
         assert_eq!(scores.len(), TABLE1_MODELS.len());
         for w in scores.windows(2) {
             assert!(w[0] < w[1], "Table I should be increasing");

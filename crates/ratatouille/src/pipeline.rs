@@ -139,7 +139,10 @@ impl TrainedModel {
 
     /// [`Self::generate_tagged`] with `decoder` in place of the trained
     /// f32 model — its int8 twin, for [`Self::evaluate`] at `DType::I8`.
-    fn decode<M: InferenceModel + ?Sized>(&self, decoder: &M, ingredients: &[String], seed: u64) -> String {
+    fn decode<M>(&self, decoder: &M, ingredients: &[String], seed: u64) -> String
+    where
+        M: InferenceModel + ?Sized,
+    {
         let tokenizer = self.spec.tokenizer.as_ref();
         decode_tagged(
             decoder,
@@ -163,7 +166,13 @@ impl TrainedModel {
     /// `DType::I8` decodes with the int8 weight set; any other dtype, or
     /// a model with no int8 variant (the LSTMs), with the trained f32
     /// weights. Perplexity is always the f32 weights'.
-    pub fn evaluate(&self, test: &[Recipe], max_recipes: usize, seed: u64, dtype: DType) -> EvalReport {
+    pub fn evaluate(
+        &self,
+        test: &[Recipe],
+        max_recipes: usize,
+        seed: u64,
+        dtype: DType,
+    ) -> EvalReport {
         let mut report = EvalReport::new(self.spec.model.name());
         let subset: Vec<&Recipe> = test.iter().take(max_recipes).collect();
         if subset.is_empty() {

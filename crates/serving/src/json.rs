@@ -11,7 +11,7 @@ use std::fmt;
 /// recurses once per level, so an unbounded depth lets one request body
 /// of `[`s overflow a handler thread's stack; every body the API accepts
 /// has depth 2.
-pub const MAX_DEPTH: usize = 64;
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Objects use [`BTreeMap`] so serialization is
 /// deterministic (stable key order).
@@ -32,8 +32,8 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse a JSON document. Trailing non-whitespace, and nesting
-    /// deeper than [`MAX_DEPTH`], are errors.
+    /// Parse a JSON document. Trailing non-whitespace, and arrays or
+    /// objects nested deeper than 64 levels, are errors.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),

@@ -95,7 +95,6 @@ impl Tokenizer for CharTokenizer {
     }
 
     fn eos_id(&self) -> u32 {
-        // xlint: allow(transitive-panic-in-request-path): `Vocab::with_specials` registers every special tag and a `Vocab` has no other constructor
         self.vocab.id(special::RECIPE_END).expect("specials present")
     }
 
