@@ -592,3 +592,49 @@ fn offline_generation_equals_served_generation() {
         }
     }
 }
+
+/// Golden fingerprint of the three tokenizers on the small pipeline: the
+/// BPE vocabulary in id order (384 merges, as the registry trains it),
+/// then the BPE, char and word ids of every training text and of a few
+/// prompts — a plain pantry, multi-byte UTF-8, a fraction, a tag glued to
+/// a word and a `<` that starts no tag. The three share the tag splitter,
+/// so this pins the splitter, BPE training and BPE encoding in one number.
+#[test]
+fn tokenizer_golden_fingerprint_is_frozen() {
+    use ratatouille::pipeline::prompt_for;
+    use ratatouille::tokenizers::{BpeTokenizer, CharTokenizer, Tokenizer, WordTokenizer};
+
+    let pipeline = Pipeline::prepare(PipelineConfig::small());
+    let texts = &pipeline.train_texts;
+    let pantries: [&[&str]; 4] = [
+        &["chicken", "garlic", "rice"],
+        &["Crème Fraîche", "jalapeño", "漢字"],
+        &["1/2 cup flour", "water  salt"],
+        &["salt<NEXT_INPUT>pepper", "a < b", "<INGR"],
+    ];
+    let prompts: Vec<String> = pantries
+        .iter()
+        .map(|p| prompt_for(&p.iter().map(|s| s.to_string()).collect::<Vec<_>>()))
+        .collect();
+
+    let bpe = BpeTokenizer::train(texts, 384);
+    let toks: [Box<dyn Tokenizer>; 3] = [
+        Box::new(bpe.clone()),
+        Box::new(CharTokenizer::train(texts)),
+        Box::new(WordTokenizer::train(texts, 2)),
+    ];
+    let mut parts: Vec<Vec<u8>> = (0..bpe.vocab_size() as u32)
+        .map(|id| bpe.decode(&[id]).into_bytes())
+        .collect();
+    for tok in &toks {
+        parts.push((tok.vocab_size() as u64).to_le_bytes().to_vec());
+        for text in texts.iter().chain(&prompts) {
+            parts.push(tok.encode(text).iter().flat_map(|id| id.to_le_bytes()).collect());
+        }
+    }
+    let fp = fingerprint(parts);
+    assert_eq!(
+        fp, 0xddd9_580b_f18b_3cb0,
+        "tokenizer fingerprint changed: {fp:#x} — the vocabulary or the ids moved"
+    );
+}
