@@ -4,7 +4,8 @@
 //! * `GET  /`             — the embedded single-page frontend;
 //! * `GET  /api/health`   — liveness + worker count + routes;
 //! * `GET  /api/models`   — the serving model's card;
-//! * `POST /api/generate` — `{"ingredients": ["flour", …]}` →
+//! * `POST /api/generate` — `{"ingredients": ["flour", …]}` (at most 32
+//!   names of at most 64 bytes each, else 400) →
 //!   `{"title", "ingredients", "instructions", "model", "latency_ms"}`;
 //! * `GET  /healthz`      — bare-text liveness probe;
 //! * `GET  /metrics`      — the `obs` registry in Prometheus text format;
@@ -370,9 +371,21 @@ fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response
     }
 }
 
+/// The most ingredients one generate request may name.
+const MAX_INGREDIENTS: usize = 32;
+
+/// The longest ingredient one generate request may name, in UTF-8 bytes
+/// (the ontology's longest name is 20). With [`MAX_INGREDIENTS`] this
+/// bounds a prompt at about 2 KiB, so its K/V fits a replica: unbounded,
+/// one 256 KB spaceless ingredient encoded to 157,287 prompt tokens,
+/// about 640 MB of f32 K/V pushed through one stream.
+const MAX_INGREDIENT_BYTES: usize = 64;
+
 /// Parse a generate request body: a non-empty `"ingredients"` string
-/// array plus an optional non-negative integer `"seed"`. Errors arrive
-/// as ready 400s.
+/// array of at most [`MAX_INGREDIENTS`] names of at most
+/// [`MAX_INGREDIENT_BYTES`] each, plus an optional non-negative integer
+/// `"seed"`. Errors arrive as ready 400s, before the request is queued
+/// or encoded.
 fn parse_generate_body(
     req: &Request,
     stats: &ApiStats,
@@ -393,6 +406,18 @@ fn parse_generate_body(
         return Err(bad(
             "`ingredients` must be a non-empty array of strings".to_string(),
         ));
+    }
+    if ingredients.len() > MAX_INGREDIENTS {
+        return Err(bad(format!(
+            "{} ingredients; a request names at most {MAX_INGREDIENTS}",
+            ingredients.len()
+        )));
+    }
+    if let Some(long) = ingredients.iter().find(|i| i.len() > MAX_INGREDIENT_BYTES) {
+        return Err(bad(format!(
+            "an ingredient of {} bytes; each is at most {MAX_INGREDIENT_BYTES}",
+            long.len()
+        )));
     }
     let seed = match parsed.get("seed") {
         None => None,
@@ -531,7 +556,14 @@ mod tests {
     /// A deterministic toy backend for API tests.
     struct EchoBackend;
 
+    /// The test replicas' recipe. A pantry over the request bounds must
+    /// never reach a replica; one that does panics it (a 500).
     fn echo(ingredients: &[String]) -> GeneratedRecipe {
+        assert!(
+            ingredients.len() <= MAX_INGREDIENTS
+                && ingredients.iter().all(|i| i.len() <= MAX_INGREDIENT_BYTES),
+            "a pantry over the request bounds reached a replica"
+        );
         GeneratedRecipe {
             title: format!("{} delight", ingredients[0]),
             ingredients: ingredients.iter().map(|i| format!("1 cup {i}")).collect(),
@@ -610,6 +642,50 @@ mod tests {
             .unwrap();
         assert_eq!(status, 200, "{body}");
         srv.stop();
+    }
+
+    /// Pantries over the bounds — one near-`MAX_BODY` ingredient, one
+    /// ingredient a byte too long, one ingredient too many — are 400s on
+    /// both server shapes, and a pantry at the bounds and the next normal
+    /// request are 200s.
+    #[test]
+    fn oversized_pantry_is_a_400_on_both_servers() {
+        let replicated = boot();
+        let batched = ApiServer::start_batched(
+            "127.0.0.1:0",
+            BatchServerConfig::default(),
+            Arc::new(|| Box::<EchoStepBackend>::default() as Box<dyn StepBackend>),
+        )
+        .unwrap();
+        let pantry = |names: Vec<String>| {
+            let quoted: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+            format!(r#"{{"ingredients":[{}]}}"#, quoted.join(","))
+        };
+        let huge = pantry(vec!["a".repeat(crate::http::MAX_BODY - 64)]);
+        assert!(huge.len() < crate::http::MAX_BODY);
+        let too_long = pantry(vec!["b".repeat(MAX_INGREDIENT_BYTES + 1)]);
+        let too_many = pantry(vec!["salt".to_string(); MAX_INGREDIENTS + 1]);
+        let at_bounds = pantry(vec!["é".repeat(MAX_INGREDIENT_BYTES / 2); MAX_INGREDIENTS]);
+        for srv in [&replicated, &batched] {
+            let client = HttpClient::new(srv.addr());
+            let over = [(&huge, "bytes"), (&too_long, "bytes"), (&too_many, "ingredients")];
+            for (body, what) in over {
+                let (status, reply) = client.post_json("/api/generate", body).unwrap();
+                assert_eq!(status, 400, "{reply}");
+                assert!(reply.contains(what), "{reply}");
+            }
+            let (status, reply) = client.post_json("/api/generate", &at_bounds).unwrap();
+            assert_eq!(status, 200, "{reply}");
+            let (status, reply) = client
+                .post_json("/api/generate", r#"{"ingredients":["flour"]}"#)
+                .unwrap();
+            assert_eq!(status, 200, "{reply}");
+            let stats = srv.stats();
+            assert_eq!(stats.bad_requests.load(Ordering::Relaxed), 3);
+            assert_eq!(stats.generated.load(Ordering::Relaxed), 2);
+        }
+        replicated.stop();
+        batched.stop();
     }
 
     #[test]

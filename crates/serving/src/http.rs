@@ -16,7 +16,7 @@ use std::time::Duration;
 /// Maximum request head size (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
 /// Maximum request body size.
-const MAX_BODY: usize = 1024 * 1024;
+pub(crate) const MAX_BODY: usize = 1024 * 1024;
 /// Per-connection socket timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Pause after an `accept` error that may persist (descriptor or memory

@@ -5,6 +5,15 @@
 //! most frequent adjacent token pair until the merge budget is exhausted.
 //! As in GPT-2, a word's leading space is kept attached to the word and
 //! merges never cross word boundaries.
+//!
+//! Training keeps its pair counts exact incrementally (`PairCounts`),
+//! and encoding merges in place through a compact rank index
+//! (`MergeRanks`); DESIGN.md's tokenizer section gives the costs and
+//! why both equal the plain algorithms, which the crate keeps as test
+//! oracles.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use ratatouille_util::collections::{det_map, DetMap};
 
@@ -25,7 +34,134 @@ pub struct BpeTokenizer {
     /// Byte string for each non-reserved id (`id - reserved`).
     token_bytes: Vec<Vec<u8>>,
     /// (left id, right id) → merged id.
-    merges: DetMap<(u32, u32), u32>,
+    ranks: MergeRanks,
+}
+
+/// A pair of adjacent token ids.
+type Pair = (u32, u32);
+
+/// The learned merges as `(left << 32 | right, merged id)`, sorted by
+/// key: 6 KB for the registry's 384 merges, a binary search per lookup.
+/// (A dense vocabulary-square table would put megabytes in every
+/// replica.)
+#[derive(Debug, Clone)]
+struct MergeRanks(Vec<(u64, u32)>);
+
+impl MergeRanks {
+    fn key(left: u32, right: u32) -> u64 {
+        ((left as u64) << 32) | right as u64
+    }
+
+    /// Index `merges`, in rank order: merge `r` makes id `first_id + r`.
+    fn new(merges: &[Pair], first_id: u32) -> MergeRanks {
+        let mut ranks: Vec<(u64, u32)> = merges
+            .iter()
+            .enumerate()
+            .map(|(r, &(left, right))| (Self::key(left, right), first_id + r as u32))
+            .collect();
+        ranks.sort_unstable();
+        MergeRanks(ranks)
+    }
+
+    /// The id `left` and `right` merge into, if they do.
+    fn get(&self, left: u32, right: u32) -> Option<u32> {
+        let at = self.0.binary_search_by_key(&Self::key(left, right), |&(k, _)| k).ok()?;
+        self.0.get(at).map(|&(_, id)| id)
+    }
+}
+
+/// Exact adjacent-pair counts over a weighted word list, kept up to date
+/// merge by merge instead of recounted.
+///
+/// `count[p]` is the number of times `p` occurs, each word weighted by
+/// its frequency; pairs that occur nowhere have no entry. `holders[p]`
+/// lists every word that holds `p` (and possibly some that no longer do,
+/// or one twice). `heap` holds an entry for every pair's current count,
+/// plus stale ones that [`PairCounts::best`] skips.
+struct PairCounts {
+    count: DetMap<Pair, usize>,
+    holders: DetMap<Pair, Vec<u32>>,
+    heap: BinaryHeap<(usize, Reverse<Pair>)>,
+}
+
+impl PairCounts {
+    fn new(words: &[(Vec<u32>, usize)]) -> PairCounts {
+        let mut counts = PairCounts {
+            count: det_map(),
+            holders: det_map(),
+            heap: BinaryHeap::new(),
+        };
+        for (i, (w, c)) in words.iter().enumerate() {
+            for p in w.windows(2) {
+                let pair = (p[0], p[1]);
+                *counts.count.entry(pair).or_insert(0) += c;
+                counts.holders.entry(pair).or_default().push(i as u32);
+            }
+        }
+        counts.heap = counts
+            .count
+            .iter()
+            .map(|(&p, &c)| (c, Reverse(p)))
+            .collect();
+        counts
+    }
+
+    /// The most frequent pair and its count, ties to the smaller pair —
+    /// the pick a full recount makes. It leaves the heap, so call
+    /// [`PairCounts::merge`] on it next.
+    fn best(&mut self) -> Option<(Pair, usize)> {
+        while let Some((c, Reverse(pair))) = self.heap.pop() {
+            if self.count.get(&pair) == Some(&c) {
+                return Some((pair, c));
+            }
+        }
+        None
+    }
+
+    /// Merge `pair` into `new_id` in every word that holds it, and
+    /// recount only those words: take each one's pairs out of the counts,
+    /// merge, and put its new pairs back.
+    fn merge(&mut self, words: &mut [(Vec<u32>, usize)], pair: Pair, new_id: u32) {
+        let mut holders = self.holders.remove(&pair).unwrap_or_default();
+        holders.sort_unstable();
+        holders.dedup();
+        let mut touched: Vec<Pair> = Vec::new();
+        for i in holders {
+            let (w, c) = &mut words[i as usize];
+            if !w.windows(2).any(|p| (p[0], p[1]) == pair) {
+                continue;
+            }
+            for p in w.windows(2) {
+                let p = (p[0], p[1]);
+                if let Some(n) = self.count.get_mut(&p) {
+                    *n -= *c;
+                    if *n == 0 {
+                        self.count.remove(&p);
+                    }
+                }
+                touched.push(p);
+            }
+            let len = merge_pairs(w, pair, new_id);
+            w.truncate(len);
+            for p in w.windows(2) {
+                let p = (p[0], p[1]);
+                *self.count.entry(p).or_insert(0) += *c;
+                // Only pairs with the new id are new to this word; it is
+                // already listed under the rest.
+                if p.0 == new_id || p.1 == new_id {
+                    self.holders.entry(p).or_default().push(i);
+                }
+                touched.push(p);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for p in touched {
+            if let Some(&c) = self.count.get(&p) {
+                self.heap.push((c, Reverse(p)));
+            }
+        }
+    }
 }
 
 impl BpeTokenizer {
@@ -47,56 +183,45 @@ impl BpeTokenizer {
             .collect();
         let reserved = specials.len() as u32;
 
-        let mut tok = BpeTokenizer {
-            specials,
-            special_ids,
-            token_bytes: (0..=255u8).map(|b| vec![b]).collect(),
-            merges: det_map(),
-        };
-
         // Collect word frequencies (words carry their leading space).
-        let mut word_counts: DetMap<Vec<u32>, usize> = det_map();
+        let mut word_counts: DetMap<&str, usize> = det_map();
         for doc in corpus {
-            for (seg, is_special) in special::split_on_specials(doc.as_ref(), &tok.specials) {
-                if is_special {
-                    continue;
-                }
-                for w in split_space_words(seg) {
-                    let ids: Vec<u32> = w.bytes().map(|b| reserved + b as u32).collect();
-                    *word_counts.entry(ids).or_insert(0) += 1;
+            for (seg, is_special) in special::split_on_specials(doc.as_ref(), &specials) {
+                if !is_special {
+                    for w in split_space_words(seg) {
+                        *word_counts.entry(w).or_insert(0) += 1;
+                    }
                 }
             }
         }
-        let mut words: Vec<(Vec<u32>, usize)> = word_counts.into_iter().collect();
-        words.sort(); // deterministic iteration order
+        let mut words: Vec<(Vec<u32>, usize)> = word_counts
+            .into_iter()
+            .map(|(w, c)| (w.bytes().map(|b| reserved + b as u32).collect(), c))
+            .collect();
 
-        for _ in 0..num_merges {
-            // Count adjacent pairs across all words.
-            let mut pair_counts: DetMap<(u32, u32), usize> = det_map();
-            for (w, c) in &words {
-                for pair in w.windows(2) {
-                    *pair_counts.entry((pair[0], pair[1])).or_insert(0) += c;
-                }
-            }
-            let Some((&best_pair, &best_count)) = pair_counts
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            else {
+        let mut token_bytes: Vec<Vec<u8>> = (0..=255u8).map(|b| vec![b]).collect();
+        let mut merges: Vec<Pair> = Vec::new();
+        let mut counts = PairCounts::new(&words);
+        while merges.len() < num_merges {
+            let Some((pair, count)) = counts.best() else {
                 break;
             };
-            if best_count < 2 {
+            if count < 2 {
                 break;
             }
-            let new_id = reserved + tok.token_bytes.len() as u32;
-            let mut merged_bytes = tok.bytes_of(best_pair.0).to_vec();
-            merged_bytes.extend_from_slice(tok.bytes_of(best_pair.1));
-            tok.token_bytes.push(merged_bytes);
-            tok.merges.insert(best_pair, new_id);
-            for (w, _) in words.iter_mut() {
-                merge_in_place(w, best_pair, new_id);
-            }
+            let new_id = reserved + token_bytes.len() as u32;
+            let mut merged_bytes = token_bytes[(pair.0 - reserved) as usize].clone();
+            merged_bytes.extend_from_slice(&token_bytes[(pair.1 - reserved) as usize]);
+            token_bytes.push(merged_bytes);
+            merges.push(pair);
+            counts.merge(&mut words, pair, new_id);
         }
-        tok
+        BpeTokenizer {
+            specials,
+            special_ids,
+            token_bytes,
+            ranks: MergeRanks::new(&merges, reserved + 256),
+        }
     }
 
     fn bytes_of(&self, id: u32) -> &[u8] {
@@ -105,66 +230,79 @@ impl BpeTokenizer {
 
     /// Number of learned merges.
     pub fn num_merges(&self) -> usize {
-        self.merges.len()
+        self.ranks.0.len()
     }
 
-    /// Encode one space-word by applying merges in rank order.
-    fn encode_word(&self, word: &str) -> Vec<u32> {
+    /// The merges in rank order, read back from the rank index.
+    #[cfg(test)]
+    pub(crate) fn merge_list(&self) -> Vec<Pair> {
+        let mut ranked = self.ranks.0.clone();
+        ranked.sort_unstable_by_key(|&(_, id)| id);
+        ranked.iter().map(|&(k, _)| ((k >> 32) as u32, k as u32)).collect()
+    }
+
+    /// Append the ids of one space-word to `out`: its bytes, then the
+    /// lowest-ranked applicable merge, applied in place, until none
+    /// applies.
+    fn encode_word(&self, word: &str, out: &mut Vec<u32>) {
         let reserved = self.reserved();
-        let mut ids: Vec<u32> = word.bytes().map(|b| reserved + b as u32).collect();
+        let start = out.len();
+        out.extend(word.bytes().map(|b| reserved + b as u32));
+        let ids = &mut out[start..];
+        let mut len = ids.len();
         loop {
-            // The applicable merge with the lowest rank (smallest new id).
-            let mut best: Option<((u32, u32), u32)> = None;
-            for pair in ids.windows(2) {
-                if let Some(&m) = self.merges.get(&(pair[0], pair[1])) {
-                    if best.map(|(_, b)| m < b).unwrap_or(true) {
-                        best = Some(((pair[0], pair[1]), m));
+            let mut best: Option<(u32, Pair)> = None;
+            for p in ids[..len].windows(2) {
+                if let Some(m) = self.ranks.get(p[0], p[1]) {
+                    if best.is_none_or(|(b, _)| m < b) {
+                        best = Some((m, (p[0], p[1])));
                     }
                 }
             }
-            match best {
-                Some((pair, new_id)) => merge_in_place(&mut ids, pair, new_id),
-                None => break,
-            }
+            let Some((new_id, pair)) = best else {
+                break;
+            };
+            len = merge_pairs(&mut ids[..len], pair, new_id);
         }
-        ids
+        out.truncate(start + len);
     }
 }
 
-/// Replace every occurrence of `pair` in `ids` with `new_id`, in place.
-fn merge_in_place(ids: &mut Vec<u32>, pair: (u32, u32), new_id: u32) {
-    let mut out = Vec::with_capacity(ids.len());
-    let mut i = 0;
-    while i < ids.len() {
-        if i + 1 < ids.len() && ids[i] == pair.0 && ids[i + 1] == pair.1 {
-            out.push(new_id);
-            i += 2;
+/// Replace every occurrence of `pair` in `ids` with `new_id`, left to
+/// right, compacting in place; returns the new length.
+fn merge_pairs(ids: &mut [u32], pair: Pair, new_id: u32) -> usize {
+    let (mut read, mut write) = (0, 0);
+    while read < ids.len() {
+        if read + 1 < ids.len() && ids[read] == pair.0 && ids[read + 1] == pair.1 {
+            ids[write] = new_id;
+            read += 2;
         } else {
-            out.push(ids[i]);
-            i += 1;
+            ids[write] = ids[read];
+            read += 1;
         }
+        write += 1;
     }
-    *ids = out;
+    write
 }
 
 /// Split text into words where each word (except possibly the first)
 /// carries its leading space: `"mix the dough"` → `["mix", " the", " dough"]`.
-fn split_space_words(text: &str) -> Vec<&str> {
-    let mut words = Vec::new();
-    let bytes = text.as_bytes();
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] == b' ' && i > start {
-            words.push(&text[start..i]);
-            start = i;
+fn split_space_words(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = text;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
         }
-        i += 1;
-    }
-    if start < bytes.len() {
-        words.push(&text[start..]);
-    }
-    words
+        // The next word ends at the next space after its first byte.
+        let end = rest
+            .bytes()
+            .skip(1)
+            .position(|b| b == b' ')
+            .map_or(rest.len(), |p| p + 1);
+        let (word, tail) = rest.split_at(end);
+        rest = tail;
+        Some(word)
+    })
 }
 
 impl Tokenizer for BpeTokenizer {
@@ -173,13 +311,14 @@ impl Tokenizer for BpeTokenizer {
     }
 
     fn encode(&self, text: &str) -> Vec<u32> {
-        let mut ids = Vec::new();
+        // At most one id per byte.
+        let mut ids = Vec::with_capacity(text.len());
         for (seg, is_special) in special::split_on_specials(text, &self.specials) {
             if is_special {
                 ids.push(self.special_ids[seg]);
             } else {
                 for w in split_space_words(seg) {
-                    ids.extend(self.encode_word(w));
+                    self.encode_word(w, &mut ids);
                 }
             }
         }
@@ -280,10 +419,12 @@ mod tests {
 
     #[test]
     fn space_words_keep_leading_space() {
-        assert_eq!(split_space_words("mix the dough"), vec!["mix", " the", " dough"]);
-        assert_eq!(split_space_words(" leading"), vec![" leading"]);
-        assert_eq!(split_space_words(""), Vec::<&str>::new());
-        assert_eq!(split_space_words("  double"), vec![" ", " double"]);
+        let words = |s| split_space_words(s).collect::<Vec<_>>();
+        assert_eq!(words("mix the dough"), vec!["mix", " the", " dough"]);
+        assert_eq!(words(" leading"), vec![" leading"]);
+        assert_eq!(words(""), Vec::<&str>::new());
+        assert_eq!(words("  double"), vec![" ", " double"]);
+        assert_eq!(words("a  b "), vec!["a", " ", " b", " "]);
     }
 
     #[test]

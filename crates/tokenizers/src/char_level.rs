@@ -17,13 +17,14 @@ impl CharTokenizer {
     pub fn train<S: AsRef<str>>(corpus: &[S]) -> Self {
         let mut vocab = Vocab::with_specials();
         let specials = all_atomic_tags();
+        let mut buf = [0u8; 4];
         for doc in corpus {
             for (seg, is_special) in special::split_on_specials(doc.as_ref(), &specials) {
                 if is_special {
                     continue; // already registered
                 }
                 for ch in seg.chars() {
-                    vocab.add(&ch.to_string());
+                    vocab.add(ch.encode_utf8(&mut buf));
                 }
             }
         }
@@ -53,17 +54,15 @@ impl Tokenizer for CharTokenizer {
 
     fn encode(&self, text: &str) -> Vec<u32> {
         let mut ids = Vec::with_capacity(text.len());
+        let mut buf = [0u8; 4];
         for (seg, is_special) in special::split_on_specials(text, &self.specials) {
             if is_special {
                 // xlint: allow(transitive-panic-in-request-path): `specials` is `all_atomic_tags()`, exactly the tags `Vocab::with_specials` registers, and a `Vocab` has no other constructor
                 ids.push(self.vocab.id(seg).expect("registered special"));
             } else {
                 for ch in seg.chars() {
-                    ids.push(
-                        self.vocab
-                            .id(&ch.to_string())
-                            .unwrap_or_else(|| self.vocab.unk_id()),
-                    );
+                    let id = self.vocab.id(ch.encode_utf8(&mut buf));
+                    ids.push(id.unwrap_or_else(|| self.vocab.unk_id()));
                 }
             }
         }

@@ -26,6 +26,8 @@
 pub mod bpe;
 pub mod char_level;
 pub mod normalize;
+#[cfg(test)]
+mod reference;
 pub mod special;
 pub mod vocab;
 pub mod word_level;

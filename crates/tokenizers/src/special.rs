@@ -107,33 +107,49 @@ pub fn collapse_spaces(s: &str) -> String {
 /// Split `text` into alternating plain segments and special tokens, so
 /// tokenizers can treat tags atomically. Returns `(segment, is_special)`
 /// pairs in order; empty plain segments are dropped.
+///
+/// One left-to-right pass: a tag is tried only at a byte that starts
+/// one, and the earliest match wins; at one position the longest tag
+/// wins, the first listed on a tie in length. An empty tag matches
+/// nothing.
 pub fn split_on_specials<'a>(text: &'a str, specials: &[&str]) -> Vec<(&'a str, bool)> {
+    let mut starts_a_tag = [false; 256];
+    for sp in specials {
+        if let Some(&b) = sp.as_bytes().first() {
+            starts_a_tag[b as usize] = true;
+        }
+    }
+    let bytes = text.as_bytes();
     let mut out = Vec::new();
-    let mut rest = text;
-    'outer: while !rest.is_empty() {
-        // find the earliest special occurrence
-        let mut best: Option<(usize, &str)> = None;
-        for &sp in specials {
-            if let Some(pos) = rest.find(sp) {
-                match best {
-                    Some((bpos, bsp)) if pos > bpos || (pos == bpos && sp.len() <= bsp.len()) => {}
-                    _ => best = Some((pos, sp)),
+    // Start of the plain segment not yet emitted.
+    let mut plain = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        if starts_a_tag[bytes[i] as usize] {
+            let rest = &bytes[i..];
+            let mut longest = 0;
+            for sp in specials {
+                if sp.len() > longest && rest.starts_with(sp.as_bytes()) {
+                    longest = sp.len();
                 }
             }
-        }
-        match best {
-            Some((pos, sp)) => {
-                if pos > 0 {
-                    out.push((&rest[..pos], false));
+            // A tag is whole UTF-8, and its first byte is not a
+            // continuation byte, so `i` and `i + longest` are char
+            // boundaries.
+            if longest > 0 {
+                if i > plain {
+                    out.push((&text[plain..i], false));
                 }
-                out.push((&rest[pos..pos + sp.len()], true));
-                rest = &rest[pos + sp.len()..];
-            }
-            None => {
-                out.push((rest, false));
-                break 'outer;
+                out.push((&text[i..i + longest], true));
+                i += longest;
+                plain = i;
+                continue;
             }
         }
+        i += 1;
+    }
+    if plain < bytes.len() {
+        out.push((&text[plain..], false));
     }
     out
 }

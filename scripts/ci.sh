@@ -143,6 +143,15 @@ fi
 echo "== build (release, warnings are errors) =="
 cargo build --workspace --release --offline
 
+echo "== tokenizer oracles (properties against the reference tokenizers, fixed case budget) =="
+# The one-pass splitter, incremental BPE training and in-place encoder
+# against the plain algorithms they replaced (`tokenizers::reference`).
+# The time is printed, not gated; the full run below repeats them.
+cargo test -q --offline -p ratatouille-tokenizers --lib --no-run
+oracle_start=$(date +%s%N)
+cargo test -q --offline -p ratatouille-tokenizers --lib reference::
+echo "tokenizer oracles: $(( ($(date +%s%N) - oracle_start) / 1000000 ))ms"
+
 echo "== test (all targets) =="
 cargo test --workspace -q --offline
 
