@@ -251,14 +251,10 @@ impl BpeTokenizer {
         let ids = &mut out[start..];
         let mut len = ids.len();
         loop {
-            let mut best: Option<(u32, Pair)> = None;
-            for p in ids[..len].windows(2) {
-                if let Some(m) = self.ranks.get(p[0], p[1]) {
-                    if best.is_none_or(|(b, _)| m < b) {
-                        best = Some((m, (p[0], p[1])));
-                    }
-                }
-            }
+            let best = ids[..len]
+                .windows(2)
+                .filter_map(|p| Some((self.ranks.get(p[0], p[1])?, (p[0], p[1]))))
+                .min_by_key(|&(merged, _)| merged);
             let Some((new_id, pair)) = best else {
                 break;
             };
