@@ -250,17 +250,10 @@ impl<'a> Trainer<'a> {
             if self.config.checkpoint_every > 0
                 && (step + 1) % self.config.checkpoint_every == 0
             {
-                if let Some(path) = &self.config.checkpoint_path {
-                    let map = Checkpoint::capture(self.model, &opt, (step + 1) as u64, seed);
-                    map.save(path).expect("checkpoint write failed");
-                }
+                self.checkpoint(&opt, (step + 1) as u64, seed);
             }
         }
-        // final checkpoint
-        if let Some(path) = &self.config.checkpoint_path {
-            let map = Checkpoint::capture(self.model, &opt, self.config.steps as u64, seed);
-            map.save(path).expect("checkpoint write failed");
-        }
+        self.checkpoint(&opt, self.config.steps as u64, seed);
         // The last step's gradients have been applied. Kept, they would
         // live as long as the model, and the ones allocated near the top of
         // the heap during that step's backward would keep everything the
@@ -282,6 +275,17 @@ impl<'a> Trainer<'a> {
             tokens_per_sec,
             losses,
             wall_secs: wall,
+        }
+    }
+
+    /// Write a checkpoint at `step` if the config names a path, timing
+    /// the write into `train_checkpoint_write_ns`.
+    fn checkpoint(&self, opt: &Adam, step: u64, seed: u64) {
+        if let Some(path) = &self.config.checkpoint_path {
+            let map = Checkpoint::capture(self.model, opt, step, seed);
+            let write = obs::Clock::now();
+            map.save(path).expect("checkpoint write failed");
+            obs::static_histogram!("train_checkpoint_write_ns").observe(write.elapsed_ns());
         }
     }
 

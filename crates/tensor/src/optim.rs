@@ -6,7 +6,6 @@
 //! registries in `ratatouille-models` guarantee this).
 
 use crate::autograd::Var;
-use crate::ops;
 use crate::tensor::Tensor;
 
 /// Clear gradients on all parameters.
@@ -17,8 +16,14 @@ pub fn zero_grads(params: &[Var]) {
 }
 
 /// Global-norm gradient clipping: if the joint L2 norm of all gradients
-/// exceeds `max_norm`, scale every gradient by `max_norm / norm`.
-/// Returns the pre-clip norm.
+/// exceeds `max_norm`, scale every gradient by `max_norm / norm`, in
+/// place. Returns the pre-clip norm.
+///
+/// In place because this runs after backward has freed the step's graph:
+/// scaled copies would be allocated at the top of a heap that is mostly
+/// free, and once the gradients are dropped they leave a free block there
+/// that is smaller than glibc's trim threshold, so it stays resident
+/// (EXPERIMENTS "The forward graph keeps only what backward reads").
 pub fn clip_grad_norm(params: &[Var], max_norm: f32) -> f32 {
     let mut sq = 0.0f64;
     for p in params {
@@ -31,8 +36,8 @@ pub fn clip_grad_norm(params: &[Var], max_norm: f32) -> f32 {
     if norm > max_norm && norm > 0.0 {
         let s = max_norm / norm;
         for p in params {
-            if let Some(g) = p.grad() {
-                p.0.borrow_mut().grad = Some(ops::scale(&g, s));
+            if let Some(g) = p.node.borrow_mut().grad.as_mut() {
+                g.make_mut().iter_mut().for_each(|v| *v *= s);
             }
         }
     }
@@ -133,8 +138,8 @@ impl Adam {
                 v: Tensor::zeros(g.dims()),
             });
             let (m, v) = (st.m.make_mut(), st.v.make_mut());
-            let mut inner = p.0.borrow_mut();
-            let x = inner.value.make_mut();
+            let mut value = p.value.borrow_mut();
+            let x = value.make_mut();
             for (((x, m), v), &g) in x.iter_mut().zip(m).zip(v).zip(g.data()) {
                 *m = *m * self.beta1 + g * (1.0 - self.beta1);
                 *v = *v * self.beta2 + g * g * (1.0 - self.beta2);
@@ -222,7 +227,7 @@ mod tests {
         opt.step(&[p.clone()]);
         assert_eq!(p.value().item(), 1.0, "no grad -> no update at all");
         // With a tiny gradient, the decay term dominates and the weight shrinks.
-        p.0.borrow_mut().grad = Some(Tensor::scalar(1e-12));
+        p.node.borrow_mut().grad = Some(Tensor::scalar(1e-12));
         opt.step(&[p.clone()]);
         assert!(p.value().item() < 1.0);
     }
@@ -230,7 +235,7 @@ mod tests {
     #[test]
     fn clip_reduces_large_gradients() {
         let p = Var::leaf(Tensor::from_vec(vec![0.0, 0.0], &[2]).unwrap());
-        p.0.borrow_mut().grad = Some(Tensor::from_vec(vec![30.0, 40.0], &[2]).unwrap());
+        p.node.borrow_mut().grad = Some(Tensor::from_vec(vec![30.0, 40.0], &[2]).unwrap());
         let norm = clip_grad_norm(&[p.clone()], 5.0);
         assert!((norm - 50.0).abs() < 1e-3);
         let g = p.grad().unwrap();
@@ -242,7 +247,7 @@ mod tests {
     #[test]
     fn clip_leaves_small_gradients() {
         let p = Var::leaf(Tensor::scalar(0.0));
-        p.0.borrow_mut().grad = Some(Tensor::scalar(0.5));
+        p.node.borrow_mut().grad = Some(Tensor::scalar(0.5));
         clip_grad_norm(&[p.clone()], 5.0);
         assert_eq!(p.grad().unwrap().item(), 0.5);
     }

@@ -116,6 +116,13 @@ impl<E: Element> Tensor<E> {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
+    /// Test-only: a weak handle on the storage, which upgrades while any
+    /// tensor still shares it.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> std::sync::Weak<Vec<E>> {
+        Arc::downgrade(&self.data)
+    }
+
     /// Internal: build from parts without re-validating (callers guarantee
     /// `data.len() == shape.numel()`).
     pub(crate) fn from_parts(shape: Shape, data: Vec<E>) -> Tensor<E> {

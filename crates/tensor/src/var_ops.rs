@@ -10,6 +10,7 @@
 
 use crate::autograd::Var;
 use crate::ops;
+use crate::par::STREAM_MACS;
 use crate::tensor::Tensor;
 
 impl Var {
@@ -20,7 +21,7 @@ impl Var {
     /// Elementwise addition (same shape).
     pub fn add(&self, other: &Var) -> Var {
         let out = ops::add(&self.value(), &other.value());
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(|g| {
+        Var::from_op(out, &[self, other], Box::new(|g| {
             vec![g.clone(), g.clone()]
         }))
     }
@@ -28,7 +29,7 @@ impl Var {
     /// Elementwise subtraction (same shape).
     pub fn sub(&self, other: &Var) -> Var {
         let out = ops::sub(&self.value(), &other.value());
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(|g| {
+        Var::from_op(out, &[self, other], Box::new(|g| {
             vec![g.clone(), ops::neg(g)]
         }))
     }
@@ -37,7 +38,7 @@ impl Var {
     pub fn mul(&self, other: &Var) -> Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::mul(&a, &b);
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             vec![ops::mul(g, &b), ops::mul(g, &a)]
         }))
     }
@@ -46,7 +47,7 @@ impl Var {
     pub fn add_broadcast(&self, other: &Var) -> Var {
         let b_dims = other.dims();
         let out = ops::add_broadcast(&self.value(), &other.value());
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             vec![g.clone(), ops::sum_to_trailing(g, &b_dims)]
         }))
     }
@@ -56,7 +57,7 @@ impl Var {
         let (a, b) = (self.value(), other.value());
         let b_dims = other.dims();
         let out = ops::mul_broadcast(&a, &b);
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             let da = ops::mul_broadcast(g, &b);
             let db = ops::sum_to_trailing(&ops::mul(g, &a), &b_dims);
             vec![da, db]
@@ -66,13 +67,13 @@ impl Var {
     /// Multiply by a scalar.
     pub fn scale(&self, s: f32) -> Var {
         let out = ops::scale(&self.value(), s);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![ops::scale(g, s)]))
+        Var::from_op(out, &[self], Box::new(move |g| vec![ops::scale(g, s)]))
     }
 
     /// Add a scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
         let out = ops::add_scalar(&self.value(), s);
-        Var::from_op(out, vec![self.clone()], Box::new(|g| vec![g.clone()]))
+        Var::from_op(out, &[self], Box::new(|g| vec![g.clone()]))
     }
 
     /// Negation.
@@ -88,7 +89,7 @@ impl Var {
     pub fn matmul(&self, other: &Var) -> Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::matmul(&a, &b);
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             vec![ops::matmul_transb(g, &b), ops::matmul_transa(&a, g)]
         }))
     }
@@ -99,7 +100,7 @@ impl Var {
     pub fn matmul_transb(&self, other: &Var) -> Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::matmul_transb(&a, &b);
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             // dA = dC @ B ; dB[n,k] = Σ_m dC[m,n]·A[m,k] = dCᵀ @ A
             vec![ops::matmul(g, &b), ops::matmul_transa(g, &a)]
         }))
@@ -116,7 +117,7 @@ impl Var {
     pub fn bmm_transb_causal(&self, other: &Var) -> Var {
         let (q, k) = (self.value(), other.value());
         let out = ops::bmm_transb_causal(&q, &k);
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             vec![ops::bmm_causal(g, &k), ops::bmm_transa_causal(g, &q)]
         }))
     }
@@ -131,7 +132,7 @@ impl Var {
     pub fn bmm_causal(&self, other: &Var) -> Var {
         let (p, v) = (self.value(), other.value());
         let out = ops::bmm_causal(&p, &v);
-        Var::from_op(out, vec![self.clone(), other.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self, other], Box::new(move |g| {
             vec![ops::bmm_transb_causal(g, &v), ops::bmm_transa_causal(&p, g)]
         }))
     }
@@ -144,7 +145,7 @@ impl Var {
     pub fn tanh(&self) -> Var {
         let out = ops::tanh(&self.value());
         let saved = out.clone();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::zip(g, &saved, |gv, t| gv * (1.0 - t * t))]
         }))
     }
@@ -153,7 +154,7 @@ impl Var {
     pub fn sigmoid(&self) -> Var {
         let out = ops::sigmoid(&self.value());
         let saved = out.clone();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::zip(g, &saved, |gv, s| gv * s * (1.0 - s))]
         }))
     }
@@ -162,7 +163,7 @@ impl Var {
     pub fn gelu(&self) -> Var {
         let x = self.value();
         let out = ops::gelu(&x);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::gelu_backward(g, &x)]
         }))
     }
@@ -171,7 +172,7 @@ impl Var {
     pub fn exp(&self) -> Var {
         let out = ops::exp(&self.value());
         let saved = out.clone();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::mul(g, &saved)]
         }))
     }
@@ -180,7 +181,7 @@ impl Var {
     pub fn ln(&self) -> Var {
         let x = self.value();
         let out = ops::ln(&x);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::zip(g, &x, |gv, xv| gv / xv)]
         }))
     }
@@ -193,7 +194,7 @@ impl Var {
     pub fn sum(&self) -> Var {
         let dims = self.dims();
         let out = ops::sum_all(&self.value());
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![Tensor::full(&dims, g.item())]
         }))
     }
@@ -203,7 +204,7 @@ impl Var {
         let dims = self.dims();
         let n: usize = dims.iter().product::<usize>().max(1);
         let out = ops::mean_all(&self.value());
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![Tensor::full(&dims, g.item() / n as f32)]
         }))
     }
@@ -216,7 +217,7 @@ impl Var {
     pub fn softmax_last(&self) -> Var {
         let p = ops::softmax_last(&self.value());
         let saved = p.clone();
-        Var::from_op(p, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(p, &[self], Box::new(move |g| {
             vec![ops::softmax_backward(g, &saved)]
         }))
     }
@@ -226,7 +227,7 @@ impl Var {
     pub fn causal_masked_softmax(&self) -> Var {
         let p = ops::causal_masked_softmax(&self.value());
         let saved = p.clone();
-        Var::from_op(p, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(p, &[self], Box::new(move |g| {
             // Masked entries have p = 0, so the shared formula yields
             // exactly 0 gradient there — no separate mask needed.
             vec![ops::softmax_backward(g, &saved)]
@@ -244,7 +245,7 @@ impl Var {
         let (out, mean, rstd) = ops::layer_norm(&x, &g, &beta.value(), eps);
         Var::from_op(
             out,
-            vec![self.clone(), gamma.clone(), beta.clone()],
+            &[self, gamma, beta],
             Box::new(move |dy| {
                 let (dx, dgamma, dbeta) = ops::layer_norm_backward(&x, &g, &mean, &rstd, dy);
                 vec![dx, dgamma, dbeta]
@@ -262,7 +263,7 @@ impl Var {
         let (v, d) = (table.dims()[0], table.dims()[1]);
         let out = ops::embedding(&table, ids);
         let ids: Vec<usize> = ids.to_vec();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             let mut dt = vec![0.0f32; v * d];
             for (row, &id) in ids.iter().enumerate() {
                 let src = &g.data()[row * d..(row + 1) * d];
@@ -284,7 +285,7 @@ impl Var {
         let kept = targets.iter().filter(|&&t| t != ignore_index).count().max(1);
         Var::from_op(
             Tensor::scalar(loss),
-            vec![self.clone()],
+            &[self],
             Box::new(move |g| {
                 let scale = g.item() / kept as f32;
                 vec![ops::cross_entropy_backward(&probs, &targets, ignore_index, scale)]
@@ -300,7 +301,7 @@ impl Var {
     pub fn reshape(&self, dims: &[usize]) -> Var {
         let in_dims = self.dims();
         let out = self.value().reshape(dims);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![g.reshape(&in_dims)]
         }))
     }
@@ -313,7 +314,7 @@ impl Var {
         for (i, &a) in axes.iter().enumerate() {
             inv[a] = i;
         }
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::permute(g, &inv)]
         }))
     }
@@ -322,7 +323,7 @@ impl Var {
     pub fn narrow(&self, axis: usize, start: usize, len: usize) -> Var {
         let full_dims = self.dims();
         let out = ops::narrow(&self.value(), axis, start, len);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
+        Var::from_op(out, &[self], Box::new(move |g| {
             vec![ops::pad_narrow_grad(g, &full_dims, axis, start)]
         }))
     }
@@ -334,7 +335,7 @@ impl Var {
         let refs: Vec<&Tensor> = values.iter().collect();
         let out = ops::concat(&refs, axis);
         let sizes: Vec<usize> = values.iter().map(|v| v.dims()[axis]).collect();
-        Var::from_op(out, parts.to_vec(), Box::new(move |g| {
+        Var::from_op(out, &parts.iter().collect::<Vec<_>>(), Box::new(move |g| {
             let mut grads = Vec::with_capacity(sizes.len());
             let mut off = 0;
             for &s in &sizes {
@@ -347,22 +348,172 @@ impl Var {
 
     /// Inverted dropout with keep-probability `1 - p`; identity when
     /// `p == 0`. The mask is drawn from `rng` so training is reproducible.
+    ///
+    /// Element `i` takes the `i`-th `next_u64` and is kept when that
+    /// draw's top 24 bits are below `⌈keep·2²⁴⌉` — the same answer as
+    /// `rng.random::<f32>() < keep`, which is those 24 bits times 2⁻²⁴,
+    /// exactly. The mask is one bit per element; forward and backward
+    /// each multiply by `1/keep` or `0.0` in one row-parallel pass.
     pub fn dropout(&self, p: f32, rng: &mut impl ratatouille_util::rng::RngExt) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1), got {p}");
         if p == 0.0 {
             return self.clone();
         }
         let keep = 1.0 - p;
+        let scale = 1.0 / keep;
         let x = self.value();
-        let mask: Vec<f32> = (0..x.numel())
+        let mask = KeepMask::draw(x.numel(), keep, rng);
+        let out = mask.apply(&x, scale);
+        Var::from_op(out, &[self], Box::new(move |g| vec![mask.apply(g, scale)]))
+    }
+}
+
+/// A dropout mask, one bit per element: bit `i % 64` of word `i / 64`
+/// is set where element `i` is kept.
+struct KeepMask(Vec<u64>);
+
+impl KeepMask {
+    /// Draw `n` keep decisions, one `next_u64` each, in element order.
+    fn draw(n: usize, keep: f32, rng: &mut impl ratatouille_util::rng::Rng) -> KeepMask {
+        // `keep·2²⁴` is exact in f64, and a 24-bit integer `u` has
+        // `u·2⁻²⁴ < keep` exactly when `u < ⌈keep·2²⁴⌉`.
+        let cut = (f64::from(keep) * f64::from(1u32 << 24)).ceil() as u64;
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for i in 0..n {
+            words[i / 64] |= u64::from(rng.next_u64() >> 40 < cut) << (i % 64);
+        }
+        KeepMask(words)
+    }
+
+    /// `t · scale` where an element is kept and `t · 0.0` where it is
+    /// dropped (so a dropped `±inf` or NaN stays NaN, as a multiply by an
+    /// `f32` mask left it).
+    fn apply(&self, t: &Tensor, scale: f32) -> Tensor {
+        let (rows, w) = ops::last_axis_rows(t.dims());
+        let src = t.data();
+        let data = ops::fill_rows(rows, w, w * STREAM_MACS, |r, out| {
+            for (i, o) in (r.start * w..).zip(out) {
+                let kept = self.0[i / 64] >> (i % 64) & 1 == 1;
+                *o = src[i] * if kept { scale } else { 0.0 };
+            }
+        });
+        Tensor::from_parts(t.shape().clone(), data)
+    }
+}
+
+/// Dropout as first written — an `f32` mask, `ops::mul` to apply it and
+/// `ops::mul` again in backward — kept as the oracle the packed mask must
+/// match bit for bit: forward output, gradient, and the RNG's next draw.
+#[cfg(test)]
+mod dropout_reference {
+    use ratatouille_util::proptest::prelude::*;
+    use ratatouille_util::rng::{Rng, RngExt, SeedableRng, StdRng};
+
+    use super::*;
+
+    fn dropout(x: &Var, p: f32, rng: &mut impl RngExt) -> Var {
+        assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1), got {p}");
+        if p == 0.0 {
+            return x.clone();
+        }
+        let keep = 1.0 - p;
+        let xv = x.value();
+        let mask: Vec<f32> = (0..xv.numel())
             .map(|_| if rng.random::<f32>() < keep { 1.0 / keep } else { 0.0 })
             .collect();
-        let mask = Tensor::from_vec(mask, x.dims()).unwrap();
-        let out = ops::mul(&x, &mask);
-        let saved = mask.clone();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| {
-            vec![ops::mul(g, &saved)]
-        }))
+        let mask = Tensor::from_vec(mask, xv.dims()).unwrap();
+        let out = ops::mul(&xv, &mask);
+        Var::from_op(out, &[x], Box::new(move |g| vec![ops::mul(g, &mask)]))
+    }
+
+    /// Up to one word, one word and a bit over, several rows' worth of
+    /// odd length, and one attention site of `train_medium` (`[16,256,256]`).
+    const SIZES: [usize; 6] = [1, 63, 64, 65, 4097, 16 * 256 * 256];
+    const PS: [f32; 4] = [1e-7, 0.1, 0.5, 0.9];
+    const SPECIALS: [f32; 8] =
+        [0.0, -0.0, 1e-40, -1e-40, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.5];
+
+    /// `n` values from `seed`, `share` quarters of them drawn from
+    /// [`SPECIALS`] and the rest uniform in `[-2, 2)`. Multiples of 256
+    /// are laid out as rows of 256, so the row-parallel pass splits them.
+    fn tensor(n: usize, seed: u64, share: u32) -> Tensor {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..n)
+            .map(|_| {
+                if rng.below(4) < share as usize {
+                    SPECIALS[rng.below(SPECIALS.len())]
+                } else {
+                    rng.random_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        let dims = if n % 256 == 0 { vec![n / 256, 256] } else { vec![n] };
+        Tensor::from_vec(data, &dims).unwrap()
+    }
+
+    /// Forward output and input gradient as bits, and the RNG's next draw.
+    type Outcome = (Vec<u32>, Vec<u32>, u64);
+
+    fn run<R: Rng>(drop: impl Fn(&Var, &mut R) -> Var, x: &Tensor, g: &Tensor, mut rng: R) -> Outcome {
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        let xv = Var::leaf(x.clone());
+        let y = drop(&xv, &mut rng);
+        y.backward_with(g.clone());
+        (bits(y.value()), bits(xv.grad().unwrap()), rng.next_u64())
+    }
+
+    fn same_as_reference(x: &Tensor, g: &Tensor, p: f32, rng: impl Rng + Clone) -> Result<(), String> {
+        let packed = run(|v, r| v.dropout(p, r), x, g, rng.clone());
+        let oracle = run(|v, r| dropout(v, p, r), x, g, rng);
+        let first_diff = |a: &[u32], b: &[u32]| a.iter().zip(b).position(|(x, y)| x != y);
+        let n = x.numel();
+        prop_assert_eq!(first_diff(&packed.0, &oracle.0), None, "forward, n {} p {}", n, p);
+        prop_assert_eq!(first_diff(&packed.1, &oracle.1), None, "gradient, n {} p {}", n, p);
+        prop_assert_eq!(packed.2, oracle.2, "next draw, n {} p {}", n, p);
+        Ok(())
+    }
+
+    proptest! {
+        cases = 48;
+
+        /// Bit for bit on every size, rate and input mix.
+        #[test]
+        fn packed_dropout_matches_reference(
+            size in 0usize..SIZES.len(),
+            rate in 0usize..PS.len(),
+            seed in any::<u64>(),
+            share in 0u32..5,
+        ) {
+            let (x, g) = (tensor(SIZES[size], seed, share), tensor(SIZES[size], !seed, share));
+            same_as_reference(&x, &g, PS[rate], StdRng::seed_from_u64(seed))?;
+        }
+    }
+
+    /// Replays a fixed list of draws.
+    #[derive(Clone)]
+    struct Script(Vec<u64>, usize);
+
+    impl Rng for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0[(self.1 - 1) % self.0.len()]
+        }
+    }
+
+    /// Draws whose 24 bits sit one below, at and one above `keep·2²⁴`
+    /// (low bits set and clear), where a threshold off by one would keep
+    /// or drop the wrong element; the random property meets these rarely.
+    #[test]
+    fn keep_threshold_matches_float_compare_at_the_boundary() {
+        for p in PS.into_iter().chain([1.0 / 3.0, 0.3, 0.999_999_9, f32::EPSILON]) {
+            let edge = (f64::from(1.0 - p) * f64::from(1u32 << 24)) as u64;
+            let draws: Vec<u64> = (edge.saturating_sub(1)..=(edge + 1).min((1 << 24) - 1))
+                .flat_map(|u| [u << 40, u << 40 | ((1 << 40) - 1)])
+                .collect();
+            let n = draws.len();
+            let x = tensor(n, 1, 2);
+            same_as_reference(&x, &tensor(n, 2, 2), p, Script(draws, 0)).unwrap();
+        }
     }
 }
 

@@ -152,6 +152,17 @@ oracle_start=$(date +%s%N)
 cargo test -q --offline -p ratatouille-tokenizers --lib reference::
 echo "tokenizer oracles: $(( ($(date +%s%N) - oracle_start) / 1000000 ))ms"
 
+echo "== autograd oracles (packed dropout against the f32-mask reference, graph lifetimes, fixed case budget) =="
+# The one-bit dropout mask against the f32 mask and the two `ops::mul`
+# passes it replaced (`var_ops::dropout_reference`: forward, gradient and
+# the RNG's next draw, bit for bit), and the rule that the graph keeps no
+# value its backward does not read (`autograd::tests::lifetime_*`). The
+# time is printed, not gated; the full run below repeats them.
+cargo test -q --offline -p ratatouille-tensor --lib --no-run
+autograd_start=$(date +%s%N)
+cargo test -q --offline -p ratatouille-tensor --lib -- dropout_reference:: lifetime_
+echo "autograd oracles: $(( ($(date +%s%N) - autograd_start) / 1000000 ))ms"
+
 echo "== test (all targets) =="
 cargo test --workspace -q --offline
 

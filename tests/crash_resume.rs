@@ -46,7 +46,16 @@ fn gpt2_crash_resume_matches_uninterrupted_run() {
         checkpoint_path: Some(ckpt.clone()),
         ..base_cfg.clone()
     };
+    let writes = obs::metrics::histogram("train_checkpoint_write_ns");
+    let writes_before = writes.count();
     let first = Trainer::new(spec_a.model.as_ref(), &ds, crash_cfg).train();
+    // One write at step 6 and the final one; other tests in this binary
+    // may add theirs concurrently.
+    assert!(
+        writes.count() >= writes_before + 2,
+        "train_checkpoint_write_ns counted {} writes, expected at least 2",
+        writes.count() - writes_before
+    );
 
     let spec_b = ModelSpec::build(ModelKind::DistilGpt2, &p.train_texts);
     let resume_cfg = TrainConfig {
