@@ -3,7 +3,9 @@
 //! Each op computes its forward value with the pure kernels in
 //! [`crate::ops`] and registers a backward closure that maps the node's
 //! output gradient to per-parent input gradients. The closures capture the
-//! (immutable, cheaply-clonable) tensors they need.
+//! (immutable, cheaply-clonable) tensors they need, and only those: the
+//! graph links parents without their values, so whatever a closure does
+//! not capture is freed when the forward code drops its handle.
 //!
 //! Every op here is validated against central finite differences in the
 //! test module at the bottom of this file.
