@@ -7,8 +7,7 @@
 //!   set or adjusted;
 //! * [`Histogram`] — 256 log-linear buckets of `AtomicU64` (16 exact
 //!   buckets for values 0–15, then 4 linear sub-buckets per power of
-//!   two), plus sum and count, from which p50/p90/p99 snapshots are
-//!   derived.
+//!   two), plus sum and count.
 //!
 //! Registration (`counter`/`gauge`/`histogram`) takes a mutex once per
 //! unique name and hands back an `Arc` handle; the *observation* path is
@@ -25,11 +24,13 @@
 //! status classes, never from request payloads.
 //!
 //! [`render_prometheus`] produces the text exposition format (served at
-//! `GET /metrics`) in deterministic (sorted-name) order.
+//! `GET /metrics`) in deterministic (sorted-name) order, in one pass into
+//! one buffer.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -126,11 +127,11 @@ pub struct Histogram {
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.snapshot();
         write!(
             f,
-            "Histogram {{ count: {}, sum: {}, p50: {}, p99: {} }}",
-            s.count, s.sum, s.p50, s.p99
+            "Histogram {{ count: {}, sum: {} }}",
+            self.count(),
+            self.sum()
         )
     }
 }
@@ -143,21 +144,6 @@ impl Default for Histogram {
             count: AtomicU64::new(0),
         }
     }
-}
-
-/// Point-in-time view of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Total samples observed.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: u64,
-    /// Median (bucket upper bound containing the 50th percentile).
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
 }
 
 impl Histogram {
@@ -176,41 +162,6 @@ impl Histogram {
     /// Sum of samples observed so far.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Quantile estimate: the upper bound of the bucket holding the
-    /// `q`-th fraction of samples (0 when empty). Error is bounded by the
-    /// bucket's ≤ 25% relative width.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (idx, &c) in counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return bucket_upper(idx);
-            }
-        }
-        bucket_upper(BUCKETS - 1)
-    }
-
-    /// Count/sum/p50/p90/p99 in one (racy-but-consistent-enough) read.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-        }
     }
 }
 
@@ -238,14 +189,23 @@ fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-fn get_or_register(name: &str, make: impl FnOnce() -> Metric) -> Metric {
-    let mut reg = match registry().lock() {
+fn lock_registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
+    match registry().lock() {
         Ok(g) => g,
         // A panic while holding the registry lock cannot corrupt the map
         // (all mutations are single inserts); keep serving metrics.
         Err(poisoned) => poisoned.into_inner(),
-    };
-    reg.entry(name.to_string()).or_insert_with(make).clone()
+    }
+}
+
+fn get_or_register(name: &str, make: impl FnOnce() -> Metric) -> Metric {
+    let mut reg = lock_registry();
+    if let Some(m) = reg.get(name) {
+        return m.clone();
+    }
+    let m = make();
+    reg.insert(name.to_string(), m.clone());
+    m
 }
 
 /// Sanitize a display name into a Prometheus label value: lowercase
@@ -298,51 +258,95 @@ fn family(name: &str) -> &str {
     name.split('{').next().unwrap_or(name)
 }
 
-/// Render `v` the way Prometheus expects floats (no exponent tricks
-/// needed at our magnitudes; integral values print bare).
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+/// Append the decimal digits of `n`.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
     }
 }
+
+/// Append `v` the way Prometheus expects floats: integral values below
+/// 1e15 print bare (`-0.0` as `0`), everything else through `f64`'s
+/// `Display` (`NaN`, `inf`, shortest round-trip digits).
+fn push_f64(out: &mut String, v: f64) {
+    if v == v.trunc() && v.abs() < 1e15 {
+        let i = v as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        push_u64(out, i.unsigned_abs());
+    } else {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Length of the last exposition, so the next one allocates once.
+static LAST_RENDER_LEN: AtomicUsize = AtomicUsize::new(0);
 
 /// Render the whole registry in the Prometheus text exposition format
 /// (`text/plain; version=0.0.4`), families and series in deterministic
 /// name order. Histograms emit cumulative `_bucket{le=...}` lines for
 /// non-empty buckets plus `+Inf`, `_sum` and `_count`.
 pub fn render_prometheus() -> String {
-    let reg = match registry().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut out = String::new();
-    let mut last_family = String::new();
-    for (name, m) in reg.iter() {
+    let mut out = String::with_capacity(LAST_RENDER_LEN.load(Ordering::Relaxed));
+    render_into(&mut out, &lock_registry());
+    LAST_RENDER_LEN.store(out.len(), Ordering::Relaxed);
+    out
+}
+
+/// Append the exposition of `reg` to `out`: one pass, `&str` pieces and
+/// digits pushed straight into the buffer.
+fn render_into(out: &mut String, reg: &BTreeMap<String, Metric>) {
+    let mut last_family = "";
+    for (name, m) in reg {
         let fam = family(name);
         if fam != last_family {
-            out.push_str(&format!("# TYPE {fam} {}\n", m.kind()));
-            last_family = fam.to_string();
+            out.push_str("# TYPE ");
+            out.push_str(fam);
+            out.push(' ');
+            out.push_str(m.kind());
+            out.push('\n');
+            last_family = fam;
         }
         match m {
             Metric::Counter(c) => {
-                out.push_str(&format!("{name} {}\n", c.get()));
+                out.push_str(name);
+                out.push(' ');
+                push_u64(out, c.get());
+                out.push('\n');
             }
             Metric::Gauge(g) => {
-                out.push_str(&format!("{name} {}\n", fmt_f64(g.get())));
+                out.push_str(name);
+                out.push(' ');
+                push_f64(out, g.get());
+                out.push('\n');
             }
             Metric::Histogram(h) => {
                 // Inline labels from the series name must survive on every
                 // emitted line: `le` merges into the existing label set on
                 // bucket lines, `_sum`/`_count` carry the set verbatim.
                 let labels = &name[fam.len()..];
-                let bucket_labels = |le: &str| {
-                    if labels.is_empty() {
-                        format!("{{le=\"{le}\"}}")
-                    } else {
-                        format!("{},le=\"{le}\"}}", &labels[..labels.len() - 1])
-                    }
+                let (open, le) = if labels.is_empty() {
+                    ("", "{le=\"")
+                } else {
+                    (&labels[..labels.len() - 1], ",le=\"")
+                };
+                let bucket_line = |out: &mut String| {
+                    out.push_str(fam);
+                    out.push_str("_bucket");
+                    out.push_str(open);
+                    out.push_str(le);
                 };
                 let mut cum = 0u64;
                 for idx in 0..BUCKETS {
@@ -351,23 +355,288 @@ pub fn render_prometheus() -> String {
                         continue;
                     }
                     cum += c;
-                    out.push_str(&format!(
-                        "{fam}_bucket{} {cum}\n",
-                        bucket_labels(&bucket_upper(idx).to_string())
-                    ));
+                    bucket_line(out);
+                    push_u64(out, bucket_upper(idx));
+                    out.push_str("\"} ");
+                    push_u64(out, cum);
+                    out.push('\n');
                 }
-                out.push_str(&format!("{fam}_bucket{} {}\n", bucket_labels("+Inf"), h.count()));
-                out.push_str(&format!("{fam}_sum{labels} {}\n", h.sum()));
-                out.push_str(&format!("{fam}_count{labels} {}\n", h.count()));
+                bucket_line(out);
+                out.push_str("+Inf\"} ");
+                push_u64(out, h.count());
+                out.push('\n');
+                for (suffix, v) in [("_sum", h.sum()), ("_count", h.count())] {
+                    out.push_str(fam);
+                    out.push_str(suffix);
+                    out.push_str(labels);
+                    out.push(' ');
+                    push_u64(out, v);
+                    out.push('\n');
+                }
             }
         }
     }
-    out
+}
+
+/// The renderer `render_into` replaced, kept as its oracle: one
+/// `format!` per line, `String` pieces per label set and value.
+#[cfg(test)]
+mod reference {
+    use ratatouille_util::proptest::prelude::*;
+
+    use super::*;
+
+    /// Render `v` the way Prometheus expects floats (no exponent tricks
+    /// needed at our magnitudes; integral values print bare).
+    fn fmt_f64(v: f64) -> String {
+        if v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+
+    fn render(reg: &BTreeMap<String, Metric>) -> String {
+        let mut out = String::new();
+        let mut last_family = String::new();
+        for (name, m) in reg.iter() {
+            let fam = family(name);
+            if fam != last_family {
+                out.push_str(&format!("# TYPE {fam} {}\n", m.kind()));
+                last_family = fam.to_string();
+            }
+            match m {
+                Metric::Counter(c) => {
+                    out.push_str(&format!("{name} {}\n", c.get()));
+                }
+                Metric::Gauge(g) => {
+                    out.push_str(&format!("{name} {}\n", fmt_f64(g.get())));
+                }
+                Metric::Histogram(h) => {
+                    let labels = &name[fam.len()..];
+                    let bucket_labels = |le: &str| {
+                        if labels.is_empty() {
+                            format!("{{le=\"{le}\"}}")
+                        } else {
+                            format!("{},le=\"{le}\"}}", &labels[..labels.len() - 1])
+                        }
+                    };
+                    let mut cum = 0u64;
+                    for idx in 0..BUCKETS {
+                        let c = h.buckets[idx].load(Ordering::Relaxed);
+                        if c == 0 {
+                            continue;
+                        }
+                        cum += c;
+                        out.push_str(&format!(
+                            "{fam}_bucket{} {cum}\n",
+                            bucket_labels(&bucket_upper(idx).to_string())
+                        ));
+                    }
+                    out.push_str(&format!("{fam}_bucket{} {}\n", bucket_labels("+Inf"), h.count()));
+                    out.push_str(&format!("{fam}_sum{labels} {}\n", h.sum()));
+                    out.push_str(&format!("{fam}_count{labels} {}\n", h.count()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Families that share prefixes, so a labeled series can sort after
+    /// another family (`m_x` < `m{…}`) and its family's `# TYPE` repeats.
+    const FAMILIES: [&str; 6] = ["m", "m_total", "m_x", "mm", "obs_latency_ns", "z"];
+    const LABELS: [&str; 4] = [
+        "",
+        "{class=\"2xx\"}",
+        "{model=\"gpt2\",dtype=\"int8\"}",
+        "{route=\"GET /debug/requests/*\"}",
+    ];
+    const GAUGES: [f64; 22] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        -2.2e-308,
+        1e15 - 1.0,
+        1e15,
+        1e15 + 1.0,
+        -(1e15 - 1.0),
+        -1e15,
+        -(1e15 + 1.0),
+        -1.0,
+        -42.0,
+        i64::MIN as f64,
+        1.5,
+        -0.1,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        1e21,
+        123456.789,
+    ];
+
+    /// One registry entry: family, label set, kind, a selector, a raw
+    /// value, and histogram samples as (shape, raw) pairs.
+    type Entry = (usize, usize, u8, usize, u64, Vec<(u8, u64)>);
+
+    fn sample(shape: u8, raw: u64) -> u64 {
+        match shape {
+            0 => raw % 16,
+            1 => raw,
+            2 => u64::MAX,
+            _ => raw >> (raw % 64),
+        }
+    }
+
+    /// A private registry from `entries`; an entry whose name is taken
+    /// records into the metric already there, whatever its kind.
+    fn registry_of(entries: &[Entry]) -> BTreeMap<String, Metric> {
+        let mut reg = BTreeMap::new();
+        for &(fam, labels, kind, pick, raw, ref samples) in entries {
+            let name = format!("{}{}", FAMILIES[fam], LABELS[labels]);
+            let m = reg.entry(name).or_insert_with(|| match kind {
+                0 => Metric::Counter(Arc::default()),
+                1 => Metric::Gauge(Arc::default()),
+                _ => Metric::Histogram(Arc::default()),
+            });
+            match m {
+                Metric::Counter(c) => c.add(match pick % 4 {
+                    0 => raw,
+                    1 => u64::MAX - raw % 16,
+                    2 => raw % 100,
+                    _ => 0,
+                }),
+                Metric::Gauge(g) => g.set(match pick % 3 {
+                    0 => GAUGES[pick % GAUGES.len()],
+                    1 => f64::from_bits(raw),
+                    _ => -((raw % 1_000_000) as f64),
+                }),
+                Metric::Histogram(h) => {
+                    for &(shape, raw) in samples {
+                        h.observe(sample(shape, raw));
+                    }
+                }
+            }
+        }
+        reg
+    }
+
+    fn entry() -> impl Strategy<Value = Entry> {
+        (
+            0..FAMILIES.len(),
+            0..LABELS.len(),
+            0u8..3,
+            0..GAUGES.len() * 3,
+            any::<u64>(),
+            collection::vec((0u8..4, any::<u64>()), 0..24),
+        )
+    }
+
+    fn render_new(reg: &BTreeMap<String, Metric>) -> String {
+        let mut out = String::new();
+        render_into(&mut out, reg);
+        out
+    }
+
+    proptest! {
+        cases = 256;
+
+        #[test]
+        fn render_into_matches_reference(entries in collection::vec(entry(), 0..16)) {
+            let reg = registry_of(&entries);
+            prop_assert_eq!(render_new(&reg), render(&reg));
+        }
+    }
+
+    /// Every gauge edge value, `u64::MAX` counters and samples, and a
+    /// labeled and an unlabeled histogram reaching bucket 255.
+    #[test]
+    fn edge_values_match_reference() {
+        let mut reg = BTreeMap::new();
+        for (i, &v) in GAUGES.iter().enumerate() {
+            let g = Arc::new(Gauge::default());
+            g.set(v);
+            reg.insert(format!("g{i:02}"), Metric::Gauge(g));
+        }
+        let c = Arc::new(Counter::default());
+        c.add(u64::MAX);
+        reg.insert("c_total{class=\"5xx\"}".to_string(), Metric::Counter(c));
+        for name in ["h", "h{model=\"gpt2\",dtype=\"int8\"}"] {
+            let h = Arc::new(Histogram::default());
+            for v in [0, 15, 16, 1 << 40, u64::MAX] {
+                h.observe(v);
+            }
+            reg.insert(name.to_string(), Metric::Histogram(h));
+        }
+        let text = render_new(&reg);
+        assert_eq!(text, render(&reg));
+        for line in [
+            "g00 NaN\n",
+            "g01 inf\n",
+            "g02 -inf\n",
+            "g03 0\n",
+            "g07 999999999999999\n",
+            "g08 1000000000000000\n",
+            "g12 -1000000000000001\n",
+            "c_total{class=\"5xx\"} 18446744073709551615\n",
+            "h_bucket{le=\"18446744073709551615\"} 5\n",
+            "h_bucket{model=\"gpt2\",dtype=\"int8\",le=\"+Inf\"} 5\n",
+        ] {
+            assert!(text.contains(line), "no {line:?} in:\n{text}");
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Point-in-time view of a [`Histogram`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct HistogramSnapshot {
+        count: u64,
+        sum: u64,
+        p50: u64,
+        p90: u64,
+        p99: u64,
+    }
+
+    impl Histogram {
+        /// Quantile estimate: the upper bound of the bucket holding the
+        /// `q`-th fraction of samples (0 when empty). Error is bounded by
+        /// the bucket's ≤ 25% relative width.
+        fn quantile(&self, q: f64) -> u64 {
+            let counts: Vec<u64> = self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect();
+            let total: u64 = counts.iter().sum();
+            if total == 0 {
+                return 0;
+            }
+            let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+            let mut cum = 0u64;
+            for (idx, &c) in counts.iter().enumerate() {
+                cum += c;
+                if cum >= target {
+                    return bucket_upper(idx);
+                }
+            }
+            bucket_upper(BUCKETS - 1)
+        }
+
+        fn snapshot(&self) -> HistogramSnapshot {
+            HistogramSnapshot {
+                count: self.count(),
+                sum: self.sum(),
+                p50: self.quantile(0.50),
+                p90: self.quantile(0.90),
+                p99: self.quantile(0.99),
+            }
+        }
+    }
 
     #[test]
     fn bucket_scheme_is_monotone_and_total() {

@@ -288,6 +288,9 @@ impl Engine {
         factory: ReplicaFactory,
     ) -> std::io::Result<Engine> {
         let threads = threads.max(1);
+        // Registered here so they read 0, not absent, on a healthy server.
+        obs::static_counter!("serving_queue_rejections_total").add(0);
+        obs::static_counter!("serving_pool_rejections_total").add(0);
         let mut engine = Engine {
             shared: Arc::new(Shared {
                 queue: Mutex::new(Queue {

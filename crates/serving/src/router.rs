@@ -3,19 +3,43 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use obs::metrics::Counter;
+
 use crate::http::{Request, Response, StatusCode};
 
 type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+
+/// A handler and its `http_route_hits_total{route=…}` series, resolved
+/// once at registration, so dispatch never touches the metrics registry.
+/// Cardinality is bounded by the set of registered routes; unmatched
+/// paths are deliberately not labeled (unbounded).
+#[derive(Clone)]
+struct Route {
+    handler: Handler,
+    hits: Arc<Counter>,
+}
+
+impl Route {
+    fn new(label: &str, handler: Handler) -> Route {
+        let hits = obs::metrics::counter(&format!("http_route_hits_total{{route=\"{label}\"}}"));
+        Route { handler, hits }
+    }
+
+    fn call(&self, req: &Request) -> Response {
+        self.hits.inc();
+        (self.handler)(req)
+    }
+}
 
 /// Routes `(METHOD, /path)` pairs to handlers. Unknown paths get 404;
 /// known paths with the wrong method get 405.
 #[derive(Clone, Default)]
 pub struct Router {
-    routes: BTreeMap<(String, String), Handler>,
+    /// Exact routes: path, then method.
+    routes: BTreeMap<String, BTreeMap<String, Route>>,
     /// Prefix-matched routes (`/debug/requests/<id>`), tried after exact
     /// matches, longest prefix first.
-    prefix_routes: Vec<(String, String, Handler)>,
-    paths: Vec<String>,
+    prefix_routes: Vec<(String, String, Route)>,
 }
 
 impl Router {
@@ -29,13 +53,12 @@ impl Router {
     where
         F: Fn(&Request) -> Response + Send + Sync + 'static,
     {
-        self.routes.insert(
-            (method.to_ascii_uppercase(), path.to_string()),
-            Arc::new(handler),
-        );
-        if !self.paths.contains(&path.to_string()) {
-            self.paths.push(path.to_string());
-        }
+        let method = method.to_ascii_uppercase();
+        let route = Route::new(&format!("{method} {path}"), Arc::new(handler));
+        self.routes
+            .entry(path.to_string())
+            .or_default()
+            .insert(method, route);
         self
     }
 
@@ -47,11 +70,11 @@ impl Router {
     where
         F: Fn(&Request) -> Response + Send + Sync + 'static,
     {
-        self.prefix_routes.push((
-            method.to_ascii_uppercase(),
-            prefix.to_string(),
-            Arc::new(handler),
-        ));
+        let method = method.to_ascii_uppercase();
+        // Labeled by the registered prefix, not the request path: the
+        // suffix (`<id>`) is client-chosen and unbounded.
+        let route = Route::new(&format!("{method} {prefix}*"), Arc::new(handler));
+        self.prefix_routes.push((method, prefix.to_string(), route));
         self.prefix_routes
             .sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.1.cmp(&b.1)));
         self
@@ -60,45 +83,27 @@ impl Router {
     /// Dispatch a request. `OPTIONS` on any registered path answers the
     /// CORS preflight (the decoupled-frontend contract).
     pub fn dispatch(&self, req: &Request) -> Response {
-        if let Some(h) = self.routes.get(&(req.method.clone(), req.path.clone())) {
-            // Per-route hit counter. Cardinality is bounded by the set of
-            // registered routes, so the dynamic registry lookup is safe;
-            // unmatched paths are deliberately not labeled (unbounded).
-            obs::metrics::counter(&format!(
-                "http_route_hits_total{{route=\"{} {}\"}}",
-                req.method, req.path
-            ))
-            .inc();
-            return h(req);
+        let exact = self.routes.get(req.path.as_str());
+        if let Some(route) = exact.and_then(|methods| methods.get(req.method.as_str())) {
+            return route.call(req);
         }
         let mut prefix_hit = false;
-        for (method, prefix, h) in &self.prefix_routes {
+        for (method, prefix, route) in &self.prefix_routes {
             if !req.path.starts_with(prefix.as_str()) {
                 continue;
             }
             prefix_hit = true;
             if req.method == *method {
-                // Label by the registered prefix, not the request path:
-                // the suffix (`<id>`) is client-chosen and unbounded.
-                obs::metrics::counter(&format!(
-                    "http_route_hits_total{{route=\"{method} {prefix}*\"}}"
-                ))
-                .inc();
-                return h(req);
+                return route.call(req);
             }
         }
-        if self.paths.contains(&req.path) || prefix_hit {
+        if exact.is_some() || prefix_hit {
             if req.method == "OPTIONS" {
                 return Response::preflight();
             }
             return Response::text(StatusCode::MethodNotAllowed, "method not allowed");
         }
         Response::text(StatusCode::NotFound, "not found")
-    }
-
-    /// Registered paths (for the health endpoint's route listing).
-    pub fn paths(&self) -> &[String] {
-        &self.paths
     }
 }
 
@@ -187,5 +192,54 @@ mod tests {
         );
         // …and unrelated paths still 404.
         assert_eq!(r.dispatch(&req("GET", "/debug/req")).status, StatusCode::NotFound);
+    }
+
+    /// The `http_route_hits_total` series of `route`, read without
+    /// registering it.
+    fn hits(route: &str) -> Option<u64> {
+        let series = format!("http_route_hits_total{{route=\"{route}\"}} ");
+        obs::metrics::render_prometheus()
+            .lines()
+            .find_map(|l| l.strip_prefix(series.as_str())?.parse().ok())
+    }
+
+    #[test]
+    fn route_hits_count_exact_and_prefix_routes_from_zero() {
+        let r = Router::new()
+            .route("GET", "/router-hits", |_| {
+                Response::text(StatusCode::Ok, "exact")
+            })
+            .route_prefix("get", "/router-hits/", |_| {
+                Response::text(StatusCode::Ok, "prefix")
+            });
+        // Both series exist, at zero, before any request.
+        assert_eq!(hits("GET /router-hits"), Some(0));
+        assert_eq!(hits("GET /router-hits/*"), Some(0));
+
+        for _ in 0..3 {
+            assert_eq!(r.dispatch(&req("GET", "/router-hits")).body, b"exact");
+        }
+        for id in ["1", "2"] {
+            let path = format!("/router-hits/{id}");
+            assert_eq!(r.dispatch(&req("GET", &path)).body, b"prefix");
+        }
+        // Wrong method, preflight and unmatched paths count nowhere.
+        r.dispatch(&req("POST", "/router-hits"));
+        r.dispatch(&req("OPTIONS", "/router-hits/1"));
+        assert_eq!(
+            r.dispatch(&req("GET", "/router-hits-unmatched")).status,
+            StatusCode::NotFound
+        );
+        assert_eq!(hits("GET /router-hits"), Some(3));
+        assert_eq!(hits("GET /router-hits/*"), Some(2));
+        // No series is minted from a request path.
+        let text = obs::metrics::render_prometheus();
+        for path in [
+            "/router-hits/1",
+            "/router-hits-unmatched",
+            "POST /router-hits",
+        ] {
+            assert!(!text.contains(path), "{path} labels a series in:\n{text}");
+        }
     }
 }

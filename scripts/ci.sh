@@ -163,6 +163,18 @@ autograd_start=$(date +%s%N)
 cargo test -q --offline -p ratatouille-tensor --lib -- dropout_reference:: lifetime_
 echo "autograd oracles: $(( ($(date +%s%N) - autograd_start) / 1000000 ))ms"
 
+echo "== obs oracles (one-pass exposition against the format!-per-line reference, route hit counters, fixed case budget) =="
+# `render_into` against the renderer it replaced (`metrics::reference`:
+# random private registries, byte for byte, 256 cases, plus the edge
+# values by name), and the router's per-route counters (resolved at
+# registration, 0 from boot, no series for an unmatched path). The time
+# is printed, not gated; the full run below repeats them.
+cargo test -q --offline -p obs -p ratatouille-serving --lib --no-run
+obs_start=$(date +%s%N)
+cargo test -q --offline -p obs --lib reference::
+cargo test -q --offline -p ratatouille-serving --lib router::
+echo "obs oracles: $(( ($(date +%s%N) - obs_start) / 1000000 ))ms"
+
 echo "== test (all targets) =="
 cargo test --workspace -q --offline
 

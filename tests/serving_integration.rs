@@ -3,6 +3,8 @@
 //! continuous-batching shape (`1 × B`): trained model → engine → blocked
 //! KV cache → byte-identical responses under concurrency.
 
+use std::collections::BTreeSet;
+
 use ratatouille::models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
 use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::registry::ModelKind;
@@ -13,7 +15,7 @@ use ratatouille::serving::api::ApiServer;
 use ratatouille::serving::batch::BatchServerConfig;
 use ratatouille::serving::client::HttpClient;
 use ratatouille::serving::json::Json;
-use ratatouille::tensor::{ops, par, Tensor};
+use ratatouille::tensor::{ops, par, DType, Tensor};
 use ratatouille::{Pipeline, PipelineConfig, TrainedModel};
 use ratatouille_util::rng::{SeedableRng, StdRng};
 
@@ -200,6 +202,54 @@ const REQUIRED_SERIES: &[&str] = &[
     "decode_tokens_total{model=\"distilgpt2-int8\",dtype=\"int8\"}",
 ];
 
+/// The metric families in DESIGN §8's "What is instrumented" table: each
+/// backticked name outside parentheses in the metrics column, label set
+/// stripped. Parenthesised text describes a metric and may quote code.
+fn documented_families() -> BTreeSet<String> {
+    let design = include_str!("../DESIGN.md");
+    let table = design
+        .split_once("**What is instrumented**")
+        .expect("DESIGN §8 has the metric table")
+        .1;
+    let mut families = BTreeSet::new();
+    for row in table
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+    {
+        let Some(cell) = row.split('|').nth(2) else {
+            continue;
+        };
+        let (mut depth, mut ticked) = (0usize, None);
+        for (i, c) in cell.char_indices() {
+            match (c, ticked) {
+                ('`', None) => ticked = Some(i + 1),
+                ('`', Some(start)) => {
+                    let name = &cell[start..i];
+                    let family = name.split('{').next().unwrap_or(name);
+                    if depth == 0 && !family.is_empty() {
+                        families.insert(family.to_string());
+                    }
+                    ticked = None;
+                }
+                ('(', None) => depth += 1,
+                (')', None) => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+    }
+    families
+}
+
+/// The families a scrape declares with `# TYPE` lines.
+fn rendered_families(metrics: &str) -> BTreeSet<String> {
+    metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
 fn healthz_and_metrics_endpoints() {
     // Drive the layers a small LSTM server never reaches. The tensor
@@ -233,7 +283,24 @@ fn healthz_and_metrics_endpoints() {
         generate(model, &[2, 3, 4], &sampler, &mut StdRng::seed_from_u64(7));
     }
 
-    let trained = trained_model();
+    // Training that writes a checkpoint, then one evaluated recipe: the
+    // checkpoint-write and evaluation histograms.
+    let mut cfg = PipelineConfig::small();
+    cfg.corpus.num_recipes = 80;
+    let pipeline = Pipeline::prepare(cfg);
+    let checkpoint = std::env::temp_dir().join(format!("healthz-{}.ckpt", std::process::id()));
+    let trained = pipeline.train(
+        ModelKind::WordLstm,
+        Some(TrainConfig {
+            steps: 3,
+            batch_size: 2,
+            checkpoint_path: Some(checkpoint.clone()),
+            ..Default::default()
+        }),
+    );
+    std::fs::remove_file(&checkpoint).expect("training wrote its checkpoint");
+    trained.evaluate(&pipeline.test_recipes, 1, 7, DType::F32);
+
     let server = ApiServer::start("127.0.0.1:0", 1, 4, trained.backend_factory()).unwrap();
     let client = HttpClient::new(server.addr());
 
@@ -257,6 +324,17 @@ fn healthz_and_metrics_endpoints() {
     assert!(metrics.contains("http_request_ns_sum"), "{metrics}");
     assert!(metrics.contains("http_request_ns_count"), "{metrics}");
     assert!(metrics.contains("# TYPE train_tokens_per_sec gauge"), "{metrics}");
+    // Metric hygiene: the scrape and DESIGN §8's table name the same
+    // families, in both directions.
+    let documented = documented_families();
+    let rendered = rendered_families(&metrics);
+    let undocumented: Vec<_> = rendered.difference(&documented).collect();
+    let unrendered: Vec<_> = documented.difference(&rendered).collect();
+    assert!(
+        undocumented.is_empty() && unrendered.is_empty(),
+        "rendered but not in DESIGN §8's table: {undocumented:?}; \
+         in the table but never rendered: {unrendered:?}"
+    );
 
     // folded span stacks are exposed for flamegraph tooling
     let (status, stacks) = client.get("/debug/stacks").unwrap();
