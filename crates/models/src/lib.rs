@@ -25,6 +25,8 @@ pub mod gpt2;
 pub mod kv_block;
 pub mod lm;
 pub mod lstm;
+#[cfg(test)]
+mod oracle;
 pub mod registry;
 pub mod sample;
 pub mod train;
