@@ -92,7 +92,8 @@ impl Block {
     ///
     /// `window` limits each position's attention to itself and the
     /// `window - 1` positions before it (GPT-Neo local layers); `None`
-    /// is full causal attention and adds no op to the graph.
+    /// is full causal attention. Attention is one fused op
+    /// ([`Var::causal_attention`]) over the packed `qkv` rows.
     pub fn forward(
         &self,
         x: &Var,
@@ -104,39 +105,14 @@ impl Block {
     ) -> Var {
         let (b, t, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
         assert_eq!(d % heads, 0, "d_model {d} not divisible by heads {heads}");
-        let dh = d / heads;
 
         // --- attention sublayer (pre-LN) ---
         let ln = x
             .reshape(&[b * t, d])
             .layer_norm(&self.ln1_g, &self.ln1_b, 1e-5);
         let qkv = ln.matmul(&self.w_qkv).add_broadcast(&self.b_qkv); // [B*T, 3D]
-        let split = |start: usize| -> Var {
-            qkv.narrow(1, start, d)
-                .reshape(&[b, t, heads, dh])
-                .permute(&[0, 2, 1, 3])
-                .reshape(&[b * heads, t, dh])
-        };
-        let q = split(0);
-        let k = split(d);
-        let v = split(2 * d);
-        // The attention products are causal: the scores exist on and below
-        // the diagonal only, and the context reads only that triangle of
-        // the weights (zero above it), so they skip the upper half of the
-        // work in both directions.
-        let mut scores = q.bmm_transb_causal(&k).scale(1.0 / (dh as f32).sqrt()); // [B*H, T, T]
-        if let Some(w) = window {
-            scores = scores.add(&Var::constant(window_mask(b * heads, t, w)));
-        }
-        let mut weights = scores.causal_masked_softmax();
-        if train && dropout > 0.0 {
-            weights = weights.dropout(dropout, rng);
-        }
-        let ctx = weights
-            .bmm_causal(&v) // [B*H, T, Dh]
-            .reshape(&[b, heads, t, dh])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b * t, d]);
+        let p = if train { dropout } else { 0.0 };
+        let ctx = qkv.causal_attention(b, heads, window, p, rng); // [B*T, D]
         let mut attn_out = ctx.matmul(&self.w_o).add_broadcast(&self.b_o);
         if train && dropout > 0.0 {
             attn_out = attn_out.dropout(dropout, rng);
@@ -156,21 +132,6 @@ impl Block {
         }
         x1.add(&mlp).reshape(&[b, t, d])
     }
-}
-
-/// Additive mask `[BH, T, T]`: 0 inside the causal window, -1e9 outside.
-fn window_mask(bh: usize, t: usize, window: usize) -> Tensor {
-    let mut m = vec![0.0f32; bh * t * t];
-    for b in 0..bh {
-        for i in 0..t {
-            for j in 0..t {
-                if j + window <= i {
-                    m[b * t * t + i * t + j] = -1e9;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(m, &[bh, t, t]).expect("mask shape")
 }
 
 /// A decode-time projection `x [B, in]` → f32 `[B, out]` plus bias, over
@@ -622,18 +583,6 @@ mod tests {
         assert_eq!(full[0], windowed[0], "first token has no history");
         assert!(!windowed[2].has_non_finite());
         assert_ne!(full[2], windowed[2], "window had no effect");
-    }
-
-    #[test]
-    fn window_mask_shape() {
-        let m = window_mask(1, 4, 2);
-        // row i=3: j=0,1 outside (j + 2 <= 3), j=2,3 inside
-        assert_eq!(m.at(&[0, 3, 0]), -1e9);
-        assert_eq!(m.at(&[0, 3, 1]), -1e9);
-        assert_eq!(m.at(&[0, 3, 2]), 0.0);
-        assert_eq!(m.at(&[0, 3, 3]), 0.0);
-        // row 0 sees itself
-        assert_eq!(m.at(&[0, 0, 0]), 0.0);
     }
 
     #[test]

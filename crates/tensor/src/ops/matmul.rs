@@ -18,11 +18,14 @@
 //! [`simd::dot_pair`], which replays `simd::dot` per output, so each
 //! output has the bits of its own dot.
 //!
-//! The `*_causal` batched products are the attention products over
-//! square `[T, T]` matrices that are zero above the diagonal: they read
-//! and write only the lower triangle. A skipped entry is a `±0·x` term
-//! added to a chain that starts at `+0`, so they equal the dense products
-//! bit for bit on the triangle for finite operands.
+//! Training attention's causal products over square `[T, T]` matrices
+//! read and write only the lower triangle, through the same row kernels
+//! ([`dot_rows`] for the scores, [`fma_rows`] with per-row `k` ranges for
+//! the rest), one matrix at a time inside the fused kernel
+//! (`ops::attention`). A skipped entry is a `±0·x` term added to a chain
+//! that starts at `+0`, so they equal the dense products bit for bit on
+//! the triangle for finite operands. The batched `*_causal` wrappers the
+//! unfused op chain called remain for the tests' reference chain.
 //!
 //! **Determinism contract:** blocking parameters are fixed constants,
 //! every output element accumulates over `k` in ascending order within
@@ -64,17 +67,17 @@ const DOT_BLOCK_FLOATS: usize = 8 * 1024;
 /// `k = 1`; the transposed read of a `[K, M]` buffer (`matmul_transa`,
 /// `bmm_transa`) has `row = 1, k = M`, four rows of one `k` contiguous.
 #[derive(Debug, Clone, Copy)]
-struct Strides {
+pub(super) struct Strides {
     row: usize,
     k: usize,
 }
 
 impl Strides {
-    fn rows(k: usize) -> Strides {
+    pub(super) fn rows(k: usize) -> Strides {
         Strides { row: k, k: 1 }
     }
 
-    fn transposed(m: usize) -> Strides {
+    pub(super) fn transposed(m: usize) -> Strides {
         Strides { row: 1, k: m }
     }
 
@@ -584,7 +587,7 @@ pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
 /// `b`. Row pairs go through [`simd::dot_pair`] over the columns both
 /// rows want; every other output is one `simd::dot` — the same bits
 /// either way.
-fn dot_rows(a: &[f32], b: &[f32], k: usize, rows: usize, cols: impl Fn(usize) -> Range<usize>, o: &mut [f32], ldo: usize) {
+pub(super) fn dot_rows(a: &[f32], b: &[f32], k: usize, rows: usize, cols: impl Fn(usize) -> Range<usize>, o: &mut [f32], ldo: usize) {
     let dot = |r: usize, j: usize| simd::dot(&a[r * k..(r + 1) * k], &b[j * k..(j + 1) * k]);
     let mut r = 0;
     while r + 2 <= rows {
@@ -618,7 +621,7 @@ fn dot_rows(a: &[f32], b: &[f32], k: usize, rows: usize, cols: impl Fn(usize) ->
 /// raw `b` rows — each row's leading and trailing terms that the other
 /// rows of its tile do not share one row at a time — otherwise as one
 /// `axpy` per term.
-fn fma_rows(a: &[f32], s: Strides, b: &[f32], n: usize, rows: usize, ks: impl Fn(usize) -> Range<usize>, o: &mut [f32]) {
+pub(super) fn fma_rows(a: &[f32], s: Strides, b: &[f32], n: usize, rows: usize, ks: impl Fn(usize) -> Range<usize>, o: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if n % NR == 0 && simd::use_avx2_fma() {
         // Rows `r..r + h` over `k`, output columns `j0..j0 + NR`.
@@ -701,21 +704,24 @@ pub fn bmm_transa(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// [`bmm`] for a lower-triangular `a: [B,T,T]` (attention probabilities,
 /// or the scores' gradient): row `i` reads only `a[i, ..=i]` — the
-/// context `P @ V` and `dQ = dS @ K`.
-pub fn bmm_causal(a: &Tensor, b: &Tensor) -> Tensor {
+/// context `P @ V` and `dQ = dS @ K` of the tests' reference chain.
+#[cfg(test)]
+pub(crate) fn bmm_causal(a: &Tensor, b: &Tensor) -> Tensor {
     bmm_impl(a, b, Bmm::Plain, true)
 }
 
 /// [`bmm_transb`] computed on and below the diagonal only: `a: [B,T,K] @
 /// b: [B,T,K]ᵀ` → `[B,T,T]` with `+0` above it — the scores `Q @ Kᵀ` and
 /// `dP = dC @ Vᵀ`, which the causal softmax never reads above it.
-pub fn bmm_transb_causal(a: &Tensor, b: &Tensor) -> Tensor {
+#[cfg(test)]
+pub(crate) fn bmm_transb_causal(a: &Tensor, b: &Tensor) -> Tensor {
     bmm_impl(a, b, Bmm::TransB, true)
 }
 
 /// [`bmm_transa`] for a lower-triangular `a: [B,T,T]`: output row `j`
 /// reads only `a[j.., j]` — `dV = Pᵀ @ dC` and `dK = dSᵀ @ Q`.
-pub fn bmm_transa_causal(a: &Tensor, b: &Tensor) -> Tensor {
+#[cfg(test)]
+pub(crate) fn bmm_transa_causal(a: &Tensor, b: &Tensor) -> Tensor {
     bmm_impl(a, b, Bmm::TransA, true)
 }
 

@@ -8,6 +8,7 @@
 
 use std::ops::Range;
 
+pub(crate) mod attention;
 pub mod elementwise;
 pub mod libm;
 pub mod matmul;

@@ -70,8 +70,10 @@ pub fn softmax_row(row: &[f32], out: &mut [f32]) {
 /// Softmax over the last axis of square `[.., T, T]` score matrices with a
 /// causal mask: position `(i, j)` with `j > i` receives zero probability.
 ///
-/// This is the attention-weights kernel for autoregressive transformers.
-pub fn causal_masked_softmax(t: &Tensor) -> Tensor {
+/// The attention-weights kernel of the tests' reference chain; training
+/// runs the same `softmax_row` per row inside the fused attention kernel.
+#[cfg(test)]
+pub(crate) fn causal_masked_softmax(t: &Tensor) -> Tensor {
     assert!(t.rank() >= 2, "causal_masked_softmax requires rank >= 2");
     let tt = *t.dims().last().unwrap();
     assert_eq!(

@@ -108,34 +108,54 @@ impl Var {
         }))
     }
 
-    /// Causal attention scores `Q @ Kᵀ`: `[B,T,D] @ [B,T,D]ᵀ` → `[B,T,T]`,
-    /// computed on and below the diagonal only (`+0` above it, which the
-    /// causal softmax never reads).
+    /// Causal multi-head self-attention over packed projection rows:
+    /// `self` is `qkv [B·T, 3D]` (`q | k | v` per row, `batch` rows of `T`
+    /// positions, `D = heads · dh`) and the result is the context
+    /// `[B·T, D]`, heads side by side.
     ///
-    /// The backward reads the output gradient on and below the diagonal
-    /// only too: `dQ = dS @ K` and `dK = dSᵀ @ Q` over the triangle. Above
-    /// it the gradient is `±0` (a masked probability is `+0`), so the
-    /// skipped terms would add nothing to chains that start at `+0`.
-    pub fn bmm_transb_causal(&self, other: &Var) -> Var {
-        let (q, k) = (self.value(), other.value());
-        let out = ops::bmm_transb_causal(&q, &k);
-        Var::from_op(out, &[self, other], Box::new(move |g| {
-            vec![ops::bmm_causal(g, &k), ops::bmm_transa_causal(g, &q)]
-        }))
+    /// Each position attends to its causal prefix, or to itself and the
+    /// `window − 1` positions before it; the scores are scaled by `1/√dh`.
+    /// With `p > 0` the attention weights take inverted dropout: one
+    /// [`KeepMask`] of `B·H·T·T` bits drawn from `rng`, in `[B·H, T, T]`
+    /// order. One fused kernel per direction ([`ops::attention`]); what the
+    /// node keeps for backward is `qkv`, the softmax output and the mask.
+    pub fn causal_attention(
+        &self,
+        batch: usize,
+        heads: usize,
+        window: Option<usize>,
+        p: f32,
+        rng: &mut impl ratatouille_util::rng::Rng,
+    ) -> Var {
+        self.causal_attention_in(crate::par::num_threads(), batch, heads, window, p, rng)
     }
 
-    /// Causal attention context `P @ V`: `[B,T,T] @ [B,T,D]` → `[B,T,D]`
-    /// for attention weights `P` that are zero above the diagonal; row `i`
-    /// reads `P[i, ..=i]`.
-    ///
-    /// Backward: `dP = dC @ Vᵀ` on and below the diagonal (`+0` above it,
-    /// where the causal softmax's gradient multiplies it by a zero
-    /// probability) and `dV = Pᵀ @ dC` over the triangle.
-    pub fn bmm_causal(&self, other: &Var) -> Var {
-        let (p, v) = (self.value(), other.value());
-        let out = ops::bmm_causal(&p, &v);
-        Var::from_op(out, &[self, other], Box::new(move |g| {
-            vec![ops::bmm_transb_causal(g, &v), ops::bmm_transa_causal(&p, g)]
+    /// [`Var::causal_attention`] with its matrices cut into at most
+    /// `lanes` pool tasks.
+    fn causal_attention_in(
+        &self,
+        lanes: usize,
+        batch: usize,
+        heads: usize,
+        window: Option<usize>,
+        p: f32,
+        rng: &mut impl ratatouille_util::rng::Rng,
+    ) -> Var {
+        assert!((0.0..1.0).contains(&p), "attention dropout p must be in [0,1), got {p}");
+        let dims = self.dims();
+        assert!(dims.len() == 2 && dims[1] % (3 * heads) == 0, "causal_attention: {dims:?} is not [B·T, 3·heads·dh]");
+        assert!(batch > 0 && dims[0] % batch == 0, "causal_attention: {} rows are not {batch} batch rows", dims[0]);
+        assert!(window != Some(0), "causal_attention: the window must hold the position itself");
+        let t = dims[0] / batch;
+        let shape = ops::attention::Attention { batch, t, heads, dh: dims[1] / (3 * heads), window, lanes };
+        let (keep, scale) = (1.0 - p, 1.0 / (1.0 - p));
+        let mask = (p > 0.0).then(|| KeepMask::draw(batch * heads * t * t, keep, rng));
+        let qkv = self.value();
+        let (ctx, probs) = shape.forward(qkv.data(), mask.as_ref().map(|m| m.attention(scale)));
+        let out = Tensor::from_vec(ctx, &[batch * t, heads * shape.dh]).expect("ctx is [B·T, D]");
+        Var::from_op(out, &[self], Box::new(move |g| {
+            let dqkv = shape.backward(qkv.data(), &probs, mask.as_ref().map(|m| m.attention(scale)), g.data());
+            vec![Tensor::from_parts(qkv.shape().clone(), dqkv)]
         }))
     }
 
@@ -220,18 +240,6 @@ impl Var {
         let p = ops::softmax_last(&self.value());
         let saved = p.clone();
         Var::from_op(p, &[self], Box::new(move |g| {
-            vec![ops::softmax_backward(g, &saved)]
-        }))
-    }
-
-    /// Causally-masked softmax over trailing `[T,T]` score matrices
-    /// (attention weights for autoregressive decoding).
-    pub fn causal_masked_softmax(&self) -> Var {
-        let p = ops::causal_masked_softmax(&self.value());
-        let saved = p.clone();
-        Var::from_op(p, &[self], Box::new(move |g| {
-            // Masked entries have p = 0, so the shared formula yields
-            // exactly 0 gradient there — no separate mask needed.
             vec![ops::softmax_backward(g, &saved)]
         }))
     }
@@ -376,15 +384,26 @@ struct KeepMask(Vec<u64>);
 
 impl KeepMask {
     /// Draw `n` keep decisions, one `next_u64` each, in element order.
+    /// Each word is built in a register and stored once.
     fn draw(n: usize, keep: f32, rng: &mut impl ratatouille_util::rng::Rng) -> KeepMask {
         // `keep·2²⁴` is exact in f64, and a 24-bit integer `u` has
         // `u·2⁻²⁴ < keep` exactly when `u < ⌈keep·2²⁴⌉`.
         let cut = (f64::from(keep) * f64::from(1u32 << 24)).ceil() as u64;
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for i in 0..n {
-            words[i / 64] |= u64::from(rng.next_u64() >> 40 < cut) << (i % 64);
-        }
+        let words = (0..n.div_ceil(64))
+            .map(|w| {
+                let mut word = 0u64;
+                for bit in 0..(n - 64 * w).min(64) {
+                    word |= u64::from(rng.next_u64() >> 40 < cut) << bit;
+                }
+                word
+            })
+            .collect();
         KeepMask(words)
+    }
+
+    /// The mask as the attention kernels read it, kept weights times `scale`.
+    fn attention(&self, scale: f32) -> ops::attention::Dropout<'_> {
+        ops::attention::Dropout { keep: &self.0, scale }
     }
 
     /// `t · scale` where an element is kept and `t · 0.0` where it is
@@ -519,6 +538,165 @@ mod dropout_reference {
     }
 }
 
+/// Training attention as an op chain, before it was fused: slices and
+/// permutes of the packed rows, the causal scores product, `scale`, an
+/// additive window mask, the causal softmax, dropout, the causal context
+/// product and a permute back, each its own graph node. Kept as the oracle
+/// [`Var::causal_attention`] must match bit for bit: context, input
+/// gradient and the RNG's next draw.
+#[cfg(test)]
+pub(crate) mod attention_reference {
+    use ratatouille_util::proptest::prelude::*;
+    use ratatouille_util::rng::{Rng, RngExt, SeedableRng, StdRng};
+
+    use super::*;
+
+    impl Var {
+        /// Causal attention scores `Q @ Kᵀ`: `[B,T,D] @ [B,T,D]ᵀ` → `[B,T,T]`,
+        /// on and below the diagonal only (`+0` above it). Backward reads
+        /// the output gradient on and below the diagonal only too.
+        pub(crate) fn bmm_transb_causal(&self, other: &Var) -> Var {
+            let (q, k) = (self.value(), other.value());
+            let out = ops::bmm_transb_causal(&q, &k);
+            Var::from_op(out, &[self, other], Box::new(move |g| {
+                vec![ops::bmm_causal(g, &k), ops::bmm_transa_causal(g, &q)]
+            }))
+        }
+
+        /// Causal attention context `P @ V`: `[B,T,T] @ [B,T,D]` → `[B,T,D]`
+        /// for weights `P` that are zero above the diagonal.
+        pub(crate) fn bmm_causal(&self, other: &Var) -> Var {
+            let (p, v) = (self.value(), other.value());
+            let out = ops::bmm_causal(&p, &v);
+            Var::from_op(out, &[self, other], Box::new(move |g| {
+                vec![ops::bmm_transb_causal(g, &v), ops::bmm_transa_causal(&p, g)]
+            }))
+        }
+
+        /// Causally-masked softmax over trailing `[T,T]` score matrices.
+        pub(crate) fn causal_masked_softmax(&self) -> Var {
+            let p = ops::causal_masked_softmax(&self.value());
+            let saved = p.clone();
+            Var::from_op(p, &[self], Box::new(move |g| vec![ops::softmax_backward(g, &saved)]))
+        }
+    }
+
+    /// Additive mask `[BH, T, T]`: 0 inside the causal window, -1e9 outside.
+    pub(crate) fn window_mask(bh: usize, t: usize, window: usize) -> Tensor {
+        let mut m = vec![0.0f32; bh * t * t];
+        for b in 0..bh {
+            for i in 0..t {
+                for j in 0..t {
+                    if j + window <= i {
+                        m[b * t * t + i * t + j] = -1e9;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(m, &[bh, t, t]).expect("mask shape")
+    }
+
+    /// The chain `Block::forward` ran before the fused op.
+    pub(crate) fn attention(qkv: &Var, b: usize, heads: usize, window: Option<usize>, p: f32, rng: &mut impl RngExt) -> Var {
+        let (t, d) = (qkv.dims()[0] / b, qkv.dims()[1] / 3);
+        let dh = d / heads;
+        let split = |start: usize| -> Var {
+            qkv.narrow(1, start, d)
+                .reshape(&[b, t, heads, dh])
+                .permute(&[0, 2, 1, 3])
+                .reshape(&[b * heads, t, dh])
+        };
+        let (q, k, v) = (split(0), split(d), split(2 * d));
+        let mut scores = q.bmm_transb_causal(&k).scale(1.0 / (dh as f32).sqrt());
+        if let Some(w) = window {
+            scores = scores.add(&Var::constant(window_mask(b * heads, t, w)));
+        }
+        let mut weights = scores.causal_masked_softmax();
+        if p > 0.0 {
+            weights = weights.dropout(p, rng);
+        }
+        weights
+            .bmm_causal(&v)
+            .reshape(&[b, heads, t, dh])
+            .permute(&[0, 2, 1, 3])
+            .reshape(&[b * t, d])
+    }
+
+    #[test]
+    fn window_mask_shape() {
+        let m = window_mask(1, 4, 2);
+        // row i=3: j=0,1 outside (j + 2 <= 3), j=2,3 inside
+        assert_eq!(m.at(&[0, 3, 0]), -1e9);
+        assert_eq!(m.at(&[0, 3, 1]), -1e9);
+        assert_eq!(m.at(&[0, 3, 2]), 0.0);
+        assert_eq!(m.at(&[0, 3, 3]), 0.0);
+        // row 0 sees itself
+        assert_eq!(m.at(&[0, 0, 0]), 0.0);
+    }
+
+    /// Values that exercise signed zeros, subnormals and large magnitudes.
+    const SPECIALS: [f32; 8] = [0.0, -0.0, 1e-40, -1e-40, 1e4, -2.5e4, 3e-39, 1.5];
+
+    /// `n` values from `seed`, `share` eighths of them from [`SPECIALS`],
+    /// the rest uniform in `[-2, 2)`.
+    fn values(n: usize, seed: u64, share: usize) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| if rng.below(8) < share { SPECIALS[rng.below(SPECIALS.len())] } else { rng.random_range(-2.0f32..2.0) })
+            .collect()
+    }
+
+    /// Context and input gradient as bits, and the RNG's next draw.
+    type Outcome = (Vec<u32>, Vec<u32>, u64);
+
+    fn run(attn: impl Fn(&Var, &mut StdRng) -> Var, qkv: &Tensor, g: &Tensor, seed: u64) -> Outcome {
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Var::leaf(qkv.clone());
+        let y = attn(&x, &mut rng);
+        y.backward_with(g.clone());
+        (bits(y.value()), bits(x.grad().expect("qkv gradient")), rng.next_u64())
+    }
+
+    /// `B·heads` from 1 to 6 as (batch, heads).
+    const SPLITS: [(usize, usize); 6] = [(1, 1), (1, 2), (3, 1), (2, 2), (5, 1), (3, 2)];
+    const TS: [usize; 5] = [1, 2, 5, 17, 64];
+    /// 8 and 24 run the context products one `axpy` per term, 32 as
+    /// `4 × 16` tiles.
+    const DHS: [usize; 3] = [8, 24, 32];
+    const RATES: [f32; 3] = [0.0, 0.1, 0.5];
+
+    proptest! {
+        cases = 256;
+
+        /// Bit for bit on every shape, window, rate and input mix, with
+        /// the matrices cut into 1–3 lanes.
+        #[test]
+        fn fused_attention_matches_the_chain(
+            shape in (0usize..SPLITS.len(), 0usize..TS.len(), 0usize..DHS.len()),
+            mode in (0usize..65, 0usize..RATES.len(), any::<bool>(), 1usize..4),
+            share in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let ((b, heads), t, dh) = (SPLITS[shape.0], TS[shape.1], DHS[shape.2]);
+            let (window, rate, train, lanes) = mode;
+            // 0 is no window; otherwise w ≤ T.
+            let window = (window > 0).then(|| window.min(t));
+            let p = if train { RATES[rate] } else { 0.0 };
+            let d = heads * dh;
+            let qkv = Tensor::from_vec(values(b * t * 3 * d, seed, share), &[b * t, 3 * d]).unwrap();
+            let g = Tensor::from_vec(values(b * t * d, !seed, share), &[b * t, d]).unwrap();
+            let fused = run(|x, r| x.causal_attention_in(lanes, b, heads, window, p, r), &qkv, &g, seed);
+            let chain = run(|x, r| attention(x, b, heads, window, p, r), &qkv, &g, seed);
+            let first_diff = |a: &[u32], c: &[u32]| a.iter().zip(c).position(|(x, y)| x != y);
+            let case = format!("b {b} heads {heads} t {t} dh {dh} window {window:?} p {p} lanes {lanes}");
+            prop_assert_eq!(first_diff(&fused.0, &chain.0), None, "context, {}", case);
+            prop_assert_eq!(first_diff(&fused.1, &chain.1), None, "qkv gradient, {}", case);
+            prop_assert_eq!(fused.2, chain.2, "next draw, {}", case);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,6 +825,22 @@ mod tests {
             ],
             move |v| v[0].bmm_transb_causal(&v[1]).mul(&Var::constant(w.clone())).sum(),
             1e-2,
+        );
+    }
+
+    /// The fused attention against finite differences, windowed, over two
+    /// batch rows of two heads; the weights make every output's gradient
+    /// distinct.
+    #[test]
+    fn grad_causal_attention() {
+        let w = Tensor::from_vec(rng_data(24, 94), &[6, 4]).unwrap();
+        grad_check(
+            &[("qkv", rng_data(72, 93), vec![6, 12])],
+            move |v| {
+                let mut rng = StdRng::seed_from_u64(0);
+                v[0].causal_attention(2, 2, Some(2), 0.0, &mut rng).mul(&Var::constant(w.clone())).sum()
+            },
+            2e-2,
         );
     }
 

@@ -14,8 +14,8 @@
 //! worth, where the chunking really changes with the thread count.
 
 use ratatouille_util::proptest::prelude::*;
-use ratatouille_util::rng::{RngExt, SeedableRng, StdRng};
-use ratatouille_tensor::{ops, par, Tensor};
+use ratatouille_util::rng::{Rng, RngExt, SeedableRng, StdRng};
+use ratatouille_tensor::{ops, par, Tensor, Var};
 use std::sync::{Mutex, MutexGuard};
 
 /// `par::set_num_threads` is process-global and the test harness runs
@@ -145,13 +145,14 @@ proptest! {
         par::set_num_threads(0);
     }
 
-    /// The causal attention products equal the dense ones on the
-    /// triangle, at head widths on both sides of the 16-wide tile.
+    /// The fused attention is bit-identical across thread counts, at head
+    /// widths on both sides of the 16-wide tile, with and without a window.
     #[test]
-    fn causal_products_match_dense_on_the_triangle(
-        bt in 1usize..4, t in 1usize..40, di in 0usize..6, salt in 0u64..1 << 20
+    fn fused_attention_bits_invariant(
+        bt in 1usize..4, heads in 1usize..3, t in 1usize..40, di in 0usize..6, window in 0usize..40, salt in 0u64..1 << 20
     ) {
-        assert_causal_matches_dense(bt, t, [1, 5, 8, 16, 32, 40][di], salt);
+        let window = (window > 0).then(|| window.min(t));
+        assert_attention_bits_invariant(bt, heads, t, [1, 5, 8, 16, 32, 40][di], window, salt);
     }
 
     /// Repeated pool launches with varying lengths cover every index
@@ -193,64 +194,43 @@ proptest! {
     }
 }
 
-/// `[bt, t, t]` matrices with values in ±2 on and below the diagonal and
-/// a zero of random sign above it: what attention's backward hands the
-/// causal products (a masked probability is `+0`, and its gradient
-/// `+0 · x` can be `-0`).
-fn lower_triangular(bt: usize, t: usize, rng: &mut StdRng) -> Tensor {
-    let data = (0..bt * t * t)
-        .map(|idx| {
-            let (i, j) = (idx / t % t, idx % t);
-            let v = rng.random::<f32>() * 4.0 - 2.0;
-            if j <= i {
-                v
-            } else if v < 0.0 {
-                -0.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, &[bt, t, t]).unwrap()
-}
-
-/// The three causal attention products at 1, 2 and 3 threads against the
-/// dense ones at 1 thread, over lower-triangular `[bt, t, t]` operands
-/// and `[bt, t, dh]` heads: the scores are the dense bits on and below
-/// the diagonal and `+0` above it; the context and both transposed
-/// products are the dense bits everywhere.
-fn assert_causal_matches_dense(bt: usize, t: usize, dh: usize, salt: u64) {
+/// The fused training attention (`Var::causal_attention`) at 2 and 3
+/// threads against 1: the context, the gradient of the packed `qkv` rows
+/// and the RNG's next draw, bit for bit. `(batch, heads, t, dh, window)`.
+fn assert_attention_bits_invariant(batch: usize, heads: usize, t: usize, dh: usize, window: Option<usize>, salt: u64) {
     let mut rng = StdRng::seed_from_u64(salt);
-    let p = lower_triangular(bt, t, &mut rng);
-    let mut head = || Tensor::from_vec((0..bt * t * dh).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect(), &[bt, t, dh]).unwrap();
-    let (q, k) = (head(), head());
-    let _g = knob();
-    par::set_num_threads(1);
-    let (scores, context, transa) = (ops::bmm_transb(&q, &k), ops::bmm(&p, &k), ops::bmm_transa(&p, &k));
-    for threads in [1, 2, 3] {
+    let d = heads * dh;
+    let mut values = |n: usize| (0..n).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect::<Vec<f32>>();
+    let qkv = Tensor::from_vec(values(batch * t * 3 * d), &[batch * t, 3 * d]).unwrap();
+    let g = Tensor::from_vec(values(batch * t * d), &[batch * t, d]).unwrap();
+    let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let run = |threads: usize| {
         par::set_num_threads(threads);
-        let causal = ops::bmm_transb_causal(&q, &k);
-        for (idx, (c, d)) in causal.data().iter().zip(scores.data()).enumerate() {
-            let (i, j) = (idx / t % t, idx % t);
-            let want = if j <= i { d.to_bits() } else { 0 };
-            assert_eq!(c.to_bits(), want, "bmm_transb_causal [{bt}, {t}, {dh}] at ({i}, {j}), {threads} threads");
-        }
-        assert_bits_equal(&context, &ops::bmm_causal(&p, &k), "bmm_causal", threads);
-        assert_bits_equal(&transa, &ops::bmm_transa_causal(&p, &k), "bmm_transa_causal", threads);
+        let mut rng = StdRng::seed_from_u64(salt ^ 0xD40);
+        let x = Var::leaf(qkv.clone());
+        let y = x.causal_attention(batch, heads, window, 0.1, &mut rng);
+        y.backward_with(g.clone());
+        (bits(y.value()), bits(x.grad().unwrap()), rng.next_u64())
+    };
+    let _g = knob();
+    let serial = run(1);
+    for threads in [2, 3] {
+        assert!(run(threads) == serial, "attention [{batch}·{heads}, {t}, {dh}] window {window:?} changed at {threads} threads");
     }
     par::set_num_threads(0);
 }
 
-/// The causal products at attention shapes whose work really fans out:
-/// two tasks at 2 threads, and at 3 threads chunks that end inside a
-/// matrix.
+/// The fused attention at shapes whose work really fans out: lanes of
+/// whole batch rows, a windowed call whose batch rows do not divide
+/// evenly into three lanes, and one batch row cut into single matrices.
 #[test]
-fn causal_products_match_dense_above_the_launch_gate() {
+fn fused_attention_bits_invariant_above_the_launch_gate() {
     let launches = obs::metrics::counter("tensor_pool_launches_total");
     let before = launches.get();
-    assert_causal_matches_dense(8, 128, 32, 1);
-    assert_causal_matches_dense(16, 128, 32, 2);
-    assert!(launches.get() > before, "the causal products never launched the pool");
+    assert_attention_bits_invariant(8, 2, 128, 32, None, 1);
+    assert_attention_bits_invariant(4, 4, 96, 24, Some(40), 2);
+    assert_attention_bits_invariant(1, 4, 128, 32, None, 3);
+    assert!(launches.get() > before, "the fused attention never launched the pool");
 }
 
 /// A deep nested-launch chain (pool inside pool inside pool) and a

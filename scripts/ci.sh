@@ -157,6 +157,12 @@ echo "== oracles (timed, not gated; tier-1 runs them too) =="
 oracle_start=$(date +%s%N)
 cargo test -q --offline -p ratatouille-models --lib oracle::
 echo "forward oracle: $(( ($(date +%s%N) - oracle_start) / 1000000 ))ms"
+# The fused training attention against the op chain it replaced
+# (`var_ops::attention_reference`): context, qkv gradient and the RNG's
+# next draw, bit for bit.
+attention_start=$(date +%s%N)
+cargo test -q --offline -p ratatouille-tensor --lib attention_reference::
+echo "attention property: $(( ($(date +%s%N) - attention_start) / 1000000 ))ms"
 
 echo "== loadbench (the BENCHMARK.json package: builds against the public API, unit tests) =="
 # Not a workspace member, so the step above cannot see an API break
