@@ -264,6 +264,11 @@ impl<'a> Out<'a> {
     }
 
     /// `len` floats from `start`.
+    ///
+    /// # Safety
+    ///
+    /// No two slices from one `Out` that are alive at the same time may
+    /// overlap. The range itself is bounds-checked here.
     // SAFETY(invariant: the caller makes no two live slices from one `Out` overlap; the range is bounds-checked here)
     unsafe fn at(&self, start: usize, len: usize) -> &mut [f32] {
         assert!(start + len <= self.len, "attention: write past the output buffer");
