@@ -25,17 +25,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read `RATATOUILLE_SCALE` (`quick` / `standard` / `full`; default
-    /// `standard`).
+    /// Read `RATATOUILLE_SCALE` through [`Scale::parse`]; unset is
+    /// `standard`. Any other value exits the process with status 2,
+    /// naming the accepted values, instead of running a sweep of another
+    /// size.
     pub fn from_env() -> Scale {
-        match std::env::var("RATATOUILLE_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "quick" => Scale::Quick,
-            "full" => Scale::Full,
-            _ => Scale::Standard,
+        let Some(value) = std::env::var_os("RATATOUILLE_SCALE") else {
+            return Scale::Standard;
+        };
+        Scale::parse(&value.to_string_lossy()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// `quick`, `standard` or `full`, in any case.
+    pub fn parse(value: &str) -> Result<Scale, String> {
+        match value.to_lowercase().as_str() {
+            "quick" => Ok(Scale::Quick),
+            "standard" => Ok(Scale::Standard),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!(
+                "RATATOUILLE_SCALE={value:?}: expected one of quick, standard, full"
+            )),
         }
     }
 
@@ -177,9 +189,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_from_env_defaults_standard() {
-        // NB: tests run in parallel; avoid mutating the env here.
-        assert_eq!(Scale::Quick.num_recipes() < Scale::Full.num_recipes(), true);
+    fn scale_parse_accepts_three_names_and_rejects_the_rest() {
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("Standard"), Ok(Scale::Standard));
+        assert_eq!(Scale::parse("FULL"), Ok(Scale::Full));
+        for typo in ["quik", "", "standard ", "fast"] {
+            let err = Scale::parse(typo).unwrap_err();
+            assert!(err.contains("quick, standard, full"), "{typo:?}: {err}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use ratatouille_tensor::Tensor;
 use std::sync::Arc;
 
 use crate::kv_block::{BlockConfig, BlockPool, PoolExhausted, PrefixCache, SeqKv};
-use crate::sample::{metric_label, select_token, SamplerConfig};
+use crate::sample::{select_token, SamplerConfig};
 use crate::transformer::BatchScratch;
 
 /// The shape facts the engine needs from a model.
@@ -227,7 +227,7 @@ impl BatchGenerator {
             block_tokens: cfg.block_tokens,
             num_blocks: cfg.num_blocks,
         });
-        let labels = format!("{{model=\"{}\"}}", metric_label(model.name()));
+        let labels = format!("{{model=\"{}\"}}", obs::metrics::label_value(model.name()));
         BatchGenerator {
             pool,
             prefix: PrefixCache::new(cfg.prefix_cap),

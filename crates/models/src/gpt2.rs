@@ -269,11 +269,6 @@ impl DecodeWeights {
         }
     }
 
-    /// The dtype of the projections, as observed from the weights.
-    fn dtype(&self) -> DType {
-        if self.head_q.is_some() { DType::I8 } else { DType::F32 }
-    }
-
     /// Begin a solo stream over these weights, its K/V rows stored as
     /// `E`.
     fn stream<E: Element>(self: Arc<Self>, cfg: &Gpt2Config) -> Gpt2Stream<'_, E> {
@@ -288,9 +283,6 @@ impl DecodeWeights {
             }),
             seq: SeqKv::new(),
             scratch: BatchScratch::new(),
-            // Resolved once per stream, not per token: the static_* macros
-            // cache per call site, which a dynamic label would defeat.
-            push_ns: obs::metrics::histogram(&format!("gpt2_push_ns{{dtype=\"{}\"}}", self.dtype().name())),
             weights: self,
         }
     }
@@ -449,12 +441,10 @@ struct Gpt2Stream<'m, E: Element> {
     pool: BlockPool<E>,
     seq: SeqKv,
     scratch: BatchScratch,
-    push_ns: Arc<obs::metrics::Histogram>,
 }
 
 impl<E: Element> TokenStream for Gpt2Stream<'_, E> {
     fn push(&mut self, token: u32) -> Tensor {
-        let push_start = obs::Clock::now();
         let pos = self.seq.len();
         if pos == self.seq.capacity() {
             // The first token, or the sequence has outlived `max_t`: the
@@ -475,7 +465,6 @@ impl<E: Element> TokenStream for Gpt2Stream<'_, E> {
             .logits(self.config, &[token], &[pos], &mut kv)
             .reshape(&[self.config.vocab]);
         self.seq.commit();
-        self.push_ns.observe(push_start.elapsed_ns());
         logits
     }
 

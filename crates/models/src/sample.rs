@@ -1,14 +1,14 @@
 //! Decoding strategies: greedy, temperature, top-k and top-p (nucleus)
 //! sampling over an incremental [`TokenStream`].
 //!
-//! [`generate`] is instrumented with `obs`: a `decode` span wrapping each
-//! call (with per-token `decode.token` child spans), a prefill-latency
-//! histogram, and the per-token latency histogram/counter the serving
-//! layer's `/metrics` endpoint exposes. [`generate_traced`] additionally
-//! threads an [`obs::reqtrace::TraceMeta`] through the loop, appending
-//! per-token phase records to the request's trace and attributing TTFT
-//! back to the serving queue's enqueue stamp.
+//! [`generate`] is instrumented with `obs`: the per-token latency and
+//! time-to-first-token histograms the serving layer's `/metrics`
+//! endpoint exposes, and the request trace's per-token phase records.
 
+use std::sync::Arc;
+
+use obs::metrics::Histogram;
+use obs::reqtrace::{Phase, TraceMeta};
 use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::RngExt;
 use ratatouille_tensor::{ops, Tensor};
@@ -47,75 +47,69 @@ impl Default for SamplerConfig {
     }
 }
 
+/// The labeled series [`generate`] records into for one model:
+/// `decode_token_ns{model=…,dtype=…}` and `ttft_ns{model=…}`.
+/// Cardinality stays bounded because model names come from the closed
+/// registry and dtypes from the closed `DType` enum. Resolving takes the
+/// registry lock, so a serving replica resolves its series once, when it
+/// is built (as `BatchGenerator::new` does), never per request.
+pub struct DecodeSeries {
+    token_ns: Arc<Histogram>,
+    ttft: Arc<Histogram>,
+}
+
+impl DecodeSeries {
+    /// Get or register `model`'s series.
+    pub fn resolve<M: InferenceModel + ?Sized>(model: &M) -> DecodeSeries {
+        let label = obs::metrics::label_value(model.name());
+        let dtype = model.dtype().name();
+        DecodeSeries {
+            token_ns: obs::metrics::histogram(&format!(
+                "decode_token_ns{{model=\"{label}\",dtype=\"{dtype}\"}}"
+            )),
+            // Labeled by model only (no dtype), so the pooled and batched
+            // paths feed one series family per model.
+            ttft: obs::metrics::histogram(&format!("ttft_ns{{model=\"{label}\"}}")),
+        }
+    }
+}
+
 /// Autoregressively generate a continuation of `prompt`. Returns only the
 /// generated tokens (without the prompt, without the stop token).
 ///
 /// Accepts any [`InferenceModel`] — trained f32 models and quantized
 /// inference-only variants alike (`&dyn LanguageModel` call sites keep
-/// working through the supertrait). Besides the aggregate
-/// `decode_token_ns` series, per-token latency is also recorded under a
-/// `{model=…,dtype=…}` labeled series so one `/metrics` scrape separates
-/// dtype variants; cardinality stays bounded because model names come
-/// from the closed registry and dtypes from the closed [`DType`] enum.
+/// working through the supertrait). Per-token latency lands in
+/// `decode_token_ns` and `series`' labeled twin. `meta` is the request's
+/// trace: each prompt token records a `prefill_chunk` phase, each sampled
+/// token a `decode_step` phase (batch size 1 — this is the solo path),
+/// and time-to-first-token, in `ttft_ns` and its twin, counts from
+/// `meta.enqueued_ns` (prefill start if the caller left it 0). Untraced
+/// metadata costs one branch per phase — no stamps, no stores — and the
+/// token stream is identical either way (telemetry is write-only, §4b).
 pub fn generate<M: InferenceModel + ?Sized>(
     model: &M,
     prompt: &[u32],
     cfg: &SamplerConfig,
     rng: &mut StdRng,
-) -> Vec<u32> {
-    generate_traced(model, prompt, cfg, rng, &obs::reqtrace::TraceMeta::default())
-}
-
-/// [`generate`] with request-trace metadata attached: each prompt token
-/// records a `prefill_chunk` phase, each sampled token a `decode_step`
-/// phase (batch size 1 — this is the solo path), and time-to-first-token
-/// lands in the `ttft_ns` histogram plus its `{model=…}` twin, counted
-/// from `meta.enqueued_ns` (prefill start if the caller left it 0).
-/// Untraced metadata costs one branch per phase — no stamps, no stores —
-/// and the token stream is identical either way (telemetry is
-/// write-only, §4b).
-pub fn generate_traced<M: InferenceModel + ?Sized>(
-    model: &M,
-    prompt: &[u32],
-    cfg: &SamplerConfig,
-    rng: &mut StdRng,
-    meta: &obs::reqtrace::TraceMeta,
+    meta: &TraceMeta,
+    series: &DecodeSeries,
 ) -> Vec<u32> {
     assert!(!prompt.is_empty(), "generate requires a non-empty prompt");
-    let _span = obs::span!("decode");
-    // Labeled handles are resolved once per call, not per token: the
-    // static_* macros cache per call site, which a dynamic label string
-    // would defeat.
-    let labels = format!(
-        "{{model=\"{}\",dtype=\"{}\"}}",
-        metric_label(model.name()),
-        model.dtype().name()
-    );
-    let labeled_token_ns = obs::metrics::histogram(&format!("decode_token_ns{labels}"));
-    let labeled_tokens_total = obs::metrics::counter(&format!("decode_tokens_total{labels}"));
-    // TTFT is labeled by model only (no dtype) so the pooled and batched
-    // paths feed one series family per model.
-    let labeled_ttft = obs::metrics::histogram(&format!(
-        "ttft_ns{{model=\"{}\"}}",
-        metric_label(model.name())
-    ));
     let mut stream = model.start_stream();
     let mut logits: Option<Tensor> = None;
-    let prefill_start = obs::Clock::now();
     let origin_ns = if meta.enqueued_ns != 0 {
         meta.enqueued_ns
     } else {
-        prefill_start.at_ns()
+        obs::Clock::now().at_ns()
     };
     for (i, &t) in prompt.iter().enumerate() {
         logits = Some(stream.push(t));
-        meta.record(obs::reqtrace::Phase::PrefillChunk, i as u32, 1);
+        meta.record(Phase::PrefillChunk, i as u32, 1);
     }
-    obs::static_histogram!("decode_prefill_ns").observe(prefill_start.elapsed_ns());
     let mut out = Vec::with_capacity(cfg.max_tokens);
     let mut ttft_recorded = false;
     for _ in 0..cfg.max_tokens {
-        let token_span = obs::span!("decode.token");
         let token_start = obs::Clock::now();
         // xlint: allow(transitive-panic-in-request-path): `prompt` is asserted non-empty, so the prefill loop set `logits`, and every iteration that continues sets it again
         let l = logits.take().expect("logits available after prompt");
@@ -124,32 +118,20 @@ pub fn generate_traced<M: InferenceModel + ?Sized>(
             ttft_recorded = true;
             let ttft = obs::Clock::now().at_ns().saturating_sub(origin_ns);
             obs::static_histogram!("ttft_ns").observe(ttft);
-            labeled_ttft.observe(ttft);
+            series.ttft.observe(ttft);
         }
         if Some(next) == cfg.stop_token {
-            meta.record(obs::reqtrace::Phase::DecodeStep, out.len() as u32, 1);
-            drop(token_span);
+            meta.record(Phase::DecodeStep, out.len() as u32, 1);
             break;
         }
         out.push(next);
-        meta.record(obs::reqtrace::Phase::DecodeStep, out.len() as u32, 1);
+        meta.record(Phase::DecodeStep, out.len() as u32, 1);
         logits = Some(stream.push(next));
         let elapsed = token_start.elapsed_ns();
         obs::static_histogram!("decode_token_ns").observe(elapsed);
-        obs::static_counter!("decode_tokens_total").inc();
-        labeled_token_ns.observe(elapsed);
-        labeled_tokens_total.inc();
-        drop(token_span);
+        series.token_ns.observe(elapsed);
     }
     out
-}
-
-/// Sanitize a model display name into a Prometheus label value:
-/// lowercase alphanumerics pass through, everything else collapses to
-/// `-` (runs collapse to one, edges trimmed). `"GPT-2 medium [int8]"`
-/// becomes `"gpt-2-medium-int8"`.
-pub fn metric_label(name: &str) -> String {
-    obs::metrics::label_value(name)
 }
 
 /// Pick the next token from raw logits according to the config.
@@ -515,13 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_label_sanitizes() {
-        assert_eq!(metric_label("GPT-2 medium [int8]"), "gpt-2-medium-int8");
-        assert_eq!(metric_label("DistilGPT2"), "distilgpt2");
-        assert_eq!(metric_label("GPT-Neo (future work)"), "gpt-neo-future-work");
-    }
-
-    #[test]
     fn generate_works_on_quantized_models() {
         use crate::gpt2::{Gpt2Config, Gpt2Lm};
         use crate::lm::LanguageModel;
@@ -545,7 +520,8 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
-        let out = generate(q.as_ref(), &[2], &cfg, &mut rng);
+        let series = DecodeSeries::resolve(q.as_ref());
+        let out = generate(q.as_ref(), &[2], &cfg, &mut rng, &TraceMeta::default(), &series);
         assert_eq!(out.len(), 5);
     }
 
@@ -563,12 +539,13 @@ mod tests {
             seed: 1,
         });
         let mut rng = StdRng::seed_from_u64(0);
+        let series = DecodeSeries::resolve(&m);
         let cfg = SamplerConfig {
             max_tokens: 10,
             stop_token: None,
             ..Default::default()
         };
-        let out = generate(&m, &[2], &cfg, &mut rng);
+        let out = generate(&m, &[2], &cfg, &mut rng, &TraceMeta::default(), &series);
         assert_eq!(out.len(), 10);
         // stop token halts early and is excluded
         let cfg = SamplerConfig {
@@ -577,7 +554,7 @@ mod tests {
             stop_token: Some(ops::argmax_last(&m.start_stream().push(2))[0] as u32),
             ..Default::default()
         };
-        let out = generate(&m, &[2], &cfg, &mut rng);
+        let out = generate(&m, &[2], &cfg, &mut rng, &TraceMeta::default(), &series);
         assert!(out.is_empty(), "greedy first pick is the stop token");
     }
 }

@@ -203,7 +203,6 @@ impl<'a> Trainer<'a> {
         let started = obs::Clock::now();
         let mut tokens = 0usize;
         for step in start_step..self.config.steps {
-            let _span = obs::span!("train.step");
             let step_start = obs::Clock::now();
             // Deterministic per-step RNGs: resume at step k reproduces the
             // exact batch and dropout stream the uninterrupted run saw.
@@ -236,8 +235,6 @@ impl<'a> Trainer<'a> {
             obs::static_histogram!("train_backward_ns").observe(backward_ns);
             obs::static_histogram!("train_optimizer_ns").observe(optimizer.elapsed_ns());
             obs::static_histogram!("train_step_ns").observe(step_start.elapsed_ns());
-            obs::static_counter!("train_steps_total").inc();
-            obs::static_gauge!("train_loss").set(loss_val as f64);
 
             if self.config.log_every > 0 && step % self.config.log_every == 0 {
                 eprintln!(
@@ -263,13 +260,6 @@ impl<'a> Trainer<'a> {
         zero_grads(&params);
         let wall = started.elapsed_secs();
         let tokens_per_sec = if wall > 0.0 { tokens as f64 / wall } else { 0.0 };
-        obs::static_counter!("train_tokens_total").add(tokens as u64);
-        obs::static_gauge!("train_tokens_per_sec").set(tokens_per_sec);
-        obs::metrics::gauge(&format!(
-            "train_tokens_per_sec{{model=\"{}\"}}",
-            crate::sample::metric_label(self.model.name())
-        ))
-        .set(tokens_per_sec);
         TrainStats {
             steps_run: losses.len(),
             tokens_per_sec,

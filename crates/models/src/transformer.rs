@@ -381,11 +381,8 @@ pub(crate) struct AttnSlot<'a, E: Element> {
 /// sequence's positions strictly in order, so parallelism lives *across*
 /// sequences only and every sequence's reduction order is fixed
 /// regardless of batch composition or thread count (DESIGN §10); a solo
-/// stream's single lane always runs on the caller. Wall time lands in the
-/// `attend_ns` histogram, so `/metrics` shows attention's share of a
-/// decode step.
+/// stream's single lane always runs on the caller.
 pub(crate) fn attend_batch<E: Element>(slots: &mut [AttnSlot<'_, E>], heads: usize, dh: usize, window: Option<usize>) {
-    let clock = obs::Clock::now();
     let start = |slot: &AttnSlot<'_, E>| window.map_or(0, |w| slot.view.len().saturating_sub(w));
     // A lane's work is its score plus context pass, `2·t·d`
     // multiply-accumulates over the `t` positions it reads; the mean lane
@@ -397,7 +394,6 @@ pub(crate) fn attend_batch<E: Element>(slots: &mut [AttnSlot<'_, E>], heads: usi
         attend(slot.q, heads, dh, start(slot), &slot.view, slot.scratch);
         slot.out.copy_from_slice(&slot.scratch.ctx);
     });
-    obs::static_histogram!("attend_ns").observe(clock.elapsed_ns());
 }
 
 /// Reusable buffers for [`attend`]: the attention scores/probs

@@ -13,7 +13,7 @@
 use ratatouille_models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
 use ratatouille_models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille_models::lm::{Batch, InferenceModel, LanguageModel};
-use ratatouille_models::sample::{generate, SamplerConfig};
+use ratatouille_models::sample::{generate, DecodeSeries, SamplerConfig};
 use ratatouille_tensor::optim::Adam;
 use ratatouille_tensor::{ops, par, Tensor};
 use ratatouille_util::rng::{SeedableRng, StdRng};
@@ -73,7 +73,8 @@ fn served_decode_stays_under_the_launch_gate_and_a_big_matmul_crosses_it() {
     for model in [&medium as &dyn InferenceModel, &medium_q] {
         let before = launches.get();
         let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(generate(model, &[2, 3, 4], &sampler(40), &mut rng).len(), 40);
+        let (meta, series) = (obs::reqtrace::TraceMeta::default(), DecodeSeries::resolve(model));
+        assert_eq!(generate(model, &[2, 3, 4], &sampler(40), &mut rng, &meta, &series).len(), 40);
         assert_eq!(launches.get(), before, "solo decode of {} launched the pool", model.name());
     }
 

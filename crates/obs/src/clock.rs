@@ -5,7 +5,7 @@
 //! [`Clock`]; `clippy.toml` bans `std::time::Instant::now` and
 //! `SystemTime` there (`scripts/ci.sh` lints those crates and not obs),
 //! so this module is the one place a wall clock can enter the system. Telemetry
-//! derived from it (metrics, spans) is write-only from the computation's
+//! derived from it (metrics, request traces) is write-only from the computation's
 //! point of view — nothing downstream of a [`Stamp`] can feed back into
 //! losses, weights or generated tokens, which is what keeps the §4b
 //! determinism contract intact with instrumentation always on.

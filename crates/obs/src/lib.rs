@@ -1,4 +1,4 @@
-//! Zero-dependency observability: clock, metrics registry, tracing spans.
+//! Zero-dependency observability: clock, metrics registry, request traces.
 //!
 //! `obs` is the repo's telemetry layer and its *only* wall-clock
 //! authority (see [`clock`]). It provides:
@@ -6,8 +6,6 @@
 //! * [`metrics`] — lock-free counters, gauges and log-linear latency
 //!   histograms behind a name-keyed registry, rendered in Prometheus text
 //!   format by [`metrics::render_prometheus`] (served at `GET /metrics`);
-//! * [`trace`] — hierarchical RAII spans aggregated into a
-//!   flamegraph-compatible folded-stacks dump;
 //! * [`reqtrace`] — per-request phase traces (lock-free on the decode
 //!   path) with a bounded completed ring and a slow-request reservoir,
 //!   serving `/debug/requests` and Chrome trace-event export;
@@ -16,8 +14,8 @@
 //! # Determinism contract
 //!
 //! Instrumentation is always on, yet cannot affect results: stamps,
-//! counters and spans are write-only telemetry — no computation reads
-//! them back. `clippy.toml` enforces the boundary by banning
+//! counters and request traces are write-only telemetry — no
+//! computation reads them back. `clippy.toml` enforces the boundary by banning
 //! `Instant::now()` and `SystemTime` in the instrumented crates (the
 //! `scripts/ci.sh` clippy step, which leaves obs out), so any new timing
 //! necessarily flows through here.
@@ -30,9 +28,6 @@
 //! let start = obs::Clock::now();
 //! // ... work ...
 //! obs::static_histogram!("doc_request_ns").observe(start.elapsed_ns());
-//!
-//! // a hierarchical span (records on scope exit)
-//! let _span = obs::span!("doc.example");
 //! ```
 
 #![warn(missing_docs)]
@@ -41,18 +36,8 @@
 pub mod clock;
 pub mod metrics;
 pub mod reqtrace;
-pub mod trace;
 
 pub use clock::{Clock, Stamp};
-
-/// Open a tracing span for the current scope: `let _s = obs::span!("x");`.
-/// Expands to [`trace::span`]; the guard records the span when dropped.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::trace::span($name)
-    };
-}
 
 /// A [`metrics::Counter`] handle cached per call site (registry lookup
 /// runs once): `obs::static_counter!("reqs_total").inc();`.
@@ -101,11 +86,5 @@ mod tests {
 
         crate::static_histogram!("obs_test_macro_hist").observe(42);
         assert_eq!(crate::metrics::histogram("obs_test_macro_hist").count(), 1);
-
-        let start = crate::Clock::now();
-        {
-            let _s = crate::span!("obs_test_macro_span");
-        }
-        assert!(start.elapsed_secs() >= 0.0);
     }
 }

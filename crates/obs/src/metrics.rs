@@ -677,6 +677,13 @@ mod tests {
     }
 
     #[test]
+    fn label_value_sanitizes() {
+        assert_eq!(label_value("GPT-2 medium [int8]"), "gpt-2-medium-int8");
+        assert_eq!(label_value("DistilGPT2"), "distilgpt2");
+        assert_eq!(label_value("GPT-Neo (future work)"), "gpt-neo-future-work");
+    }
+
+    #[test]
     fn registry_handles_are_shared_and_typed() {
         let c1 = counter("obs_test_shared_counter");
         let c2 = counter("obs_test_shared_counter");

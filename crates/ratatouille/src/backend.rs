@@ -12,7 +12,7 @@ use ratatouille_util::rng::StdRng;
 use ratatouille_util::rng::SeedableRng;
 
 use ratatouille_models::registry::{build_model, ModelKind};
-use ratatouille_models::sample::SamplerConfig;
+use ratatouille_models::sample::{DecodeSeries, SamplerConfig};
 use ratatouille_models::{InferenceModel, LanguageModel};
 use ratatouille_serving::api::{GeneratedRecipe, RecipeBackend, RecipeBackendFactory};
 use ratatouille_serving::batch::GenRequest;
@@ -26,10 +26,13 @@ use crate::pipeline::{
 /// A serving replica: one model + tokenizer + decoding state.
 pub struct ModelBackend {
     model: Box<dyn LanguageModel>,
-    /// The int8 weight-quantized variant, when the architecture offers
-    /// one (GPT-2/GPT-Neo; LSTMs serve f32 only). Quantized once at
-    /// replica construction, not per request.
-    quant: Option<Box<dyn InferenceModel>>,
+    /// `model`'s decode series, resolved with the replica so that no
+    /// request takes the registry lock.
+    series: DecodeSeries,
+    /// The int8 weight-quantized variant and its decode series, when the
+    /// architecture offers one (GPT-2/GPT-Neo; LSTMs serve f32 only).
+    /// Quantized once at replica construction, not per request.
+    quant: Option<(Box<dyn InferenceModel>, DecodeSeries)>,
     tokenizer: Box<dyn Tokenizer>,
     /// The sampler every request decodes under ([`sampler_for_request`]).
     sampler: SamplerConfig,
@@ -47,8 +50,12 @@ impl ModelBackend {
     ) -> ModelBackend {
         let model = build_model(kind, tokenizer.vocab_size());
         load_weights(model.as_ref(), weights);
-        let quant = model.quantized();
+        let quant = model.quantized().map(|q| {
+            let series = DecodeSeries::resolve(q.as_ref());
+            (q, series)
+        });
         ModelBackend {
+            series: DecodeSeries::resolve(model.as_ref()),
             model,
             quant,
             tokenizer: tokenizer.clone_box(),
@@ -67,15 +74,17 @@ impl RecipeBackend for ModelBackend {
         let rng = pinned.as_mut().unwrap_or(&mut self.rng);
         let (tok, cfg, pantry) = (self.tokenizer.as_ref(), &self.sampler, &req.ingredients);
         let tagged = match (&self.quant, req.dtype.as_str()) {
-            (Some(q), "int8") => decode_tagged(q.as_ref(), tok, cfg, pantry, rng, &req.meta),
-            _ => decode_tagged(self.model.as_ref(), tok, cfg, pantry, rng, &req.meta),
+            (Some((q, series)), "int8") => {
+                decode_tagged(q.as_ref(), series, tok, cfg, pantry, rng, &req.meta)
+            }
+            _ => decode_tagged(self.model.as_ref(), &self.series, tok, cfg, pantry, rng, &req.meta),
         };
         recipe_from_tagged(&tagged)
     }
 
     fn dtypes(&self) -> Vec<String> {
         let mut out = vec!["f32".to_string()];
-        if let Some(q) = &self.quant {
+        if let Some((q, _)) = &self.quant {
             out.push(q.dtype().name().to_string());
         }
         out

@@ -14,7 +14,7 @@ use ratatouille_eval::rouge::corpus_rouge_l;
 use ratatouille_eval::structure::validate_tagged_recipe;
 use ratatouille_models::data::Dataset;
 use ratatouille_models::registry::{ModelKind, ModelSpec};
-use ratatouille_models::sample::{generate_traced, SamplerConfig};
+use ratatouille_models::sample::{generate, DecodeSeries, SamplerConfig};
 use ratatouille_models::InferenceModel;
 use ratatouille_models::train::{TrainConfig, TrainStats, Trainer};
 use ratatouille_recipedb::{Corpus, PreprocessReport, Preprocessor, Recipe};
@@ -146,6 +146,7 @@ impl TrainedModel {
         let tokenizer = self.spec.tokenizer.as_ref();
         decode_tagged(
             decoder,
+            &DecodeSeries::resolve(decoder),
             tokenizer,
             &sampler_for_request(&self.sampler, tokenizer, generation_budget(self.spec.kind)),
             ingredients,
@@ -202,9 +203,7 @@ impl TrainedModel {
                 Some(q) => self.decode(q.as_ref(), &ingredients, recipe_seed),
                 None => self.generate_tagged(&ingredients, recipe_seed),
             };
-            let ns = started.elapsed_ns();
-            obs::static_histogram!("eval_generate_ns").observe(ns);
-            gen_secs += ns as f64 / 1e9;
+            gen_secs += started.elapsed_secs();
 
             // reference continuation: everything after <TITLE_START>
             let full_ref = recipe.to_tagged_string();
@@ -277,9 +276,11 @@ impl TrainedModel {
 /// Pantry → tagged recipe, the one decode behind offline generation,
 /// evaluation and the solo serving replica: the prompt for
 /// `ingredients`, decoded by `model` under `cfg` (a
-/// [`sampler_for_request`]), tagged by [`tag_continuation`].
+/// [`sampler_for_request`]) into `model`'s `series`, tagged by
+/// [`tag_continuation`].
 pub(crate) fn decode_tagged<M: InferenceModel + ?Sized>(
     model: &M,
+    series: &DecodeSeries,
     tokenizer: &dyn Tokenizer,
     cfg: &SamplerConfig,
     ingredients: &[String],
@@ -288,7 +289,7 @@ pub(crate) fn decode_tagged<M: InferenceModel + ?Sized>(
 ) -> String {
     let prompt_text = prompt_for(ingredients);
     let prompt = tokenizer.encode(&prompt_text);
-    let continuation = generate_traced(model, &prompt, cfg, rng, meta);
+    let continuation = generate(model, &prompt, cfg, rng, meta, series);
     tag_continuation(prompt_text, &continuation, tokenizer)
 }
 

@@ -9,7 +9,6 @@
 //!   `{"title", "ingredients", "instructions", "model", "latency_ms"}`;
 //! * `GET  /healthz`      — bare-text liveness probe;
 //! * `GET  /metrics`      — the `obs` registry in Prometheus text format;
-//! * `GET  /debug/stacks` — folded span stacks (flamegraph input);
 //! * `GET  /debug/requests`        — completed request-trace summaries;
 //! * `GET  /debug/requests/<id>`   — one request's full phase timeline;
 //! * `GET  /debug/trace?fmt=chrome` — Chrome trace-event JSON of every
@@ -20,7 +19,6 @@
 //! ([`RecipeBackend`], [`StepBackend`]) so this crate stays free of model
 //! dependencies, and the `ratatouille` crate plugs the real models in.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::reqtrace::TraceSink;
@@ -33,42 +31,6 @@ use crate::frontend;
 use crate::http::{HttpServer, Request, Response, StatusCode};
 use crate::json::Json;
 use crate::router::Router;
-
-/// Live serving counters, exposed at `GET /api/stats` (the observability
-/// the paper's dockerized deployment would get from its orchestrator).
-#[derive(Debug, Default)]
-pub struct ApiStats {
-    /// Total generate requests received.
-    pub requests: AtomicU64,
-    /// Requests that produced a recipe.
-    pub generated: AtomicU64,
-    /// Requests rejected for bad input.
-    pub bad_requests: AtomicU64,
-    /// Requests bounced by queue backpressure (503s).
-    pub rejected: AtomicU64,
-    /// Sum of model latency in microseconds (mean = sum / generated).
-    pub latency_us_sum: AtomicU64,
-}
-
-impl ApiStats {
-    fn to_json(&self, workers: usize) -> Json {
-        let generated = self.generated.load(Ordering::Relaxed);
-        let lat_sum = self.latency_us_sum.load(Ordering::Relaxed);
-        let mean_ms = if generated > 0 {
-            (lat_sum as f64 / generated as f64) / 1000.0
-        } else {
-            0.0
-        };
-        Json::object(vec![
-            ("workers", Json::Number(workers as f64)),
-            ("requests", Json::Number(self.requests.load(Ordering::Relaxed) as f64)),
-            ("generated", Json::Number(generated as f64)),
-            ("bad_requests", Json::Number(self.bad_requests.load(Ordering::Relaxed) as f64)),
-            ("rejected", Json::Number(self.rejected.load(Ordering::Relaxed) as f64)),
-            ("mean_latency_ms", Json::Number(mean_ms)),
-        ])
-    }
-}
 
 /// A structured recipe produced by a backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,7 +136,6 @@ const CONNECTION_HEADROOM: usize = 16;
 pub struct ApiServer {
     server: HttpServer,
     engine: Arc<Engine>,
-    stats: Arc<ApiStats>,
 }
 
 impl ApiServer {
@@ -214,23 +175,13 @@ impl ApiServer {
 
     fn serve(addr: &str, engine: Engine) -> std::io::Result<ApiServer> {
         let engine = Arc::new(engine);
-        let stats = Arc::new(ApiStats::default());
-        let router = build_router(Arc::clone(&engine), Arc::clone(&stats));
+        let router = build_router(Arc::clone(&engine));
         // Every request the engine holds keeps its connection open, so the
         // bound sits above the engine's capacity: its own 503 and 429 stay
         // reachable, and the cheap routes answer while it is full.
         let max_connections = engine.capacity() + CONNECTION_HEADROOM;
         let server = HttpServer::start(addr, max_connections, move |req| router.dispatch(&req))?;
-        Ok(ApiServer {
-            server,
-            engine,
-            stats,
-        })
-    }
-
-    /// Live counters (also served at `GET /api/stats`).
-    pub fn stats(&self) -> &ApiStats {
-        &self.stats
+        Ok(ApiServer { server, engine })
     }
 
     /// Bound socket address.
@@ -252,7 +203,7 @@ impl ApiServer {
 }
 
 /// The route table, registered once for every server shape.
-fn build_router(engine: Arc<Engine>, stats: Arc<ApiStats>) -> Router {
+fn build_router(engine: Arc<Engine>) -> Router {
     let health = Json::object(vec![
         ("status", Json::string("ok")),
         ("workers", Json::Number(engine.threads() as f64)),
@@ -263,8 +214,6 @@ fn build_router(engine: Arc<Engine>, stats: Arc<ApiStats>) -> Router {
         ("dtypes", Json::string_array(engine.dtypes())),
     ])
     .to_string();
-    let workers = engine.threads();
-    let stats_for_route = Arc::clone(&stats);
     Router::new()
         .route("GET", "/", |_req| Response::html(frontend::INDEX_HTML))
         .route("GET", "/api/health", move |_req| {
@@ -273,12 +222,7 @@ fn build_router(engine: Arc<Engine>, stats: Arc<ApiStats>) -> Router {
         .route("GET", "/api/models", move |_req| {
             Response::json(StatusCode::Ok, models.clone())
         })
-        .route("GET", "/api/stats", move |_req| {
-            Response::json(StatusCode::Ok, stats_for_route.to_json(workers).to_string())
-        })
-        .route("POST", "/api/generate", move |req| {
-            handle_generate(req, &engine, &stats)
-        })
+        .route("POST", "/api/generate", move |req| handle_generate(req, &engine))
         .route("GET", "/healthz", |_req| {
             Response::text(StatusCode::Ok, "ok")
         })
@@ -286,9 +230,6 @@ fn build_router(engine: Arc<Engine>, stats: Arc<ApiStats>) -> Router {
             status: StatusCode::Ok,
             content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
             body: obs::metrics::render_prometheus().into_bytes(),
-        })
-        .route("GET", "/debug/stacks", |_req| {
-            Response::text(StatusCode::Ok, obs::trace::folded_stacks())
         })
         .route("GET", "/debug/requests", handle_debug_requests)
         .route_prefix("GET", "/debug/requests/", handle_debug_request_detail)
@@ -303,13 +244,11 @@ fn error_json(status: StatusCode, msg: impl Into<String>) -> Response {
     )
 }
 
-fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response {
-    stats.requests.fetch_add(1, Ordering::Relaxed);
+fn handle_generate(req: &Request, engine: &Engine) -> Response {
     let dtypes = engine.dtypes();
     let default_dtype = dtypes.first().map_or("f32", String::as_str);
     let dtype = query_param(&req.query, "dtype").unwrap_or(default_dtype);
     if !dtypes.iter().any(|d| d == dtype) {
-        stats.bad_requests.fetch_add(1, Ordering::Relaxed);
         return error_json(
             StatusCode::BadRequest,
             format!(
@@ -318,7 +257,7 @@ fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response
             ),
         );
     }
-    let (ingredients, seed) = match parse_generate_body(req, stats) {
+    let (ingredients, seed) = match parse_generate_body(req) {
         Ok(ok) => ok,
         Err(resp) => return resp,
     };
@@ -339,10 +278,6 @@ fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response
     });
     match submitted {
         Ok(out) => {
-            stats.generated.fetch_add(1, Ordering::Relaxed);
-            stats
-                .latency_us_sum
-                .fetch_add((out.latency_ms * 1000.0) as u64, Ordering::Relaxed);
             let body = Json::object(vec![
                 ("title", Json::string(out.recipe.title)),
                 ("ingredients", Json::string_array(&out.recipe.ingredients)),
@@ -355,16 +290,12 @@ fn handle_generate(req: &Request, engine: &Engine, stats: &ApiStats) -> Response
             Response::json(StatusCode::Ok, body.to_string())
         }
         Err(SubmitError::QueueFull) => {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
             error_json(StatusCode::ServiceUnavailable, "server overloaded, retry")
         }
-        Err(SubmitError::PoolExhausted) => {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            error_json(
-                StatusCode::TooManyRequests,
-                "KV cache exhausted; shrink the request or retry later",
-            )
-        }
+        Err(SubmitError::PoolExhausted) => error_json(
+            StatusCode::TooManyRequests,
+            "KV cache exhausted; shrink the request or retry later",
+        ),
         Err(e @ (SubmitError::ReplicaPanicked | SubmitError::Closed)) => {
             error_json(StatusCode::InternalServerError, e.to_string())
         }
@@ -386,14 +317,8 @@ const MAX_INGREDIENT_BYTES: usize = 64;
 /// [`MAX_INGREDIENT_BYTES`] each, plus an optional non-negative integer
 /// `"seed"`. Errors arrive as ready 400s, before the request is queued
 /// or encoded.
-fn parse_generate_body(
-    req: &Request,
-    stats: &ApiStats,
-) -> Result<(Vec<String>, Option<u64>), Response> {
-    let bad = |msg: String| {
-        stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-        error_json(StatusCode::BadRequest, msg)
-    };
+fn parse_generate_body(req: &Request) -> Result<(Vec<String>, Option<u64>), Response> {
+    let bad = |msg: String| error_json(StatusCode::BadRequest, msg);
     let parsed = match Json::parse(&req.body_str()) {
         Ok(v) => v,
         Err(e) => return Err(bad(format!("invalid json: {e}"))),
@@ -680,9 +605,6 @@ mod tests {
                 .post_json("/api/generate", r#"{"ingredients":["flour"]}"#)
                 .unwrap();
             assert_eq!(status, 200, "{reply}");
-            let stats = srv.stats();
-            assert_eq!(stats.bad_requests.load(Ordering::Relaxed), 3);
-            assert_eq!(stats.generated.load(Ordering::Relaxed), 2);
         }
         replicated.stop();
         batched.stop();
@@ -712,24 +634,6 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("<html"), "frontend missing");
         assert!(body.contains("Ratatouille"));
-        srv.stop();
-    }
-
-    #[test]
-    fn stats_counters_track_requests() {
-        let srv = boot();
-        let client = HttpClient::new(srv.addr());
-        client
-            .post_json("/api/generate", r#"{"ingredients":["flour"]}"#)
-            .unwrap();
-        client.post_json("/api/generate", "broken").unwrap();
-        let (status, body) = client.get("/api/stats").unwrap();
-        assert_eq!(status, 200);
-        let v = Json::parse(&body).unwrap();
-        assert_eq!(v.get("requests").unwrap().as_f64(), Some(2.0));
-        assert_eq!(v.get("generated").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.get("bad_requests").unwrap().as_f64(), Some(1.0));
-        assert!(v.get("mean_latency_ms").unwrap().as_f64().unwrap() >= 0.0);
         srv.stop();
     }
 
@@ -871,8 +775,11 @@ mod tests {
             HttpClient::new(replicated.addr()),
             HttpClient::new(batched.addr()),
         );
-        for path in ["/api/health", "/api/models", "/nope"] {
+        for path in ["/api/health", "/api/models", "/nope", "/api/stats", "/debug/stacks"] {
             assert_eq!(a.get(path).unwrap(), b.get(path).unwrap(), "GET {path}");
+        }
+        for path in ["/nope", "/api/stats", "/debug/stacks"] {
+            assert_eq!(a.get(path).unwrap().0, 404, "GET {path}");
         }
         let body = r#"{"ingredients":["flour"]}"#;
         let bad = a.post_json("/api/generate?dtype=int8", body).unwrap();
@@ -953,7 +860,6 @@ mod tests {
         }
         let (status, body) = post("third");
         assert_eq!(status, 503, "{body}");
-        assert_eq!(srv.stats().rejected.load(Ordering::Relaxed), 1);
 
         // `stop()` with one in flight and one queued answers both.
         release.send(()).unwrap();

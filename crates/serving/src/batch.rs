@@ -484,10 +484,7 @@ fn run_loop(shared: &Shared, backend: &mut dyn StepBackend, series: &Series) {
         if backend.active() == 0 {
             continue;
         }
-        let step_start = obs::Clock::now();
-        let finished = backend.step();
-        obs::static_histogram!("serving_exec_ns").observe(step_start.elapsed_ns());
-        for (id, recipe) in finished {
+        for (id, recipe) in backend.step() {
             if let Some((reply, enqueued_ns)) = inflight.remove(&id) {
                 let latency_ns = obs::Clock::now().at_ns().saturating_sub(enqueued_ns);
                 series.latency.iter().for_each(|h| h.observe(latency_ns));

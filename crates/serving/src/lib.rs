@@ -32,7 +32,7 @@ pub mod http;
 pub mod json;
 pub mod router;
 
-pub use api::{ApiServer, ApiStats, GeneratedRecipe, RecipeBackend};
+pub use api::{ApiServer, GeneratedRecipe, RecipeBackend};
 pub use batch::{
     AdmitOutcome, BatchServerConfig, Engine, GenOut, GenRequest, ReplicaFactory, StepBackend,
     StepBackendFactory, SubmitError,

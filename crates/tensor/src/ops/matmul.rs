@@ -444,12 +444,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     );
     let start = obs::Clock::now();
     let out = matmul_raw(a.data(), Strides::rows(k), b.data(), m, k, n);
-    let ns = start.elapsed_ns();
-    obs::static_histogram!("tensor_matmul_ns").observe(ns);
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
-    obs::static_counter!("tensor_matmul_flops_total").add(flops);
-    // flops / ns == GFLOP / s exactly (both carry a factor of 1e9).
-    obs::static_gauge!("tensor_matmul_gflops").set(flops as f64 / ns.max(1) as f64);
+    obs::static_histogram!("tensor_matmul_ns").observe(start.elapsed_ns());
     Tensor::from_parts(Shape(vec![m, n]), out)
 }
 

@@ -152,7 +152,6 @@ impl Pool {
                 .expect("failed to spawn pool worker");
             senders.push(tx);
         }
-        obs::static_gauge!("tensor_pool_workers").set(senders.len() as f64);
         senders[..n].to_vec()
     }
 }
@@ -162,11 +161,9 @@ fn worker_loop(rx: mpsc::Receiver<Job>) {
     // The receiver errors only when the pool itself is dropped (process
     // exit), which is this worker's shutdown signal.
     while let Ok(job) = rx.recv() {
-        let dequeued = obs::Clock::now();
         obs::static_histogram!("tensor_pool_queue_wait_ns")
-            .observe(dequeued.at_ns().saturating_sub(job.enqueued_ns));
+            .observe(obs::Clock::now().at_ns().saturating_sub(job.enqueued_ns));
         let result = catch_unwind(AssertUnwindSafe(|| (job.f)(job.index)));
-        obs::static_histogram!("tensor_pool_exec_ns").observe(dequeued.elapsed_ns());
         job.latch.count_off(result.err());
     }
 }

@@ -84,7 +84,7 @@ for f in crates/serving/src/*.rs; do
     # Non-test source: everything above the file's `#[cfg(test)]`.
     src=$(sed '/^#\[cfg(test)\]/,$d' "$f")
     routers=$(( routers + $(grep -c 'Router::new()' <<<"$src" || true) ))
-    if grep -nE 'WorkerPool|submit_traced|generate_traced|admit_traced' <<<"$src"; then
+    if grep -nE 'WorkerPool|submit_traced|admit_traced' <<<"$src"; then
         echo "serving: $f names a deleted serving path (see above)" >&2
         exit 1
     fi
@@ -97,6 +97,20 @@ if [ "$routers" -gt 1 ]; then
     echo "serving: $routers \`Router::new()\` route tables outside tests; there is one, in api.rs" >&2
     exit 1
 fi
+
+echo "== one telemetry path (grep gate over every crate's non-test source) =="
+# `/metrics` and the request traces are the telemetry. Spans, their
+# folded-stacks dump, the `/api/stats` counters and the traced decode
+# twin each duplicated one of them; this fails the build if one comes
+# back. The pattern is split so this file does not match itself.
+deleted_telemetry='obs::''trace|span''!\(|folded_''stacks|Api''Stats|generate_''traced'
+for f in $(git ls-files 'src/*.rs' 'crates/*/src/*.rs'); do
+    # Non-test source: everything above the file's `#[cfg(test)]`.
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$deleted_telemetry"; then
+        echo "telemetry: $f names a deleted telemetry path (see above)" >&2
+        exit 1
+    fi
+done
 
 echo "== one KV store (grep gate over crates/models/src) =="
 # Every decode path writes K/V through `kv_block::BlockPool`; this fails

@@ -264,8 +264,9 @@ fn batched_decode_golden_fingerprint_is_frozen() {
 #[test]
 fn int8_solo_decode_golden_fingerprint_is_frozen() {
     use ratatouille::models::lm::LanguageModel;
-    use ratatouille::models::sample::{generate, SamplerConfig};
+    use ratatouille::models::sample::{generate, DecodeSeries, SamplerConfig};
     use ratatouille::tensor::par;
+    use obs::reqtrace::TraceMeta;
 
     let model = solo_golden_model("golden-int8", 64, None);
     let int8 = model.quantized().expect("gpt2 offers int8");
@@ -277,7 +278,9 @@ fn int8_solo_decode_golden_fingerprint_is_frozen() {
     };
     for threads in [1, 3] {
         par::set_num_threads(threads);
-        let tokens = generate(&*int8, &[3, 17, 9, 28, 1], &cfg, &mut StdRng::seed_from_u64(0));
+        let (meta, series) = (TraceMeta::default(), DecodeSeries::resolve(&*int8));
+        let mut rng = StdRng::seed_from_u64(0);
+        let tokens = generate(&*int8, &[3, 17, 9, 28, 1], &cfg, &mut rng, &meta, &series);
         par::set_num_threads(0);
         assert_eq!(tokens.len(), 24);
         let fp = fingerprint(tokens.iter().map(|t| t.to_le_bytes()));
@@ -335,13 +338,16 @@ fn solo_golden_sampler() -> ratatouille::models::sample::SamplerConfig {
 /// Decode the golden request through `model`'s solo stream at 1 and 3
 /// tensor threads and return the (thread-invariant) token stream.
 fn solo_golden_tokens(model: &dyn ratatouille::models::lm::InferenceModel) -> Vec<u32> {
-    use ratatouille::models::sample::generate;
+    use ratatouille::models::sample::{generate, DecodeSeries};
     use ratatouille::tensor::par;
+    use obs::reqtrace::TraceMeta;
 
     let run = |threads: usize| {
         par::set_num_threads(threads);
         let mut rng = StdRng::seed_from_u64(SOLO_GOLDEN_SEED);
-        let tokens = generate(model, &SOLO_GOLDEN_PROMPT, &solo_golden_sampler(), &mut rng);
+        let (meta, series) = (TraceMeta::default(), DecodeSeries::resolve(model));
+        let cfg = solo_golden_sampler();
+        let tokens = generate(model, &SOLO_GOLDEN_PROMPT, &cfg, &mut rng, &meta, &series);
         par::set_num_threads(0);
         tokens
     };

@@ -8,14 +8,14 @@ use std::collections::BTreeSet;
 use ratatouille::models::batch::{BatchEngineConfig, BatchGenerator, BatchRequest};
 use ratatouille::models::gpt2::{Gpt2Config, Gpt2Lm};
 use ratatouille::models::registry::ModelKind;
-use ratatouille::models::sample::{generate, SamplerConfig};
+use ratatouille::models::sample::{generate, DecodeSeries, SamplerConfig};
 use ratatouille::models::train::TrainConfig;
 use ratatouille::models::InferenceModel;
 use ratatouille::serving::api::ApiServer;
 use ratatouille::serving::batch::BatchServerConfig;
 use ratatouille::serving::client::HttpClient;
 use ratatouille::serving::json::Json;
-use ratatouille::tensor::{ops, par, DType, Tensor};
+use ratatouille::tensor::{ops, par, Tensor};
 use ratatouille::{Pipeline, PipelineConfig, TrainedModel};
 use ratatouille_util::rng::{SeedableRng, StdRng};
 
@@ -175,14 +175,10 @@ const REQUIRED_SERIES: &[&str] = &[
     "http_accept_errors_total",
     "decode_token_ns",
     "request_queue_wait_ns",
-    "serving_exec_ns",
     "tensor_pool_queue_wait_ns",
     "tensor_pool_launches_total",
     "tensor_pool_inline_total",
-    "tensor_matmul_gflops",
-    "train_tokens_per_sec",
     "generate_latency_ns",
-    "attend_ns",
     "decode_batch_size",
     "decode_kv_hits_total",
     // Labeled twins: model names come from the closed registry, dtypes
@@ -191,54 +187,77 @@ const REQUIRED_SERIES: &[&str] = &[
     "decode_batch_size_count{model=\"distilgpt2\"}",
     "decode_kv_hits_total{model=\"distilgpt2\"}",
     "decode_kv_misses_total{model=\"distilgpt2\"}",
-    "train_tokens_per_sec{model=\"word-level-lstm\"}",
     "generate_latency_ns_count{model=\"word-level-lstm\"}",
-    "gpt2_push_ns_count{dtype=\"f32\"}",
-    "gpt2_push_ns_count{dtype=\"int8\"}",
     "decode_token_ns_sum{model=\"distilgpt2\",dtype=\"f32\"}",
     "decode_token_ns_sum{model=\"distilgpt2-int8\",dtype=\"int8\"}",
     "decode_token_ns_bucket{model=\"distilgpt2-int8\",dtype=\"int8\",le=",
-    "decode_tokens_total{model=\"distilgpt2\",dtype=\"f32\"}",
-    "decode_tokens_total{model=\"distilgpt2-int8\",dtype=\"int8\"}",
 ];
 
-/// The metric families in DESIGN §8's "What is instrumented" table: each
-/// backticked name outside parentheses in the metrics column, label set
-/// stripped. Parenthesised text describes a metric and may quote code.
-fn documented_families() -> BTreeSet<String> {
+/// The rows of DESIGN §8's "What is instrumented" table as
+/// `(family, read by)`: the backticked name in the first column and the
+/// third column's text.
+fn documented_families() -> Vec<(String, String)> {
     let design = include_str!("../DESIGN.md");
     let table = design
         .split_once("**What is instrumented**")
         .expect("DESIGN §8 has the metric table")
         .1;
-    let mut families = BTreeSet::new();
-    for row in table
+    table
         .lines()
         .skip_while(|l| !l.starts_with('|'))
         .take_while(|l| l.starts_with('|'))
-    {
-        let Some(cell) = row.split('|').nth(2) else {
-            continue;
-        };
-        let (mut depth, mut ticked) = (0usize, None);
-        for (i, c) in cell.char_indices() {
-            match (c, ticked) {
-                ('`', None) => ticked = Some(i + 1),
-                ('`', Some(start)) => {
-                    let name = &cell[start..i];
-                    let family = name.split('{').next().unwrap_or(name);
-                    if depth == 0 && !family.is_empty() {
-                        families.insert(family.to_string());
-                    }
-                    ticked = None;
+        .skip(2) // the header and its separator
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let cell = |i: usize| cells.get(i).copied().unwrap_or_default();
+            (cell(1).trim_matches('`').to_string(), cell(3).to_string())
+        })
+        .collect()
+}
+
+/// What is wrong with `read_by`, the "read by" cell of `family`'s row,
+/// if anything. Each backticked name outside parentheses is a reader: a
+/// repository file that names the family, or `file::fn` when that file
+/// also defines `fn`. A cell with no reader must open with
+/// `fault counter:` and name the operator question instead.
+fn reader_problem(family: &str, read_by: &str) -> Option<String> {
+    let (mut depth, mut ticked, mut readers) = (0usize, None, Vec::new());
+    for (i, c) in read_by.char_indices() {
+        match (c, ticked) {
+            ('`', None) => ticked = Some(i + 1),
+            ('`', Some(start)) => {
+                if depth == 0 {
+                    readers.push(&read_by[start..i]);
                 }
-                ('(', None) => depth += 1,
-                (')', None) => depth = depth.saturating_sub(1),
-                _ => {}
+                ticked = None;
+            }
+            ('(', None) => depth += 1,
+            (')', None) => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    if readers.is_empty() && !read_by.starts_with("fault counter:") {
+        return Some(format!("`{family}` names no reader: {read_by:?}"));
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for reader in readers {
+        let (path, function) = match reader.split_once("::") {
+            Some((path, function)) => (path, Some(function)),
+            None => (reader, None),
+        };
+        let Ok(text) = std::fs::read_to_string(root.join(path)) else {
+            return Some(format!("`{family}`: reader `{reader}`: no file {path}"));
+        };
+        if !text.contains(family) {
+            return Some(format!("`{family}`: reader `{reader}` never names it"));
+        }
+        if let Some(f) = function {
+            if !text.contains(&format!("fn {f}(")) && !text.contains(&format!("fn {f}<")) {
+                return Some(format!("`{family}`: reader `{reader}`: {path} defines no `fn {f}`"));
             }
         }
     }
-    families
+    None
 }
 
 /// The families a scrape declares with `# TYPE` lines.
@@ -260,7 +279,7 @@ fn healthz_and_metrics_endpoints() {
     ops::matmul(&a, &a);
     par::set_num_threads(0);
     // Batched decode, the same prompt twice so the second admission
-    // adopts the first's blocks: attention, batch size, KV hits and misses.
+    // adopts the first's blocks: batch size, KV hits and misses.
     let gpt2 = Gpt2Lm::new(Gpt2Config::distil(64));
     let bm = gpt2.batch_model().expect("distil tier is batch-ready");
     let sampler = SamplerConfig {
@@ -280,11 +299,11 @@ fn healthz_and_metrics_endpoints() {
     }
     // Solo decode in each weight dtype: the per-model, per-dtype series.
     for model in [&gpt2 as &dyn InferenceModel, &gpt2.quantize()] {
-        generate(model, &[2, 3, 4], &sampler, &mut StdRng::seed_from_u64(7));
+        let (meta, series) = (obs::reqtrace::TraceMeta::default(), DecodeSeries::resolve(model));
+        generate(model, &[2, 3, 4], &sampler, &mut StdRng::seed_from_u64(7), &meta, &series);
     }
 
-    // Training that writes a checkpoint, then one evaluated recipe: the
-    // checkpoint-write and evaluation histograms.
+    // Training that writes a checkpoint: the checkpoint-write histogram.
     let mut cfg = PipelineConfig::small();
     cfg.corpus.num_recipes = 80;
     let pipeline = Pipeline::prepare(cfg);
@@ -299,7 +318,6 @@ fn healthz_and_metrics_endpoints() {
         }),
     );
     std::fs::remove_file(&checkpoint).expect("training wrote its checkpoint");
-    trained.evaluate(&pipeline.test_recipes, 1, 7, DType::F32);
 
     let server = ApiServer::start("127.0.0.1:0", 1, 4, trained.backend_factory()).unwrap();
     let client = HttpClient::new(server.addr());
@@ -323,10 +341,12 @@ fn healthz_and_metrics_endpoints() {
     assert!(metrics.contains("http_request_ns_bucket{le=\"+Inf\"}"), "{metrics}");
     assert!(metrics.contains("http_request_ns_sum"), "{metrics}");
     assert!(metrics.contains("http_request_ns_count"), "{metrics}");
-    assert!(metrics.contains("# TYPE train_tokens_per_sec gauge"), "{metrics}");
     // Metric hygiene: the scrape and DESIGN §8's table name the same
-    // families, in both directions.
-    let documented = documented_families();
+    // families, in both directions, one row each, and every row names
+    // its reader.
+    let rows = documented_families();
+    let documented: BTreeSet<String> = rows.iter().map(|(f, _)| f.clone()).collect();
+    assert_eq!(documented.len(), rows.len(), "a family has two rows in DESIGN §8's table");
     let rendered = rendered_families(&metrics);
     let undocumented: Vec<_> = rendered.difference(&documented).collect();
     let unrendered: Vec<_> = documented.difference(&rendered).collect();
@@ -335,11 +355,8 @@ fn healthz_and_metrics_endpoints() {
         "rendered but not in DESIGN §8's table: {undocumented:?}; \
          in the table but never rendered: {unrendered:?}"
     );
-
-    // folded span stacks are exposed for flamegraph tooling
-    let (status, stacks) = client.get("/debug/stacks").unwrap();
-    assert_eq!(status, 200);
-    assert!(stacks.contains("decode"), "spans missing from:\n{stacks}");
+    let unread: Vec<_> = rows.iter().filter_map(|(f, r)| reader_problem(f, r)).collect();
+    assert!(unread.is_empty(), "DESIGN §8's readers: {unread:#?}");
 
     server.stop();
 }
