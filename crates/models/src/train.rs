@@ -156,6 +156,14 @@ impl Checkpoint {
 }
 
 /// Trains a [`LanguageModel`] on a [`Dataset`].
+///
+/// A run leaves its step buffers in `ratatouille_tensor::recycle`'s
+/// cache, so the next step, the next run on the same model or a resume
+/// starts without faulting its working set back in. A caller that trains
+/// with a bare `Trainer` and then serves the model must call
+/// `ratatouille_tensor::recycle::release()` in between, as
+/// `Pipeline::train` does; otherwise the training working set stays
+/// resident for the whole serving run.
 pub struct Trainer<'a> {
     model: &'a dyn LanguageModel,
     dataset: &'a Dataset,
@@ -252,11 +260,11 @@ impl<'a> Trainer<'a> {
         }
         self.checkpoint(&opt, self.config.steps as u64, seed);
         // The last step's gradients have been applied. Kept, they would
-        // live as long as the model, and the ones allocated near the top of
-        // the heap during that step's backward would keep everything the
-        // step freed below them from going back to the OS (EXPERIMENTS
-        // "Training on both cores": 140 MB resident after a 5-step run
-        // instead of 8).
+        // live as long as the model and could never leave with the rest of
+        // the step's buffers (EXPERIMENTS "Training on both cores": 140 MB
+        // resident after a 5-step run instead of 8). Dropped, they join
+        // those buffers in `recycle`'s cache, which stays warm for the next
+        // run until `recycle::release` (see `Trainer`) frees it.
         zero_grads(&params);
         let wall = started.elapsed_secs();
         let tokens_per_sec = if wall > 0.0 { tokens as f64 / wall } else { 0.0 };

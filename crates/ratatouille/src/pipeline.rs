@@ -76,6 +76,9 @@ impl Pipeline {
             _ => Dataset::from_documents(&self.train_texts, spec.tokenizer.as_ref(), spec.block_size),
         };
         let stats = Trainer::new(spec.model.as_ref(), &dataset, train_cfg.clone()).train();
+        // Training hands the model to inference here: the buffers it kept
+        // for a next step are freed before anything is served.
+        ratatouille_tensor::recycle::release();
         TrainedModel {
             spec,
             stats,

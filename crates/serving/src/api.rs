@@ -836,6 +836,9 @@ mod tests {
             }),
         )
         .unwrap();
+        // Bound after the server, so a failed assertion drops it first: the
+        // held replica then wakes, and the server's drop can drain.
+        let release = release;
         let addr = srv.addr();
         let post = move |pantry: &str| {
             let body = format!(r#"{{"ingredients":["{pantry}"]}}"#);

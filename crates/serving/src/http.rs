@@ -522,7 +522,6 @@ impl Drop for HttpServer {
 }
 
 fn handle_connection(stream: &TcpStream, handler: &Handler) {
-    let start = obs::Clock::now();
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut reader = BufReader::new(stream);
@@ -542,7 +541,7 @@ fn handle_connection(stream: &TcpStream, handler: &Handler) {
         }
         Err(e) => (Response::text(e.status(), format!("bad request: {e}")), None),
     };
-    record_request(response.status, start);
+    record_request(response.status);
     let trace_id = trace.as_ref().map(|t| t.id());
     let mut writer = stream;
     let _ = writer.write_all(&response.to_bytes_with_trace(trace_id));
@@ -556,11 +555,10 @@ fn handle_connection(stream: &TcpStream, handler: &Handler) {
     }
 }
 
-/// Per-request telemetry: latency histogram plus a counter per status
-/// class. One `static_counter!` per arm so each series keeps a cached
-/// handle (the macro binds one handle per call site).
-fn record_request(status: StatusCode, start: obs::Stamp) {
-    obs::static_histogram!("http_request_ns").observe(start.elapsed_ns());
+/// Per-request telemetry: a counter per status class. One
+/// `static_counter!` per arm so each series keeps a cached handle (the
+/// macro binds one handle per call site).
+fn record_request(status: StatusCode) {
     match status.code() / 100 {
         2 => obs::static_counter!(r#"http_requests_total{class="2xx"}"#).inc(),
         4 => obs::static_counter!(r#"http_requests_total{class="4xx"}"#).inc(),

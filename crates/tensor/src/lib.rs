@@ -21,6 +21,8 @@
 //!   clipping and the warmup-cosine learning-rate schedule.
 //! * [`serialize`] — a compact binary format for named tensor collections
 //!   (checkpoints), with integrity checking.
+//! * [`recycle`] — the free list that keeps training's large buffers
+//!   mapped across steps, until [`recycle::release`] hands them back.
 //! * [`par`] — scoped-thread data parallelism used by the heavy kernels;
 //!   the worker count is a process-wide runtime setting so benchmarks can
 //!   sweep it (this stands in for the paper's CPU-vs-A100 comparison).
@@ -55,6 +57,7 @@ pub mod init;
 pub mod ops;
 pub mod optim;
 pub mod par;
+pub mod recycle;
 pub mod serialize;
 pub mod shape;
 pub mod tensor;

@@ -28,10 +28,11 @@
 //! [`Attention::lanes`] contiguous lanes, by whole batch rows when there
 //! are at least as many batch rows as lanes (each lane then owns whole
 //! rows of `ctx` and `d_qkv`), by single matrices otherwise. Each lane
-//! gets its own scratch, allocated here on the launching thread before
-//! the launch: a block a pool task allocated would be freed into that
-//! worker's allocator arena and stay resident there. A matrix's
-//! arithmetic never depends on the lane it runs in.
+//! gets its own scratch, taken here on the launching thread before the
+//! launch (from [`crate::recycle`], and returned to it after): a block a
+//! pool task allocated would be freed into that worker's allocator arena
+//! and stay resident there. A matrix's arithmetic never depends on the
+//! lane it runs in.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -39,6 +40,7 @@ use std::ops::Range;
 use super::matmul::{dot_rows, fma_rows, Strides};
 use super::nn::softmax_row;
 use crate::par::{self, EXP_MACS, STREAM_MACS};
+use crate::recycle;
 
 /// The score added outside a local attention window.
 const MASKED: f32 = -1e9;
@@ -99,8 +101,8 @@ impl Attention {
     pub(crate) fn forward(&self, qkv: &[f32], drop: Option<Dropout<'_>>) -> (Vec<f32>, Vec<f32>) {
         let (t, dh, d) = (self.t, self.dh, self.d());
         assert_eq!(qkv.len(), self.batch * t * 3 * d, "attention: qkv is not [B·T, 3D]");
-        let mut ctx = vec![0.0f32; self.batch * t * d];
-        let mut p = vec![0.0f32; self.units() * t * t];
+        let mut ctx = recycle::take(self.batch * t * d);
+        let mut p = recycle::take(self.units() * t * t);
         let (ctx_out, p_out) = (Out::new(&mut ctx), Out::new(&mut p));
         let unit_macs = t * t * (dh + EXP_MACS / 2);
         self.run(4, unit_macs, |u, s| {
@@ -124,7 +126,9 @@ impl Attention {
                         *s = *s + if c + w <= r { MASKED } else { 0.0 };
                     }
                 }
-                softmax_row(row, &mut pu[r * t..][..=r]);
+                let (prow, masked) = pu[r * t..][..t].split_at_mut(r + 1);
+                softmax_row(row, prow);
+                masked.fill(0.0);
             }
             c.fill(0.0);
             fma_rows(self.weights(u, pu, drop, tt), Strides::rows(t), v, dh, t, |r| 0..r + 1, c);
@@ -141,7 +145,7 @@ impl Attention {
     pub(crate) fn backward(&self, qkv: &[f32], p: &[f32], drop: Option<Dropout<'_>>, dctx: &[f32]) -> Vec<f32> {
         let (t, dh, d) = (self.t, self.dh, self.d());
         assert_eq!(dctx.len(), self.batch * t * d, "attention: dctx is not [B·T, D]");
-        let mut dqkv = vec![0.0f32; qkv.len()];
+        let mut dqkv = recycle::take(qkv.len());
         let out = Out::new(&mut dqkv);
         let unit_macs = t * t * (2 * dh + STREAM_MACS);
         self.run(7, unit_macs, |u, s| {
@@ -223,7 +227,7 @@ impl Attention {
         let lanes = self.lanes.clamp(1, units.max(1));
         let step = if self.batch >= lanes { self.batch.div_ceil(lanes) * self.heads } else { units.div_ceil(lanes) };
         let per_lane = self.t * self.t + blocks * self.t * self.dh;
-        let mut scratch = vec![0.0f32; per_lane * units.div_ceil(step.max(1))];
+        let mut scratch = recycle::take(per_lane * units.div_ceil(step.max(1)));
         let mut lanes: Vec<Lane<'_>> = scratch
             .chunks_exact_mut(per_lane.max(1))
             .zip((0..units).step_by(step.max(1)))
@@ -235,6 +239,8 @@ impl Attention {
                 f(u, lane.scratch);
             }
         });
+        drop(lanes);
+        recycle::put(scratch);
     }
 }
 

@@ -41,6 +41,7 @@ use std::ops::Range;
 
 use crate::ops::{fill_rows, last_axis_rows, simd};
 use crate::par::{parallel_chunks, parallel_rows_mut, COPY_MACS};
+use crate::recycle;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -459,7 +460,8 @@ fn matmul_raw(ad: &[f32], s: Strides, bd: &[f32], m: usize, k: usize, n: usize) 
         transpose_into(&mut at, ad, k, m);
         return matmul_raw(&at, Strides::rows(k), bd, m, k, n);
     }
-    let mut out = vec![0.0f32; m * n];
+    // Both paths below accumulate into `out`.
+    let mut out = recycle::zeroed(m * n);
     if !packed {
         // Packing can't amortize (decode-sized or skinny output): rows in
         // fours through the microkernel over B's raw rows where its tiles
@@ -508,7 +510,8 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
         a.shape(),
         b.shape()
     );
-    let mut out = vec![0.0f32; m * n];
+    // Every output is written once, by one dot.
+    let mut out = recycle::take(m * n);
     let (ad, bd) = (a.data(), b.data());
     if m == 1 {
         // Decode path: one output row of N dots — split the columns.
@@ -757,7 +760,7 @@ fn bmm_impl(a: &Tensor, b: &Tensor, kind: Bmm, causal: bool) -> Tensor {
     let a_stride = a.dims()[1] * a.dims()[2];
     let b_stride = b.dims()[1] * b.dims()[2];
     let s = if kind == Bmm::TransA { Strides::transposed(m) } else { Strides::rows(k) };
-    let mut out = vec![0.0f32; batch * m * n];
+    let mut out = recycle::zeroed(batch * m * n);
     // The fused (batch, m) row space is cut across the pool; a causal row
     // does half a dense row's work on average.
     let row_macs = if causal { k * n / 2 } else { k * n };
@@ -812,7 +815,7 @@ fn transpose_into(out: &mut [f32], d: &[f32], rows: usize, cols: usize) {
 pub fn transpose2d(t: &Tensor) -> Tensor {
     assert_eq!(t.rank(), 2, "transpose2d requires rank-2");
     let (m, n) = (t.dims()[0], t.dims()[1]);
-    let mut out = vec![0.0f32; m * n];
+    let mut out = recycle::take(m * n);
     transpose_into(&mut out, t.data(), m, n);
     Tensor::from_parts(Shape(vec![n, m]), out)
 }

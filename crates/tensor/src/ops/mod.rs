@@ -8,6 +8,8 @@
 
 use std::ops::Range;
 
+use crate::recycle;
+
 pub(crate) mod attention;
 pub mod elementwise;
 pub mod libm;
@@ -24,9 +26,11 @@ pub use quant::{dequantize, qmatmul_transb, quantize_per_row, to_f16, to_f32, Qu
 pub use reduce::*;
 pub use simd::{axpy, axpy_f16, dot, dot_f16, RunSpan};
 
-/// A fresh zeroed `rows × row_len` buffer filled by `kernel(row_range,
-/// out)`, where `out` holds exactly the rows of `row_range` and one row
-/// costs `row_macs` (a multiple of one of `par`'s per-element costs).
+/// A `rows × row_len` buffer filled by `kernel(row_range, out)`, where
+/// `out` holds exactly the rows of `row_range` and one row costs
+/// `row_macs` (a multiple of one of `par`'s per-element costs). `kernel`
+/// writes every element of `out`: the buffer comes from
+/// [`recycle::take`], so what it holds before is unspecified.
 ///
 /// Above `par`'s work gate the rows are cut into contiguous ranges across
 /// the pool; below it `kernel` runs once, inline, over all of them — the
@@ -37,7 +41,22 @@ pub(crate) fn fill_rows<F>(rows: usize, row_len: usize, row_macs: usize, kernel:
 where
     F: Fn(Range<usize>, &mut [f32]) + Sync,
 {
-    let mut out = vec![0.0f32; rows * row_len];
+    fill_buffer(recycle::take(rows * row_len), rows, row_len, row_macs, kernel)
+}
+
+/// [`fill_rows`] for a kernel that accumulates into `out`, which starts
+/// zeroed.
+pub(crate) fn fill_rows_zeroed<F>(rows: usize, row_len: usize, row_macs: usize, kernel: F) -> Vec<f32>
+where
+    F: Fn(Range<usize>, &mut [f32]) + Sync,
+{
+    fill_buffer(recycle::zeroed(rows * row_len), rows, row_len, row_macs, kernel)
+}
+
+fn fill_buffer<F>(mut out: Vec<f32>, rows: usize, row_len: usize, row_macs: usize, kernel: F) -> Vec<f32>
+where
+    F: Fn(Range<usize>, &mut [f32]) + Sync,
+{
     // SAFETY(disjoint: out[rows] — each task is handed only the rows of its own range)
     crate::par::parallel_rows_mut(&mut out, rows, row_len, row_macs, kernel);
     out

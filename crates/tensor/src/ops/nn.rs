@@ -7,8 +7,9 @@
 //! independent; column reductions run by column, rows ascending), so
 //! results are the same bits at any thread count.
 
-use super::{fill_rows, last_axis_rows, libm};
+use super::{fill_rows, fill_rows_zeroed, last_axis_rows, libm};
 use crate::par::{COPY_MACS, EXP_MACS, STREAM_MACS};
+use crate::recycle;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -88,9 +89,10 @@ pub(crate) fn causal_masked_softmax(t: &Tensor) -> Tensor {
         let by_row = out.chunks_exact_mut(tt).zip(src[r.start * tt..r.end * tt].chunks_exact(tt));
         for (row, (o, s)) in r.zip(by_row) {
             // Row `i` of its matrix sees only `j <= i`; the rest of `o`
-            // stays 0 (future positions masked).
+            // is 0 (future positions masked).
             let i = row % tt;
             softmax_row(&s[..=i], &mut o[..=i]);
+            o[i + 1..].fill(0.0);
         }
     });
     Tensor::from_parts(t.shape().clone(), out)
@@ -172,7 +174,7 @@ pub(crate) fn layer_norm_backward(
     });
     // dgamma and dbeta by column as `[d, 2]`: each column adds its rows in
     // ascending order from 0.0.
-    let dparams = fill_rows(d, 2, rows * STREAM_MACS, |cols, out| {
+    let dparams = fill_rows_zeroed(d, 2, rows * STREAM_MACS, |cols, out| {
         let by_row = xd.chunks_exact(d).zip(dyd.chunks_exact(d)).zip(md.iter().zip(rd));
         for ((xrow, dyrow), (&mu, &rs)) in by_row {
             for (j, acc) in cols.clone().zip(out.chunks_exact_mut(2)) {
@@ -197,10 +199,10 @@ pub(crate) fn layer_norm_backward(
 pub fn embedding(table: &Tensor, ids: &[usize]) -> Tensor {
     assert_eq!(table.rank(), 2, "embedding table must be rank-2");
     let (v, d) = (table.dims()[0], table.dims()[1]);
-    let mut out = Vec::with_capacity(ids.len() * d);
-    for &id in ids {
+    let mut out = recycle::take(ids.len() * d);
+    for (i, &id) in ids.iter().enumerate() {
         assert!(id < v, "embedding: id {id} out of vocabulary (V={v})");
-        out.extend_from_slice(&table.data()[id * d..(id + 1) * d]);
+        out[i * d..(i + 1) * d].copy_from_slice(&table.data()[id * d..(id + 1) * d]);
     }
     Tensor::from_parts(Shape(vec![ids.len(), d]), out)
 }
@@ -230,7 +232,7 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize], ignore_index: usize) ->
 }
 
 /// The backward pass of [`cross_entropy`]: `(probs − onehot) · scale` by
-/// row, with rows whose target is `ignore_index` zeroed.
+/// row, with rows whose target is `ignore_index` zero.
 pub(crate) fn cross_entropy_backward(probs: &Tensor, targets: &[usize], ignore_index: usize, scale: f32) -> Tensor {
     let (n, v) = (probs.dims()[0], probs.dims()[1]);
     let pd = probs.data();
@@ -238,7 +240,8 @@ pub(crate) fn cross_entropy_backward(probs: &Tensor, targets: &[usize], ignore_i
         let by_row = out.chunks_exact_mut(v).zip(pd[r.start * v..r.end * v].chunks_exact(v));
         for ((o, p), &t) in by_row.zip(&targets[r]) {
             if t == ignore_index {
-                continue; // stays zero
+                o.fill(0.0);
+                continue;
             }
             o.copy_from_slice(p);
             o[t] -= 1.0;
@@ -286,8 +289,11 @@ pub fn pad_narrow_grad(grad: &Tensor, full_dims: &[usize], axis: usize, start: u
     // One row per index of the axes before `axis`, zero outside the run.
     let out = fill_rows(outer, dst_row, dst_row * COPY_MACS, |r, out| {
         for (k, o) in r.enumerate() {
-            let dst = k * dst_row + start * inner;
-            out[dst..dst + run].copy_from_slice(&g[o * run..(o + 1) * run]);
+            let (before, rest) = out[k * dst_row..(k + 1) * dst_row].split_at_mut(start * inner);
+            let (run_dst, after) = rest.split_at_mut(run);
+            before.fill(0.0);
+            run_dst.copy_from_slice(&g[o * run..(o + 1) * run]);
+            after.fill(0.0);
         }
     });
     Tensor::from_parts(Shape(full_dims.to_vec()), out)
@@ -312,12 +318,13 @@ pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
     out_dims[axis] = axis_total;
     let outer: usize = out_dims[..axis].iter().product();
     let inner: usize = out_dims[axis + 1..].iter().product();
-    let mut out = Vec::with_capacity(out_dims.iter().product());
+    let mut out = recycle::take(out_dims.iter().product());
+    let mut at = 0;
     for o in 0..outer {
         for p in parts {
-            let pa = p.dims()[axis];
-            let base = o * pa * inner;
-            out.extend_from_slice(&p.data()[base..base + pa * inner]);
+            let len = p.dims()[axis] * inner;
+            out[at..at + len].copy_from_slice(&p.data()[o * len..(o + 1) * len]);
+            at += len;
         }
     }
     Tensor::from_parts(Shape(out_dims), out)

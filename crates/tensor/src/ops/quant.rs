@@ -33,6 +33,7 @@
 
 use crate::dtype::{Element, F16};
 use crate::par;
+use crate::recycle;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -124,7 +125,7 @@ pub fn quantize_per_row(w: &Tensor) -> QuantizedMatrix {
 pub fn dequantize(m: &QuantizedMatrix) -> Tensor {
     let (n, k) = (m.n(), m.k());
     let codes = m.q.data();
-    let mut out = vec![0.0f32; n * k];
+    let mut out = recycle::take(n * k);
     for row in 0..n {
         let s = m.scales[row];
         for col in 0..k {
@@ -142,7 +143,10 @@ pub fn to_f16(t: &Tensor) -> Tensor<F16> {
 
 /// Widen an [`F16`] tensor back to `f32` (exact).
 pub fn to_f32(t: &Tensor<F16>) -> Tensor {
-    let data = t.data().iter().map(|&v| v.to_f32()).collect();
+    let mut data = recycle::take(t.numel());
+    for (o, &v) in data.iter_mut().zip(t.data()) {
+        *o = v.to_f32();
+    }
     Tensor::from_parts(t.shape().clone(), data)
 }
 
@@ -175,7 +179,7 @@ pub fn qmatmul_transb(a: &Tensor, w: &QuantizedMatrix) -> Tensor {
         *s = quantize_row_into(&ad[row * k..(row + 1) * k], &mut qa[row * k..(row + 1) * k]);
     }
 
-    let mut out = vec![0.0f32; m * n];
+    let mut out = recycle::take(m * n);
     if m == 1 {
         // Decode path: one activation row, split the output columns.
         let qrow = &qa[..k];

@@ -4,7 +4,7 @@
 //! live in this directory or route through the re-exported
 //! `ratatouille_util::accum` helpers below (`xlint`: `float-reduction-order`).
 
-use super::fill_rows;
+use super::fill_rows_zeroed;
 use crate::par::COPY_MACS;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -44,7 +44,7 @@ pub fn sum_to_trailing(t: &Tensor, target: &[usize]) -> Tensor {
     let src = t.data();
     // Cut by output column; each column adds its rows in ascending order
     // from 0.0, the order the serial `out[i % tail] += v` sweep used.
-    let out = fill_rows(tail, 1, rows * COPY_MACS, |cols, out| {
+    let out = fill_rows_zeroed(tail, 1, rows * COPY_MACS, |cols, out| {
         for row in src.chunks_exact(tail) {
             for (o, &v) in out.iter_mut().zip(&row[cols.clone()]) {
                 *o += v;

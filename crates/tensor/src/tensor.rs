@@ -1,5 +1,6 @@
 //! The immutable tensor value type.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::dtype::{DType, Element};
@@ -10,8 +11,10 @@ use crate::shape::Shape;
 /// element (default `f32`).
 ///
 /// Storage is shared behind an [`Arc`], so `clone` is O(1). Ops that produce
-/// new data allocate a fresh buffer; ops that only reinterpret the shape
-/// (`reshape`) share storage.
+/// new data allocate a fresh buffer (a large `f32` one from
+/// [`crate::recycle`], which takes it back when the last tensor sharing
+/// it drops); ops that only reinterpret the shape (`reshape`) share
+/// storage.
 ///
 /// Only `Tensor<f32>` participates in autograd and training; `Tensor<F16>`
 /// and `Tensor<i8>` are inference-time storage formats (KV caches,
@@ -22,7 +25,33 @@ use crate::shape::Shape;
 #[derive(Clone)]
 pub struct Tensor<E: Element = f32> {
     shape: Shape,
-    data: Arc<Vec<E>>,
+    data: Arc<Storage<E>>,
+}
+
+/// A tensor's buffer, and whether it goes back to [`crate::recycle`]
+/// when the last tensor sharing it drops: kernel outputs do, data a
+/// caller hands in does not.
+pub(crate) struct Storage<E: Element> {
+    buf: Vec<E>,
+    recycled: bool,
+}
+
+impl<E: Element> Clone for Storage<E> {
+    /// A private copy for [`Tensor::make_mut`]; a fresh allocation, so
+    /// not recycled.
+    fn clone(&self) -> Self {
+        Storage { buf: self.buf.clone(), recycled: false }
+    }
+}
+
+impl<E: Element> Drop for Storage<E> {
+    fn drop(&mut self) {
+        if self.recycled {
+            if let Some(buf) = (&mut self.buf as &mut dyn Any).downcast_mut::<Vec<f32>>() {
+                crate::recycle::put(std::mem::take(buf));
+            }
+        }
+    }
 }
 
 impl<E: Element> Tensor<E> {
@@ -41,7 +70,7 @@ impl<E: Element> Tensor<E> {
         }
         Ok(Tensor {
             shape,
-            data: Arc::new(data),
+            data: Arc::new(Storage { buf: data, recycled: false }),
         })
     }
 
@@ -82,7 +111,7 @@ impl<E: Element> Tensor<E> {
     /// The flat row-major data.
     #[inline]
     pub fn data(&self) -> &[E] {
-        &self.data
+        &self.data.buf
     }
 
     /// Reinterpret the shape without copying (element count must match).
@@ -107,29 +136,30 @@ impl<E: Element> Tensor<E> {
 
     /// Copy out the data as an owned `Vec`.
     pub fn to_vec(&self) -> Vec<E> {
-        self.data.as_ref().clone()
+        self.data.buf.clone()
     }
 
     /// Internal: the data for writing in place, copied first if any other
     /// tensor shares it — so no other holder ever sees a change.
     pub(crate) fn make_mut(&mut self) -> &mut [E] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        Arc::make_mut(&mut self.data).buf.as_mut_slice()
     }
 
     /// Test-only: a weak handle on the storage, which upgrades while any
     /// tensor still shares it.
     #[cfg(test)]
-    pub(crate) fn storage(&self) -> std::sync::Weak<Vec<E>> {
+    pub(crate) fn storage(&self) -> std::sync::Weak<Storage<E>> {
         Arc::downgrade(&self.data)
     }
 
-    /// Internal: build from parts without re-validating (callers guarantee
-    /// `data.len() == shape.numel()`).
+    /// Internal: a kernel's output, without re-validating (callers
+    /// guarantee `data.len() == shape.numel()`). Large `f32` outputs come
+    /// from [`crate::recycle`] and go back to it.
     pub(crate) fn from_parts(shape: Shape, data: Vec<E>) -> Tensor<E> {
         debug_assert_eq!(shape.numel(), data.len());
         Tensor {
             shape,
-            data: Arc::new(data),
+            data: Arc::new(Storage { buf: data, recycled: true }),
         }
     }
 }
@@ -140,7 +170,7 @@ impl Tensor {
     pub fn scalar(v: f32) -> Self {
         Tensor {
             shape: Shape(vec![]),
-            data: Arc::new(vec![v]),
+            data: Arc::new(Storage { buf: vec![v], recycled: false }),
         }
     }
 
@@ -150,7 +180,7 @@ impl Tensor {
         let n = shape.numel();
         Tensor {
             shape,
-            data: Arc::new(vec![0.0; n]),
+            data: Arc::new(Storage { buf: vec![0.0; n], recycled: false }),
         }
     }
 
@@ -165,7 +195,7 @@ impl Tensor {
         let n = shape.numel();
         Tensor {
             shape,
-            data: Arc::new(vec![v; n]),
+            data: Arc::new(Storage { buf: vec![v; n], recycled: false }),
         }
     }
 
@@ -174,7 +204,7 @@ impl Tensor {
     /// # Panics
     /// Panics on rank mismatch or out-of-bounds coordinates.
     pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[self.shape.offset(idx)]
+        self.data.buf[self.shape.offset(idx)]
     }
 
     /// The single value of a rank-0 or one-element tensor.
@@ -188,27 +218,27 @@ impl Tensor {
             "item() on tensor with {} elements",
             self.numel()
         );
-        self.data[0]
+        self.data.buf[0]
     }
 
     /// True if any element is NaN or infinite. Used by training-loop
     /// diagnostics and failure-injection tests.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
+        self.data().iter().any(|v| !v.is_finite())
     }
 
     /// Maximum absolute element (0.0 for empty tensors).
     pub fn max_abs(&self) -> f32 {
-        ratatouille_util::accum::max_abs_f32(self.data.iter().copied())
+        ratatouille_util::accum::max_abs_f32(self.data().iter().copied())
     }
 
     /// Elementwise approximate equality within `tol`, shape-sensitive.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
         self.shape == other.shape
             && self
-                .data
+                .data()
                 .iter()
-                .zip(other.data.iter())
+                .zip(other.data())
                 .all(|(a, b)| (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())))
     }
 }
@@ -217,7 +247,7 @@ impl<E: Element> std::fmt::Debug for Tensor<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         const PREVIEW: usize = 8;
         write!(f, "Tensor{} [", self.shape)?;
-        for (i, v) in self.data.iter().take(PREVIEW).enumerate() {
+        for (i, v) in self.data().iter().take(PREVIEW).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -232,7 +262,7 @@ impl<E: Element> std::fmt::Debug for Tensor<E> {
 
 impl<E: Element> PartialEq for Tensor<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.data == other.data
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 

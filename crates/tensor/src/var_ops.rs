@@ -13,6 +13,8 @@
 use crate::autograd::Var;
 use crate::ops;
 use crate::par::STREAM_MACS;
+use crate::recycle;
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 impl Var {
@@ -152,9 +154,11 @@ impl Var {
         let mask = (p > 0.0).then(|| KeepMask::draw(batch * heads * t * t, keep, rng));
         let qkv = self.value();
         let (ctx, probs) = shape.forward(qkv.data(), mask.as_ref().map(|m| m.attention(scale)));
-        let out = Tensor::from_vec(ctx, &[batch * t, heads * shape.dh]).expect("ctx is [B·T, D]");
+        let out = Tensor::from_parts(Shape(vec![batch * t, heads * shape.dh]), ctx);
+        // A tensor, so the node's drop hands the buffer back to `recycle`.
+        let probs = Tensor::from_parts(Shape(vec![probs.len()]), probs);
         Var::from_op(out, &[self], Box::new(move |g| {
-            let dqkv = shape.backward(qkv.data(), &probs, mask.as_ref().map(|m| m.attention(scale)), g.data());
+            let dqkv = shape.backward(qkv.data(), probs.data(), mask.as_ref().map(|m| m.attention(scale)), g.data());
             vec![Tensor::from_parts(qkv.shape().clone(), dqkv)]
         }))
     }
@@ -274,7 +278,7 @@ impl Var {
         let out = ops::embedding(&table, ids);
         let ids: Vec<usize> = ids.to_vec();
         Var::from_op(out, &[self], Box::new(move |g| {
-            let mut dt = vec![0.0f32; v * d];
+            let mut dt = recycle::zeroed(v * d);
             for (row, &id) in ids.iter().enumerate() {
                 let src = &g.data()[row * d..(row + 1) * d];
                 let dst = &mut dt[id * d..(id + 1) * d];
@@ -282,7 +286,7 @@ impl Var {
                     *o += s;
                 }
             }
-            vec![Tensor::from_vec(dt, &[v, d]).unwrap()]
+            vec![Tensor::from_parts(Shape(vec![v, d]), dt)]
         }))
     }
 

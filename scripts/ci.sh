@@ -18,6 +18,19 @@ cd "$(dirname "$0")/.."
 export RUSTFLAGS="-Dwarnings"
 export CARGO_NET_OFFLINE="true"
 
+# Every `cargo test` step runs under a limit far above its time (the whole
+# tier-1 suite is about 30 s warm; a cold build adds a few minutes), so a
+# test that hangs fails its step by name instead of stalling the script.
+TEST_LIMIT_S=900
+timed() {
+    local status=0
+    timeout "$TEST_LIMIT_S" "$@" || status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ci.sh: timed out after ${TEST_LIMIT_S} s: $*" >&2
+    fi
+    return "$status"
+}
+
 echo "== xlint (call-graph workspace analysis, <5s budget) =="
 # Build first so compile time doesn't count against the lint budget. A
 # non-zero exit (any diagnostic) fails the gate via `set -e`.
@@ -144,12 +157,13 @@ if git ls-files '*.rs' '*.toml' '*.sh' | xargs grep -n "$bench_knob"; then
 fi
 
 echo "== no allocator tuning (freed memory goes back to the allocator's defaults) =="
-# Keeping freed pages process-wide takes a fifth off a training step, but
-# the fixture's training memory then stays resident for the whole serving
-# run (offline_batch8_unique peak RSS 32.6 -> 308.7 MB, EXPERIMENTS.md
-# "Training on both cores"). Training reuses memory by freeing its graph
-# during backward instead. The pattern is split so this file does not
-# match itself.
+# Allocator settings or a caching global allocator keep freed pages for
+# the whole process, so the fixture's training memory stays resident for
+# the whole serving run (offline_batch8_unique peak RSS 32.6 -> 308.7 MB,
+# EXPERIMENTS.md "Training on both cores"). Training keeps only its own
+# large buffers, in `tensor::recycle`, which `Pipeline::train` empties
+# when it hands the model over (DESIGN §4b). The pattern is split so this
+# file does not match itself.
 alloc_knob='mal''lopt|MAL''LOC_|global''_allocator'
 if git ls-files '*.rs' '*.toml' '*.sh' | xargs grep -nE "$alloc_knob"; then
     echo "alloc: allocator tuning is named above; the workspace runs on the default allocator settings" >&2
@@ -163,19 +177,19 @@ echo "== test build (every default member's tests compile with warnings as error
 # Tier-1 `cargo test -q` runs every crate's suite (the root manifest's
 # `default-members`), so this script runs no test of its own beyond the
 # timed oracles below; it only builds them all under `-Dwarnings`.
-cargo test -q --offline --no-run
+timed cargo test -q --offline --no-run
 
 echo "== oracles (timed, not gated; tier-1 runs them too) =="
 # The naive GPT-2 forward against every optimized route to the logits
 # (`models::oracle`), at its fixed case budget.
 oracle_start=$(date +%s%N)
-cargo test -q --offline -p ratatouille-models --lib oracle::
+timed cargo test -q --offline -p ratatouille-models --lib oracle::
 echo "forward oracle: $(( ($(date +%s%N) - oracle_start) / 1000000 ))ms"
 # The fused training attention against the op chain it replaced
 # (`var_ops::attention_reference`): context, qkv gradient and the RNG's
 # next draw, bit for bit.
 attention_start=$(date +%s%N)
-cargo test -q --offline -p ratatouille-tensor --lib attention_reference::
+timed cargo test -q --offline -p ratatouille-tensor --lib attention_reference::
 echo "attention property: $(( ($(date +%s%N) - attention_start) / 1000000 ))ms"
 
 echo "== loadbench (the BENCHMARK.json package: builds against the public API, unit tests) =="
@@ -183,6 +197,6 @@ echo "== loadbench (the BENCHMARK.json package: builds against the public API, u
 # against it. Builds where `run.sh` does; that and the lock file cargo
 # writes beside the manifest are git-ignored.
 CARGO_TARGET_DIR=.bench_build \
-    cargo test --release -q --offline --manifest-path crates/bench/src/bin/loadbench/Cargo.toml
+    timed cargo test --release -q --offline --manifest-path crates/bench/src/bin/loadbench/Cargo.toml
 
 echo "== ci.sh: all gates passed =="

@@ -168,7 +168,6 @@ fn http_error_paths_map_to_the_right_status() {
 /// the registry is process-wide and this binary's tests run in parallel.
 const REQUIRED_SERIES: &[&str] = &[
     "http_requests_total",
-    "http_request_ns",
     "http_connections_active",
     "http_handler_threads",
     "http_connections_rejected_total",
@@ -337,10 +336,10 @@ fn healthz_and_metrics_endpoints() {
     let missing: Vec<_> = REQUIRED_SERIES.iter().filter(|s| !metrics.contains(**s)).collect();
     assert!(missing.is_empty(), "missing {missing:?} in:\n{metrics}");
     // Prometheus text exposition shape
-    assert!(metrics.contains("# TYPE http_request_ns histogram"), "{metrics}");
-    assert!(metrics.contains("http_request_ns_bucket{le=\"+Inf\"}"), "{metrics}");
-    assert!(metrics.contains("http_request_ns_sum"), "{metrics}");
-    assert!(metrics.contains("http_request_ns_count"), "{metrics}");
+    assert!(metrics.contains("# TYPE generate_latency_ns histogram"), "{metrics}");
+    assert!(metrics.contains("generate_latency_ns_bucket{le=\"+Inf\"}"), "{metrics}");
+    assert!(metrics.contains("generate_latency_ns_sum"), "{metrics}");
+    assert!(metrics.contains("generate_latency_ns_count"), "{metrics}");
     // Metric hygiene: the scrape and DESIGN §8's table name the same
     // families, in both directions, one row each, and every row names
     // its reader.
