@@ -6,7 +6,7 @@
 //! incomplete and redundant recipes, fixing the length … 2σ" recipe.
 //!
 //! ```text
-//! cargo run --release -p ratatouille-bench --bin ablation_preprocess
+//! cargo run --release -p ratatouille-bench --bin experiments -- ablation_preprocess
 //! ```
 
 use ratatouille::recipedb::corpus::{Corpus, CorpusConfig};
@@ -14,7 +14,7 @@ use ratatouille::recipedb::preprocess::{PreprocessConfig, Preprocessor};
 use ratatouille::recipedb::stats::length_stats;
 use std::collections::HashSet;
 
-fn main() {
+pub fn run() {
     // A deliberately dirty corpus, so each stage has visible work to do.
     let corpus = Corpus::generate(CorpusConfig {
         num_recipes: 800,

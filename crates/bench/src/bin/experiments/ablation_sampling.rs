@@ -6,7 +6,7 @@
 //! greedy decoding maximizes BLEU while collapsing diversity.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin ablation_sampling
+//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin experiments -- ablation_sampling
 //! ```
 
 use ratatouille::models::registry::ModelKind;
@@ -15,7 +15,7 @@ use ratatouille::tensor::DType;
 use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, score, train_row, Scale};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     eprintln!("[ablation_sampling] training GPT-2 medium ({scale:?})…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));

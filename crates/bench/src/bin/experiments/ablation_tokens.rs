@@ -5,13 +5,13 @@
 //! through an encode→decode round trip.
 //!
 //! ```text
-//! cargo run --release -p ratatouille-bench --bin ablation_tokens
+//! cargo run --release -p ratatouille-bench --bin experiments -- ablation_tokens
 //! ```
 
 use ratatouille::recipedb::corpus::{Corpus, CorpusConfig};
 use ratatouille::tokenizers::{special, BpeTokenizer, Tokenizer};
 
-fn main() {
+pub fn run() {
     let corpus = Corpus::generate(CorpusConfig {
         num_recipes: 400,
         ..CorpusConfig::default()

@@ -6,13 +6,13 @@
 //! paper's 2000-character / 2σ decisions are based on.
 //!
 //! ```text
-//! cargo run -p ratatouille-bench --bin fig1_raw_dataset
+//! cargo run -p ratatouille-bench --bin experiments -- fig1_raw_dataset
 //! ```
 
 use ratatouille::recipedb::corpus::{Corpus, CorpusConfig, Defect};
 use ratatouille::recipedb::stats::{length_stats, Histogram};
 
-fn main() {
+pub fn run() {
     let corpus = Corpus::generate(CorpusConfig {
         num_recipes: 1000,
         ..CorpusConfig::default()

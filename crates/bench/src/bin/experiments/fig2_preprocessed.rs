@@ -6,14 +6,14 @@
 //! sample record in the tagged training format.
 //!
 //! ```text
-//! cargo run -p ratatouille-bench --bin fig2_preprocessed
+//! cargo run -p ratatouille-bench --bin experiments -- fig2_preprocessed
 //! ```
 
 use ratatouille::recipedb::corpus::{Corpus, CorpusConfig};
 use ratatouille::recipedb::preprocess::{PreprocessConfig, Preprocessor};
 use ratatouille::recipedb::stats::length_stats;
 
-fn main() {
+pub fn run() {
     let corpus = Corpus::generate(CorpusConfig {
         num_recipes: 1000,
         ..CorpusConfig::default()

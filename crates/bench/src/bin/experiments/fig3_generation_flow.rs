@@ -5,7 +5,7 @@
 //! autoregressive decoding → tag-structured parse → structured recipe.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin fig3_generation_flow
+//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin experiments -- fig3_generation_flow
 //! ```
 
 use ratatouille::models::registry::ModelKind;
@@ -14,7 +14,7 @@ use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, train_row, Scale};
 use ratatouille_eval::structure::validate_tagged_recipe;
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     eprintln!("[fig3] training GPT-2 medium at {scale:?} scale…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));

@@ -7,7 +7,7 @@
 //! JSON round trip.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin fig4_web_generate
+//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin experiments -- fig4_web_generate
 //! ```
 
 use ratatouille::models::registry::ModelKind;
@@ -16,7 +16,7 @@ use ratatouille::serving::client::HttpClient;
 use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, train_row, Scale};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     eprintln!("[fig4] training a serving model ({scale:?} scale)…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));

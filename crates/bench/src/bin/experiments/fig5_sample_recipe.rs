@@ -5,7 +5,7 @@
 //! title, quantified ingredient lines, numbered instructions.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin fig5_sample_recipe
+//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin experiments -- fig5_sample_recipe
 //! ```
 
 use ratatouille::models::registry::ModelKind;
@@ -13,7 +13,7 @@ use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, train_row, Scale};
 use ratatouille_eval::novelty::{is_verbatim_copy, novel_ngram_fraction};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     eprintln!("[fig5] training GPT-2 medium ({scale:?} scale)…");
     let pipeline = Pipeline::prepare(pipeline_config(scale));

@@ -8,7 +8,7 @@
 //! GPT-2 medium row equals `table1_bleu`'s at the same scale.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin future_work_gptneo
+//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin experiments -- future_work_gptneo
 //! ```
 
 use ratatouille::models::gpt2::Gpt2Config;
@@ -16,7 +16,7 @@ use ratatouille::models::registry::ModelKind;
 use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, render_table1, run_row, Scale};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let pipeline = Pipeline::prepare(pipeline_config(scale));
     let mut rows = Vec::new();

@@ -9,7 +9,7 @@
 //! `table1_bleu`'s BLEU for the same model and scale.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin quantized_bleu
+//! RATATOUILLE_SCALE=quick cargo run --release -p ratatouille-bench --bin experiments -- quantized_bleu
 //! ```
 
 use ratatouille::models::registry::ModelKind;
@@ -17,7 +17,7 @@ use ratatouille::tensor::DType;
 use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, run_row, score, Scale};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let pipeline = Pipeline::prepare(pipeline_config(scale));
     let mut rows: Vec<(ModelKind, f64, f64)> = Vec::new();

@@ -5,7 +5,7 @@
 //! held-out references, next to the paper's numbers.
 //!
 //! ```text
-//! RATATOUILLE_SCALE=quick|standard|full cargo run --release -p ratatouille-bench --bin table1_bleu
+//! RATATOUILLE_SCALE=quick|standard|full cargo run --release -p ratatouille-bench --bin experiments -- table1_bleu
 //! ```
 //!
 //! Expected shape (the reproduction claim): BLEU rises strictly down the
@@ -15,7 +15,7 @@
 
 use ratatouille_bench::{render_table1, run_table1, table1_shape_holds, Scale};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     eprintln!("[table1] scale: {scale:?}");
     let started = std::time::Instant::now();

@@ -7,7 +7,7 @@
 //! parallel hardware cuts training wall-clock by a large factor.
 //!
 //! ```text
-//! cargo run --release -p ratatouille-bench --bin training_speedup
+//! cargo run --release -p ratatouille-bench --bin experiments -- training_speedup
 //! ```
 
 use ratatouille::models::data::Dataset;
@@ -17,7 +17,7 @@ use ratatouille::tensor::par::set_num_threads;
 use ratatouille::Pipeline;
 use ratatouille_bench::{pipeline_config, Scale};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let pipeline = Pipeline::prepare(pipeline_config(Scale::Quick));
     let steps = match scale {

@@ -1,5 +1,6 @@
 //! The reproduction harness: shared machinery for the per-table /
-//! per-figure binaries in `src/bin/`. (Speed is measured by the
+//! per-figure subcommands of the `experiments` binary in
+//! `src/bin/experiments/`. (Speed is measured by the
 //! stand-alone `loadbench` package under `src/bin/loadbench/`, which is
 //! not part of this crate.)
 //!

@@ -5,7 +5,7 @@
 //! ```text
 //! ratatouille generate --ingredients chicken,garlic,rice [--model medium] [--steps 200]
 //! ratatouille serve    [--workers 3] [--port 8080] [--model distil]
-//! ratatouille eval     [--recipes 20] [--model medium]
+//! ratatouille eval     [--recipes 300] [--model medium]
 //! ratatouille corpus   [--recipes 500]   # print preprocessing report
 //! ```
 
@@ -21,14 +21,46 @@ fn main() {
     let Some(command) = args.first() else {
         usage_and_exit(None);
     };
-    let flags = parse_flags(&args[1..]);
-    match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "serve" => cmd_serve(&flags),
-        "eval" => cmd_eval(&flags),
-        "corpus" => cmd_corpus(&flags),
+    let run: fn(&Opts) = match command.as_str() {
+        "generate" => cmd_generate,
+        "serve" => cmd_serve,
+        "eval" => cmd_eval,
+        "corpus" => cmd_corpus,
         "--help" | "-h" | "help" => usage_and_exit(None),
         other => usage_and_exit(Some(other)),
+    };
+    run(&Opts::parse(&parse_flags(&args[1..])));
+}
+
+/// Held-out recipes `eval` scores, clamped to the test split.
+const EVAL_RECIPES: usize = 10;
+
+/// Every flag, checked before any corpus is built: a bad value exits 2
+/// at once instead of after minutes of preparation or training.
+struct Opts {
+    kind: ModelKind,
+    steps: Option<usize>,
+    recipes: usize,
+    seed: u64,
+    workers: usize,
+    port: usize,
+    ingredients: Vec<String>,
+}
+
+impl Opts {
+    fn parse(flags: &BTreeMap<String, String>) -> Opts {
+        Opts {
+            kind: model_kind(flags),
+            steps: flags.contains_key("steps").then(|| num(flags, "steps", 0)),
+            recipes: num(flags, "recipes", 300),
+            seed: num(flags, "seed", 42) as u64,
+            workers: num(flags, "workers", 2),
+            port: num(flags, "port", 0),
+            ingredients: flags
+                .get("ingredients")
+                .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
+                .unwrap_or_else(|| vec!["chicken".into(), "garlic".into(), "rice".into()]),
+        }
     }
 }
 
@@ -48,7 +80,7 @@ fn usage_and_exit(unknown: Option<&str>) -> ! {
          \x20 --ingredients a,b,c   (generate) ingredient prompt\n\
          \x20 --model KIND          char-lstm | word-lstm | distil | medium (default: medium)\n\
          \x20 --steps N             training steps (default: per-model budget)\n\
-         \x20 --recipes N           corpus size (default 300) / eval count (default 10)\n\
+         \x20 --recipes N           corpus size (default 300; eval scores 10 held-out recipes)\n\
          \x20 --workers N           (serve) replica count (default 2)\n\
          \x20 --port N              (serve) port (default: ephemeral)\n\
          \x20 --seed N              sampling seed (default 42)"
@@ -97,18 +129,18 @@ fn num(flags: &BTreeMap<String, String>, key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn prepare(flags: &BTreeMap<String, String>) -> Pipeline {
+fn prepare(opts: &Opts) -> Pipeline {
     let mut cfg = PipelineConfig::reproduction();
-    cfg.corpus.num_recipes = num(flags, "recipes", 300);
+    cfg.corpus.num_recipes = opts.recipes;
     eprintln!("preparing corpus ({} recipes)…", cfg.corpus.num_recipes);
     Pipeline::prepare(cfg)
 }
 
-fn train(pipeline: &Pipeline, flags: &BTreeMap<String, String>) -> ratatouille::TrainedModel {
-    let kind = model_kind(flags);
+fn train(pipeline: &Pipeline, opts: &Opts) -> ratatouille::TrainedModel {
+    let kind = opts.kind;
     let mut train_cfg = kind.default_train_config();
-    if let Some(steps) = flags.get("steps") {
-        train_cfg.steps = steps.parse().unwrap_or(train_cfg.steps);
+    if let Some(steps) = opts.steps {
+        train_cfg.steps = steps;
         train_cfg.warmup = (train_cfg.steps / 10).max(1);
     }
     train_cfg.log_every = (train_cfg.steps / 10).max(1);
@@ -116,14 +148,10 @@ fn train(pipeline: &Pipeline, flags: &BTreeMap<String, String>) -> ratatouille::
     pipeline.train(kind, Some(train_cfg))
 }
 
-fn cmd_generate(flags: &BTreeMap<String, String>) {
-    let ingredients: Vec<String> = flags
-        .get("ingredients")
-        .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
-        .unwrap_or_else(|| vec!["chicken".into(), "garlic".into(), "rice".into()]);
-    let pipeline = prepare(flags);
-    let trained = train(&pipeline, flags);
-    let recipe = trained.generate_recipe(&ingredients, num(flags, "seed", 42) as u64);
+fn cmd_generate(opts: &Opts) {
+    let pipeline = prepare(opts);
+    let trained = train(&pipeline, opts);
+    let recipe = trained.generate_recipe(&opts.ingredients, opts.seed);
     println!("\n=== {} ===", recipe.title);
     println!("Ingredients:");
     for l in &recipe.ingredients {
@@ -139,14 +167,12 @@ fn cmd_generate(flags: &BTreeMap<String, String>) {
     );
 }
 
-fn cmd_serve(flags: &BTreeMap<String, String>) {
-    let pipeline = prepare(flags);
-    let trained = train(&pipeline, flags);
-    let port = num(flags, "port", 0);
-    let workers = num(flags, "workers", 2);
+fn cmd_serve(opts: &Opts) {
+    let pipeline = prepare(opts);
+    let trained = train(&pipeline, opts);
     let server = ApiServer::start(
-        &format!("127.0.0.1:{port}"),
-        workers,
+        &format!("127.0.0.1:{}", opts.port),
+        opts.workers,
         32,
         trained.backend_factory(),
     )
@@ -157,18 +183,17 @@ fn cmd_serve(flags: &BTreeMap<String, String>) {
     }
 }
 
-fn cmd_eval(flags: &BTreeMap<String, String>) {
-    let pipeline = prepare(flags);
-    let trained = train(&pipeline, flags);
-    let n = num(flags, "recipes", 10).min(pipeline.test_recipes.len());
+fn cmd_eval(opts: &Opts) {
+    let pipeline = prepare(opts);
+    let trained = train(&pipeline, opts);
+    let n = EVAL_RECIPES.min(pipeline.test_recipes.len());
     eprintln!("evaluating on {n} held-out recipes…");
-    let report =
-        trained.evaluate(&pipeline.test_recipes, n, num(flags, "seed", 42) as u64, DType::F32);
+    let report = trained.evaluate(&pipeline.test_recipes, n, opts.seed, DType::F32);
     println!("{report}");
 }
 
-fn cmd_corpus(flags: &BTreeMap<String, String>) {
-    let pipeline = prepare(flags);
+fn cmd_corpus(opts: &Opts) {
+    let pipeline = prepare(opts);
     let r = &pipeline.report;
     println!("raw records:        {}", r.input_records);
     println!("noise-stripped:     {}", r.noise_stripped);

@@ -156,6 +156,15 @@ if git ls-files '*.rs' '*.toml' '*.sh' | xargs grep -n "$bench_knob"; then
     exit 1
 fi
 
+echo "== one experiments binary (crates/bench/src/bin holds experiments/ and loadbench/ only) =="
+# Each paper artifact is a subcommand of `experiments`; twelve binaries
+# each re-linked the whole stack. This fails the build if a second
+# binary comes back beside them.
+if ls -A crates/bench/src/bin | grep -vxE 'experiments|loadbench'; then
+    echo "bench: crates/bench/src/bin holds the entries above; add a subcommand to experiments/main.rs instead" >&2
+    exit 1
+fi
+
 echo "== no allocator tuning (freed memory goes back to the allocator's defaults) =="
 # Allocator settings or a caching global allocator keep freed pages for
 # the whole process, so the fixture's training memory stays resident for
