@@ -43,7 +43,9 @@ pub fn run() {
         body.len()
     );
 
-    let req = r#"{"ingredients":["chicken","rice","soy sauce","ginger"]}"#;
+    // A pinned seed: unseeded, each replica samples from its own RNG, so
+    // the body would depend on which replica takes the request.
+    let req = r#"{"ingredients":["chicken","rice","soy sauce","ginger"],"seed":42}"#;
     println!("POST /api/generate\n  ← {req}");
     let (status, body) = client.post_json("/api/generate", req).expect("generate");
     println!("  → {status}\n  {body}\n");

@@ -376,23 +376,27 @@ pub(crate) struct AttnSlot<'a, E: Element> {
 ///
 /// The slots fan across the persistent worker pool once the lanes carry
 /// enough arithmetic to pay for a launch (`par`'s work gate; below it
-/// they run in order on the caller) — task `i` is always sequence `i`,
-/// the chunk→worker mapping is deterministic, and each task runs its
-/// sequence's positions strictly in order, so parallelism lives *across*
-/// sequences only and every sequence's reduction order is fixed
-/// regardless of batch composition or thread count (DESIGN §10); a solo
-/// stream's single lane always runs on the caller.
+/// they run in order on the caller) — as contiguous runs of lanes whose
+/// boundaries and threads are a pure function of the batch shape and the
+/// thread count, and each lane runs its sequence's positions strictly in
+/// order, so parallelism lives *across* sequences only and every
+/// sequence's reduction order is fixed regardless of batch composition
+/// or thread count (DESIGN §10); a solo stream's single lane always runs
+/// on the caller.
 pub(crate) fn attend_batch<E: Element>(slots: &mut [AttnSlot<'_, E>], heads: usize, dh: usize, window: Option<usize>) {
     let start = |slot: &AttnSlot<'_, E>| window.map_or(0, |w| slot.view.len().saturating_sub(w));
     // A lane's work is its score plus context pass, `2·t·d`
     // multiply-accumulates over the `t` positions it reads; the mean lane
     // is what `par` gates the fan-out on.
+    let lanes = slots.len();
     let positions: usize = slots.iter().map(|s| s.view.len() - start(s)).sum();
-    let lane_macs = 2 * positions * heads * dh / slots.len().max(1);
+    let lane_macs = 2 * positions * heads * dh / lanes.max(1);
     // SAFETY(disjoint: slots[i] — each task owns one `AttnSlot` and writes only its own `out`/`scratch`)
-    ratatouille_tensor::par::scatter_mut(slots, lane_macs, |_, slot| {
-        attend(slot.q, heads, dh, start(slot), &slot.view, slot.scratch);
-        slot.out.copy_from_slice(&slot.scratch.ctx);
+    ratatouille_tensor::par::parallel_rows_mut(slots, lanes, 1, lane_macs, |_, run| {
+        for slot in run {
+            attend(slot.q, heads, dh, start(slot), &slot.view, slot.scratch);
+            slot.out.copy_from_slice(&slot.scratch.ctx);
+        }
     });
 }
 
@@ -691,8 +695,8 @@ mod tests {
             assert_eq!(
                 scratch_bits(&fused),
                 scratch_bits(&oracle),
-                "{:?} heads {heads} dh {dh} t {t} block {bt} start {start}",
-                E::DTYPE
+                "{} heads {heads} dh {dh} t {t} block {bt} start {start}",
+                std::any::type_name::<E>()
             );
         }
     }

@@ -1,29 +1,26 @@
-//! Element dtypes for tensor storage: the sealed [`Element`] trait and the
-//! software [`F16`] half-precision storage type.
+//! Element dtypes: the sealed [`Element`] trait for KV-cache rows and
+//! the software [`F16`] half-precision storage type.
 //!
-//! The tensor core is generic over its storage element so inference-time
-//! memory formats (f16 KV caches, int8 quantized weights) reuse the same
-//! `Tensor` machinery as training. The trait is **sealed**: exactly three
-//! storage types exist — `f32` (the only trainable dtype; autograd's `Var`
-//! is hardwired to `Tensor<f32>`), [`F16`] (storage-only half precision,
-//! converted in software on load/store), and `i8` (raw quantized codes;
-//! per-row scales live next to the codes in
-//! [`crate::ops::quant::QuantizedMatrix`], not inside the tensor).
+//! [`crate::Tensor`] holds `f32`. The decode path's KV cache stores its
+//! rows as an [`Element`], and the trait is **sealed** to exactly two
+//! types: `f32` (under f32 weights) and [`F16`] (under int8 weights;
+//! storage-only half precision, converted in software on load/store).
+//! Int8 weight codes are a plain `Vec<i8>` inside
+//! [`crate::ops::quant::QuantizedMatrix`], next to their per-row scales.
 //!
-//! Keeping the set closed is what lets kernels dispatch per dtype without
-//! trait objects, and it makes "training stays f32" a compile-time fact
-//! rather than a runtime check: there is no `Var<F16>` to construct.
+//! Keeping the set closed is what lets the attention kernel be written
+//! once, generic over the cache element, while each element keeps its
+//! own SIMD path without trait objects.
 
 use std::fmt;
 
-use crate::ops::simd::{accumulate_run_by_head, score_run_by_head, RunSpan};
+use crate::ops::simd::RunSpan;
 
 mod sealed {
     /// Private supertrait: only types named here may implement `Element`.
     pub trait Sealed {}
     impl Sealed for f32 {}
     impl Sealed for super::F16 {}
-    impl Sealed for i8 {}
 }
 
 /// Runtime tag identifying a storage dtype.
@@ -86,30 +83,24 @@ impl fmt::Display for DType {
     }
 }
 
-/// A storage element for [`crate::Tensor`].
+/// A KV-cache storage element.
 ///
-/// Sealed: implemented for `f32`, [`F16`] and `i8` only. Besides the
+/// Sealed: implemented for `f32` and [`F16`] only. Besides the
 /// conversions, the trait carries the two decode-path inner loops that must
-/// be dtype-dispatched (`f32`-query dot against a stored row, and the
-/// attention context `axpy`) and their run-level forms (all heads against a
-/// whole storage-contiguous run of cached rows), so the fused
+/// be dispatched per element (`f32`-query dot against a stored row, and
+/// the attention context `axpy`) and their run-level forms (all heads
+/// against a whole storage-contiguous run of cached rows), so the fused
 /// incremental-attention kernel can be written once, generic over the
-/// KV-cache storage dtype, while each dtype keeps its own SIMD path.
+/// KV-cache element, while each element keeps its own SIMD path.
 pub trait Element:
     sealed::Sealed + Copy + Send + Sync + Default + PartialEq + fmt::Debug + 'static
 {
-    /// The runtime tag for this storage type.
-    const DTYPE: DType;
-
-    /// Narrow an `f32` into this storage type (rounding/clamping as the
-    /// dtype requires; identity for `f32`).
+    /// Narrow an `f32` into this storage type (round-to-nearest-even for
+    /// [`F16`]; identity for `f32`).
     fn from_f32(v: f32) -> Self;
 
-    /// Widen to `f32` (exact for `f32`, `F16` and `i8`).
+    /// Widen to `f32` (exact).
     fn to_f32(self) -> f32;
-
-    /// Format one element for `Tensor`'s `Debug` preview.
-    fn fmt_elem(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
 
     /// Dot product of an `f32` query row against a row stored in this
     /// dtype, with a fixed per-call reduction order (the decode attention
@@ -124,26 +115,20 @@ pub trait Element:
     /// storage-contiguous run of cached K rows:
     /// `scores[h * stride + rel + j] = dot_with_f32(q_h, row_j_h) * scale`.
     ///
-    /// Bit-identical to that per-head loop (the default, and the portable
-    /// path of every dtype); `f32` and [`F16`] run it as one SIMD frame
-    /// per run instead of one call per (row, head).
-    fn score_run(q: &[f32], run: &[Self], span: RunSpan, scale: f32, scores: &mut [f32]) {
-        score_run_by_head(q, run, span, scale, scores);
-    }
+    /// Bit-identical to that per-head loop
+    /// ([`crate::ops::simd`]'s `score_run_by_head`), run as one SIMD frame
+    /// per four rows instead of one call per (row, head).
+    fn score_run(q: &[f32], run: &[Self], span: RunSpan, scale: f32, scores: &mut [f32]);
 
     /// Add a run of cached V rows into the context vector `ctx`
     /// (`heads * dh` floats), rows ascending:
     /// `axpy_into_f32(probs[h * stride + rel + j], row_j_h, ctx_h)`.
     ///
     /// Bit-identical to that per-head loop, like [`Element::score_run`].
-    fn accumulate_run(probs: &[f32], run: &[Self], span: RunSpan, ctx: &mut [f32]) {
-        accumulate_run_by_head(probs, run, span, ctx);
-    }
+    fn accumulate_run(probs: &[f32], run: &[Self], span: RunSpan, ctx: &mut [f32]);
 }
 
 impl Element for f32 {
-    const DTYPE: DType = DType::F32;
-
     #[inline]
     fn from_f32(v: f32) -> Self {
         v
@@ -152,10 +137,6 @@ impl Element for f32 {
     #[inline]
     fn to_f32(self) -> f32 {
         self
-    }
-
-    fn fmt_elem(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:.4}")
     }
 
     #[inline]
@@ -209,8 +190,6 @@ impl fmt::Debug for F16 {
 }
 
 impl Element for F16 {
-    const DTYPE: DType = DType::F16;
-
     #[inline]
     fn from_f32(v: f32) -> Self {
         F16(f32_to_f16_bits(v))
@@ -219,10 +198,6 @@ impl Element for F16 {
     #[inline]
     fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)
-    }
-
-    fn fmt_elem(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4}", self.to_f32())
     }
 
     #[inline]
@@ -241,34 +216,6 @@ impl Element for F16 {
 
     fn accumulate_run(probs: &[f32], run: &[Self], span: RunSpan, ctx: &mut [f32]) {
         crate::ops::simd::accumulate_run_f16(probs, run, span, ctx);
-    }
-}
-
-impl Element for i8 {
-    const DTYPE: DType = DType::I8;
-
-    #[inline]
-    fn from_f32(v: f32) -> Self {
-        v.round().clamp(-128.0, 127.0) as i8
-    }
-
-    #[inline]
-    fn to_f32(self) -> f32 {
-        self as f32
-    }
-
-    fn fmt_elem(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self}")
-    }
-
-    #[inline]
-    fn dot_with_f32(a: &[f32], b: &[Self]) -> f32 {
-        crate::ops::quant::dot_f32_i8(a, b)
-    }
-
-    #[inline]
-    fn axpy_into_f32(alpha: f32, x: &[Self], y: &mut [f32]) {
-        crate::ops::quant::axpy_i8_into_f32(alpha, x, y);
     }
 }
 
@@ -388,15 +335,6 @@ mod tests {
             let back = F16::from_f32(F16::from_bits(h).to_f32()).to_bits();
             assert_eq!(back, h, "round trip broke for bits {h:#06x}");
         }
-    }
-
-    #[test]
-    fn i8_element_rounds_and_clamps() {
-        assert_eq!(<i8 as Element>::from_f32(3.4), 3);
-        assert_eq!(<i8 as Element>::from_f32(-3.6), -4);
-        assert_eq!(<i8 as Element>::from_f32(300.0), 127);
-        assert_eq!(<i8 as Element>::from_f32(-300.0), -128);
-        assert_eq!(<i8 as Element>::to_f32(-5), -5.0);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! ## Layers
 //!
-//! * [`Tensor`] — an immutable, contiguous, row-major n-d array value
-//!   type with cheap clones (shared storage), generic over a sealed
-//!   [`Element`] storage dtype (`f32` by default; [`F16`] and `i8` are
-//!   inference-only storage formats — see [`dtype`] and [`ops::quant`]).
+//! * [`Tensor`] — an immutable, contiguous, row-major n-d `f32` array
+//!   value type with cheap clones (shared storage). The inference-only
+//!   formats sit beside it: the sealed [`Element`] is the KV-cache row
+//!   element (`f32` or [`F16`], see [`dtype`]), and int8 weights are a
+//!   [`ops::QuantizedMatrix`] of codes and per-row scales.
 //! * Pure functional ops on [`Tensor`] (`matmul`, elementwise math,
 //!   reductions, softmax, layer norm, embedding lookup, …).
 //! * [`Var`] — a node in a dynamically-built computation graph. Calling ops
@@ -23,9 +24,11 @@
 //!   (checkpoints), with integrity checking.
 //! * [`recycle`] — the free list that keeps training's large buffers
 //!   mapped across steps, until [`recycle::release`] hands them back.
-//! * [`par`] — scoped-thread data parallelism used by the heavy kernels;
-//!   the worker count is a process-wide runtime setting so benchmarks can
-//!   sweep it (this stands in for the paper's CPU-vs-A100 comparison).
+//! * [`par`] — persistent-pool data parallelism used by the heavy
+//!   kernels, which split their buffers through one entry point
+//!   ([`par::parallel_rows_mut`]); the worker count is a process-wide
+//!   runtime setting so benchmarks can sweep it (this stands in for the
+//!   paper's CPU-vs-A100 comparison).
 //!
 //! ## Conventions
 //!

@@ -233,10 +233,13 @@ impl Attention {
             .zip((0..units).step_by(step.max(1)))
             .map(|(scratch, start)| Lane { units: start..(start + step).min(units), scratch })
             .collect();
+        let n = lanes.len();
         // SAFETY(disjoint: lanes[i] — each task owns one lane's matrices and its scratch)
-        par::scatter_mut(&mut lanes, step * unit_macs, |_, lane| {
-            for u in lane.units.clone() {
-                f(u, lane.scratch);
+        par::parallel_rows_mut(&mut lanes, n, 1, step * unit_macs, |_, run| {
+            for lane in run {
+                for u in lane.units.clone() {
+                    f(u, lane.scratch);
+                }
             }
         });
         drop(lanes);

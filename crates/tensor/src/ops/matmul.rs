@@ -10,11 +10,11 @@
 //! so `matmul_transa` runs it straight over the transposed storage, and
 //! it takes a B row stride, so below `PACK_MIN_M` (the decode batch)
 //! `matmul` runs rows in fours over the raw `[K, N]` rows with no packing
-//! when `N % NR == 0`, as `bmm` and `bmm_transa` do (every attention head
-//! here is 32 wide); the `M % 4` rows left over, the `M = 1` decode GEMV,
-//! other widths and non-AVX hosts take the row-accumulate kernel, whose
-//! chain per output is the microkernel's when `N % NR == 0`.
-//! `matmul_transb` at `M ≥ 2` and `bmm_transb` pair rows through
+//! when `N % NR == 0`, as the attention's `fma_rows` does (every attention
+//! head here is 32 wide); the `M % 4` rows left over, the `M = 1` decode
+//! GEMV, other widths and non-AVX hosts take the row-accumulate kernel,
+//! whose chain per output is the microkernel's when `N % NR == 0`.
+//! `matmul_transb` at `M ≥ 2` and the attention scores pair rows through
 //! [`simd::dot_pair`], which replays `simd::dot` per output, so each
 //! output has the bits of its own dot.
 //!
@@ -25,7 +25,8 @@
 //! (`ops::attention`). A skipped entry is a `±0·x` term added to a chain
 //! that starts at `+0`, so they equal the dense products bit for bit on
 //! the triangle for finite operands. The batched `*_causal` wrappers the
-//! unfused op chain called remain for the tests' reference chain.
+//! unfused op chain called remain, test-only, for the tests' reference
+//! chain.
 //!
 //! **Determinism contract:** blocking parameters are fixed constants,
 //! every output element accumulates over `k` in ascending order within
@@ -40,7 +41,7 @@
 use std::ops::Range;
 
 use crate::ops::{fill_rows, last_axis_rows, simd};
-use crate::par::{parallel_chunks, parallel_rows_mut, COPY_MACS};
+use crate::par::{parallel_rows_mut, COPY_MACS};
 use crate::recycle;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -66,7 +67,8 @@ const DOT_BLOCK_FLOATS: usize = 8 * 1024;
 
 /// Where a kernel finds `A(r, k)`: at `a[r·row + k·k]`. Row-major A has
 /// `k = 1`; the transposed read of a `[K, M]` buffer (`matmul_transa`,
-/// `bmm_transa`) has `row = 1, k = M`, four rows of one `k` contiguous.
+/// the attention's `dK = dSᵀ Q`) has `row = 1, k = M`, four rows of one
+/// `k` contiguous.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Strides {
     row: usize,
@@ -515,31 +517,10 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
     let (ad, bd) = (a.data(), b.data());
     if m == 1 {
         // Decode path: one output row of N dots — split the columns.
-        struct SendPtr(*mut f32);
-        // SAFETY(invariant: workers only offset the base into disjoint column ranges)
-        // `SendPtr` wraps the base of `out`, which outlives the
-        // `parallel_chunks` scope (see the `from_raw_parts_mut` below),
-        // so sending the pointer across threads cannot create aliased
-        // &mut access.
-        unsafe impl Send for SendPtr {}
-        // SAFETY(invariant: shared access only reads the address via `get`)
-        // The disjoint-range argument above covers concurrent use.
-        unsafe impl Sync for SendPtr {}
-        impl SendPtr {
-            fn get(&self) -> *mut f32 {
-                self.0
-            }
-        }
-        let base = SendPtr(out.as_mut_ptr());
-        parallel_chunks(n, k, |s, e, _| {
-            // SAFETY(disjoint: out[s .. e] — each worker gets a distinct column range)
-            // `e <= n == out.len()`, so this reconstructed slice stays
-            // inside the live `out` allocation and no two workers'
-            // slices overlap; `out` is not touched by the launching
-            // thread until `parallel_chunks` joins.
-            let o = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
-            for (j, nn) in (s..e).enumerate() {
-                o[j] = simd::dot(ad, &bd[nn * k..nn * k + k]);
+        // SAFETY(disjoint: out[cols] — column spans of the single output row never overlap)
+        parallel_rows_mut(&mut out, n, 1, k, |cols, o| {
+            for (o, j) in o.iter_mut().zip(cols) {
+                *o = simd::dot(ad, &bd[j * k..j * k + k]);
             }
         });
     } else {
@@ -685,112 +666,6 @@ unsafe fn fma_tile(a: &[f32], s: Strides, b: &[f32], n: usize, o: &mut [f32], ro
     }
 }
 
-/// Batched matmul: `a: [B,M,K] @ b: [B,K,N]` → `[B,M,N]`.
-pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, Bmm::Plain, false)
-}
-
-/// Batched `a @ bᵀ`: `a: [B,M,K] @ b: [B,N,K]` → `[B,M,N]`.
-pub fn bmm_transb(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, Bmm::TransB, false)
-}
-
-/// Batched `aᵀ @ b`: `a: [B,K,M] @ b: [B,K,N]` → `[B,M,N]`.
-pub fn bmm_transa(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, Bmm::TransA, false)
-}
-
-/// [`bmm`] for a lower-triangular `a: [B,T,T]` (attention probabilities,
-/// or the scores' gradient): row `i` reads only `a[i, ..=i]` — the
-/// context `P @ V` and `dQ = dS @ K` of the tests' reference chain.
-#[cfg(test)]
-pub(crate) fn bmm_causal(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, Bmm::Plain, true)
-}
-
-/// [`bmm_transb`] computed on and below the diagonal only: `a: [B,T,K] @
-/// b: [B,T,K]ᵀ` → `[B,T,T]` with `+0` above it — the scores `Q @ Kᵀ` and
-/// `dP = dC @ Vᵀ`, which the causal softmax never reads above it.
-#[cfg(test)]
-pub(crate) fn bmm_transb_causal(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, Bmm::TransB, true)
-}
-
-/// [`bmm_transa`] for a lower-triangular `a: [B,T,T]`: output row `j`
-/// reads only `a[j.., j]` — `dV = Pᵀ @ dC` and `dK = dSᵀ @ Q`.
-#[cfg(test)]
-pub(crate) fn bmm_transa_causal(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_impl(a, b, Bmm::TransA, true)
-}
-
-/// Which operand of a batched product is read transposed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Bmm {
-    Plain,
-    TransA,
-    TransB,
-}
-
-fn bmm_impl(a: &Tensor, b: &Tensor, kind: Bmm, causal: bool) -> Tensor {
-    assert_eq!(a.rank(), 3, "bmm: lhs must be rank-3, got {}", a.shape());
-    assert_eq!(b.rank(), 3, "bmm: rhs must be rank-3, got {}", b.shape());
-    assert_eq!(
-        a.dims()[0],
-        b.dims()[0],
-        "bmm: batch dims differ, {} vs {}",
-        a.shape(),
-        b.shape()
-    );
-    let batch = a.dims()[0];
-    let (m, ka) = match kind {
-        Bmm::TransA => (a.dims()[2], a.dims()[1]),
-        _ => (a.dims()[1], a.dims()[2]),
-    };
-    let (kb, n) = match kind {
-        Bmm::TransB => (b.dims()[2], b.dims()[1]),
-        _ => (b.dims()[1], b.dims()[2]),
-    };
-    assert_eq!(ka, kb, "bmm: inner dims differ, {} vs {} ({kind:?})", a.shape(), b.shape());
-    let k = ka;
-    // The triangle lies in the square attention matrix: the output for
-    // `TransB`, the left operand otherwise.
-    let t = if kind == Bmm::TransB { n } else { k };
-    assert!(!causal || m == t, "bmm: a causal product needs square [T, T] matrices, got {} and {}", a.shape(), b.shape());
-    let (ad, bd) = (a.data(), b.data());
-    let a_stride = a.dims()[1] * a.dims()[2];
-    let b_stride = b.dims()[1] * b.dims()[2];
-    let s = if kind == Bmm::TransA { Strides::transposed(m) } else { Strides::rows(k) };
-    let mut out = recycle::zeroed(batch * m * n);
-    // The fused (batch, m) row space is cut across the pool; a causal row
-    // does half a dense row's work on average.
-    let row_macs = if causal { k * n / 2 } else { k * n };
-    // SAFETY(disjoint: out[rows] — workers tile the fused (batch, m) row space)
-    parallel_rows_mut(&mut out, batch * m, n, row_macs, |rows, chunk| {
-        // One matrix's run of rows at a time.
-        let mut row = rows.start;
-        while row < rows.end {
-            let (bi, r0) = (row / m, row % m);
-            let len = (m - r0).min(rows.end - row);
-            let a_mat = &ad[bi * a_stride..(bi + 1) * a_stride];
-            let b_mat = &bd[bi * b_stride..(bi + 1) * b_stride];
-            let local = row - rows.start;
-            let o = &mut chunk[local * n..(local + len) * n];
-            let a_run = &a_mat[s.at(r0, 0)..];
-            match (kind, causal) {
-                (Bmm::TransB, _) => {
-                    let cols = |r: usize| 0..if causal { r0 + r + 1 } else { n };
-                    dot_rows(a_run, b_mat, k, len, cols, o, n);
-                }
-                (_, false) => fma_rows(a_run, s, b_mat, n, len, |_| 0..k, o),
-                (Bmm::Plain, true) => fma_rows(a_run, s, b_mat, n, len, |r| 0..r0 + r + 1, o),
-                (Bmm::TransA, true) => fma_rows(a_run, s, b_mat, n, len, |r| r0 + r..k, o),
-            }
-            row += len;
-        }
-    });
-    Tensor::from_parts(Shape(vec![batch, m, n]), out)
-}
-
 /// Tile-wise transpose of a row-major `[rows, cols]` buffer into `out`
 /// (`[cols, rows]`). Both tiles stay cache-resident, so large transposes
 /// stop thrashing: the naive element loop walks one operand with a
@@ -877,6 +752,97 @@ pub fn permute(t: &Tensor, axes: &[usize]) -> Tensor {
         }
     });
     Tensor::from_parts(Shape(out_dims), out)
+}
+
+/// The causal batched product `a: [B,T,T] @ b: [B,T,N]` for a
+/// lower-triangular `a` (attention probabilities, or the scores'
+/// gradient): row `i` reads only `a[i, ..=i]` — the context `P @ V` and
+/// `dQ = dS @ K` of the tests' reference chain.
+#[cfg(test)]
+pub(crate) fn bmm_causal(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_impl(a, b, Bmm::Plain)
+}
+
+/// `a: [B,T,K] @ b: [B,T,K]ᵀ` → `[B,T,T]` computed on and below the
+/// diagonal only, with `+0` above it — the scores `Q @ Kᵀ` and
+/// `dP = dC @ Vᵀ`, which the causal softmax never reads above it.
+#[cfg(test)]
+pub(crate) fn bmm_transb_causal(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_impl(a, b, Bmm::TransB)
+}
+
+/// `aᵀ @ b` for a lower-triangular `a: [B,T,T]` and `b: [B,T,N]`: output
+/// row `j` reads only `a[j.., j]` — `dV = Pᵀ @ dC` and `dK = dSᵀ @ Q`.
+#[cfg(test)]
+pub(crate) fn bmm_transa_causal(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_impl(a, b, Bmm::TransA)
+}
+
+/// Which operand of a batched causal product is read transposed.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bmm {
+    Plain,
+    TransA,
+    TransB,
+}
+
+/// The causal batched products behind the three wrappers above, through
+/// the fused kernel's row kernels over the fused `(batch, m)` row space.
+#[cfg(test)]
+fn bmm_impl(a: &Tensor, b: &Tensor, kind: Bmm) -> Tensor {
+    assert_eq!(a.rank(), 3, "bmm: lhs must be rank-3, got {}", a.shape());
+    assert_eq!(b.rank(), 3, "bmm: rhs must be rank-3, got {}", b.shape());
+    assert_eq!(
+        a.dims()[0],
+        b.dims()[0],
+        "bmm: batch dims differ, {} vs {}",
+        a.shape(),
+        b.shape()
+    );
+    let batch = a.dims()[0];
+    let (m, ka) = match kind {
+        Bmm::TransA => (a.dims()[2], a.dims()[1]),
+        _ => (a.dims()[1], a.dims()[2]),
+    };
+    let (kb, n) = match kind {
+        Bmm::TransB => (b.dims()[2], b.dims()[1]),
+        _ => (b.dims()[1], b.dims()[2]),
+    };
+    assert_eq!(ka, kb, "bmm: inner dims differ, {} vs {} ({kind:?})", a.shape(), b.shape());
+    let k = ka;
+    // The triangle lies in the square attention matrix: the output for
+    // `TransB`, the left operand otherwise.
+    let t = if kind == Bmm::TransB { n } else { k };
+    assert!(m == t, "bmm: a causal product needs square [T, T] matrices, got {} and {}", a.shape(), b.shape());
+    let (ad, bd) = (a.data(), b.data());
+    let a_stride = a.dims()[1] * a.dims()[2];
+    let b_stride = b.dims()[1] * b.dims()[2];
+    let s = if kind == Bmm::TransA { Strides::transposed(m) } else { Strides::rows(k) };
+    let mut out = recycle::zeroed(batch * m * n);
+    // The fused (batch, m) row space is cut across the pool; a causal row
+    // does half a dense row's work on average.
+    // SAFETY(disjoint: out[rows] — workers tile the fused (batch, m) row space)
+    parallel_rows_mut(&mut out, batch * m, n, k * n / 2, |rows, chunk| {
+        // One matrix's run of rows at a time.
+        let mut row = rows.start;
+        while row < rows.end {
+            let (bi, r0) = (row / m, row % m);
+            let len = (m - r0).min(rows.end - row);
+            let a_mat = &ad[bi * a_stride..(bi + 1) * a_stride];
+            let b_mat = &bd[bi * b_stride..(bi + 1) * b_stride];
+            let local = row - rows.start;
+            let o = &mut chunk[local * n..(local + len) * n];
+            let a_run = &a_mat[s.at(r0, 0)..];
+            match kind {
+                Bmm::TransB => dot_rows(a_run, b_mat, k, len, |r| 0..r0 + r + 1, o, n),
+                Bmm::Plain => fma_rows(a_run, s, b_mat, n, len, |r| 0..r0 + r + 1, o),
+                Bmm::TransA => fma_rows(a_run, s, b_mat, n, len, |r| r0 + r..k, o),
+            }
+            row += len;
+        }
+    });
+    Tensor::from_parts(Shape(vec![batch, m, n]), out)
 }
 
 #[cfg(test)]
@@ -981,54 +947,6 @@ mod tests {
         let b = t2(&[1.0, 0.5, -1.0, 2.0, 0.0, 3.0], 3, 2);
         let expect = matmul(&transpose2d(&a), &b);
         assert!(matmul_transa(&a, &b).allclose(&expect, 1e-5));
-    }
-
-    #[test]
-    fn bmm_matches_per_batch_matmul() {
-        let a = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[2, 2, 3]).unwrap();
-        let b = Tensor::from_vec((0..24).map(|i| (i as f32) * 0.5).collect(), &[2, 3, 4]).unwrap();
-        let c = bmm(&a, &b);
-        assert_eq!(c.dims(), &[2, 2, 4]);
-        for bi in 0..2 {
-            let am = Tensor::from_vec(a.data()[bi * 6..(bi + 1) * 6].to_vec(), &[2, 3]).unwrap();
-            let bm = Tensor::from_vec(b.data()[bi * 12..(bi + 1) * 12].to_vec(), &[3, 4]).unwrap();
-            let cm = matmul(&am, &bm);
-            assert!(Tensor::from_vec(c.data()[bi * 8..(bi + 1) * 8].to_vec(), &[2, 4])
-                .unwrap()
-                .allclose(&cm, 1e-5));
-        }
-    }
-
-    #[test]
-    fn bmm_transb_matches() {
-        let a = Tensor::from_vec((0..12).map(|i| i as f32 * 0.1).collect(), &[2, 2, 3]).unwrap();
-        let b = Tensor::from_vec((0..24).map(|i| i as f32 * 0.2).collect(), &[2, 4, 3]).unwrap();
-        let c = bmm_transb(&a, &b);
-        assert_eq!(c.dims(), &[2, 2, 4]);
-        for bi in 0..2 {
-            let am = Tensor::from_vec(a.data()[bi * 6..(bi + 1) * 6].to_vec(), &[2, 3]).unwrap();
-            let bm = Tensor::from_vec(b.data()[bi * 12..(bi + 1) * 12].to_vec(), &[4, 3]).unwrap();
-            let cm = matmul(&am, &transpose2d(&bm));
-            assert!(Tensor::from_vec(c.data()[bi * 8..(bi + 1) * 8].to_vec(), &[2, 4])
-                .unwrap()
-                .allclose(&cm, 1e-6));
-        }
-    }
-
-    #[test]
-    fn bmm_transa_matches() {
-        let a = Tensor::from_vec((0..12).map(|i| i as f32 * 0.3).collect(), &[2, 3, 2]).unwrap();
-        let b = Tensor::from_vec((0..24).map(|i| i as f32 * 0.1).collect(), &[2, 3, 4]).unwrap();
-        let c = bmm_transa(&a, &b);
-        assert_eq!(c.dims(), &[2, 2, 4]);
-        for bi in 0..2 {
-            let am = Tensor::from_vec(a.data()[bi * 6..(bi + 1) * 6].to_vec(), &[3, 2]).unwrap();
-            let bm = Tensor::from_vec(b.data()[bi * 12..(bi + 1) * 12].to_vec(), &[3, 4]).unwrap();
-            let cm = matmul(&transpose2d(&am), &bm);
-            assert!(Tensor::from_vec(c.data()[bi * 8..(bi + 1) * 8].to_vec(), &[2, 4])
-                .unwrap()
-                .allclose(&cm, 1e-6));
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Quantization and dtype-conversion kernels: per-row symmetric int8
-//! weight quantization, the int8×int8 GEMM the decode path runs on, and
-//! f16↔f32 storage conversion.
+//! weight quantization and the int8×int8 GEMM the decode path runs on.
 //!
 //! ## Scheme
 //!
@@ -31,7 +30,8 @@
 //! widened via `madd` into i32 lanes; `K` would need to exceed ~1M before
 //! an i32 lane could overflow, far beyond any model dimension here.
 
-use crate::dtype::{Element, F16};
+use std::fmt;
+
 use crate::par;
 use crate::recycle;
 use crate::shape::Shape;
@@ -41,48 +41,51 @@ use crate::tensor::Tensor;
 /// `[N, K]` layout (row `n` holds the weights producing output `n`), as
 /// consumed by [`qmatmul_transb`].
 ///
-/// Built once at model-load time by [`quantize_per_row`]; the codes live
-/// in a `Tensor<i8>` (sharing the generic storage machinery) and the
-/// per-row scales ride alongside.
-#[derive(Clone, Debug)]
+/// Built once at model-load time by [`quantize_per_row`]: the codes are a
+/// row-major `[N, K]` buffer and the per-row scales ride alongside.
 pub struct QuantizedMatrix {
-    q: Tensor<i8>,
+    codes: Vec<i8>,
     scales: Vec<f32>,
+    k: usize,
 }
 
 impl QuantizedMatrix {
     /// Output rows (`N`).
     pub fn n(&self) -> usize {
-        self.q.dims()[0]
+        self.scales.len()
     }
 
     /// Inner dimension (`K`).
     pub fn k(&self) -> usize {
-        self.q.dims()[1]
+        self.k
     }
 
-    /// The int8 codes, shape `[N, K]`.
-    pub fn codes(&self) -> &Tensor<i8> {
-        &self.q
+    /// The int8 codes, row-major `[N, K]`.
+    pub fn codes(&self) -> &[i8] {
+        &self.codes
     }
 
     /// Per-output-row dequantization scales, length `N`.
     pub fn scales(&self) -> &[f32] {
         &self.scales
     }
+}
 
-    /// Assemble from parts (codes must be rank-2, one scale per row).
-    ///
-    /// # Panics
-    /// Panics on rank or length mismatch.
-    pub fn from_parts(q: Tensor<i8>, scales: Vec<f32>) -> QuantizedMatrix {
-        assert_eq!(q.rank(), 2, "QuantizedMatrix codes must be [N, K]");
-        assert_eq!(
-            q.dims()[0],
-            scales.len(),
-            "QuantizedMatrix needs one scale per output row"
-        );
-        QuantizedMatrix { q, scales }
+impl fmt::Debug for QuantizedMatrix {
+    /// The shape and the first codes and scales, like `Tensor`'s preview.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn preview<T: fmt::Debug>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
+            const PREVIEW: usize = 8;
+            write!(f, "{:?}", &items[..items.len().min(PREVIEW)])?;
+            if items.len() > PREVIEW {
+                write!(f, " … {} more", items.len() - PREVIEW)?;
+            }
+            Ok(())
+        }
+        write!(f, "QuantizedMatrix[{}, {}] codes ", self.n(), self.k)?;
+        preview(f, &self.codes)?;
+        write!(f, ", scales ")?;
+        preview(f, &self.scales)
     }
 }
 
@@ -115,16 +118,13 @@ pub fn quantize_per_row(w: &Tensor) -> QuantizedMatrix {
             }
         }
     });
-    QuantizedMatrix {
-        q: Tensor::from_parts(Shape(vec![n, k]), codes),
-        scales,
-    }
+    QuantizedMatrix { codes, scales, k }
 }
 
 /// Reconstruct the `f32` approximation of a quantized matrix (`[N, K]`).
 pub fn dequantize(m: &QuantizedMatrix) -> Tensor {
     let (n, k) = (m.n(), m.k());
-    let codes = m.q.data();
+    let codes = &m.codes;
     let mut out = recycle::take(n * k);
     for row in 0..n {
         let s = m.scales[row];
@@ -133,21 +133,6 @@ pub fn dequantize(m: &QuantizedMatrix) -> Tensor {
         }
     }
     Tensor::from_parts(Shape(vec![n, k]), out)
-}
-
-/// Narrow an `f32` tensor to [`F16`] storage (round-to-nearest-even).
-pub fn to_f16(t: &Tensor) -> Tensor<F16> {
-    let data = t.data().iter().map(|&v| F16::from_f32(v)).collect();
-    Tensor::from_parts(t.shape().clone(), data)
-}
-
-/// Widen an [`F16`] tensor back to `f32` (exact).
-pub fn to_f32(t: &Tensor<F16>) -> Tensor {
-    let mut data = recycle::take(t.numel());
-    for (o, &v) in data.iter_mut().zip(t.data()) {
-        *o = v.to_f32();
-    }
-    Tensor::from_parts(t.shape().clone(), data)
 }
 
 /// `a [M, K] × wᵀ [N, K] → [M, N]` with int8 weights: the quantized
@@ -169,8 +154,7 @@ pub fn qmatmul_transb(a: &Tensor, w: &QuantizedMatrix) -> Tensor {
     let n = w.n();
     let started = obs::Clock::now();
     let ad = a.data();
-    let codes = w.q.data();
-    let scales = &w.scales;
+    let (codes, scales) = (&w.codes, &w.scales);
 
     // Quantize every activation row once, up front.
     let mut qa = vec![0i8; m * k];
@@ -410,35 +394,6 @@ unsafe fn dot_i8_avx2(x: &[i8], y: &[i8]) -> i32 {
     total
 }
 
-/// Dot of an `f32` query against raw i8 codes widened to their integer
-/// values (no scale — the correctness fallback for an i8 KV cache).
-pub(crate) fn dot_f32_i8(a: &[f32], b: &[i8]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot_f32_i8: length mismatch");
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let (x, y) = (&a[i * 4..i * 4 + 4], &b[i * 4..i * 4 + 4]);
-        acc[0] += x[0] * y[0] as f32;
-        acc[1] += x[1] * y[1] as f32;
-        acc[2] += x[2] * y[2] as f32;
-        acc[3] += x[3] * y[3] as f32;
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 4..a.len() {
-        tail += a[i] * b[i] as f32;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// `y[j] += alpha * x[j] as f32` over raw i8 codes (correctness fallback,
-/// paired with [`dot_f32_i8`]).
-pub(crate) fn axpy_i8_into_f32(alpha: f32, x: &[i8], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy_i8_into_f32: length mismatch");
-    for (o, &v) in y.iter_mut().zip(x.iter()) {
-        *o += alpha * v as f32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,7 +428,7 @@ mod tests {
         let w = Tensor::zeros(&[2, 8]);
         let qm = quantize_per_row(&w);
         assert_eq!(qm.scales(), &[0.0, 0.0]);
-        assert!(qm.codes().data().iter().all(|&c| c == 0));
+        assert!(qm.codes().iter().all(|&c| c == 0));
         assert_eq!(dequantize(&qm), w);
     }
 
@@ -536,18 +491,6 @@ mod tests {
                 .map(|i| (((i * 29 + 170) % 255) as i32 - 127) as i8)
                 .collect();
             assert_eq!(dot_i8(&x, &y), dot_i8_portable(&x, &y), "len {len}");
-        }
-    }
-
-    #[test]
-    fn f16_round_trip_tensor() {
-        let t = toy_matrix(4, 5);
-        let h = to_f16(&t);
-        assert_eq!(h.dims(), &[4, 5]);
-        let back = to_f32(&h);
-        for (a, b) in t.data().iter().zip(back.data()) {
-            // f16 has ~3 decimal digits; these values are < 8 in magnitude
-            assert!((a - b).abs() <= 4.0 * 2f32.powi(-11), "{a} vs {b}");
         }
     }
 }

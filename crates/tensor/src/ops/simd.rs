@@ -463,8 +463,9 @@ impl RunSpan {
 }
 
 /// The per-head reference loop behind [`Element::score_run`]: one
-/// [`Element::dot_with_f32`] per (row, head). The portable path of every
-/// dtype, and what the SIMD frames hand their last `rows % 4` rows to.
+/// [`Element::dot_with_f32`] per (row, head). What the SIMD frames hand
+/// their last `rows % 4` rows (or every row, on hosts and head widths
+/// they decline) to, and the tests' reference for them.
 pub(crate) fn score_run_by_head<E: Element>(q: &[f32], run: &[E], span: RunSpan, scale: f32, scores: &mut [f32]) {
     let d = q.len();
     let dh = d / span.heads;

@@ -20,10 +20,14 @@
 //!   launching thread), and every kernel accumulates in a fixed order
 //!   within its chunk, so results are byte-identical across thread counts
 //!   and across runs.
-//! * **Work-gated** — the chunking helpers fan out only to as many tasks
-//!   as carry [`MIN_TASK_MACS`] of arithmetic each, so a decode-sized
-//!   kernel runs inline instead of paying a worker wake-up and ack that
-//!   cost more than the kernel itself.
+//! * **Work-gated** — [`parallel_rows_mut`] fans out only to as many
+//!   tasks as carry [`MIN_TASK_MACS`] of arithmetic each, so a
+//!   decode-sized kernel runs inline instead of paying a worker wake-up
+//!   and ack that cost more than the kernel itself.
+//! * **One split** — every kernel that cuts a buffer into disjoint parts
+//!   goes through [`parallel_rows_mut`]: rows of a GEMM output, columns
+//!   of a GEMV (rows of width 1), or one slot per row for per-sequence
+//!   attention lanes. [`run_tasks`] is the launch underneath it.
 //! * **Nested-launch safe** — a parallel region launched from inside a pool
 //!   worker runs inline on that worker instead of re-entering the pool, so
 //!   nested kernels can never deadlock on a full pool.
@@ -278,98 +282,10 @@ where
     }
 }
 
-/// Run `f(start, end, chunk_index)` over disjoint chunks of `0..len` on
-/// the persistent pool, where each index costs `item_macs`
-/// multiply-accumulates. Falls back to a direct call when one thread
-/// suffices or the work is too small to amortize a pool launch
-/// ([`MIN_TASK_MACS`]).
-///
-/// `f` must be safe to run concurrently on disjoint ranges — callers
-/// partition their output buffers accordingly.
-pub fn parallel_chunks<F>(len: usize, item_macs: usize, f: F)
-where
-    F: Fn(usize, usize, usize) + Sync,
-{
-    let threads = gated_tasks(len, item_macs);
-    if threads <= 1 {
-        f(0, len, 0);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let tasks = len.div_ceil(chunk);
-    run_tasks(tasks, |t| {
-        let start = t * chunk;
-        let end = ((t + 1) * chunk).min(len);
-        if start < end {
-            f(start, end, t);
-        }
-    });
-}
-
-/// Run `f(i, &mut slots[i])` exactly once for every slot, scattered over
-/// the persistent pool — the general task-scatter entry point for
-/// non-GEMM work (e.g. the per-sequence paged-attention sweep, where each
-/// slot carries its own scratch buffers and output range).
-///
-/// Slots are grouped into at most [`num_threads`] contiguous runs — and
-/// no more than carry [`MIN_TASK_MACS`] each at `slot_macs`
-/// multiply-accumulates per slot — whose boundaries are a pure function
-/// of `(slots.len(), slot_macs, num_threads())`; run
-/// `i` executes on the same thread [`run_tasks`] always gives task `i`
-/// (run 0 inline on the caller, run `i` on pool worker `i-1`), and slots
-/// within a run execute in ascending index order. Task panics propagate
-/// to the caller after all sibling tasks finish, exactly like every
-/// other pool launch.
-///
-/// Determinism note: grouping only affects *where* a slot runs, never
-/// what it computes — each slot must be computable independently of the
-/// others (they are handed out as disjoint `&mut`), so results are
-/// byte-identical across thread counts by construction.
-pub fn scatter_mut<T, F>(slots: &mut [T], slot_macs: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = slots.len();
-    let tasks = gated_tasks(n, slot_macs);
-    if tasks <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            f(i, slot);
-        }
-        return;
-    }
-    let per = n.div_ceil(tasks);
-    let base = slots.as_mut_ptr();
-    let mut parts = Vec::with_capacity(tasks);
-    let mut start = 0usize;
-    while start < n {
-        let take = per.min(n - start);
-        parts.push(RawPart {
-            start_row: start,
-            end_row: start + take,
-            // SAFETY(invariant: `start < n` makes this an in-bounds offset of `slots`)
-            ptr: unsafe { base.add(start) },
-            len: take,
-        });
-        start += take;
-    }
-    run_tasks(parts.len(), |i| {
-        let p = &parts[i];
-        // SAFETY(disjoint: parts[i] — consecutive slot runs tile `slots` without overlap)
-        // `run_tasks` invokes each index exactly once, and `slots`' `&mut`
-        // borrow is held across the join — so this is the sole live
-        // reference to the run.
-        let run = unsafe { std::slice::from_raw_parts_mut(p.ptr, p.len) };
-        for (j, slot) in run.iter_mut().enumerate() {
-            f(p.start_row + j, slot);
-        }
-    });
-}
-
 /// A raw chunk of the output buffer, pre-split so disjoint `&mut` slices
 /// can be reconstructed inside the shared task closure. Generic over the
-/// element type so both `f32` kernel outputs and `i8` quantized buffers
-/// can be tiled.
+/// element type: `f32` kernel outputs, `i8` quantized codes and the
+/// attention kernels' per-lane slots are all tiled this way.
 struct RawPart<T> {
     start_row: usize,
     end_row: usize,
@@ -378,7 +294,7 @@ struct RawPart<T> {
 }
 
 // SAFETY(invariant: moving a part moves exclusive access to its region)
-// A `RawPart` is only ever created by the scatter helpers, which cut one
+// A `RawPart` is only ever created by `parallel_rows_mut`, which cuts one
 // live `&mut [T]` into non-overlapping `[ptr, ptr+len)` regions; moving a
 // part to a pool thread therefore never shares its region. `T: Send`
 // bounds the element itself to types whose exclusive access may cross
@@ -394,10 +310,14 @@ unsafe impl<T: Send> Sync for RawPart<T> {}
 /// width `row_len` is produced by `f(row_range, out_chunk)` at a cost of
 /// `row_macs` multiply-accumulates per row.
 ///
-/// This is the safe wrapper the matmul and quantization kernels use: the
-/// output buffer is pre-split into disjoint parts (boundaries depend only
-/// on `rows`, `row_macs` and the thread count, never on scheduling), so no
-/// aliasing is possible.
+/// This is the one safe way the kernels split a buffer across the pool:
+/// the output buffer is pre-split into disjoint parts (boundaries depend
+/// only on `rows`, `row_macs` and the thread count, never on scheduling),
+/// so no aliasing is possible. Part `i` runs on the thread [`run_tasks`]
+/// gives task `i` (part 0 inline on the caller), and below the work gate
+/// `f` runs once, inline, over all rows. With `row_len = 1` a row is one
+/// element: a GEMV's output column, or one slot of a `&mut [T]` of
+/// per-task state that `f` walks in ascending order.
 pub fn parallel_rows_mut<T, F>(out: &mut [T], rows: usize, row_len: usize, row_macs: usize, f: F)
 where
     T: Send,
@@ -468,17 +388,18 @@ mod tests {
         assert!(num_threads() >= 1);
     }
 
+    /// One-wide rows cover `0..len` exactly once.
     #[test]
     fn parallel_chunks_covers_range_once() {
         let _g = knob(4);
-        let hits = Mutex::new(vec![0u8; 1000]);
-        parallel_chunks(1000, HEAVY, |s, e, _| {
-            let mut h = hits.lock().unwrap();
-            for i in s..e {
-                h[i] += 1;
+        let mut hits = vec![0u8; 1000];
+        parallel_rows_mut(&mut hits, 1000, 1, HEAVY, |range, chunk| {
+            assert_eq!(range.len(), chunk.len());
+            for h in chunk {
+                *h += 1;
             }
         });
-        assert!(hits.lock().unwrap().iter().all(|&c| c == 1));
+        assert!(hits.iter().all(|&c| c == 1));
         set_num_threads(0);
     }
 
@@ -520,25 +441,29 @@ mod tests {
         set_num_threads(0);
     }
 
+    /// One slot per row: each slot visited once, with its own index.
     #[test]
     fn scatter_mut_visits_each_slot_exactly_once() {
         let _g = knob(3);
         let mut slots: Vec<(usize, u32)> = (0..17).map(|i| (i, 0)).collect();
-        scatter_mut(&mut slots, HEAVY, |i, s| {
-            assert_eq!(i, s.0, "slot index must match position");
-            s.1 += 1;
+        parallel_rows_mut(&mut slots, 17, 1, HEAVY, |range, run| {
+            for (i, s) in range.zip(run) {
+                assert_eq!(i, s.0, "slot index must match position");
+                s.1 += 1;
+            }
         });
         assert!(slots.iter().all(|&(_, hits)| hits == 1));
         set_num_threads(0);
     }
 
+    /// A panic in one slot's task reaches the launcher.
     #[test]
     fn scatter_mut_panic_propagates() {
         let _g = knob(2);
         let caught = std::panic::catch_unwind(|| {
             let mut slots = vec![0u8; 8];
-            scatter_mut(&mut slots, HEAVY, |i, _| {
-                if i == 5 {
+            parallel_rows_mut(&mut slots, 8, 1, HEAVY, |range, _| {
+                if range.contains(&5) {
                     panic!("boom in slot 5");
                 }
             });
@@ -551,9 +476,9 @@ mod tests {
     fn observed_chunks(len: usize, item_macs: usize) -> Vec<(usize, usize, bool)> {
         let caller = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
-        parallel_chunks(len, item_macs, |s, e, _| {
+        parallel_rows_mut(&mut vec![0u8; len], len, 1, item_macs, |range, _| {
             let here = std::thread::current().id() == caller;
-            seen.lock().unwrap().push((s, e, here));
+            seen.lock().unwrap().push((range.start, range.end, here));
         });
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
@@ -612,7 +537,11 @@ mod tests {
                         }
                     });
                     let mut slots = vec![0.0f32; rows];
-                    scatter_mut(&mut slots, row_macs, |i, s| *s = (i * i) as f32 * 0.5);
+                    parallel_rows_mut(&mut slots, rows, 1, row_macs, |range, run| {
+                        for (i, s) in range.zip(run) {
+                            *s = (i * i) as f32 * 0.5;
+                        }
+                    });
                     (out, slots)
                 };
                 let base = run(1);
@@ -629,9 +558,10 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         let _g = knob(2);
         let total = AtomicU64::new(0);
+        let mut buf = [0u8; 64];
         for _ in 0..200 {
-            parallel_chunks(64, HEAVY, |s, e, _| {
-                total.fetch_add((e - s) as u64, Ordering::Relaxed);
+            parallel_rows_mut(&mut buf, 64, 1, HEAVY, |range, _| {
+                total.fetch_add(range.len() as u64, Ordering::Relaxed);
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 200 * 64);
@@ -641,17 +571,16 @@ mod tests {
     #[test]
     fn nested_launches_run_inline_without_deadlock() {
         let _g = knob(3);
-        let hits = Mutex::new(vec![0u32; 256]);
-        parallel_chunks(256, HEAVY, |s, e, _| {
+        let mut hits = vec![0u32; 256];
+        parallel_rows_mut(&mut hits, 256, 1, HEAVY, |_, outer| {
             // nested launch from (potentially) inside a pool worker
-            parallel_chunks(e - s, HEAVY, |ns, ne, _| {
-                let mut h = hits.lock().unwrap();
-                for i in s + ns..s + ne {
-                    h[i] += 1;
+            parallel_rows_mut(outer, outer.len(), 1, HEAVY, |_, inner| {
+                for h in inner {
+                    *h += 1;
                 }
             });
         });
-        assert!(hits.lock().unwrap().iter().all(|&c| c == 1));
+        assert!(hits.iter().all(|&c| c == 1));
         set_num_threads(0);
     }
 
@@ -659,19 +588,17 @@ mod tests {
     fn task_panic_propagates_and_pool_survives() {
         let _g = knob(2);
         let caught = std::panic::catch_unwind(|| {
-            parallel_chunks(64, HEAVY, |s, _, _| {
-                if s == 0 {
+            parallel_rows_mut(&mut [0u8; 64], 64, 1, HEAVY, |range, _| {
+                if range.start == 0 {
                     panic!("boom in chunk 0");
                 }
             });
         });
         assert!(caught.is_err(), "panic must propagate to the launcher");
         // pool still functional after the panic
-        let hits = Mutex::new(0usize);
-        parallel_chunks(128, HEAVY, |s, e, _| {
-            *hits.lock().unwrap() += e - s;
-        });
-        assert_eq!(*hits.lock().unwrap(), 128);
+        let mut hits = [0u8; 128];
+        parallel_rows_mut(&mut hits, 128, 1, HEAVY, |_, chunk| chunk.fill(1));
+        assert!(hits.iter().all(|&h| h == 1));
         set_num_threads(0);
     }
 }

@@ -20,9 +20,9 @@
 //! checkpoint when a replica is built (a few milliseconds) and f16 exists
 //! only in KV rows.
 //!
-//! Version-1 checkpoints (`"RTCKPT01"`, no dtype byte, always f32) are
-//! still read, so every checkpoint ever written by this workspace stays
-//! loadable.
+//! Version 2 is the only format read: any other magic, the untagged
+//! version 1 (`"RTCKPT01"`) included, is a typed `Corrupt("bad magic …")`
+//! error.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -32,7 +32,6 @@ use crate::dtype::DType;
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 
-const MAGIC_V1: &[u8; 8] = b"RTCKPT01";
 const MAGIC_V2: &[u8; 8] = b"RTCKPT02";
 
 /// Little-endian cursor over a checkpoint payload; every read is
@@ -147,9 +146,8 @@ impl TensorMap {
         buf
     }
 
-    /// Deserialize version-1 or version-2 bytes, verifying magic and
-    /// checksum. Every entry must be f32 (version-1 entries, untagged,
-    /// always are).
+    /// Deserialize version-2 bytes, verifying magic and checksum. Every
+    /// entry must be f32.
     pub fn from_bytes(data: &[u8]) -> Result<Self, TensorError> {
         if data.len() < MAGIC_V2.len() + 4 + 8 {
             return Err(TensorError::Corrupt("payload too short".into()));
@@ -164,16 +162,12 @@ impl TensorMap {
         }
         let mut r = Reader { data: body };
         let magic = r.take(8, "magic")?;
-        let tagged = if magic == MAGIC_V2 {
-            true
-        } else if magic == MAGIC_V1 {
-            false
-        } else {
+        if magic != MAGIC_V2 {
             return Err(TensorError::Corrupt(format!(
                 "bad magic {:?}",
                 String::from_utf8_lossy(magic)
             )));
-        };
+        }
         let count = r.u32_le("count")? as usize;
         let mut map = TensorMap::new();
         for _ in 0..count {
@@ -185,20 +179,18 @@ impl TensorMap {
             for _ in 0..rank {
                 dims.push(r.u32_le("dims")? as usize);
             }
-            if tagged {
-                let tag = r.u8("dtype")?;
-                match DType::from_tag(tag) {
-                    Some(DType::F32) => {}
-                    Some(other) => {
-                        return Err(TensorError::Corrupt(format!(
-                            "tensor `{name}` has dtype {other}; checkpoints hold f32 weights only"
-                        )))
-                    }
-                    None => {
-                        return Err(TensorError::Corrupt(format!(
-                            "tensor `{name}`: unknown dtype tag {tag}"
-                        )))
-                    }
+            let tag = r.u8("dtype")?;
+            match DType::from_tag(tag) {
+                Some(DType::F32) => {}
+                Some(other) => {
+                    return Err(TensorError::Corrupt(format!(
+                        "tensor `{name}` has dtype {other}; checkpoints hold f32 weights only"
+                    )))
+                }
+                None => {
+                    return Err(TensorError::Corrupt(format!(
+                        "tensor `{name}`: unknown dtype tag {tag}"
+                    )))
                 }
             }
             let numel = r.u64_le("numel")?;
@@ -276,20 +268,19 @@ mod tests {
     }
 
     /// One hand-built checkpoint entry: what the header claims (`dims`,
-    /// `numel`, the dtype `tag` — `None` writes a version-1 payload, which
-    /// has no tag byte) and the payload bytes actually present.
+    /// `numel`, the dtype `tag`) and the payload bytes actually present.
     struct RawEntry<'a> {
         name: &'a str,
         dims: &'a [u32],
-        tag: Option<u8>,
+        tag: u8,
         numel: u64,
         payload: Vec<u8>,
     }
 
-    /// Serialize `entry` alone, with a valid checksum trailer.
+    /// Serialize `entry` alone as version 2, with a valid checksum trailer.
     fn crafted(entry: &RawEntry) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(if entry.tag.is_some() { MAGIC_V2 } else { MAGIC_V1 });
+        buf.extend_from_slice(MAGIC_V2);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&(entry.name.len() as u16).to_le_bytes());
         buf.extend_from_slice(entry.name.as_bytes());
@@ -297,7 +288,7 @@ mod tests {
         for d in entry.dims {
             buf.extend_from_slice(&d.to_le_bytes());
         }
-        buf.extend(entry.tag);
+        buf.push(entry.tag);
         buf.extend_from_slice(&entry.numel.to_le_bytes());
         buf.extend_from_slice(&entry.payload);
         let sum = fnv1a(&buf);
@@ -333,20 +324,22 @@ mod tests {
         assert_eq!(&sample_map().to_bytes()[..8], MAGIC_V2);
     }
 
+    /// A well-formed version-1 payload (untagged f32 entries under
+    /// `"RTCKPT01"`, valid checksum) is a typed bad-magic error, not a
+    /// panic and not a load.
     #[test]
     fn legacy_v1_loads_as_f32() {
-        let values = [1.0f32, 2.0, 3.0, 4.0];
-        let bytes = crafted(&RawEntry {
-            name: "w",
-            dims: &[2, 2],
-            tag: None,
-            numel: 4,
-            payload: values.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        });
-        let m = TensorMap::from_bytes(&bytes).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get("w").unwrap().dims(), &[2, 2]);
-        assert_eq!(m.get("w").unwrap().data(), &values);
+        let mut bytes = b"RTCKPT01".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.push(b'w');
+        bytes.push(1);
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        bytes.extend([1.0f32, 2.0].iter().flat_map(|v| v.to_le_bytes()));
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        expect_corrupt(&bytes, "bad magic \"RTCKPT01\"");
     }
 
     #[test]
@@ -354,29 +347,29 @@ mod tests {
         // Well-formed int8 and f16 entries (what a mixed-dtype writer
         // would have produced): a typed error naming the dtype.
         for (dtype, payload) in [(DType::I8, vec![1u8, 2]), (DType::F16, vec![0, 0x3c, 0, 0xc0])] {
-            let bytes = crafted(&RawEntry { name: "q", dims: &[2], tag: Some(dtype.tag()), numel: 2, payload });
+            let bytes = crafted(&RawEntry { name: "q", dims: &[2], tag: dtype.tag(), numel: 2, payload });
             expect_corrupt(&bytes, &dtype.to_string());
         }
     }
 
     #[test]
     fn unknown_dtype_tag_rejected() {
-        let bytes = crafted(&RawEntry { name: "w", dims: &[1], tag: Some(9), numel: 1, payload: vec![0; 4] });
+        let bytes = crafted(&RawEntry { name: "w", dims: &[1], tag: 9, numel: 1, payload: vec![0; 4] });
         expect_corrupt(&bytes, "dtype tag");
     }
 
     #[test]
     fn overflowing_dims_are_corrupt_not_a_panic() {
         // Four dims of 65536: their product is 2^64.
-        let bytes = crafted(&RawEntry { name: "w", dims: &[65536; 4], tag: Some(DType::F32.tag()), numel: 0, payload: vec![] });
+        let bytes = crafted(&RawEntry { name: "w", dims: &[65536; 4], tag: DType::F32.tag(), numel: 0, payload: vec![] });
         assert_eq!(bytes.len(), 49);
         expect_corrupt(&bytes, "overflow");
         // A product that fits (2^62) whose byte size (× 4) wraps to zero.
         let dims = [65536, 65536, 65536, 16384];
-        let bytes = crafted(&RawEntry { name: "w", dims: &dims, tag: Some(DType::F32.tag()), numel: 1 << 62, payload: vec![] });
+        let bytes = crafted(&RawEntry { name: "w", dims: &dims, tag: DType::F32.tag(), numel: 1 << 62, payload: vec![] });
         expect_corrupt(&bytes, "overflow");
         // A huge but representable size is just a truncated payload.
-        let bytes = crafted(&RawEntry { name: "w", dims: &[65536, 65536], tag: None, numel: 1 << 32, payload: vec![0; 16] });
+        let bytes = crafted(&RawEntry { name: "w", dims: &[65536, 65536], tag: DType::F32.tag(), numel: 1 << 32, payload: vec![0; 16] });
         expect_corrupt(&bytes, "truncated");
     }
 

@@ -1,42 +1,35 @@
 //! The immutable tensor value type.
 
-use std::any::Any;
 use std::sync::Arc;
 
-use crate::dtype::{DType, Element};
 use crate::error::TensorError;
 use crate::shape::Shape;
 
-/// A contiguous, row-major, immutable tensor, generic over its storage
-/// element (default `f32`).
+/// A contiguous, row-major, immutable `f32` tensor.
 ///
 /// Storage is shared behind an [`Arc`], so `clone` is O(1). Ops that produce
-/// new data allocate a fresh buffer (a large `f32` one from
-/// [`crate::recycle`], which takes it back when the last tensor sharing
-/// it drops); ops that only reinterpret the shape (`reshape`) share
-/// storage.
+/// new data allocate a fresh buffer (a large one from [`crate::recycle`],
+/// which takes it back when the last tensor sharing it drops); ops that
+/// only reinterpret the shape (`reshape`) share storage.
 ///
-/// Only `Tensor<f32>` participates in autograd and training; `Tensor<F16>`
-/// and `Tensor<i8>` are inference-time storage formats (KV caches,
-/// quantized weights) produced by the conversion ops in
-/// [`crate::ops::quant`]. That split is structural — [`crate::Var`] wraps
-/// `Tensor<f32>` only, so a non-f32 tensor can never enter a gradient
-/// graph.
+/// The narrower inference formats live outside it: int8 weight codes in
+/// [`crate::ops::quant::QuantizedMatrix`], f16 KV rows as
+/// [`crate::Element`] slices in the decode path's block pool.
 #[derive(Clone)]
-pub struct Tensor<E: Element = f32> {
+pub struct Tensor {
     shape: Shape,
-    data: Arc<Storage<E>>,
+    data: Arc<Storage>,
 }
 
 /// A tensor's buffer, and whether it goes back to [`crate::recycle`]
 /// when the last tensor sharing it drops: kernel outputs do, data a
 /// caller hands in does not.
-pub(crate) struct Storage<E: Element> {
-    buf: Vec<E>,
+pub(crate) struct Storage {
+    buf: Vec<f32>,
     recycled: bool,
 }
 
-impl<E: Element> Clone for Storage<E> {
+impl Clone for Storage {
     /// A private copy for [`Tensor::make_mut`]; a fresh allocation, so
     /// not recycled.
     fn clone(&self) -> Self {
@@ -44,23 +37,21 @@ impl<E: Element> Clone for Storage<E> {
     }
 }
 
-impl<E: Element> Drop for Storage<E> {
+impl Drop for Storage {
     fn drop(&mut self) {
         if self.recycled {
-            if let Some(buf) = (&mut self.buf as &mut dyn Any).downcast_mut::<Vec<f32>>() {
-                crate::recycle::put(std::mem::take(buf));
-            }
+            crate::recycle::put(std::mem::take(&mut self.buf));
         }
     }
 }
 
-impl<E: Element> Tensor<E> {
+impl Tensor {
     // ---------------------------------------------------------------
     // Constructors
     // ---------------------------------------------------------------
 
     /// Build a tensor from a flat row-major buffer and a shape.
-    pub fn from_vec(data: Vec<E>, dims: &[usize]) -> Result<Self, TensorError> {
+    pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self, TensorError> {
         let shape = Shape::new(dims)?;
         if data.len() != shape.numel() {
             return Err(TensorError::ShapeDataMismatch {
@@ -77,12 +68,6 @@ impl<E: Element> Tensor<E> {
     // ---------------------------------------------------------------
     // Accessors
     // ---------------------------------------------------------------
-
-    /// The storage dtype.
-    #[inline]
-    pub fn dtype(&self) -> DType {
-        E::DTYPE
-    }
 
     /// The tensor's shape.
     #[inline]
@@ -110,7 +95,7 @@ impl<E: Element> Tensor<E> {
 
     /// The flat row-major data.
     #[inline]
-    pub fn data(&self) -> &[E] {
+    pub fn data(&self) -> &[f32] {
         &self.data.buf
     }
 
@@ -118,7 +103,7 @@ impl<E: Element> Tensor<E> {
     ///
     /// # Panics
     /// Panics if the element counts differ.
-    pub fn reshape(&self, dims: &[usize]) -> Tensor<E> {
+    pub fn reshape(&self, dims: &[usize]) -> Tensor {
         // xlint: allow(transitive-panic-in-request-path): `Shape::new` fails only when the product of `dims` overflows usize, and such dims break the documented contract below (element counts must match) before any request data is involved
         let shape = Shape::new(dims).expect("reshape: invalid shape");
         assert_eq!(
@@ -135,37 +120,34 @@ impl<E: Element> Tensor<E> {
     }
 
     /// Copy out the data as an owned `Vec`.
-    pub fn to_vec(&self) -> Vec<E> {
+    pub fn to_vec(&self) -> Vec<f32> {
         self.data.buf.clone()
     }
 
     /// Internal: the data for writing in place, copied first if any other
     /// tensor shares it — so no other holder ever sees a change.
-    pub(crate) fn make_mut(&mut self) -> &mut [E] {
+    pub(crate) fn make_mut(&mut self) -> &mut [f32] {
         Arc::make_mut(&mut self.data).buf.as_mut_slice()
     }
 
     /// Test-only: a weak handle on the storage, which upgrades while any
     /// tensor still shares it.
     #[cfg(test)]
-    pub(crate) fn storage(&self) -> std::sync::Weak<Storage<E>> {
+    pub(crate) fn storage(&self) -> std::sync::Weak<Storage> {
         Arc::downgrade(&self.data)
     }
 
     /// Internal: a kernel's output, without re-validating (callers
-    /// guarantee `data.len() == shape.numel()`). Large `f32` outputs come
-    /// from [`crate::recycle`] and go back to it.
-    pub(crate) fn from_parts(shape: Shape, data: Vec<E>) -> Tensor<E> {
+    /// guarantee `data.len() == shape.numel()`). Large outputs come from
+    /// [`crate::recycle`] and go back to it.
+    pub(crate) fn from_parts(shape: Shape, data: Vec<f32>) -> Tensor {
         debug_assert_eq!(shape.numel(), data.len());
         Tensor {
             shape,
             data: Arc::new(Storage { buf: data, recycled: true }),
         }
     }
-}
 
-/// `f32`-only constructors and diagnostics (the training surface).
-impl Tensor {
     /// A scalar (rank-0) tensor.
     pub fn scalar(v: f32) -> Self {
         Tensor {
@@ -243,7 +225,7 @@ impl Tensor {
     }
 }
 
-impl<E: Element> std::fmt::Debug for Tensor<E> {
+impl std::fmt::Debug for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         const PREVIEW: usize = 8;
         write!(f, "Tensor{} [", self.shape)?;
@@ -251,7 +233,7 @@ impl<E: Element> std::fmt::Debug for Tensor<E> {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            v.fmt_elem(f)?;
+            write!(f, "{v:.4}")?;
         }
         if self.numel() > PREVIEW {
             write!(f, ", … {} more", self.numel() - PREVIEW)?;
@@ -260,7 +242,7 @@ impl<E: Element> std::fmt::Debug for Tensor<E> {
     }
 }
 
-impl<E: Element> PartialEq for Tensor<E> {
+impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
         self.shape == other.shape && self.data() == other.data()
     }
@@ -269,7 +251,6 @@ impl<E: Element> PartialEq for Tensor<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtype::F16;
 
     #[test]
     fn from_vec_validates_length() {
@@ -326,23 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn non_f32_storage_dtypes() {
-        let q: Tensor<i8> = Tensor::from_vec(vec![1i8, -2, 3, -4], &[2, 2]).unwrap();
-        assert_eq!(q.dtype(), DType::I8);
-        assert_eq!(q.data(), &[1, -2, 3, -4]);
-        let h: Tensor<F16> = Tensor::from_vec(vec![F16::from_f32(1.5); 3], &[3]).unwrap();
-        assert_eq!(h.dtype(), DType::F16);
-        assert_eq!(h.data()[0].to_f32(), 1.5);
-        // clone/reshape share storage for every dtype
-        let r = q.reshape(&[4]);
-        assert!(std::ptr::eq(q.data().as_ptr(), r.data().as_ptr()));
-    }
-
-    #[test]
     fn debug_preview_per_dtype() {
         let f = format!("{:?}", Tensor::from_vec(vec![1.25f32, 2.0], &[2]).unwrap());
         assert!(f.contains("1.2500"), "{f}");
-        let q = format!("{:?}", Tensor::from_vec(vec![-3i8, 7], &[2]).unwrap());
-        assert!(q.contains("-3, 7"), "{q}");
+        // An int8 matrix previews its codes the same way, never all of them.
+        let w = Tensor::from_vec((0..40).map(|i| i as f32 - 20.0).collect(), &[4, 10]).unwrap();
+        let q = format!("{:?}", crate::ops::quantize_per_row(&w));
+        assert!(q.contains("[4, 10]") && q.contains("[-127, -121, "), "{q}");
+        assert!(q.contains("… 32 more"), "{q}");
     }
 }

@@ -61,17 +61,6 @@ fn mm_operands() -> impl Strategy<Value = (Tensor, Tensor)> {
     })
 }
 
-/// Random batched operands for the `bmm_*` family (shared inner dims).
-fn bmm_operands() -> impl Strategy<Value = (usize, usize, usize, usize, Vec<f32>, Vec<f32>)> {
-    (1usize..5, 1usize..12, 1usize..10, 1usize..12).prop_flat_map(|(b, m, k, n)| {
-        (
-            collection::vec(-3.0f32..3.0, b * m * k..=b * m * k),
-            collection::vec(-3.0f32..3.0, b * k * n..=b * k * n),
-        )
-            .prop_map(move |(av, bv)| (b, m, k, n, av, bv))
-    })
-}
-
 proptest! {
     cases = 48;
 
@@ -124,27 +113,6 @@ proptest! {
         par::set_num_threads(0);
     }
 
-    /// The three bmm variants are bit-identical across thread counts.
-    #[test]
-    fn bmm_family_bits_invariant((bt, m, k, n, av, bv) in bmm_operands()) {
-        let a = Tensor::from_vec(av.clone(), &[bt, m, k]).unwrap();
-        let b = Tensor::from_vec(bv.clone(), &[bt, k, n]).unwrap();
-        let a_t = Tensor::from_vec(av, &[bt, k, m]).unwrap(); // for bmm_transa
-        let b_t = Tensor::from_vec(bv, &[bt, n, k]).unwrap(); // for bmm_transb
-        let _g = knob();
-        par::set_num_threads(1);
-        let s_plain = ops::bmm(&a, &b);
-        let s_tb = ops::bmm_transb(&a, &b_t);
-        let s_ta = ops::bmm_transa(&a_t, &b);
-        for &t in &SWEEP {
-            par::set_num_threads(t);
-            assert_bits_equal(&s_plain, &ops::bmm(&a, &b), "bmm", t);
-            assert_bits_equal(&s_tb, &ops::bmm_transb(&a, &b_t), "bmm_transb", t);
-            assert_bits_equal(&s_ta, &ops::bmm_transa(&a_t, &b), "bmm_transa", t);
-        }
-        par::set_num_threads(0);
-    }
-
     /// The fused attention is bit-identical across thread counts, at head
     /// widths on both sides of the 16-wide tile, with and without a window.
     #[test]
@@ -162,14 +130,14 @@ proptest! {
         let _g = knob();
         par::set_num_threads(threads);
         for _ in 0..4 {
-            let hits = Mutex::new(vec![0u8; len]);
-            par::parallel_chunks(len, HEAVY, |s, e, _| {
-                let mut h = hits.lock().unwrap();
-                for i in s..e {
-                    h[i] += 1;
+            let mut hits = vec![0u8; len];
+            par::parallel_rows_mut(&mut hits, len, 1, HEAVY, |range, chunk| {
+                assert_eq!(range.len(), chunk.len());
+                for h in chunk {
+                    *h += 1;
                 }
             });
-            assert!(hits.into_inner().unwrap().iter().all(|&c| c == 1));
+            assert!(hits.iter().all(|&c| c == 1));
         }
         par::set_num_threads(0);
     }
@@ -180,16 +148,15 @@ proptest! {
     fn nested_pool_launches_terminate(len in 2usize..300, threads in 2usize..8) {
         let _g = knob();
         par::set_num_threads(threads);
-        let hits = Mutex::new(vec![0u8; len]);
-        par::parallel_chunks(len, HEAVY, |s, e, _| {
-            par::parallel_chunks(e - s, HEAVY, |ns, ne, _| {
-                let mut h = hits.lock().unwrap();
-                for i in s + ns..s + ne {
-                    h[i] += 1;
+        let mut hits = vec![0u8; len];
+        par::parallel_rows_mut(&mut hits, len, 1, HEAVY, |_, outer| {
+            par::parallel_rows_mut(outer, outer.len(), 1, HEAVY, |_, inner| {
+                for h in inner {
+                    *h += 1;
                 }
             });
         });
-        assert!(hits.into_inner().unwrap().iter().all(|&c| c == 1));
+        assert!(hits.iter().all(|&c| c == 1));
         par::set_num_threads(0);
     }
 }
@@ -247,19 +214,19 @@ fn deeply_nested_launches_and_kernels_survive() {
     par::set_num_threads(1);
     let expect = ops::matmul(&a, &b);
     par::set_num_threads(4);
-    let done = Mutex::new(0usize);
-    par::parallel_chunks(8, HEAVY, |s, e, _| {
-        for _ in s..e {
+    let mut done = [0u8; 8];
+    par::parallel_rows_mut(&mut done, 8, 1, HEAVY, |_, chunk| {
+        for d in chunk {
             // kernel launch from inside a pool task runs inline
             let c = ops::matmul(&a, &b);
             assert_bits_equal(&expect, &c, "nested matmul", 4);
-            par::parallel_chunks(16, HEAVY, |ns, ne, _| {
-                par::parallel_chunks(ne - ns, HEAVY, |_, _, _| {});
+            par::parallel_rows_mut(&mut [0u8; 16], 16, 1, HEAVY, |_, outer| {
+                par::parallel_rows_mut(outer, outer.len(), 1, HEAVY, |_, _| {});
             });
-            *done.lock().unwrap() += 1;
+            *d += 1;
         }
     });
-    assert_eq!(*done.lock().unwrap(), 8);
+    assert!(done.iter().all(|&d| d == 1));
     par::set_num_threads(0);
 }
 
@@ -308,24 +275,7 @@ fn kernels_bits_invariant_around_the_launch_gate() {
             assert_bits_equal(&serial.1, &parallel.1, &format!("matmul_transb {what}"), t);
             assert_bits_equal(&serial.2, &parallel.2, &format!("matmul_transa {what}"), t);
             assert_bits_equal(&serial.3, &parallel.3, &format!("qmatmul_transb {what}"), t);
-            assert_eq!(serial.4.codes().data(), parallel.4.codes().data(), "quantize {what} at {t}");
-        }
-    }
-    // The bmm family over the fused (batch, m) row space: 0.5x and 4x.
-    for &(bt, m, k, n) in &[(4, 64, 32, 64), (8, 128, 32, 128)] {
-        let a = operand(&[bt, m, k], 5);
-        let b = operand(&[bt, k, n], 6);
-        let a_t = operand(&[bt, k, m], 7);
-        let b_t = operand(&[bt, n, k], 8);
-        let run = || (ops::bmm(&a, &b), ops::bmm_transb(&a, &b_t), ops::bmm_transa(&a_t, &b));
-        par::set_num_threads(1);
-        let serial = run();
-        for &t in &SWEEP {
-            par::set_num_threads(t);
-            let parallel = run();
-            assert_bits_equal(&serial.0, &parallel.0, "bmm", t);
-            assert_bits_equal(&serial.1, &parallel.1, "bmm_transb", t);
-            assert_bits_equal(&serial.2, &parallel.2, "bmm_transa", t);
+            assert_eq!(serial.4.codes(), parallel.4.codes(), "quantize {what} at {t}");
         }
     }
     par::set_num_threads(0);

@@ -5,7 +5,7 @@
 //! contract `pool_proptests.rs` pins for the f32 kernels).
 
 use ratatouille_util::proptest::prelude::*;
-use ratatouille_tensor::{ops, par, Tensor};
+use ratatouille_tensor::{ops, par, Element, Tensor, F16};
 use std::sync::{Mutex, MutexGuard};
 
 /// `par::set_num_threads` is process-global and the test harness runs
@@ -63,7 +63,7 @@ proptest! {
             let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             let step = if max_abs == 0.0 { 0.0 } else { max_abs / 127.0 };
             for c in 0..k {
-                let code = q.codes().data()[r * k + c];
+                let code = q.codes()[r * k + c];
                 prop_assert!((-127..=127).contains(&code), "code {} out of domain", code);
                 let err = (row[c] - back.data()[r * k + c]).abs();
                 prop_assert!(
@@ -151,11 +151,8 @@ proptest! {
     /// epsilon (2^-11) for normal values in a safe range.
     #[test]
     fn f16_roundtrip_bound(v in collection::vec(-1000.0f32..1000.0, 1..64)) {
-        let n = v.len();
-        let t = Tensor::from_vec(v.clone(), &[n]).unwrap();
-        let half = ops::to_f16(&t);
-        let back = ops::to_f32(&half);
-        for (i, (&x, &y)) in v.iter().zip(back.data()).enumerate() {
+        let back = v.iter().map(|&x| F16::from_f32(x).to_f32());
+        for (i, (&x, y)) in v.iter().zip(back).enumerate() {
             let tol = x.abs() * (1.0 / 2048.0) + 1e-6;
             prop_assert!(
                 (x - y).abs() <= tol,
@@ -176,7 +173,7 @@ fn requantization_is_stable() {
     .unwrap();
     let q1 = ops::quantize_per_row(&w);
     let q2 = ops::quantize_per_row(&ops::dequantize(&q1));
-    assert_eq!(q1.codes().data(), q2.codes().data());
+    assert_eq!(q1.codes(), q2.codes());
     for (a, b) in q1.scales().iter().zip(q2.scales()) {
         assert!((a - b).abs() <= a.abs() * 1e-6);
     }

@@ -190,7 +190,7 @@ impl<'w> Resolver<'w> {
             return self.methods(&self_ty, &name);
         }
         // Expand the head segment through this file's imports:
-        // `par::scatter_mut` + `use ratatouille_tensor::par;` → full path.
+        // `par::run_tasks` + `use ratatouille_tensor::par;` → full path.
         if let Some(full) = self.use_maps[n.file].get(segs[0].as_str()) {
             let mut expanded: Vec<String> = (*full).clone();
             expanded.extend(segs.drain(1..));

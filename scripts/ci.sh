@@ -133,6 +133,29 @@ if grep -rnE 'KvCache|StreamKv|KvSeam|KvRows' crates/models/src; then
     exit 1
 fi
 
+echo "== one tensor element, one split (grep gate over every crate's non-test source) =="
+# `Tensor` holds f32, `Element` is the KV-cache element (f32 and F16
+# only), and `par::parallel_rows_mut` is the one way a kernel splits a
+# buffer across the pool. Two more split entry points, the raw-pointer
+# wrapper one of their callers needed, an i8 cache element and a type
+# parameter on `Tensor` were generality nothing ran; this fails the
+# build if one comes back. The patterns are split so this file does not
+# match itself.
+deleted_generality='scatter''_mut|parallel''_chunks|Send''Ptr|impl Element for ''i8'
+for f in $(git ls-files 'src/*.rs' 'crates/*/src/*.rs'); do
+    # Non-test source: everything above the file's first `#[cfg(test)]`.
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$deleted_generality"; then
+        echo "tensor: $f names a deleted split entry point or element (see above)" >&2
+        exit 1
+    fi
+done
+for f in $(git ls-files 'crates/tensor/src/*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Tensor''<[A-Za-z_]'; then
+        echo "tensor: $f gives Tensor a type parameter (see above); a tensor holds f32" >&2
+        exit 1
+    fi
+done
+
 echo "== one benchmark (loadbench measures, cargo test checks; nothing beside them) =="
 # The nine micro-benches, their harness and the tracked result files they
 # overwrote in place went in PR 24; every cell they timed is a loadbench
